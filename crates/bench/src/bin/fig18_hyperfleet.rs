@@ -1,19 +1,9 @@
 //! Regenerates experiment `fig18_hyperfleet`. See EXPERIMENTS.md.
 //!
-//! `MOSAIC_HYPERFLEET_STOP_AFTER_BATCHES=<n>` limits each policy's
-//! simulation to `n` shard batches and exits with code 3, leaving the
-//! batch checkpoints on disk — rerunning without the limit resumes and
-//! prints output byte-identical to an uninterrupted run (the CI
-//! kill/resume drill).
+//! `MOSAIC_STOP_AFTER_BATCHES=<n>` limits each policy's simulation to `n`
+//! shard batches and exits with code 3, leaving the batch checkpoints on
+//! disk — rerunning without the limit resumes and prints output
+//! byte-identical to an uninterrupted run (the kill/resume drill).
 fn main() {
-    let stop = std::env::var("MOSAIC_HYPERFLEET_STOP_AFTER_BATCHES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    match mosaic_bench::fig18_hyperfleet::run_with_stop(stop) {
-        Some(out) => print!("{out}"),
-        None => {
-            eprintln!("[F18] stopped early with checkpoints on disk; rerun to resume");
-            std::process::exit(3);
-        }
-    }
+    mosaic_bench::runcfg::checkpointed_main("F18", mosaic_bench::fig18_hyperfleet::run_with_stop);
 }

@@ -1,18 +1,12 @@
 //! Regenerates experiment `fig19_traffic_resilience`. See EXPERIMENTS.md.
 //!
-//! `MOSAIC_TRAFFIC_STOP_AFTER_BATCHES=<n>` limits each sweep point to
-//! `n` run batches and exits with code 3, leaving the batch checkpoints
-//! on disk — rerunning without the limit resumes and prints output
-//! byte-identical to an uninterrupted run (the CI kill/resume drill).
+//! `MOSAIC_STOP_AFTER_BATCHES=<n>` limits each sweep point to `n` run
+//! batches and exits with code 3, leaving the batch checkpoints on disk —
+//! rerunning without the limit resumes and prints output byte-identical
+//! to an uninterrupted run (the kill/resume drill).
 fn main() {
-    let stop = std::env::var("MOSAIC_TRAFFIC_STOP_AFTER_BATCHES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    match mosaic_bench::fig19_traffic_resilience::run_with_stop(stop) {
-        Some(out) => print!("{out}"),
-        None => {
-            eprintln!("[F19] stopped early with checkpoints on disk; rerun to resume");
-            std::process::exit(3);
-        }
-    }
+    mosaic_bench::runcfg::checkpointed_main(
+        "F19",
+        mosaic_bench::fig19_traffic_resilience::run_with_stop,
+    );
 }

@@ -7,8 +7,8 @@
 //! F18 runs the per-channel machinery — fault campaigns feeding degrade
 //! controllers on every spared link — at full fleet scale, with memory
 //! bounded by the shard size and per-batch checkpoints that make the
-//! run kill/resume-safe (`MOSAIC_HYPERFLEET_STOP_AFTER_BATCHES` in the
-//! standalone binary is the drill hook). Shard merges are exact-integer
+//! run kill/resume-safe (`MOSAIC_STOP_AFTER_BATCHES` in the standalone
+//! binary is the drill hook). Shard merges are exact-integer
 //! folds, so the table is bit-identical at any thread count and across
 //! any kill/resume schedule.
 //!
@@ -16,13 +16,13 @@
 //! simulates the hyperscale region (1,277,952 links) over 3 years.
 
 use crate::cells;
-use crate::fragments::FragmentRollupStore;
 use crate::runcfg;
 use crate::table::Table;
 use mosaic::compare::candidates;
 use mosaic_netsim::assignment::{assign, Policy};
 use mosaic_netsim::hyperfleet::{self, HyperFleetConfig, SPARE_BUCKETS};
 use mosaic_netsim::topology::ClosTopology;
+use mosaic_sim::checkpoint::FileStore;
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::{self, Stopwatch};
 use mosaic_units::{BitRate, Duration};
@@ -97,7 +97,7 @@ pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
                 cfg.shard_links
             );
         }
-        let mut store = FragmentRollupStore::new(CHECKPOINT_DIR, tag);
+        let mut store = FileStore::new(CHECKPOINT_DIR, &format!("hf-{tag}"));
         let report =
             match hyperfleet::simulate_with(&cfg, SEED, &exec, &mut store, stop_after_batches) {
                 Ok(Some(report)) => report,

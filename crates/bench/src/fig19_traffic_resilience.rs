@@ -15,15 +15,15 @@
 //! slowest frames.
 //!
 //! Multi-run points fold through `TrialPlan` with per-batch checkpoints
-//! (`MOSAIC_TRAFFIC_STOP_AFTER_BATCHES` in the standalone binary is the
+//! (`MOSAIC_STOP_AFTER_BATCHES` in the standalone binary is the
 //! kill/resume drill hook); exact-integer rollup merges make the table
 //! bit-identical at any thread count and across any kill/resume
 //! schedule.
 
 use crate::cells;
-use crate::fragments::TrafficRollupStore;
 use crate::runcfg;
 use crate::table::Table;
+use mosaic_sim::checkpoint::FileStore;
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::{self, Stopwatch};
 use mosaic_traffic::{policy_tag, run_point_with, Policy, TrafficConfig, LAT_BUCKETS};
@@ -110,7 +110,7 @@ pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
         for (pi, &policy) in POLICIES.iter().enumerate() {
             let cfg = config(rate, policy);
             let tag = format!("{}-r{ri}", policy_tag(policy));
-            let mut store = TrafficRollupStore::new(CHECKPOINT_DIR, &tag);
+            let mut store = FileStore::new(CHECKPOINT_DIR, &format!("tr-{tag}"));
             let rollup =
                 match run_point_with(&cfg, SEED, runs, &exec, &mut store, stop_after_batches) {
                     Ok(Some(rollup)) => rollup,

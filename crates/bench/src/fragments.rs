@@ -29,6 +29,11 @@
 //! A fragment whose `mode` does not match the resuming run is rejected
 //! (quick fragments must never seed a full run), as is any fragment that
 //! fails schema or field validation — the figure is simply re-run.
+//!
+//! F18 and F19 also checkpoint *within* a figure: their
+//! `mosaic_sim::checkpoint::FileStore` batch files (`hf-*`, `tr-*`) live
+//! in the same directory, so [`clear_fragments`] (every `*.json`) clears
+//! them together with the figure fragments.
 
 use crate::manifest::FigureRecord;
 use mosaic_sim::json::Json;
@@ -250,376 +255,6 @@ pub fn clear_fragments(dir: &Path) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Hyperfleet batch checkpoints (F18).
-//
-// `hyperfleet::simulate_with` streams its cumulative per-batch rollup
-// through a `RollupStore`; this store persists each checkpoint as
-// `hf-<tag>-b<batch>.json` next to the figure fragments, under the same
-// atomic-write discipline. Every field of the rollup is an exact
-// integer, so the wire format stores them as fixed-width hex strings
-// (the JSON number layer is f64-backed and would silently round above
-// 2^53). A checkpoint is keyed by the config digest: a load whose
-// stored digest does not match is ignored, so a stale checkpoint from a
-// different config/seed/fidelity can never seed a resume. Figure
-// fragments and hyperfleet checkpoints share `clear_fragments` (both
-// are `*.json`), so run_all's fresh-start and successful-completion
-// sweeps clear them together.
-
-/// The hyperfleet checkpoint schema identifier.
-pub const ROLLUP_SCHEMA: &str = "mosaic-hyperfleet-rollup/v1";
-
-use mosaic_netsim::hyperfleet::{FleetRollup, RollupStore, SPARE_BUCKETS};
-
-/// A [`RollupStore`] over per-batch JSON files in a fragment directory.
-/// The `tag` keeps concurrent simulations (e.g. F18's two policies) in
-/// separate file families within the same directory.
-#[derive(Debug, Clone)]
-pub struct FragmentRollupStore {
-    dir: PathBuf,
-    tag: String,
-}
-
-fn hex64(v: u64) -> String {
-    format!("{v:016x}")
-}
-
-fn hex128(v: u128) -> String {
-    format!("{v:032x}")
-}
-
-fn parse_hex64(doc: &Json, key: &str) -> Result<u64, String> {
-    let s = doc
-        .get(key)
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("{key}: missing or not a string"))?;
-    u64::from_str_radix(s, 16).map_err(|_| format!("{key}: not a hex integer"))
-}
-
-fn parse_hex128(doc: &Json, key: &str) -> Result<u128, String> {
-    let s = doc
-        .get(key)
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("{key}: missing or not a string"))?;
-    u128::from_str_radix(s, 16).map_err(|_| format!("{key}: not a hex integer"))
-}
-
-impl FragmentRollupStore {
-    /// A store writing checkpoints under `dir` (created on first save).
-    pub fn new(dir: impl Into<PathBuf>, tag: &str) -> Self {
-        FragmentRollupStore {
-            dir: dir.into(),
-            tag: tag.to_string(),
-        }
-    }
-
-    /// Checkpoint path for one batch.
-    pub fn path(&self, batch: u64) -> PathBuf {
-        self.dir.join(format!("hf-{}-b{batch}.json", self.tag))
-    }
-
-    /// Delete this store's checkpoint files (leaves figure fragments and
-    /// other tags alone) — what F18 calls once a simulation completes.
-    pub fn clear(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let prefix = format!("hf-{}-b", self.tag);
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with(&prefix) && name.ends_with(".json") {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-
-    fn rollup_to_json(batch: u64, digest: u64, r: &FleetRollup) -> Json {
-        let occupancy: Vec<Json> = r
-            .spare_occupancy
-            .iter()
-            .map(|&c| Json::from(hex64(c)))
-            .collect();
-        Json::object()
-            .with("schema", ROLLUP_SCHEMA)
-            .with("batch", hex64(batch))
-            .with("digest", hex64(digest))
-            .with("shards", hex64(r.shards))
-            .with("links", hex64(r.links))
-            .with("event_sourced_links", hex64(r.event_sourced_links))
-            .with("tickets", hex64(r.tickets))
-            .with("hard_failures", hex64(r.hard_failures))
-            .with("rebuilds", hex64(r.rebuilds))
-            .with("channel_faults", hex64(r.channel_faults))
-            .with("spares_activated", hex64(r.spares_activated))
-            .with("lanes_shed", hex64(r.lanes_shed))
-            .with("exhausted_links", hex64(r.exhausted_links))
-            .with("downtime_q", hex128(r.downtime_q))
-            .with("degraded_q", hex128(r.degraded_q))
-            .with("capacity_lost_q", hex128(r.capacity_lost_q))
-            .with("spare_occupancy", Json::Arr(occupancy))
-    }
-
-    fn rollup_from_json(doc: &Json, batch: u64, digest: u64) -> Result<FleetRollup, String> {
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(s) if s == ROLLUP_SCHEMA => {}
-            other => return Err(format!("schema: expected {ROLLUP_SCHEMA:?}, got {other:?}")),
-        }
-        if parse_hex64(doc, "batch")? != batch {
-            return Err("batch mismatch".into());
-        }
-        if parse_hex64(doc, "digest")? != digest {
-            return Err("config digest mismatch".into());
-        }
-        let occ = doc
-            .get("spare_occupancy")
-            .and_then(|v| v.as_arr())
-            .ok_or("spare_occupancy: missing or not an array")?;
-        if occ.len() != SPARE_BUCKETS {
-            return Err(format!(
-                "spare_occupancy: expected {SPARE_BUCKETS} buckets, got {}",
-                occ.len()
-            ));
-        }
-        let mut spare_occupancy = [0u64; SPARE_BUCKETS];
-        for (i, v) in occ.iter().enumerate() {
-            let s = v
-                .as_str()
-                .ok_or_else(|| format!("spare_occupancy[{i}]: not a string"))?;
-            spare_occupancy[i] = u64::from_str_radix(s, 16)
-                .map_err(|_| format!("spare_occupancy[{i}]: not a hex integer"))?;
-        }
-        Ok(FleetRollup {
-            shards: parse_hex64(doc, "shards")?,
-            links: parse_hex64(doc, "links")?,
-            event_sourced_links: parse_hex64(doc, "event_sourced_links")?,
-            tickets: parse_hex64(doc, "tickets")?,
-            hard_failures: parse_hex64(doc, "hard_failures")?,
-            rebuilds: parse_hex64(doc, "rebuilds")?,
-            channel_faults: parse_hex64(doc, "channel_faults")?,
-            spares_activated: parse_hex64(doc, "spares_activated")?,
-            lanes_shed: parse_hex64(doc, "lanes_shed")?,
-            exhausted_links: parse_hex64(doc, "exhausted_links")?,
-            downtime_q: parse_hex128(doc, "downtime_q")?,
-            degraded_q: parse_hex128(doc, "degraded_q")?,
-            capacity_lost_q: parse_hex128(doc, "capacity_lost_q")?,
-            spare_occupancy,
-        })
-    }
-}
-
-impl RollupStore for FragmentRollupStore {
-    fn load(&mut self, batch: u64, digest: u64) -> Option<FleetRollup> {
-        let path = self.path(batch);
-        let text = std::fs::read_to_string(&path).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        match Self::rollup_from_json(&doc, batch, digest) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!(
-                    "[hyperfleet] ignoring invalid checkpoint {}: {e}",
-                    path.display()
-                );
-                None
-            }
-        }
-    }
-
-    fn save(&mut self, batch: u64, digest: u64, rollup: &FleetRollup) -> mosaic_units::Result<()> {
-        let write = |store: &FragmentRollupStore| -> std::io::Result<()> {
-            std::fs::create_dir_all(&store.dir)?;
-            let tmp = store.dir.join(format!(".hf-{}-b{batch}.tmp", store.tag));
-            std::fs::write(
-                &tmp,
-                Self::rollup_to_json(batch, digest, rollup).to_string_pretty(),
-            )?;
-            std::fs::rename(&tmp, store.path(batch))
-        };
-        write(self).map_err(|e| {
-            mosaic_units::MosaicError::invalid_config(
-                "hyperfleet_checkpoint",
-                format!("cannot write checkpoint for batch {batch}: {e}"),
-            )
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Traffic sweep checkpoints (F19).
-//
-// `mosaic_traffic::run_point_with` streams its cumulative per-batch
-// rollup through a `TrafficStore`; this store persists each checkpoint
-// as `tr-<tag>-b<batch>.json` next to the figure fragments, under the
-// identical discipline as the hyperfleet store above: atomic writes,
-// fixed-width hex integers (exactness above 2^53), digest-keyed loads,
-// and prefix-scoped clears. Figure fragments and traffic checkpoints
-// share `clear_fragments` (both are `*.json`).
-
-/// The traffic checkpoint schema identifier.
-pub const TRAFFIC_SCHEMA: &str = "mosaic-traffic-rollup/v1";
-
-use mosaic_traffic::{TrafficRollup, TrafficStore, LAT_BUCKETS};
-
-/// A [`TrafficStore`] over per-batch JSON files in a fragment directory.
-/// The `tag` keeps F19's policy × fault-rate points in separate file
-/// families within the same directory.
-#[derive(Debug, Clone)]
-pub struct TrafficRollupStore {
-    dir: PathBuf,
-    tag: String,
-}
-
-impl TrafficRollupStore {
-    /// A store writing checkpoints under `dir` (created on first save).
-    pub fn new(dir: impl Into<PathBuf>, tag: &str) -> Self {
-        TrafficRollupStore {
-            dir: dir.into(),
-            tag: tag.to_string(),
-        }
-    }
-
-    /// Checkpoint path for one batch.
-    pub fn path(&self, batch: u64) -> PathBuf {
-        self.dir.join(format!("tr-{}-b{batch}.json", self.tag))
-    }
-
-    /// Delete this store's checkpoint files (leaves figure fragments and
-    /// other tags alone) — what F19 calls once a point completes.
-    pub fn clear(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let prefix = format!("tr-{}-b", self.tag);
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with(&prefix) && name.ends_with(".json") {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-
-    fn rollup_to_json(batch: u64, digest: u64, r: &TrafficRollup) -> Json {
-        let hist: Vec<Json> = r
-            .latency_hist
-            .iter()
-            .map(|&c| Json::from(hex64(c)))
-            .collect();
-        Json::object()
-            .with("schema", TRAFFIC_SCHEMA)
-            .with("batch", hex64(batch))
-            .with("digest", hex64(digest))
-            .with("runs", hex64(r.runs))
-            .with("offered", hex64(r.offered))
-            .with("delivered", hex64(r.delivered))
-            .with("retried", hex64(r.retried))
-            .with("expired", hex64(r.expired))
-            .with("exhausted", hex64(r.exhausted))
-            .with("reordered", hex64(r.reordered))
-            .with("corrupt_frames", hex64(r.corrupt_frames))
-            .with("deskew_epochs", hex64(r.deskew_epochs))
-            .with("remaps", hex64(r.remaps))
-            .with("pause_epochs", hex64(r.pause_epochs))
-            .with("lost_lanes", hex64(r.lost_lanes))
-            .with("payload_bytes", hex64(r.payload_bytes))
-            .with("latency_sum", hex128(r.latency_sum))
-            .with("latency_hist", Json::Arr(hist))
-    }
-
-    fn rollup_from_json(doc: &Json, batch: u64, digest: u64) -> Result<TrafficRollup, String> {
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(s) if s == TRAFFIC_SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "schema: expected {TRAFFIC_SCHEMA:?}, got {other:?}"
-                ))
-            }
-        }
-        if parse_hex64(doc, "batch")? != batch {
-            return Err("batch mismatch".into());
-        }
-        if parse_hex64(doc, "digest")? != digest {
-            return Err("config digest mismatch".into());
-        }
-        let hist = doc
-            .get("latency_hist")
-            .and_then(|v| v.as_arr())
-            .ok_or("latency_hist: missing or not an array")?;
-        if hist.len() != LAT_BUCKETS {
-            return Err(format!(
-                "latency_hist: expected {LAT_BUCKETS} buckets, got {}",
-                hist.len()
-            ));
-        }
-        let mut latency_hist = [0u64; LAT_BUCKETS];
-        for (i, v) in hist.iter().enumerate() {
-            let s = v
-                .as_str()
-                .ok_or_else(|| format!("latency_hist[{i}]: not a string"))?;
-            latency_hist[i] = u64::from_str_radix(s, 16)
-                .map_err(|_| format!("latency_hist[{i}]: not a hex integer"))?;
-        }
-        Ok(TrafficRollup {
-            runs: parse_hex64(doc, "runs")?,
-            offered: parse_hex64(doc, "offered")?,
-            delivered: parse_hex64(doc, "delivered")?,
-            retried: parse_hex64(doc, "retried")?,
-            expired: parse_hex64(doc, "expired")?,
-            exhausted: parse_hex64(doc, "exhausted")?,
-            reordered: parse_hex64(doc, "reordered")?,
-            corrupt_frames: parse_hex64(doc, "corrupt_frames")?,
-            deskew_epochs: parse_hex64(doc, "deskew_epochs")?,
-            remaps: parse_hex64(doc, "remaps")?,
-            pause_epochs: parse_hex64(doc, "pause_epochs")?,
-            lost_lanes: parse_hex64(doc, "lost_lanes")?,
-            payload_bytes: parse_hex64(doc, "payload_bytes")?,
-            latency_sum: parse_hex128(doc, "latency_sum")?,
-            latency_hist,
-        })
-    }
-}
-
-impl TrafficStore for TrafficRollupStore {
-    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
-        let path = self.path(batch);
-        let text = std::fs::read_to_string(&path).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        match Self::rollup_from_json(&doc, batch, digest) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!(
-                    "[traffic] ignoring invalid checkpoint {}: {e}",
-                    path.display()
-                );
-                None
-            }
-        }
-    }
-
-    fn save(
-        &mut self,
-        batch: u64,
-        digest: u64,
-        rollup: &TrafficRollup,
-    ) -> mosaic_units::Result<()> {
-        let write = |store: &TrafficRollupStore| -> std::io::Result<()> {
-            std::fs::create_dir_all(&store.dir)?;
-            let tmp = store.dir.join(format!(".tr-{}-b{batch}.tmp", store.tag));
-            std::fs::write(
-                &tmp,
-                Self::rollup_to_json(batch, digest, rollup).to_string_pretty(),
-            )?;
-            std::fs::rename(&tmp, store.path(batch))
-        };
-        write(self).map_err(|e| {
-            mosaic_units::MosaicError::invalid_config(
-                "traffic_checkpoint",
-                format!("cannot write checkpoint for batch {batch}: {e}"),
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,73 +334,6 @@ mod tests {
         assert!(load_fragment(&dir, "F1", "quick").is_none());
         clear_fragments(&dir);
         assert!(load_fragment(&dir, "F9", "quick").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rollup_checkpoints_round_trip_exactly() {
-        let dir = std::env::temp_dir().join(format!("mosaic-hf-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = FragmentRollupStore::new(&dir, "test");
-        let r = FleetRollup {
-            shards: 3,
-            links: 1_277_952,
-            tickets: 42,
-            // Above 2^53: a float-backed number field would round these.
-            downtime_q: (1u128 << 77) + 12345,
-            capacity_lost_q: u128::MAX / 7,
-            spare_occupancy: [9, 8, 7, 6, 5, 4, 3, 2],
-            ..FleetRollup::default()
-        };
-        store.save(4, 0xdead_beef, &r).unwrap();
-        assert_eq!(store.load(4, 0xdead_beef), Some(r));
-        // Wrong digest, wrong batch, corrupt file: all ignored.
-        assert_eq!(store.load(4, 0xdead_beee), None);
-        assert_eq!(store.load(3, 0xdead_beef), None);
-        std::fs::write(store.path(4), "{not json").unwrap();
-        assert_eq!(store.load(4, 0xdead_beef), None);
-        store.save(4, 0xdead_beef, &r).unwrap();
-        store.clear();
-        assert_eq!(store.load(4, 0xdead_beef), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn traffic_checkpoints_round_trip_exactly() {
-        let dir = std::env::temp_dir().join(format!("mosaic-tr-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = TrafficRollupStore::new(&dir, "hitless-r2");
-        let mut hist = [0u64; LAT_BUCKETS];
-        hist[0] = 1000;
-        hist[LAT_BUCKETS - 1] = 3;
-        let r = TrafficRollup {
-            runs: 8,
-            offered: 15_360,
-            delivered: 15_200,
-            // Above 2^53: a float-backed number field would round these.
-            payload_bytes: (1u64 << 60) + 77,
-            latency_sum: (1u128 << 90) + 5,
-            latency_hist: hist,
-            ..TrafficRollup::default()
-        };
-        store.save(2, 0xfeed_f00d, &r).unwrap();
-        assert_eq!(store.load(2, 0xfeed_f00d), Some(r));
-        // Wrong digest, wrong batch, wrong tag, corrupt file: all ignored.
-        assert_eq!(store.load(2, 0xfeed_f00e), None);
-        assert_eq!(store.load(1, 0xfeed_f00d), None);
-        assert_eq!(
-            TrafficRollupStore::new(&dir, "static-r2").load(2, 0xfeed_f00d),
-            None
-        );
-        std::fs::write(store.path(2), "{not json").unwrap();
-        assert_eq!(store.load(2, 0xfeed_f00d), None);
-        // Clearing one tag leaves the other alone.
-        let mut other = TrafficRollupStore::new(&dir, "static-r2");
-        store.save(2, 0xfeed_f00d, &r).unwrap();
-        other.save(0, 0xabcd, &r).unwrap();
-        store.clear();
-        assert_eq!(store.load(2, 0xfeed_f00d), None);
-        assert_eq!(other.load(0, 0xabcd), Some(r));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

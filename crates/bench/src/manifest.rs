@@ -44,16 +44,8 @@ use mosaic_sim::telemetry::Snapshot;
 /// The manifest schema identifier.
 pub const SCHEMA: &str = "mosaic-run-manifest/v1";
 
-/// FNV-1a 64-bit hash; stable, dependency-free digest for outputs and
-/// configuration strings.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// FNV-1a 64-bit hash: the digest for outputs and configuration strings.
+pub use mosaic_sim::digest::fnv1a;
 
 /// A digest's manifest form: 16 lowercase hex digits.
 pub fn hex(h: u64) -> String {

@@ -32,6 +32,30 @@ pub fn fidelity() -> mosaic_sim::fidelity::FidelityMode {
     mosaic_sim::fidelity::FidelityMode::from_env()
 }
 
+/// Environment variable of the kill/resume drill for the checkpointed
+/// figures (F18, F19): each checkpointed fold runs at most this many
+/// batches, then the binary exits 3 with its checkpoints on disk.
+pub const STOP_AFTER_BATCHES_ENV: &str = "MOSAIC_STOP_AFTER_BATCHES";
+
+/// The drill's batch limit, if `MOSAIC_STOP_AFTER_BATCHES` holds one.
+pub fn stop_after_batches() -> Option<u64> {
+    std::env::var(STOP_AFTER_BATCHES_ENV).ok()?.parse().ok()
+}
+
+/// `main` of a checkpointed figure binary: run under the drill's batch
+/// limit and print the output, or — when the limit stopped the run —
+/// exit 3 with the checkpoints left for the next invocation to resume
+/// from, byte-identically.
+pub fn checkpointed_main(id: &str, run_with_stop: fn(Option<u64>) -> Option<String>) {
+    match run_with_stop(stop_after_batches()) {
+        Some(out) => print!("{out}"),
+        None => {
+            eprintln!("[{id}] stopped early with checkpoints on disk; rerun to resume");
+            std::process::exit(3);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

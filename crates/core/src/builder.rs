@@ -218,18 +218,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_matches_old_production_constructor() {
-        #[allow(deprecated)]
-        let old = MosaicConfig::new(BitRate::from_gbps(800.0), Length::from_m(10.0));
-        let new = MosaicConfig::builder()
-            .bit_rate(BitRate::from_gbps(800.0))
-            .reach(Length::from_m(10.0))
-            .build()
-            .unwrap();
-        assert_eq!(old, new);
-    }
-
-    #[test]
     fn missing_required_fields_are_errors() {
         assert!(MosaicConfig::builder().build().is_err());
         assert!(MosaicConfig::builder()

@@ -98,19 +98,6 @@ impl MosaicConfig {
         crate::builder::MosaicConfigBuilder::production()
     }
 
-    /// A production-shaped link: 2 Gb/s channels, KP4, 2 % sparing,
-    /// 20 µm pitch, well-aligned optics.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters (e.g. a non-positive rate or span).
-    #[deprecated(note = "use MosaicConfig::builder().bit_rate(..).reach(..).build()")]
-    pub fn new(aggregate: BitRate, length: Length) -> Self {
-        match Self::builder().bit_rate(aggregate).reach(length).build() {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The engineering rule for drive density versus channel rate: the LED
     /// must be driven hard enough for both modulation bandwidth
     /// (density ∝ rate — carrier lifetime shortens with density) and

@@ -363,19 +363,13 @@ fn exactness_registry() -> Vec<ExactFold> {
             func: "run_rs_channel_with",
             proof: "crates/sim/tests/parallel_determinism.rs",
         },
-        // The event-sourced fleet fold — FleetRollup::merge is
-        // commutative over exact-integer counters, batch by batch.
+        // The checkpointed rollup fold behind the fleet (F18) and traffic
+        // (F19) sweeps — ExactRollup::merge over exact-integer fields,
+        // batch by batch, thread- and resume-invariant.
         ExactFold {
-            file: "crates/netsim/src/hyperfleet.rs",
-            func: "simulate_with",
-            proof: "crates/netsim/tests/hyperfleet.rs",
-        },
-        // The traffic sweep fold — TrafficRollup::merge over per-run
-        // harness rollups, thread- and resume-invariant.
-        ExactFold {
-            file: "crates/traffic/src/sweep.rs",
-            func: "run_point_with",
-            proof: "crates/traffic/tests/parallel_determinism.rs",
+            file: "crates/sim/src/sweep/scheduler.rs",
+            func: "fold_checkpointed",
+            proof: "crates/sim/tests/checkpoint.rs",
         },
     ]
 }

@@ -123,8 +123,6 @@ pub struct FileFacts {
 /// Entry points of the `Exec`/`TrialPlan` parallel API that take task
 /// closures. Used by the R5 closure-capture check.
 const PARALLEL_EXEC_ENTRIES: &[&str] = &[
-    "run_tasks",
-    "run_tasks_with",
     "run_tasks_infallible",
     "try_run_tasks",
     "try_run_tasks_with",
@@ -132,15 +130,19 @@ const PARALLEL_EXEC_ENTRIES: &[&str] = &[
     "try_fold_tasks_commutative",
     "par_sweep",
     "par_map_mut",
-    "par_trials",
-    "par_trials_sum",
-    "par_trials_resilient",
 ];
 
 /// `TrialPlan` methods that take task closures: generic names, so they
 /// only count when the call chain demonstrably starts from `TrialPlan`
 /// (or passes an `Exec` first).
-const PARALLEL_PLAN_ENTRIES: &[&str] = &["run", "run_with", "sum", "fold", "run_resilient"];
+const PARALLEL_PLAN_ENTRIES: &[&str] = &[
+    "run",
+    "run_with",
+    "sum",
+    "fold",
+    "fold_checkpointed",
+    "run_resilient",
+];
 
 /// Keywords that look like calls when followed by `(`.
 fn is_call_keyword(s: &str) -> bool {
@@ -635,7 +637,10 @@ fn check_parallel_folds(
         for (entry, args_open, args_close) in parallel_entry_spans(toks, open, close) {
             if !matches!(
                 entry,
-                "fold" | "fold_tasks_commutative" | "try_fold_tasks_commutative"
+                "fold"
+                    | "fold_checkpointed"
+                    | "fold_tasks_commutative"
+                    | "try_fold_tasks_commutative"
             ) {
                 continue;
             }

@@ -21,7 +21,7 @@ pub fn raw(seed: u64) -> DetRng {
 }
 
 /// One stream captured by every task: nondeterministic interleaving.
-pub fn shared(exec: &Exec, seed: u64) -> Vec<u64> {
+pub fn shared(exec: &Exec, seed: u64) -> Result<Vec<u64>> {
     let mut rng = DetRng::substream(seed, "shared");
-    exec.run_tasks(4, |_i| rng.next_u64())
+    exec.try_run_tasks(4, |_i| rng.next_u64())
 }

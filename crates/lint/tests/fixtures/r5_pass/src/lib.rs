@@ -11,8 +11,8 @@ pub fn streams(seed: u64) -> u64 {
 }
 
 /// Per-task streams derived inside the task closure are fine.
-pub fn per_task(exec: &Exec, seed: u64) -> Vec<u64> {
-    exec.run_tasks(4, |i| {
+pub fn per_task(exec: &Exec, seed: u64) -> Result<Vec<u64>> {
+    exec.try_run_tasks(4, |i| {
         let mut rng = DetRng::substream_indexed(seed, "tasks", i as u64);
         rng.next_u64()
     })

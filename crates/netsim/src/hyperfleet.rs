@@ -28,10 +28,11 @@
 //!   merge is commutative and associative and runs through the
 //!   [`TrialPlan::fold`] machinery: thread-count invariance is by
 //!   construction, not by tolerance.
-//! * **Checkpointing.** Batches of shards stream their cumulative
-//!   rollup through a [`RollupStore`] (the bench crate persists these as
-//!   manifest-fragment-style JSON files), so a killed run resumes from
-//!   the last completed batch with byte-identical final results.
+//! * **Checkpointing.** Batches of shards fold through
+//!   [`TrialPlan::fold_checkpointed`], which streams the cumulative
+//!   rollup through a [`RollupStore`] (F18 persists it with
+//!   [`mosaic_sim::checkpoint::FileStore`]), so a killed run resumes
+//!   from the last completed batch with byte-identical final results.
 //! * **Fidelity demotion.** In adaptive mode the PR 7
 //!   [`FidelityController`] demotes comfortably-healthy spared classes
 //!   to the analytic class-level Poisson path (exact for the hard-fail
@@ -44,6 +45,8 @@ use crate::assignment::Assignment;
 use crate::failure_sim::ClassFailureProcess;
 use mosaic::compare::TechnologyKind;
 use mosaic_link::degrade::{CtlState, DegradeConfig, DegradeController};
+use mosaic_sim::checkpoint::{Checkpoints, ExactRollup, Field, NoStore, Store};
+use mosaic_sim::digest::Fnv1a;
 use mosaic_sim::event::EventQueue;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent, Persistence};
 use mosaic_sim::fidelity::{
@@ -256,39 +259,33 @@ impl HyperFleetConfig {
     /// FNV-1a digest over the full configuration and seed — the
     /// checkpoint-store key that makes stale checkpoints unloadable.
     pub fn digest(&self, seed: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        mix(seed);
-        mix(self.years.to_bits());
-        mix(self.mttr.as_hours().to_bits());
-        mix(self.shard_links);
-        mix(self.shards_per_batch);
-        mix(self.faults_per_kilo_hour.to_bits());
-        mix(self.max_fault_duration as u64);
-        mix(self.permanent_fraction.to_bits());
-        mix(self.rebuild_lost_fraction.to_bits());
-        mix(match self.fidelity {
-            FidelityMode::Full => 0,
-            FidelityMode::Adaptive => 1,
-        });
-        mix(self.classes.len() as u64);
+        let mut h = Fnv1a::sim();
+        h.u64(seed)
+            .f64(self.years)
+            .f64(self.mttr.as_hours())
+            .u64(self.shard_links)
+            .u64(self.shards_per_batch)
+            .f64(self.faults_per_kilo_hour)
+            .u64(self.max_fault_duration as u64)
+            .f64(self.permanent_fraction)
+            .f64(self.rebuild_lost_fraction)
+            .u64(match self.fidelity {
+                FidelityMode::Full => 0,
+                FidelityMode::Adaptive => 1,
+            })
+            .u64(self.classes.len() as u64);
         for c in &self.classes {
-            mix(c.name.len() as u64);
+            h.u64(c.name.len() as u64);
             for b in c.name.bytes() {
-                mix(b as u64);
+                h.u64(u64::from(b));
             }
-            mix(c.links);
-            mix(c.link_fit.as_fit().to_bits());
-            mix(c.aggregate.as_gbps().to_bits());
-            mix(c.groups as u64);
-            mix(c.logical_groups as u64);
+            h.u64(c.links)
+                .f64(c.link_fit.as_fit())
+                .f64(c.aggregate.as_gbps())
+                .u64(c.groups as u64)
+                .u64(c.logical_groups as u64);
         }
-        h
+        h.finish()
     }
 }
 
@@ -427,6 +424,34 @@ impl FleetRollup {
     }
 }
 
+impl ExactRollup for FleetRollup {
+    const SCHEMA: &'static str = "mosaic-hyperfleet-rollup/v1";
+
+    fn merge(&mut self, other: &Self) {
+        FleetRollup::merge(self, other);
+    }
+
+    fn fields(&mut self, visit: &mut dyn FnMut(&'static str, Field<'_>)) {
+        visit("shards", Field::U64(&mut self.shards));
+        visit("links", Field::U64(&mut self.links));
+        visit(
+            "event_sourced_links",
+            Field::U64(&mut self.event_sourced_links),
+        );
+        visit("tickets", Field::U64(&mut self.tickets));
+        visit("hard_failures", Field::U64(&mut self.hard_failures));
+        visit("rebuilds", Field::U64(&mut self.rebuilds));
+        visit("channel_faults", Field::U64(&mut self.channel_faults));
+        visit("spares_activated", Field::U64(&mut self.spares_activated));
+        visit("lanes_shed", Field::U64(&mut self.lanes_shed));
+        visit("exhausted_links", Field::U64(&mut self.exhausted_links));
+        visit("downtime_q", Field::U128(&mut self.downtime_q));
+        visit("degraded_q", Field::U128(&mut self.degraded_q));
+        visit("capacity_lost_q", Field::U128(&mut self.capacity_lost_q));
+        visit("spare_occupancy", Field::U64s(&mut self.spare_occupancy));
+    }
+}
+
 /// Quantize a non-negative float sum at a shard boundary.
 fn quantize(x: f64) -> u128 {
     (x.max(0.0) * ROLLUP_QUANT).round() as u128
@@ -437,27 +462,36 @@ pub fn dequantize(q: u128) -> f64 {
     q as f64 / ROLLUP_QUANT
 }
 
-/// Persistence for cumulative batch rollups — the kill/resume seam.
-/// The bench crate implements this over the manifest-fragment store;
-/// [`NoStore`] runs without persistence.
+/// The fleet's checkpoint store: [`Store`] at [`FleetRollup`], as a
+/// named trait that callers can implement directly. Every
+/// `Store<FleetRollup>` ([`mosaic_sim::checkpoint::FileStore`],
+/// [`NoStore`]) is one.
 pub trait RollupStore {
-    /// Load the cumulative rollup checkpointed after `batch`, if present
-    /// and stamped with `digest`.
+    /// The cumulative rollup checkpointed after `batch`, if present and
+    /// stamped with `digest`.
     fn load(&mut self, batch: u64, digest: u64) -> Option<FleetRollup>;
     /// Persist the cumulative rollup after `batch`.
     fn save(&mut self, batch: u64, digest: u64, rollup: &FleetRollup) -> Result<()>;
 }
 
-/// A [`RollupStore`] that never persists: every run starts fresh.
-#[derive(Debug, Default)]
-pub struct NoStore;
-
-impl RollupStore for NoStore {
-    fn load(&mut self, _batch: u64, _digest: u64) -> Option<FleetRollup> {
-        None
+impl<S: Store<FleetRollup>> RollupStore for S {
+    fn load(&mut self, batch: u64, digest: u64) -> Option<FleetRollup> {
+        Store::load(self, batch, digest)
     }
-    fn save(&mut self, _batch: u64, _digest: u64, _rollup: &FleetRollup) -> Result<()> {
-        Ok(())
+    fn save(&mut self, batch: u64, digest: u64, rollup: &FleetRollup) -> Result<()> {
+        Store::save(self, batch, digest, rollup)
+    }
+}
+
+/// A [`RollupStore`] seen as the [`Store`] the checkpointed fold takes.
+struct AsStore<'a>(&'a mut dyn RollupStore);
+
+impl Store<FleetRollup> for AsStore<'_> {
+    fn load(&mut self, batch: u64, digest: u64) -> Option<FleetRollup> {
+        self.0.load(batch, digest)
+    }
+    fn save(&mut self, batch: u64, digest: u64, rollup: &FleetRollup) -> Result<()> {
+        self.0.save(batch, digest, rollup)
     }
 }
 
@@ -922,13 +956,12 @@ fn finish(cfg: &HyperFleetConfig, rollup: FleetRollup) -> HyperFleetReport {
     }
 }
 
-/// Run the full simulation with checkpointing: shards execute in
-/// batches of [`HyperFleetConfig::shards_per_batch`], each batch fanned
-/// out through [`TrialPlan::fold`] and the cumulative rollup saved to
-/// `store`. On entry the store is scanned (newest batch first) and the
-/// run resumes after the last valid checkpoint. `stop_after_batches`
-/// limits the batches executed *this invocation* (the kill/resume
-/// drill); `Ok(None)` means the run stopped early and can be resumed.
+/// Run the full simulation with checkpointing: one
+/// [`TrialPlan::fold_checkpointed`] over the shards, in batches of
+/// [`HyperFleetConfig::shards_per_batch`], keyed by
+/// [`HyperFleetConfig::digest`]. `stop_after_batches` limits the batches
+/// executed *this invocation* (the kill/resume drill); `Ok(None)` means
+/// the run stopped early and can be resumed.
 pub fn simulate_with(
     cfg: &HyperFleetConfig,
     seed: u64,
@@ -947,44 +980,22 @@ pub fn simulate_with(
         tiers.push(tier);
     }
     let specs = shard_specs(cfg, &tiers);
-    let digest = cfg.digest(seed);
-    let spb = cfg.shards_per_batch as usize;
-    let batches = specs.len().div_ceil(spb);
-    let mut cumulative = FleetRollup::default();
-    let mut start_batch = 0usize;
-    for b in (0..batches).rev() {
-        if let Some(r) = store.load(b as u64, digest) {
-            cumulative = r;
-            start_batch = b + 1;
-            break;
-        }
-    }
-    for (executed, b) in (start_batch..batches).enumerate() {
-        if let Some(limit) = stop_after_batches {
-            if executed as u64 >= limit {
-                return Ok(None);
-            }
-        }
-        let first = b * spb;
-        let batch = &specs[first..specs.len().min(first + spb)];
-        let part = TrialPlan::new()
-            .trials(batch.len() as u64)
-            .seed(seed)
-            .label("hyperfleet")
-            .fold(
-                exec,
-                ShardScratch::new,
-                FleetRollup::default,
-                |ctx, scratch, acc| {
-                    let r = run_shard(cfg, &batch[ctx.trial() as usize], seed, scratch);
-                    acc.merge(&r);
-                },
-                |total, other| total.merge(&other),
-            );
-        cumulative.merge(&part);
-        store.save(b as u64, digest, &cumulative)?;
-    }
-    Ok(Some(finish(cfg, cumulative)))
+    let rollup = TrialPlan::new()
+        .trials(specs.len() as u64)
+        .seed(seed)
+        .label("hyperfleet")
+        .fold_checkpointed(
+            exec,
+            Checkpoints {
+                store: &mut AsStore(store),
+                digest: cfg.digest(seed),
+                batch_trials: cfg.shards_per_batch,
+                stop_after_batches,
+            },
+            ShardScratch::new,
+            |ctx, scratch| run_shard(cfg, &specs[ctx.trial() as usize], seed, scratch),
+        )?;
+    Ok(rollup.map(|r| finish(cfg, r)))
 }
 
 /// [`simulate_with`] without persistence or early stop.
@@ -1176,6 +1187,23 @@ mod tests {
             .unwrap()
             .expect("fresh run completes");
         assert_ne!(clean.rollup, fresh.rollup);
+    }
+
+    #[test]
+    fn checkpoints_round_trip_exactly() {
+        let r = FleetRollup {
+            shards: 3,
+            links: 1_277_952,
+            tickets: 42,
+            // Above 2^53: a float-backed number field would round these.
+            downtime_q: (1u128 << 77) + 12345,
+            capacity_lost_q: u128::MAX / 7,
+            spare_occupancy: [9, 8, 7, 6, 5, 4, 3, 2],
+            ..FleetRollup::default()
+        };
+        let doc = mosaic_sim::checkpoint::encode(4, 0xdead_beef, &r);
+        assert_eq!(mosaic_sim::checkpoint::decode(&doc, 4, 0xdead_beef), Ok(r));
+        assert!(mosaic_sim::checkpoint::decode::<FleetRollup>(&doc, 3, 0xdead_beef).is_err());
     }
 
     #[test]

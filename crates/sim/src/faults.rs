@@ -17,6 +17,7 @@
 //!   campaign is a pure function of `(config, seed)` — reproducible and
 //!   thread-count invariant like every other Monte-Carlo path.
 
+use crate::digest::Fnv1a;
 use crate::rng::DetRng;
 
 /// A fault to apply to one physical channel.
@@ -345,29 +346,23 @@ impl FaultCampaign {
     /// fingerprint for bit-identical-replay assertions in tests and the
     /// determinism gate.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::sim();
         for ev in &self.events {
-            mix(ev.channel as u64);
-            mix(ev.kind as u64);
             let (ptag, period, on) = match ev.persistence {
                 Persistence::Permanent => (0u64, 0u64, 0u64),
                 Persistence::Transient => (1, 0, 0),
                 Persistence::Intermittent { period, on } => (2, period as u64, on as u64),
             };
-            mix(ptag);
-            mix(period);
-            mix(on);
-            mix(ev.start as u64);
-            mix(ev.duration as u64);
-            mix(ev.severity.to_bits());
+            h.u64(ev.channel as u64)
+                .u64(ev.kind as u64)
+                .u64(ptag)
+                .u64(period)
+                .u64(on)
+                .u64(ev.start as u64)
+                .u64(ev.duration as u64)
+                .f64(ev.severity);
         }
-        h
+        h.finish()
     }
 
     /// Down-convert to the legacy [`FaultSchedule`] script language:

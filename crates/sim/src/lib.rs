@@ -15,6 +15,11 @@
 //!   the analytic post-FEC math);
 //! * [`faults`] — the cross-layer fault taxonomy: hand-written fault
 //!   scripts plus seeded [`faults::FaultCampaign`] schedule generation;
+//! * [`checkpoint`] — checkpointed exact folds: the [`checkpoint::ExactRollup`]
+//!   contract, batch stores, and the kill/resume protocol behind
+//!   `TrialPlan::fold_checkpointed`;
+//! * [`digest`] — FNV-1a 64, the one stable digest every fingerprint,
+//!   checkpoint key and label hash uses;
 //! * [`campaign`] — fault-campaign replay against the link, with and
 //!   without the graceful-degradation controller (experiment F17);
 //! * [`fidelity`] — the adaptive-fidelity engine: a controller that
@@ -37,6 +42,8 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod checkpoint;
+pub mod digest;
 pub mod event;
 pub mod faults;
 pub mod fidelity;

@@ -23,12 +23,7 @@ fn mix64(mut z: u64) -> u64 {
 
 /// FNV-1a over a label.
 fn label_hash(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    crate::digest::Fnv1a::sim().bytes(label.as_bytes()).finish()
 }
 
 /// A deterministic RNG handle.

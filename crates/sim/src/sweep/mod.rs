@@ -9,7 +9,7 @@
 //!   [`ResilientRun`], and the bounded per-trial retry loop.
 //! - [`scheduler`] — the [`TrialPlan`] builder API (trials, seed, label,
 //!   retry budget, fidelity hint) with its [`TrialCtx`] per-trial
-//!   context, plus the deprecated `Exec` entry points it replaces.
+//!   context.
 //!
 //! Everything re-exports here, so `sim::sweep::Exec` and friends keep
 //! their historic paths.

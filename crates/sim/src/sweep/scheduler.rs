@@ -4,31 +4,32 @@
 //! A plan captures *what* a fan-out is — trial count, root seed, stream
 //! label, per-trial retry budget, fidelity hint — separately from *how*
 //! it executes (an [`Exec`] passed to the terminal method). One plan,
-//! five terminal shapes:
+//! six terminal shapes:
 //!
-//! | terminal            | replaces                       | closure                           |
-//! |---------------------|--------------------------------|-----------------------------------|
-//! | [`TrialPlan::run`]  | `Exec::par_trials`             | `Fn(&mut TrialCtx) -> T`          |
-//! | [`TrialPlan::sum`]  | `Exec::par_trials_sum`         | `Fn(&mut TrialCtx) -> u64`        |
-//! | [`TrialPlan::run_with`] | `Exec::run_tasks_with`     | `Fn(&mut TrialCtx, &mut S) -> T`  |
-//! | [`TrialPlan::fold`] | `Exec::fold_tasks_commutative` | `Fn(&mut TrialCtx, &mut S, &mut A)` |
-//! | [`TrialPlan::run_resilient`] | `Exec::par_trials_resilient` | `Fn(&mut TrialCtx) -> T`   |
+//! | terminal                          | closure                             | result                   |
+//! |-----------------------------------|-------------------------------------|--------------------------|
+//! | [`TrialPlan::run`]                | `Fn(&mut TrialCtx) -> T`            | `Vec<T>` in trial order  |
+//! | [`TrialPlan::sum`]                | `Fn(&mut TrialCtx) -> u64`          | exact `u64` total        |
+//! | [`TrialPlan::run_with`]           | `Fn(&mut TrialCtx, &mut S) -> T`    | `Vec<T>`, per-worker scratch |
+//! | [`TrialPlan::fold`]               | `Fn(&mut TrialCtx, &mut S, &mut A)` | commutative fold         |
+//! | [`TrialPlan::fold_checkpointed`]  | `Fn(&mut TrialCtx, &mut S) -> R`    | batched, resumable [`ExactRollup`] |
+//! | [`TrialPlan::run_resilient`]      | `Fn(&mut TrialCtx) -> T`            | retried, panic-tolerant  |
 //!
 //! Each trial's closure receives a [`TrialCtx`]: the trial index, the
 //! retry attempt, and counter-derived RNG streams ([`TrialCtx::rng`] for
 //! the plan's labelled stream, [`TrialCtx::stream`] for named stream
-//! families like `"rs-data"`/`"rs-noise"`). Stream derivation is exactly
-//! the engine's historic scheme, so a migrated call site is bit-identical
-//! to the deprecated entry point it replaces.
+//! families like `"rs-data"`/`"rs-noise"`) — a pure function of
+//! `(seed, label, trial, attempt)`.
 //!
 //! **Telemetry is label opt-in**: a plan with a label records the
-//! `trials.{label}` counter and a `par_trials.{label}` stage, exactly as
-//! the old labelled entry points did; an unlabelled plan records nothing
-//! (the old `run_tasks`/`fold_tasks_commutative` behavior).
+//! `trials.{label}` counter and a `par_trials.{label}` stage; an
+//! unlabelled plan records nothing.
 
 use super::engine::Exec;
 use super::resilience::{self, ResilientRun};
+use crate::checkpoint::{Checkpoints, ExactRollup};
 use crate::rng::DetRng;
+use mosaic_units::{MosaicError, Result};
 
 /// Advisory fidelity tier attached to a [`TrialPlan`] by the adaptive
 /// engine (`sim::fidelity`). The scheduler carries the hint so kernels
@@ -73,9 +74,9 @@ impl TrialCtx<'_> {
         self.attempt
     }
 
-    /// This trial's stream under the plan's label: identical to the
-    /// historic `par_trials` derivation `(seed, label, trial)`; retries
-    /// draw from the fresh `"{label}#retry{attempt}"` substream.
+    /// This trial's stream under the plan's label, `(seed, label,
+    /// trial)`; retries draw from the fresh `"{label}#retry{attempt}"`
+    /// substream.
     pub fn rng(&self) -> DetRng {
         if self.attempt == 0 {
             // lint: allow(R5) reason=forwards the plan's label; collision checking happens at the literal call sites
@@ -92,8 +93,8 @@ impl TrialCtx<'_> {
 
     /// This trial's stream in a named family, for call sites that draw
     /// from several independent streams per trial (e.g. `"rs-data"` and
-    /// `"rs-noise"`): `(seed, family, trial)`, exactly the historic
-    /// direct `substream_indexed` derivation.
+    /// `"rs-noise"`): `(seed, family, trial)`, the direct
+    /// `substream_indexed` derivation.
     pub fn stream(&self, family: &str) -> DetRng {
         // lint: allow(R5) reason=forwards the caller's family label; collision checking happens at the literal call sites
         DetRng::substream_indexed(self.seed, family, self.trial)
@@ -102,8 +103,7 @@ impl TrialCtx<'_> {
 
 /// A declarative Monte-Carlo fan-out: trial count, root seed, stream
 /// label, retry budget, and fidelity hint, executed against an [`Exec`]
-/// by one of the terminal methods. See the module docs for the mapping
-/// from the deprecated `Exec` entry points.
+/// by one of the terminal methods (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrialPlan<'a> {
     trials: u64,
@@ -111,6 +111,9 @@ pub struct TrialPlan<'a> {
     label: Option<&'a str>,
     retry_budget: u32,
     fidelity: FidelityHint,
+    /// Index of this plan's first trial: nonzero only for the per-batch
+    /// plans of [`TrialPlan::fold_checkpointed`].
+    first_trial: u64,
 }
 
 impl<'a> TrialPlan<'a> {
@@ -195,7 +198,7 @@ impl<'a> TrialPlan<'a> {
 
     fn ctx(&self, trial: u64) -> TrialCtx<'a> {
         TrialCtx {
-            trial,
+            trial: self.first_trial + trial,
             attempt: 0,
             seed: self.seed,
             label: self.stream_label(),
@@ -220,8 +223,7 @@ impl<'a> TrialPlan<'a> {
         })
     }
 
-    /// Run every trial with one reusable scratch state per worker (the
-    /// historic `run_tasks_with` shape, now with a [`TrialCtx`]).
+    /// Run every trial with one reusable scratch state per worker.
     ///
     /// # Panics
     /// As [`TrialPlan::run`]; use [`Exec::try_run_tasks_with`] for a
@@ -263,10 +265,9 @@ impl<'a> TrialPlan<'a> {
     }
 
     /// Fold trials straight into an accumulator with per-worker scratch
-    /// (the historic `fold_tasks_commutative` shape, now with a
-    /// [`TrialCtx`]). The fold and `merge` must be exactly commutative
-    /// and associative — see [`Exec::fold_tasks_commutative`] for the
-    /// determinism contract.
+    /// ([`Exec::fold_tasks_commutative`] with a [`TrialCtx`]). The fold
+    /// and `merge` must be exactly commutative and associative — see
+    /// [`Exec::fold_tasks_commutative`] for the determinism contract.
     ///
     /// # Panics
     /// As [`TrialPlan::run`]; use [`Exec::try_fold_tasks_commutative`]
@@ -296,6 +297,80 @@ impl<'a> TrialPlan<'a> {
                 merge,
             )
         })
+    }
+
+    /// Fold every trial's [`ExactRollup`] into one, in checkpointed
+    /// batches (the protocol in [`crate::checkpoint`]): trials run in
+    /// batches of `ck.batch_trials`, each batch a [`TrialPlan::fold`]
+    /// under this plan's seed and label, and the cumulative rollup is
+    /// saved to `ck.store` after every batch. On entry the store is
+    /// scanned newest batch first and the fold resumes after the last
+    /// checkpoint stamped with `ck.digest`. `Ok(None)` means
+    /// `ck.stop_after_batches` batches ran and the fold stopped early;
+    /// calling again with the same store finishes it, with the rollup an
+    /// uninterrupted run returns.
+    ///
+    /// [`TrialCtx::trial`] is the global trial index, whatever the batch.
+    /// The result is bit-identical at every thread count, batch size and
+    /// kill/resume schedule because [`ExactRollup::merge`] is exact.
+    ///
+    /// # Errors
+    /// `batch_trials == 0`, or a store that cannot save.
+    ///
+    /// # Panics
+    /// As [`TrialPlan::run`].
+    pub fn fold_checkpointed<R, S, FS, F>(
+        &self,
+        exec: &Exec,
+        ck: Checkpoints<'_, R>,
+        make_scratch: FS,
+        f: F,
+    ) -> Result<Option<R>>
+    where
+        R: ExactRollup,
+        FS: Fn() -> S + Sync,
+        F: Fn(&mut TrialCtx, &mut S) -> R + Sync,
+    {
+        if ck.batch_trials == 0 {
+            return Err(MosaicError::invalid_config(
+                "checkpoint_batch",
+                "batch_trials must be >= 1",
+            ));
+        }
+        let batches = self.trials.div_ceil(ck.batch_trials);
+        let mut cumulative = R::default();
+        let mut start = 0u64;
+        for b in (0..batches).rev() {
+            if let Some(r) = ck.store.load(b, ck.digest) {
+                cumulative = r;
+                start = b + 1;
+                break;
+            }
+        }
+        for (executed, b) in (start..batches).enumerate() {
+            if ck
+                .stop_after_batches
+                .is_some_and(|limit| executed as u64 >= limit)
+            {
+                return Ok(None);
+            }
+            let first_trial = b * ck.batch_trials;
+            let batch = TrialPlan {
+                trials: ck.batch_trials.min(self.trials - first_trial),
+                first_trial,
+                ..*self
+            };
+            let part = batch.fold(
+                exec,
+                &make_scratch,
+                R::default,
+                |ctx, scratch, acc| acc.merge(&f(ctx, scratch)),
+                |total, other| total.merge(&other),
+            );
+            cumulative.merge(&part);
+            ck.store.save(b, ck.digest, &cumulative)?;
+        }
+        Ok(Some(cumulative))
     }
 
     /// Panic-tolerant fan-out: a panicking trial is caught, counted, and
@@ -351,113 +426,6 @@ impl<'a> TrialPlan<'a> {
             }
         }
         run
-    }
-}
-
-/// The deprecated entry points, kept as thin wrappers over [`TrialPlan`]
-/// so existing call sites keep compiling (and stay bit-identical — the
-/// wrappers delegate, they do not reimplement).
-impl Exec {
-    /// Run `n` independent tasks and return their results in task order.
-    ///
-    /// # Panics
-    /// Panics (once, with the [`mosaic_units::MosaicError::WorkerFailed`]
-    /// message) if a task closure panics; use [`Exec::try_run_tasks`] to
-    /// handle the failure as a `Result` instead.
-    #[deprecated(note = "use TrialPlan::new().trials(n).run(exec, |ctx| ...)")]
-    pub fn run_tasks<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n as u64)
-            .run(self, |ctx| f(ctx.trial() as usize))
-    }
-
-    /// [`Exec::run_tasks`] with one reusable scratch state per worker.
-    ///
-    /// # Panics
-    /// As [`Exec::run_tasks`]; use [`Exec::try_run_tasks_with`] for a
-    /// `Result`.
-    #[deprecated(note = "use TrialPlan::new().trials(n).run_with(exec, make_state, |ctx, s| ...)")]
-    pub fn run_tasks_with<S, T, FS, F>(&self, n: usize, make_state: FS, f: F) -> Vec<T>
-    where
-        T: Send,
-        FS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n as u64)
-            .run_with(self, make_state, |ctx, s| f(ctx.trial() as usize, s))
-    }
-
-    /// Monte-Carlo fan-out summing a `u64` statistic per trial.
-    ///
-    /// # Panics
-    /// As [`Exec::run_tasks`].
-    #[deprecated(note = "use TrialPlan::new().trials(n).seed(s).label(l).sum(exec, |ctx| ...)")]
-    pub fn par_trials_sum<F>(&self, n: u64, seed: u64, label: &str, f: F) -> u64
-    where
-        F: Fn(u64, &mut DetRng) -> u64 + Sync,
-    {
-        TrialPlan::new()
-            .trials(n)
-            .seed(seed)
-            .label(label)
-            .sum(self, |ctx| {
-                let mut rng = ctx.rng();
-                f(ctx.trial(), &mut rng)
-            })
-    }
-
-    /// Monte-Carlo fan-out: `n` trials, trial `i` running against its own
-    /// counter-derived stream `(seed, label, i)`.
-    ///
-    /// # Panics
-    /// As [`Exec::run_tasks`].
-    #[deprecated(note = "use TrialPlan::new().trials(n).seed(s).label(l).run(exec, |ctx| ...)")]
-    pub fn par_trials<T, F>(&self, n: u64, seed: u64, label: &str, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut DetRng) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n)
-            .seed(seed)
-            .label(label)
-            .run(self, |ctx| {
-                let mut rng = ctx.rng();
-                f(ctx.trial(), &mut rng)
-            })
-    }
-
-    /// Panic-tolerant Monte-Carlo fan-out with a per-trial retry budget.
-    #[deprecated(
-        note = "use TrialPlan::new().trials(n).seed(s).label(l).retry_budget(r)\
-                .run_resilient(exec, |ctx| ...)"
-    )]
-    pub fn par_trials_resilient<T, F>(
-        &self,
-        n: u64,
-        seed: u64,
-        label: &str,
-        retry_budget: u32,
-        f: F,
-    ) -> ResilientRun<T>
-    where
-        T: Send,
-        F: Fn(u64, u32, &mut DetRng) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n)
-            .seed(seed)
-            .label(label)
-            .retry_budget(retry_budget)
-            .run_resilient(self, |ctx| {
-                let mut rng = ctx.rng();
-                f(ctx.trial(), ctx.attempt(), &mut rng)
-            })
     }
 }
 
@@ -639,88 +607,5 @@ mod tests {
         assert_eq!(run.failures[0].attempts, 3);
         assert!(run.failures[0].message.contains("permanent fault"));
         assert_eq!(run.values.iter().filter(|v| v.is_some()).count(), 15);
-    }
-
-    // The deprecated wrappers must stay bit-identical to the plans they
-    // delegate to: these are compatibility tests, not new API surface.
-    mod deprecated_wrappers {
-        #![allow(deprecated)]
-        use super::*;
-
-        #[test]
-        fn run_tasks_matches_plan_run() {
-            let exec = Exec::with_threads(4);
-            let old = exec.run_tasks(64, |i| i * 7);
-            let new = TrialPlan::new()
-                .trials(64)
-                .run(&exec, |ctx| ctx.trial() as usize * 7);
-            assert_eq!(old, new);
-        }
-
-        #[test]
-        fn par_trials_matches_plan_run() {
-            let exec = Exec::with_threads(4);
-            let old = exec.par_trials(32, 11, "wrap-a", |_i, rng| rng.next_u64());
-            let new = TrialPlan::new()
-                .trials(32)
-                .seed(11)
-                .label("wrap-a")
-                .run(&exec, |ctx| ctx.rng().next_u64());
-            assert_eq!(old, new);
-        }
-
-        #[test]
-        fn par_trials_sum_matches_plan_sum() {
-            for threads in [1, 4] {
-                let exec = Exec::with_threads(threads);
-                let old = exec.par_trials_sum(40, 7, "wrap-b", |_i, rng| rng.next_u64() >> 40);
-                let new = TrialPlan::new()
-                    .trials(40)
-                    .seed(7)
-                    .label("wrap-b")
-                    .sum(&exec, |ctx| ctx.rng().next_u64() >> 40);
-                assert_eq!(old, new, "threads={threads}");
-            }
-        }
-
-        #[test]
-        fn run_tasks_with_matches_plan_run_with() {
-            let exec = Exec::with_threads(3);
-            let old = exec.run_tasks_with(97, Vec::<u64>::new, |i, buf| {
-                buf.clear();
-                buf.push((i as u64).wrapping_mul(2654435761));
-                buf[0]
-            });
-            let new = TrialPlan::new()
-                .trials(97)
-                .run_with(&exec, Vec::<u64>::new, |ctx, buf| {
-                    buf.clear();
-                    buf.push(ctx.trial().wrapping_mul(2654435761));
-                    buf[0]
-                });
-            assert_eq!(old, new);
-        }
-
-        #[test]
-        fn par_trials_resilient_no_panic_matches_par_trials() {
-            // With nothing panicking, attempt 0 uses the exact par_trials
-            // stream, so values match bit-for-bit and counters stay zero.
-            let plain = Exec::with_threads(1).par_trials(32, 11, "res-a", |_i, rng| rng.next_u64());
-            for threads in [1, 8] {
-                let run = Exec::with_threads(threads).par_trials_resilient(
-                    32,
-                    11,
-                    "res-a",
-                    2,
-                    |_i, _attempt, rng| rng.next_u64(),
-                );
-                let got: Vec<u64> = run.values.iter().map(|v| v.unwrap()).collect();
-                assert_eq!(plain, got, "threads={threads}");
-                assert_eq!(run.stats.panics, 0);
-                assert_eq!(run.stats.retries, 0);
-                assert_eq!(run.stats.failed_trials, 0);
-                assert!(run.failures.is_empty());
-            }
-        }
     }
 }

@@ -13,10 +13,6 @@
 //! 4. Everything above is thread-count invariant, as are fault-campaign
 //!    generation and replay.
 
-// The deprecated `par_trials_resilient` wrapper keeps exactly one
-// explicit compat test (`trial_plan_resilient_matches_wrapper_...`)
-// until it is removed; everything else runs on TrialPlan.
-
 use mosaic_sim::campaign::{run_campaign, CampaignRunConfig};
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
 use mosaic_sim::sweep::{Exec, TrialPlan};
@@ -203,58 +199,6 @@ proptest! {
         };
         let seq = run_at(1);
         let par = run_at(8);
-        prop_assert_eq!(&seq.values, &par.values);
-        prop_assert_eq!(&seq.failures, &par.failures);
-        prop_assert_eq!(seq.stats.panics, par.stats.panics);
-        prop_assert_eq!(seq.stats.retries, par.stats.retries);
-        prop_assert_eq!(seq.stats.failed_trials, par.stats.failed_trials);
-    }
-
-    /// The explicit compat test for the deprecated wrapper:
-    /// TrialPlan::run_resilient is bit-identical to par_trials_resilient
-    /// for any injected panic pattern, and thread invariant — so the
-    /// wrapper inherits every chaos gate above transitively.
-    #[test]
-    #[allow(deprecated)]
-    fn trial_plan_resilient_matches_wrapper_and_is_thread_invariant(
-        seed: u64,
-        n in 1u64..48,
-        mask: u64,
-        hard_mask: u64,
-    ) {
-        let plan_run = |threads: usize| {
-            TrialPlan::new()
-                .trials(n)
-                .seed(seed)
-                .label("chaos-plan")
-                .retry_budget(2)
-                .run_resilient(&Exec::with_threads(threads), |ctx| {
-                    let i = ctx.trial();
-                    if (hard_mask >> (i % 64)) & 1 == 1 {
-                        panic!("hard fault {i}");
-                    }
-                    if ctx.attempt() == 0 && (mask >> (i % 64)) & 1 == 1 {
-                        panic!("soft fault {i}");
-                    }
-                    trial_value(i)
-                })
-        };
-        let wrapper = Exec::with_threads(1).par_trials_resilient(
-            n, seed, "chaos-plan", 2,
-            |i, attempt, _rng| {
-                if (hard_mask >> (i % 64)) & 1 == 1 {
-                    panic!("hard fault {i}");
-                }
-                if attempt == 0 && (mask >> (i % 64)) & 1 == 1 {
-                    panic!("soft fault {i}");
-                }
-                trial_value(i)
-            },
-        );
-        let seq = plan_run(1);
-        let par = plan_run(8);
-        prop_assert_eq!(&seq.values, &wrapper.values);
-        prop_assert_eq!(&seq.failures, &wrapper.failures);
         prop_assert_eq!(&seq.values, &par.values);
         prop_assert_eq!(&seq.failures, &par.failures);
         prop_assert_eq!(seq.stats.panics, par.stats.panics);

@@ -9,10 +9,6 @@
 //! 2. *Schedule invariance* — `TrialPlan` runs (and the integer-fold
 //!    Monte-Carlo kernel built on them) return exactly the sequential
 //!    results at every thread count and chunk size.
-//!
-//! The deprecated `Exec::par_trials` wrapper keeps exactly one explicit
-//! compat test (`trial_plan_matches_deprecated_par_trials`) until it is
-//! removed; everything else runs on `TrialPlan`.
 
 // HashSet here is set-equality of raw u64 draws; iteration order is
 // never observed, so the determinism ban does not apply.
@@ -106,8 +102,7 @@ proptest! {
     }
 
     /// TrialPlan::run is bit-identical to sequential execution at every
-    /// thread count — the schedule-invariance gate holds for the new API
-    /// exactly as it does for the deprecated wrappers above.
+    /// thread count — the schedule-invariance gate.
     #[test]
     fn trial_plan_run_equals_sequential(
         seed: u64,
@@ -129,34 +124,6 @@ proptest! {
             )
         };
         prop_assert_eq!(run_at(1), run_at(threads));
-    }
-
-    /// The explicit compat test for the deprecated wrapper: TrialPlan::run
-    /// draws the exact streams `par_trials` drew at every thread count and
-    /// draw volume, so migrating a call site never changes its numbers —
-    /// and the wrapper inherits every TrialPlan gate above transitively.
-    #[test]
-    #[allow(deprecated)]
-    fn trial_plan_matches_deprecated_par_trials(
-        seed: u64,
-        n in 0u64..128,
-        draws in 1usize..16,
-        threads in 1usize..9,
-    ) {
-        let exec = Exec::with_threads(threads);
-        let work = |rng: &mut DetRng| {
-            let mut acc = 0u64;
-            for _ in 0..draws {
-                acc = acc.wrapping_add(rng.next_u64());
-            }
-            acc
-        };
-        let old = exec.par_trials(n, seed, "compat", |_i, rng| work(rng));
-        let new = TrialPlan::new().trials(n).seed(seed).label("compat").run(
-            &exec,
-            |ctx| work(&mut ctx.rng()),
-        );
-        prop_assert_eq!(old, new);
     }
 
     /// TrialPlan::sum (exact integer fold) is thread-count invariant and

@@ -59,6 +59,7 @@ use mosaic_link::degrade::{Cause, CtlState, DegradeConfig, DegradeController, Tr
 use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::lanes::FailureKind;
 use mosaic_link::striping::LaneWord;
+use mosaic_sim::digest::Fnv1a;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
 use std::collections::VecDeque;
 
@@ -198,15 +199,8 @@ enum RunState {
 
 /// FNV-1a over a few words — the deterministic corruption-mask source
 /// (no RNG inside the epoch loop, so corruption is policy-invariant).
-fn fnv_mix(vals: [u64; 3]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in vals {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
+fn fnv_mix([a, b, c]: [u64; 3]) -> u64 {
+    Fnv1a::sim().u64(a).u64(b).u64(c).finish()
 }
 
 /// The live-traffic link harness (one full-duplex direction).

@@ -24,8 +24,7 @@ pub use harness::{
 };
 pub use rollup::{TrafficRollup, LAT_BUCKETS};
 pub use sweep::{
-    point_digest, run_one, run_point, run_point_with, run_seed, NoStore, TrafficStore,
-    RUNS_PER_BATCH,
+    point_digest, run_one, run_point, run_point_with, run_seed, TrafficStore, RUNS_PER_BATCH,
 };
 pub use workload::{kind_tag, FrameSpec, Workload, WorkloadConfig, WorkloadKind};
 

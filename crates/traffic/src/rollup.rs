@@ -18,6 +18,8 @@
 //! proptest feeds arbitrary fault masks through the harness and checks
 //! the books balance at every epoch.
 
+use mosaic_sim::checkpoint::{self, ExactRollup, Field};
+
 /// Latency histogram buckets. Bucket `i < LAT_BUCKETS - 1` counts frames
 /// delivered with a queue-to-delivery latency of exactly `i` epochs
 /// (the last data bucket also absorbs anything slower); the final bucket
@@ -181,39 +183,37 @@ impl TrafficRollup {
         self.delivered + self.expired + self.exhausted == self.offered
     }
 
-    /// FNV-1a fingerprint over every counter — the cheap bit-identity
-    /// check used by the determinism gates and the resume drill.
+    /// FNV-1a fingerprint over every counter
+    /// ([`checkpoint::fingerprint`]) — the cheap bit-identity check used
+    /// by the determinism gates and the resume drill.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        for v in [
-            self.runs,
-            self.offered,
-            self.delivered,
-            self.retried,
-            self.expired,
-            self.exhausted,
-            self.reordered,
-            self.corrupt_frames,
-            self.deskew_epochs,
-            self.remaps,
-            self.pause_epochs,
-            self.lost_lanes,
-            self.payload_bytes,
-        ] {
-            mix(v);
-        }
-        for &n in &self.latency_hist {
-            mix(n);
-        }
-        mix(self.latency_sum as u64);
-        mix((self.latency_sum >> 64) as u64);
-        h
+        checkpoint::fingerprint(self)
+    }
+}
+
+impl ExactRollup for TrafficRollup {
+    const SCHEMA: &'static str = "mosaic-traffic-rollup/v1";
+
+    fn merge(&mut self, other: &Self) {
+        TrafficRollup::merge(self, other);
+    }
+
+    fn fields(&mut self, visit: &mut dyn FnMut(&'static str, Field<'_>)) {
+        visit("runs", Field::U64(&mut self.runs));
+        visit("offered", Field::U64(&mut self.offered));
+        visit("delivered", Field::U64(&mut self.delivered));
+        visit("retried", Field::U64(&mut self.retried));
+        visit("expired", Field::U64(&mut self.expired));
+        visit("exhausted", Field::U64(&mut self.exhausted));
+        visit("reordered", Field::U64(&mut self.reordered));
+        visit("corrupt_frames", Field::U64(&mut self.corrupt_frames));
+        visit("deskew_epochs", Field::U64(&mut self.deskew_epochs));
+        visit("remaps", Field::U64(&mut self.remaps));
+        visit("pause_epochs", Field::U64(&mut self.pause_epochs));
+        visit("lost_lanes", Field::U64(&mut self.lost_lanes));
+        visit("payload_bytes", Field::U64(&mut self.payload_bytes));
+        visit("latency_hist", Field::U64s(&mut self.latency_hist));
+        visit("latency_sum", Field::U128(&mut self.latency_sum));
     }
 }
 
@@ -290,6 +290,31 @@ mod tests {
         assert_eq!(clean.p99(), 2);
         assert_eq!(clean.p999(), 2);
         assert_eq!(lossy.p999(), LAT_BUCKETS - 1);
+    }
+
+    #[test]
+    fn checkpoints_round_trip_exactly() {
+        let mut r = sample(9);
+        // Above 2^53: a float-backed number field would round these.
+        r.payload_bytes = (1u64 << 60) + 77;
+        r.latency_sum = (1u128 << 90) + 5;
+        let doc = checkpoint::encode(2, 0xfeed_f00d, &r);
+        assert_eq!(checkpoint::decode(&doc, 2, 0xfeed_f00d), Ok(r));
+        assert!(checkpoint::decode::<TrafficRollup>(&doc, 2, 0xfeed_f00e).is_err());
+    }
+
+    #[test]
+    fn v1_checkpoints_in_the_earlier_key_order_still_load() {
+        // The first v1 writer put `latency_sum` before `latency_hist`;
+        // fields are read by name, so both layouts load.
+        let r = sample(4);
+        let mut doc = checkpoint::encode(1, 0xff, &r);
+        if let mosaic_sim::json::Json::Obj(entries) = &mut doc {
+            let n = entries.len();
+            entries.swap(n - 2, n - 1);
+            assert_eq!(entries[n - 2].0, "latency_sum");
+        }
+        assert_eq!(checkpoint::decode(&doc, 1, 0xff), Ok(r));
     }
 
     #[test]

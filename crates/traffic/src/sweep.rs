@@ -7,17 +7,16 @@
 //! so the same campaigns hit every policy and every thread count
 //! bit-identically.
 //!
-//! Runs execute in batches of [`RUNS_PER_BATCH`] fanned out through
-//! [`TrialPlan::fold`]; after each batch the cumulative rollup is saved
-//! to a [`TrafficStore`] keyed by the config digest, mirroring the
-//! hyperfleet checkpoint protocol: on entry the store is scanned newest
-//! batch first and the sweep resumes after the last valid checkpoint.
+//! Runs fold through [`TrialPlan::fold_checkpointed`] in batches of
+//! [`RUNS_PER_BATCH`], keyed by [`point_digest`]: the same checkpoint
+//! protocol as the hyperfleet (see [`mosaic_sim::checkpoint`]).
 //! `stop_after_batches` bounds the batches executed *this invocation*
-//! (the CI kill/resume drill); `Ok(None)` means "stopped early, resume
-//! me".
+//! (the kill/resume drill); `Ok(None)` means "stopped early, resume me".
 
 use crate::harness::{LinkHarness, TrafficConfig};
 use crate::rollup::TrafficRollup;
+use mosaic_sim::checkpoint::{Checkpoints, NoStore, Store};
+use mosaic_sim::digest::Fnv1a;
 use mosaic_sim::rng::DetRng;
 use mosaic_sim::sweep::{Exec, TrialPlan};
 use mosaic_units::{MosaicError, Result};
@@ -25,73 +24,78 @@ use mosaic_units::{MosaicError, Result};
 /// Harness runs folded per checkpoint batch.
 pub const RUNS_PER_BATCH: u64 = 4;
 
-/// Checkpoint persistence for a traffic sweep. The bench crate
-/// implements this over the manifest-fragment store; [`NoStore`] runs
-/// without persistence.
+/// A sweep's checkpoint store: [`Store`] at [`TrafficRollup`], as a named
+/// trait that callers can implement directly. Every
+/// `Store<TrafficRollup>` ([`mosaic_sim::checkpoint::FileStore`],
+/// [`NoStore`]) is one.
 pub trait TrafficStore {
-    /// Load the cumulative rollup checkpointed after `batch`, if present
-    /// and stamped with `digest`.
+    /// The cumulative rollup checkpointed after `batch`, if present and
+    /// stamped with `digest`.
     fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup>;
     /// Persist the cumulative rollup after `batch`.
     fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()>;
 }
 
-/// A [`TrafficStore`] that never persists: every sweep starts fresh.
-#[derive(Debug, Default)]
-pub struct NoStore;
-
-impl TrafficStore for NoStore {
-    fn load(&mut self, _batch: u64, _digest: u64) -> Option<TrafficRollup> {
-        None
+impl<S: Store<TrafficRollup>> TrafficStore for S {
+    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
+        Store::load(self, batch, digest)
     }
-    fn save(&mut self, _batch: u64, _digest: u64, _rollup: &TrafficRollup) -> Result<()> {
-        Ok(())
+    fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()> {
+        Store::save(self, batch, digest, rollup)
+    }
+}
+
+/// A [`TrafficStore`] seen as the [`Store`] the checkpointed fold takes.
+struct AsStore<'a>(&'a mut dyn TrafficStore);
+
+impl Store<TrafficRollup> for AsStore<'_> {
+    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
+        self.0.load(batch, digest)
+    }
+    fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()> {
+        self.0.save(batch, digest, rollup)
     }
 }
 
 /// FNV-1a digest over the full point configuration and seed — the
 /// checkpoint-store key that makes stale checkpoints unloadable.
 pub fn point_digest(cfg: &TrafficConfig, seed: u64, runs: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(seed);
-    mix(runs);
-    mix(cfg.logical as u64);
-    mix(cfg.physical as u64);
-    mix(cfg.am_period as u64);
-    mix(cfg.epochs);
-    mix(u64::from(cfg.retransmit_budget));
-    mix(cfg.replay_window);
-    mix(cfg.max_batch as u64);
-    mix(cfg.faults_per_kilo_epoch.to_bits());
-    mix(cfg.max_fault_duration as u64);
-    mix(cfg.permanent_fraction.to_bits());
-    mix(match cfg.policy {
-        crate::harness::Policy::Static => 1,
-        crate::harness::Policy::Controller => 2,
-        crate::harness::Policy::ControllerHitless => 3,
-    });
-    mix(cfg.degrade.window_bits);
-    mix(cfg.degrade.max_windows as u64);
-    mix(cfg.degrade.suspect_ber.to_bits());
-    mix(cfg.degrade.clear_ber.to_bits());
-    mix(cfg.degrade.quarantine_ber.to_bits());
-    mix(cfg.degrade.suspect_dwell_limit as u64);
-    mix(cfg.degrade.clear_epochs as u64);
-    mix(cfg.degrade.spared_dwell_limit as u64);
-    mix(u64::from(cfg.workload.flows));
-    mix(cfg.workload.deadline_epochs);
-    mix(cfg.workload.base_frame_bytes as u64);
-    mix(crate::workload::kind_tag(cfg.workload.kind).len() as u64);
-    for b in crate::workload::kind_tag(cfg.workload.kind).bytes() {
-        mix(u64::from(b));
+    let d = &cfg.degrade;
+    let kind = crate::workload::kind_tag(cfg.workload.kind);
+    let mut h = Fnv1a::sim();
+    h.u64(seed)
+        .u64(runs)
+        .u64(cfg.logical as u64)
+        .u64(cfg.physical as u64)
+        .u64(cfg.am_period as u64)
+        .u64(cfg.epochs)
+        .u64(u64::from(cfg.retransmit_budget))
+        .u64(cfg.replay_window)
+        .u64(cfg.max_batch as u64)
+        .f64(cfg.faults_per_kilo_epoch)
+        .u64(cfg.max_fault_duration as u64)
+        .f64(cfg.permanent_fraction)
+        .u64(match cfg.policy {
+            crate::harness::Policy::Static => 1,
+            crate::harness::Policy::Controller => 2,
+            crate::harness::Policy::ControllerHitless => 3,
+        })
+        .u64(d.window_bits)
+        .u64(d.max_windows as u64)
+        .f64(d.suspect_ber)
+        .f64(d.clear_ber)
+        .f64(d.quarantine_ber)
+        .u64(d.suspect_dwell_limit as u64)
+        .u64(d.clear_epochs as u64)
+        .u64(d.spared_dwell_limit as u64)
+        .u64(u64::from(cfg.workload.flows))
+        .u64(cfg.workload.deadline_epochs)
+        .u64(cfg.workload.base_frame_bytes as u64)
+        .u64(kind.len() as u64);
+    for b in kind.bytes() {
+        h.u64(u64::from(b));
     }
-    h
+    h.finish()
 }
 
 /// Per-run seed: pure in `(point_seed, run)` and *policy-blind*, so the
@@ -109,7 +113,7 @@ pub fn run_one(cfg: &TrafficConfig, point_seed: u64, run: u64) -> Result<Traffic
 
 /// Run a sweep point with checkpointing (see the module docs for the
 /// batch/resume protocol). Thread-invariance rests on the exact-integer
-/// [`TrafficRollup::merge`] fold (lint R6, proof
+/// [`TrafficRollup::merge`] (proof
 /// `crates/traffic/tests/parallel_determinism.rs`).
 pub fn run_point_with(
     cfg: &TrafficConfig,
@@ -120,55 +124,32 @@ pub fn run_point_with(
     stop_after_batches: Option<u64>,
 ) -> Result<Option<TrafficRollup>> {
     cfg.validate()?;
-    let digest = point_digest(cfg, seed, runs);
-    let batches = runs.div_ceil(RUNS_PER_BATCH);
-    let mut cumulative = TrafficRollup::default();
-    let mut start_batch = 0u64;
-    for b in (0..batches).rev() {
-        if let Some(r) = store.load(b, digest) {
-            cumulative = r;
-            start_batch = b + 1;
-            break;
-        }
-    }
-    for (executed, b) in (start_batch..batches).enumerate() {
-        if let Some(limit) = stop_after_batches {
-            if executed as u64 >= limit {
-                return Ok(None);
-            }
-        }
-        let first = b * RUNS_PER_BATCH;
-        let count = RUNS_PER_BATCH.min(runs - first);
-        let part = TrialPlan::new()
-            .trials(count)
-            .seed(seed)
-            .label("traffic-point")
-            .fold(
-                exec,
-                || (),
-                TrafficRollup::default,
-                |ctx, _scratch, acc| {
-                    let run = first + ctx.trial();
-                    // The harness constructor validates the already
-                    // validated config; a failure here would be a bug,
-                    // surfaced as a zeroed run (runs stays short, which
-                    // the caller's run count check catches).
-                    if let Ok(r) = run_one(cfg, seed, run) {
-                        acc.merge(&r);
-                    }
-                },
-                |total, other| total.merge(&other),
-            );
-        cumulative.merge(&part);
-        store.save(b, digest, &cumulative)?;
-    }
-    if cumulative.runs != runs {
-        return Err(MosaicError::invalid_config(
+    let rollup = TrialPlan::new()
+        .trials(runs)
+        .seed(seed)
+        .label("traffic-point")
+        .fold_checkpointed(
+            exec,
+            Checkpoints {
+                store: &mut AsStore(store),
+                digest: point_digest(cfg, seed, runs),
+                batch_trials: RUNS_PER_BATCH,
+                stop_after_batches,
+            },
+            || (),
+            // The harness constructor validates the already validated
+            // config; a failure here would be a bug, surfaced as a
+            // zeroed run (runs stays short, which the check below
+            // catches).
+            |ctx, _scratch| run_one(cfg, seed, ctx.trial()).unwrap_or_default(),
+        )?;
+    match rollup {
+        Some(r) if r.runs != runs => Err(MosaicError::invalid_config(
             "traffic_runs",
-            format!("expected {} merged runs, got {}", runs, cumulative.runs),
-        ));
+            format!("expected {} merged runs, got {}", runs, r.runs),
+        )),
+        other => Ok(other),
     }
-    Ok(Some(cumulative))
 }
 
 /// [`run_point_with`] without persistence or early stop.
