@@ -4,13 +4,17 @@
 use crate::cells;
 use crate::runcfg;
 use crate::table::Table;
-use mosaic_sim::faults::{Fault, FaultSchedule};
+use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent};
 use mosaic_sim::fidelity::FidelityController;
 use mosaic_sim::link_sim::{simulate_link_at_fidelity, LinkSimConfig};
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::Stopwatch;
 
-fn base(spares: usize) -> LinkSimConfig {
+fn base(spares: usize, kills: Vec<FaultEvent>) -> LinkSimConfig {
+    let over = CampaignConfig {
+        channels: 64 + spares,
+        ..CampaignConfig::default()
+    };
     LinkSimConfig {
         logical_lanes: 64,
         physical_channels: 64 + spares,
@@ -20,7 +24,7 @@ fn base(spares: usize) -> LinkSimConfig {
         frames_per_epoch: 24,
         frame_size: 512,
         seed: 11,
-        faults: FaultSchedule::new(),
+        faults: FaultCampaign::try_from_events(over, kills).expect("every link has channel 30"),
         degrade_threshold: Some(1e-5),
         monitor_window_bits: 5_000,
     }
@@ -44,11 +48,8 @@ pub fn run() -> String {
     let mut frames = 0u64;
     let start = Stopwatch::start();
     for spares in [0usize, 1, 2, 4, 8] {
-        let mut cfg = base(spares);
-        cfg.faults = FaultSchedule::new()
-            .at(3, Fault::Kill { channel: 10 })
-            .at(6, Fault::Kill { channel: 20 })
-            .at(9, Fault::Kill { channel: 30 });
+        let kills = [(10, 3), (20, 6), (30, 9)].map(|(ch, at)| FaultEvent::kill(ch, at));
+        let cfg = base(spares, kills.to_vec());
         let r = simulate_link_at_fidelity(&ctrl, &exec, &cfg);
         frames += r.frames_sent;
         t.row(cells![
@@ -64,7 +65,7 @@ pub fn run() -> String {
     out.push_str(&t.render());
 
     out.push_str("\ndegraded-channel retirement (persistent BER 1e-3 on one channel, monitor threshold 1e-5):\n");
-    let mut cfg = base(4);
+    let mut cfg = base(4, vec![]);
     cfg.frame_size = 2048; // enough bits per channel to close monitor windows
     cfg.per_channel_ber[5] = 1e-3;
     let r = simulate_link_at_fidelity(&ctrl, &exec, &cfg);

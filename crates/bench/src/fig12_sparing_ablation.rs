@@ -6,7 +6,7 @@ use crate::runcfg;
 use crate::table::Table;
 use mosaic::reliability_model::channel_fit;
 use mosaic_reliability::sparing::{spares_for_target, sparing_table};
-use mosaic_sim::faults::{Fault, FaultSchedule};
+use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent};
 use mosaic_sim::fidelity::FidelityController;
 use mosaic_sim::link_sim::{simulate_link_at_fidelity, LinkSimConfig};
 use mosaic_sim::sweep::{Exec, RunStats};
@@ -56,9 +56,14 @@ pub fn run() -> String {
             frames_per_epoch: 16,
             frame_size: 256,
             seed: 23,
-            faults: FaultSchedule::new()
-                .at(4, Fault::Kill { channel: 3 })
-                .at(8, Fault::Kill { channel: 17 }),
+            faults: FaultCampaign::try_from_events(
+                CampaignConfig {
+                    channels: 32 + spares,
+                    ..CampaignConfig::default()
+                },
+                vec![FaultEvent::kill(3, 4), FaultEvent::kill(17, 8)],
+            )
+            .expect("every link has channel 17"),
             degrade_threshold: monitor,
             monitor_window_bits: 10_000,
         })

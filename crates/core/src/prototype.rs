@@ -12,7 +12,7 @@
 use crate::budget::BudgetEngine;
 use crate::builder::MosaicConfigBuilder;
 use crate::config::{FecChoice, MosaicConfig};
-use mosaic_sim::faults::FaultSchedule;
+use mosaic_sim::faults::FaultCampaign;
 use mosaic_sim::link_sim::{simulate_link, LinkSimConfig, LinkSimReport};
 
 /// The prototype configuration: 100 active channels × 2 Gb/s over 10 m,
@@ -71,7 +71,7 @@ pub fn run_prototype(cfg: &MosaicConfig, epochs: usize, seed: u64) -> LinkSimRep
         frames_per_epoch: 32,
         frame_size: 1024,
         seed,
-        faults: FaultSchedule::new(),
+        faults: FaultCampaign::default(),
         degrade_threshold: None,
         monitor_window_bits: 10_000,
     };

@@ -25,7 +25,7 @@
 //!
 //! The controller is deliberately telemetry-agnostic: it *records*
 //! [`Transition`]s as plain data and the simulation layer (which owns
-//! the process-global telemetry collector) drains them into counters.
+//! the process-global telemetry collector) counts them into telemetry.
 //! The dependency points link → sim at the workspace level, so the link
 //! crate cannot call the sim's telemetry directly.
 
@@ -68,7 +68,7 @@ pub enum Cause {
 }
 
 /// One state-machine transition, recorded as data for the sim layer to
-/// drain into telemetry.
+/// count into telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// Controller epoch the transition fired in.
@@ -482,11 +482,6 @@ impl DegradeController {
     /// All transitions recorded so far.
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions
-    }
-
-    /// Drain the transition log (the sim layer feeds these to telemetry).
-    pub fn drain_transitions(&mut self) -> Vec<Transition> {
-        std::mem::take(&mut self.transitions)
     }
 }
 

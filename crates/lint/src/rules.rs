@@ -332,6 +332,12 @@ pub fn default_config() -> Config {
                 func: "step",
                 harness: Some("crates/traffic/tests/alloc_free.rs"),
             },
+            // The stepped fault core F17 and F19 share (per traffic epoch).
+            RegistryFn {
+                file: "crates/sim/src/campaign.rs",
+                func: "step",
+                harness: Some("crates/traffic/tests/alloc_free.rs"),
+            },
         ],
         r5_crates: CrateSet::All,
         // rng.rs *defines* stream/substream/substream_indexed — the

@@ -1235,4 +1235,43 @@ mod tests {
         assert!(report.delivered_capacity_fraction > 0.9);
         assert!(report.spare_exhausted_fraction < 0.5);
     }
+
+    #[test]
+    fn overlapping_ber_faults_are_separate_monitor_records() {
+        // Pins hyperfleet's per-event observation: each active BER event
+        // is its own monitor record, so overlapping events read as their
+        // average BER, not as one combined effect (their sum). Switching
+        // to combined per-channel effects moves full F18: spares used
+        // 244785 -> 244800 and occupancy `0:203451 1:135001 2:54532` ->
+        // `0:203443 1:135002 2:54539` — a value change for its own PR.
+        use mosaic_sim::faults::FaultKind;
+        let storm = FaultEvent {
+            channel: 0,
+            kind: FaultKind::BurstErrorStorm,
+            persistence: Persistence::Transient,
+            start: 0,
+            duration: 4,
+            severity: 1.0,
+        };
+        let events = [storm; 3];
+        let policy = degrade_policy();
+        // Each storm alone adds 0.1; three together would add 0.3.
+        let one = storm.effect().extra_ber;
+        let camp = FaultCampaign::try_from_events(
+            CampaignConfig {
+                channels: 12,
+                ..CampaignConfig::default()
+            },
+            events.to_vec(),
+        )
+        .unwrap();
+        let combined = camp.effect_at(0, 0).extra_ber;
+        assert!(policy.suspect_ber < one && one < policy.quarantine_ber);
+        assert!(combined > policy.quarantine_ber);
+
+        let mut ctl = DegradeController::try_new(10, 12, policy).unwrap();
+        replay_fault_window(&mut ctl, &events, 0, 0, 0, BITS_PER_EPOCH);
+        assert_eq!(ctl.state(0), CtlState::Suspect, "average BER, not the sum");
+        assert_eq!(ctl.spares_activated(), 0);
+    }
 }

@@ -1,10 +1,9 @@
-//! Fault-campaign execution: drive a [`FaultCampaign`] against a link
-//! with (or without) the graceful-degradation controller and measure
-//! delivered throughput and availability.
+//! A link under a fault campaign: [`FaultedLink`], the stepped core F17
+//! and F19 share, and F17's expectation-model replay on top of it.
 //!
-//! This is the quantitative engine behind experiment F17 and the
-//! evidence for claims C3/C6: the same generated fault schedule is
-//! replayed twice — once against a static lane map (faulted channels
+//! [`run_campaign`] is the quantitative engine behind experiment F17
+//! and the evidence for claims C3/C6: the same generated fault schedule
+//! is replayed twice — once against a static lane map (faulted channels
 //! stay faulted) and once with [`DegradeController`] sparing, remapping,
 //! and shedding lanes — and the two delivered-throughput curves are
 //! compared.
@@ -23,9 +22,107 @@
 //! module stays clean under lint rule R2 (no `Instant`/`SystemTime`
 //! outside telemetry).
 
-use crate::faults::{CampaignConfig, FaultCampaign};
+use crate::faults::{CampaignConfig, ChannelEffect, FaultCampaign};
 use crate::telemetry;
-use mosaic_link::degrade::{state_tag, DegradeConfig, DegradeController};
+use mosaic_link::degrade::{state_tag, DegradeConfig, DegradeController, Transition};
+use mosaic_link::lanes::LaneMap;
+
+/// One link under a fault campaign, stepped epoch by epoch: the core F17
+/// ([`replay_campaign`]) and F19 (`traffic::LinkHarness`) drive. Without
+/// a controller the initial lane map rides out the campaign (static).
+#[derive(Debug, Clone)]
+pub struct FaultedLink {
+    campaign: FaultCampaign,
+    ctl: Option<DegradeController>,
+    /// The static baseline's lane map (unused under a controller).
+    static_map: LaneMap,
+    effects: Vec<ChannelEffect>,
+    epoch: usize,
+    /// Controller transitions before this index fired in earlier epochs.
+    fresh_from: usize,
+}
+
+impl FaultedLink {
+    /// `logical` lanes over `physical` channels under `campaign`, with a
+    /// controller running `degrade` (`None`: static). Errors when the
+    /// lanes or the campaign's channels do not fit the link.
+    pub fn try_new(
+        logical: usize,
+        physical: usize,
+        campaign: FaultCampaign,
+        degrade: Option<DegradeConfig>,
+    ) -> mosaic_units::Result<Self> {
+        let struck = FaultCampaign::config(&campaign).channels;
+        if struck > physical {
+            return Err(mosaic_units::MosaicError::invalid_config(
+                "campaign.channels",
+                format!("campaign strikes {struck} channels, link has {physical}"),
+            ));
+        }
+        let static_map = LaneMap::try_new(logical, physical)?;
+        let ctl = degrade.map(|cfg| DegradeController::try_new(logical, physical, cfg));
+        Ok(FaultedLink {
+            campaign,
+            ctl: ctl.transpose()?,
+            static_map,
+            effects: vec![ChannelEffect::default(); physical],
+            epoch: 0,
+            fresh_from: 0,
+        })
+    }
+
+    /// Run one epoch: resolve every channel's effect once, ask
+    /// `observe(channel, effect)` what the caller's monitor saw as
+    /// `(bits, errors)` (in channel order), report deaths and observations
+    /// to the controller and step it. Allocation-free (bar log growth).
+    pub fn step(&mut self, mut observe: impl FnMut(usize, &ChannelEffect) -> (u64, u64)) {
+        for (ch, eff) in self.effects.iter_mut().enumerate() {
+            *eff = self.campaign.effect_at(ch, self.epoch);
+            let (bits, errors) = observe(ch, eff);
+            if let Some(ctl) = self.ctl.as_mut() {
+                if eff.dead {
+                    ctl.mark_dead(ch);
+                }
+                ctl.record(ch, bits, errors);
+            }
+        }
+        if let Some(ctl) = self.ctl.as_mut() {
+            self.fresh_from = ctl.transitions().len();
+            ctl.step();
+        }
+        self.epoch += 1;
+    }
+
+    /// The transitions the last [`FaultedLink::step`] fired.
+    pub fn new_transitions(&self) -> &[Transition] {
+        &self.transitions()[self.fresh_from..]
+    }
+
+    /// Every controller transition so far, in firing order.
+    pub fn transitions(&self) -> &[Transition] {
+        self.ctl.as_ref().map_or(&[], |c| c.transitions())
+    }
+
+    /// Every channel's effect in the last stepped epoch.
+    pub fn effects(&self) -> &[ChannelEffect] {
+        &self.effects
+    }
+
+    /// The lane map in force: the controller's, or the static one.
+    pub fn lane_map(&self) -> &LaneMap {
+        self.ctl.as_ref().map_or(&self.static_map, |c| c.lane_map())
+    }
+
+    /// The controller, when the link runs one.
+    pub fn controller(&self) -> Option<&DegradeController> {
+        self.ctl.as_ref()
+    }
+
+    /// The campaign the link runs under.
+    pub fn campaign(&self) -> &FaultCampaign {
+        &self.campaign
+    }
+}
 
 /// Parameters of one campaign replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,7 +188,7 @@ pub struct CampaignOutcome {
 
 /// Monitor-visible BER of a channel under a fault effect: deaths read as
 /// half-random slicing, skew reads as gross misalignment errors.
-fn monitor_ber(base: f64, effect: &crate::faults::ChannelEffect) -> f64 {
+fn monitor_ber(base: f64, effect: &ChannelEffect) -> f64 {
     if effect.dead {
         return 0.5;
     }
@@ -102,7 +199,7 @@ fn monitor_ber(base: f64, effect: &crate::faults::ChannelEffect) -> f64 {
 /// Post-FEC frame-delivery probability for a lane at `ber`: perfect at
 /// or below the correctable floor, exponential decay above it, zero
 /// while dead or realigning after a skew jump.
-fn delivery(ber: f64, effect: &crate::faults::ChannelEffect, cfg: &CampaignRunConfig) -> f64 {
+fn delivery(ber: f64, effect: &ChannelEffect, cfg: &CampaignRunConfig) -> f64 {
     if effect.dead || effect.skew_epochs > 0 {
         return 0.0;
     }
@@ -111,114 +208,92 @@ fn delivery(ber: f64, effect: &crate::faults::ChannelEffect, cfg: &CampaignRunCo
 }
 
 /// Replay the campaign generated from `(config.campaign, seed)` against
-/// the link and return the aggregate outcome.
-///
-/// Telemetry: bumps `campaign.fault_events`, per-destination-state
-/// `campaign.transition.{state}` counters, `campaign.spares_activated`,
-/// and `campaign.lost_lanes` — all deterministic values, safe for the
-/// value-checked manifest diff.
+/// the link and return the aggregate outcome; see [`replay_campaign`].
 pub fn run_campaign(
     config: &CampaignRunConfig,
     seed: u64,
 ) -> mosaic_units::Result<CampaignOutcome> {
     let campaign = FaultCampaign::generate(config.campaign, seed);
-    let epochs = config.campaign.epochs;
+    replay_campaign(config, campaign).map(|(outcome, _)| outcome)
+}
+
+/// Replay `campaign` against the link of `config` (whose `campaign`
+/// field is not consulted): the aggregate outcome plus every controller
+/// transition in firing order. Errors on a geometry
+/// [`FaultedLink::try_new`] rejects, with or without the controller.
+///
+/// Telemetry: bumps `campaign.fault_events`, per-destination-state
+/// `campaign.transition.{state}` counters, `campaign.spares_activated`,
+/// and `campaign.lost_lanes` — all deterministic values, safe for the
+/// value-checked manifest diff.
+pub fn replay_campaign(
+    config: &CampaignRunConfig,
+    campaign: FaultCampaign,
+) -> mosaic_units::Result<(CampaignOutcome, Vec<Transition>)> {
+    let epochs = campaign.config().epochs;
+    let fault_events = campaign.events().len();
     let logical = config.logical_lanes;
-    let mut controller = if config.controller {
-        Some(DegradeController::try_new(
-            logical,
-            config.physical_channels,
-            config.degrade,
-        )?)
-    } else {
-        None
-    };
-    // Static assignment for the no-controller baseline.
-    let static_assignment: Vec<usize> = (0..logical).collect();
+    let mut link = FaultedLink::try_new(
+        logical,
+        config.physical_channels,
+        campaign,
+        config.controller.then_some(config.degrade),
+    )?;
 
     let mut delivered_sum = 0.0;
     let mut available_epochs = 0usize;
-    for epoch in 0..epochs {
-        // Feed every physical channel's monitor and fault reports.
-        if let Some(ctl) = controller.as_mut() {
-            for ch in 0..config.physical_channels {
-                let effect = campaign.effect_at(ch, epoch);
-                let ber = monitor_ber(config.base_ber, &effect);
-                let errors = (ber * config.bits_per_epoch as f64) as u64;
-                ctl.record(ch, config.bits_per_epoch, errors);
-                if effect.dead {
-                    ctl.mark_dead(ch);
-                }
-            }
-            ctl.step();
-        }
+    for _ in 0..epochs {
+        // Every channel's monitor sees the expected error count.
+        link.step(|_, effect| {
+            let ber = monitor_ber(config.base_ber, effect);
+            let bits = config.bits_per_epoch;
+            (bits, (ber * bits as f64) as u64)
+        });
         // Deliverability of the lanes actually carried this epoch.
         // A lane whose channel is dead (and could not be remapped)
         // contributes zero delivery on its own; no separate carried-lane
         // bookkeeping needed.
-        let assignment: &[usize] = match controller.as_ref() {
-            Some(ctl) => ctl.lane_map().assignment(),
-            None => &static_assignment,
-        };
         let mut epoch_delivered = 0.0;
-        for &ch in assignment.iter() {
-            let effect = campaign.effect_at(ch, epoch);
-            let ber = monitor_ber(config.base_ber, &effect);
-            epoch_delivered += delivery(ber, &effect, config);
+        for &ch in link.lane_map().assignment() {
+            let effect = &link.effects()[ch];
+            let ber = monitor_ber(config.base_ber, effect);
+            epoch_delivered += delivery(ber, effect, config);
         }
-        let fraction = if logical == 0 {
-            0.0
-        } else {
-            epoch_delivered / logical as f64
-        };
+        let fraction = epoch_delivered / logical.max(1) as f64;
         delivered_sum += fraction;
         if fraction >= 0.9 {
             available_epochs += 1;
         }
     }
 
-    telemetry::counter_add("campaign.fault_events", campaign.events().len() as u64);
-    let (spares_activated, lost_lanes, transitions, final_rate_fraction) = match controller.as_mut()
-    {
-        Some(ctl) => {
-            let drained = ctl.drain_transitions();
-            for t in &drained {
-                telemetry::counter_add(&format!("campaign.transition.{}", state_tag(t.to)), 1);
-            }
-            if ctl.spares_activated() > 0 {
-                telemetry::counter_add("campaign.spares_activated", ctl.spares_activated() as u64);
-            }
-            if ctl.lost_lanes() > 0 {
-                telemetry::counter_add("campaign.lost_lanes", ctl.lost_lanes() as u64);
-            }
-            (
-                ctl.spares_activated(),
-                ctl.lost_lanes(),
-                drained.len(),
-                ctl.rate_fraction(),
-            )
-        }
-        None => (0, 0, 0, 1.0),
-    };
+    telemetry::counter_add("campaign.fault_events", fault_events as u64);
+    for t in link.transitions() {
+        telemetry::counter_add(&format!("campaign.transition.{}", state_tag(t.to)), 1);
+    }
+    let ctl = link.controller();
+    let spares_activated = ctl.map_or(0, |c| c.spares_activated());
+    let lost_lanes = ctl.map_or(0, |c| c.lost_lanes());
+    if spares_activated > 0 {
+        telemetry::counter_add("campaign.spares_activated", spares_activated as u64);
+    }
+    if lost_lanes > 0 {
+        telemetry::counter_add("campaign.lost_lanes", lost_lanes as u64);
+    }
 
-    Ok(CampaignOutcome {
+    // With no epochs (or, above, no lanes) the sums are 0, and so are
+    // their shares.
+    let per_epoch = |total: f64| total / epochs.max(1) as f64;
+    let outcome = CampaignOutcome {
         epochs,
-        delivered_fraction: if epochs == 0 {
-            0.0
-        } else {
-            delivered_sum / epochs as f64
-        },
-        availability: if epochs == 0 {
-            0.0
-        } else {
-            available_epochs as f64 / epochs as f64
-        },
-        fault_events: campaign.events().len(),
+        delivered_fraction: per_epoch(delivered_sum),
+        availability: per_epoch(available_epochs as f64),
+        fault_events,
         spares_activated,
         lost_lanes,
-        transitions,
-        final_rate_fraction,
-    })
+        transitions: link.transitions().len(),
+        final_rate_fraction: ctl.map_or(1.0, |c| c.rate_fraction()),
+    };
+    Ok((outcome, link.transitions().to_vec()))
 }
 
 #[cfg(test)]

@@ -1,86 +1,21 @@
-//! Time-scheduled fault scripts and randomized fault campaigns for link
-//! simulations.
+//! The one fault language for link simulations: a cross-layer
+//! **taxonomy** ([`FaultKind`] × [`Persistence`]) of [`FaultEvent`]s,
+//! gathered into a [`FaultCampaign`].
 //!
 //! Faults are indexed by gearbox *epoch* (one transmit/receive round),
 //! which is the granularity at which the control plane can react. The
 //! smoltcp-style fault-injection philosophy applies: adverse conditions
 //! are first-class inputs to every experiment, not an afterthought.
 //!
-//! Two layers live here:
-//!
-//! - The original hand-written [`FaultSchedule`] / [`Fault`] scripts
-//!   (used by F11/F12), kept as-is.
-//! - A cross-layer **taxonomy** ([`FaultKind`] × [`Persistence`]) and a
-//!   seeded [`FaultCampaign`] generator that draws whole fault schedules
-//!   from dedicated [`DetRng`] substreams
-//!   (`substream_indexed(seed, "fault-campaign", channel)`), so a
-//!   campaign is a pure function of `(config, seed)` — reproducible and
-//!   thread-count invariant like every other Monte-Carlo path.
+//! A campaign is either listed event by event
+//! ([`FaultCampaign::try_from_events`], F11/F12's kill schedules) or
+//! drawn by [`FaultCampaign::generate`] from one [`DetRng`] substream per
+//! channel (`substream_indexed(seed, "fault-campaign", channel)`), so it
+//! is a pure function of `(config, seed)` and thread-count invariant.
+//! Every consumer reads it as per-channel [`ChannelEffect`]s per epoch.
 
 use crate::digest::Fnv1a;
 use crate::rng::DetRng;
-
-/// A fault to apply to one physical channel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fault {
-    /// The channel goes permanently dark (LED/PD death, fiber core break).
-    Kill {
-        /// Physical channel index.
-        channel: usize,
-    },
-    /// A transient error burst: the channel runs at `ber` for `epochs`
-    /// epochs, then recovers (connector vibration, transient misalignment).
-    Burst {
-        /// Physical channel index.
-        channel: usize,
-        /// Elevated bit-error rate during the burst.
-        ber: f64,
-        /// Burst duration in epochs.
-        epochs: usize,
-    },
-}
-
-/// A schedule mapping epochs to faults.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSchedule {
-    events: Vec<(usize, Fault)>,
-}
-
-impl FaultSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a fault at `epoch`.
-    pub fn at(mut self, epoch: usize, fault: Fault) -> Self {
-        self.events.push((epoch, fault));
-        self
-    }
-
-    /// All faults scheduled for `epoch`.
-    pub fn faults_at(&self, epoch: usize) -> impl Iterator<Item = &Fault> {
-        self.events
-            .iter()
-            .filter(move |(e, _)| *e == epoch)
-            .map(|(_, f)| f)
-    }
-
-    /// Total scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The last epoch any fault fires in, if the schedule is non-empty.
-    pub fn last_epoch(&self) -> Option<usize> {
-        self.events.iter().map(|(e, _)| *e).max()
-    }
-}
 
 /// Which component a fault strikes, across the phy → fiber → link stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -154,6 +89,18 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
+    /// A `Permanent` `GearboxKill`: `channel` goes dark from `start` on.
+    pub fn kill(channel: usize, start: usize) -> Self {
+        FaultEvent {
+            channel,
+            kind: FaultKind::GearboxKill,
+            persistence: Persistence::Permanent,
+            start,
+            duration: 0,
+            severity: 1.0,
+        }
+    }
+
     /// Is this fault active at `epoch`?
     pub fn active_at(&self, epoch: usize) -> bool {
         if epoch < self.start {
@@ -257,8 +204,8 @@ impl Default for CampaignConfig {
     }
 }
 
-/// A generated fault campaign: a deterministic function of
-/// `(CampaignConfig, seed)`.
+/// A fault campaign: generated as a deterministic function of
+/// `(CampaignConfig, seed)`, or listed event by event.
 ///
 /// Generation draws each channel's arrival process from its own
 /// [`DetRng::substream_indexed`]`(seed, "fault-campaign", channel)`
@@ -267,11 +214,42 @@ impl Default for CampaignConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaign {
     config: CampaignConfig,
-    seed: u64,
     events: Vec<FaultEvent>,
 }
 
+impl Default for FaultCampaign {
+    /// The fault-free campaign: no channels, no events.
+    fn default() -> Self {
+        FaultCampaign {
+            config: CampaignConfig {
+                channels: 0,
+                ..CampaignConfig::default()
+            },
+            events: Vec::new(),
+        }
+    }
+}
+
 impl FaultCampaign {
+    /// A campaign of the given events, in the given order, over
+    /// `config.channels` channels (the generation parameters of `config`
+    /// are kept but unused). Errors when an event names a channel
+    /// outside `0..config.channels`.
+    pub fn try_from_events(
+        config: CampaignConfig,
+        events: Vec<FaultEvent>,
+    ) -> mosaic_units::Result<Self> {
+        for ev in &events {
+            if ev.channel >= config.channels {
+                return Err(mosaic_units::MosaicError::invalid_config(
+                    "fault channel",
+                    format!("channel {} outside 0..{}", ev.channel, config.channels),
+                ));
+            }
+        }
+        Ok(FaultCampaign { config, events })
+    }
+
     /// Generate the campaign for `(config, seed)`.
     pub fn generate(config: CampaignConfig, seed: u64) -> Self {
         let mut events = Vec::new();
@@ -308,24 +286,16 @@ impl FaultCampaign {
                 t += rng.exponential(rate);
             }
         }
-        FaultCampaign {
-            config,
-            seed,
-            events,
-        }
+        FaultCampaign { config, events }
     }
 
-    /// The configuration this campaign was generated from.
+    /// The configuration the campaign was generated from or listed over.
     pub fn config(&self) -> &CampaignConfig {
         &self.config
     }
 
-    /// The seed this campaign was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// All generated events, ordered by channel then arrival time.
+    /// All events: generated ones ordered by channel then arrival time,
+    /// listed ones in the order given.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
@@ -364,64 +334,11 @@ impl FaultCampaign {
         }
         h.finish()
     }
-
-    /// Down-convert to the legacy [`FaultSchedule`] script language:
-    /// permanent kills become [`Fault::Kill`], BER-elevating windows
-    /// become [`Fault::Burst`]. Lossy (skew and intermittent duty cycles
-    /// have no legacy encoding) but lets generated campaigns drive the
-    /// existing F11/F12-style link simulations.
-    pub fn to_fault_schedule(&self) -> FaultSchedule {
-        let mut schedule = FaultSchedule::new();
-        for ev in &self.events {
-            let eff = ev.effect();
-            match ev.persistence {
-                Persistence::Permanent if eff.dead => {
-                    schedule = schedule.at(
-                        ev.start,
-                        Fault::Kill {
-                            channel: ev.channel,
-                        },
-                    );
-                }
-                _ if eff.extra_ber > 0.0 => {
-                    schedule = schedule.at(
-                        ev.start,
-                        Fault::Burst {
-                            channel: ev.channel,
-                            ber: eff.extra_ber.min(0.5),
-                            epochs: ev.duration,
-                        },
-                    );
-                }
-                _ => {}
-            }
-        }
-        schedule
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_filters_by_epoch() {
-        let s = FaultSchedule::new()
-            .at(3, Fault::Kill { channel: 1 })
-            .at(3, Fault::Kill { channel: 2 })
-            .at(
-                5,
-                Fault::Burst {
-                    channel: 0,
-                    ber: 1e-2,
-                    epochs: 2,
-                },
-            );
-        assert_eq!(s.faults_at(3).count(), 2);
-        assert_eq!(s.faults_at(4).count(), 0);
-        assert_eq!(s.faults_at(5).count(), 1);
-        assert_eq!(s.len(), 3);
-    }
 
     #[test]
     fn campaign_is_reproducible_and_seed_sensitive() {
@@ -508,27 +425,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_schedule_downconversion() {
-        let cfg = CampaignConfig {
-            channels: 8,
-            epochs: 400,
-            faults_per_kilo_epoch: 10.0,
-            max_duration: 16,
-            permanent_fraction: 0.5,
+    fn listed_events_on_missing_channels_are_errors() {
+        let ten = CampaignConfig {
+            channels: 10,
+            ..CampaignConfig::default()
         };
-        let campaign = FaultCampaign::generate(cfg, 7);
-        let schedule = campaign.to_fault_schedule();
-        // Every permanent dead fault must appear as a Kill at its epoch.
-        for ev in campaign.events() {
-            if ev.persistence == Persistence::Permanent && ev.effect().dead {
-                assert!(
-                    schedule.faults_at(ev.start).any(|f| *f
-                        == Fault::Kill {
-                            channel: ev.channel
-                        }),
-                    "missing kill for {ev:?}"
-                );
-            }
-        }
+        let err = FaultCampaign::try_from_events(ten, vec![FaultEvent::kill(99, 1)]).unwrap_err();
+        assert!(
+            matches!(err, mosaic_units::MosaicError::InvalidConfig { .. }),
+            "{err}"
+        );
+        assert!(FaultCampaign::try_from_events(ten, vec![FaultEvent::kill(10, 1)]).is_err());
+        let ok = FaultCampaign::try_from_events(ten, vec![FaultEvent::kill(9, 2)]).unwrap();
+        assert!(!ok.effect_at(9, 1).dead);
+        assert!(ok.effect_at(9, 2).dead && ok.effect_at(9, 1_000).dead);
+        assert!(FaultCampaign::default().events().is_empty());
     }
 }

@@ -13,15 +13,15 @@
 //! * [`montecarlo`] — Gaussian-threshold receiver simulation (validates
 //!   the analytic Q-factor BER model) and coded-channel runs (validates
 //!   the analytic post-FEC math);
-//! * [`faults`] — the cross-layer fault taxonomy: hand-written fault
-//!   scripts plus seeded [`faults::FaultCampaign`] schedule generation;
+//! * [`faults`] — the one fault language: the cross-layer taxonomy and
+//!   [`faults::FaultCampaign`], seeded or listed event by event;
 //! * [`checkpoint`] — checkpointed exact folds: the [`checkpoint::ExactRollup`]
 //!   contract, batch stores, and the kill/resume protocol behind
 //!   `TrialPlan::fold_checkpointed`;
 //! * [`digest`] — FNV-1a 64, the one stable digest every fingerprint,
 //!   checkpoint key and label hash uses;
-//! * [`campaign`] — fault-campaign replay against the link, with and
-//!   without the graceful-degradation controller (experiment F17);
+//! * [`campaign`] — [`campaign::FaultedLink`], the stepped link-under-faults
+//!   core F17 and F19 share, and F17's replay with and without a controller;
 //! * [`fidelity`] — the adaptive-fidelity engine: a controller that
 //!   promotes measurements between an analytic fast path, full
 //!   Monte-Carlo at adapted budgets, and rare-event tail importance

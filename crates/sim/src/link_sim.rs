@@ -1,7 +1,7 @@
 //! End-to-end frame-level link simulation.
 //!
 //! Drives the *real* gearbox (striping, scrambling, CRC framing, sparing)
-//! over channels with per-channel BER and a fault script. Every delivered
+//! over channels with per-channel BER and a fault campaign. Every delivered
 //! frame is validated byte-for-byte against what was sent — the simulator
 //! can prove "zero corrupted frames delivered", not merely estimate it.
 //!
@@ -11,8 +11,12 @@
 //! threshold (or a kill fault lands), both gearboxes remap to a spare at
 //! the next epoch boundary — in-flight data is lost, which is visible in
 //! the report as lost frames during the failover epoch.
+//!
+//! Each epoch reads the campaign's per-channel effects: dead darkens the
+//! channel, extra BER adds to its baseline (capped at 0.5), skew is
+//! ignored (the gearbox deskews whole epochs).
 
-use crate::faults::{Fault, FaultSchedule};
+use crate::faults::FaultCampaign;
 use crate::inject::BitErrorInjector;
 use crate::rng::DetRng;
 use crate::sweep::Exec;
@@ -39,8 +43,8 @@ pub struct LinkSimConfig {
     pub frame_size: usize,
     /// Master seed.
     pub seed: u64,
-    /// Fault script.
-    pub faults: FaultSchedule,
+    /// Fault campaign over (at most) `physical_channels` channels.
+    pub faults: FaultCampaign,
     /// BER above which a channel is retired (None = no monitoring).
     pub degrade_threshold: Option<f64>,
     /// Health-monitor window size in bits (a full window of evidence is
@@ -60,7 +64,7 @@ impl LinkSimConfig {
             frames_per_epoch: 16,
             frame_size: 256,
             seed: 1,
-            faults: FaultSchedule::new(),
+            faults: FaultCampaign::default(),
             degrade_threshold: None,
             monitor_window_bits: 10_000,
         }
@@ -68,7 +72,7 @@ impl LinkSimConfig {
 }
 
 /// Aggregated results of a link simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkSimReport {
     /// Frames transmitted.
     pub frames_sent: u64,
@@ -121,7 +125,8 @@ struct ChannelState {
     injector: BitErrorInjector,
     monitor: LaneHealth,
     dead: bool,
-    burst_left: usize,
+    /// The BER the injector runs at: baseline plus active elevations.
+    ber: f64,
     /// Bits pushed through this channel in the current epoch.
     epoch_bits: u64,
     /// Errors injected on this channel in the current epoch.
@@ -134,15 +139,15 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
     simulate_link_with(&Exec::from_env(), cfg)
 }
 
-/// Epochs the adaptive fidelity tier keeps after the last scripted
-/// fault, so failover and recovery stay observable in a trimmed run.
+/// Epochs the adaptive fidelity tier keeps after the last fault
+/// start, so failover and recovery stay observable in a trimmed run.
 pub const ADAPTIVE_POST_FAULT_EPOCHS: usize = 2;
 
 /// [`simulate_link_with`] at controller-selected fidelity.
 ///
 /// Full mode runs the configured epoch count untouched. Adaptive mode
-/// trims *trailing* epochs only: the fault script pins the timeline, so
-/// the run always covers every scripted fault plus
+/// trims *trailing* epochs only: the campaign pins the timeline, so
+/// the run always covers every fault start plus
 /// [`ADAPTIVE_POST_FAULT_EPOCHS`] recovery epochs, and beyond that span
 /// epochs exist purely to accumulate bit-error statistics — the
 /// controller's events-targeted budget decides how many of those are
@@ -164,7 +169,7 @@ pub fn simulate_link_at_fidelity(
 }
 
 /// The epoch budget the controller keeps for a config (≤ `cfg.epochs`,
-/// ≥ 1, and never inside the fault script's span).
+/// ≥ 1, and never inside the campaign's span).
 fn adapted_epochs(ctrl: &crate::fidelity::FidelityController, cfg: &LinkSimConfig) -> usize {
     use crate::fidelity::{Assessment, Exactness, Tier, TierDecision};
     // Expected injected bit errors per epoch, estimated from the payload
@@ -188,11 +193,8 @@ fn adapted_epochs(ctrl: &crate::fidelity::FidelityController, cfg: &LinkSimConfi
         exactness: Exactness::Model,
         tail_available: false,
     });
-    let span = cfg
-        .faults
-        .last_epoch()
-        .map(|e| e + 1 + ADAPTIVE_POST_FAULT_EPOCHS)
-        .unwrap_or(1);
+    let last_start = cfg.faults.events().iter().map(|ev| ev.start).max();
+    let span = last_start.map_or(1, |e| e + 1 + ADAPTIVE_POST_FAULT_EPOCHS);
     let stat_epochs = match decision.tier {
         // No closed form exists for delivery under faults; the analytic
         // tier here just means "statistically unresolvable either way",
@@ -224,6 +226,10 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
         cfg.physical_channels,
         "need one BER per physical channel"
     );
+    assert!(
+        cfg.faults.config().channels <= cfg.physical_channels,
+        "fault campaign spans more channels than the link has"
+    );
     let mut tx = Gearbox::new(cfg.logical_lanes, cfg.physical_channels, cfg.am_period);
     let mut rx = Gearbox::new(cfg.logical_lanes, cfg.physical_channels, cfg.am_period);
 
@@ -236,42 +242,27 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
             ),
             monitor: LaneHealth::new(cfg.monitor_window_bits, 8),
             dead: false,
-            burst_left: 0,
+            ber: cfg.per_channel_ber[c],
             epoch_bits: 0,
             epoch_errors: 0,
         })
         .collect();
 
     let mut payload_rng = DetRng::substream(cfg.seed, "payload");
-    let mut report = LinkSimReport {
-        frames_sent: 0,
-        frames_delivered: 0,
-        frames_lost: 0,
-        frames_silently_corrupted: 0,
-        deskew_failed_epochs: 0,
-        bits_transmitted: 0,
-        bit_errors_injected: 0,
-        remaps: 0,
-        retired_by_monitor: 0,
-        payload_bytes_delivered: 0,
-    };
+    let mut report = LinkSimReport::default();
     let mut sent_payloads: Vec<Vec<u8>> = Vec::new();
 
     for epoch in 0..cfg.epochs {
-        // 1. Apply scheduled faults at the epoch boundary.
-        for fault in cfg.faults.faults_at(epoch) {
-            match *fault {
-                Fault::Kill { channel } => {
-                    states[channel].dead = true;
-                }
-                Fault::Burst {
-                    channel,
-                    ber,
-                    epochs,
-                } => {
-                    states[channel].injector.set_ber(ber);
-                    states[channel].burst_left = epochs;
-                }
+        // 1. Apply the campaign's effects at the epoch boundary. The
+        //    injector resamples its error gap on `set_ber`, so it is only
+        //    told when a channel's BER actually changes.
+        for (c, (st, &base)) in states.iter_mut().zip(&cfg.per_channel_ber).enumerate() {
+            let eff = cfg.faults.effect_at(c, epoch);
+            st.dead = eff.dead;
+            let ber = (base + eff.extra_ber).min(0.5);
+            if ber != st.ber {
+                st.injector.set_ber(ber);
+                st.ber = ber;
             }
         }
 
@@ -300,10 +291,7 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
             exec.par_map_mut(&mut medium, |_, (stream, st)| {
                 if st.dead {
                     // A dark channel delivers junk words and no markers.
-                    let junk_rng_word = 0u64;
-                    for w in stream.iter_mut() {
-                        *w = LaneWord::Data(junk_rng_word);
-                    }
+                    stream.fill(LaneWord::Data(0));
                     st.epoch_bits = 0;
                     st.epoch_errors = 0;
                     return;
@@ -371,16 +359,6 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
                 }
             }
         }
-
-        // 6. Burst expiry.
-        for (c, st) in states.iter_mut().enumerate() {
-            if st.burst_left > 0 {
-                st.burst_left -= 1;
-                if st.burst_left == 0 {
-                    st.injector.set_ber(cfg.per_channel_ber[c]);
-                }
-            }
-        }
     }
 
     report.frames_lost =
@@ -401,6 +379,28 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{CampaignConfig, FaultEvent, FaultKind, Persistence};
+
+    fn faults(channels: usize, events: Vec<FaultEvent>) -> FaultCampaign {
+        let cfg = CampaignConfig {
+            channels,
+            ..CampaignConfig::default()
+        };
+        FaultCampaign::try_from_events(cfg, events).unwrap()
+    }
+
+    /// A transient TIA-saturation burst adding ~`ber` (1e-3 ..= 3e-2) to
+    /// `channel`'s BER for `epochs` epochs from `start`.
+    fn burst(channel: usize, start: usize, epochs: usize, ber: f64) -> FaultEvent {
+        FaultEvent {
+            channel,
+            kind: FaultKind::TiaSaturation,
+            persistence: Persistence::Transient,
+            start,
+            duration: epochs,
+            severity: (ber / 1e-3).log10() / 1.5,
+        }
+    }
 
     #[test]
     fn clean_link_delivers_all_frames() {
@@ -426,16 +426,7 @@ mod tests {
         cfg.per_channel_ber = vec![1e-4; 10];
         cfg.epochs = 6;
         cfg.degrade_threshold = Some(5e-4);
-        cfg.faults = FaultSchedule::new()
-            .at(
-                2,
-                Fault::Burst {
-                    channel: 1,
-                    ber: 2e-3,
-                    epochs: 2,
-                },
-            )
-            .at(3, Fault::Kill { channel: 7 });
+        cfg.faults = faults(10, vec![burst(1, 2, 2, 2e-3), FaultEvent::kill(7, 3)]);
         let seq = simulate_link_with(&Exec::with_threads(1), &cfg);
         for threads in [2, 4, 10] {
             let par = simulate_link_with(&Exec::with_threads(threads), &cfg);
@@ -461,7 +452,7 @@ mod tests {
     fn kill_with_spares_recovers_after_one_epoch() {
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 6;
-        cfg.faults = FaultSchedule::new().at(2, Fault::Kill { channel: 3 });
+        cfg.faults = faults(10, vec![FaultEvent::kill(3, 2)]);
         let r = simulate_link(&cfg);
         // Epoch 2 deskews fail (channel dark mid-epoch); epochs 3+ run on
         // the spare. The self-synchronizing descrambler missed an epoch of
@@ -482,14 +473,7 @@ mod tests {
     fn burst_elevates_then_recovers() {
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 8;
-        cfg.faults = FaultSchedule::new().at(
-            1,
-            Fault::Burst {
-                channel: 0,
-                ber: 5e-3,
-                epochs: 2,
-            },
-        );
+        cfg.faults = faults(10, vec![burst(0, 1, 2, 5e-3)]);
         let r = simulate_link(&cfg);
         assert!(r.bit_errors_injected > 0);
         // After the burst the link must go back to perfect delivery: the
@@ -518,7 +502,7 @@ mod tests {
         cfg.physical_channels = 8; // no spares
         cfg.per_channel_ber = vec![0.0; 8];
         cfg.epochs = 5;
-        cfg.faults = FaultSchedule::new().at(1, Fault::Kill { channel: 0 });
+        cfg.faults = faults(8, vec![FaultEvent::kill(0, 1)]);
         let r = simulate_link(&cfg);
         // Epochs 1.. all fail deskew: only epoch 0 delivers.
         assert_eq!(r.frames_delivered, 16);
@@ -543,7 +527,7 @@ mod tests {
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 40;
         cfg.per_channel_ber = vec![1e-9; 10]; // statistically unresolvable
-        cfg.faults = FaultSchedule::new().at(5, Fault::Kill { channel: 2 });
+        cfg.faults = faults(10, vec![FaultEvent::kill(2, 5)]);
         let ctrl = FidelityController::new(FidelityMode::Adaptive);
         assert_eq!(
             adapted_epochs(&ctrl, &cfg),

@@ -1,7 +1,8 @@
 //! The discrete-event link harness: packet workloads over the gearbox,
 //! epoch by epoch, while a seeded fault campaign corrupts and kills
 //! physical channels underneath and (policy permitting) a live
-//! [`DegradeController`] quarantines, spares, and rate-backs-off.
+//! [`DegradeController`](mosaic_link::degrade::DegradeController)
+//! quarantines, spares, and rate-backs-off.
 //!
 //! # Epoch pipeline
 //!
@@ -12,16 +13,17 @@
 //!    frames past their deadline expire here, explicitly accounted;
 //! 3. the TX gearbox frames/scrambles/stripes the batch
 //!    ([`Gearbox::transmit_into`], allocation-free);
-//! 4. the campaign's [`ChannelEffect`]s are applied *deterministically*
-//!    (no RNG in the loop): dead channels turn to junk, BER elevations
+//! 4. the campaign's [`ChannelEffect`](mosaic_sim::faults::ChannelEffect)s
+//!    are applied *deterministically* (no RNG in the loop): dead channels
+//!    turn to junk, BER elevations
 //!    flip `round(ber·bits)` evenly spaced bits with FNV-derived masks,
 //!    skew jumps truncate the lane tail — so all three policies face
 //!    bit-identical corruption;
 //! 5. the controller ingests per-channel observations (`record` /
-//!    `mark_dead`);
+//!    `mark_dead`) and steps (4 and 5 are one [`FaultedLink::step`]);
 //! 6. the RX gearbox deskews and scans ([`Gearbox::receive_into`]);
-//! 7. the controller steps; spare-activation transitions drive the
-//!    policy's remap protocol (below);
+//! 7. the epoch's controller transitions drive the policy's remap
+//!    protocol (below);
 //! 8. the epoch's transmitted frames are resolved: delivered (exact
 //!    integer latency), retransmit-queued, or lost with explicit
 //!    accounting — never a panic, never a silent drop.
@@ -55,10 +57,11 @@
 
 use crate::rollup::TrafficRollup;
 use crate::workload::{FrameSpec, Workload, WorkloadConfig};
-use mosaic_link::degrade::{Cause, CtlState, DegradeConfig, DegradeController, Transition};
+use mosaic_link::degrade::{Cause, CtlState, DegradeConfig, Transition};
 use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::lanes::FailureKind;
 use mosaic_link::striping::LaneWord;
+use mosaic_sim::campaign::FaultedLink;
 use mosaic_sim::digest::Fnv1a;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
 use std::collections::VecDeque;
@@ -73,8 +76,8 @@ pub enum Policy {
     /// No controller: the lane map fixed at construction rides out the
     /// whole campaign.
     Static,
-    /// Live [`DegradeController`] sparing with a one-epoch TX remap lag
-    /// (no drain/replay protocol).
+    /// Live [`DegradeController`](mosaic_link::degrade::DegradeController)
+    /// sparing with a one-epoch TX remap lag (no drain/replay protocol).
     Controller,
     /// Controller plus the hitless drain/pause/replay protocol.
     ControllerHitless,
@@ -209,8 +212,8 @@ pub struct LinkHarness {
     cfg: TrafficConfig,
     tx: Gearbox,
     rx: Gearbox,
-    ctl: Option<DegradeController>,
-    campaign: FaultCampaign,
+    /// Campaign, controller (none under [`Policy::Static`]), transitions.
+    link: FaultedLink,
     workload: Workload,
     epoch: u64,
     state: RunState,
@@ -219,9 +222,6 @@ pub struct LinkHarness {
     sent: Vec<Sent>,
     wire_base: u32,
     next_wire: u32,
-    /// Controller transitions already mirrored into the gearboxes.
-    trans_seen: usize,
-    trans_buf: Vec<Transition>,
     /// TX-side remaps applied one epoch late (`Policy::Controller`).
     tx_remap_now: Vec<usize>,
     tx_remap_next: Vec<usize>,
@@ -249,17 +249,6 @@ impl LinkHarness {
     /// and the same campaign under every policy — that is what makes the
     /// F19 policy comparison apples-to-apples.
     pub fn try_new(cfg: TrafficConfig, seed: u64) -> mosaic_units::Result<Self> {
-        cfg.validate()?;
-        let tx = Gearbox::try_new(cfg.logical, cfg.physical, cfg.am_period)?;
-        let rx = Gearbox::try_new(cfg.logical, cfg.physical, cfg.am_period)?;
-        let ctl = match cfg.policy {
-            Policy::Static => None,
-            Policy::Controller | Policy::ControllerHitless => Some(DegradeController::try_new(
-                cfg.logical,
-                cfg.physical,
-                cfg.degrade,
-            )?),
-        };
         let campaign = FaultCampaign::generate(
             CampaignConfig {
                 channels: cfg.physical,
@@ -270,14 +259,27 @@ impl LinkHarness {
             },
             seed,
         );
+        Self::try_with_campaign(cfg, seed, campaign)
+    }
+
+    /// [`LinkHarness::try_new`] under `campaign` (`cfg`'s fault fields unused).
+    pub fn try_with_campaign(
+        cfg: TrafficConfig,
+        seed: u64,
+        campaign: FaultCampaign,
+    ) -> mosaic_units::Result<Self> {
+        cfg.validate()?;
+        let tx = Gearbox::try_new(cfg.logical, cfg.physical, cfg.am_period)?;
+        let rx = Gearbox::try_new(cfg.logical, cfg.physical, cfg.am_period)?;
+        let degrade = (cfg.policy != Policy::Static).then_some(cfg.degrade);
+        let link = FaultedLink::try_new(cfg.logical, cfg.physical, campaign, degrade)?;
         let workload = Workload::new(cfg.workload, seed);
         let flows = cfg.workload.flows as usize;
         Ok(LinkHarness {
             cfg,
             tx,
             rx,
-            ctl,
-            campaign,
+            link,
             workload,
             epoch: 0,
             state: RunState::Running,
@@ -289,8 +291,6 @@ impl LinkHarness {
             sent: Vec::with_capacity(MAX_BATCH),
             wire_base: 0,
             next_wire: 0,
-            trans_seen: 0,
-            trans_buf: Vec::with_capacity(8),
             tx_remap_now: Vec::with_capacity(4),
             tx_remap_next: Vec::with_capacity(4),
             condemned: Vec::with_capacity(cfg.physical),
@@ -313,7 +313,12 @@ impl LinkHarness {
 
     /// The campaign digest (bit-identity checks across policies).
     pub fn campaign_digest(&self) -> u64 {
-        self.campaign.digest()
+        self.link.campaign().digest()
+    }
+
+    /// Every controller transition so far (none under [`Policy::Static`]).
+    pub fn transitions(&self) -> &[Transition] {
+        self.link.transitions()
     }
 
     /// Epochs processed so far.
@@ -462,45 +467,38 @@ impl LinkHarness {
         self.tx
             .transmit_into(&refs[..n_sent], &mut self.tx_scratch, &mut self.channels);
 
-        // 4. Apply the campaign deterministically; 5. feed the controller.
-        for ch in 0..self.cfg.physical {
+        // 4. Apply the campaign deterministically; 5. feed and step the
+        // controller (the observation is the flips counted here).
+        self.link.step(|ch, eff| {
             let stream = &mut self.channels[ch];
             let words = stream.len();
             let bits = (words as u64) * 64;
-            let eff = self.campaign.effect_at(ch, epoch as usize);
             let mut errors = 0u64;
             if eff.dead {
-                for w in stream.iter_mut() {
-                    *w = LaneWord::Data(0);
-                }
-            } else {
-                if eff.extra_ber > 0.0 && words > 0 {
-                    let flips = ((eff.extra_ber.min(0.5) * bits as f64) + 0.5) as u64;
-                    let flips = flips.clamp(1, words as u64);
-                    // Evenly spaced victims, one bit each, FNV-masked.
-                    for k in 0..flips {
-                        let idx = ((k * words as u64) / flips) as usize;
-                        if let LaneWord::Data(w) = stream[idx] {
-                            let bit = fnv_mix([epoch, ch as u64, k]) % 64;
-                            stream[idx] = LaneWord::Data(w ^ (1u64 << bit));
-                            errors += 1;
-                        }
+                stream.fill(LaneWord::Data(0));
+                return (bits, errors);
+            }
+            if eff.extra_ber > 0.0 && words > 0 {
+                let flips = ((eff.extra_ber.min(0.5) * bits as f64) + 0.5) as u64;
+                let flips = flips.clamp(1, words as u64);
+                // Evenly spaced victims, one bit each, FNV-masked.
+                for k in 0..flips {
+                    let idx = ((k * words as u64) / flips) as usize;
+                    if let LaneWord::Data(w) = stream[idx] {
+                        let bit = fnv_mix([epoch, ch as u64, k]) % 64;
+                        stream[idx] = LaneWord::Data(w ^ (1u64 << bit));
+                        errors += 1;
                     }
                 }
-                if eff.skew_epochs > 0 && words > 0 {
-                    // The lane's tail arrives next epoch; the epoch-end
-                    // buffer flush drops it (fixed-latency pipeline).
-                    let cut = ((eff.skew_epochs as usize) * (self.cfg.am_period + 1)).min(words);
-                    stream.truncate(words - cut);
-                }
             }
-            if let Some(ctl) = self.ctl.as_mut() {
-                if eff.dead {
-                    ctl.mark_dead(ch);
-                }
-                ctl.record(ch, bits, errors);
+            if eff.skew_epochs > 0 && words > 0 {
+                // The lane's tail arrives next epoch; the epoch-end
+                // buffer flush drops it (fixed-latency pipeline).
+                let cut = ((eff.skew_epochs as usize) * (self.cfg.am_period + 1)).min(words);
+                stream.truncate(words - cut);
             }
-        }
+            (bits, errors)
+        });
 
         // 6. Receive. The channel-count contract is upheld by
         // construction, so a failure here is a harness bug — still
@@ -519,57 +517,21 @@ impl LinkHarness {
             self.rollup.deskew_epochs += 1;
         }
 
-        // 7. Controller step + the policy's remap protocol.
+        // 7. The epoch's controller transitions drive the policy's remap
+        // protocol.
         let mut reconfig_now = false;
-        if let Some(ctl) = self.ctl.as_mut() {
-            ctl.step();
-            self.trans_buf.clear();
-            let all = ctl.transitions();
-            self.trans_buf.extend_from_slice(&all[self.trans_seen..]);
-            self.trans_seen = all.len();
-            for i in 0..self.trans_buf.len() {
-                let t = self.trans_buf[i];
-                match (t.to, t.cause) {
-                    (CtlState::Spared, Cause::SpareActivated) => {
-                        self.rollup.remaps += 1;
-                        self.condemn(t.channel);
-                        match self.cfg.policy {
-                            Policy::ControllerHitless => {
-                                // Drain/pause: both ends switch together,
-                                // no data launched while they do.
-                                let _ = self.tx.fail_channel(t.channel, FailureKind::Degraded);
-                                let _ = self.rx.fail_channel(t.channel, FailureKind::Degraded);
-                                if self.cfg.replay_window > 0 {
-                                    self.state = RunState::Reconfiguring {
-                                        remaining: self.cfg.replay_window,
-                                    };
-                                }
-                                reconfig_now = true;
-                            }
-                            Policy::Controller => {
-                                // RX remaps now; TX hears about it one
-                                // epoch later (control-plane latency).
-                                let _ = self.rx.fail_channel(t.channel, FailureKind::Degraded);
-                                self.tx_remap_next.push(t.channel);
-                            }
-                            Policy::Static => {}
-                        }
-                    }
-                    (CtlState::Retired, Cause::ExternalDead) => {
-                        // An idle spare died: retire it from both
-                        // gearbox pools so later sparing stays in sync.
-                        self.condemn(t.channel);
-                        let _ = self.tx.fail_channel(t.channel, FailureKind::Degraded);
-                        let _ = self.rx.fail_channel(t.channel, FailureKind::Degraded);
-                    }
-                    (CtlState::Retired, Cause::SparesExhausted) => {
-                        // No spare left for this lane: shed a logical
-                        // lane and re-stripe over the survivors instead
-                        // of riding a dead channel forever.
-                        self.rollup.lost_lanes += 1;
-                        self.condemn(t.channel);
-                        self.reduce_width();
-                        if self.cfg.policy == Policy::ControllerHitless {
+        for i in 0..self.link.new_transitions().len() {
+            let t = self.link.new_transitions()[i];
+            match (t.to, t.cause) {
+                (CtlState::Spared, Cause::SpareActivated) => {
+                    self.rollup.remaps += 1;
+                    self.condemn(t.channel);
+                    match self.cfg.policy {
+                        Policy::ControllerHitless => {
+                            // Drain/pause: both ends switch together,
+                            // no data launched while they do.
+                            let _ = self.tx.fail_channel(t.channel, FailureKind::Degraded);
+                            let _ = self.rx.fail_channel(t.channel, FailureKind::Degraded);
                             if self.cfg.replay_window > 0 {
                                 self.state = RunState::Reconfiguring {
                                     remaining: self.cfg.replay_window,
@@ -577,9 +539,39 @@ impl LinkHarness {
                             }
                             reconfig_now = true;
                         }
+                        Policy::Controller => {
+                            // RX remaps now; TX hears about it one
+                            // epoch later (control-plane latency).
+                            let _ = self.rx.fail_channel(t.channel, FailureKind::Degraded);
+                            self.tx_remap_next.push(t.channel);
+                        }
+                        Policy::Static => {}
                     }
-                    _ => {}
                 }
+                (CtlState::Retired, Cause::ExternalDead) => {
+                    // An idle spare died: retire it from both
+                    // gearbox pools so later sparing stays in sync.
+                    self.condemn(t.channel);
+                    let _ = self.tx.fail_channel(t.channel, FailureKind::Degraded);
+                    let _ = self.rx.fail_channel(t.channel, FailureKind::Degraded);
+                }
+                (CtlState::Retired, Cause::SparesExhausted) => {
+                    // No spare left for this lane: shed a logical
+                    // lane and re-stripe over the survivors instead
+                    // of riding a dead channel forever.
+                    self.rollup.lost_lanes += 1;
+                    self.condemn(t.channel);
+                    self.reduce_width();
+                    if self.cfg.policy == Policy::ControllerHitless {
+                        if self.cfg.replay_window > 0 {
+                            self.state = RunState::Reconfiguring {
+                                remaining: self.cfg.replay_window,
+                            };
+                        }
+                        reconfig_now = true;
+                    }
+                }
+                _ => {}
             }
         }
 

@@ -4,16 +4,22 @@
 //! cargo run --release --example lane_failure_resilience
 //! ```
 //!
-//! Streams framed traffic over a 64-channel gearbox while a fault script
+//! Streams framed traffic over a 64-channel gearbox while a fault campaign
 //! kills channels and injects an error burst; spare channels absorb the
 //! damage and the CRC layer proves no frame is ever silently corrupted.
 //! This is claim C6 (protocol-agnostic integration + resilience) running
 //! for real.
 
-use mosaic_repro::sim::faults::{Fault, FaultSchedule};
+use mosaic_repro::sim::faults::{
+    CampaignConfig, FaultCampaign, FaultEvent, FaultKind, Persistence,
+};
 use mosaic_repro::sim::link_sim::{simulate_link, LinkSimConfig};
 
-fn run(label: &str, spares: usize, faults: FaultSchedule) {
+fn run(label: &str, spares: usize, events: Vec<FaultEvent>) {
+    let over = CampaignConfig {
+        channels: 64 + spares,
+        ..CampaignConfig::default()
+    };
     let cfg = LinkSimConfig {
         logical_lanes: 64,
         physical_channels: 64 + spares,
@@ -23,7 +29,7 @@ fn run(label: &str, spares: usize, faults: FaultSchedule) {
         frames_per_epoch: 32,
         frame_size: 512,
         seed: 7,
-        faults,
+        faults: FaultCampaign::try_from_events(over, events).expect("faults strike real channels"),
         degrade_threshold: Some(1e-5),
         monitor_window_bits: 10_000,
     };
@@ -46,23 +52,21 @@ fn run(label: &str, spares: usize, faults: FaultSchedule) {
 fn main() {
     println!("64-lane Mosaic gearbox, 16 epochs of framed traffic\n");
 
-    run("baseline: clean channels", 4, FaultSchedule::new());
+    run("baseline: clean channels", 4, vec![]);
 
-    let kills = FaultSchedule::new()
-        .at(4, Fault::Kill { channel: 12 })
-        .at(8, Fault::Kill { channel: 40 })
-        .at(12, Fault::Kill { channel: 3 });
-    run("three channel deaths, hot spares", 4, kills.clone());
-    run("three channel deaths, NO spares", 0, kills);
+    let kills = [(12, 4), (40, 8), (3, 12)].map(|(ch, at)| FaultEvent::kill(ch, at));
+    run("three channel deaths, hot spares", 4, kills.to_vec());
+    run("three channel deaths, NO spares", 0, kills.to_vec());
 
-    let burst = FaultSchedule::new().at(
-        6,
-        Fault::Burst {
-            channel: 9,
-            ber: 2e-3,
-            epochs: 3,
-        },
-    );
+    // TIA saturation adds 1e-3 · 10^(1.5 · severity) to the channel BER.
+    let burst = vec![FaultEvent {
+        channel: 9,
+        kind: FaultKind::TiaSaturation,
+        persistence: Persistence::Transient,
+        start: 6,
+        duration: 3,
+        severity: 2f64.log10() / 1.5,
+    }];
     run(
         "transient 3-epoch error burst (BER 2e-3) + monitor retirement",
         4,

@@ -4,6 +4,8 @@
 
 use mosaic_repro::fec::bch::Bch;
 use mosaic_repro::link::{Gearbox, LaneHealth, StripeConfig};
+use mosaic_repro::sim::campaign::{run_campaign, CampaignRunConfig};
+use mosaic_repro::sim::faults::CampaignConfig;
 use mosaic_repro::{FecChoice, MosaicConfig, MosaicError};
 use mosaic_units::{BitRate, Length};
 use proptest::prelude::*;
@@ -91,6 +93,40 @@ fn gearbox_construction_and_malformed_input_are_errors() {
         ),
         "{err}"
     );
+}
+
+#[test]
+fn campaign_geometry_is_checked_with_or_without_the_controller() {
+    for controller in [false, true] {
+        // More lanes than channels: the static map used to count four
+        // channels that do not exist.
+        let lanes = CampaignRunConfig {
+            logical_lanes: 20,
+            physical_channels: 16,
+            controller,
+            ..CampaignRunConfig::default()
+        };
+        let err = run_campaign(&lanes, 1).unwrap_err();
+        assert!(
+            matches!(err, MosaicError::InvalidConfig { .. }),
+            "controller={controller}: {err}"
+        );
+        // Faults on channels 16..31 of a 16-channel link.
+        let channels = CampaignRunConfig {
+            physical_channels: 16,
+            campaign: CampaignConfig {
+                channels: 32,
+                ..CampaignConfig::default()
+            },
+            controller,
+            ..CampaignRunConfig::default()
+        };
+        let err = run_campaign(&channels, 1).unwrap_err();
+        assert!(
+            matches!(err, MosaicError::InvalidConfig { .. }),
+            "controller={controller}: {err}"
+        );
+    }
 }
 
 proptest! {

@@ -5,7 +5,7 @@ use mosaic_repro::fec::analysis::rs_performance;
 use mosaic_repro::fec::rs::ReedSolomon;
 use mosaic_repro::mosaic::budget::BudgetEngine;
 use mosaic_repro::mosaic::MosaicConfig;
-use mosaic_repro::sim::faults::FaultSchedule;
+use mosaic_repro::sim::faults::FaultCampaign;
 use mosaic_repro::sim::link_sim::{simulate_link, LinkSimConfig};
 use mosaic_repro::sim::montecarlo::{run_rs_channel, simulate_ook_ber};
 use mosaic_repro::sim::rng::DetRng;
@@ -119,7 +119,7 @@ fn budget_and_simulation_agree_on_feasibility() {
         frames_per_epoch: 16,
         frame_size: 512,
         seed: 9,
-        faults: FaultSchedule::new(),
+        faults: FaultCampaign::default(),
         degrade_threshold: None,
         monitor_window_bits: 10_000,
     };
