@@ -1,8 +1,16 @@
 //! Criterion benches: the gearbox transmit/receive pipeline.
+//!
+//! `f19_epoch` times the layer the repository benchmark reports as
+//! `link.transmit_ns_per_frame` and `link.receive_ns_per_frame`: a warm
+//! `transmit_into`/`receive_into` pair at F19's geometry with its 96-B
+//! mixed frame sizes. The 100-channel benches keep the wide prototype
+//! geometry covered.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mosaic_link::gearbox::Gearbox;
+use mosaic_link::framing::{crc32, crc32_bytewise};
+use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::scrambler::Scrambler;
+use mosaic_link::striping::LaneWord;
 use mosaic_link::striping::{Deskewer, Distributor, StripeConfig};
 
 fn bench_gearbox(c: &mut Criterion) {
@@ -24,6 +32,45 @@ fn bench_gearbox(c: &mut Criterion) {
             },
         )
     });
+    g.finish();
+}
+
+fn bench_f19_epoch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("f19_epoch");
+    // One epoch at F19's quota: 32 frames of 48 to 240 bytes, the spread
+    // of the default mix around its 96-B base frame.
+    let payloads: Vec<Vec<u8>> = (0..32)
+        .map(|i| vec![i as u8; 48 + (i * 67) % 193])
+        .collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
+    g.throughput(Throughput::Elements(refs.len() as u64));
+    let mut tx = Gearbox::new(8, 12, 16);
+    let mut rx = Gearbox::new(8, 12, 16);
+    let mut tx_scratch = TxScratch::default();
+    let mut rx_scratch = RxScratch::default();
+    let mut channels: Vec<Vec<LaneWord>> = Vec::new();
+    let mut batch = RxBatch::default();
+    g.bench_function("transmit_receive_8of12_32frames", |b| {
+        b.iter(|| {
+            tx.transmit_into(&refs, &mut tx_scratch, &mut channels);
+            rx.receive_into(&channels, &mut rx_scratch, &mut batch)
+                .unwrap();
+            batch.frames.len()
+        })
+    });
+    g.finish();
+}
+
+fn bench_crc(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crc32");
+    for len in [64usize, 1500] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("crc32_{len}B"), |b| b.iter(|| crc32(&data)));
+        g.bench_function(format!("crc32_bytewise_{len}B"), |b| {
+            b.iter(|| crc32_bytewise(&data))
+        });
+    }
     g.finish();
 }
 
@@ -64,6 +111,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_gearbox, bench_striping, bench_scrambler
+    targets = bench_gearbox, bench_f19_epoch, bench_crc, bench_striping, bench_scrambler
 }
 criterion_main!(benches);

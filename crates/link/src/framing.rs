@@ -6,29 +6,86 @@
 //! *detected* and surfaced as a lost frame — the simulator's ground truth
 //! for frame-loss-rate measurements.
 
-/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    // Build the table once.
-    fn table() -> &'static [u32; 256] {
-        use std::sync::OnceLock;
-        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, entry) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                }
-                *entry = c;
-            }
-            t
-        })
+/// The slicing-by-8 CRC-32 tables, built at compile time. `CRC_TABLES[0]`
+/// is the classic byte table (reflected polynomial 0xEDB88320); row `k`
+/// advances a byte that sits `k` positions further from the end of an
+/// 8-byte group, so one group folds in with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
     }
-    let t = table();
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320). Dispatches to
+/// the slicing-by-8 kernel by default; `--features scalar-kernels`
+/// retains the byte-table loop ([`crc32_bytewise`]) as the differential
+/// oracle.
+#[inline]
+pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(feature = "scalar-kernels")]
+    {
+        crc32_bytewise(data)
+    }
+    #[cfg(not(feature = "scalar-kernels"))]
+    {
+        crc32_sliced(data)
+    }
+}
+
+/// Slicing-by-8 CRC-32: eight bytes per step through eight tables, then
+/// the byte loop for the tail.
+pub fn crc32_sliced(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut groups = data.chunks_exact(8);
+    for g in &mut groups {
+        let lo = u32::from_le_bytes([g[0], g[1], g[2], g[3]]) ^ crc;
+        let hi = u32::from_le_bytes([g[4], g[5], g[6], g[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in groups.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// Byte-at-a-time CRC-32 through one table: the retained scalar oracle
+/// for [`crc32_sliced`].
+pub fn crc32_bytewise(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES[0];
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
         crc = t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
@@ -129,6 +186,7 @@ mod tests {
     fn crc32_known_answer() {
         // The classic check value: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
@@ -190,6 +248,23 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn crc32_matches_bytewise_oracle_at_every_short_length(
+            data in proptest::collection::vec(any::<u8>(), 64),
+        ) {
+            for len in 0..=64 {
+                prop_assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "len {}", len);
+            }
+        }
+
+        #[test]
+        fn crc32_matches_bytewise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..=4096),
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+            prop_assert_eq!(crc32_sliced(&data), crc32_bytewise(&data));
+        }
+
         #[test]
         fn frame_into_matches_to_bytes(
             seq: u32,

@@ -18,7 +18,9 @@
 use crate::framing::{frame_into, parse_frame, Frame, FrameError};
 use crate::lanes::{FailureKind, LaneMap, NoSpares};
 use crate::scrambler::Scrambler;
-use crate::striping::{DeskewError, DeskewScratch, Deskewer, Distributor, LaneWord, StripeConfig};
+use crate::striping::{
+    deskew_mapped, stripe_mapped, DeskewError, DeskewScratch, LaneWord, StripeConfig,
+};
 
 /// Idle word transmitted on spare/unassigned channels.
 const IDLE_WORD: u64 = 0x1E1E_1E1E_1E1E_1E1E;
@@ -29,7 +31,7 @@ pub struct Gearbox {
     cfg: StripeConfig,
     map: LaneMap,
     physical: usize,
-    dist: Distributor,
+    next_marker_seq: u32,
     tx_scrambler: Scrambler,
     rx_scrambler: Scrambler,
     next_tx_seq: u32,
@@ -56,13 +58,11 @@ pub struct RxReport {
 pub struct TxScratch {
     bytes: Vec<u8>,
     words: Vec<u64>,
-    logical: Vec<Vec<LaneWord>>,
 }
 
 /// Reusable receive-side working buffers for [`Gearbox::receive_into`].
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
-    lanes: Vec<Vec<LaneWord>>,
     deskew: DeskewScratch,
     words: Vec<u64>,
 }
@@ -138,7 +138,7 @@ impl Gearbox {
             cfg,
             map: LaneMap::try_new(logical, physical)?,
             physical,
-            dist: Distributor::new(cfg),
+            next_marker_seq: 0,
             tx_scrambler: Scrambler::new(),
             rx_scrambler: Scrambler::new(),
             next_tx_seq: 0,
@@ -191,37 +191,41 @@ impl Gearbox {
             frame_into(self.next_tx_seq, p, &mut scratch.bytes);
             self.next_tx_seq = self.next_tx_seq.wrapping_add(1);
         }
-        // Bytes → words (zero-padded tail).
-        scratch.words.clear();
-        for chunk in scratch.bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            scratch.words.push(u64::from_le_bytes(w));
-        }
-        // Pad to a whole marker block *before* scrambling, so the TX and
-        // RX scrambler states advance by exactly the same word count.
+        // Bytes → scrambled words in one pass: the zero-padded tail word,
+        // then zero words to a whole marker block, all scrambled, so the
+        // TX and RX scrambler states advance by exactly the same count.
         let block = self.cfg.block_payload();
-        while !scratch.words.len().is_multiple_of(block) || scratch.words.is_empty() {
-            scratch.words.push(0);
+        let n_words = scratch.bytes.len().div_ceil(8).div_ceil(block).max(1) * block;
+        scratch.words.clear();
+        scratch.words.reserve(n_words);
+        let mut groups = scratch.bytes.chunks_exact(8);
+        for g in &mut groups {
+            let w = u64::from_le_bytes([g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7]]);
+            scratch.words.push(self.tx_scrambler.scramble_word(w));
         }
-        // Scramble in place.
-        for w in scratch.words.iter_mut() {
-            *w = self.tx_scrambler.scramble_word(*w);
+        let mut tail = [0u8; 8];
+        tail[..groups.remainder().len()].copy_from_slice(groups.remainder());
+        let mut pad = u64::from_le_bytes(tail);
+        while scratch.words.len() < n_words {
+            scratch.words.push(self.tx_scrambler.scramble_word(pad));
+            pad = 0;
         }
-        // Stripe over logical lanes.
-        self.dist
-            .stripe_into(&scratch.words, 0, &mut scratch.logical);
-        // Map to physical channels.
-        let stream_len = scratch.logical[0].len();
+        // Stripe straight onto the assigned physical channels.
         channels.truncate(self.physical);
         channels.resize_with(self.physical, Default::default);
         for stream in channels.iter_mut() {
             stream.clear();
         }
-        for (logical, stream) in scratch.logical.iter().enumerate() {
-            channels[self.map.physical_for(logical)].extend_from_slice(stream);
-        }
+        stripe_mapped(
+            self.cfg,
+            &mut self.next_marker_seq,
+            &scratch.words,
+            0,
+            self.map.assignment(),
+            channels,
+        );
         // Spares idle at the same epoch length so the medium stays lit.
+        let stream_len = channels[self.map.physical_for(0)].len();
         for (ch, stream) in channels.iter_mut().enumerate() {
             let retired = self.map.retired().iter().any(|&(p, _)| p == ch);
             if stream.is_empty() && !retired {
@@ -278,25 +282,21 @@ impl Gearbox {
         batch.corrupt_frames = 0;
         batch.payload_bytes = 0;
         batch.deskew_error = None;
-        // Gather the assigned channels in logical order.
-        scratch.lanes.truncate(self.cfg.lanes);
-        scratch.lanes.resize_with(self.cfg.lanes, Default::default);
-        for (l, lane) in scratch.lanes.iter_mut().enumerate() {
-            lane.clear();
-            lane.extend_from_slice(&channels[self.map.physical_for(l)]);
-        }
-        let deskewer = Deskewer::new(self.cfg);
-        if let Err(e) =
-            deskewer.reassemble_into(&scratch.lanes, &mut scratch.deskew, &mut scratch.words)
-        {
+        // Deskew the assigned channels in place, in logical order.
+        if let Err(e) = deskew_mapped(
+            self.cfg,
+            channels,
+            self.map.assignment(),
+            &mut scratch.deskew,
+            &mut scratch.words,
+        ) {
             batch.deskew_error = Some(e);
             return Ok(());
         }
-        // Descramble and flatten to bytes.
-        for &w in scratch.words.iter() {
-            batch
-                .bytes
-                .extend_from_slice(&self.rx_scrambler.descramble_word(w).to_le_bytes());
+        // Descramble each word into its 8-byte slot.
+        batch.bytes.resize(scratch.words.len() * 8, 0);
+        for (dst, &w) in batch.bytes.chunks_exact_mut(8).zip(scratch.words.iter()) {
+            dst.copy_from_slice(&self.rx_scrambler.descramble_word(w).to_le_bytes());
         }
         batch.corrupt_frames = scan_frames_into(&batch.bytes, &mut batch.frames);
         batch.payload_bytes = batch.frames.iter().map(|s| s.len).sum();
@@ -331,7 +331,11 @@ pub fn scan_frames_into(bytes: &[u8], frames: &mut Vec<FrameSlot>) -> usize {
     let mut pos = 0usize;
     while pos + Frame::OVERHEAD <= bytes.len() {
         if bytes[pos] != magic[0] || bytes[pos + 1] != magic[1] {
-            pos += 1;
+            // Jump to the next byte that could start a magic.
+            match bytes[pos + 1..].iter().position(|&b| b == magic[0]) {
+                Some(k) => pos += 1 + k,
+                None => break,
+            }
             continue;
         }
         let len = u32::from_le_bytes([

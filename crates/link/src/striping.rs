@@ -71,12 +71,17 @@ pub enum LaneWord {
 pub struct Distributor {
     cfg: StripeConfig,
     next_seq: u32,
+    identity: Vec<usize>,
 }
 
 impl Distributor {
     /// New distributor for `cfg`, markers starting at sequence 0.
     pub fn new(cfg: StripeConfig) -> Self {
-        Distributor { cfg, next_seq: 0 }
+        Distributor {
+            cfg,
+            next_seq: 0,
+            identity: (0..cfg.lanes).collect(),
+        }
     }
 
     /// The configuration in use.
@@ -89,8 +94,7 @@ impl Distributor {
     /// begins with an alignment marker on every lane and continues the
     /// sequence numbering from previous calls.
     pub fn stripe(&mut self, payload: &[u64], pad: u64) -> Vec<Vec<LaneWord>> {
-        let blocks = payload.len().div_ceil(self.cfg.block_payload()).max(1);
-        let mut lanes = vec![Vec::with_capacity(blocks * (self.cfg.am_period + 1)); self.cfg.lanes];
+        let mut lanes = Vec::with_capacity(self.cfg.lanes);
         self.stripe_into(payload, pad, &mut lanes);
         lanes
     }
@@ -100,26 +104,60 @@ impl Distributor {
     /// and refilled, reusing its capacity. Allocation-free once the
     /// buffers are warm (lint R4).
     pub fn stripe_into(&mut self, payload: &[u64], pad: u64, lanes: &mut Vec<Vec<LaneWord>>) {
-        let block = self.cfg.block_payload();
-        let blocks = payload.len().div_ceil(block).max(1);
         lanes.truncate(self.cfg.lanes);
         lanes.resize_with(self.cfg.lanes, Default::default);
         for lane in lanes.iter_mut() {
             lane.clear();
         }
-        let mut idx = 0usize;
-        for _ in 0..blocks {
-            for lane in lanes.iter_mut() {
-                lane.push(LaneWord::Marker(self.next_seq));
-            }
-            self.next_seq = self.next_seq.wrapping_add(1);
-            for _ in 0..block {
-                let w = payload.get(idx).copied().unwrap_or(pad);
-                lanes[idx % self.cfg.lanes].push(LaneWord::Data(w));
-                idx += 1;
-            }
+        stripe_mapped(
+            self.cfg,
+            &mut self.next_seq,
+            payload,
+            pad,
+            &self.identity,
+            lanes,
+        );
+    }
+}
+
+/// The striping kernel: lay `payload` round-robin over the `cfg.lanes`
+/// logical lanes (word `j` of a block to lane `j mod L` at depth
+/// `j / L`), padded with `pad` to whole marker blocks (at least one),
+/// and append logical lane `l`'s stream — per block, a marker and then
+/// `am_period` data words — straight onto `channels[assignment[l]]`.
+/// Markers are numbered from `*next_seq`, which ends past the last
+/// block. Lane-major with one strided extend per lane per block, so no
+/// word costs a division. Allocation-free once `channels` is warm (lint
+/// R4).
+pub fn stripe_mapped(
+    cfg: StripeConfig,
+    next_seq: &mut u32,
+    payload: &[u64],
+    pad: u64,
+    assignment: &[usize],
+    channels: &mut [Vec<LaneWord>],
+) {
+    let block = cfg.block_payload();
+    let blocks = payload.len().div_ceil(block).max(1);
+    for (l, &ch) in assignment.iter().enumerate() {
+        let lane = &mut channels[ch];
+        lane.reserve(blocks * (cfg.am_period + 1));
+        let mut seq = *next_seq;
+        for b in 0..blocks {
+            lane.push(LaneWord::Marker(seq));
+            seq = seq.wrapping_add(1);
+            let end = lane.len() + cfg.am_period;
+            let mine = payload.get(b * block + l..).unwrap_or_default();
+            lane.extend(
+                mine.iter()
+                    .step_by(cfg.lanes)
+                    .take(cfg.am_period)
+                    .map(|&w| LaneWord::Data(w)),
+            );
+            lane.resize(end, LaneWord::Data(pad));
         }
     }
+    *next_seq = next_seq.wrapping_add(blocks as u32);
 }
 
 /// Deskew/reassembly errors. Every variant names the offending lane and
@@ -217,12 +255,16 @@ pub struct DeskewScratch {
 #[derive(Debug, Clone)]
 pub struct Deskewer {
     cfg: StripeConfig,
+    identity: Vec<usize>,
 }
 
 impl Deskewer {
     /// New deskewer for `cfg`.
     pub fn new(cfg: StripeConfig) -> Self {
-        Deskewer { cfg }
+        Deskewer {
+            cfg,
+            identity: (0..cfg.lanes).collect(),
+        }
     }
 
     /// Reassemble the payload stream from per-lane word streams with
@@ -245,103 +287,140 @@ impl Deskewer {
         scratch: &mut DeskewScratch,
         out: &mut Vec<u64>,
     ) -> Result<(), DeskewError> {
-        out.clear();
         if lanes.len() != self.cfg.lanes {
+            out.clear();
             return Err(DeskewError::LaneCount {
                 expected: self.cfg.lanes,
                 got: lanes.len(),
             });
         }
-        // Find the first marker on each lane.
-        let first_seq = &mut scratch.first_seq;
-        let pos = &mut scratch.pos;
-        first_seq.clear();
-        pos.clear();
-        for (i, lane) in lanes.iter().enumerate() {
-            let p = lane
-                .iter()
-                .position(|w| matches!(w, LaneWord::Marker(_)))
-                .ok_or(DeskewError::NoMarker { lane: i })?;
-            let LaneWord::Marker(seq) = lane[p] else {
-                // `position` just matched a marker here.
+        deskew_mapped(self.cfg, lanes, &self.identity, scratch, out)
+    }
+}
+
+/// The deskew kernel: reassemble the payload words from the streams of
+/// logical lanes read in place — lane `l` is `channels[assignment[l]]` —
+/// with arbitrary leading skew. `out` is cleared first; on success it
+/// holds the payload words of every block complete on all lanes, each
+/// block scattered lane-major into `out[depth * L + l]`. Errors name the
+/// logical lane; a stray marker in a block's data is reported at the
+/// first offending word in block order. On error `out` holds the blocks
+/// before the failing one. Allocation-free once the buffers are warm
+/// (lint R4).
+pub fn deskew_mapped(
+    cfg: StripeConfig,
+    channels: &[Vec<LaneWord>],
+    assignment: &[usize],
+    scratch: &mut DeskewScratch,
+    out: &mut Vec<u64>,
+) -> Result<(), DeskewError> {
+    out.clear();
+    let lanes = cfg.lanes;
+    let am = cfg.am_period;
+    // Find the first marker on each lane.
+    let first_seq = &mut scratch.first_seq;
+    let pos = &mut scratch.pos;
+    first_seq.clear();
+    pos.clear();
+    for (i, &ch) in assignment.iter().enumerate() {
+        let lane = &channels[ch];
+        let p = lane
+            .iter()
+            .position(|w| matches!(w, LaneWord::Marker(_)))
+            .ok_or(DeskewError::NoMarker { lane: i })?;
+        let LaneWord::Marker(seq) = lane[p] else {
+            // `position` just matched a marker here.
+            return Err(DeskewError::Misaligned {
+                lane: i,
+                position: p,
+            });
+        };
+        first_seq.push(seq);
+        pos.push(p);
+    }
+    // Align every lane to the largest first-marker sequence number.
+    let Some(&target) = first_seq.iter().max() else {
+        // Zero configured lanes: nothing to reassemble.
+        return Ok(());
+    };
+    for (i, &ch) in assignment.iter().enumerate() {
+        let lane = &channels[ch];
+        while {
+            let LaneWord::Marker(seq) = lane[pos[i]] else {
                 return Err(DeskewError::Misaligned {
                     lane: i,
-                    position: p,
+                    position: pos[i],
                 });
             };
-            first_seq.push(seq);
-            pos.push(p);
+            seq != target
+        } {
+            // Skip this whole block: marker + am_period words.
+            pos[i] += 1 + am;
+            if pos[i] >= lane.len() {
+                return Err(DeskewError::NoCommonMarker {
+                    lane: i,
+                    skew: pos[i],
+                });
+            }
         }
-        // Align every lane to the largest first-marker sequence number.
-        let Some(&target) = first_seq.iter().max() else {
-            // Zero configured lanes: nothing to reassemble.
-            return Ok(());
-        };
-        for (i, lane) in lanes.iter().enumerate() {
-            while {
-                let LaneWord::Marker(seq) = lane[pos[i]] else {
+    }
+
+    // Read blocks while all lanes have a complete block buffered.
+    let mut expected = target;
+    loop {
+        let complete = assignment
+            .iter()
+            .zip(pos.iter())
+            .all(|(&ch, &p)| p + am < channels[ch].len());
+        if !complete {
+            break;
+        }
+        // Verify the marker row.
+        for (i, (&ch, &p)) in assignment.iter().zip(pos.iter()).enumerate() {
+            match channels[ch][p] {
+                LaneWord::Marker(seq) if seq == expected => {}
+                _ => {
                     return Err(DeskewError::Misaligned {
                         lane: i,
-                        position: pos[i],
-                    });
-                };
-                seq != target
-            } {
-                // Skip this whole block: marker + am_period words.
-                pos[i] += 1 + self.cfg.am_period;
-                if pos[i] >= lane.len() {
-                    return Err(DeskewError::NoCommonMarker {
-                        lane: i,
-                        skew: pos[i],
-                    });
+                        position: p,
+                    })
                 }
             }
         }
-
-        // Read blocks while all lanes have a complete block buffered.
-        let mut expected = target;
-        loop {
-            let complete = lanes
-                .iter()
-                .zip(pos.iter())
-                .all(|(lane, &p)| p + self.cfg.am_period < lane.len());
-            if !complete {
-                break;
-            }
-            // Verify the marker row.
-            for (i, lane) in lanes.iter().enumerate() {
-                match lane[pos[i]] {
-                    LaneWord::Marker(seq) if seq == expected => {}
-                    _ => {
-                        return Err(DeskewError::Misaligned {
-                            lane: i,
-                            position: pos[i],
-                        })
-                    }
-                }
-            }
-            // Round-robin data: word j of the block came from lane
-            // j % L at depth j / L.
-            for j in 0..self.cfg.block_payload() {
-                let lane = j % self.cfg.lanes;
-                let depth = j / self.cfg.lanes;
-                match lanes[lane][pos[lane] + 1 + depth] {
-                    LaneWord::Data(w) => out.push(w),
+        // Scatter each lane's data into its round-robin slots. A stray
+        // marker stops its lane; the one earliest in block order (slot
+        // `depth * L + l`) is reported.
+        let base = out.len();
+        out.resize(base + cfg.block_payload(), 0);
+        let block = &mut out[base..];
+        let mut stray = usize::MAX;
+        for (l, (&ch, &p)) in assignment.iter().zip(pos.iter()).enumerate() {
+            let mut j = l;
+            for word in &channels[ch][p + 1..p + 1 + am] {
+                match *word {
+                    LaneWord::Data(w) => block[j] = w,
                     LaneWord::Marker(_) => {
-                        return Err(DeskewError::Misaligned {
-                            lane,
-                            position: pos[lane] + 1 + depth,
-                        });
+                        stray = stray.min(j);
+                        break;
                     }
                 }
+                j += lanes;
             }
-            for p in pos.iter_mut() {
-                *p += 1 + self.cfg.am_period;
-            }
-            expected = expected.wrapping_add(1);
         }
-        Ok(())
+        if stray != usize::MAX {
+            out.truncate(base);
+            let lane = stray % lanes;
+            return Err(DeskewError::Misaligned {
+                lane,
+                position: pos[lane] + 1 + stray / lanes,
+            });
+        }
+        for p in pos.iter_mut() {
+            *p += 1 + am;
+        }
+        expected = expected.wrapping_add(1);
     }
+    Ok(())
 }
 
 /// Test/simulation helper: delay a lane stream by `skew` words of line
@@ -574,6 +653,56 @@ mod tests {
                 .collect();
             let (sent, got) = roundtrip(lanes, am, words, &skews);
             prop_assert_eq!(&got[..sent.len()], &sent[..]);
+        }
+
+        /// Rogue markers at random data positions, striped onto a
+        /// rotated channel map with per-lane skew: deskew blames the
+        /// first one in block order, as logical lane `j % L` at that
+        /// lane's stream position.
+        #[test]
+        fn rogue_marker_blames_first_word_in_block_order(
+            lanes in 1usize..10,
+            am in 1usize..8,
+            blocks in 1usize..5,
+            rotate in 0usize..12,
+            n_rogues in 1usize..4,
+            rogue_blocks in proptest::collection::vec(0usize..5, 3),
+            rogue_words in proptest::collection::vec(0usize..80, 3),
+            skew_seed in 0u64..1000,
+        ) {
+            let cfg = StripeConfig::new(lanes, am);
+            let physical = lanes + 2;
+            let assignment: Vec<usize> = (0..lanes).map(|l| (l + rotate) % physical).collect();
+            let payload: Vec<u64> = (0..(lanes * am * blocks) as u64).collect();
+            let mut channels = vec![Vec::new(); physical];
+            let mut seq = 0u32;
+            stripe_mapped(cfg, &mut seq, &payload, 0, &assignment, &mut channels);
+            let skews: Vec<usize> = (0..lanes)
+                .map(|l| ((skew_seed.wrapping_mul(l as u64 + 3) >> 2) % 7) as usize)
+                .collect();
+            let mut first = (usize::MAX, 0);
+            for k in 0..n_rogues {
+                let (b, j) = (rogue_blocks[k] % blocks, rogue_words[k] % cfg.block_payload());
+                let (l, depth) = (j % lanes, j / lanes);
+                channels[assignment[l]][b * (am + 1) + 1 + depth] = LaneWord::Marker(7777);
+                first = first.min((b, j));
+            }
+            let (b, j) = first;
+            let (l, depth) = (j % lanes, j / lanes);
+            for (l, &ch) in assignment.iter().enumerate() {
+                channels[ch] = apply_skew(&channels[ch], skews[l], 0xDEAD);
+            }
+            let mut scratch = DeskewScratch::default();
+            let mut out = Vec::new();
+            let got = deskew_mapped(cfg, &channels, &assignment, &mut scratch, &mut out);
+            prop_assert_eq!(
+                got,
+                Err(DeskewError::Misaligned {
+                    lane: l,
+                    position: skews[l] + b * (am + 1) + 1 + depth,
+                })
+            );
+            prop_assert_eq!(out.len(), b * cfg.block_payload());
         }
     }
 }

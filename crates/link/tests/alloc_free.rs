@@ -1,17 +1,17 @@
 //! Proof of the "zero heap allocations per traffic epoch" claim for the
 //! gearbox scratch-reuse pair: a counting global allocator wraps the
 //! system allocator, and `transmit_into` / `receive_into` (plus the
-//! framing and striping helpers underneath them) must not touch it once
-//! their buffers are warmed.
+//! CRC, framing and the shared stripe/deskew kernels underneath them)
+//! must not touch it once their buffers are warmed.
 //!
 //! The sim-side twin is `crates/sim/tests/alloc_free.rs`; both harnesses
 //! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 
-use mosaic_link::framing::{frame_into, parse_frame};
+use mosaic_link::framing::{self, frame_into, parse_frame};
 use mosaic_link::gearbox::{scan_frames_into, Gearbox, RxBatch, RxScratch, TxScratch};
-use mosaic_link::striping::LaneWord;
+use mosaic_link::striping::{self, DeskewScratch, LaneWord, StripeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -103,6 +103,31 @@ fn gearbox_epoch_loop_does_not_allocate() {
     });
     assert_eq!(n, 0, "framing helpers allocated {n} times");
     assert!(seqs > 0);
+
+    // --- The shared stripe/deskew kernels and the CRC, called directly --
+    let cfg = StripeConfig::new(8, 16);
+    let assignment: Vec<usize> = vec![0, 1, 2, 9, 4, 5, 6, 7];
+    let words: Vec<u64> = (0..3 * 128).map(|i| i * 0x9E37_79B9).collect();
+    let mut lanes: Vec<Vec<LaneWord>> = vec![Vec::new(); 12];
+    let mut deskew = DeskewScratch::default();
+    let mut out: Vec<u64> = Vec::new();
+    let mut marker_seq = 0u32;
+    let mut kernels = || {
+        for lane in lanes.iter_mut() {
+            lane.clear();
+        }
+        striping::stripe_mapped(cfg, &mut marker_seq, &words, 0, &assignment, &mut lanes);
+        striping::deskew_mapped(cfg, &lanes, &assignment, &mut deskew, &mut out).unwrap();
+        u64::from(framing::crc32(&data[0])) + out.len() as u64
+    };
+    seqs += kernels();
+    let n = allocs_during(|| {
+        for _ in 0..16 {
+            seqs += kernels();
+        }
+    });
+    assert_eq!(n, 0, "stripe/deskew kernels or crc32 allocated {n} times");
+    assert_eq!(out, words);
 
     // --- Frame scanning into a warmed slot buffer -----------------------
     let mut slots = Vec::with_capacity(64);

@@ -323,6 +323,23 @@ pub fn default_config() -> Config {
                 func: "receive_into",
                 harness: Some("crates/link/tests/alloc_free.rs"),
             },
+            // The one stripe loop and the one deskew loop both gearbox
+            // directions share, and the frame CRC both run per frame.
+            RegistryFn {
+                file: "crates/link/src/striping.rs",
+                func: "stripe_mapped",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/striping.rs",
+                func: "deskew_mapped",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/framing.rs",
+                func: "crc32",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
             // The traffic harness epoch step: emit, corrupt, deskew, match,
             // and requeue without allocating — cold reconfiguration paths
             // (gearbox rebuild on width reduction, controller transition

@@ -316,6 +316,7 @@ mod tests {
 
     #[test]
     fn fault_free_campaign_delivers_everything() {
+        let _collector = crate::telemetry::test_guard::shared();
         let out = run_campaign(&cfg(0.0, true), 1).unwrap();
         assert!((out.delivered_fraction - 1.0).abs() < 1e-12, "{out:?}");
         assert_eq!(out.availability, 1.0);
@@ -325,6 +326,7 @@ mod tests {
 
     #[test]
     fn controller_beats_static_map_under_faults() {
+        let _collector = crate::telemetry::test_guard::shared();
         // Permanent-heavy fault mix: this is the regime sparing exists
         // for (dead channels stay dead under a static map).
         let mk = |controller| CampaignRunConfig {
@@ -352,6 +354,7 @@ mod tests {
 
     #[test]
     fn outcome_is_reproducible() {
+        let _collector = crate::telemetry::test_guard::shared();
         let a = run_campaign(&cfg(3.0, true), 5).unwrap();
         let b = run_campaign(&cfg(3.0, true), 5).unwrap();
         assert_eq!(a, b);

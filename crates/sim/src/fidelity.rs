@@ -594,6 +594,7 @@ mod tests {
 
     #[test]
     fn tail_estimate_is_unbiased_against_the_closed_tail() {
+        let _collector = crate::telemetry::test_guard::shared();
         // d = 6 → Q(6) ≈ 9.87e-10: invisible to naive MC at any sane
         // budget, pinned to ~1 % by a quarter-million tilted draws.
         let t = TailBer { d1: 6.0, d0: 6.0 };
@@ -614,6 +615,7 @@ mod tests {
 
     #[test]
     fn tail_estimate_is_thread_count_invariant() {
+        let _collector = crate::telemetry::test_guard::shared();
         let t = TailBer { d1: 7.5, d0: 7.2 };
         let base = t.estimate_with(&Exec::with_threads(1), 16, 512, 3, "tail-det");
         for threads in [2, 8] {

@@ -404,6 +404,7 @@ mod tests {
 
     #[test]
     fn clean_link_delivers_all_frames() {
+        let _collector = crate::telemetry::test_guard::shared();
         let r = simulate_link(&LinkSimConfig::small_clean());
         assert_eq!(r.frames_sent, 64);
         assert_eq!(r.frames_delivered, 64);
@@ -413,6 +414,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_seed() {
+        let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
         let a = simulate_link(&cfg);
@@ -422,6 +424,7 @@ mod tests {
 
     #[test]
     fn report_is_thread_count_invariant() {
+        let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
         cfg.epochs = 6;
@@ -436,6 +439,7 @@ mod tests {
 
     #[test]
     fn noisy_link_loses_frames_but_never_lies() {
+        let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
         cfg.epochs = 6;
@@ -450,6 +454,7 @@ mod tests {
 
     #[test]
     fn kill_with_spares_recovers_after_one_epoch() {
+        let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 6;
         cfg.faults = faults(10, vec![FaultEvent::kill(3, 2)]);
@@ -471,6 +476,7 @@ mod tests {
 
     #[test]
     fn burst_elevates_then_recovers() {
+        let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 8;
         cfg.faults = faults(10, vec![burst(0, 1, 2, 5e-3)]);
@@ -483,6 +489,7 @@ mod tests {
 
     #[test]
     fn monitor_retires_persistently_bad_channel() {
+        let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 10;
         cfg.frames_per_epoch = 8;
@@ -498,6 +505,7 @@ mod tests {
 
     #[test]
     fn kill_without_spares_takes_link_down() {
+        let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.physical_channels = 8; // no spares
         cfg.per_channel_ber = vec![0.0; 8];
@@ -512,6 +520,7 @@ mod tests {
 
     #[test]
     fn full_fidelity_link_sim_is_untouched() {
+        let _collector = crate::telemetry::test_guard::shared();
         use crate::fidelity::{FidelityController, FidelityMode};
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
@@ -523,6 +532,7 @@ mod tests {
 
     #[test]
     fn adaptive_link_sim_keeps_the_fault_span_and_is_thread_invariant() {
+        let _collector = crate::telemetry::test_guard::shared();
         use crate::fidelity::{FidelityController, FidelityMode};
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 40;
@@ -542,6 +552,7 @@ mod tests {
 
     #[test]
     fn adaptive_link_sim_spends_epochs_on_resolvable_noise() {
+        let _collector = crate::telemetry::test_guard::shared();
         use crate::fidelity::{FidelityController, FidelityMode};
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 40;

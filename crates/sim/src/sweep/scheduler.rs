@@ -444,6 +444,7 @@ mod tests {
 
     #[test]
     fn plan_streams_are_per_trial_and_match_direct_derivation() {
+        let _collector = crate::telemetry::test_guard::shared();
         let exec = Exec::with_threads(4);
         let draws = TrialPlan::new()
             .trials(16)
@@ -479,6 +480,7 @@ mod tests {
 
     #[test]
     fn plan_sum_matches_plan_run() {
+        let _collector = crate::telemetry::test_guard::shared();
         let seq: u64 = TrialPlan::new()
             .trials(40)
             .seed(7)
@@ -521,6 +523,7 @@ mod tests {
 
     #[test]
     fn plan_telemetry_is_label_opt_in() {
+        let _collector = crate::telemetry::test_guard::exclusive();
         let exec = Exec::with_threads(2);
         let label = "sched-telemetry-probe";
         let key = format!("trials.{label}");
@@ -557,6 +560,7 @@ mod tests {
 
     #[test]
     fn plan_resilient_retry_uses_fresh_substream_deterministically() {
+        let _collector = crate::telemetry::test_guard::shared();
         // Trial 7 panics on attempt 0 only; its retry must draw from the
         // "{label}#retry1" substream, identically at every thread count.
         let run_at = |threads: usize| {
@@ -587,6 +591,7 @@ mod tests {
 
     #[test]
     fn plan_resilient_budget_exhaustion_yields_none() {
+        let _collector = crate::telemetry::test_guard::shared();
         let run = TrialPlan::new()
             .trials(16)
             .seed(3)

@@ -314,21 +314,33 @@ pub fn take() -> Snapshot {
     std::mem::take(&mut g.snap)
 }
 
+/// Test-only serialization of the process-global collector across this
+/// crate's unit tests. A test that resets the collector or asserts on a
+/// whole snapshot holds [`test_guard::exclusive`]; a test whose code
+/// under test writes to the collector holds [`test_guard::shared`], so
+/// such tests still run in parallel with each other but never inside an
+/// exclusive one.
+#[cfg(test)]
+pub(crate) mod test_guard {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static GUARD: RwLock<()> = RwLock::new(());
+
+    /// Sole access: reset, take, or compare whole snapshots.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        GUARD.write().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Shared access: write counters, stages, series or histograms.
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        GUARD.read().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_guard::exclusive;
     use super::*;
-    use std::sync::MutexGuard;
-
-    // The collector is process-global; tests serialize on this lock so
-    // `cargo test`'s parallel runner can't interleave them.
-    static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> MutexGuard<'static, ()> {
-        match TEST_GUARD.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
 
     #[test]
     fn counters_accumulate_and_reset() {

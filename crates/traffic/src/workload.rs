@@ -207,17 +207,59 @@ impl Workload {
     /// Append the frame's payload pattern to `arena` and return its
     /// `(start, len)` span — the allocation-free arena form the harness
     /// epoch loop uses.
+    ///
+    /// Byte `i` is `(x_{i+1} >> 33) ^ i` over the LCG
+    /// `x_{n+1} = a·x_n + c`. Eight interleaved copies of the recurrence,
+    /// each jumping eight steps at a time (`x_{n+8} = A·x_n + C`), fill one
+    /// 8-byte word per step into a buffer resized once.
     pub fn payload_into(spec: &FrameSpec, arena: &mut Vec<u8>) -> (usize, usize) {
         let start = arena.len();
-        let mut x = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
-        for i in 0..spec.size {
-            x = x
-                .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                .wrapping_add(0x1405_7B7E_F767_814F);
-            arena.push(((x >> 33) as u8) ^ (i as u8));
+        arena.resize(start + spec.size, 0);
+        let mut x = [0u64; 8];
+        let mut prev = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
+        for lane in x.iter_mut() {
+            prev = prev.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+            *lane = prev;
+        }
+        // Bytes `i..i + 8` of a word XOR with `i as u8 + k`; `i` is a
+        // multiple of 8, so that is `i as u8` in every byte, XOR `k`.
+        let index = |i: usize| 0x0706_0504_0302_0100 ^ (u64::from(i as u8) * 0x0101_0101_0101_0101);
+        let mut words = arena[start..].chunks_exact_mut(8);
+        let mut i = 0usize;
+        for out in &mut words {
+            let mut w = 0u64;
+            for (k, lane) in x.iter_mut().enumerate() {
+                w |= ((*lane >> 33) & 0xFF) << (8 * k);
+                *lane = lane.wrapping_mul(LCG_A8).wrapping_add(LCG_C8);
+            }
+            out.copy_from_slice(&(w ^ index(i)).to_le_bytes());
+            i += 8;
+        }
+        let tail = words.into_remainder();
+        for (k, (out, lane)) in tail.iter_mut().zip(x).enumerate() {
+            *out = ((lane >> 33) as u8) ^ (index(i) >> (8 * k)) as u8;
         }
         (start, spec.size)
     }
+}
+
+/// The payload LCG's multiplier and increment.
+const LCG_A: u64 = 0x5851_F42D_4C95_7F2D;
+const LCG_C: u64 = 0x1405_7B7E_F767_814F;
+/// Eight LCG steps at once: `A = a⁸`, `C = c·(a⁷ + … + a + 1)` (mod 2⁶⁴).
+const LCG_A8: u64 = lcg_jump(8).0;
+const LCG_C8: u64 = lcg_jump(8).1;
+
+/// `(a^n, c·(a^{n-1} + … + 1))` mod 2⁶⁴: the affine map of `n` LCG steps.
+const fn lcg_jump(n: u32) -> (u64, u64) {
+    let (mut a, mut c) = (1u64, 0u64);
+    let mut k = 0;
+    while k < n {
+        a = a.wrapping_mul(LCG_A);
+        c = c.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        k += 1;
+    }
+    (a, c)
 }
 
 #[cfg(test)]
@@ -306,6 +348,30 @@ mod tests {
                 assert!(f.size > 0 && f.size <= 4096);
                 assert_eq!(f.deadline, f.emitted + cfg.deadline_epochs);
             }
+        }
+    }
+
+    #[test]
+    fn payload_matches_serial_recurrence() {
+        for size in (0..70).chain([255, 256, 257, 600, 4096]) {
+            let spec = FrameSpec {
+                flow: 5,
+                flow_seq: 0xABCD + size as u32,
+                size,
+                emitted: 0,
+                deadline: 12,
+            };
+            let mut x = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
+            let serial: Vec<u8> = (0..size)
+                .map(|i| {
+                    x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+                    ((x >> 33) as u8) ^ (i as u8)
+                })
+                .collect();
+            let mut arena = vec![0xEE; 13];
+            assert_eq!(Workload::payload_into(&spec, &mut arena), (13, size));
+            assert_eq!(&arena[..13], &[0xEE; 13]);
+            assert_eq!(&arena[13..], serial.as_slice(), "size {size}");
         }
     }
 
