@@ -9,9 +9,18 @@
 //!     serialize → `corrupt_bits` → reassemble round trip;
 //!   * the end-to-end coded-channel step (`run_rs_channel_with`), whose
 //!     wall time is what the manifest perf gate tracks.
+//!
+//! The `hyperfleet` group times F18's per-link pieces one by one: a
+//! 12-channel campaign regenerated in place (the benchmark's
+//! `sim.campaign_generate_ns`), a keyed link substream and its one draw,
+//! and one fault window replayed on a reset controller
+//! (`link.degrade_replay_ns_per_window`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_fec::{DecodeScratch, ReedSolomon};
+use mosaic_link::degrade::DegradeController;
+use mosaic_netsim::hyperfleet::{self, BITS_PER_EPOCH};
+use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
 use mosaic_sim::inject::BitErrorInjector;
 use mosaic_sim::montecarlo::run_rs_channel_with;
 use mosaic_sim::rng::DetRng;
@@ -101,6 +110,63 @@ fn bench_rs_channel(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_hyperfleet(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hyperfleet");
+    // F18's Mosaic class: 12 supervisory groups over 3 years of hourly
+    // epochs at its channel-fault rate.
+    let camp = CampaignConfig {
+        channels: 12,
+        epochs: 26_280,
+        faults_per_kilo_epoch: 0.004,
+        max_duration: 24,
+        permanent_fraction: 0.25,
+    };
+    let links = DetRng::substreams(0xF18, "bench-hyperfleet-link");
+    g.bench_function("generate_into_12ch", |b| {
+        let mut campaign = FaultCampaign::default();
+        let mut id = 0u64;
+        b.iter(|| {
+            id += 1;
+            campaign.generate_into(camp, id);
+            campaign.events().len()
+        });
+    });
+    g.bench_function("keyed_substream_draw", |b| {
+        let mut id = 0u64;
+        b.iter(|| {
+            id += 1;
+            links.child(id).next_u64()
+        });
+    });
+    // The first link whose campaign draws a fault, and the longest
+    // window hyperfleet opens for a fault: 16 epochs of active replay
+    // plus the controller's settling tail.
+    let campaign = (0..)
+        .map(|id| FaultCampaign::generate(camp, links.child(id).next_u64()))
+        .find(|c| !c.events().is_empty())
+        .expect("some link draws a fault");
+    let first = campaign.events()[0];
+    let policy = hyperfleet::degrade_policy();
+    let tail = policy.suspect_dwell_limit + policy.clear_epochs + 2;
+    let to = (first.start + 16 + tail).min(camp.epochs - 1);
+    let mut ctl = DegradeController::try_new(10, 12, policy).expect("valid geometry");
+    g.bench_function("replay_window", |b| {
+        b.iter(|| {
+            ctl.reset();
+            hyperfleet::replay_fault_window(
+                &mut ctl,
+                campaign.events(),
+                first.start,
+                to,
+                0,
+                BITS_PER_EPOCH,
+            );
+            ctl.transitions().len()
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     // Short windows: these are smoke/regression benches, not a tuning lab.
@@ -108,6 +174,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel
+    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel, bench_hyperfleet
 }
 criterion_main!(benches);

@@ -336,4 +336,15 @@ mod tests {
         assert!(load_fragment(&dir, "F9", "quick").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn deeply_nested_fragment_is_ignored() {
+        let dir = std::env::temp_dir().join(format!("mosaic-frag-nest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A megabyte of `[`: a parse error, not a stack overflow.
+        std::fs::write(fragment_path(&dir, "F9"), "[".repeat(1 << 20)).unwrap();
+        assert!(load_fragment(&dir, "F9", "quick").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

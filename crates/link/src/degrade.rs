@@ -260,7 +260,7 @@ impl DegradeController {
         let epoch = self.epoch;
         let t0 = self.transitions.len();
         for idx in 0..self.channels.len() {
-            let in_service = self.map.assignment().contains(&idx);
+            let in_service = self.map.carries_lane(idx);
             let ch = &mut self.channels[idx];
             ch.dwell += 1;
             let dead = std::mem::take(&mut ch.pending_dead);
@@ -412,6 +412,43 @@ impl DegradeController {
             by_state,
             rate_fraction: self.rate_fraction(),
         }
+    }
+
+    /// True when stepping would change nothing but the epoch and dwell
+    /// counters: no hard-dead report is pending, and every channel is
+    /// `Retired` or `Active` with nothing to escalate — it carries no
+    /// lane, or its monitor reads clean at both the suspect and the
+    /// quarantine threshold. An idle controller that receives no
+    /// observation stays idle, so [`DegradeController::skip_idle`] may
+    /// stand in for any number of observation-free [`step`]s.
+    ///
+    /// [`step`]: DegradeController::step
+    pub fn is_idle(&self) -> bool {
+        // `ber > suspect || ber > quarantine` is `ber > min(suspect,
+        // quarantine)`: one monitor read per channel.
+        let escalate_above = self.cfg.suspect_ber.min(self.cfg.quarantine_ber);
+        self.channels.iter().enumerate().all(|(idx, ch)| {
+            !ch.pending_dead
+                && match ch.state {
+                    CtlState::Retired => true,
+                    CtlState::Active => {
+                        !self.map.carries_lane(idx) || !ch.health.degraded(escalate_above)
+                    }
+                    CtlState::Suspect | CtlState::Quarantined | CtlState::Spared => false,
+                }
+        })
+    }
+
+    /// Advance an idle controller by `n` epochs at once: exactly what `n`
+    /// observation-free [`DegradeController::step`]s do to it (bump the
+    /// epoch and every channel's dwell), in O(channels). Only valid while
+    /// [`DegradeController::is_idle`] holds; debug builds assert it.
+    pub fn skip_idle(&mut self, n: usize) {
+        debug_assert!(self.is_idle(), "skip_idle on a busy controller");
+        for ch in &mut self.channels {
+            ch.dwell += n;
+        }
+        self.epoch += n;
     }
 
     /// Return the controller to its just-constructed state — all
@@ -646,7 +683,97 @@ mod tests {
         assert_eq!(ctl.transitions(), again.transitions());
     }
 
+    #[test]
+    fn idle_tracks_pending_work() {
+        let mut ctl = DegradeController::try_new(2, 4, quick_cfg()).unwrap();
+        assert!(ctl.is_idle(), "a fresh controller has nothing to do");
+        // A degraded idle spare is no work; a degraded lane is.
+        ctl.record(3, 2000, 500);
+        assert!(ctl.is_idle());
+        ctl.record(0, 2000, 20);
+        assert!(!ctl.is_idle());
+        ctl.step();
+        assert_eq!(ctl.state(0), CtlState::Suspect);
+        assert!(!ctl.is_idle());
+        let mut ctl = DegradeController::try_new(2, 4, quick_cfg()).unwrap();
+        ctl.mark_dead(1);
+        assert!(!ctl.is_idle(), "a pending dead report is work");
+        ctl.step();
+        assert!(!ctl.is_idle(), "a Spared channel ages");
+        while ctl.state(1) != CtlState::Retired {
+            ctl.step();
+        }
+        assert!(ctl.is_idle());
+        let before = ctl.epoch();
+        ctl.skip_idle(1000);
+        assert_eq!(ctl.epoch(), before + 1000);
+    }
+
+    /// One packed script word (see `retired_is_terminal_and_spares_bounded`)
+    /// per epoch: record, maybe kill, step.
+    fn drive(ctl: &mut DegradeController, script: &[u64], physical: usize) {
+        for &word in script {
+            let ch = (word & 0xFF) as usize % physical;
+            ctl.record(ch, 2000, (word >> 8) & 0xFF);
+            if (word >> 16) & 1 == 1 {
+                ctl.mark_dead(ch);
+            }
+            ctl.step();
+        }
+    }
+
     proptest! {
+        /// `skip_idle(n)` on an idle controller is exactly `n`
+        /// observation-free steps: the same transitions, states, spare and
+        /// lane counters, epoch and dwell counters (the whole `Debug`
+        /// rendering), and the same behavior under whatever observations
+        /// follow.
+        #[test]
+        fn skip_idle_matches_observation_free_steps(
+            logical in 1usize..8,
+            extra in 0usize..4,
+            prefix in proptest::collection::vec(0u64..(1u64 << 17), 0..60),
+            settle in 0usize..16,
+            pending in proptest::collection::vec(0u64..(1u64 << 17), 0..3),
+            n in 1usize..40,
+            suffix in proptest::collection::vec(0u64..(1u64 << 17), 0..60),
+        ) {
+            let physical = logical + extra;
+            let mut skipped =
+                DegradeController::try_new(logical, physical, quick_cfg()).unwrap();
+            drive(&mut skipped, &prefix, physical);
+            for _ in 0..settle {
+                skipped.step();
+            }
+            // Observations not yet stepped: the idle test must see them.
+            for &word in &pending {
+                let ch = (word & 0xFF) as usize % physical;
+                skipped.record(ch, 2000, (word >> 8) & 0xFF);
+                if (word >> 16) & 1 == 1 {
+                    skipped.mark_dead(ch);
+                }
+            }
+            let mut stepped = skipped.clone();
+            if skipped.is_idle() {
+                skipped.skip_idle(n);
+                for _ in 0..n {
+                    prop_assert_eq!(stepped.step().transitions, 0);
+                }
+                prop_assert!(skipped.is_idle(), "idle must be stable");
+                prop_assert_eq!(format!("{skipped:?}"), format!("{stepped:?}"));
+            }
+            drive(&mut skipped, &suffix, physical);
+            drive(&mut stepped, &suffix, physical);
+            prop_assert_eq!(skipped.transitions(), stepped.transitions());
+            for ch in 0..physical {
+                prop_assert_eq!(skipped.state(ch), stepped.state(ch));
+            }
+            prop_assert_eq!(skipped.spares_activated(), stepped.spares_activated());
+            prop_assert_eq!(skipped.lost_lanes(), stepped.lost_lanes());
+            prop_assert_eq!(skipped.epoch(), stepped.epoch());
+            prop_assert_eq!(skipped.lane_map(), stepped.lane_map());
+        }
+
         /// ISSUE acceptance: the machine never transitions out of
         /// Retired, and never activates more spares than provisioned.
         #[test]

@@ -120,6 +120,32 @@ pub struct LaneMap {
     spares: Vec<usize>,
     /// Channels removed from service, with the reason.
     retired: Vec<(usize, FailureKind)>,
+    /// Bit `p` set: channel `p` (below [`FLAGGED`]) appears in
+    /// `assignment`. Kept in step with it so "does this channel carry a
+    /// lane?" is O(1) without one more allocation per map.
+    carrying: u128,
+}
+
+/// Channels below this index keep their "carries a lane" flag as a bit
+/// of `LaneMap::carrying`; any above it are looked up in the assignment.
+const FLAGGED: usize = u128::BITS as usize;
+
+/// `carrying`'s bit for channel `physical`; 0 from [`FLAGGED`] on.
+fn flag(physical: usize) -> u128 {
+    if physical < FLAGGED {
+        1 << physical
+    } else {
+        0
+    }
+}
+
+/// `carrying` for the pristine map: lane `i` on channel `i`.
+fn pristine_flags(logical: usize) -> u128 {
+    if logical >= FLAGGED {
+        u128::MAX
+    } else {
+        flag(logical) - 1
+    }
 }
 
 impl LaneMap {
@@ -148,6 +174,7 @@ impl LaneMap {
             assignment: (0..logical).collect(),
             spares: (logical..physical).collect(),
             retired: vec![],
+            carrying: pristine_flags(logical),
         })
     }
 
@@ -164,6 +191,17 @@ impl LaneMap {
     /// The current assignment slice.
     pub fn assignment(&self) -> &[usize] {
         &self.assignment
+    }
+
+    /// Does physical channel `physical` carry a logical lane? Equal to
+    /// `assignment().contains(&physical)`, in O(1) below channel 128;
+    /// `false` out of range.
+    pub fn carries_lane(&self, physical: usize) -> bool {
+        if physical < FLAGGED {
+            self.carrying & flag(physical) != 0
+        } else {
+            self.assignment.contains(&physical)
+        }
     }
 
     /// Remaining spare channels.
@@ -191,6 +229,7 @@ impl LaneMap {
         self.spares.clear();
         self.spares.extend(logical..physical);
         self.retired.clear();
+        self.carrying = pristine_flags(logical);
     }
 
     /// Report a physical-channel failure. If the channel is active, a
@@ -216,6 +255,7 @@ impl LaneMap {
             return Err(NoSpares { logical });
         };
         self.assignment[logical] = replacement;
+        self.carrying = self.carrying & !flag(physical) | flag(replacement);
         self.retired.push((physical, kind));
         Ok(Some(logical))
     }
@@ -315,10 +355,15 @@ mod tests {
             logical in 1usize..16,
             extra in 0usize..8,
             kills in proptest::collection::vec(0usize..24, 0..12),
+            wide in 0usize..2,
         ) {
-            let physical = logical + extra;
+            // `wide` moves the channels that fail across the last flagged
+            // channel (127) into the ones looked up by scan.
+            let base = if wide == 1 { 120 } else { 0 };
+            let (logical, physical) = (base + logical, base + logical + extra);
             let mut map = LaneMap::new(logical, physical);
             for k in kills {
+                let k = base + k;
                 if k < physical {
                     let _ = map.fail_channel(k, FailureKind::Dead);
                 }
@@ -332,6 +377,13 @@ mod tests {
             prop_assert_eq!(a.len(), before, "duplicate physical assignment");
             for &(dead, _) in map.retired() {
                 prop_assert!(!map.assignment().contains(&dead));
+            }
+            for p in 0..physical + 2 {
+                prop_assert_eq!(map.carries_lane(p), map.assignment().contains(&p));
+            }
+            map.reset();
+            for p in 0..physical {
+                prop_assert_eq!(map.carries_lane(p), p < logical);
             }
         }
     }

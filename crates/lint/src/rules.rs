@@ -310,6 +310,12 @@ pub fn default_config() -> Config {
                 func: "replay_fault_window",
                 harness: Some("crates/netsim/tests/alloc_free.rs"),
             },
+            // Per-link campaign generation into the shard's reused buffer.
+            RegistryFn {
+                file: "crates/sim/src/faults.rs",
+                func: "generate_into",
+                harness: Some("crates/netsim/tests/alloc_free.rs"),
+            },
             // The gearbox scratch-reuse pair: every traffic epoch pushes a
             // frame batch through these, so a per-frame allocation would
             // show up once per epoch per run across the whole F19 sweep.

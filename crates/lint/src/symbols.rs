@@ -65,7 +65,9 @@ pub struct FnDef {
 /// Which `DetRng` constructor a derivation site uses. `substream` and
 /// `substream_indexed` hash the label differently (`substream_indexed`
 /// remixes with the task id), so identical labels across *different*
-/// kinds do not collide — R5 keys duplicates on (kind, label).
+/// kinds do not collide — R5 keys duplicates on (kind, label). A
+/// hoisted-label family, `substreams(seed, label)`, derives exactly the
+/// `substream_indexed` streams of its label and counts as that kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RngKind {
     Stream,
@@ -416,7 +418,10 @@ fn collect_rng_sites(scan: &FileScan, facts: &mut FileFacts) {
         let kind = match ident_at(toks, i + 3) {
             Some("stream") => RngKind::Stream,
             Some("substream") => RngKind::Substream,
-            Some("substream_indexed") => RngKind::SubstreamIndexed,
+            // `substreams(seed, label)` hoists the label of a family of
+            // `substream_indexed(seed, label, id)` streams: same streams,
+            // so same kind for the duplicate check.
+            Some("substream_indexed") | Some("substreams") => RngKind::SubstreamIndexed,
             _ => continue,
         };
         if !sym_at(toks, i + 4, '(') {
@@ -820,6 +825,19 @@ mod tests {
             .local
             .iter()
             .any(|l| l.rule == "R5" && l.message.contains("captured by a closure")));
+    }
+
+    #[test]
+    fn substreams_family_is_an_indexed_site() {
+        let f = facts("fn a(seed: u64) {\n let links = DetRng::substreams(seed, \"links\");\n}");
+        assert_eq!(
+            f.rng_sites,
+            vec![RngSite {
+                kind: RngKind::SubstreamIndexed,
+                label: "links".into(),
+                line: 2
+            }]
+        );
     }
 
     #[test]

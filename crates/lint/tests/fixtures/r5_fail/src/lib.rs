@@ -1,5 +1,5 @@
-//! R5 failing fixture: a seed collision between two call sites, a
-//! non-literal label, a raw stream call, and a captured DetRng.
+//! R5 failing fixture: seed collisions (two call sites; a label family
+//! and an indexed site), a non-literal label, a raw stream, a capture.
 
 /// Collides with `also_dup` below: same constructor, same label.
 pub fn dup_one(seed: u64) -> DetRng {
@@ -24,4 +24,14 @@ pub fn raw(seed: u64) -> DetRng {
 pub fn shared(exec: &Exec, seed: u64) -> Result<Vec<u64>> {
     let mut rng = DetRng::substream(seed, "shared");
     exec.try_run_tasks(4, |_i| rng.next_u64())
+}
+
+/// A hoisted-label family derives the same streams as the indexed
+/// constructor with that label, so the two collide.
+pub fn family(seed: u64, id: u64) -> DetRng {
+    DetRng::substreams(seed, "fam").child(id)
+}
+
+pub fn also_family(seed: u64) -> DetRng {
+    DetRng::substream_indexed(seed, "fam", 2)
 }

@@ -198,14 +198,24 @@ fn r5_fail_pins_diagnostics() {
     let r = lint_fixture("r5_fail", &only_r5());
     assert_eq!(
         r.deny_count(),
-        5,
-        "2 dup sites, non-literal, raw stream, capture: {}",
+        7,
+        "2 dup sites, non-literal, raw stream, capture, 2 family dup sites: {}",
         r.to_table()
     );
     assert!(r.diagnostics.iter().all(|d| d.rule == "R5"));
     assert!(r.diagnostics.iter().any(|d| d
         .message
         .contains("duplicate DetRng::substream label \"dup\"")));
+    // The hoisted-label family collides with the indexed constructor.
+    let family_dups = r
+        .diagnostics
+        .iter()
+        .filter(|d| {
+            d.message
+                .contains("duplicate DetRng::substream_indexed label \"fam\"")
+        })
+        .count();
+    assert_eq!(family_dups, 2, "{}", r.to_table());
     assert!(r
         .diagnostics
         .iter()

@@ -13,7 +13,8 @@
 //!   function of `(config, seed, shard_id)`: its hard-failure stream is
 //!   `substream_indexed(seed, "hyperfleet-hardfail", shard_id)` and each
 //!   link's fault campaign derives from
-//!   `substream_indexed(seed, "hyperfleet-link", global_link_id)` — no
+//!   `substream_indexed(seed, "hyperfleet-link", global_link_id)` (its
+//!   label hashed once per shard through [`DetRng::substreams`]) — no
 //!   state crosses shard boundaries, so shards run in any order on any
 //!   thread count with bit-identical results.
 //! * **Event sourcing.** Hot (spared) link classes replay multi-year
@@ -581,14 +582,78 @@ pub fn drain_hard_failures(
     }
 }
 
+/// What an active fault reports to its monitor group in one epoch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Observation {
+    /// A hard-dead report.
+    Dead,
+    /// `errors` bit errors in the epoch's bits (may be zero).
+    Errors(u64),
+}
+
+/// What `ev` reports in each epoch it is active: a 0.5 BER cap (a fully
+/// random channel) and the error count rounded to whole bits.
+fn observation(ev: &FaultEvent, bits_per_epoch: u64) -> Observation {
+    let eff = ev.effect();
+    if eff.dead {
+        Observation::Dead
+    } else if eff.extra_ber > 0.0 {
+        Observation::Errors((eff.extra_ber.min(0.5) * bits_per_epoch as f64).round() as u64)
+    } else {
+        Observation::Errors(0)
+    }
+}
+
+/// The first epoch at or after `epoch` at which a *live* event is
+/// active, if any. A live event starts at or after `rebuild_floor`,
+/// strikes a channel that is not Retired, and reports something: a dead
+/// report or at least one bit error. Every other active event leaves an
+/// idle controller idle (see [`replay_fault_window`]).
+fn next_live_epoch(
+    ctl: &DegradeController,
+    events: &[FaultEvent],
+    epoch: usize,
+    rebuild_floor: usize,
+    bits_per_epoch: u64,
+) -> Option<usize> {
+    let mut next: Option<usize> = None;
+    for ev in events {
+        if ev.start < rebuild_floor || ctl.state(ev.channel) == CtlState::Retired {
+            continue;
+        }
+        let Some(e) = ev.next_active(epoch) else {
+            continue;
+        };
+        if next.is_some_and(|n| n <= e) {
+            continue;
+        }
+        if observation(ev, bits_per_epoch) != Observation::Errors(0) {
+            next = Some(e);
+        }
+    }
+    next
+}
+
 /// Replay controller epochs `from_epoch..=to_epoch` of one link against
 /// its campaign: active faults feed errors (or hard-dead reports) to
 /// their monitor groups, quiet Suspect groups receive clean bits so
 /// hysteresis can clear them, and the controller steps once per epoch.
 /// Events starting before `rebuild_floor` belong to hardware that has
-/// since been replaced and are skipped. Allocation-free on a warmed
-/// controller (lint rule R4): the per-epoch active set is a u64 bitmask
-/// (`groups <= 64`, enforced by config validation).
+/// since been replaced and are skipped.
+///
+/// Idle stretches are skipped exactly. When the controller
+/// [`is_idle`](DegradeController::is_idle), an epoch without a live
+/// event (see [`next_live_epoch`]) feeds it nothing it reads: no Suspect
+/// group exists to receive clean bits, dead reports and errors land
+/// only on Retired groups (which never read them again), and a
+/// zero-error event only marks its group as touched. Stepping such an
+/// epoch changes only the epoch and dwell counters and leaves the
+/// controller idle, so the replay jumps to the next live epoch with
+/// [`skip_idle`](DegradeController::skip_idle).
+///
+/// Allocation-free on a warmed controller (lint rule R4): the
+/// per-epoch active set is a u64 bitmask (`groups <= 64`, enforced by
+/// config validation).
 pub fn replay_fault_window(
     ctl: &mut DegradeController,
     events: &[FaultEvent],
@@ -598,21 +663,28 @@ pub fn replay_fault_window(
     bits_per_epoch: u64,
 ) {
     let physical = ctl.lane_map().logical_lanes() + ctl.provisioned_spares();
-    for epoch in from_epoch..=to_epoch {
+    let end = to_epoch.saturating_add(1);
+    let mut epoch = from_epoch;
+    while epoch < end {
+        if ctl.is_idle() {
+            let resume = next_live_epoch(ctl, events, epoch, rebuild_floor, bits_per_epoch)
+                .map_or(end, |e| e.min(end));
+            ctl.skip_idle(resume - epoch);
+            epoch = resume;
+            if epoch == end {
+                break;
+            }
+        }
         let mut touched: u64 = 0;
         for ev in events {
             if ev.start < rebuild_floor || !ev.active_at(epoch) {
                 continue;
             }
             touched |= 1u64 << (ev.channel as u64 & 63);
-            let eff = ev.effect();
-            if eff.dead {
-                ctl.mark_dead(ev.channel);
-            } else if eff.extra_ber > 0.0 {
-                let errors = (eff.extra_ber.min(0.5) * bits_per_epoch as f64).round() as u64;
-                if errors > 0 {
-                    ctl.record(ev.channel, bits_per_epoch, errors);
-                }
+            match observation(ev, bits_per_epoch) {
+                Observation::Dead => ctl.mark_dead(ev.channel),
+                Observation::Errors(0) => {}
+                Observation::Errors(errors) => ctl.record(ev.channel, bits_per_epoch, errors),
             }
         }
         for g in 0..physical {
@@ -624,6 +696,7 @@ pub fn replay_fault_window(
             }
         }
         ctl.step();
+        epoch += 1;
     }
 }
 
@@ -808,12 +881,14 @@ fn run_link_history(
     }
 }
 
-/// Per-worker scratch: the reusable controller, and pre-sized event
-/// queues, so the steady-state shard loop allocates only per-link
-/// campaign vectors.
+/// Per-worker scratch: the reusable controller, the campaign buffer
+/// every link's campaign is regenerated into, and pre-sized event
+/// queues. Each grows only when a link needs more room than any before
+/// it, so the steady-state shard loop does not allocate.
 struct ShardScratch {
     ctl: Option<DegradeController>,
     geometry: Option<(usize, usize)>,
+    campaign: FaultCampaign,
     hard_queue: EventQueue<()>,
     link_queue: EventQueue<LinkEvent>,
 }
@@ -823,6 +898,7 @@ impl ShardScratch {
         ShardScratch {
             ctl: None,
             geometry: None,
+            campaign: FaultCampaign::default(),
             hard_queue: EventQueue::with_capacity(2),
             link_queue: EventQueue::with_capacity(64),
         }
@@ -874,15 +950,16 @@ fn run_shard(
             max_duration: cfg.max_fault_duration,
             permanent_fraction: cfg.permanent_fraction,
         };
+        let link_streams = DetRng::substreams(seed, "hyperfleet-link");
+        let campaign = &mut scratch.campaign;
         for l in 0..spec.links {
-            let link_seed =
-                DetRng::substream_indexed(seed, "hyperfleet-link", spec.first_link + l).next_u64();
-            let campaign = FaultCampaign::generate(camp_cfg, link_seed);
+            let link_seed = link_streams.child(spec.first_link + l).next_u64();
+            campaign.generate_into(camp_cfg, link_seed);
             if campaign.events().is_empty() {
                 tally.occupancy[0] += 1;
                 continue;
             }
-            run_link_history(&p, &campaign, ctl, &mut scratch.link_queue, &mut tally);
+            run_link_history(&p, campaign, ctl, &mut scratch.link_queue, &mut tally);
         }
     }
     FleetRollup {

@@ -1,9 +1,10 @@
 //! Proof of the "allocation-free inner event loops" claim for the
 //! hyperfleet engine: a counting global allocator wraps the system
-//! allocator, and `drain_hard_failures` / `replay_fault_window` must
-//! not touch it once their queue/controller state is warmed — at 10⁶+
-//! links every shard streams through these, so a single per-link
-//! allocation would dominate the run.
+//! allocator, and `drain_hard_failures`, `FaultCampaign::generate_into`
+//! and `replay_fault_window` must not touch it once their queue,
+//! campaign buffer and controller state are warmed — at 10⁶+ links every
+//! shard streams through these, so a single per-link allocation would
+//! dominate the run.
 //!
 //! Cross-checked against the `mosaic_lint` R4 no-alloc registry (the
 //! sim- and fec-side twins are `crates/sim/tests/alloc_free.rs` and
@@ -107,5 +108,49 @@ fn hyperfleet_event_loops_do_not_allocate() {
     assert!(
         warm_transitions > 0,
         "the replay must have driven the controller"
+    );
+
+    // --- Generate-then-replay, as a shard runs its links: one campaign
+    //     buffer regenerated in place per link, then its fault windows
+    //     replayed on the reset controller. A first pass over the same
+    //     link seeds warms the buffer and the transition log to their
+    //     largest sizes; the second pass must not allocate -------------
+    let camp_cfg = CampaignConfig {
+        channels: 12,
+        epochs: 26280,
+        faults_per_kilo_epoch: 0.05,
+        max_duration: 24,
+        permanent_fraction: 0.25,
+    };
+    let mut campaign = FaultCampaign::default();
+    let links = DetRng::substreams(11, "alloc-free-links");
+    let run_links = |campaign: &mut FaultCampaign, ctl: &mut DegradeController| {
+        let mut events = 0usize;
+        for id in 0..64 {
+            campaign.generate_into(camp_cfg, links.child(id).next_u64());
+            events += campaign.events().len();
+            ctl.reset();
+            for ev in campaign.events() {
+                let to = (ev.start + 28).min(camp_cfg.epochs - 1);
+                hyperfleet::replay_fault_window(
+                    ctl,
+                    campaign.events(),
+                    ev.start,
+                    to,
+                    0,
+                    BITS_PER_EPOCH,
+                );
+            }
+        }
+        events
+    };
+    let warm_events = run_links(&mut campaign, &mut ctl);
+    assert!(warm_events > 64, "the links must have drawn faults");
+    let n = allocs_during(|| {
+        assert_eq!(run_links(&mut campaign, &mut ctl), warm_events);
+    });
+    assert_eq!(
+        n, 0,
+        "generate_into + replay_fault_window allocated {n} times"
     );
 }

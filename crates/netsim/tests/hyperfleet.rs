@@ -1,11 +1,15 @@
 //! Integration tests for the hyperfleet engine: thread-count and
 //! batch-size invariance of the merged rollup at F18-like scale, resume
 //! equivalence through a checkpoint store killed at every batch
-//! boundary, and a property sweep over randomized small fleets.
+//! boundary, a property sweep over randomized small fleets, and the
+//! idle-skipping fault-window replay against the plain per-epoch loop.
 
+use mosaic_link::degrade::{CtlState, DegradeController};
 use mosaic_netsim::hyperfleet::{
-    simulate, simulate_with, FleetRollup, HyperClass, HyperFleetConfig, RollupStore,
+    degrade_policy, replay_fault_window, simulate, simulate_with, FleetRollup, HyperClass,
+    HyperFleetConfig, RollupStore, BITS_PER_EPOCH,
 };
+use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent, Persistence, FAULT_KINDS};
 use mosaic_sim::fidelity::FidelityMode;
 use mosaic_sim::sweep::Exec;
 use mosaic_units::{BitRate, Duration, Fit, Result};
@@ -153,5 +157,119 @@ proptest! {
         rebatched.shards_per_batch = spb + 3;
         let re = simulate(&rebatched, seed, &Exec::with_threads(4)).unwrap();
         prop_assert_eq!(re.rollup, base.rollup);
+    }
+}
+
+/// The fault-window replay as a plain loop over every epoch — the
+/// reference the idle-skipping `replay_fault_window` must reproduce.
+fn replay_every_epoch(
+    ctl: &mut DegradeController,
+    events: &[FaultEvent],
+    from_epoch: usize,
+    to_epoch: usize,
+    rebuild_floor: usize,
+    bits_per_epoch: u64,
+) {
+    let physical = ctl.lane_map().logical_lanes() + ctl.provisioned_spares();
+    for epoch in from_epoch..=to_epoch {
+        let mut touched: u64 = 0;
+        for ev in events {
+            if ev.start < rebuild_floor || !ev.active_at(epoch) {
+                continue;
+            }
+            touched |= 1u64 << (ev.channel as u64 & 63);
+            let eff = ev.effect();
+            if eff.dead {
+                ctl.mark_dead(ev.channel);
+            } else if eff.extra_ber > 0.0 {
+                let errors = (eff.extra_ber.min(0.5) * bits_per_epoch as f64).round() as u64;
+                if errors > 0 {
+                    ctl.record(ev.channel, bits_per_epoch, errors);
+                }
+            }
+        }
+        for g in 0..physical {
+            if touched & (1u64 << (g as u64 & 63)) != 0 {
+                continue;
+            }
+            if ctl.state(g) == CtlState::Suspect {
+                ctl.record(g, bits_per_epoch, 0);
+            }
+        }
+        ctl.step();
+    }
+}
+
+/// A listed intermittent fault from one packed word: channel, kind,
+/// start, duration, period, on-phase and severity.
+fn intermittent(word: u64, channels: usize, epochs: usize) -> FaultEvent {
+    let field = |shift: u32, modulus: u64| ((word >> shift) % modulus) as usize;
+    let period = 1 + field(30, 9);
+    FaultEvent {
+        channel: field(0, channels as u64),
+        kind: FAULT_KINDS[field(8, FAULT_KINDS.len() as u64)],
+        persistence: Persistence::Intermittent {
+            period,
+            on: field(34, period as u64 + 1),
+        },
+        start: field(12, epochs as u64),
+        duration: 1 + field(24, 40),
+        severity: (word >> 40) as f64 / (1u64 << 24) as f64,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Skipping idle epochs changes nothing: over random campaigns at
+    /// high fault rates (plus listed intermittent faults), random
+    /// rebuild floors, rebuilds between windows and windows that overlap
+    /// or run backwards, the replay fires exactly the transitions of the
+    /// per-epoch loop and leaves the same states, counters and epoch.
+    #[test]
+    fn idle_skipping_replay_matches_the_per_epoch_loop(
+        seed in any::<u64>(),
+        rate in prop_oneof![Just(2.0f64), 0.5f64..60.0],
+        permanent in 0.0f64..0.6,
+        spares in 1usize..4,
+        floor in prop_oneof![Just(0usize), 0usize..400],
+        listed in proptest::collection::vec(any::<u64>(), 0..6),
+        windows in proptest::collection::vec(any::<u64>(), 1..10),
+    ) {
+        const EPOCHS: usize = 600;
+        let logical = 10;
+        let physical = logical + spares;
+        let config = CampaignConfig {
+            channels: physical,
+            epochs: EPOCHS,
+            faults_per_kilo_epoch: rate,
+            max_duration: 24,
+            permanent_fraction: permanent,
+        };
+        let mut events = FaultCampaign::generate(config, seed).events().to_vec();
+        events.extend(listed.iter().map(|&w| intermittent(w, physical, EPOCHS)));
+        let mut fast = DegradeController::try_new(logical, physical, degrade_policy()).unwrap();
+        let mut slow = fast.clone();
+        let mut floor = floor;
+        for w in windows {
+            let from = (w % EPOCHS as u64) as usize;
+            let to = (from + ((w >> 16) % 80) as usize).min(EPOCHS - 1);
+            if (w >> 32) % 4 == 0 {
+                // A rebuild: fresh hardware, earlier faults void.
+                fast.reset();
+                slow.reset();
+                floor = from;
+            }
+            replay_fault_window(&mut fast, &events, from, to, floor, BITS_PER_EPOCH);
+            replay_every_epoch(&mut slow, &events, from, to, floor, BITS_PER_EPOCH);
+            prop_assert_eq!(fast.transitions(), slow.transitions());
+            prop_assert_eq!(fast.epoch(), slow.epoch());
+            prop_assert_eq!(fast.spares_activated(), slow.spares_activated());
+            prop_assert_eq!(fast.lost_lanes(), slow.lost_lanes());
+            prop_assert_eq!(fast.lane_map(), slow.lane_map());
+            for ch in 0..physical {
+                prop_assert_eq!(fast.state(ch), slow.state(ch));
+            }
+        }
     }
 }

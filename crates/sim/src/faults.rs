@@ -118,6 +118,27 @@ impl FaultEvent {
         }
     }
 
+    /// The first epoch at or after `epoch` at which the fault is active
+    /// (`None` when it never is again): the smallest `e >= epoch` with
+    /// [`FaultEvent::active_at`]`(e)`, found in O(1) — an intermittent
+    /// fault in its off phase resumes at the start of its next cycle.
+    pub fn next_active(&self, epoch: usize) -> Option<usize> {
+        let e = epoch.max(self.start);
+        match self.persistence {
+            Persistence::Permanent => Some(e),
+            Persistence::Transient => (e < self.start + self.duration).then_some(e),
+            Persistence::Intermittent { period, on } => {
+                if on == 0 {
+                    return None;
+                }
+                let period = period.max(1);
+                let phase = (e - self.start) % period;
+                let next = if phase < on { e } else { e + (period - phase) };
+                (next < self.start + self.duration).then_some(next)
+            }
+        }
+    }
+
     /// The channel-level effect this fault contributes while active.
     pub fn effect(&self) -> ChannelEffect {
         let s = self.severity.clamp(0.0, 1.0);
@@ -252,13 +273,26 @@ impl FaultCampaign {
 
     /// Generate the campaign for `(config, seed)`.
     pub fn generate(config: CampaignConfig, seed: u64) -> Self {
-        let mut events = Vec::new();
+        let mut campaign = FaultCampaign::default();
+        campaign.generate_into(config, seed);
+        campaign
+    }
+
+    /// Regenerate this campaign in place as the campaign for `(config,
+    /// seed)` — equal to [`FaultCampaign::generate`]`(config, seed)` —
+    /// reusing the event buffer, so a caller drawing one campaign per
+    /// link allocates only when a link draws more events than any before
+    /// it (lint rule R4).
+    pub fn generate_into(&mut self, config: CampaignConfig, seed: u64) {
+        self.config = config;
+        self.events.clear();
         let rate = config.faults_per_kilo_epoch / 1000.0;
+        if rate <= 0.0 || config.epochs == 0 {
+            return;
+        }
+        let channels = DetRng::substreams(seed, "fault-campaign");
         for channel in 0..config.channels {
-            if rate <= 0.0 || config.epochs == 0 {
-                break;
-            }
-            let mut rng = DetRng::substream_indexed(seed, "fault-campaign", channel as u64);
+            let mut rng = channels.child(channel as u64);
             let mut t = rng.exponential(rate);
             while t < config.epochs as f64 {
                 let start = t as usize;
@@ -275,7 +309,7 @@ impl FaultCampaign {
                     let on = 1 + rng.below(period - 1);
                     Persistence::Intermittent { period, on }
                 };
-                events.push(FaultEvent {
+                self.events.push(FaultEvent {
                     channel,
                     kind,
                     persistence,
@@ -286,7 +320,6 @@ impl FaultCampaign {
                 t += rng.exponential(rate);
             }
         }
-        FaultCampaign { config, events }
     }
 
     /// The configuration the campaign was generated from or listed over.
@@ -395,6 +428,49 @@ mod tests {
         assert!(!inter.active_at(12) && !inter.active_at(13));
         assert!(inter.active_at(14) && inter.active_at(15));
         assert!(!inter.active_at(18), "window closed");
+    }
+
+    #[test]
+    fn generate_into_refills_in_place() {
+        let cfg = CampaignConfig::default();
+        let mut reused = FaultCampaign::generate(cfg, 1);
+        for (seed, rate) in [(42, 2.0), (7, 0.0), (43, 5.0)] {
+            let cfg = CampaignConfig {
+                faults_per_kilo_epoch: rate,
+                ..cfg
+            };
+            reused.generate_into(cfg, seed);
+            assert_eq!(reused, FaultCampaign::generate(cfg, seed));
+        }
+    }
+
+    proptest::proptest! {
+        /// `next_active` is the first active epoch a linear scan finds.
+        #[test]
+        fn next_active_matches_a_linear_scan(
+            start in 0usize..40,
+            duration in 0usize..40,
+            shape in 0usize..3,
+            period in 0usize..10,
+            on in 0usize..12,
+            from in 0usize..100,
+        ) {
+            let persistence = match shape {
+                0 => Persistence::Permanent,
+                1 => Persistence::Transient,
+                _ => Persistence::Intermittent { period, on },
+            };
+            let ev = FaultEvent {
+                channel: 0,
+                kind: FaultKind::LedFlicker,
+                persistence,
+                start,
+                duration,
+                severity: 0.5,
+            };
+            let scan = (from..from + 200).find(|&e| ev.active_at(e));
+            proptest::prop_assert_eq!(ev.next_active(from), scan);
+        }
     }
 
     #[test]

@@ -32,6 +32,22 @@ pub struct DetRng {
     inner: ChaCha8Rng,
 }
 
+/// A labelled family of counter streams ([`DetRng::substreams`]): the
+/// label hash is folded into the seed once, and each child is one
+/// SplitMix64 derivation.
+#[derive(Debug, Clone, Copy)]
+pub struct Substreams {
+    base: u64,
+}
+
+impl Substreams {
+    /// The `task_id`-th child: `substream_indexed(seed, label, task_id)`.
+    #[inline]
+    pub fn child(&self, task_id: u64) -> DetRng {
+        DetRng::stream(self.base, task_id)
+    }
+}
+
 /// Precomputed integer threshold for a Bernoulli draw: the unique `T`
 /// with `chance(p) ⟺ (next_u64() >> 11) < T`.
 ///
@@ -208,7 +224,17 @@ impl DetRng {
     /// streams (e.g. per-codeword data vs per-codeword noise) that must
     /// not collide.
     pub fn substream_indexed(seed: u64, label: &str, task_id: u64) -> Self {
-        DetRng::stream(seed ^ label_hash(label), task_id)
+        DetRng::substreams(seed, label).child(task_id)
+    }
+
+    /// The family of [`DetRng::substream_indexed`] streams of `(seed,
+    /// label)`, with the label hashed once: `substreams(seed,
+    /// label).child(id)` is `substream_indexed(seed, label, id)`. For
+    /// loops that derive many children of one label.
+    pub fn substreams(seed: u64, label: &str) -> Substreams {
+        Substreams {
+            base: seed ^ label_hash(label),
+        }
     }
 
     /// Uniform f64 in [0, 1).
@@ -498,6 +524,22 @@ mod tests {
                 let z_raw = DetRng::standard_normal_of(d1, d2);
                 prop_assert_eq!(z_seq.to_bits(), z_raw.to_bits());
                 prop_assert_eq!(a.next_u64(), b.next_u64());
+            }
+
+            /// A child of a hoisted-label family is the indexed
+            /// substream of the same seed, label and id.
+            #[test]
+            fn substreams_child_matches_substream_indexed(
+                seed in any::<u64>(),
+                label in proptest::collection::vec(0u8..128, 0..24),
+                id in any::<u64>(),
+            ) {
+                let label = String::from_utf8(label).unwrap();
+                let mut a = DetRng::substreams(seed, &label).child(id);
+                let mut b = DetRng::substream_indexed(seed, &label, id);
+                for _ in 0..3 {
+                    prop_assert_eq!(a.next_u64(), b.next_u64());
+                }
             }
 
             /// Bulk `fill_u64` is a pure batching of `next_u64`.

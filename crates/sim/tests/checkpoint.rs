@@ -226,6 +226,22 @@ fn file_store_round_trips_and_rejects_everything_else() {
 }
 
 #[test]
+fn deeply_nested_checkpoint_is_ignored_and_the_fold_recomputes() {
+    let dir = temp_dir("nested");
+    let mut store = FileStore::new(&dir, "tt");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A megabyte of `[` in every batch's file: parsing it must fail
+    // cleanly, not overflow the stack.
+    let hostile = "[".repeat(1 << 20);
+    for batch in 0..5 {
+        std::fs::write(store.path(batch), &hostile).unwrap();
+    }
+    assert_eq!(Store::<Tally>::load(&mut store, 0, 9), None);
+    assert_eq!(fold(20, 2, 4, &mut store, 9, None), Some(reference(20)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn decode_rejects_wrong_schema_and_shapes() {
     let r = Tally::default();
     let good = encode(1, 2, &r);
