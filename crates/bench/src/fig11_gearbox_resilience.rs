@@ -43,14 +43,13 @@ pub fn run() -> String {
         "down epochs",
         "silent corruption",
     ]);
-    let exec = Exec::from_env();
     let ctrl = FidelityController::new(runcfg::fidelity());
     let mut frames = 0u64;
     let start = Stopwatch::start();
     for spares in [0usize, 1, 2, 4, 8] {
         let kills = [(10, 3), (20, 6), (30, 9)].map(|(ch, at)| FaultEvent::kill(ch, at));
         let cfg = base(spares, kills.to_vec());
-        let r = simulate_link_at_fidelity(&ctrl, &exec, &cfg);
+        let r = simulate_link_at_fidelity(&ctrl, &cfg);
         frames += r.frames_sent;
         t.row(cells![
             spares,
@@ -68,9 +67,9 @@ pub fn run() -> String {
     let mut cfg = base(4, vec![]);
     cfg.frame_size = 2048; // enough bits per channel to close monitor windows
     cfg.per_channel_ber[5] = 1e-3;
-    let r = simulate_link_at_fidelity(&ctrl, &exec, &cfg);
+    let r = simulate_link_at_fidelity(&ctrl, &cfg);
     frames += r.frames_sent;
-    RunStats::new(frames, start.elapsed(), exec.threads()).report("F11");
+    RunStats::new(frames, start.elapsed(), Exec::from_env().threads()).report("F11");
     out.push_str(&format!(
         "  retired by monitor: {}, remaps: {}, delivery after retirement recovers to {:.3}\n",
         r.retired_by_monitor,

@@ -9,7 +9,7 @@ use mosaic_reliability::sparing::{spares_for_target, sparing_table};
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent};
 use mosaic_sim::fidelity::FidelityController;
 use mosaic_sim::link_sim::{simulate_link_at_fidelity, LinkSimConfig};
-use mosaic_sim::sweep::{Exec, RunStats};
+use mosaic_sim::sweep::{Exec, RunStats, TrialPlan};
 use mosaic_sim::telemetry::Stopwatch;
 use mosaic_units::Duration;
 
@@ -68,15 +68,17 @@ pub fn run() -> String {
             monitor_window_bits: 10_000,
         })
         .collect();
-    // The three policy runs are independent: sweep them in parallel, each
-    // run sequential inside (no nested fan-out). Results come back in
-    // policy order, so the table is thread-count invariant.
+    // The three policy runs are independent: a plan over the policy
+    // index runs them in parallel, and results come back in policy
+    // order, so the table is thread-count invariant.
     let exec = Exec::from_env();
     let ctrl = FidelityController::new(runcfg::fidelity());
     let start = Stopwatch::start();
-    let runs = exec.par_sweep(&cfgs, |cfg| {
-        simulate_link_at_fidelity(&ctrl, &Exec::with_threads(1), cfg)
-    });
+    let runs = TrialPlan::new()
+        .trials(cfgs.len() as u64)
+        .run(&exec, |ctx| {
+            simulate_link_at_fidelity(&ctrl, &cfgs[ctx.trial() as usize])
+        });
     let frames: u64 = runs.iter().map(|r| r.frames_sent).sum();
     RunStats::new(frames, start.elapsed(), exec.threads()).report("F12");
     for ((name, _, _), r) in policies.iter().zip(&runs) {

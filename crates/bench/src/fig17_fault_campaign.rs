@@ -13,7 +13,7 @@ use crate::runcfg;
 use crate::table::Table;
 use mosaic_sim::campaign::{run_campaign, CampaignRunConfig};
 use mosaic_sim::faults::CampaignConfig;
-use mosaic_sim::sweep::{Exec, RunStats};
+use mosaic_sim::sweep::{Exec, RunStats, TrialPlan};
 use mosaic_sim::telemetry::Stopwatch;
 
 const SEED: u64 = 17;
@@ -107,9 +107,12 @@ pub fn run() -> String {
         .enumerate()
         .flat_map(|(i, _)| [(i, false), (i, true)])
         .collect();
-    let summaries = exec.par_sweep(&cells, |&(i, controller)| {
-        point(rates[i], controller, seeds)
-    });
+    let summaries = TrialPlan::new()
+        .trials(cells.len() as u64)
+        .run(&exec, |ctx| {
+            let (i, controller) = cells[ctx.trial() as usize];
+            point(rates[i], controller, seeds)
+        });
     for (i, &rate) in rates.iter().enumerate() {
         let stat = &summaries[2 * i];
         let ctl = &summaries[2 * i + 1];

@@ -1,8 +1,9 @@
 //! Per-figure manifest fragments: the checkpoint format behind
 //! `run_all --resume`.
 //!
-//! `run_all` writes one fragment per completed figure (atomically:
-//! temp-file + rename) under `results/manifests/fragments/`. A killed
+//! `run_all` writes one fragment per completed figure (atomically, with
+//! `mosaic_sim::checkpoint::write_atomic`) under
+//! `results/manifests/fragments/`. A killed
 //! run leaves the completed figures' fragments behind; `--resume` loads
 //! them instead of re-running those figures, then regenerates
 //! `results/` and the final manifest **byte-identically** to an
@@ -32,10 +33,12 @@
 //!
 //! F18 and F19 also checkpoint *within* a figure: their
 //! `mosaic_sim::checkpoint::FileStore` batch files (`hf-*`, `tr-*`) live
-//! in the same directory, so [`clear_fragments`] (every `*.json`) clears
-//! them together with the figure fragments.
+//! in the same directory, so [`clear_fragments`] (every `*.json` and
+//! every writer's `.*.tmp`) clears them together with the figure
+//! fragments.
 
 use crate::manifest::FigureRecord;
+use mosaic_sim::checkpoint::write_atomic;
 use mosaic_sim::json::Json;
 use mosaic_sim::telemetry::{Histogram, Snapshot, StageRecord};
 use std::collections::BTreeMap;
@@ -67,14 +70,13 @@ pub fn to_json(record: &FigureRecord, mode: &str) -> Json {
         .with("stages", stages)
 }
 
-/// Write a fragment atomically (temp file + rename), so a kill mid-write
+/// Write a fragment atomically ([`write_atomic`]), so a kill mid-write
 /// can never leave a truncated fragment that `--resume` would trust.
 pub fn write_fragment(dir: &Path, record: &FigureRecord, mode: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let final_path = fragment_path(dir, &record.id);
-    let tmp_path = dir.join(format!(".{}.tmp", record.id.to_lowercase()));
-    std::fs::write(&tmp_path, to_json(record, mode).to_string_pretty())?;
-    std::fs::rename(&tmp_path, &final_path)
+    write_atomic(
+        &fragment_path(dir, &record.id),
+        &to_json(record, mode).to_string_pretty(),
+    )
 }
 
 fn parse_u64(doc: &Json, key: &str) -> Result<u64, String> {
@@ -241,15 +243,17 @@ pub fn load_fragment(dir: &Path, id: &str, expect_mode: &str) -> Option<FigureRe
     }
 }
 
-/// Delete every fragment file under `dir` (fresh starts and successful
-/// completions both clear the checkpoint state).
+/// Delete every fragment file under `dir`, and every `.*.tmp` file a
+/// kill mid-write left behind (fresh starts and successful completions
+/// both clear the checkpoint state).
 pub fn clear_fragments(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
         let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("json") {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.ends_with(".json") || (name.starts_with('.') && name.ends_with(".tmp")) {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -333,6 +337,25 @@ mod tests {
         assert!(load_fragment(&dir, "F9", "full").is_none());
         assert!(load_fragment(&dir, "F1", "quick").is_none());
         clear_fragments(&dir);
+        assert!(load_fragment(&dir, "F9", "quick").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clear_removes_stale_temp_files() {
+        let dir = std::env::temp_dir().join(format!("mosaic-frag-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_fragment(&dir, &sample_record(), "quick").unwrap();
+        // A kill between write and rename leaves the writer's temp file,
+        // for a figure fragment or an in-figure checkpoint alike.
+        let stale = [dir.join(".f9.tmp"), dir.join(".hf-b2.tmp")];
+        for path in &stale {
+            std::fs::write(path, "{").unwrap();
+        }
+        clear_fragments(&dir);
+        for path in &stale {
+            assert!(!path.exists(), "{} survived clear", path.display());
+        }
         assert!(load_fragment(&dir, "F9", "quick").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -21,10 +21,12 @@ fn figure_outputs_are_thread_count_invariant() {
     // with the output text so both get the byte-identical check.
     type Runner = fn() -> String;
     let run_all_figs = || {
-        let figs: [(&str, Runner); 4] = [
+        let figs: [(&str, Runner); 6] = [
             ("F4", mosaic_bench::fig4_ber_waterfall::run),
             ("F10", mosaic_bench::fig10_fec_study::run),
+            ("F11", mosaic_bench::fig11_gearbox_resilience::run),
             ("F12", mosaic_bench::fig12_sparing_ablation::run),
+            ("F17", mosaic_bench::fig17_fault_campaign::run),
             ("T2", mosaic_bench::tab2_datacenter::run),
         ];
         figs.map(|(id, runner)| {

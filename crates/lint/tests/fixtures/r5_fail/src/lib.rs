@@ -21,9 +21,9 @@ pub fn raw(seed: u64) -> DetRng {
 }
 
 /// One stream captured by every task: nondeterministic interleaving.
-pub fn shared(exec: &Exec, seed: u64) -> Result<Vec<u64>> {
+pub fn shared(exec: &Exec, seed: u64) -> Vec<u64> {
     let mut rng = DetRng::substream(seed, "shared");
-    exec.try_run_tasks(4, |_i| rng.next_u64())
+    TrialPlan::new().trials(4).run(exec, |_ctx| rng.next_u64())
 }
 
 /// A hoisted-label family derives the same streams as the indexed

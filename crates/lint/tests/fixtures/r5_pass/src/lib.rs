@@ -11,9 +11,9 @@ pub fn streams(seed: u64) -> u64 {
 }
 
 /// Per-task streams derived inside the task closure are fine.
-pub fn per_task(exec: &Exec, seed: u64) -> Result<Vec<u64>> {
-    exec.try_run_tasks(4, |i| {
-        let mut rng = DetRng::substream_indexed(seed, "tasks", i as u64);
+pub fn per_task(exec: &Exec, seed: u64) -> Vec<u64> {
+    TrialPlan::new().trials(4).run(exec, |ctx| {
+        let mut rng = DetRng::substream_indexed(seed, "tasks", ctx.trial());
         rng.next_u64()
     })
 }

@@ -3,13 +3,13 @@
 //! sums are out of scope.
 
 /// Registered in the fixture's exactness registry: u64 counters only.
-pub fn rollup(exec: &Exec, n: usize) -> u64 {
-    exec.fold_tasks_commutative(
-        n,
+pub fn rollup(exec: &Exec, n: u64) -> u64 {
+    TrialPlan::new().trials(n).fold(
+        exec,
         || (),
         || 0u64,
-        |i, _state, acc| {
-            *acc += i as u64;
+        |ctx, _state, acc| {
+            *acc += ctx.trial();
         },
         |a, b| *a += b,
     )

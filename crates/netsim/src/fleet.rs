@@ -25,7 +25,7 @@ pub struct FleetReport {
 ///
 /// The fold runs sequentially in assignment order: each partial is two
 /// multiplications, so any parallel decomposition costs more in
-/// collection and reassembly than it saves (the earlier `par_sweep`
+/// collection and reassembly than it saves (an earlier parallel-sweep
 /// form also cloned every technology name into an intermediate vector;
 /// its successor `rollup_with` took an `Exec` it never used, so the
 /// dead parameter is gone). Assignment-order accumulation is exactly

@@ -20,8 +20,8 @@
 //! JSON file per batch, [`NoStore`] keeps nothing.
 //!
 //! File format (schema named by [`ExactRollup::SCHEMA`], one file
-//! `<family>-b<batch>.json` per batch, written to a temp file and renamed
-//! so a kill never leaves a torn checkpoint): `schema`, then `batch` and
+//! `<family>-b<batch>.json` per batch, written by [`write_atomic`] so a
+//! kill never leaves a torn checkpoint): `schema`, then `batch` and
 //! `digest`, then every rollup field by name. Integers are fixed-width
 //! lowercase hex strings — 16 digits for `u64`, 32 for `u128`, arrays of
 //! 16-digit strings for histograms — because the JSON number layer is
@@ -29,7 +29,7 @@
 
 use crate::json::Json;
 use mosaic_units::{MosaicError, Result};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One field of an [`ExactRollup`], borrowed mutably so a single visit
 /// serves encoding, decoding and hashing.
@@ -140,28 +140,38 @@ impl FileStore {
         self.dir.join(format!("{}-b{batch}.json", self.family))
     }
 
-    /// Delete this family's checkpoint files, leaving every other file
-    /// in the directory alone — what a completed fold calls.
+    /// Delete this family's checkpoint files, and the temp files a kill
+    /// mid-save left behind, leaving every other file in the directory
+    /// alone — what a completed fold calls.
     pub fn clear(&self) {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
         let prefix = format!("{}-b", self.family);
+        let tmp_prefix = format!(".{prefix}");
         for entry in entries.flatten() {
             let path = entry.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with(&prefix) && name.ends_with(".json") {
+            if (name.starts_with(&prefix) && name.ends_with(".json"))
+                || (name.starts_with(&tmp_prefix) && name.ends_with(".tmp"))
+            {
                 let _ = std::fs::remove_file(path);
             }
         }
     }
+}
 
-    fn write(&self, batch: u64, text: &str) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let tmp = self.dir.join(format!(".{}-b{batch}.tmp", self.family));
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, self.path(batch))
-    }
+/// Write `text` to `path` atomically: into the temp file `.<stem>.tmp`
+/// next to it, then renamed over `path` (creating the directory first).
+/// A kill mid-write leaves at most that temp file — never a torn `path`
+/// that a resume would trust.
+pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let tmp = dir.join(format!(".{stem}.tmp"));
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
 }
 
 impl<R: ExactRollup> Store<R> for FileStore {
@@ -181,11 +191,12 @@ impl<R: ExactRollup> Store<R> for FileStore {
     }
 
     fn save(&mut self, batch: u64, digest: u64, rollup: &R) -> Result<()> {
+        let path = self.path(batch);
         let text = encode(batch, digest, rollup).to_string_pretty();
-        self.write(batch, &text).map_err(|e| {
+        write_atomic(&path, &text).map_err(|e| {
             MosaicError::invalid_config(
                 "checkpoint",
-                format!("cannot write {}: {e}", self.path(batch).display()),
+                format!("cannot write {}: {e}", path.display()),
             )
         })
     }

@@ -122,16 +122,6 @@ impl Tier {
             Tier::TailMc => "tail_mc",
         }
     }
-
-    /// The [`crate::sweep::FidelityHint`] to attach to a [`TrialPlan`]
-    /// running this tier.
-    pub fn hint(self) -> crate::sweep::FidelityHint {
-        match self {
-            Tier::Analytic => crate::sweep::FidelityHint::Analytic,
-            Tier::FullMc => crate::sweep::FidelityHint::FullMc,
-            Tier::TailMc => crate::sweep::FidelityHint::TailMc,
-        }
-    }
 }
 
 /// How the closed form relates to what the Monte-Carlo kernel samples.
@@ -387,7 +377,6 @@ impl TailBer {
             .trials(batches)
             .seed(seed)
             .label(label)
-            .fidelity(crate::sweep::FidelityHint::TailMc)
             .run(exec, |ctx| {
                 let (w1, q1) = tail_batch(self.d1, draws_per_batch, &mut ctx.stream(&one));
                 let (w0, q0) = tail_batch(self.d0, draws_per_batch, &mut ctx.stream(&zero));

@@ -19,7 +19,6 @@
 use crate::faults::FaultCampaign;
 use crate::inject::BitErrorInjector;
 use crate::rng::DetRng;
-use crate::sweep::Exec;
 use mosaic_link::gearbox::Gearbox;
 use mosaic_link::lanes::{FailureKind, LaneHealth};
 use mosaic_link::striping::LaneWord;
@@ -117,33 +116,21 @@ impl LinkSimReport {
 }
 
 /// Per-physical-channel simulation state: the channel's noise process,
-/// health monitor, and fault status. Channels are physically independent,
-/// which is what lets the medium step fan out across them — each state
-/// owns its own RNG stream (`chan-{c}`), so corrupting channels in
-/// parallel draws exactly the numbers the sequential loop would.
+/// health monitor, and fault status. Each state owns its own RNG stream
+/// (`chan-{c}`), so a channel's draws do not depend on the others.
 struct ChannelState {
     injector: BitErrorInjector,
     monitor: LaneHealth,
     dead: bool,
     /// The BER the injector runs at: baseline plus active elevations.
     ber: f64,
-    /// Bits pushed through this channel in the current epoch.
-    epoch_bits: u64,
-    /// Errors injected on this channel in the current epoch.
-    epoch_errors: u64,
-}
-
-/// Run the simulation on the ambient (`MOSAIC_THREADS`) execution
-/// context; see [`simulate_link_with`].
-pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
-    simulate_link_with(&Exec::from_env(), cfg)
 }
 
 /// Epochs the adaptive fidelity tier keeps after the last fault
 /// start, so failover and recovery stay observable in a trimmed run.
 pub const ADAPTIVE_POST_FAULT_EPOCHS: usize = 2;
 
-/// [`simulate_link_with`] at controller-selected fidelity.
+/// [`simulate_link`] at controller-selected fidelity.
 ///
 /// Full mode runs the configured epoch count untouched. Adaptive mode
 /// trims *trailing* epochs only: the campaign pins the timeline, so
@@ -156,16 +143,15 @@ pub const ADAPTIVE_POST_FAULT_EPOCHS: usize = 2;
 /// runs stay bit-identical at every `MOSAIC_THREADS`.
 pub fn simulate_link_at_fidelity(
     ctrl: &crate::fidelity::FidelityController,
-    exec: &Exec,
     cfg: &LinkSimConfig,
 ) -> LinkSimReport {
     let epochs = adapted_epochs(ctrl, cfg);
     if epochs == cfg.epochs {
-        return simulate_link_with(exec, cfg);
+        return simulate_link(cfg);
     }
     let mut trimmed = cfg.clone();
     trimmed.epochs = epochs;
-    simulate_link_with(exec, &trimmed)
+    simulate_link(&trimmed)
 }
 
 /// The epoch budget the controller keeps for a config (≤ `cfg.epochs`,
@@ -213,14 +199,9 @@ fn adapted_epochs(ctrl: &crate::fidelity::FidelityController, cfg: &LinkSimConfi
     epochs
 }
 
-/// Run the simulation on an explicit execution context.
-///
-/// The per-epoch medium step (error injection) runs one task per
-/// physical channel; everything a task touches is that channel's own
-/// [`ChannelState`], and the epoch counters are folded into the report
-/// in channel order afterwards — so the report is bit-identical at
-/// every thread count.
-pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
+/// Run the simulation: a pure function of the config (channels are
+/// stepped in order on the calling thread).
+pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
     assert_eq!(
         cfg.per_channel_ber.len(),
         cfg.physical_channels,
@@ -243,8 +224,6 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
             monitor: LaneHealth::new(cfg.monitor_window_bits, 8),
             dead: false,
             ber: cfg.per_channel_ber[c],
-            epoch_bits: 0,
-            epoch_errors: 0,
         })
         .collect();
 
@@ -282,32 +261,21 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
         drop(refs);
         sent_payloads.extend(payloads);
 
-        // 3. The medium: per-channel error injection and dead channels —
-        //    one parallel task per channel, each confined to its own
-        //    stream and state.
-        {
-            let mut medium: Vec<(&mut Vec<LaneWord>, &mut ChannelState)> =
-                channels.iter_mut().zip(states.iter_mut()).collect();
-            exec.par_map_mut(&mut medium, |_, (stream, st)| {
-                if st.dead {
-                    // A dark channel delivers junk words and no markers.
-                    stream.fill(LaneWord::Data(0));
-                    st.epoch_bits = 0;
-                    st.epoch_errors = 0;
-                    return;
-                }
-                let before = st.injector.errors;
-                let bits_before = st.injector.bits;
-                st.injector.corrupt_lane(stream);
-                st.epoch_errors = st.injector.errors - before;
-                st.epoch_bits = st.injector.bits - bits_before;
-                st.monitor.record(st.epoch_bits, st.epoch_errors);
-            });
-        }
-        // Fold epoch counters into the report in channel order.
-        for st in &states {
-            report.bit_errors_injected += st.epoch_errors;
-            report.bits_transmitted += st.epoch_bits;
+        // 3. The medium: per-channel error injection and dead channels,
+        //    each channel confined to its own stream and state.
+        for (stream, st) in channels.iter_mut().zip(states.iter_mut()) {
+            if st.dead {
+                // A dark channel delivers junk words and no markers.
+                stream.fill(LaneWord::Data(0));
+                continue;
+            }
+            let (errors_before, bits_before) = (st.injector.errors, st.injector.bits);
+            st.injector.corrupt_lane(stream);
+            let errors = st.injector.errors - errors_before;
+            let bits = st.injector.bits - bits_before;
+            st.monitor.record(bits, errors);
+            report.bit_errors_injected += errors;
+            report.bits_transmitted += bits;
         }
 
         // 4. Receive.
@@ -423,21 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn report_is_thread_count_invariant() {
-        let _collector = crate::telemetry::test_guard::shared();
-        let mut cfg = LinkSimConfig::small_clean();
-        cfg.per_channel_ber = vec![1e-4; 10];
-        cfg.epochs = 6;
-        cfg.degrade_threshold = Some(5e-4);
-        cfg.faults = faults(10, vec![burst(1, 2, 2, 2e-3), FaultEvent::kill(7, 3)]);
-        let seq = simulate_link_with(&Exec::with_threads(1), &cfg);
-        for threads in [2, 4, 10] {
-            let par = simulate_link_with(&Exec::with_threads(threads), &cfg);
-            assert_eq!(seq, par, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn noisy_link_loses_frames_but_never_lies() {
         let _collector = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
@@ -525,13 +478,13 @@ mod tests {
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
         let ctrl = FidelityController::new(FidelityMode::Full);
-        let direct = simulate_link_with(&Exec::with_threads(1), &cfg);
-        let via = simulate_link_at_fidelity(&ctrl, &Exec::with_threads(1), &cfg);
+        let direct = simulate_link(&cfg);
+        let via = simulate_link_at_fidelity(&ctrl, &cfg);
         assert_eq!(direct, via);
     }
 
     #[test]
-    fn adaptive_link_sim_keeps_the_fault_span_and_is_thread_invariant() {
+    fn adaptive_link_sim_keeps_the_fault_span() {
         let _collector = crate::telemetry::test_guard::shared();
         use crate::fidelity::{FidelityController, FidelityMode};
         let mut cfg = LinkSimConfig::small_clean();
@@ -544,10 +497,9 @@ mod tests {
             5 + 1 + ADAPTIVE_POST_FAULT_EPOCHS,
             "trim to the scripted span plus the recovery window"
         );
-        let r1 = simulate_link_at_fidelity(&ctrl, &Exec::with_threads(1), &cfg);
-        let r8 = simulate_link_at_fidelity(&ctrl, &Exec::with_threads(8), &cfg);
-        assert_eq!(r1, r8);
-        assert!(r1.frames_sent < simulate_link_with(&Exec::with_threads(1), &cfg).frames_sent);
+        let trimmed = simulate_link_at_fidelity(&ctrl, &cfg);
+        assert_eq!(trimmed, simulate_link_at_fidelity(&ctrl, &cfg));
+        assert!(trimmed.frames_sent < simulate_link(&cfg).frames_sent);
     }
 
     #[test]

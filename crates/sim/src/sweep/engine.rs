@@ -1,10 +1,12 @@
-//! The execution core: scoped worker threads, self-scheduling off an
-//! atomic counter, index-ordered reassembly.
+//! The execution core: the [`Exec`] thread-count handle and the one
+//! private fan-out every parallel shape runs on — scoped workers
+//! self-scheduling off an atomic counter, one state and accumulator per
+//! worker, merged at join.
 //!
 //! Everything here is *mechanism* — how a fixed task set fans out over a
-//! worker pool deterministically. Policy (trial counts, seeds, retry
-//! budgets, fidelity hints) lives in [`super::scheduler`], and the
-//! panic-tolerant retry machinery in [`super::resilience`].
+//! worker pool deterministically. Policy (trial counts, seeds, labels,
+//! retry budgets) lives in [`super::scheduler`], and the outcome types
+//! of panic-tolerant retries in [`super::resilience`].
 
 use crate::telemetry::Stopwatch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -102,354 +104,104 @@ impl Exec {
     pub fn threads(&self) -> usize {
         self.threads
     }
+}
 
-    /// Infallible task fan-out for internal callers (the sweep/resilience
-    /// machinery itself): panics once with the `WorkerFailed` message.
-    /// The public entry points are [`super::TrialPlan::run`] and
-    /// [`Exec::try_run_tasks`].
-    pub(crate) fn run_tasks_infallible<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self.try_run_tasks(n, f) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible task fan-out: run `n` independent tasks and return their
-    /// results in task order; a panicking task closure surfaces as
-    /// `Err(WorkerFailed)` carrying the worker index and the panic
-    /// payload message.
-    ///
-    /// Tasks self-schedule off an atomic counter (coarse tasks of uneven
-    /// cost still balance), collect `(index, result)` pairs per worker,
-    /// and the results are reassembled by index — so the output is
-    /// independent of which worker ran what.
-    ///
-    /// When several tasks panic, the reported failure is the one with the
-    /// smallest task index — a pure function of the task set, so the
-    /// error is as deterministic as the closure itself even though the
-    /// task→worker mapping is not.
-    pub fn try_run_tasks<T, F>(&self, n: usize, f: F) -> mosaic_units::Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.threads == 1 || n <= 1 {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(v) => out.push(v),
-                    Err(p) => {
-                        return Err(mosaic_units::MosaicError::WorkerFailed {
-                            worker: 0,
-                            message: panic_message(p),
-                        })
-                    }
-                }
+/// The one parallel core every [`super::TrialPlan`] terminal runs on:
+/// fold `n` tasks into per-worker accumulators and merge them at join.
+///
+/// Up to `exec.threads()` scoped workers claim task indices off an
+/// atomic counter (coarse tasks of uneven cost still balance). Each
+/// worker builds one `make_state` scratch and one `make_acc`
+/// accumulator, folds every task it claims with `f(i, &mut state, &mut
+/// acc)`, and the worker accumulators are merged with `merge` once all
+/// workers have joined. With one worker (one thread, or `n <= 1`) the
+/// tasks run on the calling thread in index order into a single
+/// accumulator, and nothing is merged.
+///
+/// Which worker folds which index is scheduling-dependent, so `f` and
+/// `merge` must make the result independent of it: exact integer adds,
+/// or results keyed by task index and reassembled in order.
+///
+/// # Errors
+/// `WorkerFailed` when a task, `make_state` or `make_acc` panics. Every
+/// claimed index below the largest claimed one has run, so the reported
+/// failure — the panicking task with the smallest index — is a pure
+/// function of the task set. A panic in `make_state` or `make_acc` is
+/// reported at index 0, a join failure at `usize::MAX`, and no
+/// accumulator is merged once any worker has failed.
+pub(crate) fn fan_out<S, A, FS, FA, F, M>(
+    exec: &Exec,
+    n: usize,
+    make_state: FS,
+    make_acc: FA,
+    f: F,
+    merge: M,
+) -> mosaic_units::Result<A>
+where
+    A: Send,
+    FS: Fn() -> S + Sync,
+    FA: Fn() -> A + Sync,
+    F: Fn(usize, &mut S, &mut A) + Sync,
+    M: Fn(&mut A, A),
+{
+    // One worker's fold over the indices it claims; on a panic, the
+    // index of the task in flight and the panic message.
+    let work = |claims: &mut dyn Iterator<Item = usize>| {
+        let mut task = 0;
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut state = make_state();
+            let mut acc = make_acc();
+            for i in claims {
+                task = i;
+                f(i, &mut state, &mut acc);
             }
-            return Ok(out);
-        }
-        let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
-        let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n);
-        // (task index, worker index, message) of observed panics.
-        let mut failures: Vec<(usize, usize, String)> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out: Vec<(usize, T)> = Vec::new();
-                        let mut failure: Option<(usize, String)> = None;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                                Ok(v) => out.push((i, v)),
-                                Err(p) => {
-                                    failure = Some((i, panic_message(p)));
-                                    break;
-                                }
-                            }
-                        }
-                        (out, failure)
-                    })
+            acc
+        }))
+        .map_err(|p| (task, panic_message(p)))
+    };
+    let workers = exec.threads.min(n).max(1);
+    if workers == 1 {
+        return work(&mut (0..n)).map_err(|(_, message)| mosaic_units::MosaicError::WorkerFailed {
+            worker: 0,
+            message,
+        });
+    }
+    let next = AtomicUsize::new(0);
+    let joined: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    work(&mut std::iter::from_fn(|| {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        (i < n).then_some(i)
+                    }))
                 })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, failure)) => {
-                        tagged.extend(out);
-                        if let Some((task, message)) = failure {
-                            failures.push((task, w, message));
-                        }
-                    }
-                    // A panic that escaped catch_unwind (foreign
-                    // unwinding, `panic = "abort"` payloads) still joins
-                    // as Err; fold it in rather than re-panicking.
-                    Err(p) => failures.push((usize::MAX, w, panic_message(p))),
-                }
-            }
-        });
-        if let Some((_, worker, message)) = failures.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-            return Err(mosaic_units::MosaicError::WorkerFailed { worker, message });
-        }
-        tagged.sort_unstable_by_key(|(i, _)| *i);
-        Ok(tagged.into_iter().map(|(_, v)| v).collect())
-    }
-
-    /// Fallible task fan-out with one reusable scratch state per *worker*
-    /// (not per task): `make_state` runs once per worker, and every task
-    /// the worker claims folds through the same `&mut S`. This is how the
-    /// Monte-Carlo kernels reuse decode buffers across codewords without
-    /// per-word allocation. Panicking task closures (and panicking
-    /// `make_state`) surface as `Err(WorkerFailed)`; failure selection
-    /// follows [`Exec::try_run_tasks`]: smallest panicking task index
-    /// wins.
-    ///
-    /// The state must not carry information between tasks that affects
-    /// results (scratch buffers are overwritten, RNGs are rebuilt per
-    /// task) — otherwise output would depend on the task→worker mapping.
-    pub fn try_run_tasks_with<S, T, FS, F>(
-        &self,
-        n: usize,
-        make_state: FS,
-        f: F,
-    ) -> mosaic_units::Result<Vec<T>>
-    where
-        T: Send,
-        FS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> T + Sync,
-    {
-        if self.threads == 1 || n <= 1 {
-            return match catch_unwind(AssertUnwindSafe(|| {
-                let mut state = make_state();
-                (0..n).map(|i| f(i, &mut state)).collect::<Vec<T>>()
-            })) {
-                Ok(v) => Ok(v),
-                Err(p) => Err(mosaic_units::MosaicError::WorkerFailed {
-                    worker: 0,
-                    message: panic_message(p),
-                }),
-            };
-        }
-        let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
-        let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n);
-        let mut failures: Vec<(usize, usize, String)> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out: Vec<(usize, T)> = Vec::new();
-                        let mut failure: Option<(usize, String)> = None;
-                        let mut state = match catch_unwind(AssertUnwindSafe(&make_state)) {
-                            Ok(state) => state,
-                            Err(p) => {
-                                // A dead make_state fails before claiming
-                                // any task; report it at index 0 so it
-                                // always wins failure selection.
-                                return (out, Some((0, panic_message(p))));
-                            }
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| f(i, &mut state))) {
-                                Ok(v) => out.push((i, v)),
-                                Err(p) => {
-                                    failure = Some((i, panic_message(p)));
-                                    break;
-                                }
-                            }
-                        }
-                        (out, failure)
-                    })
-                })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, failure)) => {
-                        tagged.extend(out);
-                        if let Some((task, message)) = failure {
-                            failures.push((task, w, message));
-                        }
-                    }
-                    Err(p) => failures.push((usize::MAX, w, panic_message(p))),
-                }
-            }
-        });
-        if let Some((_, worker, message)) = failures.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-            return Err(mosaic_units::MosaicError::WorkerFailed { worker, message });
-        }
-        tagged.sort_unstable_by_key(|(i, _)| *i);
-        Ok(tagged.into_iter().map(|(_, v)| v).collect())
-    }
-
-    /// Fold `n` independent tasks straight into an accumulator — no
-    /// intermediate per-task collection — with one reusable scratch state
-    /// per worker. `make_acc` builds each worker's accumulator (and the
-    /// merge target); `f(i, &mut state, &mut acc)` folds task `i`; worker
-    /// accumulators merge at join time.
-    ///
-    /// **Determinism contract**: workers fold whichever task indices they
-    /// claim, so the fold and `merge` must be *exactly* commutative and
-    /// associative — integer adds, xor, min/max. Floating-point sums do
-    /// **not** qualify (rounding is order-dependent); for those, use
-    /// [`super::TrialPlan::run`] and fold the returned vector in index
-    /// order.
-    ///
-    /// # Panics
-    /// Panics (once, with the [`mosaic_units::MosaicError::WorkerFailed`]
-    /// message) if a task closure panics; use
-    /// [`Exec::try_fold_tasks_commutative`] to handle the failure as a
-    /// `Result` instead.
-    pub fn fold_tasks_commutative<S, A, FS, FA, F, M>(
-        &self,
-        n: usize,
-        make_state: FS,
-        make_acc: FA,
-        f: F,
-        merge: M,
-    ) -> A
-    where
-        A: Send,
-        FS: Fn() -> S + Sync,
-        FA: Fn() -> A + Sync,
-        F: Fn(usize, &mut S, &mut A) + Sync,
-        M: Fn(&mut A, A),
-    {
-        match self.try_fold_tasks_commutative(n, make_state, make_acc, f, merge) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut accs = Vec::with_capacity(workers);
+    // (task index, worker index, message) of every failed worker.
+    let mut failures = Vec::new();
+    for (w, joined) in joined.into_iter().enumerate() {
+        match joined {
+            Ok(Ok(acc)) => accs.push(acc),
+            Ok(Err((task, message))) => failures.push((task, w, message)),
+            // A panic that escaped catch_unwind (foreign unwinding) still
+            // joins as Err; fold it in rather than re-panicking.
+            Err(p) => failures.push((usize::MAX, w, panic_message(p))),
         }
     }
-
-    /// Fallible [`Exec::fold_tasks_commutative`]: panicking task closures
-    /// surface as `Err(WorkerFailed)` instead of the former double panic
-    /// at `join()`. A worker that panics mid-fold has a *partial*
-    /// accumulator, so no partial results are merged on failure — the
-    /// whole fold either completes or errors.
-    pub fn try_fold_tasks_commutative<S, A, FS, FA, F, M>(
-        &self,
-        n: usize,
-        make_state: FS,
-        make_acc: FA,
-        f: F,
-        merge: M,
-    ) -> mosaic_units::Result<A>
-    where
-        A: Send,
-        FS: Fn() -> S + Sync,
-        FA: Fn() -> A + Sync,
-        F: Fn(usize, &mut S, &mut A) + Sync,
-        M: Fn(&mut A, A),
-    {
-        if self.threads == 1 || n <= 1 {
-            return match catch_unwind(AssertUnwindSafe(|| {
-                let mut state = make_state();
-                let mut acc = make_acc();
-                for i in 0..n {
-                    f(i, &mut state, &mut acc);
-                }
-                acc
-            })) {
-                Ok(acc) => Ok(acc),
-                Err(p) => Err(mosaic_units::MosaicError::WorkerFailed {
-                    worker: 0,
-                    message: panic_message(p),
-                }),
-            };
-        }
-        let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
-        let mut total = make_acc();
-        let mut failures: Vec<(usize, usize, String)> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut state = match catch_unwind(AssertUnwindSafe(&make_state)) {
-                            Ok(state) => state,
-                            Err(p) => return Err((0usize, panic_message(p))),
-                        };
-                        let mut acc = match catch_unwind(AssertUnwindSafe(&make_acc)) {
-                            Ok(acc) => acc,
-                            Err(p) => return Err((0usize, panic_message(p))),
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            if let Err(p) =
-                                catch_unwind(AssertUnwindSafe(|| f(i, &mut state, &mut acc)))
-                            {
-                                return Err((i, panic_message(p)));
-                            }
-                        }
-                        Ok(acc)
-                    })
-                })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(Ok(acc)) => merge(&mut total, acc),
-                    Ok(Err((task, message))) => failures.push((task, w, message)),
-                    Err(p) => failures.push((usize::MAX, w, panic_message(p))),
-                }
-            }
-        });
-        if let Some((_, worker, message)) = failures.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-            return Err(mosaic_units::MosaicError::WorkerFailed { worker, message });
-        }
-        Ok(total)
+    if let Some((_, worker, message)) = failures.into_iter().min_by_key(|f| f.0) {
+        return Err(mosaic_units::MosaicError::WorkerFailed { worker, message });
     }
-
-    /// Parameter sweep: map `f` over `points`, in parallel, preserving
-    /// input order in the output.
-    pub fn par_sweep<I, T, F>(&self, points: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        self.run_tasks_infallible(points.len(), |i| f(&points[i]))
-    }
-
-    /// In-place parallel update of independent elements (e.g. one state
-    /// per physical channel). Elements are partitioned into contiguous
-    /// blocks; `f` receives the element's index in `items`.
-    pub fn par_map_mut<I, F>(&self, items: &mut [I], f: F)
-    where
-        I: Send,
-        F: Fn(usize, &mut I) + Sync,
-    {
-        let n = items.len();
-        if self.threads == 1 || n <= 1 {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-        let chunk = n.div_ceil(self.threads.min(n));
-        std::thread::scope(|s| {
-            for (ci, block) in items.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                s.spawn(move || {
-                    for (j, item) in block.iter_mut().enumerate() {
-                        f(ci * chunk + j, item);
-                    }
-                });
-            }
-        });
-    }
+    Ok(accs
+        .into_iter()
+        .reduce(|mut total, acc| {
+            merge(&mut total, acc);
+            total
+        })
+        .unwrap_or_else(make_acc))
 }
 
 /// Fixed chunking of `total` units into tasks of `chunk` units: returns
@@ -544,57 +296,111 @@ pub fn measured_as<T>(label: &str, trials: u64, f: impl FnOnce() -> T) -> (T, Ru
 mod tests {
     use super::*;
 
+    /// Run `n` tasks on the core, reassembling `(index, value)` pairs in
+    /// index order.
+    fn ordered<T: Send>(
+        threads: usize,
+        n: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> mosaic_units::Result<Vec<T>> {
+        let mut tagged = fan_out(
+            &Exec::with_threads(threads),
+            n,
+            || (),
+            Vec::new,
+            |i, _, acc: &mut Vec<(usize, T)>| acc.push((i, f(i))),
+            |all, part| all.extend(part),
+        )?;
+        tagged.sort_unstable_by_key(|(i, _)| *i);
+        Ok(tagged.into_iter().map(|(_, v)| v).collect())
+    }
+
+    fn worker_failed(err: mosaic_units::MosaicError) -> (usize, String) {
+        match err {
+            mosaic_units::MosaicError::WorkerFailed { worker, message } => (worker, message),
+            other => panic!("unexpected error: {other}"),
+        }
+    }
+
     #[test]
-    fn par_equals_seq_for_tasks() {
+    fn fan_out_is_thread_count_invariant() {
         let work = |i: usize| {
             // Uneven task cost to exercise self-scheduling.
             let spin = (i * 7919) % 97;
             (0..spin).fold(i as u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64))
         };
-        let seq = Exec::with_threads(1).try_run_tasks(257, work).unwrap();
-        for threads in [2, 3, 8, 32] {
-            assert_eq!(
-                seq,
-                Exec::with_threads(threads)
-                    .try_run_tasks(257, work)
-                    .unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn fold_tasks_commutative_is_thread_count_invariant() {
-        let fold = |exec: &Exec| {
-            exec.fold_tasks_commutative(
+        let sum = |threads: usize| {
+            fan_out(
+                &Exec::with_threads(threads),
                 311,
                 || (),
                 || 0u64,
-                |i, _s, acc| *acc += (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32,
+                |i, _, acc| *acc += (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32,
                 |total, part| *total += part,
             )
+            .unwrap()
         };
-        let seq = fold(&Exec::with_threads(1));
-        for threads in [2, 5, 16] {
-            assert_eq!(seq, fold(&Exec::with_threads(threads)), "threads={threads}");
+        let seq = ordered(1, 257, work).unwrap();
+        for threads in [2, 3, 8, 32] {
+            assert_eq!(seq, ordered(threads, 257, work).unwrap());
+            assert_eq!(sum(1), sum(threads), "threads={threads}");
         }
     }
 
     #[test]
-    fn par_sweep_preserves_order_and_values() {
-        let points: Vec<f64> = (0..50).map(|i| i as f64 * 0.5).collect();
-        let seq = Exec::with_threads(1).par_sweep(&points, |p| p * p);
-        let par = Exec::with_threads(8).par_sweep(&points, |p| p * p);
-        assert_eq!(seq, par);
+    fn fan_out_reports_the_smallest_panicking_task() {
+        for threads in [1, 4] {
+            let err = ordered(threads, 64, |i| {
+                if i == 40 {
+                    panic!("task 40 exploded");
+                }
+                if i == 13 {
+                    panic!("task 13 exploded");
+                }
+                i
+            })
+            .unwrap_err();
+            let (_, message) = worker_failed(err);
+            assert!(message.contains("task 13 exploded"), "{message}");
+        }
     }
 
     #[test]
-    fn par_map_mut_touches_every_element_once() {
-        for threads in [1, 2, 5, 16] {
-            let mut items: Vec<u64> = vec![0; 103];
-            Exec::with_threads(threads).par_map_mut(&mut items, |i, x| *x += i as u64 + 1);
-            for (i, x) in items.iter().enumerate() {
-                assert_eq!(*x, i as u64 + 1, "threads={threads} idx={i}");
-            }
+    fn fan_out_reports_a_panicking_make_state_at_index_0() {
+        for threads in [1, 4] {
+            let err = fan_out(
+                &Exec::with_threads(threads),
+                32,
+                || -> Vec<u64> { panic!("scratch died") },
+                || 0u64,
+                |i, _, acc| *acc += i as u64,
+                |total, part| *total += part,
+            )
+            .unwrap_err();
+            // Every worker fails at index 0; the tie goes to worker 0.
+            assert_eq!(worker_failed(err), (0, "scratch died".to_string()));
+        }
+    }
+
+    #[test]
+    fn failed_fold_returns_no_accumulator() {
+        for threads in [1, 4] {
+            let err = fan_out(
+                &Exec::with_threads(threads),
+                48,
+                || (),
+                || 0u64,
+                |i, _, acc| {
+                    if i == 20 {
+                        panic!("fold task died");
+                    }
+                    *acc += i as u64;
+                },
+                |total, part| *total += part,
+            )
+            .unwrap_err();
+            let (_, message) = worker_failed(err);
+            assert!(message.contains("fold task died"), "threads={threads}");
         }
     }
 
@@ -629,81 +435,5 @@ mod tests {
         assert_eq!(parse_threads(" 8 ").unwrap(), 8);
         let msg = parse_threads("abc").unwrap_err().to_string();
         assert!(msg.contains(THREADS_ENV), "{msg}");
-    }
-
-    #[test]
-    fn try_run_tasks_reports_worker_failed() {
-        for threads in [1, 4] {
-            let err = Exec::with_threads(threads)
-                .try_run_tasks(64, |i| {
-                    if i == 13 {
-                        panic!("task 13 exploded");
-                    }
-                    i
-                })
-                .unwrap_err();
-            match err {
-                mosaic_units::MosaicError::WorkerFailed { message, .. } => {
-                    assert!(message.contains("task 13 exploded"), "{message}");
-                }
-                other => panic!("unexpected error: {other}"),
-            }
-        }
-    }
-
-    #[test]
-    fn try_run_tasks_with_reports_worker_failed() {
-        let err = Exec::with_threads(3)
-            .try_run_tasks_with(32, Vec::<u64>::new, |i, _buf| {
-                if i == 5 {
-                    panic!("scratch task died");
-                }
-                i
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("scratch task died"));
-    }
-
-    #[test]
-    fn try_fold_tasks_commutative_reports_worker_failed() {
-        for threads in [1, 4] {
-            let err = Exec::with_threads(threads)
-                .try_fold_tasks_commutative(
-                    48,
-                    || (),
-                    || 0u64,
-                    |i, _s, acc| {
-                        if i == 20 {
-                            panic!("fold task died");
-                        }
-                        *acc += i as u64;
-                    },
-                    |total, part| *total += part,
-                )
-                .unwrap_err();
-            assert!(
-                err.to_string().contains("fold task died"),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn try_variants_match_infallible_on_clean_runs() {
-        let exec = Exec::with_threads(4);
-        assert_eq!(
-            exec.try_run_tasks(50, |i| i * 2).unwrap(),
-            exec.run_tasks_infallible(50, |i| i * 2)
-        );
-        let folded = exec
-            .try_fold_tasks_commutative(
-                50,
-                || (),
-                || 0u64,
-                |i, _s, acc| *acc += i as u64,
-                |t, p| *t += p,
-            )
-            .unwrap();
-        assert_eq!(folded, (0..50u64).sum::<u64>());
     }
 }

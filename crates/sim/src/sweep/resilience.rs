@@ -5,11 +5,11 @@
 //! `"{label}#retry{attempt}"` substream under a per-trial retry budget —
 //! a pure function of the trial index, never a shared pool, so results
 //! stay thread-count invariant (see DESIGN §10). The policy surface is
-//! [`super::TrialPlan::run_resilient`]; this module owns the outcome
-//! types and the retry loop.
+//! [`super::TrialPlan::run_resilient`], which runs the trials on the
+//! engine's fan-out core; this module owns the outcome types and the
+//! per-trial retry loop.
 
-use super::engine::{Exec, RunStats};
-use crate::rng::DetRng;
+use super::engine::RunStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -39,73 +39,76 @@ pub struct ResilientRun<T> {
     pub stats: RunStats,
 }
 
-/// The retry loop behind [`super::TrialPlan::run_resilient`]: the
-/// closure receives `(trial, attempt, rng)`; attempt `0` draws from the
-/// exact stream the non-resilient path would use, so a run where
-/// nothing panics is bit-identical to it. Telemetry (the `trials.` /
-/// `par_trials.` records and the fault counters) is the caller's job —
-/// this function only executes.
-pub(crate) fn run_trials_resilient<T, F>(
-    exec: &Exec,
-    n: u64,
-    seed: u64,
-    label: &str,
-    retry_budget: u32,
-    f: F,
-) -> ResilientRun<T>
-where
-    T: Send,
-    F: Fn(u64, u32, &mut DetRng) -> T + Sync,
-{
-    let outcomes: Vec<(Option<T>, u32, Option<String>)> =
-        exec.run_tasks_infallible(n as usize, |i| {
-            let i = i as u64;
-            let mut panics = 0u32;
-            let mut last_msg: Option<String> = None;
-            for attempt in 0..=retry_budget {
-                let mut rng = if attempt == 0 {
-                    // lint: allow(R5) reason=forwards the caller's plan label; collision checking happens at the literal call sites
-                    DetRng::substream_indexed(seed, label, i)
-                } else {
-                    // lint: allow(R5) reason=retry stream derived from the caller's label; #retry{n} suffix cannot collide with a literal label
-                    DetRng::substream_indexed(seed, &format!("{label}#retry{attempt}"), i)
-                };
-                match catch_unwind(AssertUnwindSafe(|| f(i, attempt, &mut rng))) {
-                    Ok(v) => return (Some(v), panics, last_msg),
-                    Err(p) => {
-                        panics += 1;
-                        last_msg = Some(super::engine::panic_message(p));
-                    }
+/// One trial's attempts under [`retry`].
+pub(crate) struct Attempts<T> {
+    value: Option<T>,
+    panics: u32,
+    last_message: Option<String>,
+}
+
+/// The retry loop of one trial: call `attempt(0)`, `attempt(1)`, … up
+/// to `attempt(retry_budget)`, catching each panic, until one returns.
+/// The caller derives each attempt's stream ([`super::TrialCtx::rng`]).
+pub(crate) fn retry<T>(retry_budget: u32, mut attempt: impl FnMut(u32) -> T) -> Attempts<T> {
+    let mut panics = 0u32;
+    let mut last_message = None;
+    for a in 0..=retry_budget {
+        match catch_unwind(AssertUnwindSafe(|| attempt(a))) {
+            Ok(v) => {
+                return Attempts {
+                    value: Some(v),
+                    panics,
+                    last_message,
                 }
             }
-            (None, panics, last_msg)
-        });
-    let mut values = Vec::with_capacity(outcomes.len());
-    let mut failures = Vec::new();
-    let mut total_panics = 0u64;
-    for (i, (value, panics, last_msg)) in outcomes.into_iter().enumerate() {
-        total_panics += u64::from(panics);
-        if value.is_none() {
-            failures.push(TrialFailure {
-                trial: i as u64,
-                attempts: retry_budget + 1,
-                message: last_msg.unwrap_or_else(|| "no attempt recorded".to_string()),
-            });
+            Err(p) => {
+                panics += 1;
+                last_message = Some(super::engine::panic_message(p));
+            }
         }
-        values.push(value);
     }
-    let failed_trials = failures.len() as u64;
-    let retries = total_panics - failed_trials.min(total_panics);
-    ResilientRun {
-        values,
-        failures,
-        stats: RunStats {
-            trials: n,
-            wall: Duration::ZERO,
-            threads: exec.threads(),
-            panics: total_panics,
-            retries,
-            failed_trials,
-        },
+    Attempts {
+        value: None,
+        panics,
+        last_message,
+    }
+}
+
+impl<T> ResilientRun<T> {
+    /// Gather every trial's [`Attempts`], in trial order, into values,
+    /// failure records and fault counters. Telemetry (the `trials.` /
+    /// `par_trials.` records and the fault counters) is the caller's job.
+    pub(crate) fn collect(trials: Vec<Attempts<T>>, retry_budget: u32, threads: usize) -> Self {
+        let n = trials.len() as u64;
+        let mut values = Vec::with_capacity(trials.len());
+        let mut failures = Vec::new();
+        let mut total_panics = 0u64;
+        for (i, t) in trials.into_iter().enumerate() {
+            total_panics += u64::from(t.panics);
+            if t.value.is_none() {
+                failures.push(TrialFailure {
+                    trial: i as u64,
+                    attempts: retry_budget + 1,
+                    message: t
+                        .last_message
+                        .unwrap_or_else(|| "no attempt recorded".to_string()),
+                });
+            }
+            values.push(t.value);
+        }
+        let failed_trials = failures.len() as u64;
+        let retries = total_panics - failed_trials.min(total_panics);
+        ResilientRun {
+            values,
+            failures,
+            stats: RunStats {
+                trials: n,
+                wall: Duration::ZERO,
+                threads,
+                panics: total_panics,
+                retries,
+                failed_trials,
+            },
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! Trial planning: the builder-style [`TrialPlan`] API that unifies the
-//! engine's Monte-Carlo entry points.
+//! Trial planning: the builder-style [`TrialPlan`] API, the one public
+//! way to fan work out over an [`Exec`].
 //!
 //! A plan captures *what* a fan-out is — trial count, root seed, stream
-//! label, per-trial retry budget, fidelity hint — separately from *how*
-//! it executes (an [`Exec`] passed to the terminal method). One plan,
-//! six terminal shapes:
+//! label, per-trial retry budget — separately from *how* it executes (an
+//! [`Exec`] passed to the terminal method). One plan, six terminal
+//! shapes, all running on the engine's one private fan-out core:
 //!
 //! | terminal                          | closure                             | result                   |
 //! |-----------------------------------|-------------------------------------|--------------------------|
@@ -14,6 +14,9 @@
 //! | [`TrialPlan::fold`]               | `Fn(&mut TrialCtx, &mut S, &mut A)` | commutative fold         |
 //! | [`TrialPlan::fold_checkpointed`]  | `Fn(&mut TrialCtx, &mut S) -> R`    | batched, resumable [`ExactRollup`] |
 //! | [`TrialPlan::run_resilient`]      | `Fn(&mut TrialCtx) -> T`            | retried, panic-tolerant  |
+//!
+//! A grid of parameter points is a plan over its indices:
+//! `TrialPlan::new().trials(n).run(&exec, |ctx| point(ctx.trial()))`.
 //!
 //! Each trial's closure receives a [`TrialCtx`]: the trial index, the
 //! retry attempt, and counter-derived RNG streams ([`TrialCtx::rng`] for
@@ -25,29 +28,11 @@
 //! `trials.{label}` counter and a `par_trials.{label}` stage; an
 //! unlabelled plan records nothing.
 
-use super::engine::Exec;
+use super::engine::{fan_out, Exec};
 use super::resilience::{self, ResilientRun};
 use crate::checkpoint::{Checkpoints, ExactRollup};
 use crate::rng::DetRng;
 use mosaic_units::{MosaicError, Result};
-
-/// Advisory fidelity tier attached to a [`TrialPlan`] by the adaptive
-/// engine (`sim::fidelity`). The scheduler carries the hint so kernels
-/// and telemetry can see *why* a budget was chosen; it never changes how
-/// trials execute — determinism stays a property of `(config, seed)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FidelityHint {
-    /// No tier decision attached (the default; full-fidelity call sites).
-    #[default]
-    Unspecified,
-    /// Closed-form fast path; the plan's trials are an audit budget (often
-    /// zero).
-    Analytic,
-    /// Full Monte-Carlo, possibly at a controller-adapted budget.
-    FullMc,
-    /// Rare-event tail sampling on stratified substreams.
-    TailMc,
-}
 
 /// Per-trial execution context handed to [`TrialPlan`] closures.
 ///
@@ -102,23 +87,57 @@ impl TrialCtx<'_> {
 }
 
 /// A declarative Monte-Carlo fan-out: trial count, root seed, stream
-/// label, retry budget, and fidelity hint, executed against an [`Exec`]
-/// by one of the terminal methods (see the module docs).
+/// label and retry budget, executed against an [`Exec`] by one of the
+/// terminal methods (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrialPlan<'a> {
     trials: u64,
     seed: u64,
     label: Option<&'a str>,
     retry_budget: u32,
-    fidelity: FidelityHint,
     /// Index of this plan's first trial: nonzero only for the per-batch
     /// plans of [`TrialPlan::fold_checkpointed`].
     first_trial: u64,
 }
 
+/// One worker's [`TrialPlan::run_with`] results, as runs of consecutive
+/// trial indices. A worker claims indices in increasing order, so on one
+/// thread it holds a single run and reassembly is a move: no per-trial
+/// tag and no sort.
+struct Runs<T>(Vec<(usize, Vec<T>)>);
+
+impl<T> Runs<T> {
+    fn push(&mut self, i: usize, value: T) {
+        match self.0.last_mut() {
+            Some((start, run)) if *start + run.len() == i => run.push(value),
+            _ => self.0.push((i, vec![value])),
+        }
+    }
+
+    /// Every run's values, in trial order.
+    fn into_vec(mut self) -> Vec<T> {
+        self.0.sort_unstable_by_key(|(start, _)| *start);
+        let mut runs = self.0.into_iter().map(|(_, run)| run);
+        let first = runs.next().unwrap_or_default();
+        runs.fold(first, |mut all, run| {
+            all.extend(run);
+            all
+        })
+    }
+}
+
+/// The value of a plan terminal, or the `WorkerFailed` panic its docs
+/// promise.
+fn or_panic<T>(result: Result<T>) -> T {
+    match result {
+        Ok(v) => v,
+        Err(e) => panic!("{e}"),
+    }
+}
+
 impl<'a> TrialPlan<'a> {
     /// An empty plan: zero trials, seed 0, no label (telemetry off), no
-    /// retries, no fidelity hint.
+    /// retries.
     pub fn new() -> Self {
         TrialPlan::default()
     }
@@ -148,37 +167,6 @@ impl<'a> TrialPlan<'a> {
         self
     }
 
-    /// Attach an advisory fidelity tier (see [`FidelityHint`]).
-    pub fn fidelity(mut self, hint: FidelityHint) -> Self {
-        self.fidelity = hint;
-        self
-    }
-
-    /// Planned trial count.
-    pub fn planned_trials(&self) -> u64 {
-        self.trials
-    }
-
-    /// Root seed.
-    pub fn planned_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Stream label, if set.
-    pub fn planned_label(&self) -> Option<&'a str> {
-        self.label
-    }
-
-    /// Retry budget.
-    pub fn planned_retry_budget(&self) -> u32 {
-        self.retry_budget
-    }
-
-    /// Attached fidelity hint.
-    pub fn fidelity_hint(&self) -> FidelityHint {
-        self.fidelity
-    }
-
     fn stream_label(&self) -> &'a str {
         self.label.unwrap_or("")
     }
@@ -205,29 +193,49 @@ impl<'a> TrialPlan<'a> {
         }
     }
 
+    /// Every trial's result in trial order, on the fan-out core with one
+    /// scratch state per worker.
+    fn ordered<S, T, FS, F>(&self, exec: &Exec, make_scratch: FS, f: F) -> Result<Vec<T>>
+    where
+        T: Send,
+        FS: Fn() -> S + Sync,
+        F: Fn(&mut TrialCtx, &mut S) -> T + Sync,
+    {
+        fan_out(
+            exec,
+            self.trials as usize,
+            make_scratch,
+            || Runs(Vec::new()),
+            |i, scratch, runs| runs.push(i, f(&mut self.ctx(i as u64), scratch)),
+            |all, part| all.0.extend(part.0),
+        )
+        .map(Runs::into_vec)
+    }
+
     /// Run every trial, returning results in trial order.
     ///
     /// # Panics
     /// Panics (once, with the [`mosaic_units::MosaicError::WorkerFailed`]
-    /// message) if a trial closure panics; use
-    /// [`TrialPlan::run_resilient`] to tolerate panicking trials, or
-    /// [`Exec::try_run_tasks`] for a `Result`.
+    /// message) if a trial closure panics: the failure of the panicking
+    /// trial with the smallest index. Use [`TrialPlan::run_resilient`] to
+    /// tolerate panicking trials.
     pub fn run<T, F>(&self, exec: &Exec, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut TrialCtx) -> T + Sync,
     {
-        self.record_trials();
-        self.staged(|| {
-            exec.run_tasks_infallible(self.trials as usize, |i| f(&mut self.ctx(i as u64)))
-        })
+        self.run_with(exec, || (), |ctx, ()| f(ctx))
     }
 
     /// Run every trial with one reusable scratch state per worker.
     ///
+    /// The state must not carry information between trials that affects
+    /// results (scratch buffers are overwritten, RNGs are rebuilt per
+    /// trial): which worker runs which trial depends on scheduling.
+    ///
     /// # Panics
-    /// As [`TrialPlan::run`]; use [`Exec::try_run_tasks_with`] for a
-    /// `Result`.
+    /// As [`TrialPlan::run`]; a panicking `make_scratch` counts as
+    /// trial 0.
     pub fn run_with<S, T, FS, F>(&self, exec: &Exec, make_scratch: FS, f: F) -> Vec<T>
     where
         T: Send,
@@ -235,14 +243,7 @@ impl<'a> TrialPlan<'a> {
         F: Fn(&mut TrialCtx, &mut S) -> T + Sync,
     {
         self.record_trials();
-        self.staged(|| {
-            match exec.try_run_tasks_with(self.trials as usize, make_scratch, |i, scratch| {
-                f(&mut self.ctx(i as u64), scratch)
-            }) {
-                Ok(v) => v,
-                Err(e) => panic!("{e}"),
-            }
-        })
+        self.staged(|| or_panic(self.ordered(exec, make_scratch, f)))
     }
 
     /// Sum a `u64` statistic over all trials: the allocation-free form of
@@ -264,14 +265,19 @@ impl<'a> TrialPlan<'a> {
         )
     }
 
-    /// Fold trials straight into an accumulator with per-worker scratch
-    /// ([`Exec::fold_tasks_commutative`] with a [`TrialCtx`]). The fold
-    /// and `merge` must be exactly commutative and associative — see
-    /// [`Exec::fold_tasks_commutative`] for the determinism contract.
+    /// Fold trials straight into an accumulator — no per-trial results —
+    /// with one scratch state per worker. `make_acc` builds each worker's
+    /// accumulator, and worker accumulators merge at join.
+    ///
+    /// **Determinism contract**: workers fold whichever trials they
+    /// claim, so the fold and `merge` must be *exactly* commutative and
+    /// associative — integer adds, xor, min/max. Floating-point sums do
+    /// **not** qualify (rounding is order-dependent); for those, use
+    /// [`TrialPlan::run`] and fold the returned vector in trial order.
     ///
     /// # Panics
-    /// As [`TrialPlan::run`]; use [`Exec::try_fold_tasks_commutative`]
-    /// for a `Result`.
+    /// As [`TrialPlan::run`]; a panicking `make_scratch` or `make_acc`
+    /// counts as trial 0, and a failed fold returns no partial value.
     pub fn fold<S, A, FS, FA, F, M>(
         &self,
         exec: &Exec,
@@ -289,13 +295,14 @@ impl<'a> TrialPlan<'a> {
     {
         self.record_trials();
         self.staged(|| {
-            exec.fold_tasks_commutative(
+            or_panic(fan_out(
+                exec,
                 self.trials as usize,
                 make_scratch,
                 make_acc,
                 |i, scratch, acc| f(&mut self.ctx(i as u64), scratch, acc),
                 merge,
-            )
+            ))
         })
     }
 
@@ -390,24 +397,19 @@ impl<'a> TrialPlan<'a> {
         F: Fn(&mut TrialCtx) -> T + Sync,
     {
         self.record_trials();
-        let run = self.staged(|| {
-            resilience::run_trials_resilient(
+        let attempts = self.staged(|| {
+            self.ordered(
                 exec,
-                self.trials,
-                self.seed,
-                self.stream_label(),
-                self.retry_budget,
-                |trial, attempt, _rng| {
-                    let mut ctx = TrialCtx {
-                        trial,
-                        attempt,
-                        seed: self.seed,
-                        label: self.stream_label(),
-                    };
-                    f(&mut ctx)
+                || (),
+                |ctx, ()| {
+                    resilience::retry(self.retry_budget, |attempt| {
+                        ctx.attempt = attempt;
+                        f(ctx)
+                    })
                 },
             )
         });
+        let run = ResilientRun::collect(or_panic(attempts), self.retry_budget, exec.threads());
         // Fault counters are deterministic (which (trial, attempt) pairs
         // panic is a property of the closure), so they are safe to put in
         // value-checked telemetry.
@@ -440,6 +442,26 @@ mod tests {
             .trials(100)
             .run(&exec, |ctx| ctx.trial() * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn runs_hold_in_order_results_as_one_run_and_reassemble_any_split() {
+        let mut seq = Runs(Vec::new());
+        for i in 0..5 {
+            seq.push(i, i * 10);
+        }
+        assert_eq!(seq.0.len(), 1, "one worker in index order: one run");
+        assert_eq!(seq.into_vec(), vec![0, 10, 20, 30, 40]);
+        // Two workers' increasing claims, merged as the core merges them.
+        let (mut a, mut b) = (Runs(Vec::new()), Runs(Vec::new()));
+        for i in [0, 1, 4] {
+            a.push(i, i * 10);
+        }
+        for i in [2, 3, 5] {
+            b.push(i, i * 10);
+        }
+        a.0.extend(b.0);
+        assert_eq!(a.into_vec(), vec![0, 10, 20, 30, 40, 50]);
     }
 
     #[test]
@@ -549,13 +571,6 @@ mod tests {
         TrialPlan::new().trials(5).run(&exec, |ctx| ctx.trial());
         let counters_after = crate::telemetry::snapshot().counters;
         assert_eq!(counters_before, counters_after);
-    }
-
-    #[test]
-    fn plan_fidelity_hint_is_carried() {
-        let plan = TrialPlan::new().trials(10).fidelity(FidelityHint::TailMc);
-        assert_eq!(plan.fidelity_hint(), FidelityHint::TailMc);
-        assert_eq!(TrialPlan::new().fidelity_hint(), FidelityHint::Unspecified);
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //!    final values match a run where nothing panicked.
 //! 2. A trial that exhausts its retry budget yields `None` plus a
 //!    `TrialFailure` record — the rest of the sweep is unaffected.
-//! 3. Worker panics in the `try_*` engines surface as
-//!    `MosaicError::WorkerFailed` with a deterministic message (the
-//!    smallest-index failing task wins), never as a process abort.
+//! 3. A panicking trial in a plain `TrialPlan` terminal surfaces as one
+//!    `MosaicError::WorkerFailed` panic with a deterministic message (the
+//!    smallest-index failing trial wins), never as a process abort, and
+//!    a failed fold returns no partial value.
 //! 4. Everything above is thread-count invariant, as are fault-campaign
 //!    generation and replay.
 
 use mosaic_sim::campaign::{run_campaign, CampaignRunConfig};
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
 use mosaic_sim::sweep::{Exec, TrialPlan};
-use mosaic_units::MosaicError;
 use proptest::prelude::*;
+use std::panic::catch_unwind;
 
 /// Trial values are pure functions of the trial index (no RNG), so a
 /// retried trial reproduces the same value and the injected-panic run
@@ -99,54 +100,65 @@ fn budget_exhaustion_yields_none_without_poisoning_neighbors() {
     assert_eq!(run.stats.failed_trials, 1);
 }
 
-#[test]
-fn worker_failed_picks_smallest_task_index_at_any_thread_count() {
-    for threads in [1, 2, 4, 8] {
-        let exec = Exec::with_threads(threads);
-        let err = exec
-            .try_run_tasks(16, |i| {
-                if i == 11 {
-                    panic!("late fault");
-                }
-                if i == 4 {
-                    panic!("early fault");
-                }
-                i
-            })
-            .expect_err("panicking tasks must surface as Err");
-        match err {
-            MosaicError::WorkerFailed { message, .. } => {
-                assert!(
-                    message.contains("early fault"),
-                    "threads={threads}: expected smallest-index task message, got {message:?}"
-                );
-            }
-            other => panic!("threads={threads}: expected WorkerFailed, got {other:?}"),
-        }
+/// The panic message a plan terminal raised, as text.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |s| s.to_string()),
     }
 }
 
 #[test]
-fn try_fold_surfaces_worker_failed_instead_of_partial_sums() {
-    let exec = Exec::with_threads(4);
-    let err = exec
-        .try_fold_tasks_commutative(
-            64,
-            || (),
-            || 0u64,
-            |i, _state: &mut (), acc: &mut u64| {
-                if i == 30 {
-                    panic!("fold fault");
+fn worker_failed_picks_smallest_task_index_at_any_thread_count() {
+    for threads in [1, 2, 4, 8] {
+        let exec = Exec::with_threads(threads);
+        let payload = catch_unwind(|| {
+            TrialPlan::new().trials(16).run(&exec, |ctx| {
+                if ctx.trial() == 11 {
+                    panic!("late fault");
                 }
-                *acc += i as u64;
-            },
-            |a, b| *a += b,
-        )
-        .expect_err("fold with a panicking task must fail");
-    assert!(
-        matches!(err, MosaicError::WorkerFailed { .. }),
-        "got {err:?}"
-    );
+                if ctx.trial() == 4 {
+                    panic!("early fault");
+                }
+                ctx.trial()
+            })
+        })
+        .expect_err("panicking trials must surface as a WorkerFailed panic");
+        let message = panic_text(payload);
+        assert!(
+            message.contains("sweep worker") && message.contains("early fault"),
+            "threads={threads}: expected the smallest-index trial's WorkerFailed, got {message:?}"
+        );
+    }
+}
+
+#[test]
+fn fold_surfaces_worker_failed_instead_of_partial_sums() {
+    for threads in [1, 2, 4, 8] {
+        let exec = Exec::with_threads(threads);
+        let folded = catch_unwind(|| {
+            TrialPlan::new().trials(64).fold(
+                &exec,
+                || (),
+                || 0u64,
+                |ctx, _state: &mut (), acc: &mut u64| {
+                    if ctx.trial() == 30 {
+                        panic!("fold fault");
+                    }
+                    *acc += ctx.trial();
+                },
+                |a, b| *a += b,
+            )
+        });
+        let payload = folded.expect_err("a fold with a panicking trial must not return a value");
+        let message = panic_text(payload);
+        assert!(
+            message.contains("sweep worker") && message.contains("fold fault"),
+            "threads={threads}: got {message:?}"
+        );
+    }
 }
 
 #[test]

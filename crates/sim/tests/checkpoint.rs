@@ -5,10 +5,12 @@
 //!   size, and across a kill after every batch followed by a resume;
 //! * a checkpoint stamped with another digest never seeds a resume;
 //! * `FileStore` round-trips every field exactly (also above 2^53), and
-//!   any truncated, corrupt or hostile file is ignored, never a panic.
+//!   any truncated, corrupt or hostile file is ignored, never a panic;
+//! * clearing a store also removes the temp files a killed write left.
 
 use mosaic_sim::checkpoint::{
-    decode, encode, fingerprint, Checkpoints, ExactRollup, Field, FileStore, NoStore, Store,
+    decode, encode, fingerprint, write_atomic, Checkpoints, ExactRollup, Field, FileStore, NoStore,
+    Store,
 };
 use mosaic_sim::digest::Fnv1a;
 use mosaic_sim::json::Json;
@@ -222,6 +224,26 @@ fn file_store_round_trips_and_rejects_everything_else() {
     let text = std::fs::read_to_string(store.path(4)).unwrap();
     std::fs::write(store.path(4), &text[..text.len() / 2]).unwrap();
     assert_eq!(Store::<Tally>::load(&mut store, 4, 0xdead_beef), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn clear_removes_stale_temp_files_of_its_family_only() {
+    let dir = temp_dir("stale-tmp");
+    let store = FileStore::new(&dir, "tt-a");
+    std::fs::create_dir_all(&dir).unwrap();
+    // What a kill between write and rename leaves: the writer's temp
+    // files, here of this family and of another one.
+    let stale = dir.join(".tt-a-b3.tmp");
+    let other = dir.join(".tt-b-b0.tmp");
+    std::fs::write(&stale, "{").unwrap();
+    std::fs::write(&other, "{").unwrap();
+    store.clear();
+    assert!(!stale.exists(), "stale temp file survived clear");
+    assert!(other.exists(), "another family's temp file was cleared");
+    // The atomic writer's temp file is the one planted above.
+    write_atomic(&store.path(3), "{}").unwrap();
+    assert!(!stale.exists() && store.path(3).exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
