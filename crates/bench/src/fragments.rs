@@ -1,8 +1,7 @@
-//! Per-figure manifest fragments: the checkpoint format behind
+//! Per-figure manifest fragments: the record type behind
 //! `run_all --resume`.
 //!
-//! `run_all` writes one fragment per completed figure (atomically, with
-//! `mosaic_sim::checkpoint::write_atomic`) under
+//! `run_all` writes one fragment per completed figure under
 //! `results/manifests/fragments/`. A killed
 //! run leaves the completed figures' fragments behind; `--resume` loads
 //! them instead of re-running those figures, then regenerates
@@ -27,9 +26,15 @@
 //! }
 //! ```
 //!
-//! A fragment whose `mode` does not match the resuming run is rejected
-//! (quick fragments must never seed a full run), as is any fragment that
-//! fails schema or field validation — the figure is simply re-run.
+//! This module owns only the envelope (`schema` to `wall_ns`); `values`
+//! and `stages` are the telemetry snapshot, written and read by
+//! `mosaic_sim::telemetry::Snapshot`. Numbers are JSON numbers, exact up
+//! to 2^53. Files go through the record layer of
+//! `mosaic_sim::checkpoint`: `write_atomic` writes them, `read_record`
+//! loads them, and `clear_records` deletes them. A fragment that is
+//! corrupt, of another schema, of another `mode` (quick fragments must
+//! never seed a full run) or of another `id` loads as `None`, and the
+//! figure is simply re-run.
 //!
 //! F18 and F19 also checkpoint *within* a figure: their
 //! `mosaic_sim::checkpoint::FileStore` batch files (`hf-*`, `tr-*`) live
@@ -38,10 +43,9 @@
 //! fragments.
 
 use crate::manifest::FigureRecord;
-use mosaic_sim::checkpoint::write_atomic;
+use mosaic_sim::checkpoint::{check_schema, clear_records, read_record, write_atomic};
 use mosaic_sim::json::Json;
-use mosaic_sim::telemetry::{Histogram, Snapshot, StageRecord};
-use std::collections::BTreeMap;
+use mosaic_sim::telemetry::Snapshot;
 use std::path::{Path, PathBuf};
 
 /// The fragment schema identifier.
@@ -52,13 +56,8 @@ pub fn fragment_path(dir: &Path, id: &str) -> PathBuf {
     dir.join(format!("{}.json", id.to_lowercase()))
 }
 
-fn snapshot_to_json(snap: &Snapshot) -> (Json, Json) {
-    (snap.values_json(), snap.timings_json())
-}
-
 /// Render a figure record as fragment JSON.
 pub fn to_json(record: &FigureRecord, mode: &str) -> Json {
-    let (values, stages) = snapshot_to_json(&record.telemetry);
     Json::object()
         .with("schema", FRAGMENT_SCHEMA)
         .with("mode", mode)
@@ -66,8 +65,8 @@ pub fn to_json(record: &FigureRecord, mode: &str) -> Json {
         .with("title", record.title.as_str())
         .with("output_text", record.output.as_str())
         .with("wall_ns", record.wall_ns)
-        .with("values", values)
-        .with("stages", stages)
+        .with("values", record.telemetry.values_json())
+        .with("stages", record.telemetry.timings_json())
 }
 
 /// Write a fragment atomically ([`write_atomic`]), so a kill mid-write
@@ -79,122 +78,24 @@ pub fn write_fragment(dir: &Path, record: &FigureRecord, mode: &str) -> std::io:
     )
 }
 
-fn parse_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("{key}: missing or not a non-negative integer"))
-}
-
 fn parse_str(doc: &Json, key: &str) -> Result<String, String> {
     doc.get(key)
-        .and_then(|v| v.as_str())
-        .map(|s| s.to_string())
+        .and_then(Json::as_str)
+        .map(str::to_string)
         .ok_or_else(|| format!("{key}: missing or not a string"))
-}
-
-fn parse_f64_arr(v: &Json, what: &str) -> Result<Vec<f64>, String> {
-    let arr = v.as_arr().ok_or_else(|| format!("{what}: not an array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| format!("{what}: non-numeric element"))
-        })
-        .collect()
-}
-
-fn parse_snapshot(values: &Json, stages: &Json) -> Result<Snapshot, String> {
-    let mut counters = BTreeMap::new();
-    for (k, v) in values
-        .get("counters")
-        .and_then(|c| c.as_obj())
-        .ok_or("values.counters: missing or not an object")?
-    {
-        counters.insert(
-            k.clone(),
-            v.as_u64()
-                .ok_or_else(|| format!("values.counters.{k}: not an integer"))?,
-        );
-    }
-    let mut histograms = BTreeMap::new();
-    for (k, h) in values
-        .get("histograms")
-        .and_then(|c| c.as_obj())
-        .ok_or("values.histograms: missing or not an object")?
-    {
-        let edges = parse_f64_arr(
-            h.get("edges")
-                .ok_or_else(|| format!("histogram {k}: no edges"))?,
-            "edges",
-        )?;
-        let counts = h
-            .get("counts")
-            .and_then(|c| c.as_arr())
-            .ok_or_else(|| format!("histogram {k}: no counts"))?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .ok_or_else(|| format!("histogram {k}: bad count"))
-            })
-            .collect::<Result<Vec<u64>, String>>()?;
-        let total = h
-            .get("total")
-            .and_then(|t| t.as_u64())
-            .ok_or_else(|| format!("histogram {k}: no total"))?;
-        if counts.len() != edges.len() + 1 {
-            return Err(format!("histogram {k}: counts/edges length mismatch"));
-        }
-        histograms.insert(
-            k.clone(),
-            Histogram {
-                edges,
-                counts,
-                total,
-            },
-        );
-    }
-    let mut series = BTreeMap::new();
-    for (k, xs) in values
-        .get("series")
-        .and_then(|c| c.as_obj())
-        .ok_or("values.series: missing or not an object")?
-    {
-        series.insert(k.clone(), parse_f64_arr(xs, &format!("series {k}"))?);
-    }
-    let mut stage_records = Vec::new();
-    for s in stages.as_arr().ok_or("stages: not an array")? {
-        stage_records.push(StageRecord {
-            name: parse_str(s, "name")?,
-            trials: parse_u64(s, "trials")?,
-            wall_ns: parse_u64(s, "wall_ns")?,
-            cpu_ns: parse_u64(s, "cpu_ns")?,
-        });
-    }
-    Ok(Snapshot {
-        counters,
-        histograms,
-        series,
-        stages: stage_records,
-    })
 }
 
 /// Parse fragment JSON back into a [`FigureRecord`], validating the
 /// schema and that the fragment's mode matches `expect_mode`.
 pub fn from_json(doc: &Json, expect_mode: &str) -> Result<FigureRecord, String> {
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == FRAGMENT_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "schema: expected {FRAGMENT_SCHEMA:?}, got {other:?}"
-            ))
-        }
-    }
+    check_schema(doc, FRAGMENT_SCHEMA)?;
     let mode = parse_str(doc, "mode")?;
     if mode != expect_mode {
         return Err(format!(
             "mode mismatch: fragment is {mode:?}, run is {expect_mode:?}"
         ));
     }
-    let telemetry = parse_snapshot(
+    let telemetry = Snapshot::from_json(
         doc.get("values").unwrap_or(&Json::Null),
         doc.get("stages").unwrap_or(&Json::Null),
     )?;
@@ -203,65 +104,40 @@ pub fn from_json(doc: &Json, expect_mode: &str) -> Result<FigureRecord, String> 
         title: parse_str(doc, "title")?,
         output: parse_str(doc, "output_text")?,
         telemetry,
-        wall_ns: parse_u64(doc, "wall_ns")?,
+        wall_ns: doc
+            .get("wall_ns")
+            .and_then(Json::as_u64)
+            .ok_or("wall_ns: missing or not a non-negative integer")?,
     })
 }
 
-/// Load and validate the fragment for `id` under `dir`, if one exists.
-/// Any unreadable, unparsable, or mismatched fragment returns `None` —
-/// the caller re-runs the figure.
+/// Load and validate the fragment for `id` under `dir`, if one exists
+/// ([`read_record`]). A fragment that is unreadable, unparsable, or of
+/// another schema, mode or id returns `None` — the caller re-runs the
+/// figure.
 pub fn load_fragment(dir: &Path, id: &str, expect_mode: &str) -> Option<FigureRecord> {
-    let path = fragment_path(dir, id);
-    let text = std::fs::read_to_string(&path).ok()?;
-    let doc = match Json::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!(
-                "[run_all] ignoring corrupt fragment {}: {e:?}",
-                path.display()
-            );
-            return None;
+    read_record(&fragment_path(dir, id), |doc| {
+        let record = from_json(doc, expect_mode)?;
+        if record.id == id {
+            Ok(record)
+        } else {
+            Err(format!("id {:?} does not match {id:?}", record.id))
         }
-    };
-    match from_json(&doc, expect_mode) {
-        Ok(rec) if rec.id == id => Some(rec),
-        Ok(rec) => {
-            eprintln!(
-                "[run_all] ignoring fragment {}: id {:?} does not match {id:?}",
-                path.display(),
-                rec.id
-            );
-            None
-        }
-        Err(e) => {
-            eprintln!(
-                "[run_all] ignoring invalid fragment {}: {e}",
-                path.display()
-            );
-            None
-        }
-    }
+    })
 }
 
-/// Delete every fragment file under `dir`, and every `.*.tmp` file a
-/// kill mid-write left behind (fresh starts and successful completions
-/// both clear the checkpoint state).
+/// Delete every record under `dir` — figure fragments and in-figure
+/// checkpoints alike — and every `.*.tmp` file a kill mid-write left
+/// behind (fresh starts and successful completions both clear the
+/// checkpoint state).
 pub fn clear_fragments(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.ends_with(".json") || (name.starts_with('.') && name.ends_with(".tmp")) {
-            let _ = std::fs::remove_file(path);
-        }
-    }
+    clear_records(dir, "");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_sim::telemetry::{Histogram, StageRecord};
 
     // Build the snapshot by hand (fields are public) rather than through
     // the process-global telemetry collector, so these tests cannot race
@@ -293,17 +169,24 @@ mod tests {
         }
     }
 
+    fn assert_same(a: &FigureRecord, b: &FigureRecord) {
+        assert_eq!(a.id, b.id);
+        assert_eq!(a.title, b.title);
+        assert_eq!(a.output, b.output);
+        assert_eq!(a.wall_ns, b.wall_ns);
+        assert_eq!(a.telemetry, b.telemetry);
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mosaic-frag-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
-    fn fragment_round_trips_exactly() {
+    fn envelope_round_trips_exactly() {
         let rec = sample_record();
-        let doc = to_json(&rec, "quick");
-        let parsed = Json::parse(&doc.to_string_pretty()).unwrap();
-        let back = from_json(&parsed, "quick").unwrap();
-        assert_eq!(back.id, rec.id);
-        assert_eq!(back.title, rec.title);
-        assert_eq!(back.output, rec.output);
-        assert_eq!(back.wall_ns, rec.wall_ns);
-        assert_eq!(back.telemetry, rec.telemetry);
+        assert_same(&from_json(&to_json(&rec, "quick"), "quick").unwrap(), &rec);
     }
 
     #[test]
@@ -320,21 +203,20 @@ mod tests {
         doc.set("schema", "bogus/v0");
         assert!(from_json(&doc, "quick").is_err());
         let mut doc = to_json(&rec, "quick");
-        doc.set("values", Json::object());
+        doc.set("wall_ns", -1.0);
         assert!(from_json(&doc, "quick").is_err());
     }
 
     #[test]
     fn write_load_clear_cycle() {
-        let dir = std::env::temp_dir().join(format!("mosaic-frag-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("cycle");
         let rec = sample_record();
         write_fragment(&dir, &rec, "quick").unwrap();
         let loaded = load_fragment(&dir, "F9", "quick").expect("fragment loads");
-        assert_eq!(loaded.output, rec.output);
-        assert_eq!(loaded.telemetry, rec.telemetry);
+        assert_same(&loaded, &rec);
         // Wrong mode or id: ignored.
         assert!(load_fragment(&dir, "F9", "full").is_none());
+        std::fs::copy(fragment_path(&dir, "F9"), fragment_path(&dir, "F1")).unwrap();
         assert!(load_fragment(&dir, "F1", "quick").is_none());
         clear_fragments(&dir);
         assert!(load_fragment(&dir, "F9", "quick").is_none());
@@ -343,8 +225,7 @@ mod tests {
 
     #[test]
     fn clear_removes_stale_temp_files() {
-        let dir = std::env::temp_dir().join(format!("mosaic-frag-tmp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("tmp");
         write_fragment(&dir, &sample_record(), "quick").unwrap();
         // A kill between write and rename leaves the writer's temp file,
         // for a figure fragment or an in-figure checkpoint alike.
@@ -356,17 +237,6 @@ mod tests {
         for path in &stale {
             assert!(!path.exists(), "{} survived clear", path.display());
         }
-        assert!(load_fragment(&dir, "F9", "quick").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn deeply_nested_fragment_is_ignored() {
-        let dir = std::env::temp_dir().join(format!("mosaic-frag-nest-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // A megabyte of `[`: a parse error, not a stack overflow.
-        std::fs::write(fragment_path(&dir, "F9"), "[".repeat(1 << 20)).unwrap();
         assert!(load_fragment(&dir, "F9", "quick").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

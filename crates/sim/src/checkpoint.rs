@@ -25,7 +25,18 @@
 //! `digest`, then every rollup field by name. Integers are fixed-width
 //! lowercase hex strings — 16 digits for `u64`, 32 for `u128`, arrays of
 //! 16-digit strings for histograms — because the JSON number layer is
-//! f64-backed and would round counts above 2^53.
+//! f64-backed and would round counts above 2^53. [`decode`] accepts
+//! exactly that spelling: no sign, no extra digits.
+//!
+//! # Record files
+//!
+//! This is also the one record-file layer, shared by the rollup
+//! checkpoints and `run_all`'s fragments (`mosaic_bench::fragments`):
+//! [`write_atomic`] writes a record, [`read_record`] loads one (a missing
+//! or corrupt file is `None`, and the caller recomputes), [`check_schema`]
+//! starts every decoder and [`clear_records`] deletes a family. Each
+//! record type checks its own key — `(batch, digest)`, `(mode, id)` — in
+//! its decode closure.
 
 use crate::json::Json;
 use mosaic_units::{MosaicError, Result};
@@ -144,20 +155,7 @@ impl FileStore {
     /// mid-save left behind, leaving every other file in the directory
     /// alone — what a completed fold calls.
     pub fn clear(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let prefix = format!("{}-b", self.family);
-        let tmp_prefix = format!(".{prefix}");
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if (name.starts_with(&prefix) && name.ends_with(".json"))
-                || (name.starts_with(&tmp_prefix) && name.ends_with(".tmp"))
-            {
-                let _ = std::fs::remove_file(path);
-            }
-        }
+        clear_records(&self.dir, &format!("{}-b", self.family));
     }
 }
 
@@ -174,20 +172,62 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// Read the record at `path` and `decode` it. A missing file is `None`
+/// without a word (nothing was saved yet); an unreadable, unparsable or
+/// rejected file logs one stderr line with the path and the reason and
+/// is `None` too — either way the caller recomputes what the record held.
+pub fn read_record<T>(
+    path: &Path,
+    decode: impl FnOnce(&Json) -> std::result::Result<T, String>,
+) -> Option<T> {
+    let text = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        text => text,
+    };
+    let decoded = text
+        .map_err(|e| format!("unreadable: {e}"))
+        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
+        .and_then(|doc| decode(&doc));
+    match decoded {
+        Ok(record) => Some(record),
+        Err(e) => {
+            eprintln!("[checkpoint] ignoring {}: {e}", path.display());
+            None
+        }
+    }
+}
+
+/// Reject `doc` unless its `schema` field is exactly `expected`.
+pub fn check_schema(doc: &Json, expected: &str) -> std::result::Result<(), String> {
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(s) if s == expected => Ok(()),
+        other => Err(format!("schema: expected {expected:?}, got {other:?}")),
+    }
+}
+
+/// Delete the records `<prefix>*.json` under `dir`, and the temp files
+/// `.<prefix>*.tmp` that [`write_atomic`] leaves when a kill lands
+/// between write and rename. Every other file stays; an empty `prefix`
+/// clears every record in `dir`.
+pub fn clear_records(dir: &Path, prefix: &str) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let tmp_prefix = format!(".{prefix}");
+    for entry in entries.flatten() {
+        let path = entry.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if (name.starts_with(prefix) && name.ends_with(".json"))
+            || (name.starts_with(&tmp_prefix) && name.ends_with(".tmp"))
+        {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 impl<R: ExactRollup> Store<R> for FileStore {
     fn load(&mut self, batch: u64, digest: u64) -> Option<R> {
-        let path = self.path(batch);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match Json::parse(&text)
-            .map_err(|e| format!("{e:?}"))
-            .and_then(|doc| decode(&doc, batch, digest))
-        {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("[checkpoint] ignoring invalid {}: {e}", path.display());
-                None
-            }
-        }
+        read_record(&self.path(batch), |doc| decode(doc, batch, digest))
     }
 
     fn save(&mut self, batch: u64, digest: u64, rollup: &R) -> Result<()> {
@@ -206,11 +246,18 @@ fn hex64(v: u64) -> Json {
     Json::from(format!("{v:016x}"))
 }
 
+/// A `digits`-wide lowercase hex integer, exactly as [`encode`] spells
+/// it: a sign, a wider or narrower string or an uppercase digit is
+/// rejected, not read as the number it might denote.
+fn parse_hex(v: Option<&Json>, digits: usize, what: &str) -> std::result::Result<u128, String> {
+    v.and_then(Json::as_str)
+        .filter(|s| s.len() == digits && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|s| u128::from_str_radix(s, 16).ok())
+        .ok_or_else(|| format!("{what}: missing or not {digits} lowercase hex digits"))
+}
+
 fn parse_hex64(v: Option<&Json>, what: &str) -> std::result::Result<u64, String> {
-    let s = v
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: missing or not a string"))?;
-    u64::from_str_radix(s, 16).map_err(|_| format!("{what}: not a hex integer"))
+    parse_hex(v, 16, what).map(|x| x as u64)
 }
 
 /// A rollup as checkpoint JSON.
@@ -238,10 +285,7 @@ pub fn decode<R: ExactRollup>(
     batch: u64,
     digest: u64,
 ) -> std::result::Result<R, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == R::SCHEMA => {}
-        other => return Err(format!("schema: expected {:?}, got {other:?}", R::SCHEMA)),
-    }
+    check_schema(doc, R::SCHEMA)?;
     if parse_hex64(doc.get("batch"), "batch")? != batch {
         return Err("batch mismatch".into());
     }
@@ -257,11 +301,7 @@ pub fn decode<R: ExactRollup>(
         let v = doc.get(name);
         let parsed = match field {
             Field::U64(x) => parse_hex64(v, name).map(|p| *x = p),
-            Field::U128(x) => v
-                .and_then(Json::as_str)
-                .and_then(|s| u128::from_str_radix(s, 16).ok())
-                .map(|p| *x = p)
-                .ok_or_else(|| format!("{name}: missing or not a hex integer")),
+            Field::U128(x) => parse_hex(v, 32, name).map(|p| *x = p),
             Field::U64s(xs) => match v.and_then(Json::as_arr) {
                 Some(arr) if arr.len() == xs.len() => arr
                     .iter()

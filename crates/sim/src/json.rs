@@ -40,11 +40,12 @@ impl Json {
         self
     }
 
-    /// Insert or replace `key` in an object. No-op on non-objects.
+    /// Insert or replace `key` in an object (the occurrence [`Json::get`]
+    /// reads). No-op on non-objects.
     pub fn set(&mut self, key: &str, value: impl Into<Json>) {
         if let Json::Obj(pairs) = self {
             let value = value.into();
-            if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) {
+            if let Some(slot) = pairs.iter_mut().rev().find(|(k, _)| k == key) {
                 slot.1 = value;
             } else {
                 pairs.push((key.to_string(), value));
@@ -52,10 +53,12 @@ impl Json {
         }
     }
 
-    /// Look up `key` in an object.
+    /// Look up `key` in an object. When a parsed document repeats a key,
+    /// the last occurrence wins, as it does when the pairs are collected
+    /// into a map (and in JavaScript's `JSON.parse`).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -68,10 +71,11 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is an integral non-negative number.
+    /// The value as a `u64`, if it is an integral number in `u64` range
+    /// (`2^64` and above are rejected, not saturated).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < u64::MAX as f64 => {
                 Some(*x as u64)
             }
             _ => None,
@@ -590,5 +594,15 @@ mod tests {
         assert_eq!(v.get("c").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.as_obj().unwrap().len(), 3);
+        // A repeated key reads and writes its last occurrence.
+        let mut v = Json::parse(r#"{"a": 1, "b": 0, "a": 2}"#).unwrap();
+        assert_eq!(v.get("a").and_then(Json::as_u64), Some(2));
+        v.set("a", 3u64);
+        assert_eq!(v.to_string_compact(), r#"{"a":1,"b":0,"a":3}"#);
+        // `as_u64` takes only what a u64 holds: 2^64 is not saturated.
+        assert_eq!(Json::Num(u64::MAX as f64).as_u64(), None);
+        assert_eq!(Json::Num(-1.0).as_u64(), None);
+        assert_eq!(Json::Num(0.5).as_u64(), None);
+        assert_eq!(Json::Num(2f64.powi(63)).as_u64(), Some(1 << 63));
     }
 }

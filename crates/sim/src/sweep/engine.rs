@@ -8,7 +8,6 @@
 //! retry budgets) lives in [`super::scheduler`], and the outcome types
 //! of panic-tolerant retries in [`super::resilience`].
 
-use crate::telemetry::Stopwatch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -277,21 +276,6 @@ impl RunStats {
     }
 }
 
-/// Run `f`, timing it into a [`RunStats`] with the given trial count and
-/// the ambient thread configuration. Also records a `measured` telemetry
-/// stage so manifest timings cover figure-level work.
-pub fn measured<T>(trials: u64, f: impl FnOnce() -> T) -> (T, RunStats) {
-    measured_as("measured", trials, f)
-}
-
-/// [`measured`] with an explicit telemetry stage label.
-pub fn measured_as<T>(label: &str, trials: u64, f: impl FnOnce() -> T) -> (T, RunStats) {
-    let threads = Exec::from_env().threads();
-    let start = Stopwatch::start();
-    let out = crate::telemetry::stage(label, trials, f);
-    (out, RunStats::new(trials, start.elapsed(), threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,15 +398,25 @@ mod tests {
     }
 
     #[test]
-    fn measured_counts_and_times() {
-        let _collector = crate::telemetry::test_guard::shared();
-        let (v, stats) = measured(42, || 7u32);
-        assert_eq!(v, 7);
+    fn run_stats_count_and_report() {
+        let stats = RunStats::new(42, Duration::from_millis(20), 3);
         assert_eq!(stats.trials, 42);
-        assert!(stats.trials_per_sec() > 0.0);
+        assert_eq!(stats.threads, 3);
+        assert!((stats.trials_per_sec() - 2100.0).abs() < 1e-6);
         assert_eq!(stats.panics, 0);
+        assert_eq!(stats.retries, 0);
         assert_eq!(stats.failed_trials, 0);
+        // A zero wall time is clamped, not a division by zero.
+        assert!(RunStats::new(1, Duration::ZERO, 1)
+            .trials_per_sec()
+            .is_finite());
         stats.report("selftest");
+        RunStats {
+            panics: 2,
+            retries: 2,
+            ..stats
+        }
+        .report("selftest");
     }
 
     #[test]

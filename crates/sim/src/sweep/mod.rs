@@ -27,6 +27,6 @@ pub mod engine;
 pub mod resilience;
 pub mod scheduler;
 
-pub use engine::{chunk_count, chunk_len, measured, measured_as, Exec, RunStats, THREADS_ENV};
+pub use engine::{chunk_count, chunk_len, Exec, RunStats, THREADS_ENV};
 pub use resilience::{ResilientRun, TrialFailure};
 pub use scheduler::{TrialCtx, TrialPlan};

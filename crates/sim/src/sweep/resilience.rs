@@ -35,7 +35,7 @@ pub struct ResilientRun<T> {
     /// Trials that failed every attempt, in trial order.
     pub failures: Vec<TrialFailure>,
     /// Trial/fault statistics for the run (wall time left at zero — the
-    /// caller's [`super::measured_as`] wrapper owns timing).
+    /// caller owns timing).
     pub stats: RunStats,
 }
 

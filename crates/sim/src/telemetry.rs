@@ -73,6 +73,45 @@ impl Histogram {
             )
             .with("total", self.total)
     }
+
+    /// The inverse of `to_json`, for the histogram named `name`.
+    fn from_json(name: &str, h: &Json) -> Result<Self, String> {
+        let edges = f64_arr(h.get("edges"), &format!("histogram {name} edges"))?;
+        let counts = h
+            .get("counts")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("histogram {name}: no counts"))?
+            .iter()
+            .map(|c| {
+                c.as_u64()
+                    .ok_or_else(|| format!("histogram {name}: bad count"))
+            })
+            .collect::<Result<Vec<u64>, String>>()?;
+        let total = h
+            .get("total")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("histogram {name}: no total"))?;
+        if counts.len() != edges.len() + 1 {
+            return Err(format!("histogram {name}: counts/edges length mismatch"));
+        }
+        Ok(Histogram {
+            edges,
+            counts,
+            total,
+        })
+    }
+}
+
+/// An array of numbers, as [`Json::from`] writes a `&[f64]`.
+fn f64_arr(v: Option<&Json>, what: &str) -> Result<Vec<f64>, String> {
+    v.and_then(Json::as_arr)
+        .ok_or_else(|| format!("{what}: missing or not an array"))?
+        .iter()
+        .map(|x| {
+            x.as_f64()
+                .ok_or_else(|| format!("{what}: non-numeric element"))
+        })
+        .collect()
 }
 
 /// One completed stage: a labelled, timed unit of work.
@@ -95,6 +134,25 @@ impl StageRecord {
             .with("trials", self.trials)
             .with("wall_ns", self.wall_ns)
             .with("cpu_ns", self.cpu_ns)
+    }
+
+    /// The inverse of `to_json`.
+    fn from_json(s: &Json) -> Result<Self, String> {
+        let int = |key: &str| {
+            s.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("stage {key}: missing or not a non-negative integer"))
+        };
+        Ok(StageRecord {
+            name: s
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("stage name: missing or not a string")?
+                .to_string(),
+            trials: int("trials")?,
+            wall_ns: int("wall_ns")?,
+            cpu_ns: int("cpu_ns")?,
+        })
     }
 }
 
@@ -136,6 +194,38 @@ impl Snapshot {
     /// The timing part as JSON: one record per stage.
     pub fn timings_json(&self) -> Json {
         Json::Arr(self.stages.iter().map(|s| s.to_json()).collect())
+    }
+
+    /// The inverse of [`Snapshot::values_json`] and
+    /// [`Snapshot::timings_json`]: rebuild a snapshot from its `values`
+    /// object and its `stages` array, rejecting any shape those writers
+    /// do not produce.
+    pub fn from_json(values: &Json, stages: &Json) -> Result<Snapshot, String> {
+        let section = |key: &str| {
+            values
+                .get(key)
+                .and_then(Json::as_obj)
+                .ok_or(format!("values.{key}: missing or not an object"))
+        };
+        let mut snap = Snapshot::default();
+        for (k, v) in section("counters")? {
+            let count = v
+                .as_u64()
+                .ok_or_else(|| format!("values.counters.{k}: not an integer"))?;
+            snap.counters.insert(k.clone(), count);
+        }
+        for (k, h) in section("histograms")? {
+            snap.histograms
+                .insert(k.clone(), Histogram::from_json(k, h)?);
+        }
+        for (k, xs) in section("series")? {
+            snap.series
+                .insert(k.clone(), f64_arr(Some(xs), &format!("series {k}"))?);
+        }
+        for s in stages.as_arr().ok_or("stages: not an array")? {
+            snap.stages.push(StageRecord::from_json(s)?);
+        }
+        Ok(snap)
     }
 
     /// Total trials across all stages.
@@ -397,6 +487,58 @@ mod tests {
         let timings = snap.timings_json().to_string_pretty();
         assert!(timings.contains("wall_ns"));
         assert!(timings.contains("\"trials\": 3"));
+    }
+
+    // Built by hand, not through the collector, so no guard is needed.
+    fn sample_snapshot() -> Snapshot {
+        let mut snap = Snapshot::default();
+        snap.counters.insert("trials.demo".into(), 42);
+        snap.histograms.insert(
+            "h.demo".into(),
+            Histogram {
+                edges: vec![1.0, 2.0],
+                counts: vec![0, 1, 0],
+                total: 1,
+            },
+        );
+        snap.series.insert("s.demo".into(), vec![0.25, -1.0, 3e-9]);
+        snap.stages.push(StageRecord {
+            name: "st.demo".into(),
+            trials: 7,
+            wall_ns: 99,
+            cpu_ns: 55,
+        });
+        snap
+    }
+
+    #[test]
+    fn snapshot_json_round_trips_exactly() {
+        let snap = sample_snapshot();
+        let values = Json::parse(&snap.values_json().to_string_pretty()).unwrap();
+        let stages = Json::parse(&snap.timings_json().to_string_pretty()).unwrap();
+        assert_eq!(Snapshot::from_json(&values, &stages), Ok(snap));
+    }
+
+    #[test]
+    fn snapshot_from_json_rejects_other_shapes() {
+        let snap = sample_snapshot();
+        let (values, stages) = (snap.values_json(), snap.timings_json());
+        assert!(Snapshot::from_json(&Json::object(), &stages).is_err());
+        assert!(Snapshot::from_json(&values, &Json::Null).is_err());
+        let mut bad = values.clone();
+        bad.set("counters", Json::object().with("c", -1.0));
+        assert!(Snapshot::from_json(&bad, &stages).is_err());
+        let mut bad = values;
+        bad.set(
+            "histograms",
+            Json::object().with(
+                "h",
+                Histogram::new(&[1.0])
+                    .to_json()
+                    .with("counts", Json::Arr(vec![])),
+            ),
+        );
+        assert!(Snapshot::from_json(&bad, &stages).is_err());
     }
 
     #[test]

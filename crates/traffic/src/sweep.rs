@@ -9,7 +9,10 @@
 //!
 //! Runs fold through [`TrialPlan::fold_checkpointed`] in batches of
 //! [`RUNS_PER_BATCH`], keyed by [`point_digest`]: the same checkpoint
-//! protocol as the hyperfleet (see [`mosaic_sim::checkpoint`]).
+//! protocol as the hyperfleet (see [`mosaic_sim::checkpoint`]). The
+//! store is any [`Store`] of [`TrafficRollup`] — a
+//! [`FileStore`](mosaic_sim::checkpoint::FileStore) in F19, [`NoStore`]
+//! for a plain run, an in-memory map in the tests.
 //! `stop_after_batches` bounds the batches executed *this invocation*
 //! (the kill/resume drill); `Ok(None)` means "stopped early, resume me".
 
@@ -23,39 +26,6 @@ use mosaic_units::{MosaicError, Result};
 
 /// Harness runs folded per checkpoint batch.
 pub const RUNS_PER_BATCH: u64 = 4;
-
-/// A sweep's checkpoint store: [`Store`] at [`TrafficRollup`], as a named
-/// trait that callers can implement directly. Every
-/// `Store<TrafficRollup>` ([`mosaic_sim::checkpoint::FileStore`],
-/// [`NoStore`]) is one.
-pub trait TrafficStore {
-    /// The cumulative rollup checkpointed after `batch`, if present and
-    /// stamped with `digest`.
-    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup>;
-    /// Persist the cumulative rollup after `batch`.
-    fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()>;
-}
-
-impl<S: Store<TrafficRollup>> TrafficStore for S {
-    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
-        Store::load(self, batch, digest)
-    }
-    fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()> {
-        Store::save(self, batch, digest, rollup)
-    }
-}
-
-/// A [`TrafficStore`] seen as the [`Store`] the checkpointed fold takes.
-struct AsStore<'a>(&'a mut dyn TrafficStore);
-
-impl Store<TrafficRollup> for AsStore<'_> {
-    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
-        self.0.load(batch, digest)
-    }
-    fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()> {
-        self.0.save(batch, digest, rollup)
-    }
-}
 
 /// FNV-1a digest over the full point configuration and seed — the
 /// checkpoint-store key that makes stale checkpoints unloadable.
@@ -120,7 +90,7 @@ pub fn run_point_with(
     seed: u64,
     runs: u64,
     exec: &Exec,
-    store: &mut dyn TrafficStore,
+    store: &mut dyn Store<TrafficRollup>,
     stop_after_batches: Option<u64>,
 ) -> Result<Option<TrafficRollup>> {
     cfg.validate()?;
@@ -131,7 +101,7 @@ pub fn run_point_with(
         .fold_checkpointed(
             exec,
             Checkpoints {
-                store: &mut AsStore(store),
+                store,
                 digest: point_digest(cfg, seed, runs),
                 batch_trials: RUNS_PER_BATCH,
                 stop_after_batches,
@@ -220,7 +190,7 @@ mod tests {
         map: BTreeMap<(u64, u64), TrafficRollup>,
     }
 
-    impl TrafficStore for MemStore {
+    impl Store<TrafficRollup> for MemStore {
         fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
             self.map.get(&(batch, digest)).copied()
         }

@@ -4,10 +4,11 @@
 //! and across merge orders — the exact-integer contract `FleetRollup`
 //! established, upheld for live-traffic accounting.
 
+use mosaic_sim::checkpoint::Store;
 use mosaic_sim::sweep::Exec;
 use mosaic_traffic::{
     point_digest, run_one, run_point, run_point_with, Policy, TrafficConfig, TrafficRollup,
-    TrafficStore, RUNS_PER_BATCH,
+    RUNS_PER_BATCH,
 };
 use mosaic_units::Result;
 use std::collections::BTreeMap;
@@ -28,7 +29,7 @@ struct MemStore {
     saved: BTreeMap<u64, (u64, TrafficRollup)>,
 }
 
-impl TrafficStore for MemStore {
+impl Store<TrafficRollup> for MemStore {
     fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
         self.saved
             .get(&batch)

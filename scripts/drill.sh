@@ -9,9 +9,10 @@
 #       on disk; the resumed run, at another thread count, must print what
 #       a clean run prints and leave no checkpoint behind.
 #   scripts/drill.sh run_all <figures>
-#       `run_all --quick` stopped after <figures> figures and resumed from
-#       its fragments must write the results/ tree and manifest values of
-#       a clean run.
+#       `run_all --quick` stopped after <figures> figures, one of its
+#       fragments then overwritten with hostile bytes, and resumed from
+#       its fragments must re-run that figure and write the results/ tree
+#       and manifest values of a clean run.
 #
 # Every drill runs in a fresh temporary directory (the binaries write
 # results/ under the working directory), so the checkout is never
@@ -32,7 +33,7 @@ checkpoints() {
 }
 
 usage() {
-    sed -n '2,14p' "$self" >&2
+    sed -n '2,15p' "$self" >&2
     exit 2
 }
 
@@ -78,10 +79,17 @@ run_all)
     mv results results-fresh
     "$bin_dir/run_all" --quick --stop-after "$figures"
     test "$(ls results/manifests/fragments/*.json | wc -l)" = "$figures"
-    "$bin_dir/run_all" --quick --resume --manifest-out resumed.json
+    # A megabyte of `[` where a fragment was: it must load as corrupt and
+    # its figure re-run, not be trusted or kill the resume.
+    victim=$(ls results/manifests/fragments/*.json | head -n 1)
+    head -c 1048576 /dev/zero | tr '\0' '[' > "$victim"
+    "$bin_dir/run_all" --quick --resume --manifest-out resumed.json 2> resumed.err ||
+        { cat resumed.err >&2; exit 1; }
+    grep -q "resumed $((figures - 1)) figures from fragments" resumed.err ||
+        { cat resumed.err >&2; echo "run_all: corrupt $victim was not re-run" >&2; exit 1; }
     diff -r --exclude=manifests results-fresh results
     "$bin_dir/bench-report" diff fresh.json resumed.json --values-only
-    echo "run_all: kill after $figures figures resumes byte-identically"
+    echo "run_all: kill after $figures figures, one fragment corrupt, resumes byte-identically"
     ;;
 *)
     usage
