@@ -10,8 +10,12 @@
 //!
 //! Fingerprints come from [`crate::report`] and are line-insensitive, so
 //! unrelated edits that shift code around do not churn the baseline.
+//! `--diff OLD NEW` is the same ratchet between two report files: each is
+//! read as a `Baseline` ([`Baseline::from_report_json`]) and OLD checks NEW.
 
+use crate::report;
 use std::collections::BTreeSet;
+use std::io;
 use std::path::Path;
 
 pub const SCHEMA: &str = "mosaic-lint-baseline/v1";
@@ -52,8 +56,12 @@ impl Baseline {
 
     /// Ratchet check: the current run must introduce no fingerprint the
     /// baseline does not know, and must not grow the allow count.
-    pub fn check(&self, allowed: usize, fingerprints: &[String]) -> RatchetReport {
-        let current: BTreeSet<&str> = fingerprints.iter().map(String::as_str).collect();
+    pub fn check<'a>(
+        &self,
+        allowed: usize,
+        fingerprints: impl IntoIterator<Item = &'a String>,
+    ) -> RatchetReport {
+        let current: BTreeSet<&str> = fingerprints.into_iter().map(String::as_str).collect();
         let mut rep = RatchetReport::default();
         for fp in &current {
             if !self.fingerprints.contains(*fp) {
@@ -91,89 +99,82 @@ impl Baseline {
 
     /// Parse the JSON emitted by [`Baseline::to_json`]. A tiny
     /// hand-rolled reader (the crate is dependency-free); returns `None`
-    /// on schema mismatch or malformed input.
+    /// on schema mismatch or malformed input, never panics.
     pub fn from_json(text: &str) -> Option<Baseline> {
-        if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-            return None;
-        }
-        let allowed = text
-            .split("\"allowed\":")
-            .nth(1)?
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .ok()?;
-        let mut fingerprints = BTreeSet::new();
+        let allowed = schema_and_allowed(text, SCHEMA, text)?;
         let list = text.split("\"fingerprints\"").nth(1)?;
-        let open = list.find('[')?;
-        let close = list.find(']')?;
-        for part in list[open + 1..close].split(',') {
-            let fp = part.trim().trim_matches('"');
-            if fp.is_empty() {
-                continue;
-            }
-            if fp.len() != 16 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
-                return None;
-            }
-            fingerprints.insert(fp.to_string());
-        }
+        let list = list.split_once('[')?.1.split_once(']')?.0;
+        let fingerprints = list
+            .split(',')
+            .map(|part| part.trim())
+            .filter(|part| !part.is_empty())
+            .map(|part| fingerprint(part.strip_prefix('"')?.strip_suffix('"')?))
+            .collect::<Option<_>>()?;
         Some(Baseline {
             allowed,
             fingerprints,
         })
     }
 
-    pub fn load(path: &Path) -> std::io::Result<Baseline> {
-        let text = std::fs::read_to_string(path)?;
-        Baseline::from_json(&text).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: not a {SCHEMA} document", path.display()),
-            )
+    /// Read the ratchet view of a [`report::SCHEMA`] document written by
+    /// [`Report::to_json`](crate::report::Report::to_json): its
+    /// `summary.allowed` and the fingerprint of every diagnostic. `None`
+    /// on schema mismatch or malformed input, never a panic. `--diff`
+    /// compares two reports as `old.check(new.allowed, &new.fingerprints)`.
+    pub fn from_report_json(text: &str) -> Option<Baseline> {
+        let summary = text.split_once("\"summary\": {")?.1.split_once('}')?.0;
+        let allowed = schema_and_allowed(text, report::SCHEMA, summary)?;
+        let fingerprints = text
+            .split("\"fingerprint\": \"")
+            .skip(1)
+            .map(|part| fingerprint(part.split_once('"')?.0))
+            .collect::<Option<_>>()?;
+        Some(Baseline {
+            allowed,
+            fingerprints,
         })
     }
 
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+    pub fn load(path: &Path) -> io::Result<Baseline> {
+        read(path, SCHEMA, Baseline::from_json)
+    }
+
+    /// [`Baseline::from_report_json`] on the file at `path`.
+    pub fn load_report(path: &Path) -> io::Result<Baseline> {
+        read(path, report::SCHEMA, Baseline::from_report_json)
+    }
+
+    pub fn save(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.to_json())
     }
 }
 
-/// Diff two `mosaic-lint-report/v2` JSON documents by fingerprint and
-/// allow count. Returns (added, removed, allow_delta) where a positive
-/// delta means the new report allows more. Used by CI to compare the
-/// current run against the previous run's artifact.
-pub fn diff_reports(old_json: &str, new_json: &str) -> (Vec<String>, Vec<String>, i64) {
-    let old_fps = report_fingerprints(old_json);
-    let new_fps = report_fingerprints(new_json);
-    let added = new_fps.difference(&old_fps).cloned().collect();
-    let removed = old_fps.difference(&new_fps).cloned().collect();
-    let delta = report_allowed(new_json) as i64 - report_allowed(old_json) as i64;
-    (added, removed, delta)
+fn read(path: &Path, schema: &str, parse: fn(&str) -> Option<Baseline>) -> io::Result<Baseline> {
+    let text = std::fs::read_to_string(path)?;
+    parse(&text).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("not a {schema} document"),
+        )
+    })
 }
 
-fn report_fingerprints(json: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for part in json.split("\"fingerprint\": \"").skip(1) {
-        if let Some(end) = part.find('"') {
-            out.insert(part[..end].to_string());
-        }
+/// The `"allowed": N` count inside `section`, if `text` declares `schema`.
+fn schema_and_allowed(text: &str, schema: &str, section: &str) -> Option<usize> {
+    if !text.contains(&format!("\"schema\": \"{schema}\"")) {
+        return None;
     }
-    out
+    let digits = section.split_once("\"allowed\":")?.1.trim_start();
+    let end = digits
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(digits.len());
+    digits[..end].parse().ok()
 }
 
-fn report_allowed(json: &str) -> usize {
-    json.split("\"allowed\":")
-        .nth(1)
-        .map(|rest| {
-            rest.trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-        })
-        .and_then(|digits| digits.parse().ok())
-        .unwrap_or(0)
+/// A fingerprint as [`report::hex16`] writes it: 16 lowercase hex digits.
+fn fingerprint(s: &str) -> Option<String> {
+    let ok = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    ok.then(|| s.to_string())
 }
 
 #[cfg(test)]
@@ -222,23 +223,73 @@ mod tests {
         assert!(Baseline::from_json("{\"schema\": \"mosaic-lint-baseline/v1\"}").is_none());
         let bad_fp = "{\n  \"schema\": \"mosaic-lint-baseline/v1\",\n  \"allowed\": 1,\n  \"fingerprints\": [\n    \"nothex\"\n  ]\n}\n";
         assert!(Baseline::from_json(bad_fp).is_none());
+        // `]` before `[` once sliced the list backwards and panicked.
+        let reversed =
+            "{\"schema\": \"mosaic-lint-baseline/v1\", \"allowed\": 0, \"fingerprints\": ] [ }";
+        assert!(Baseline::from_json(reversed).is_none());
+        let unclosed = format!(
+            "{{\"schema\": \"mosaic-lint-baseline/v1\", \"allowed\": 0, \"fingerprints\": [\"{}\"",
+            fp(1)
+        );
+        assert!(Baseline::from_json(&unclosed).is_none());
+    }
+
+    fn report_json(allowed: usize, fps: &[String]) -> String {
+        let diags: Vec<String> = fps
+            .iter()
+            .map(|f| format!("{{\"fingerprint\": \"{f}\"}}"))
+            .collect();
+        format!(
+            "{{\"schema\": \"mosaic-lint-report/v2\", \"summary\": {{\"deny\": 0, \"allowed\": {allowed}}}, \"diagnostics\": [{}]}}",
+            diags.join(", ")
+        )
     }
 
     #[test]
     fn report_diff_by_fingerprint() {
-        let old = format!(
-            "{{\"summary\": {{\"allowed\": 2}}, \"diagnostics\": [{{\"fingerprint\": \"{}\"}}, {{\"fingerprint\": \"{}\"}}]}}",
-            fp(1),
-            fp(2)
-        );
-        let new = format!(
-            "{{\"summary\": {{\"allowed\": 3}}, \"diagnostics\": [{{\"fingerprint\": \"{}\"}}, {{\"fingerprint\": \"{}\"}}]}}",
-            fp(1),
-            fp(9)
-        );
-        let (added, removed, delta) = diff_reports(&old, &new);
-        assert_eq!(added, vec![fp(9)]);
-        assert_eq!(removed, vec![fp(2)]);
-        assert_eq!(delta, 1);
+        let old = Baseline::from_report_json(&report_json(2, &[fp(1), fp(2)])).expect("old");
+        let new = Baseline::from_report_json(&report_json(3, &[fp(1), fp(9)])).expect("new");
+        assert_eq!(new, Baseline::new(3, vec![fp(1), fp(9)]));
+        let rep = old.check(new.allowed, &new.fingerprints);
+        assert_eq!(rep.new_fingerprints, vec![fp(9)]);
+        assert_eq!(rep.retired, vec![fp(2)]);
+        assert_eq!(rep.allow_regression, Some((2, 3)));
+    }
+
+    #[test]
+    fn report_reader_round_trips_a_real_report() {
+        use crate::report::{Diagnostic, Level, Report};
+        let diag = |level, line| Diagnostic {
+            rule: "R1".into(),
+            level,
+            file: "x.rs".into(),
+            line,
+            message: "say \"allowed\": 9 and \"fingerprint\": \"x\"".into(),
+            reason: Some("r".into()),
+            fingerprint: String::new(),
+        };
+        let mut r = Report {
+            diagnostics: vec![diag(Level::Allowed, 1), diag(Level::Deny, 2)],
+            ..Report::default()
+        };
+        r.finish();
+        let read = Baseline::from_report_json(&r.to_json()).expect("parses");
+        assert_eq!(read, Baseline::new(1, r.fingerprints()));
+    }
+
+    #[test]
+    fn report_reader_rejects_other_documents() {
+        for text in [
+            "garbage\n",
+            "",
+            &Baseline::new(0, vec![fp(1)]).to_json(),
+            &report_json(1, &[fp(1)]).replace("report/v2", "report/v1"),
+            &report_json(1, &[fp(1)]).replace("\"allowed\": 1", "\"allowed\": x"),
+            &report_json(1, &["nothex".into()]),
+            &report_json(1, &[fp(1)]).replace("\"}]", ""),
+            "\"schema\": \"mosaic-lint-report/v2\" }  \"summary\": {",
+        ] {
+            assert!(Baseline::from_report_json(text).is_none(), "{text:?}");
+        }
     }
 }

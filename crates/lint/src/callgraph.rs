@@ -1,8 +1,7 @@
 //! The workspace call graph and the global (interprocedural) passes.
 //!
-//! Built from the per-file [`FileFacts`](crate::symbols::FileFacts), so
-//! it composes with the incremental cache: unchanged files contribute
-//! cached facts, and the graph is rebuilt from facts in microseconds.
+//! Built from the per-file [`FileFacts`] alone: no source is re-read
+//! once the facts are extracted.
 //!
 //! Resolution is name-shaped and deliberately conservative in both
 //! directions, with the bias chosen per rule:

@@ -381,10 +381,10 @@ mod tests {
 
     #[test]
     fn comments_are_captured_with_lines() {
-        let lexed = lex("x();\n// lint: allow(R3) reason=test\ny();");
+        let lexed = lex("x();\n// lint: allow(R1) reason=test\ny();");
         assert_eq!(lexed.comments.len(), 1);
         assert_eq!(lexed.comments[0].line, 2);
-        assert!(lexed.comments[0].text.contains("allow(R3)"));
+        assert!(lexed.comments[0].text.contains("allow(R1)"));
     }
 
     #[test]

@@ -1,28 +1,28 @@
 //! `mosaic_lint` — the workspace invariant checker.
 //!
 //! Statically enforces the invariants the runtime crates established:
-//! deterministic iteration (R1), clock/entropy hygiene (R2), scoped
-//! panic-freedom (R3, superseded by R7 for the workspace), allocation-free
-//! Monte-Carlo kernels (R4), seed-stream discipline (R5), exact parallel
-//! reductions (R6), and panic reachability from fallible entry points
-//! (R7). See `rules` for the catalogue, DESIGN.md §9 and §14 for the
-//! methodology, and `cargo run -p mosaic_lint` for the driver.
+//! deterministic iteration (R1), clock/entropy hygiene (R2),
+//! allocation-free Monte-Carlo kernels (R4), seed-stream discipline (R5),
+//! exact parallel reductions (R6), and panic reachability from fallible
+//! entry points (R7). (R3, a file-list panic scope, was superseded by R7
+//! and retired; its number is not reused.) See `rules` for the catalogue,
+//! DESIGN.md §9 and §14 for the methodology, and `cargo run -p
+//! mosaic_lint` for the driver.
 //!
 //! The engine is dependency-free (the build environment vendors
 //! everything and has no `syn`): a hand-rolled lexer (`lexer`), a
 //! structural pass for test spans / function bodies / allow annotations
 //! (`scan`), per-file fact extraction (`symbols`), a workspace call
 //! graph for the interprocedural rules (`callgraph`), token-pattern
-//! rules (`rules`), an incremental facts cache (`cache`), a ratchet
-//! baseline (`baseline`), and a deterministic report (`report`).
+//! rules (`rules`), a ratchet baseline (`baseline`), and a deterministic
+//! report (`report`).
 //!
 //! # Pipeline
 //!
 //! 1. **Collect**: every `.rs` file of every workspace member is lexed
-//!    into a [`symbols::FileFacts`] — local findings (R1–R4), function
-//!    definitions with call and panic sites, RNG derivation sites, and
-//!    allow annotations. This is the expensive phase and the unit of
-//!    incrementality: facts are cached per file keyed by content hash.
+//!    into a [`symbols::FileFacts`] — local findings (R1, R2, R4–R6),
+//!    function definitions with call and panic sites, RNG derivation
+//!    sites, and allow annotations. This is the expensive phase.
 //! 2. **Global passes**: duplicate-label detection (R5), panic
 //!    reachability over the call graph (R7), and exactness-registry
 //!    hygiene (R6) run over all facts and append findings per file.
@@ -32,7 +32,6 @@
 //!    line-insensitive) for the baseline ratchet and CI trend diffs.
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod lexer;
 pub mod report;
@@ -41,7 +40,7 @@ pub mod scan;
 pub mod symbols;
 
 use lexer::Tok;
-use report::{fnv64, Diagnostic, Level, Report, SymbolStats};
+use report::{Diagnostic, Level, Report, SymbolStats};
 use rules::Config;
 use std::collections::BTreeMap;
 use std::io;
@@ -53,18 +52,6 @@ pub use rules::default_config;
 /// Lint every crate of the workspace at `root` (each `crates/*` package
 /// plus the root package), returning the aggregated report.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
-    lint_workspace_cached(root, cfg, None)
-}
-
-/// [`lint_workspace`] with an incremental facts cache. When `cache_path`
-/// is given, per-file facts are reused for files whose content hash and
-/// config digest match the previous run, and the cache is rewritten
-/// afterwards. The report is byte-identical with and without the cache.
-pub fn lint_workspace_cached(
-    root: &Path,
-    cfg: &Config,
-    cache_path: Option<&Path>,
-) -> io::Result<Report> {
     let mut units: Vec<(String, PathBuf)> = Vec::new();
     // Root package (`src/`), scanned as crate "repro".
     if root.join("src").is_dir() {
@@ -89,22 +76,10 @@ pub fn lint_workspace_cached(
         }
     }
 
-    let digest = cache::config_digest(cfg);
-    let cached = cache_path
-        .and_then(|p| cache::load(p, digest))
-        .unwrap_or_default();
-
-    let mut hashed: Vec<(u64, FileFacts)> = Vec::new();
+    let mut facts: Vec<FileFacts> = Vec::new();
     for (crate_name, src_dir) in &units {
-        collect_facts(cfg, crate_name, root, src_dir, &cached, &mut hashed)?;
+        collect_facts(cfg, crate_name, root, src_dir, &mut facts)?;
     }
-
-    if let Some(path) = cache_path {
-        let refs: Vec<(u64, &FileFacts)> = hashed.iter().map(|(h, f)| (*h, f)).collect();
-        cache::store(path, digest, &refs);
-    }
-
-    let facts: Vec<FileFacts> = hashed.into_iter().map(|(_, f)| f).collect();
     finalize(root, cfg, facts)
 }
 
@@ -117,28 +92,18 @@ pub fn lint_src_dir(
     rel_root: &Path,
     src_dir: &Path,
 ) -> io::Result<Report> {
-    let mut hashed: Vec<(u64, FileFacts)> = Vec::new();
-    collect_facts(
-        cfg,
-        crate_name,
-        rel_root,
-        src_dir,
-        &cache::Cache::default(),
-        &mut hashed,
-    )?;
-    let facts: Vec<FileFacts> = hashed.into_iter().map(|(_, f)| f).collect();
+    let mut facts: Vec<FileFacts> = Vec::new();
+    collect_facts(cfg, crate_name, rel_root, src_dir, &mut facts)?;
     finalize(rel_root, cfg, facts)
 }
 
-/// Phase 1: lex + extract facts for every `.rs` file under `src_dir`,
-/// reusing cached facts for unchanged files.
+/// Phase 1: lex + extract facts for every `.rs` file under `src_dir`.
 fn collect_facts(
     cfg: &Config,
     crate_name: &str,
     rel_root: &Path,
     src_dir: &Path,
-    cached: &cache::Cache,
-    out: &mut Vec<(u64, FileFacts)>,
+    out: &mut Vec<FileFacts>,
 ) -> io::Result<()> {
     let mut files = Vec::new();
     collect_rs_files(src_dir, &mut files)?;
@@ -150,12 +115,7 @@ fn collect_facts(
             .to_string_lossy()
             .replace('\\', "/");
         let src = std::fs::read_to_string(&path)?;
-        let hash = fnv64(src.as_bytes());
-        let facts = match cached.entries.get(&rel) {
-            Some((h, f)) if *h == hash && f.crate_name == crate_name => f.clone(),
-            _ => symbols::extract(cfg, crate_name, &rel, &src),
-        };
-        out.push((hash, facts));
+        out.push(symbols::extract(cfg, crate_name, &rel, &src));
     }
     Ok(())
 }

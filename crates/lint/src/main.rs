@@ -4,18 +4,19 @@
 //!
 //! ```text
 //! cargo run -p mosaic_lint [-- --root DIR] [--json-out PATH] [--quiet]
-//!     [--baseline PATH] [--write-baseline PATH] [--cache PATH | --no-cache]
+//!     [--baseline PATH] [--write-baseline PATH]
 //! cargo run -p mosaic_lint -- --diff OLD.json NEW.json
 //! ```
 //!
 //! Exit codes: 0 clean (allows and notes are fine), 1 violations or
-//! ratchet regression or diff regression, 2 usage or I/O error.
+//! ratchet regression or diff regression, 2 usage or I/O error, or a
+//! baseline or report file that does not parse.
 //!
 //! Note the driver itself is subject to R2: no `std::time::Instant`
-//! here. CI times warm runs with shell `date +%s%N` instead.
+//! here. CI times the run with shell `date +%s%N` instead.
 
-use mosaic_lint::baseline::{diff_reports, Baseline};
-use std::path::PathBuf;
+use mosaic_lint::baseline::Baseline;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -24,8 +25,6 @@ fn main() -> ExitCode {
     let mut quiet = false;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut cache_override: Option<PathBuf> = None;
-    let mut no_cache = false;
     let mut diff: Option<(PathBuf, PathBuf)> = None;
 
     let mut args = std::env::args().skip(1);
@@ -47,11 +46,6 @@ fn main() -> ExitCode {
                 Some(v) => write_baseline = Some(PathBuf::from(v)),
                 None => return usage("--write-baseline needs a path"),
             },
-            "--cache" => match args.next() {
-                Some(v) => cache_override = Some(PathBuf::from(v)),
-                None => return usage("--cache needs a path"),
-            },
-            "--no-cache" => no_cache = true,
             "--diff" => match (args.next(), args.next()) {
                 (Some(old), Some(new)) => diff = Some((PathBuf::from(old), PathBuf::from(new))),
                 _ => return usage("--diff needs OLD.json NEW.json"),
@@ -78,14 +72,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let cache_path = if no_cache {
-        None
-    } else {
-        Some(cache_override.unwrap_or_else(|| root.join("target/mosaic-lint-cache/v1")))
-    };
-
     let cfg = mosaic_lint::default_config();
-    let report = match mosaic_lint::lint_workspace_cached(&root, &cfg, cache_path.as_deref()) {
+    let report = match mosaic_lint::lint_workspace(&root, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mosaic-lint: I/O error: {e}");
@@ -163,38 +151,32 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--diff OLD NEW`: compare two `mosaic-lint-report/v2` documents by
-/// fingerprint; any added diagnostic or allow growth is a regression.
-fn run_diff(old: &std::path::Path, new: &std::path::Path, quiet: bool) -> ExitCode {
-    let old_json = match std::fs::read_to_string(old) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mosaic-lint: cannot read {}: {e}", old.display());
-            return ExitCode::from(2);
-        }
+/// `--diff OLD NEW`: the ratchet with OLD's report as the baseline. Any
+/// added diagnostic fingerprint or allow growth is a regression.
+fn run_diff(old: &Path, new: &Path, quiet: bool) -> ExitCode {
+    let load = |path: &Path| {
+        Baseline::load_report(path)
+            .map_err(|e| eprintln!("mosaic-lint: cannot read report {}: {e}", path.display()))
     };
-    let new_json = match std::fs::read_to_string(new) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mosaic-lint: cannot read {}: {e}", new.display());
-            return ExitCode::from(2);
-        }
+    let (Ok(old), Ok(new)) = (load(old), load(new)) else {
+        return ExitCode::from(2);
     };
-    let (added, removed, allow_delta) = diff_reports(&old_json, &new_json);
+    let rep = old.check(new.allowed, &new.fingerprints);
     if !quiet {
-        for fp in &removed {
+        for fp in &rep.retired {
             println!("- {fp}");
         }
-        for fp in &added {
+        for fp in &rep.new_fingerprints {
             println!("+ {fp}");
         }
         println!(
-            "mosaic-lint: diff: {} added, {} removed, allow delta {allow_delta:+}",
-            added.len(),
-            removed.len()
+            "mosaic-lint: diff: {} added, {} removed, allow delta {:+}",
+            rep.new_fingerprints.len(),
+            rep.retired.len(),
+            new.allowed as i128 - old.allowed as i128
         );
     }
-    if added.is_empty() && allow_delta <= 0 {
+    if rep.is_ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -207,7 +189,7 @@ fn usage(msg: &str) -> ExitCode {
 }
 
 const HELP: &str = "\
-mosaic_lint — workspace invariant checker (rules R1–R7; DESIGN.md §9, §14)
+mosaic_lint — workspace invariant checker (rules R1, R2, R4–R7; DESIGN.md §9, §14)
 
 USAGE:
     cargo run -p mosaic_lint [-- OPTIONS]
@@ -219,9 +201,6 @@ OPTIONS:
                            the baseline or on allow-count growth
     --write-baseline PATH  write the current run as the new baseline
                            (mosaic-lint-baseline/v1)
-    --cache PATH           facts cache location
-                           (default: ROOT/target/mosaic-lint-cache/v1)
-    --no-cache             disable the incremental facts cache
     --diff OLD NEW         compare two report JSONs by fingerprint; exit 1 if
                            NEW adds any diagnostic or grows the allow count
     --quiet                suppress the human table
@@ -230,5 +209,5 @@ OPTIONS:
 EXIT CODES:
     0  no unannotated violations (and ratchet/diff clean, if requested)
     1  violations, ratchet regression, or diff regression
-    2  usage or I/O error
+    2  usage or I/O error, or a baseline or report that does not parse
 ";

@@ -12,6 +12,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Schema tag of [`Report::to_json`] documents.
+pub const SCHEMA: &str = "mosaic-lint-report/v2";
+
 /// Diagnostic severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
@@ -123,10 +126,10 @@ impl Report {
             .collect()
     }
 
-    /// Machine-readable report (schema `mosaic-lint-report/v2`).
+    /// Machine-readable report (schema [`SCHEMA`]).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"schema\": \"mosaic-lint-report/v2\",");
+        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
         let _ = writeln!(s, "  \"summary\": {{");
         let _ = writeln!(s, "    \"deny\": {},", self.deny_count());
         let _ = writeln!(s, "    \"allowed\": {},", self.allowed_count());
@@ -276,8 +279,7 @@ fn digits(mut n: u32) -> usize {
 }
 
 /// FNV-1a 64-bit: the workspace-standard dependency-free hash (matches
-/// the spirit of `DetRng::label_hash`), used for fingerprints, file
-/// content hashes, and the cache's config digest.
+/// the spirit of `DetRng::label_hash`), used for diagnostic fingerprints.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -335,7 +337,7 @@ mod tests {
                 diag("R1", Level::Deny, "b.rs", 3, "HashMap"),
                 Diagnostic {
                     reason: Some("wrapper".into()),
-                    ..diag("R3", Level::Allowed, "a.rs", 9, "panic!")
+                    ..diag("R5", Level::Allowed, "a.rs", 9, "non-literal label")
                 },
             ],
             files: 2,
@@ -352,7 +354,7 @@ mod tests {
         assert_eq!(r.diagnostics[0].file, "a.rs");
         assert_eq!(r.deny_count(), 1);
         assert_eq!(r.allowed_count(), 1);
-        assert_eq!(r.allows_by_rule().get("R3"), Some(&1));
+        assert_eq!(r.allows_by_rule().get("R5"), Some(&1));
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The rule catalogue. R1–R4 are token-pattern checks over the non-test
-//! code of the crates in their scope; R5–R7 are interprocedural (see
-//! `symbols`/`callgraph`) and configured here:
+//! The rule catalogue. R1, R2 and R4 are token-pattern checks over the
+//! non-test code of the crates in their scope; R5–R7 are interprocedural
+//! (see `symbols`/`callgraph`) and configured here. (R3, a file-list
+//! panic scope, was superseded by R7 and retired; the number is not
+//! reused.)
 //!
 //! * **R1 — deterministic iteration**: no `HashMap`/`HashSet`. Their
 //!   iteration order is seeded per process, so any use near a figure
@@ -13,12 +15,6 @@
 //!   wall time flows through `telemetry::Stopwatch`/`stage` (reported as
 //!   advisory timings, never values) and randomness through counter-based
 //!   `DetRng` streams.
-//! * **R3 — scoped panic-freedom**: no `unwrap`/`expect`/`panic!` (and
-//!   the `unreachable!`/`todo!`/`unimplemented!` family) in an explicit
-//!   file-list scope. Superseded in the default catalogue by R7's
-//!   call-graph reachability (its default scope is empty); retained for
-//!   scoped configs and fixtures. The index census (advisory `bound:`
-//!   notes) keeps its own scope in `census_crates`/`census_extra_files`.
 //! * **R4 — no-alloc kernels**: functions in the registry (the RS/BCH
 //!   scratch decoders, the batched slicer, `corrupt_symbols`) must not
 //!   call `Vec::new`/`vec!`/`to_vec`/`collect`/`format!`/`to_string`/
@@ -33,8 +29,13 @@
 //! * **R6 — exact parallel reductions**: accumulation inside a parallel
 //!   fold must be listed in the `exactness` registry, whose entries are
 //!   cross-checked against integer-rollup proof tests.
-//! * **R7 — panic reachability**: panic sites reachable from `pub`
-//!   `try_*` entry points are denied wherever they live.
+//! * **R7 — panic reachability**: panic sites (`unwrap`/`expect` and
+//!   the [`PANIC_MACROS`]) reachable from `pub` `try_*` entry points are
+//!   denied wherever they live.
+//!
+//! Beside the rules, an advisory index census counts index expressions
+//! without a `bound:` note, scoped by `census_crates`/`census_extra_files`;
+//! it never fails a run.
 
 use crate::lexer::Tok;
 use crate::report::{Diagnostic, Level};
@@ -92,10 +93,8 @@ pub struct Config {
     pub r2_crates: CrateSet,
     /// Path suffixes exempt from R2 (the telemetry timer module).
     pub r2_exempt_files: Vec<&'static str>,
-    pub r3_crates: CrateSet,
-    /// Path suffixes *added* to the R3 scope beyond `r3_crates`.
-    pub r3_extra_files: Vec<&'static str>,
-    /// Scope of the advisory index census (formerly tied to R3).
+    /// Scope of the advisory index census: these crates plus the
+    /// `census_extra_files` path suffixes.
     pub census_crates: CrateSet,
     pub census_extra_files: Vec<&'static str>,
     pub registry: Vec<RegistryFn>,
@@ -120,8 +119,6 @@ impl Config {
             r1_crates: CrateSet::Named(vec![]),
             r2_crates: CrateSet::Named(vec![]),
             r2_exempt_files: vec![],
-            r3_crates: CrateSet::Named(vec![]),
-            r3_extra_files: vec![],
             census_crates: CrateSet::Named(vec![]),
             census_extra_files: vec![],
             registry: vec![],
@@ -172,11 +169,8 @@ pub fn default_config() -> Config {
         r1_crates: CrateSet::All,
         r2_crates: CrateSet::All,
         r2_exempt_files: vec!["crates/sim/src/telemetry.rs"],
-        // R3's file-list scope is superseded by R7 reachability: panic
-        // sites are judged by whether a fallible API can reach them, not
-        // by which file they sit in. The census keeps the old scope.
-        r3_crates: CrateSet::Named(vec![]),
-        r3_extra_files: vec![],
+        // Panic sites are judged by R7 reachability, not by which file
+        // they sit in; the census keeps the crates it was written for.
         census_crates: CrateSet::Named(vec!["core", "link", "fec", "units"]),
         census_extra_files: vec![
             "crates/sim/src/sweep/mod.rs",
@@ -417,10 +411,10 @@ const R4_BANNED: &[(&[&str], &str)] = &[
     (&["vec", "!"], "vec!"),
 ];
 
-/// Panicking constructs R3/R7 deny.
-pub const R3_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Panicking macros: R7 panic sites beside `unwrap`/`expect`.
+pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// The file-local findings of R1–R4 plus the index census count.
+/// The file-local findings of R1, R2 and R4 plus the index census count.
 /// Allow-resolution happens later, after the global passes have added
 /// their findings for this file.
 pub fn local_findings(
@@ -442,7 +436,6 @@ pub fn local_findings(
     let sym = |i: usize, c: char| toks.get(i).is_some_and(|t| t.tok == Tok::Sym(c));
 
     let r2_exempt = cfg.r2_exempt_files.iter().any(|s| rel_path.ends_with(s));
-    let r3_extra = cfg.r3_extra_files.iter().any(|s| rel_path.ends_with(s));
     let census_extra = cfg.census_extra_files.iter().any(|s| rel_path.ends_with(s));
 
     for i in 0..toks.len() {
@@ -491,35 +484,6 @@ pub fn local_findings(
                         "rand::random draws from ambient entropy; derive a DetRng stream instead"
                             .into(),
                 });
-            }
-        }
-
-        // R3: scoped panic-freedom (superseded by R7 in the default
-        // catalogue; active only under explicit scopes).
-        if cfg.r3_crates.contains(crate_name) || r3_extra {
-            if sym(i, '.') && sym(i + 2, '(') {
-                if let Some(name @ ("unwrap" | "expect")) = ident(i + 1) {
-                    findings.push(LocalFinding {
-                        rule: "R3".into(),
-                        line: toks[i + 1].line,
-                        message: format!(
-                            "{name}() in library code; return Result (try_*) or annotate the invariant"
-                        ),
-                    });
-                }
-            }
-            if sym(i + 1, '!') {
-                if let Some(name) = ident(i) {
-                    if R3_MACROS.contains(&name) {
-                        findings.push(LocalFinding {
-                            rule: "R3".into(),
-                            line,
-                            message: format!(
-                                "{name}! in library code; return Result or annotate the invariant"
-                            ),
-                        });
-                    }
-                }
             }
         }
 
@@ -702,7 +666,6 @@ mod tests {
         c.r1_crates = CrateSet::All;
         c.r2_crates = CrateSet::All;
         c.r2_exempt_files = vec!["telemetry.rs"];
-        c.r3_crates = CrateSet::All;
         c.census_crates = CrateSet::All;
         c
     }
@@ -741,10 +704,10 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_panics_and_allows_suppress() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // lint: allow(R3) reason=checked above\n    x.unwrap()\n}\nfn g() { panic!(\"boom\") }";
+    fn allows_suppress_the_annotated_line_only() {
+        let src = "fn f() -> usize {\n    // lint: allow(R1) reason=lookup only\n    HashMap::<u8, u8>::new().len()\n}\nfn g() { let _s = HashSet::<u8>::new(); }";
         let d = denies(src);
-        assert_eq!(d, vec![("R3".into(), 5)]);
+        assert_eq!(d, vec![("R1".into(), 5)]);
         let (all, _) = check_file(&cfg_all(), "fec", "x.rs", src);
         assert!(all
             .iter()
@@ -752,24 +715,22 @@ mod tests {
     }
 
     #[test]
-    fn r3_extra_files_extend_scope_beyond_crate_set() {
+    fn census_extra_files_extend_scope_beyond_crate_set() {
         let mut cfg = cfg_all();
-        cfg.r3_crates = CrateSet::Named(vec!["link"]);
-        cfg.r3_extra_files = vec!["crates/sim/src/sweep.rs"];
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
+        cfg.census_crates = CrateSet::Named(vec!["link"]);
+        cfg.census_extra_files = vec!["crates/sim/src/sweep.rs"];
+        let src = "fn f(a: &[u8], i: usize) -> u8 { a[i] }";
         // `sim` is outside the crate set, but the listed file is covered.
-        let (diags, _) = check_file(&cfg, "sim", "crates/sim/src/sweep.rs", src);
-        assert!(diags
-            .iter()
-            .any(|d| d.rule == "R3" && d.level == Level::Deny));
+        let (_, notes) = check_file(&cfg, "sim", "crates/sim/src/sweep.rs", src);
+        assert_eq!(notes, 1);
         // A sibling sim file stays out of scope.
-        let (diags, _) = check_file(&cfg, "sim", "crates/sim/src/optics.rs", src);
-        assert!(diags.iter().all(|d| d.rule != "R3"));
+        let (_, notes) = check_file(&cfg, "sim", "crates/sim/src/optics.rs", src);
+        assert_eq!(notes, 0);
     }
 
     #[test]
     fn stale_and_malformed_allows_are_violations() {
-        let src = "// lint: allow(R3) reason=nothing here\nfn f() {}\n// lint: allow(R1)\n";
+        let src = "// lint: allow(R2) reason=nothing here\nfn f() {}\n// lint: allow(R1)\n";
         let d = denies(src);
         assert_eq!(d.len(), 2);
         assert!(d.iter().all(|(r, _)| r == "lint-allow"));
@@ -825,9 +786,6 @@ mod tests {
         assert!(cfg.r7_crates.contains("core"));
         assert!(!cfg.exactness.is_empty());
         assert!(cfg.method_call_skip.contains(&"sum"));
-        // R3 is superseded: its default scope is empty.
-        assert!(!cfg.r3_crates.contains("core"));
-        // ...but the census kept the old scope.
         assert!(cfg.census_crates.contains("core"));
     }
 }

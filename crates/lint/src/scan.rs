@@ -35,7 +35,7 @@ pub struct FileScan {
     pub tokens: Vec<Token>,
     pub allows: Vec<Allow>,
     pub bad_allows: Vec<BadAllow>,
-    /// Lines carrying a `bound:` comment — the R3 index-census opt-out
+    /// Lines carrying a `bound:` comment — the index-census opt-out
     /// documenting why an index expression cannot overrun.
     pub bound_note_lines: Vec<u32>,
     /// Half-open token-index ranges that are test-only code
@@ -289,13 +289,14 @@ mod tests {
 
     #[test]
     fn allow_annotation_parses() {
-        let scan = FileScan::of("// lint: allow(R3) reason=documented wrapper\nx.unwrap();");
+        let scan =
+            FileScan::of("// lint: allow(R1) reason=lookup only\nuse std::collections::HashMap;");
         assert_eq!(
             scan.allows,
             vec![Allow {
                 line: 1,
-                rule: "R3".into(),
-                reason: "documented wrapper".into()
+                rule: "R1".into(),
+                reason: "lookup only".into()
             }]
         );
         assert!(scan.bad_allows.is_empty());
@@ -303,7 +304,7 @@ mod tests {
 
     #[test]
     fn reasonless_allow_is_malformed() {
-        let scan = FileScan::of("// lint: allow(R3)\nx.unwrap();");
+        let scan = FileScan::of("// lint: allow(R1)\nuse std::collections::HashMap;");
         assert!(scan.allows.is_empty());
         assert_eq!(scan.bad_allows.len(), 1);
     }

@@ -2,12 +2,9 @@
 //! on. One pass over a file produces a [`FileFacts`] — function
 //! definitions with their `impl` context, call sites, panic sites,
 //! `DetRng` stream-derivation sites, parallel-fold accumulation sites,
-//! and the file-local findings of R1–R6 — and nothing else about the
-//! file is needed afterwards. That makes `FileFacts` the unit of
-//! incremental caching (see `cache`): a file whose content hash is
-//! unchanged contributes exactly the same facts, so the global passes
-//! (R5 duplicate labels, R7 reachability) stay correct without
-//! re-lexing.
+//! and the file-local findings of R1, R2 and R4–R6 — and nothing else
+//! about the file is needed afterwards: the global passes (R5 duplicate
+//! labels, R6 registry hygiene, R7 reachability) run on the facts alone.
 //!
 //! Name resolution here is deliberately token-shaped (see `callgraph`
 //! for how the approximation is kept sound for R7): we record *what the
@@ -115,7 +112,7 @@ pub struct FileFacts {
     /// recorded whether or not the site is registered, so stale
     /// exactness-registry entries can be detected.
     pub fold_acc_fns: Vec<String>,
-    /// R1–R6 findings local to this file (pre allow-resolution).
+    /// R1, R2 and R4–R6 findings local to this file (pre allow-resolution).
     pub local: Vec<LocalFinding>,
     pub index_notes: u64,
     pub allows: Vec<Allow>,
@@ -360,7 +357,7 @@ fn collect_calls_and_panics(toks: &[Token], open: usize, close: usize, def: &mut
         }
         if sym_at(toks, j + 1, '!') {
             if let Some(name) = ident_at(toks, j) {
-                if rules::R3_MACROS.contains(&name) {
+                if rules::PANIC_MACROS.contains(&name) {
                     def.panics.push(PanicSite {
                         line: toks[j].line,
                         what: format!("{name}!"),

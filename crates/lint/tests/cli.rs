@@ -1,6 +1,5 @@
 //! Driver-level tests: exit codes, JSON emission, the baseline ratchet,
-//! the incremental cache, and report diffing of the `mosaic_lint`
-//! binary itself.
+//! and report diffing of the `mosaic_lint` binary itself.
 
 use std::path::Path;
 use std::process::Command;
@@ -29,7 +28,7 @@ fn exit_zero_on_the_real_workspace() {
     let out = bin()
         .args(["--root"])
         .arg(workspace_root())
-        .args(["--quiet", "--no-cache"])
+        .args(["--quiet"])
         .output()
         .expect("spawn");
     assert!(
@@ -50,7 +49,7 @@ fn exit_one_on_a_violating_workspace_and_json_reports_it() {
     let out = bin()
         .args(["--root"])
         .arg(&root)
-        .args(["--quiet", "--no-cache", "--json-out"])
+        .args(["--quiet", "--json-out"])
         .arg(&json_path)
         .output()
         .expect("spawn");
@@ -85,7 +84,7 @@ fn baseline_ratchet_rejects_new_allows_and_fingerprints() {
     let out = bin()
         .args(["--root"])
         .arg(&root)
-        .args(["--quiet", "--no-cache", "--write-baseline"])
+        .args(["--quiet", "--write-baseline"])
         .arg(&baseline)
         .output()
         .expect("spawn");
@@ -95,7 +94,7 @@ fn baseline_ratchet_rejects_new_allows_and_fingerprints() {
     let out = bin()
         .args(["--root"])
         .arg(&root)
-        .args(["--no-cache", "--baseline"])
+        .args(["--baseline"])
         .arg(&baseline)
         .output()
         .expect("spawn");
@@ -114,7 +113,7 @@ fn baseline_ratchet_rejects_new_allows_and_fingerprints() {
     let out = bin()
         .args(["--root"])
         .arg(&root)
-        .args(["--quiet", "--no-cache", "--baseline"])
+        .args(["--quiet", "--baseline"])
         .arg(&baseline)
         .output()
         .expect("spawn");
@@ -125,51 +124,26 @@ fn baseline_ratchet_rejects_new_allows_and_fingerprints() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Warm cache runs must produce byte-identical reports, and editing a
-/// file must invalidate exactly its entry (the diagnostics change).
+/// A baseline that does not parse is a usage error (exit 2), never a
+/// panic: `]` before `[` used to slice the fingerprint list backwards.
 #[test]
-fn cached_run_is_byte_identical_and_invalidates_on_edit() {
-    let root = synth_workspace(
-        "cache",
-        "use std::collections::HashMap;\npub fn f() -> Option<HashMap<u8, u8>> { None }\n",
-    );
-    let cache = root.join("lint-cache/v1");
-    let cold_json = root.join("cold.json");
-    let warm_json = root.join("warm.json");
-    let run = |json: &Path| {
-        bin()
+fn malformed_baseline_exits_two() {
+    let root = synth_workspace("bad-baseline", "pub fn f() -> u32 { 1 }\n");
+    let baseline = root.join("baseline.json");
+    for text in [
+        "{\"schema\": \"mosaic-lint-baseline/v1\", \"allowed\": 0, \"fingerprints\": ] [ }",
+        "{\"schema\": \"mosaic-lint-baseline/v1\", \"allowed\": 0, \"fingerprints\": [",
+    ] {
+        std::fs::write(&baseline, text).expect("baseline");
+        let out = bin()
             .args(["--root"])
             .arg(&root)
-            .args(["--quiet", "--cache"])
-            .arg(&cache)
-            .args(["--json-out"])
-            .arg(json)
+            .args(["--quiet", "--baseline"])
+            .arg(&baseline)
             .output()
-            .expect("spawn")
-    };
-    let out = run(&cold_json);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(cache.is_file(), "cache written after the cold run");
-    let out = run(&warm_json);
-    assert_eq!(out.status.code(), Some(1));
-    let cold = std::fs::read_to_string(&cold_json).expect("cold");
-    let warm = std::fs::read_to_string(&warm_json).expect("warm");
-    assert_eq!(cold, warm, "warm cache run must be byte-identical");
-
-    // Fix the violation; the cached facts for the old contents must not
-    // leak into the new report. (The synth workspace keeps baked-in R4/R6
-    // denials from the default registry, so assert on the report.)
-    std::fs::write(
-        root.join("crates/synth/src/lib.rs"),
-        "pub fn f() -> u32 { 1 }\n",
-    )
-    .expect("rewrite lib");
-    run(&warm_json);
-    let fresh = std::fs::read_to_string(&warm_json).expect("fresh");
-    assert!(
-        !fresh.contains("\"rule\": \"R1\""),
-        "edit must invalidate the cache entry: {fresh}"
-    );
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{text}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -187,7 +161,7 @@ fn report_diff_flags_only_regressions() {
         bin()
             .args(["--root"])
             .arg(&root)
-            .args(["--quiet", "--no-cache", "--json-out"])
+            .args(["--quiet", "--json-out"])
             .arg(json)
             .output()
             .expect("spawn")
@@ -217,5 +191,32 @@ fn report_diff_flags_only_regressions() {
     assert_eq!(out.status.code(), Some(1), "growth is a regression");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("added"), "stdout: {stdout}");
+
+    // A side that is not a report is an error, not an empty report.
+    let garbage = root.join("garbage.json");
+    std::fs::write(&garbage, "garbage\n").expect("garbage");
+    for (old, new) in [(&old_json, &garbage), (&garbage, &old_json)] {
+        let out = bin()
+            .args(["--quiet", "--diff"])
+            .arg(old)
+            .arg(new)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{old:?} vs {new:?}");
+    }
+    // An allow count past i64::MAX is growth, not an overflow panic.
+    let huge = root.join("huge.json");
+    let text = std::fs::read_to_string(&old_json).expect("old report");
+    let at = text.find("\"allowed\": ").expect("summary.allowed") + "\"allowed\": ".len();
+    let end = at + text[at..].find(',').expect("comma");
+    let text = format!("{}9223372036854775808{}", &text[..at], &text[end..]);
+    std::fs::write(&huge, text).expect("huge");
+    let out = bin()
+        .args(["--quiet", "--diff"])
+        .arg(&old_json)
+        .arg(&huge)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "allow growth is a regression");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -10,6 +10,6 @@ pub fn after_raw_string() -> usize {
 }
 
 /* /* nested */ still a comment */
-pub fn after_nested_comment(x: Option<u8>) -> u8 {
-    x.unwrap()
+pub fn try_after_nested_comment(x: Option<u8>) -> Result<u8, String> {
+    Ok(x.unwrap())
 }

@@ -1,6 +1,6 @@
 //! R7 failing fixture: panics buried two calls deep behind a fallible
-//! entry point. The file-local scan would need every helper listed in
-//! `r3_extra_files`; reachability finds them wherever they live.
+//! entry point. A file-list scope would need every helper's file listed;
+//! reachability finds them wherever they live.
 
 pub fn try_run(x: u8) -> Result<u8, String> {
     Ok(step(x))

@@ -14,8 +14,8 @@ impl Widget {
         Ok(Widget { n: checked(n) })
     }
 
-    /// Panicking convenience wrapper over `try_new`. Under the old
-    /// file-scoped R3 this needed an allow annotation; under R7 it is a
+    /// Panicking convenience wrapper over `try_new`. A file-scoped panic
+    /// rule would need an allow annotation here; under R7 it is a
     /// structural fact: `new` is unreachable from any `try_*` entry.
     pub fn new(n: u32) -> Widget {
         Widget::try_new(n).expect("invalid n")
