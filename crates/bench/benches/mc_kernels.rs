@@ -15,16 +15,27 @@
 //! `sim.campaign_generate_ns`), a keyed link substream and its one draw,
 //! and one fault window replayed on a reset controller
 //! (`link.degrade_replay_ns_per_window`).
+//!
+//! The `rng` group times the per-draw cost under F4, F6 and F15: 64
+//! words from a long stream, in bulk and one `next_u64` at a time
+//! (ns/u64 = time / 64), F6's 432-channel pool with 4 spares through
+//! `Bernoulli::at_most` (ns/draw = time / 432), and 4096 slicer bits at
+//! F4's −30 and −26 dBm points (ns/bit = time / 4096).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_fec::{DecodeScratch, ReedSolomon};
 use mosaic_link::degrade::DegradeController;
 use mosaic_netsim::hyperfleet::{self, BITS_PER_EPOCH};
+use mosaic_phy::ber::OokReceiver;
+use mosaic_phy::noise::NoiseBudget;
+use mosaic_phy::photodiode::Photodiode;
+use mosaic_phy::tia::Tia;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
 use mosaic_sim::inject::BitErrorInjector;
-use mosaic_sim::montecarlo::run_rs_channel_with;
-use mosaic_sim::rng::DetRng;
+use mosaic_sim::montecarlo::{run_rs_channel_with, SlicerPoint};
+use mosaic_sim::rng::{Bernoulli, DetRng};
 use mosaic_sim::sweep::Exec;
+use mosaic_units::Power;
 
 fn bench_scratch_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("rs_scratch_decode");
@@ -167,6 +178,56 @@ fn bench_hyperfleet(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_rng(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rng");
+    // A stream past its one-block refills, so every buffer is a
+    // lane-sliced one, as in a Monte-Carlo slab.
+    let mut rng = DetRng::new(0xF4);
+    let mut slab = [0u64; 64];
+    rng.fill_u64(&mut slab);
+    g.throughput(Throughput::Elements(64));
+    g.bench_function("fill_u64_64", |b| {
+        b.iter(|| {
+            rng.fill_u64(&mut slab);
+            slab[63]
+        });
+    });
+    g.bench_function("next_u64_64", |b| {
+        b.iter(|| (0..64).fold(0u64, |acc, _| acc ^ rng.next_u64()));
+    });
+    // F6's pool: 428 active channels plus 4 spares, each failing within
+    // the 7-year horizon with F6's probability (about 1.3e-3), so nearly
+    // every pool walks all 432 draws.
+    let fail = Bernoulli::new(1.3e-3);
+    g.throughput(Throughput::Elements(432));
+    g.bench_function("at_most_432_4", |b| {
+        b.iter(|| fail.at_most(432, 4, &mut rng));
+    });
+    // F4's 2 Gb/s receiver at the waterfall's first and last measured
+    // points: most bits need the Box–Muller transform at −30 dBm, almost
+    // none at −26 dBm.
+    let tia = Tia::low_speed(2.0);
+    let rx = OokReceiver {
+        pd: Photodiode::silicon_blue(),
+        noise: NoiseBudget {
+            thermal_a: tia.rms_noise_current(),
+            bandwidth: tia.bandwidth,
+            rin_db_per_hz: None,
+        },
+        extinction_ratio: 6.0,
+    };
+    g.throughput(Throughput::Elements(4096));
+    for dbm in [-30.0, -26.0] {
+        let point = SlicerPoint::of(&rx, Power::from_dbm(dbm));
+        g.bench_with_input(
+            BenchmarkId::new("count_errors_4096", format!("{dbm}dBm")),
+            &point,
+            |b, p| b.iter(|| p.count_errors(4096, &mut rng)),
+        );
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     // Short windows: these are smoke/regression benches, not a tuning lab.
@@ -174,6 +235,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel, bench_hyperfleet
+    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel, bench_hyperfleet, bench_rng
 }
 criterion_main!(benches);

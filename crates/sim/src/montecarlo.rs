@@ -150,6 +150,59 @@ impl SlicerPoint {
         }
     }
 
+    /// The raw-draw cutoff of the exact radius rejection in
+    /// [`SlicerPoint::count_errors_sliced`]: a lane whose Box–Muller
+    /// draw `d1` has `d1 >> 11 > cutoff` is decided correctly whatever
+    /// its angle draw, so its transform can be skipped. `u64::MAX` (no
+    /// lane qualifies) when no margin can be guaranteed.
+    ///
+    /// Derivation (DESIGN §11.5). For `m = d1 >> 11 ≥ 1`,
+    /// [`DetRng::standard_normal_of`] uses `u1 = m·2⁻⁵³` exactly (the
+    /// `MIN_POSITIVE` clamp is below half an ulp of `u1`, so it rounds
+    /// away) and returns `z = fl(R·C)` with `R = fl(√fl(−2·ln u1))` and
+    /// `|C| ≤ 1 + 2⁻⁵²` (a cosine within 1 ulp). With `ln`, `√` and the
+    /// product each within 1 ulp, `|z| ≤ r·(1 + 2⁻⁴⁹)` for the exact
+    /// radius `r = √(−2 ln u1)`.
+    ///
+    /// A one bit is decided right when `fl(i1 + fl(s1·z)) > threshold`.
+    /// Let `t⁺` be the float after `threshold` and `G1 = i1 − t⁺`
+    /// (exact). If `fl(s1·|z|) ≤ G1`, the exact sum is at least `t⁺`,
+    /// and rounding to nearest is monotone, so the rounded sum is at
+    /// least `t⁺ > threshold`. For a zero bit, `G0 = threshold − i0` and
+    /// `fl(s0·|z|) ≤ G0` put the sum at most `threshold`, which is not
+    /// above it. `fl(σ·|z|) ≤ G` holds once `σ·|z| ≤ G/(1 + 2⁻⁵³)` (in
+    /// the subnormal range, once `σ·|z| ≤ G`, since `G` is then a
+    /// float). The computed gaps `g = fl(G)` are within a factor
+    /// `1 ± 2⁻⁵³` of `G`, and `D = fl(fl(min(g1/s1, g0/s0))·(1 − 2⁻³²))`
+    /// loses at most two more roundings, so `r < D` gives `σ·|z| ≤ G`
+    /// with `2⁻³²` to spare — room for libm errors of a million ulps.
+    ///
+    /// `r < D` is `u1 > exp(−D²/2)`. The cutoff
+    /// `M = ⌈fl(fl(exp(−fl(D²)/2))·(1 + 2⁻³²))·2⁵³⌉` has
+    /// `M·2⁻⁵³ ≥ exp(−D²/2)` wherever that bound is at least 2⁻⁵³: there
+    /// `D < 8.6`, so rounding `D²` moves the exponential by less than
+    /// `37·2⁻⁵³` relative, and `exp` adds 1 ulp. Below 2⁻⁵³ every
+    /// `m ≥ 1` already has `u1 > exp(−D²/2)`. The lane `m = 0`
+    /// (`u1 = MIN_POSITIVE`) never passes `m > M`.
+    ///
+    /// The fast path needs finite positive gaps and sigmas and a normal
+    /// `D`; a zero or negative sigma, a NaN or infinite level or
+    /// threshold, a rail at or within one ulp of the threshold, or a `D`
+    /// that over- or underflows sends the whole point down the full path.
+    fn radius_cutoff(&self) -> u64 {
+        /// Relative slack on `D` and on the cutoff.
+        const SLACK: f64 = 1.0 / (1u64 << 32) as f64;
+        let g1 = self.i1 - self.threshold.next_up();
+        let g0 = self.threshold - self.i0;
+        let d = (g1 / self.s1).min(g0 / self.s0) * (1.0 - SLACK);
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        if ![g1, g0, self.s1, self.s0].into_iter().all(positive) || !d.is_normal() {
+            return u64::MAX;
+        }
+        let bound = (-(d * d) * 0.5).exp() * (1.0 + SLACK);
+        (bound * (1u64 << 53) as f64).ceil() as u64
+    }
+
     /// Bit-sliced slicer kernel: transmitted bits and decisions are
     /// packed 64 lanes per `u64` word and errors are counted with one
     /// `popcount(tx ^ decided)` per word.
@@ -157,21 +210,32 @@ impl SlicerPoint {
     /// The draw pass bulk-fills the block's raw words (three per bit, in
     /// the scalar loop's exact order: transmit decision, then the two
     /// Box-Muller uniforms) with one [`DetRng::fill_u64`] call, then
-    /// applies the identical per-draw transforms via [`Bernoulli::decide`]
-    /// and [`DetRng::standard_normal_of`] while packing the transmitted
-    /// bit into `tx[lane]`; the decision pass computes the identical
-    /// float expression `level + sigma·z`, packs the comparator output,
-    /// and XOR/popcounts. Tail blocks shorter than 64 lanes leave the
-    /// high lanes zero in *both* words, so the XOR contributes nothing —
-    /// the tail-lane masking rule of DESIGN §11.
+    /// applies the identical transmit transform via [`Bernoulli::decide`]
+    /// while packing the transmitted bit into `tx[lane]`.
+    ///
+    /// Decide before transforming: a lane whose radius draw is above
+    /// [`SlicerPoint::radius_cutoff`] has `|z|` short of both rails'
+    /// distances to the threshold, so the full transform could not flip
+    /// it. Such a lane keeps `z = 0`, which decides it the same way (the
+    /// cutoff exists only when each rail is strictly on its side), and
+    /// only the rest go through [`DetRng::standard_normal_of`]. Every
+    /// lane still consumes its three draws, so the stream is untouched.
+    ///
+    /// The decision pass computes the identical float expression
+    /// `level + sigma·z`, packs the comparator output, and
+    /// XOR/popcounts. Tail blocks shorter than 64 lanes leave the high
+    /// lanes zero in *both* words, so the XOR contributes nothing — the
+    /// tail-lane masking rule of DESIGN §11.
     #[cfg_attr(all(not(test), feature = "scalar-kernels"), allow(dead_code))]
     pub fn count_errors_sliced(&self, bits: u64, rng: &mut DetRng) -> u64 {
         const WORD: usize = 64;
         const BLOCK: usize = 256;
         const DRAWS_PER_BIT: usize = 3;
         let half = Bernoulli::new(0.5);
+        let cutoff = self.radius_cutoff();
         let mut tx = [0u64; BLOCK / WORD];
         let mut zs = [0f64; BLOCK];
+        let mut near = [0usize; BLOCK];
         let mut draws = [0u64; DRAWS_PER_BIT * BLOCK];
         let mut errors = 0u64;
         let mut remaining = bits;
@@ -180,9 +244,20 @@ impl SlicerPoint {
             let words = len.div_ceil(WORD);
             tx[..words].fill(0);
             rng.fill_u64(&mut draws[..DRAWS_PER_BIT * len]);
-            for j in 0..len {
-                let one = half.decide(draws[DRAWS_PER_BIT * j]);
+            // Branch-free compaction: every lane writes its index, and
+            // only a lane that needs the transform advances the cursor.
+            let mut n = 0;
+            for (j, d) in draws[..DRAWS_PER_BIT * len]
+                .chunks_exact(DRAWS_PER_BIT)
+                .enumerate()
+            {
+                let one = half.decide(d[0]);
                 tx[j / WORD] |= (one as u64) << (j % WORD);
+                zs[j] = 0.0;
+                near[n] = j;
+                n += usize::from(d[1] >> 11 <= cutoff);
+            }
+            for &j in &near[..n] {
                 zs[j] = DetRng::standard_normal_of(
                     draws[DRAWS_PER_BIT * j + 1],
                     draws[DRAWS_PER_BIT * j + 2],
@@ -472,31 +547,195 @@ mod tests {
         assert_eq!(m.errors, 0);
     }
 
+    /// `x` moved `k` floats up (`k > 0`) or down.
+    fn ulps(mut x: f64, k: i32) -> f64 {
+        for _ in 0..k.unsigned_abs() {
+            x = if k > 0 { x.next_up() } else { x.next_down() };
+        }
+        x
+    }
+
+    /// An operating point of one of four families, by `family % 4`:
+    /// rails `d1`/`d0` of their own sigmas from the threshold under
+    /// unequal noises `s1`/`s0`; rails `k1`/`k0` floats from the
+    /// threshold under noises of 0.075–0.75 of a float step (`s/4e-6`
+    /// of one); the first family with a zero one-rail sigma; or with a
+    /// NaN threshold.
+    fn drawn_point(
+        family: u8,
+        t: f64,
+        (d1, d0): (f64, f64),
+        (s1, s0): (f64, f64),
+        (k1, k0): (i32, i32),
+    ) -> SlicerPoint {
+        let spaced = SlicerPoint {
+            i1: t + d1 * s1,
+            i0: t - d0 * s0,
+            s1,
+            s0,
+            threshold: t,
+        };
+        match family % 4 {
+            0 => spaced,
+            1 => {
+                let step = t.next_up() - t;
+                SlicerPoint {
+                    i1: ulps(t, k1),
+                    i0: ulps(t, -k0),
+                    s1: step * s1 / 4e-6,
+                    s0: step * s0 / 4e-6,
+                    threshold: t,
+                }
+            }
+            2 => SlicerPoint { s1: 0.0, ..spaced },
+            _ => SlicerPoint {
+                threshold: f64::NAN,
+                ..spaced
+            },
+        }
+    }
+
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
         #[test]
         fn sliced_slicer_matches_scalar_reference(
             seed in 0u64..500,
             bits in 0u64..2000,
-            snr in 1.0f64..8.0,
+            family in 0u8..4,
+            t in 1e-6f64..2e-5,
+            d1 in 0.0f64..12.0,
+            d0 in 0.0f64..12.0,
+            s1 in 0.3e-6f64..3e-6,
+            s0 in 0.3e-6f64..3e-6,
+            k1 in 0i32..5,
+            k0 in 0i32..5,
         ) {
             // The bit-sliced slicer must reproduce the scalar loop
             // exactly: same error count AND same final RNG state (so
-            // downstream draws are unaffected). `snr` spaces the rails in
-            // units of the noise sigma, sweeping error rates from ~0.5 to
-            // ~1e-4.
-            let point = SlicerPoint {
-                i1: 10e-6 + snr * 1e-6,
-                i0: 10e-6 - snr * 1e-6,
-                s1: 1.1e-6,
-                s0: 0.9e-6,
-                threshold: 10e-6,
-            };
+            // downstream draws are unaffected), whether the point takes
+            // the radius rejection or the full path. Spacings of 0 to 12
+            // sigmas sweep error rates from 0.5 to below 1e-30; the
+            // float-step family puts the rounding of `level + sigma·z`
+            // at stake.
+            let point = drawn_point(family, t, (d1, d0), (s1, s0), (k1, k0));
             let mut rng_sliced = DetRng::new(seed);
             let mut rng_ref = DetRng::new(seed);
             let sliced = point.count_errors_sliced(bits, &mut rng_sliced);
             let scalar = point.count_errors_scalar(bits, &mut rng_ref);
-            proptest::prop_assert_eq!(sliced, scalar);
+            proptest::prop_assert_eq!(sliced, scalar, "{:?}", point);
             proptest::prop_assert_eq!(rng_sliced.next_u64(), rng_ref.next_u64());
+        }
+    }
+
+    /// Whether the full transform of raw draws `(d1, d2)` decides both
+    /// rails right (the points it is called on have no NaN).
+    fn decides_both_rails(p: &SlicerPoint, d1: u64, d2: u64) -> bool {
+        let z = DetRng::standard_normal_of(d1, d2);
+        p.i1 + p.s1 * z > p.threshold && p.i0 + p.s0 * z <= p.threshold
+    }
+
+    /// The radius rejection's cutoff is exact at its edge: for the raw
+    /// radius draws just above it and the angle draws at `cos = +1`
+    /// (`u2 = 0`) and `cos = −1` (`u2 = 1/2`), the full transform decides
+    /// both rails correctly. Points: F4's five measured 2 Gb/s points,
+    /// unequal noises, a threshold at zero, and rails two and three
+    /// floats from the threshold under sub-step noise, where the
+    /// one-float margin is all that separates a right decision from a
+    /// rounding to the threshold.
+    #[test]
+    fn radius_cutoff_is_exact_at_its_edge() {
+        let rx = {
+            let tia = mosaic_phy::tia::Tia::low_speed(2.0);
+            OokReceiver {
+                noise: NoiseBudget {
+                    thermal_a: tia.rms_noise_current(),
+                    bandwidth: tia.bandwidth,
+                    rin_db_per_hz: None,
+                },
+                ..mosaic_rx()
+            }
+        };
+        let mut points: Vec<SlicerPoint> = [-30.0, -29.0, -28.0, -27.0, -26.0]
+            .iter()
+            .map(|&dbm| SlicerPoint::of(&rx, Power::from_dbm(dbm)))
+            .collect();
+        let t = 1e-5f64;
+        let step = t.next_up() - t;
+        points.push(drawn_point(0, t, (3.0, 5.0), (2e-6, 0.7e-6), (0, 0)));
+        // A threshold at zero: the gaps are as large as the levels, so a
+        // rounding of `sigma·z` outweighs the one-float threshold margin.
+        for d in [0.5, 1.0, 1.3, 1.6, 2.0, 2.5, 3.0, 4.0, 6.0] {
+            points.push(drawn_point(0, 0.0, (d, d), (1.0, 1.0), (0, 0)));
+            points.push(drawn_point(0, 0.0, (d, 1.7 * d), (0.3, 1.3), (0, 0)));
+        }
+        for (k, sigmas) in [(2, 8.0), (3, 4.0), (2, 0.5)] {
+            points.push(SlicerPoint {
+                i1: ulps(t, k),
+                i0: ulps(t, -k),
+                s1: step / sigmas,
+                s0: step / sigmas,
+                threshold: t,
+            });
+        }
+        for p in &points {
+            let cutoff = p.radius_cutoff();
+            assert!(cutoff + 1000 < 1 << 53, "fast path expected for {p:?}");
+            for m in cutoff + 1..=cutoff + 1000 {
+                for d2 in [0, 1 << 63] {
+                    assert!(decides_both_rails(p, m << 11, d2), "{p:?} m {m} d2 {d2}");
+                }
+            }
+        }
+    }
+
+    /// No margin, no rejection: at the points the cutoff cannot cover,
+    /// no raw radius draw (`m < 2⁵³`) passes it, so every lane takes the
+    /// full path.
+    #[test]
+    fn radius_cutoff_is_off_where_no_margin_holds() {
+        let t = 1e-5f64;
+        let base = drawn_point(0, t, (4.0, 4.0), (1e-6, 1e-6), (0, 0));
+        assert!(base.radius_cutoff() < 1 << 53);
+        for p in [
+            SlicerPoint { s1: 0.0, ..base },
+            SlicerPoint { s0: -1e-6, ..base },
+            SlicerPoint {
+                s1: f64::NAN,
+                ..base
+            },
+            SlicerPoint {
+                threshold: f64::NAN,
+                ..base
+            },
+            SlicerPoint { i1: t, ..base },
+            SlicerPoint {
+                i1: t.next_up(),
+                ..base
+            },
+            SlicerPoint { i0: t, ..base },
+            SlicerPoint {
+                i1: f64::INFINITY,
+                ..base
+            },
+            // D overflows, D underflows, D is too small to skip a lane.
+            SlicerPoint {
+                s1: f64::from_bits(1),
+                s0: f64::from_bits(1),
+                ..base
+            },
+            SlicerPoint {
+                s1: 1e308,
+                s0: 1e308,
+                ..base
+            },
+            SlicerPoint {
+                s1: 1e300,
+                s0: 1e300,
+                ..base
+            },
+        ] {
+            assert!(p.radius_cutoff() >= (1 << 53) - 1, "{p:?}");
         }
     }
 

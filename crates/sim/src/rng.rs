@@ -129,9 +129,10 @@ impl Bernoulli {
     /// k-of-n pool-survival inner loop (`n` channels, `cap` spares).
     ///
     /// Draw consumption is exactly that of the sequential early-break
-    /// loop: all `n` draws on success, one draw past the `(cap + 1)`-th
-    /// success on failure — so downstream consumers of the stream see
-    /// identical values either way.
+    /// loop: all `n` draws on success; on failure, the draws up to and
+    /// including the `(cap + 1)`-th success and none after it — so
+    /// downstream consumers of the stream see identical values either
+    /// way.
     ///
     /// The default build packs 64 decisions per `u64` word (DESIGN §11):
     /// a slab of raw draws is bulk-filled, the threshold compares pack

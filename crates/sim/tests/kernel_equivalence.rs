@@ -90,9 +90,54 @@ fn injector_sliced_matches_scalar_at_boundary_counts() {
     }
 }
 
+/// `x` moved `k` floats up (`k > 0`) or down.
+fn ulps(mut x: f64, k: i32) -> f64 {
+    for _ in 0..k.unsigned_abs() {
+        x = if k > 0 { x.next_up() } else { x.next_down() };
+    }
+    x
+}
+
+/// A drawn operating point, by `family % 4`: rails `d.0`/`d.1` of their
+/// own sigmas from the threshold under unequal noises `s`; rails
+/// `k.0`/`k.1` floats from the threshold under noises of 0.075–0.75 of a
+/// float step (`s/4e-6` of one); the first family with a zero zero-rail
+/// sigma; or with a NaN threshold.
+fn drawn_point(family: u8, t: f64, d: (f64, f64), s: (f64, f64), k: (i32, i32)) -> SlicerPoint {
+    let spaced = SlicerPoint {
+        i1: t + d.0 * s.0,
+        i0: t - d.1 * s.1,
+        s1: s.0,
+        s0: s.1,
+        threshold: t,
+    };
+    let step = t.next_up() - t;
+    match family % 4 {
+        0 => spaced,
+        1 => SlicerPoint {
+            i1: ulps(t, k.0),
+            i0: ulps(t, -k.1),
+            s1: step * s.0 / 4e-6,
+            s0: step * s.1 / 4e-6,
+            threshold: t,
+        },
+        2 => SlicerPoint { s0: 0.0, ..spaced },
+        _ => SlicerPoint {
+            threshold: f64::NAN,
+            ..spaced
+        },
+    }
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
     /// Slicer: sliced == scalar for arbitrary bit counts (weighted toward
-    /// the word-boundary cases) from arbitrary stream positions.
+    /// the word-boundary cases) from arbitrary stream positions, at
+    /// drawn operating points: rails 0 to 12 sigmas out, rails a few
+    /// floats from the threshold, a zero sigma and a NaN threshold — the
+    /// points the radius rejection takes and those it leaves to the full
+    /// path.
     #[test]
     fn slicer_equivalence_random(
         seed in any::<u64>(),
@@ -100,17 +145,29 @@ proptest! {
             Just(1u64), Just(63), Just(64), Just(65), Just(1024),
             1u64..2048,
         ],
+        family in 0u8..4,
+        t in 1e-6f64..2e-5,
+        d1 in 0.0f64..12.0,
+        d0 in 0.0f64..12.0,
+        s1 in 0.3e-6f64..3e-6,
+        s0 in 0.3e-6f64..3e-6,
+        k1 in 0i32..5,
+        k0 in 0i32..5,
     ) {
-        let point = slicer_point();
+        let point = drawn_point(family, t, (d1, d0), (s1, s0), (k1, k0));
         let mut rng_s = DetRng::new(seed);
         let mut rng_r = rng_s.clone();
         prop_assert_eq!(
             point.count_errors_sliced(bits, &mut rng_s),
-            point.count_errors_scalar(bits, &mut rng_r)
+            point.count_errors_scalar(bits, &mut rng_r),
+            "{:?}",
+            point
         );
         prop_assert_eq!(rng_s.next_u64(), rng_r.next_u64());
     }
+}
 
+proptest! {
     /// Corruption under arbitrary fault-campaign masks: a lane stream
     /// with an arbitrary marker/data mask, corrupted by the run-gathering
     /// batched path, must equal the word-at-a-time oracle (markers never
