@@ -223,8 +223,9 @@ impl Bch {
         Ok(word)
     }
 
-    /// Syndromes S_1..S_{2t} in GF(2^m). Retained as the per-syndrome
-    /// reference for the fused kernel (used by the differential tests).
+    /// Syndromes S_1..S_{2t} in GF(2^m), one explicit-multiply Horner
+    /// pass per syndrome: the test reference for [`Bch::syndromes_into`];
+    /// no production code calls it.
     #[cfg(test)]
     fn syndromes(&self, word: &[u8]) -> Vec<u16> {
         (1..=(2 * self.t))
@@ -240,31 +241,19 @@ impl Bch {
     }
 
     /// Fused Horner syndrome kernel into `s.synd`; returns true when the
-    /// word is already a codeword. Same exact GF operations per
-    /// accumulator as [`Bch::syndromes`], one pass over the word. The
-    /// default build replaces the per-bit `mul` with the precomputed
-    /// `synd_tables` lookup (`T_i[acc] ^ c` — identical values, see
-    /// DESIGN §11); `--features scalar-kernels` retains the explicit
-    /// multiply form as the differential oracle.
+    /// word is already a codeword. One pass over the word; each
+    /// accumulator steps through its precomputed `synd_tables` lookup
+    /// (`T_i[acc] ^ c`, with `T_i[v] = v·α^i`, see DESIGN §11), so every
+    /// value equals [`Bch::syndromes`] (pinned by the
+    /// `fused_syndromes_match_reference` proptest).
     fn syndromes_into(&self, word: &[u8], s: &mut DecodeScratch) -> bool {
         let two_t = 2 * self.t;
-        s.roots.clear();
-        s.roots.extend((1..=two_t).map(|i| self.field.alpha_pow(i)));
         s.synd.clear();
         s.synd.resize(two_t, 0);
-        #[cfg(feature = "scalar-kernels")]
+        let stride = self.field.size();
         for &c in word {
-            for (acc, &x) in s.synd.iter_mut().zip(&s.roots) {
-                *acc = self.field.add(self.field.mul(*acc, x), c as u16);
-            }
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            let stride = self.field.size();
-            for &c in word {
-                for (acc, table) in s.synd.iter_mut().zip(self.synd_tables.chunks_exact(stride)) {
-                    *acc = table[*acc as usize] ^ c as u16;
-                }
+            for (acc, table) in s.synd.iter_mut().zip(self.synd_tables.chunks_exact(stride)) {
+                *acc = table[*acc as usize] ^ c as u16;
             }
         }
         s.synd.iter().all(|&v| v == 0)

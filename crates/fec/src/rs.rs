@@ -223,10 +223,11 @@ impl ReedSolomon {
         self.syndromes_unchecked(word)
     }
 
-    /// [`ReedSolomon::syndromes`] on a length-validated word (the decode
-    /// paths validate once up front and must stay panic-free). Kept as
-    /// the per-syndrome reference for the fused kernel below; the public
-    /// [`ReedSolomon::syndromes`] still routes through it.
+    /// [`ReedSolomon::syndromes`] on a length-validated word, one
+    /// log/exp `field.mul` Horner pass per syndrome. The per-syndrome
+    /// reference for [`ReedSolomon::syndromes_into`]: it serves the
+    /// public [`ReedSolomon::syndromes`] query and the test reference
+    /// decoder; no decode path calls it.
     fn syndromes_unchecked(&self, word: &[u16]) -> Vec<u16> {
         let two_t = self.n - self.k;
         (0..two_t)
@@ -245,36 +246,22 @@ impl ReedSolomon {
     /// Fused Horner syndrome kernel into `s.synd`; returns true when the
     /// word is already a codeword (all syndromes zero).
     ///
-    /// One pass over the word updates all 2t accumulators — the loop
-    /// interchange versus [`ReedSolomon::syndromes_unchecked`] performs the
-    /// same exact GF(2^m) operations per accumulator, so the results are
-    /// bit-identical while the word streams through cache once.
-    ///
-    /// The default build drives each accumulator through its precomputed
-    /// multiply-by-root table (`acc ← T_i[acc] ⊕ c`, one batched lookup
-    /// per root per symbol, all 2t dependency chains independent);
-    /// `--features scalar-kernels` retains the log/exp `field.mul` form.
-    /// `T_i[v] = v·α^i` by construction, so the two are value-identical
-    /// (pinned by the `fused_syndromes_match_reference` proptest).
+    /// One pass over the word updates all 2t accumulators, each through
+    /// its precomputed multiply-by-root table (`acc ← T_i[acc] ⊕ c`, one
+    /// batched lookup per root per symbol, all 2t dependency chains
+    /// independent). `T_i[v] = v·α^i` by construction, so the loop
+    /// interchange and the tables leave every value equal to
+    /// [`ReedSolomon::syndromes_unchecked`] (pinned by the
+    /// `fused_syndromes_match_reference` proptest) while the word streams
+    /// through cache once.
     fn syndromes_into(&self, word: &[u16], s: &mut DecodeScratch) -> bool {
         let two_t = self.n - self.k;
-        s.roots.clear();
-        s.roots.extend((0..two_t).map(|i| self.field.alpha_pow(i)));
         s.synd.clear();
         s.synd.resize(two_t, 0);
-        #[cfg(feature = "scalar-kernels")]
+        let stride = self.field.size();
         for &c in word {
-            for (acc, &x) in s.synd.iter_mut().zip(&s.roots) {
-                *acc = self.field.add(self.field.mul(*acc, x), c);
-            }
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            let stride = self.field.size();
-            for &c in word {
-                for (acc, table) in s.synd.iter_mut().zip(self.synd_tables.chunks_exact(stride)) {
-                    *acc = table[*acc as usize] ^ c;
-                }
+            for (acc, table) in s.synd.iter_mut().zip(self.synd_tables.chunks_exact(stride)) {
+                *acc = table[*acc as usize] ^ c;
             }
         }
         s.synd.iter().all(|&v| v == 0)

@@ -22,8 +22,6 @@
 pub struct DecodeScratch {
     /// Syndromes S_0..S_{2t−1} (RS) or S_1..S_{2t} (BCH).
     pub(crate) synd: Vec<u16>,
-    /// Horner evaluation points α^i for the fused syndrome kernel.
-    pub(crate) roots: Vec<u16>,
     /// Erasure locator Γ(x).
     pub(crate) gamma: Vec<u16>,
     /// Error/combined locator Λ(x) (Berlekamp-Massey state).

@@ -42,25 +42,10 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320). Dispatches to
-/// the slicing-by-8 kernel by default; `--features scalar-kernels`
-/// retains the byte-table loop ([`crc32_bytewise`]) as the differential
-/// oracle.
-#[inline]
+/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), slicing by 8:
+/// eight bytes per step through eight tables, then the byte loop for the
+/// tail.
 pub fn crc32(data: &[u8]) -> u32 {
-    #[cfg(feature = "scalar-kernels")]
-    {
-        crc32_bytewise(data)
-    }
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        crc32_sliced(data)
-    }
-}
-
-/// Slicing-by-8 CRC-32: eight bytes per step through eight tables, then
-/// the byte loop for the tail.
-pub fn crc32_sliced(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     let mut groups = data.chunks_exact(8);
@@ -82,8 +67,8 @@ pub fn crc32_sliced(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// Byte-at-a-time CRC-32 through one table: the retained scalar oracle
-/// for [`crc32_sliced`].
+/// Byte-at-a-time CRC-32 through one table: the test reference for
+/// [`crc32`]; no production code calls it.
 pub fn crc32_bytewise(data: &[u8]) -> u32 {
     let t = &CRC_TABLES[0];
     let mut crc = 0xFFFF_FFFFu32;
@@ -262,7 +247,6 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..=4096),
         ) {
             prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
-            prop_assert_eq!(crc32_sliced(&data), crc32_bytewise(&data));
         }
 
         #[test]

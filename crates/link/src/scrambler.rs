@@ -49,35 +49,6 @@ impl Scrambler {
         out as u8
     }
 
-    /// Scramble a 64-bit word LSB-first. Dispatches to the word-parallel
-    /// kernel by default; `--features scalar-kernels` retains the bit
-    /// loop as the differential oracle.
-    #[inline]
-    pub fn scramble_word(&mut self, word: u64) -> u64 {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            self.scramble_word_scalar(word)
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            self.scramble_word_sliced(word)
-        }
-    }
-
-    /// Descramble a 64-bit word LSB-first. Dispatches like
-    /// [`Scrambler::scramble_word`].
-    #[inline]
-    pub fn descramble_word(&mut self, word: u64) -> u64 {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            self.descramble_word_scalar(word)
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            self.descramble_word_sliced(word)
-        }
-    }
-
     /// The 58-bit history window in *stream order*: bit `k` is the line
     /// bit from 58−k steps ago (register bit 57−k). The register holds
     /// the newest bit at its LSB, so stream order is the register
@@ -88,8 +59,10 @@ impl Scrambler {
         (self.state.reverse_bits() >> 6) as u128
     }
 
-    /// Word-parallel scramble: all 64 output bits in a handful of shifts
-    /// and XORs (DESIGN §11). With the stream window
+    /// Scramble a 64-bit word LSB-first.
+    ///
+    /// Word-parallel: all 64 output bits in a handful of shifts and XORs
+    /// (DESIGN §11). With the stream window
     /// `window = history | out << 58`, each output bit is
     /// `out_i = word_i ^ window_i ^ window_{i+19}` (the taps at stream
     /// distances 58 and 39). The feedback distance 39 < 64 makes out bits
@@ -97,7 +70,7 @@ impl Scrambler {
     /// form is iterated twice: pass 1 settles bits 0..39 (history only),
     /// pass 2 settles the rest (chain depth ⌈64/39⌉ = 2).
     #[inline]
-    pub fn scramble_word_sliced(&mut self, word: u64) -> u64 {
+    pub fn scramble_word(&mut self, word: u64) -> u64 {
         let h = self.history_window();
         let mut out = 0u64;
         for _ in 0..2 {
@@ -110,20 +83,22 @@ impl Scrambler {
         out
     }
 
-    /// Word-parallel descramble. Self-synchronizing, so the window is
+    /// Descramble a 64-bit word LSB-first.
+    ///
+    /// Word-parallel and self-synchronizing, so the window is
     /// fed with *received* bits — no feedback dependency, single pass:
     /// `out_i = word_i ^ window_i ^ window_{i+19}` with
     /// `window = history | word << 58`.
     #[inline]
-    pub fn descramble_word_sliced(&mut self, word: u64) -> u64 {
+    pub fn descramble_word(&mut self, word: u64) -> u64 {
         let window = self.history_window() | (word as u128) << 58;
         let out = word ^ (window as u64) ^ ((window >> 19) as u64);
         self.state = word.reverse_bits() & ((1u64 << 58) - 1);
         out
     }
 
-    /// Bit-at-a-time scramble, retained as the differential oracle for
-    /// [`Scrambler::scramble_word_sliced`].
+    /// Bit-at-a-time scramble: the test reference for
+    /// [`Scrambler::scramble_word`]; no production code calls it.
     pub fn scramble_word_scalar(&mut self, word: u64) -> u64 {
         let mut out = 0u64;
         for i in 0..64 {
@@ -133,8 +108,8 @@ impl Scrambler {
         out
     }
 
-    /// Bit-at-a-time descramble, retained as the differential oracle for
-    /// [`Scrambler::descramble_word_sliced`].
+    /// Bit-at-a-time descramble: the test reference for
+    /// [`Scrambler::descramble_word`]; no production code calls it.
     pub fn descramble_word_scalar(&mut self, word: u64) -> u64 {
         let mut out = 0u64;
         for i in 0..64 {
@@ -235,9 +210,9 @@ mod tests {
             let mut rx_s = Scrambler { state };
             let mut rx_b = Scrambler { state };
             for &w in &words {
-                prop_assert_eq!(tx_s.scramble_word_sliced(w), tx_b.scramble_word_scalar(w));
+                prop_assert_eq!(tx_s.scramble_word(w), tx_b.scramble_word_scalar(w));
                 prop_assert_eq!(tx_s.state, tx_b.state);
-                prop_assert_eq!(rx_s.descramble_word_sliced(w), rx_b.descramble_word_scalar(w));
+                prop_assert_eq!(rx_s.descramble_word(w), rx_b.descramble_word_scalar(w));
                 prop_assert_eq!(rx_s.state, rx_b.state);
             }
         }

@@ -217,10 +217,9 @@ pub fn default_config() -> Config {
                 harness: None,
             },
             // The bit-sliced Monte-Carlo kernels (slicer, injector,
-            // scrambler, PRBS bank) and their dispatchers: runtime-proved
-            // by the sim-side counting-allocator harness, statically
-            // pinned here. Differential proptests pin values, this rule
-            // pins allocs.
+            // scrambler, PRBS bank): runtime-proved by the sim-side
+            // counting-allocator harness, statically pinned here.
+            // Differential proptests pin values, this rule pins allocs.
             // The rare-event tail sampler's inner batch: one tilted-draw
             // loop per rail, hot inside the adaptive-fidelity tier.
             RegistryFn {
@@ -234,18 +233,8 @@ pub fn default_config() -> Config {
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             RegistryFn {
-                file: "crates/sim/src/montecarlo.rs",
-                func: "count_errors_sliced",
-                harness: Some("crates/sim/tests/alloc_free.rs"),
-            },
-            RegistryFn {
                 file: "crates/sim/src/inject.rs",
                 func: "corrupt_words",
-                harness: Some("crates/sim/tests/alloc_free.rs"),
-            },
-            RegistryFn {
-                file: "crates/sim/src/inject.rs",
-                func: "corrupt_words_sliced",
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             RegistryFn {
@@ -260,12 +249,12 @@ pub fn default_config() -> Config {
             },
             RegistryFn {
                 file: "crates/link/src/scrambler.rs",
-                func: "scramble_word_sliced",
+                func: "scramble_word",
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             RegistryFn {
                 file: "crates/link/src/scrambler.rs",
-                func: "descramble_word_sliced",
+                func: "descramble_word",
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             RegistryFn {

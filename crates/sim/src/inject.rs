@@ -68,29 +68,14 @@ impl BitErrorInjector {
     /// Corrupt a whole slice of 64-bit words in place, treating it as one
     /// contiguous bit stream; returns the number of flips.
     ///
-    /// Dispatches to the batched kernel by default or the retained
-    /// word-at-a-time loop under `--features scalar-kernels`; draws,
-    /// flips, and carried gap are identical either way (pinned by the
-    /// `batched_words_path_equals_word_loop` proptest).
-    #[inline]
+    /// Batched kernel: one geometric-skip loop across the whole slice —
+    /// the per-word boundary bookkeeping (`gap -= 64 − pos` carried word
+    /// to word) collapses into a single `pos >> 6` / `pos & 63` index
+    /// split per *error*, so low-BER slices cost one table-free jump per
+    /// flip regardless of word count. Draws, flips and carried gap equal
+    /// the word-at-a-time loop [`BitErrorInjector::corrupt_words_scalar`]
+    /// (pinned by the `batched_words_path_equals_word_loop` proptest).
     pub fn corrupt_words(&mut self, words: &mut [u64]) -> u64 {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            self.corrupt_words_scalar(words)
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            self.corrupt_words_sliced(words)
-        }
-    }
-
-    /// Batched corruption kernel: one geometric-skip loop across the
-    /// whole slice — the per-word boundary bookkeeping (`gap -= 64 − pos`
-    /// carried word to word) collapses into a single `pos >> 6` /
-    /// `pos & 63` index split per *error*, so low-BER slices cost one
-    /// table-free jump per flip regardless of word count.
-    #[cfg_attr(all(not(test), feature = "scalar-kernels"), allow(dead_code))]
-    pub fn corrupt_words_sliced(&mut self, words: &mut [u64]) -> u64 {
         let n = words.len() as u64 * 64;
         let mut flips = 0u64;
         let mut pos = 0u64;
@@ -107,10 +92,8 @@ impl BitErrorInjector {
         flips
     }
 
-    /// The retained word-at-a-time loop, the differential oracle for
-    /// [`BitErrorInjector::corrupt_words_sliced`]. Active as the
-    /// `corrupt_words` path under `--features scalar-kernels`.
-    #[cfg_attr(not(any(test, feature = "scalar-kernels")), allow(dead_code))]
+    /// The word-at-a-time loop, the test reference for
+    /// [`BitErrorInjector::corrupt_words`]; no production code calls it.
     pub fn corrupt_words_scalar(&mut self, words: &mut [u64]) -> u64 {
         let mut flips = 0u64;
         for w in words.iter_mut() {
@@ -164,52 +147,40 @@ impl BitErrorInjector {
     /// model them as error-free and account their loss separately via
     /// fault injection). Returns flips.
     ///
-    /// The default build gathers runs of consecutive `Data` words into a
-    /// stack buffer and corrupts each run with the batched
-    /// [`BitErrorInjector::corrupt_words`] kernel; markers never consume
-    /// stream positions, so the bit stream — and every draw — is
-    /// identical to the retained word-at-a-time loop (`scalar-kernels`).
+    /// Runs of consecutive `Data` words are gathered into a stack buffer
+    /// and corrupted with the batched [`BitErrorInjector::corrupt_words`]
+    /// kernel; markers never consume stream positions, so the bit stream
+    /// — and every draw — is identical to a word-at-a-time loop over the
+    /// data words (pinned by the `lane_batching_matches_word_loop`
+    /// proptest, which holds that loop as its reference).
     pub fn corrupt_lane(&mut self, lane: &mut [LaneWord]) -> u64 {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            let mut flips = 0u64;
-            for w in lane.iter_mut() {
-                if let LaneWord::Data(d) = w {
-                    flips += self.corrupt_word(d) as u64;
-                }
+        const RUN: usize = 64;
+        let mut buf = [0u64; RUN];
+        let mut flips = 0u64;
+        let mut i = 0;
+        while i < lane.len() {
+            if !matches!(lane[i], LaneWord::Data(_)) {
+                i += 1;
+                continue;
             }
-            flips
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            const RUN: usize = 64;
-            let mut buf = [0u64; RUN];
-            let mut flips = 0u64;
-            let mut i = 0;
-            while i < lane.len() {
-                if !matches!(lane[i], LaneWord::Data(_)) {
-                    i += 1;
-                    continue;
-                }
-                // Gather up to RUN consecutive data words.
-                let mut len = 0;
-                while len < RUN {
-                    match lane.get(i + len) {
-                        Some(LaneWord::Data(d)) => {
-                            buf[len] = *d;
-                            len += 1;
-                        }
-                        _ => break,
+            // Gather up to RUN consecutive data words.
+            let mut len = 0;
+            while len < RUN {
+                match lane.get(i + len) {
+                    Some(LaneWord::Data(d)) => {
+                        buf[len] = *d;
+                        len += 1;
                     }
+                    _ => break,
                 }
-                flips += self.corrupt_words(&mut buf[..len]);
-                for (w, &b) in lane[i..i + len].iter_mut().zip(&buf[..len]) {
-                    *w = LaneWord::Data(b);
-                }
-                i += len;
             }
-            flips
+            flips += self.corrupt_words(&mut buf[..len]);
+            for (w, &b) in lane[i..i + len].iter_mut().zip(&buf[..len]) {
+                *w = LaneWord::Data(b);
+            }
+            i += len;
         }
+        flips
     }
 }
 
@@ -335,7 +306,7 @@ mod tests {
             for round in 0..rounds {
                 let mut a = vec![round as u64; nwords];
                 let mut b = a.clone();
-                let fa = inj_batch.corrupt_words_sliced(&mut a);
+                let fa = inj_batch.corrupt_words(&mut a);
                 let fb = inj_loop.corrupt_words_scalar(&mut b);
                 prop_assert_eq!(fa, fb);
                 prop_assert_eq!(&a, &b);

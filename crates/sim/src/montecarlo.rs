@@ -132,26 +132,8 @@ impl SlicerPoint {
         0.5 * (mosaic_phy::math::normal_tail(d1) + mosaic_phy::math::normal_tail(d0))
     }
 
-    /// Slice `bits` noisy samples from `rng`, returning the error count.
-    ///
-    /// Dispatches to the bit-sliced kernel by default, or to the retained
-    /// scalar loop under `--features scalar-kernels`. Error counts and
-    /// RNG draw sequences are bit-identical either way (pinned by the
-    /// `sliced_slicer_matches_scalar_reference` proptest).
-    #[inline]
-    pub fn count_errors(&self, bits: u64, rng: &mut DetRng) -> u64 {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            self.count_errors_scalar(bits, rng)
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            self.count_errors_sliced(bits, rng)
-        }
-    }
-
     /// The raw-draw cutoff of the exact radius rejection in
-    /// [`SlicerPoint::count_errors_sliced`]: a lane whose Box–Muller
+    /// [`SlicerPoint::count_errors`]: a lane whose Box–Muller
     /// draw `d1` has `d1 >> 11 > cutoff` is decided correctly whatever
     /// its angle draw, so its transform can be skipped. `u64::MAX` (no
     /// lane qualifies) when no margin can be guaranteed.
@@ -203,9 +185,14 @@ impl SlicerPoint {
         (bound * (1u64 << 53) as f64).ceil() as u64
     }
 
-    /// Bit-sliced slicer kernel: transmitted bits and decisions are
-    /// packed 64 lanes per `u64` word and errors are counted with one
-    /// `popcount(tx ^ decided)` per word.
+    /// Slice `bits` noisy samples from `rng`, returning the error count.
+    ///
+    /// Bit-sliced kernel: transmitted bits and decisions are packed 64
+    /// lanes per `u64` word and errors are counted with one
+    /// `popcount(tx ^ decided)` per word. Error counts and RNG draw
+    /// sequences equal the one-bit-at-a-time loop
+    /// [`SlicerPoint::count_errors_scalar`] (pinned by the
+    /// `sliced_slicer_matches_scalar_reference` proptest).
     ///
     /// The draw pass bulk-fills the block's raw words (three per bit, in
     /// the scalar loop's exact order: transmit decision, then the two
@@ -226,8 +213,7 @@ impl SlicerPoint {
     /// XOR/popcounts. Tail blocks shorter than 64 lanes leave the high
     /// lanes zero in *both* words, so the XOR contributes nothing — the
     /// tail-lane masking rule of DESIGN §11.
-    #[cfg_attr(all(not(test), feature = "scalar-kernels"), allow(dead_code))]
-    pub fn count_errors_sliced(&self, bits: u64, rng: &mut DetRng) -> u64 {
+    pub fn count_errors(&self, bits: u64, rng: &mut DetRng) -> u64 {
         const WORD: usize = 64;
         const BLOCK: usize = 256;
         const DRAWS_PER_BIT: usize = 3;
@@ -283,10 +269,8 @@ impl SlicerPoint {
         errors
     }
 
-    /// The retained scalar slicer: one bit at a time, the differential
-    /// oracle for [`SlicerPoint::count_errors_sliced`]. Active as the
-    /// `count_errors` path under `--features scalar-kernels`.
-    #[cfg_attr(not(any(test, feature = "scalar-kernels")), allow(dead_code))]
+    /// The scalar slicer, one bit at a time: the test reference for
+    /// [`SlicerPoint::count_errors`]; no production code calls it.
     pub fn count_errors_scalar(&self, bits: u64, rng: &mut DetRng) -> u64 {
         let mut errors = 0u64;
         for _ in 0..bits {
@@ -621,7 +605,7 @@ mod tests {
             let point = drawn_point(family, t, (d1, d0), (s1, s0), (k1, k0));
             let mut rng_sliced = DetRng::new(seed);
             let mut rng_ref = DetRng::new(seed);
-            let sliced = point.count_errors_sliced(bits, &mut rng_sliced);
+            let sliced = point.count_errors(bits, &mut rng_sliced);
             let scalar = point.count_errors_scalar(bits, &mut rng_ref);
             proptest::prop_assert_eq!(sliced, scalar, "{:?}", point);
             proptest::prop_assert_eq!(rng_sliced.next_u64(), rng_ref.next_u64());

@@ -65,16 +65,13 @@ pub fn bernoulli_threshold(p: f64) -> u64 {
 }
 
 /// A Bernoulli distribution prepared once per sweep config for hot
-/// Monte-Carlo loops. The default build precomputes the integer
-/// threshold (the host-side-table discipline of DESIGN §11) so the
-/// per-draw work is one shift and one compare; `--features
-/// scalar-kernels` retains the original float-compare form. Both consume
-/// one `next_u64` per sample and return identical decisions.
+/// Monte-Carlo loops. It precomputes the integer threshold (the
+/// host-side-table discipline of DESIGN §11) so the per-draw work is one
+/// shift and one compare. Each trial reads one raw `next_u64` draw and
+/// decides exactly as `rng.chance(p)` would (pinned by the
+/// `threshold_chance_is_bit_identical` proptest).
 #[derive(Debug, Clone, Copy)]
 pub struct Bernoulli {
-    #[cfg(feature = "scalar-kernels")]
-    p: f64,
-    #[cfg(not(feature = "scalar-kernels"))]
     threshold: u64,
 }
 
@@ -83,45 +80,19 @@ impl Bernoulli {
     #[inline]
     pub fn new(p: f64) -> Self {
         debug_assert!((0.0..=1.0).contains(&p));
-        #[cfg(feature = "scalar-kernels")]
-        {
-            Bernoulli { p }
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            Bernoulli {
-                threshold: bernoulli_threshold(p),
-            }
-        }
-    }
-
-    /// One trial; exactly equivalent to `rng.chance(p)`.
-    #[inline]
-    pub fn sample(&self, rng: &mut DetRng) -> bool {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            rng.chance(self.p)
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            rng.chance_with_threshold(self.threshold)
+        Bernoulli {
+            threshold: bernoulli_threshold(p),
         }
     }
 
     /// The decision for one raw [`DetRng::next_u64`] draw `d` — exactly
-    /// the comparison [`Bernoulli::sample`] performs after drawing `d`.
-    /// Lets slab-filled kernels (see [`DetRng::fill_u64`]) decide without
+    /// the decision `rng.chance(p)` makes when it draws `d` (see the
+    /// exactness argument on [`bernoulli_threshold`]). Lets slab-filled
+    /// kernels (see [`DetRng::fill_u64`]) decide without
     /// per-trial generator calls.
     #[inline]
     pub fn decide(&self, d: u64) -> bool {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            DetRng::uniform_of(d) < self.p
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            (d >> 11) < self.threshold
-        }
+        (d >> 11) < self.threshold
     }
 
     /// Run up to `n` trials and report whether at most `cap` succeeded,
@@ -134,62 +105,47 @@ impl Bernoulli {
     /// downstream consumers of the stream see identical values either
     /// way.
     ///
-    /// The default build packs 64 decisions per `u64` word (DESIGN §11):
-    /// a slab of raw draws is bulk-filled, the threshold compares pack
-    /// into a decision word, and a popcount counts successes 64 trials
-    /// at a time. An early break overdraws the slab, so the kernel
-    /// rewinds the stream to the sequential loop's exact stopping point
-    /// via [`DetRng::set_word_pos`]. `--features scalar-kernels` retains
-    /// the one-draw-per-trial loop as the differential oracle.
+    /// The kernel packs 64 decisions per `u64` word (DESIGN §11): a slab
+    /// of raw draws is bulk-filled, the threshold compares pack into a
+    /// decision word, and a popcount counts successes 64 trials at a
+    /// time. An early break overdraws the slab, so the kernel rewinds
+    /// the stream to the sequential loop's exact stopping point via
+    /// [`DetRng::set_word_pos`]. The one-draw-per-trial loop is the test
+    /// reference, held inside the `at_most_matches_sequential_loop`
+    /// proptest.
     pub fn at_most(&self, n: usize, cap: usize, rng: &mut DetRng) -> bool {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            let mut successes = 0usize;
-            for _ in 0..n {
-                if self.sample(rng) {
-                    successes += 1;
-                    if successes > cap {
-                        return false;
-                    }
-                }
+        const SLAB: usize = 64;
+        let start = rng.word_pos();
+        let mut draws = [0u64; SLAB];
+        let mut successes = 0usize;
+        let mut done = 0usize;
+        while done < n {
+            let take = SLAB.min(n - done);
+            rng.fill_u64(&mut draws[..take]);
+            // Pack this slab's decisions: bit j = trial (done + j)
+            // succeeded. Tail slabs leave high bits zero.
+            let mut word = 0u64;
+            for (j, &d) in draws[..take].iter().enumerate() {
+                word |= u64::from(self.decide(d)) << j;
             }
-            true
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            const SLAB: usize = 64;
-            let start = rng.word_pos();
-            let mut draws = [0u64; SLAB];
-            let mut successes = 0usize;
-            let mut done = 0usize;
-            while done < n {
-                let take = SLAB.min(n - done);
-                rng.fill_u64(&mut draws[..take]);
-                // Pack this slab's decisions: bit j = trial (done + j)
-                // succeeded. Tail slabs leave high bits zero.
-                let mut word = 0u64;
-                for (j, &d) in draws[..take].iter().enumerate() {
-                    word |= u64::from(self.decide(d)) << j;
+            let c = word.count_ones() as usize;
+            if successes + c > cap {
+                // Locate the (cap + 1 − successes)-th set bit: clear
+                // the lower ones, then index the survivor. The
+                // sequential loop would have stopped right after
+                // that trial, so rewind to its draw position.
+                let mut w = word;
+                for _ in 0..(cap - successes) {
+                    w &= w - 1;
                 }
-                let c = word.count_ones() as usize;
-                if successes + c > cap {
-                    // Locate the (cap + 1 − successes)-th set bit: clear
-                    // the lower ones, then index the survivor. The
-                    // sequential loop would have stopped right after
-                    // that trial, so rewind to its draw position.
-                    let mut w = word;
-                    for _ in 0..(cap - successes) {
-                        w &= w - 1;
-                    }
-                    let idx = w.trailing_zeros() as usize;
-                    rng.set_word_pos(start + 2 * (done + idx + 1) as u64);
-                    return false;
-                }
-                successes += c;
-                done += take;
+                let idx = w.trailing_zeros() as usize;
+                rng.set_word_pos(start + 2 * (done + idx + 1) as u64);
+                return false;
             }
-            true
+            successes += c;
+            done += take;
         }
+        true
     }
 }
 
@@ -288,16 +244,6 @@ impl DetRng {
     pub fn chance(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p));
         self.inner.gen::<f64>() < p
-    }
-
-    /// Bernoulli trial against a [`bernoulli_threshold`]-precomputed
-    /// threshold: consumes exactly one `next_u64` draw, like
-    /// [`DetRng::chance`], and returns the identical decision (see the
-    /// exactness argument on `bernoulli_threshold`; pinned by the
-    /// `threshold_chance_is_bit_identical` proptest).
-    #[inline]
-    pub fn chance_with_threshold(&mut self, threshold: u64) -> bool {
-        (self.next_u64() >> 11) < threshold
     }
 
     /// Standard normal via Box-Muller (one value per call; simple and
@@ -428,8 +374,8 @@ mod tests {
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         let mut r = DetRng::new(1);
-        assert!(!r.chance_with_threshold(bernoulli_threshold(0.0)));
-        assert!(r.chance_with_threshold(bernoulli_threshold(1.0)));
+        assert!(!Bernoulli::new(0.0).decide(r.next_u64()));
+        assert!(Bernoulli::new(1.0).decide(r.next_u64()));
     }
 
     mod proptests {
@@ -455,19 +401,19 @@ mod tests {
             ) {
                 let mut a = DetRng::new(seed);
                 let mut b = DetRng::new(seed);
-                let t = bernoulli_threshold(p);
+                let bern = Bernoulli::new(p);
                 for _ in 0..draws {
-                    prop_assert_eq!(a.chance(p), b.chance_with_threshold(t));
+                    prop_assert_eq!(a.chance(p), bern.decide(b.next_u64()));
                 }
                 // Same stream position afterwards.
                 prop_assert_eq!(a.next_u64(), b.next_u64());
             }
 
-            /// `Bernoulli::at_most` (packed 64-trials-per-word in the
-            /// default build) must match the sequential early-break loop
-            /// in both verdict and exact draw consumption, across slab
-            /// boundaries (n = 1, 63..65, 128) and arbitrary caps —
-            /// including caps the trial count can never exceed.
+            /// `Bernoulli::at_most` (packed 64 trials per word) must
+            /// match the sequential early-break loop in both verdict and
+            /// exact draw consumption, across slab boundaries (n = 1,
+            /// 63..65, 128) and arbitrary caps — including caps the trial
+            /// count can never exceed.
             #[test]
             fn at_most_matches_sequential_loop(
                 seed in any::<u64>(),

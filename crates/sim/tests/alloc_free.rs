@@ -68,7 +68,6 @@ fn sliced_kernel_paths_do_not_allocate() {
     let n = allocs_during(|| {
         for bits in [1u64, 63, 64, 65, 1024, 100_000] {
             total += point.count_errors(bits, &mut rng);
-            total += point.count_errors_sliced(bits, &mut rng);
             total += point.count_errors_scalar(bits, &mut rng);
         }
     });
@@ -94,7 +93,6 @@ fn sliced_kernel_paths_do_not_allocate() {
     let n = allocs_during(|| {
         for _ in 0..8 {
             total += inj.corrupt_words(&mut words);
-            total += inj.corrupt_words_sliced(&mut words);
             total += inj.corrupt_words_scalar(&mut words);
             total += inj.corrupt_symbols(&mut symbols, 10);
         }
@@ -125,8 +123,6 @@ fn sliced_kernel_paths_do_not_allocate() {
         for i in 0..512u64 {
             let w = tx.scramble_word(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             total += u64::from(rx.descramble_word(w).count_ones());
-            let w = tx.scramble_word_sliced(i);
-            total += u64::from(rx.descramble_word_sliced(w).count_ones());
         }
     });
     assert_eq!(n, 0, "scrambler word kernels allocated {n} times");

@@ -1,12 +1,14 @@
 //! Kernel-equivalence suite: the bit-sliced Monte-Carlo kernels must be
-//! bit-identical to their retained scalar oracles — same outputs, same
+//! bit-identical to their scalar oracles — same outputs, same
 //! RNG draw sequences — at lane/bit counts that straddle the 64-lane
 //! word boundary and under arbitrary fault-campaign masks.
 //!
 //! These are the cross-crate integration twins of the per-module
-//! differential proptests; the CI kernel-equivalence matrix additionally
-//! runs the whole figure pipeline under `--features scalar-kernels` and
-//! diffs manifests, but this suite localizes a divergence to a kernel.
+//! differential proptests. The slicer, injector and scrambler oracles
+//! are test references that no production code calls, so this suite and
+//! those proptests are where they run. End to end, the committed
+//! `results/` and the quick manifest values in `BENCH_run_all.json` pin
+//! the kernels' figures.
 
 use mosaic_link::prbs::{Prbs, PrbsBank};
 use mosaic_link::scrambler::Scrambler;
@@ -38,7 +40,7 @@ fn slicer_sliced_matches_scalar_at_boundary_counts() {
     for &bits in &BOUNDARY_COUNTS {
         let mut rng_s = DetRng::substream(7, "kernel-eq-slicer");
         let mut rng_r = rng_s.clone();
-        let sliced = point.count_errors_sliced(bits as u64, &mut rng_s);
+        let sliced = point.count_errors(bits as u64, &mut rng_s);
         let scalar = point.count_errors_scalar(bits as u64, &mut rng_r);
         assert_eq!(sliced, scalar, "error count diverged at {bits} bits");
         assert_eq!(
@@ -82,7 +84,7 @@ fn injector_sliced_matches_scalar_at_boundary_counts() {
         let mut inj_r = BitErrorInjector::new(2e-3, rng);
         let mut buf_s = vec![0u64; words];
         let mut buf_r = vec![0u64; words];
-        let flips_s = inj_s.corrupt_words_sliced(&mut buf_s);
+        let flips_s = inj_s.corrupt_words(&mut buf_s);
         let flips_r = inj_r.corrupt_words_scalar(&mut buf_r);
         assert_eq!(flips_s, flips_r, "flip count diverged at {words} words");
         assert_eq!(buf_s, buf_r, "flip positions diverged at {words} words");
@@ -158,7 +160,7 @@ proptest! {
         let mut rng_s = DetRng::new(seed);
         let mut rng_r = rng_s.clone();
         prop_assert_eq!(
-            point.count_errors_sliced(bits, &mut rng_s),
+            point.count_errors(bits, &mut rng_s),
             point.count_errors_scalar(bits, &mut rng_r),
             "{:?}",
             point
@@ -222,10 +224,10 @@ proptest! {
         let mut rx_s = Scrambler::new();
         let mut rx_r = Scrambler::new();
         for &w in &words {
-            let line_s = tx_s.scramble_word_sliced(w);
+            let line_s = tx_s.scramble_word(w);
             let line_r = tx_r.scramble_word_scalar(w);
             prop_assert_eq!(line_s, line_r);
-            prop_assert_eq!(rx_s.descramble_word_sliced(line_s), rx_r.descramble_word_scalar(line_r));
+            prop_assert_eq!(rx_s.descramble_word(line_s), rx_r.descramble_word_scalar(line_r));
         }
     }
 }
