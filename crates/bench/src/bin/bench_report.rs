@@ -9,8 +9,8 @@
 //! ```
 //!
 //! `diff` always compares the thread-count-invariant *values* (counters,
-//! histograms, series, output digests); any difference is a determinism or
-//! result regression and fails the command. Unless `--values-only` is
+//! series, output digests); any difference is a determinism or result
+//! regression and fails the command. Unless `--values-only` is
 //! given, it also compares per-figure wall times and flags figures slower
 //! than `--max-slowdown` (default 1.5×); figures whose new wall time is
 //! under `--min-wall-ms` (default 100) are treated as jitter and never

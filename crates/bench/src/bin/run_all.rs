@@ -1,7 +1,7 @@
 //! Regenerates every figure and table into `results/` and prints a summary.
 //!
 //! `--quick` (or `MOSAIC_QUICK=1`) runs every Monte-Carlo-heavy experiment
-//! at reduced trial counts — a smoke pass over all 20 artifacts in
+//! at reduced trial counts — a smoke pass over all 22 artifacts in
 //! seconds, used by CI. Thread count comes from `MOSAIC_THREADS`
 //! (default: all cores); per-experiment `[stats]` lines go to stderr so
 //! the result files stay byte-identical across thread counts.

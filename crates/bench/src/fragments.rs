@@ -21,7 +21,7 @@
 //!   "title": "...",
 //!   "output_text": "...",
 //!   "wall_ns": 0,
-//!   "values": { "counters": {}, "histograms": {}, "series": {} },
+//!   "values": { "counters": {}, "series": {} },
 //!   "stages": [ { "name": "...", "trials": 0, "wall_ns": 0, "cpu_ns": 0 } ]
 //! }
 //! ```
@@ -137,7 +137,7 @@ pub fn clear_fragments(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_sim::telemetry::{Histogram, StageRecord};
+    use mosaic_sim::telemetry::StageRecord;
 
     // Build the snapshot by hand (fields are public) rather than through
     // the process-global telemetry collector, so these tests cannot race
@@ -145,14 +145,6 @@ mod tests {
     fn sample_record() -> FigureRecord {
         let mut snap = Snapshot::default();
         snap.counters.insert("trials.demo".into(), 42);
-        snap.histograms.insert(
-            "h.demo".into(),
-            Histogram {
-                edges: vec![1.0, 2.0],
-                counts: vec![0, 1, 0],
-                total: 1,
-            },
-        );
         snap.series.insert("s.demo".into(), vec![0.25, -1.0, 3e-9]);
         snap.stages.push(StageRecord {
             name: "st.demo".into(),

@@ -2,9 +2,9 @@
 //!
 //! Every `run_all` invocation emits one JSON manifest describing the run:
 //! mode, thread count, a configuration hash, and — per figure — the output
-//! digest, the telemetry value snapshot (counters, histograms, numeric
-//! series) and the stage timings. The *value* portion is thread-count
-//! invariant by construction (counters are commutative adds, series are
+//! digest, the telemetry value snapshot (counters and numeric series)
+//! and the stage timings. The *value* portion is thread-count invariant
+//! by construction (counters are commutative adds, series are
 //! recorded post-reassembly), so CI diffs two manifests' values to extend
 //! the determinism gate to telemetry; the *timing* portion feeds the
 //! `BENCH_run_all.json` baseline and regression reports.
@@ -28,7 +28,7 @@
 //!       "id": "F1",
 //!       "title": "...",
 //!       "output": { "bytes": 0, "fnv1a": "cbf29ce484222325" },
-//!       "values": { "counters": {}, "histograms": {}, "series": {} },
+//!       "values": { "counters": {}, "series": {} },
 //!       "timings": { "wall_ns": 0, "stages": [ ... ] }
 //!     }
 //!   ]
@@ -334,16 +334,15 @@ pub fn diff(a: &Json, b: &Json, values_only: bool) -> Vec<DiffEntry> {
     out
 }
 
-/// Counter/histogram name prefixes that legitimately depend on the trial
-/// budget (and hence on the fidelity mode): raw trial counts, fault-path
-/// tallies, the fidelity controller's own bookkeeping, and the link
-/// simulator's traffic-volume tallies (which scale with its adaptive
-/// epoch budget — its *structural* counters, `link_sim.runs` and
-/// `link_sim.remaps`, are still compared exactly). These are excluded
-/// from the fidelity-equivalence gate.
+/// Counter name prefixes that legitimately depend on the trial budget
+/// (and hence on the fidelity mode): raw trial counts, the fidelity
+/// controller's own bookkeeping, and the link simulator's traffic-volume
+/// tallies (which scale with its adaptive epoch budget — its
+/// *structural* counters, `link_sim.runs` and `link_sim.remaps`, are
+/// still compared exactly). These are excluded from the
+/// fidelity-equivalence gate.
 const BUDGET_METRIC_PREFIXES: &[&str] = &[
     "trials.",
-    "trial_",
     "fidelity.",
     "link_sim.frames_",
     "link_sim.deskew_",
@@ -387,9 +386,9 @@ fn series_map(fig: &Json) -> Vec<(String, Vec<f64>)> {
         .unwrap_or_default()
 }
 
-fn metric_map(fig: &Json, kind: &str) -> Vec<(String, Json)> {
+fn counter_map(fig: &Json) -> Vec<(String, Json)> {
     fig.get("values")
-        .and_then(|v| v.get(kind))
+        .and_then(|v| v.get("counters"))
         .and_then(|s| s.as_obj())
         .map(|s| s.to_vec())
         .unwrap_or_default()
@@ -421,9 +420,8 @@ fn half_widths(series: &[(String, Vec<f64>)], name: &str, len: usize) -> Vec<f64
 /// Rules (DESIGN §12):
 /// * `run.mode` must match; `run.fidelity` must be `full` vs `adaptive`.
 /// * Figure ids must match pairwise in order.
-/// * Counters and histograms must be identical, except names under the
-///   budget-dependent prefixes (`trials.`, `trial_`, `fidelity.`), which
-///   are expected to differ.
+/// * Counters must be identical, except names under the budget-dependent
+///   prefixes (`trials.`, `fidelity.`, …), which are expected to differ.
 /// * Each shared numeric series must have equal length, and each entry
 ///   must satisfy `|full − adaptive| ≤ K·(h_full + h_adaptive)` where the
 ///   `h` are the 95 % CI half-widths from the `_ci_lo`/`_ci_hi` companion
@@ -486,27 +484,25 @@ pub fn fidelity_check(full: &Json, adaptive: &Json, ci_widening: f64) -> Vec<Str
             continue;
         }
         // Exact-match metrics, modulo the budget-dependent names.
-        for kind in ["counters", "histograms"] {
-            let left = metric_map(ff, kind);
-            let right = metric_map(fa, kind);
-            for (k, v) in &left {
-                if budget_dependent(k) {
-                    continue;
-                }
-                match right.iter().find(|(rk, _)| rk == k) {
-                    Some((_, rv)) if rv == v => {}
-                    Some((_, rv)) => errs.push(format!(
-                        "{id}: {kind}.{k}: {} vs {}",
-                        v.to_string_compact(),
-                        rv.to_string_compact()
-                    )),
-                    None => errs.push(format!("{id}: {kind}.{k}: missing in adaptive run")),
-                }
+        let left = counter_map(ff);
+        let right = counter_map(fa);
+        for (k, v) in &left {
+            if budget_dependent(k) {
+                continue;
             }
-            for (k, _) in &right {
-                if !budget_dependent(k) && !left.iter().any(|(lk, _)| lk == k) {
-                    errs.push(format!("{id}: {kind}.{k}: only present in adaptive run"));
-                }
+            match right.iter().find(|(rk, _)| rk == k) {
+                Some((_, rv)) if rv == v => {}
+                Some((_, rv)) => errs.push(format!(
+                    "{id}: counters.{k}: {} vs {}",
+                    v.to_string_compact(),
+                    rv.to_string_compact()
+                )),
+                None => errs.push(format!("{id}: counters.{k}: missing in adaptive run")),
+            }
+        }
+        for (k, _) in &right {
+            if !budget_dependent(k) && !left.iter().any(|(lk, _)| lk == k) {
+                errs.push(format!("{id}: counters.{k}: only present in adaptive run"));
             }
         }
         // Series: CI-aware tolerance.
@@ -621,7 +617,6 @@ mod tests {
                     "values",
                     Json::object()
                         .with("counters", Json::object())
-                        .with("histograms", Json::object())
                         .with("series", sobj),
                 )]),
             )

@@ -1,6 +1,6 @@
 //! The determinism gate, in-process form: the figure pipelines named in
 //! the acceptance criteria must produce byte-identical output — and
-//! byte-identical telemetry *values* (counters, histograms, series) —
+//! byte-identical telemetry *values* (counters and series) —
 //! whether they run sequentially or fanned out over many threads. CI
 //! runs the same check against the built binaries (`MOSAIC_THREADS=1`
 //! vs default) and diffs the manifests with `bench-report`.
@@ -17,7 +17,7 @@ fn figure_outputs_are_thread_count_invariant() {
     std::env::set_var(mosaic_bench::runcfg::QUICK_ENV, "1");
 
     // Each figure runs with a fresh telemetry collector; the snapshot's
-    // values JSON (counters/histograms/series — no timings) rides along
+    // values JSON (counters/series — no timings) rides along
     // with the output text so both get the byte-identical check.
     type Runner = fn() -> String;
     let run_all_figs = || {

@@ -24,7 +24,7 @@ use mosaic_netsim::FleetRollup;
 use mosaic_sim::checkpoint::{encode, ExactRollup, Field, FileStore, Store};
 use mosaic_sim::json::Json;
 use mosaic_sim::sweep::Exec;
-use mosaic_sim::telemetry::{Histogram, Snapshot, StageRecord};
+use mosaic_sim::telemetry::{Snapshot, StageRecord};
 use mosaic_traffic::{run_point, run_point_with, TrafficConfig, TrafficRollup};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -146,23 +146,6 @@ fn figure(w: &mut Words) -> FigureRecord {
     let mut snap = Snapshot::default();
     for _ in 0..w.below(4) {
         snap.counters.insert(w.string(), w.next() & EXACT);
-    }
-    for _ in 0..w.below(3) {
-        let mut edges = vec![w.float().clamp(-1e300, 1e300)];
-        for _ in 0..w.below(4) {
-            let last = edges[edges.len() - 1];
-            edges.push(last + 1e290 + last.abs() * (1.0 + w.below(1000) as f64 / 7.0));
-        }
-        let counts: Vec<u64> = edges.iter().map(|_| w.next() & EXACT).chain([0]).collect();
-        let total = w.next() & EXACT;
-        snap.histograms.insert(
-            w.string(),
-            Histogram {
-                edges,
-                counts,
-                total,
-            },
-        );
     }
     for _ in 0..w.below(3) {
         let series = (0..w.below(6)).map(|_| w.float()).collect();
@@ -513,8 +496,7 @@ const LITERAL_ROLLUP: &str = r#"{
 }
 "#;
 
-/// A run_all fragment, byte for byte as the format has always been
-/// written.
+/// A run_all fragment, byte for byte as the format is written.
 const LITERAL_FRAGMENT: &str = r#"{
   "schema": "mosaic-manifest-fragment/v1",
   "mode": "quick",
@@ -525,20 +507,6 @@ const LITERAL_FRAGMENT: &str = r#"{
   "values": {
     "counters": {
       "trials.f9": 4096
-    },
-    "histograms": {
-      "f9.ber": {
-        "edges": [
-          0.000000000001,
-          0.000001
-        ],
-        "counts": [
-          3,
-          0,
-          1
-        ],
-        "total": 4
-      }
     },
     "series": {
       "f9.margin_db": [
@@ -582,14 +550,69 @@ fn literal_records_decode_unchanged() {
     assert_eq!(f.wall_ns, 9_876_543);
     let t = &f.telemetry;
     assert_eq!(t.counters["trials.f9"], 4096);
-    assert_eq!(t.histograms["f9.ber"].edges, [1e-12, 1e-6]);
-    assert_eq!(t.histograms["f9.ber"].counts, [3, 0, 1]);
     assert_eq!(t.series["f9.margin_db"], [0.25, -1.5, 3e-9]);
     assert_eq!(t.stages[0].name, "f9.sweep");
     assert_eq!(
         (t.stages[0].wall_ns, t.stages[0].cpu_ns),
         (1_234_567, 2_345_678)
     );
+    assert_eq!(
+        fragments::to_json(&f, MODE).to_string_pretty(),
+        LITERAL_FRAGMENT
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run_all fragment as earlier writers wrote it: the same record as
+/// [`LITERAL_FRAGMENT`], with the always-empty `histograms` object those
+/// writers emitted between `counters` and `series`.
+const EARLIER_FRAGMENT: &str = r#"{
+  "schema": "mosaic-manifest-fragment/v1",
+  "mode": "quick",
+  "id": "F9",
+  "title": "Trade-off \"map\"",
+  "output_text": "col\ta\n1\t2\n",
+  "wall_ns": 9876543,
+  "values": {
+    "counters": {
+      "trials.f9": 4096
+    },
+    "histograms": {},
+    "series": {
+      "f9.margin_db": [
+        0.25,
+        -1.5,
+        0.000000003
+      ]
+    }
+  },
+  "stages": [
+    {
+      "name": "f9.sweep",
+      "trials": 4096,
+      "wall_ns": 1234567,
+      "cpu_ns": 2345678
+    }
+  ]
+}
+"#;
+
+/// A fragment left by an earlier build still resumes: it loads with its
+/// counters, series and stages intact, and re-encodes to the current
+/// bytes, so `run_all --resume` does not re-run its figure.
+#[test]
+fn earlier_fragments_with_empty_histograms_still_load() {
+    assert_eq!(
+        EARLIER_FRAGMENT.replace("    \"histograms\": {},\n", ""),
+        LITERAL_FRAGMENT
+    );
+    let dir = temp_dir("earlier");
+    std::fs::write(fragment_path(&dir, "F9"), EARLIER_FRAGMENT).unwrap();
+    let f = load_fragment(&dir, "F9", MODE).expect("earlier fragment loads");
+    let t = &f.telemetry;
+    assert_eq!(t.counters["trials.f9"], 4096);
+    assert_eq!(t.series["f9.margin_db"], [0.25, -1.5, 3e-9]);
+    assert_eq!(t.stages.len(), 1);
     assert_eq!(
         fragments::to_json(&f, MODE).to_string_pretty(),
         LITERAL_FRAGMENT

@@ -175,7 +175,6 @@ pub fn default_config() -> Config {
         census_extra_files: vec![
             "crates/sim/src/sweep/mod.rs",
             "crates/sim/src/sweep/engine.rs",
-            "crates/sim/src/sweep/resilience.rs",
             "crates/sim/src/sweep/scheduler.rs",
             "crates/sim/src/fidelity.rs",
             "crates/sim/src/faults.rs",

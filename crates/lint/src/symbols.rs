@@ -128,14 +128,7 @@ const PARALLEL_EXEC_ENTRIES: &[&str] = &["fan_out"];
 /// `TrialPlan` methods that take task closures: generic names, so they
 /// only count when the call chain demonstrably starts from `TrialPlan`
 /// (or passes an `Exec` first).
-const PARALLEL_PLAN_ENTRIES: &[&str] = &[
-    "run",
-    "run_with",
-    "sum",
-    "fold",
-    "fold_checkpointed",
-    "run_resilient",
-];
+const PARALLEL_PLAN_ENTRIES: &[&str] = &["run", "run_with", "sum", "fold", "fold_checkpointed"];
 
 /// Keywords that look like calls when followed by `(`.
 fn is_call_keyword(s: &str) -> bool {

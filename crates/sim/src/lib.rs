@@ -32,9 +32,9 @@
 //!   fan-out whose output is bit-identical whether it runs on 1 thread or
 //!   32 (`MOSAIC_THREADS` selects; counter-based seed splitting makes the
 //!   per-task streams scheduling-independent);
-//! * [`telemetry`] — the run-metrics layer (counters, fixed-edge
-//!   histograms, series, per-stage wall/CPU timers) whose metric values
-//!   are thread-count invariant by construction;
+//! * [`telemetry`] — the run-metrics layer (counters, series, per-stage
+//!   wall/CPU timers) whose metric values are thread-count invariant by
+//!   construction;
 //! * [`json`] — a dependency-free JSON writer/parser with deterministic
 //!   output, backing the run manifests in `crates/bench`.
 

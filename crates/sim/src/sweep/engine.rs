@@ -4,9 +4,8 @@
 //! worker, merged at join.
 //!
 //! Everything here is *mechanism* — how a fixed task set fans out over a
-//! worker pool deterministically. Policy (trial counts, seeds, labels,
-//! retry budgets) lives in [`super::scheduler`], and the outcome types
-//! of panic-tolerant retries in [`super::resilience`].
+//! worker pool deterministically. Policy (trial counts, seeds, labels)
+//! lives in [`super::scheduler`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,7 +16,7 @@ pub const THREADS_ENV: &str = "MOSAIC_THREADS";
 
 /// Render a panic payload as text (panics carry `&str` or `String` in
 /// practice; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -231,24 +230,15 @@ pub struct RunStats {
     pub wall: Duration,
     /// Worker threads the run fanned out over.
     pub threads: usize,
-    /// Trial panics caught by the resilient path (every attempt counts).
-    pub panics: u64,
-    /// Retries issued after caught panics (fresh substream per attempt).
-    pub retries: u64,
-    /// Trials whose retry budget ran dry without a successful attempt.
-    pub failed_trials: u64,
 }
 
 impl RunStats {
-    /// Stats for a clean run: `panics`/`retries`/`failed_trials` zero.
+    /// Stats for `trials` work units run in `wall` on `threads` workers.
     pub fn new(trials: u64, wall: Duration, threads: usize) -> Self {
         RunStats {
             trials,
             wall,
             threads,
-            panics: 0,
-            retries: 0,
-            failed_trials: 0,
         }
     }
 
@@ -257,8 +247,7 @@ impl RunStats {
         self.trials as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// Emit the one-line stats record to stderr (plus a fault line when
-    /// the resilient path caught anything).
+    /// Emit the one-line stats record to stderr.
     pub fn report(&self, label: &str) {
         eprintln!(
             "[stats] {label}: trials={} wall={:.3}s trials/sec={:.0} threads={}",
@@ -267,12 +256,6 @@ impl RunStats {
             self.trials_per_sec(),
             self.threads,
         );
-        if self.panics > 0 || self.failed_trials > 0 {
-            eprintln!(
-                "[stats] {label}: faults: panics={} retries={} failed_trials={}",
-                self.panics, self.retries, self.failed_trials,
-            );
-        }
     }
 }
 
@@ -403,20 +386,11 @@ mod tests {
         assert_eq!(stats.trials, 42);
         assert_eq!(stats.threads, 3);
         assert!((stats.trials_per_sec() - 2100.0).abs() < 1e-6);
-        assert_eq!(stats.panics, 0);
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.failed_trials, 0);
         // A zero wall time is clamped, not a division by zero.
         assert!(RunStats::new(1, Duration::ZERO, 1)
             .trials_per_sec()
             .is_finite());
         stats.report("selftest");
-        RunStats {
-            panics: 2,
-            retries: 2,
-            ..stats
-        }
-        .report("selftest");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! way to fan work out over an [`Exec`].
 //!
 //! A plan captures *what* a fan-out is — trial count, root seed, stream
-//! label, per-trial retry budget — separately from *how* it executes (an
-//! [`Exec`] passed to the terminal method). One plan, six terminal
-//! shapes, all running on the engine's one private fan-out core:
+//! label — separately from *how* it executes (an [`Exec`] passed to the
+//! terminal method). One plan, five terminal shapes, all running on the
+//! engine's one private fan-out core:
 //!
 //! | terminal                          | closure                             | result                   |
 //! |-----------------------------------|-------------------------------------|--------------------------|
@@ -13,36 +13,32 @@
 //! | [`TrialPlan::run_with`]           | `Fn(&mut TrialCtx, &mut S) -> T`    | `Vec<T>`, per-worker scratch |
 //! | [`TrialPlan::fold`]               | `Fn(&mut TrialCtx, &mut S, &mut A)` | commutative fold         |
 //! | [`TrialPlan::fold_checkpointed`]  | `Fn(&mut TrialCtx, &mut S) -> R`    | batched, resumable [`ExactRollup`] |
-//! | [`TrialPlan::run_resilient`]      | `Fn(&mut TrialCtx) -> T`            | retried, panic-tolerant  |
 //!
 //! A grid of parameter points is a plan over its indices:
 //! `TrialPlan::new().trials(n).run(&exec, |ctx| point(ctx.trial()))`.
 //!
-//! Each trial's closure receives a [`TrialCtx`]: the trial index, the
-//! retry attempt, and counter-derived RNG streams ([`TrialCtx::rng`] for
-//! the plan's labelled stream, [`TrialCtx::stream`] for named stream
-//! families like `"rs-data"`/`"rs-noise"`) — a pure function of
-//! `(seed, label, trial, attempt)`.
+//! Each trial's closure receives a [`TrialCtx`]: the trial index and
+//! counter-derived RNG streams ([`TrialCtx::rng`] for the plan's
+//! labelled stream, [`TrialCtx::stream`] for named stream families like
+//! `"rs-data"`/`"rs-noise"`) — a pure function of `(seed, label, trial)`.
 //!
 //! **Telemetry is label opt-in**: a plan with a label records the
 //! `trials.{label}` counter and a `par_trials.{label}` stage; an
 //! unlabelled plan records nothing.
 
 use super::engine::{fan_out, Exec};
-use super::resilience::{self, ResilientRun};
 use crate::checkpoint::{Checkpoints, ExactRollup};
 use crate::rng::DetRng;
 use mosaic_units::{MosaicError, Result};
 
 /// Per-trial execution context handed to [`TrialPlan`] closures.
 ///
-/// Carries the trial index, the retry attempt (0 on the first try), and
-/// derives counter-based RNG streams on demand — a pure function of
-/// `(seed, label, trial, attempt)`, never of scheduling order.
+/// Carries the trial index and derives counter-based RNG streams on
+/// demand — a pure function of `(seed, label, trial)`, never of
+/// scheduling order.
 #[derive(Debug)]
 pub struct TrialCtx<'p> {
     trial: u64,
-    attempt: u32,
     seed: u64,
     label: &'p str,
 }
@@ -53,27 +49,11 @@ impl TrialCtx<'_> {
         self.trial
     }
 
-    /// Retry attempt: `0` for the first try, `1..` for retries issued by
-    /// [`TrialPlan::run_resilient`].
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
     /// This trial's stream under the plan's label, `(seed, label,
-    /// trial)`; retries draw from the fresh `"{label}#retry{attempt}"`
-    /// substream.
+    /// trial)`.
     pub fn rng(&self) -> DetRng {
-        if self.attempt == 0 {
-            // lint: allow(R5) reason=forwards the plan's label; collision checking happens at the literal call sites
-            DetRng::substream_indexed(self.seed, self.label, self.trial)
-        } else {
-            // lint: allow(R5) reason=retry stream derived from the plan label; #retry{n} suffix cannot collide with a literal label
-            DetRng::substream_indexed(
-                self.seed,
-                &format!("{}#retry{}", self.label, self.attempt),
-                self.trial,
-            )
-        }
+        // lint: allow(R5) reason=forwards the plan's label; collision checking happens at the literal call sites
+        DetRng::substream_indexed(self.seed, self.label, self.trial)
     }
 
     /// This trial's stream in a named family, for call sites that draw
@@ -86,15 +66,14 @@ impl TrialCtx<'_> {
     }
 }
 
-/// A declarative Monte-Carlo fan-out: trial count, root seed, stream
-/// label and retry budget, executed against an [`Exec`] by one of the
+/// A declarative Monte-Carlo fan-out: trial count, root seed and stream
+/// label, executed against an [`Exec`] by one of the
 /// terminal methods (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrialPlan<'a> {
     trials: u64,
     seed: u64,
     label: Option<&'a str>,
-    retry_budget: u32,
     /// Index of this plan's first trial: nonzero only for the per-batch
     /// plans of [`TrialPlan::fold_checkpointed`].
     first_trial: u64,
@@ -136,8 +115,7 @@ fn or_panic<T>(result: Result<T>) -> T {
 }
 
 impl<'a> TrialPlan<'a> {
-    /// An empty plan: zero trials, seed 0, no label (telemetry off), no
-    /// retries.
+    /// An empty plan: zero trials, seed 0, no label (telemetry off).
     pub fn new() -> Self {
         TrialPlan::default()
     }
@@ -161,12 +139,6 @@ impl<'a> TrialPlan<'a> {
         self
     }
 
-    /// Per-trial retry budget for [`TrialPlan::run_resilient`].
-    pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
     fn stream_label(&self) -> &'a str {
         self.label.unwrap_or("")
     }
@@ -187,7 +159,6 @@ impl<'a> TrialPlan<'a> {
     fn ctx(&self, trial: u64) -> TrialCtx<'a> {
         TrialCtx {
             trial: self.first_trial + trial,
-            attempt: 0,
             seed: self.seed,
             label: self.stream_label(),
         }
@@ -217,8 +188,7 @@ impl<'a> TrialPlan<'a> {
     /// # Panics
     /// Panics (once, with the [`mosaic_units::MosaicError::WorkerFailed`]
     /// message) if a trial closure panics: the failure of the panicking
-    /// trial with the smallest index. Use [`TrialPlan::run_resilient`] to
-    /// tolerate panicking trials.
+    /// trial with the smallest index.
     pub fn run<T, F>(&self, exec: &Exec, f: F) -> Vec<T>
     where
         T: Send,
@@ -379,56 +349,6 @@ impl<'a> TrialPlan<'a> {
         }
         Ok(Some(cumulative))
     }
-
-    /// Panic-tolerant fan-out: a panicking trial is caught, counted, and
-    /// retried on a fresh `"{label}#retry{attempt}"` substream under the
-    /// plan's per-trial [`TrialPlan::retry_budget`]. A trial that fails
-    /// every attempt yields `None` and a
-    /// [`super::TrialFailure`] record instead of aborting the sweep.
-    ///
-    /// Attempt `0` draws from the exact stream [`TrialPlan::run`] would
-    /// use, so a run where nothing panics is bit-identical to the
-    /// non-resilient path. The retry budget is *per trial* — a pure
-    /// function of the trial index — so `values`, `failures`, and the
-    /// fault counters are all thread-count invariant (DESIGN §10).
-    pub fn run_resilient<T, F>(&self, exec: &Exec, f: F) -> ResilientRun<T>
-    where
-        T: Send,
-        F: Fn(&mut TrialCtx) -> T + Sync,
-    {
-        self.record_trials();
-        let attempts = self.staged(|| {
-            self.ordered(
-                exec,
-                || (),
-                |ctx, ()| {
-                    resilience::retry(self.retry_budget, |attempt| {
-                        ctx.attempt = attempt;
-                        f(ctx)
-                    })
-                },
-            )
-        });
-        let run = ResilientRun::collect(or_panic(attempts), self.retry_budget, exec.threads());
-        // Fault counters are deterministic (which (trial, attempt) pairs
-        // panic is a property of the closure), so they are safe to put in
-        // value-checked telemetry.
-        if let Some(label) = self.label {
-            if run.stats.panics > 0 {
-                crate::telemetry::counter_add(&format!("trial_panics.{label}"), run.stats.panics);
-            }
-            if run.stats.retries > 0 {
-                crate::telemetry::counter_add(&format!("trial_retries.{label}"), run.stats.retries);
-            }
-            if run.stats.failed_trials > 0 {
-                crate::telemetry::counter_add(
-                    &format!("trial_failures.{label}"),
-                    run.stats.failed_trials,
-                );
-            }
-        }
-        run
-    }
 }
 
 #[cfg(test)]
@@ -571,61 +491,5 @@ mod tests {
         TrialPlan::new().trials(5).run(&exec, |ctx| ctx.trial());
         let counters_after = crate::telemetry::snapshot().counters;
         assert_eq!(counters_before, counters_after);
-    }
-
-    #[test]
-    fn plan_resilient_retry_uses_fresh_substream_deterministically() {
-        let _collector = crate::telemetry::test_guard::shared();
-        // Trial 7 panics on attempt 0 only; its retry must draw from the
-        // "{label}#retry1" substream, identically at every thread count.
-        let run_at = |threads: usize| {
-            TrialPlan::new()
-                .trials(24)
-                .seed(5)
-                .label("res-b")
-                .retry_budget(1)
-                .run_resilient(&Exec::with_threads(threads), |ctx| {
-                    if ctx.trial() == 7 && ctx.attempt() == 0 {
-                        panic!("transient fault");
-                    }
-                    ctx.rng().next_u64()
-                })
-        };
-        let seq = run_at(1);
-        assert_eq!(seq.stats.panics, 1);
-        assert_eq!(seq.stats.retries, 1);
-        assert_eq!(seq.stats.failed_trials, 0);
-        let expected = DetRng::substream_indexed(5, "res-b#retry1", 7).next_u64();
-        assert_eq!(seq.values[7], Some(expected));
-        for threads in [2, 8] {
-            let par = run_at(threads);
-            assert_eq!(seq.values, par.values, "threads={threads}");
-            assert_eq!(seq.stats.panics, par.stats.panics);
-        }
-    }
-
-    #[test]
-    fn plan_resilient_budget_exhaustion_yields_none() {
-        let _collector = crate::telemetry::test_guard::shared();
-        let run = TrialPlan::new()
-            .trials(16)
-            .seed(3)
-            .label("res-c")
-            .retry_budget(2)
-            .run_resilient(&Exec::with_threads(4), |ctx| {
-                if ctx.trial() == 4 {
-                    panic!("permanent fault on trial {}", ctx.trial());
-                }
-                ctx.rng().next_u64()
-            });
-        assert_eq!(run.values[4], None);
-        assert_eq!(run.stats.failed_trials, 1);
-        assert_eq!(run.stats.panics, 3); // attempts 0..=2 all panicked
-        assert_eq!(run.stats.retries, 2);
-        assert_eq!(run.failures.len(), 1);
-        assert_eq!(run.failures[0].trial, 4);
-        assert_eq!(run.failures[0].attempts, 3);
-        assert!(run.failures[0].message.contains("permanent fault"));
-        assert_eq!(run.values.iter().filter(|v| v.is_some()).count(), 15);
     }
 }

@@ -1,5 +1,4 @@
-//! Deterministic run telemetry: counters, histograms, series, and
-//! per-stage timers.
+//! Deterministic run telemetry: counters, series, and per-stage timers.
 //!
 //! Every figure pipeline and Monte-Carlo driver records what it did into
 //! a process-global collector; `run_all` snapshots the collector per
@@ -8,8 +7,8 @@
 //!
 //! 1. **Metric values are thread-count invariant.** Counters only ever
 //!    accumulate integers (addition is commutative, so parallel workers
-//!    cannot perturb them), and histograms/series are recorded from
-//!    sequential code after the sweep engine's index-ordered reassembly.
+//!    cannot perturb them), and series are recorded from sequential
+//!    code after the sweep engine's index-ordered reassembly.
 //!    The CI determinism gate diffs these values across
 //!    `MOSAIC_THREADS=1` and the machine default.
 //! 2. **Timings are segregated.** Wall/CPU time lives in stage records,
@@ -24,83 +23,6 @@ use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// A histogram with caller-fixed bucket edges.
-///
-/// A value `v` lands in bucket `i` where `i` is the first edge with
-/// `v <= edges[i]`, or in the overflow bucket when `v` exceeds every
-/// edge. Edges are part of the histogram's identity: re-registering the
-/// same name with different edges is a caller bug and panics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper bucket edges (inclusive), strictly increasing.
-    pub edges: Vec<f64>,
-    /// `edges.len() + 1` counts; the last is the overflow bucket.
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub total: u64,
-}
-
-impl Histogram {
-    fn new(edges: &[f64]) -> Self {
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing"
-        );
-        Histogram {
-            edges: edges.to_vec(),
-            counts: vec![0; edges.len() + 1],
-            total: 0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        let idx = self
-            .edges
-            .iter()
-            .position(|&e| v <= e)
-            .unwrap_or(self.edges.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    fn to_json(&self) -> Json {
-        Json::object()
-            .with("edges", Json::from(self.edges.as_slice()))
-            .with(
-                "counts",
-                Json::Arr(self.counts.iter().map(|&c| Json::from(c)).collect()),
-            )
-            .with("total", self.total)
-    }
-
-    /// The inverse of `to_json`, for the histogram named `name`.
-    fn from_json(name: &str, h: &Json) -> Result<Self, String> {
-        let edges = f64_arr(h.get("edges"), &format!("histogram {name} edges"))?;
-        let counts = h
-            .get("counts")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("histogram {name}: no counts"))?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .ok_or_else(|| format!("histogram {name}: bad count"))
-            })
-            .collect::<Result<Vec<u64>, String>>()?;
-        let total = h
-            .get("total")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("histogram {name}: no total"))?;
-        if counts.len() != edges.len() + 1 {
-            return Err(format!("histogram {name}: counts/edges length mismatch"));
-        }
-        Ok(Histogram {
-            edges,
-            counts,
-            total,
-        })
-    }
-}
 
 /// An array of numbers, as [`Json::from`] writes a `&[f64]`.
 fn f64_arr(v: Option<&Json>, what: &str) -> Result<Vec<f64>, String> {
@@ -161,8 +83,6 @@ impl StageRecord {
 pub struct Snapshot {
     /// Monotonic integer counters, by name.
     pub counters: BTreeMap<String, u64>,
-    /// Histograms, by name.
-    pub histograms: BTreeMap<String, Histogram>,
     /// Numeric series (a figure's plotted values), by name.
     pub series: BTreeMap<String, Vec<f64>>,
     /// Completed stages, in completion order.
@@ -170,16 +90,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The deterministic (thread-count invariant) part as JSON: counters,
-    /// histograms, series, and per-stage trial counts — no timings.
+    /// The deterministic (thread-count invariant) part as JSON: counters
+    /// and series — no timings.
     pub fn values_json(&self) -> Json {
         let mut counters = Json::object();
         for (k, v) in &self.counters {
             counters.set(k, *v);
-        }
-        let mut histograms = Json::object();
-        for (k, h) in &self.histograms {
-            histograms.set(k, h.to_json());
         }
         let mut series = Json::object();
         for (k, xs) in &self.series {
@@ -187,7 +103,6 @@ impl Snapshot {
         }
         Json::object()
             .with("counters", counters)
-            .with("histograms", histograms)
             .with("series", series)
     }
 
@@ -199,7 +114,9 @@ impl Snapshot {
     /// The inverse of [`Snapshot::values_json`] and
     /// [`Snapshot::timings_json`]: rebuild a snapshot from its `values`
     /// object and its `stages` array, rejecting any shape those writers
-    /// do not produce.
+    /// do not produce in the sections they write. Other keys of `values`
+    /// are ignored, such as the always-empty `histograms` object that
+    /// earlier writers emitted, so their fragments still load.
     pub fn from_json(values: &Json, stages: &Json) -> Result<Snapshot, String> {
         let section = |key: &str| {
             values
@@ -214,10 +131,6 @@ impl Snapshot {
                 .ok_or_else(|| format!("values.counters.{k}: not an integer"))?;
             snap.counters.insert(k.clone(), count);
         }
-        for (k, h) in section("histograms")? {
-            snap.histograms
-                .insert(k.clone(), Histogram::from_json(k, h)?);
-        }
         for (k, xs) in section("series")? {
             snap.series
                 .insert(k.clone(), f64_arr(Some(xs), &format!("series {k}"))?);
@@ -226,17 +139,6 @@ impl Snapshot {
             snap.stages.push(StageRecord::from_json(s)?);
         }
         Ok(snap)
-    }
-
-    /// Total trials across all stages.
-    pub fn total_trials(&self) -> u64 {
-        self.stages.iter().map(|s| s.trials).sum()
-    }
-
-    /// Total wall nanoseconds across all stages (stages may overlap only
-    /// if nested; figure pipelines run them sequentially).
-    pub fn total_wall_ns(&self) -> u64 {
-        self.stages.iter().map(|s| s.wall_ns).sum()
     }
 }
 
@@ -249,7 +151,6 @@ fn collector() -> &'static Mutex<Collector> {
     static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
         snap: Snapshot {
             counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
             series: BTreeMap::new(),
             stages: Vec::new(),
         },
@@ -273,26 +174,6 @@ fn lock() -> std::sync::MutexGuard<'static, Collector> {
 pub fn counter_add(name: &str, delta: u64) {
     let mut g = lock();
     *g.snap.counters.entry(name.to_string()).or_insert(0) += delta;
-}
-
-/// Observe one value in the named histogram, creating it with `edges` on
-/// first use.
-///
-/// # Panics
-/// Panics if the histogram exists with different edges — bucket edges
-/// are fixed at first registration by design.
-pub fn observe(name: &str, edges: &[f64], v: f64) {
-    let mut g = lock();
-    let h = g
-        .snap
-        .histograms
-        .entry(name.to_string())
-        .or_insert_with(|| Histogram::new(edges));
-    assert_eq!(
-        h.edges, edges,
-        "histogram {name:?} re-registered with different edges"
-    );
-    h.observe(v);
 }
 
 /// Append values to the named series. Call from sequential code only
@@ -421,7 +302,7 @@ pub(crate) mod test_guard {
         GUARD.write().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Shared access: write counters, stages, series or histograms.
+    /// Shared access: write counters, stages or series.
     pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
         GUARD.read().unwrap_or_else(|p| p.into_inner())
     }
@@ -444,19 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_values() {
-        let _x = exclusive();
-        reset();
-        for v in [0.5, 1.0, 1.5, 99.0] {
-            observe("h", &[1.0, 2.0], v);
-        }
-        let snap = take();
-        let h = &snap.histograms["h"];
-        assert_eq!(h.counts, vec![2, 1, 1]);
-        assert_eq!(h.total, 4);
-    }
-
-    #[test]
     fn series_and_stage_record() {
         let _x = exclusive();
         reset();
@@ -468,7 +336,6 @@ mod tests {
         assert_eq!(snap.series["fig.x"], vec![1.0, 2.0, 3.0]);
         assert_eq!(snap.stages.len(), 1);
         assert_eq!(snap.stages[0].trials, 10);
-        assert_eq!(snap.total_trials(), 10);
         assert!(snap.stages[0].wall_ns > 0);
     }
 
@@ -477,7 +344,6 @@ mod tests {
         let _x = exclusive();
         reset();
         counter_add("c", 1);
-        observe("h", &[1.0], 0.5);
         record_series("s", &[2.5]);
         stage("timed", 3, || ());
         let snap = take();
@@ -493,14 +359,6 @@ mod tests {
     fn sample_snapshot() -> Snapshot {
         let mut snap = Snapshot::default();
         snap.counters.insert("trials.demo".into(), 42);
-        snap.histograms.insert(
-            "h.demo".into(),
-            Histogram {
-                edges: vec![1.0, 2.0],
-                counts: vec![0, 1, 0],
-                total: 1,
-            },
-        );
         snap.series.insert("s.demo".into(), vec![0.25, -1.0, 3e-9]);
         snap.stages.push(StageRecord {
             name: "st.demo".into(),
@@ -529,15 +387,7 @@ mod tests {
         bad.set("counters", Json::object().with("c", -1.0));
         assert!(Snapshot::from_json(&bad, &stages).is_err());
         let mut bad = values;
-        bad.set(
-            "histograms",
-            Json::object().with(
-                "h",
-                Histogram::new(&[1.0])
-                    .to_json()
-                    .with("counts", Json::Arr(vec![])),
-            ),
-        );
+        bad.set("series", Json::object().with("s", Json::from("x")));
         assert!(Snapshot::from_json(&bad, &stages).is_err());
     }
 

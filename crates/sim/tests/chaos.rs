@@ -1,104 +1,28 @@
-//! Chaos tests: the panic-tolerant sweep pipeline under injected faults.
+//! Chaos tests: the sweep engine's one failure contract under injected
+//! panics.
 //!
-//! These are the integration-level guarantees behind the robustness PR:
-//!
-//! 1. An injected-panic sweep *returns* (no abort): the panic is counted
-//!    in `RunStats`, the trial retries on a fresh substream, and the
-//!    final values match a run where nothing panicked.
-//! 2. A trial that exhausts its retry budget yields `None` plus a
-//!    `TrialFailure` record — the rest of the sweep is unaffected.
-//! 3. A panicking trial in a plain `TrialPlan` terminal surfaces as one
+//! 1. A panicking trial in any `TrialPlan` terminal — `run`, `run_with`,
+//!    `sum`, `fold` and `fold_checkpointed` — surfaces as one
 //!    `MosaicError::WorkerFailed` panic with a deterministic message (the
-//!    smallest-index failing trial wins), never as a process abort, and
-//!    a failed fold returns no partial value.
-//! 4. Everything above is thread-count invariant, as are fault-campaign
-//!    generation and replay.
+//!    smallest-index failing trial wins) at 1, 2, 4 and 8 threads, never
+//!    as a process abort, and a failed fold returns no partial value.
+//! 2. A checkpointed fold that fails keeps the checkpoints of the batches
+//!    before the failing one and none for it; a rerun resumes from them
+//!    and returns the rollup of an uninterrupted run.
+//! 3. Fault-campaign generation and replay are pure functions of
+//!    `(config, seed)`.
 
 use mosaic_sim::campaign::{run_campaign, CampaignRunConfig};
+use mosaic_sim::checkpoint::{Checkpoints, ExactRollup, Field, NoStore, Store};
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
-use mosaic_sim::sweep::{Exec, TrialPlan};
+use mosaic_sim::sweep::{Exec, TrialCtx, TrialPlan};
+use mosaic_units::Result;
 use proptest::prelude::*;
-use std::panic::catch_unwind;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Trial values are pure functions of the trial index (no RNG), so a
-/// retried trial reproduces the same value and the injected-panic run
-/// must match the clean run bit-for-bit.
-fn trial_value(i: u64) -> u64 {
-    i.wrapping_mul(i).wrapping_add(17)
-}
-
-#[test]
-fn injected_panic_sweep_matches_clean_run() {
-    let exec = Exec::with_threads(4);
-    let clean = TrialPlan::new()
-        .trials(32)
-        .seed(99)
-        .label("chaos-clean")
-        .retry_budget(2)
-        .run_resilient(&exec, |ctx| trial_value(ctx.trial()));
-    assert_eq!(clean.stats.panics, 0);
-    assert_eq!(clean.stats.retries, 0);
-    assert_eq!(clean.stats.failed_trials, 0);
-    assert!(clean.failures.is_empty());
-
-    // Trials 3 and 20 panic on their first attempt, succeed on retry.
-    let faulty = TrialPlan::new()
-        .trials(32)
-        .seed(99)
-        .label("chaos-faulty")
-        .retry_budget(2)
-        .run_resilient(&exec, |ctx| {
-            let i = ctx.trial();
-            if (i == 3 || i == 20) && ctx.attempt() == 0 {
-                panic!("injected fault in trial {i}");
-            }
-            trial_value(i)
-        });
-    assert_eq!(
-        faulty.values, clean.values,
-        "retried values must match the clean run"
-    );
-    assert_eq!(faulty.stats.panics, 2);
-    assert_eq!(faulty.stats.retries, 2);
-    assert_eq!(faulty.stats.failed_trials, 0);
-    assert!(faulty.failures.is_empty());
-}
-
-#[test]
-fn budget_exhaustion_yields_none_without_poisoning_neighbors() {
-    let exec = Exec::with_threads(3);
-    // Trial 5 panics on every attempt; budget 1 → two attempts, both fail.
-    let run = TrialPlan::new()
-        .trials(12)
-        .seed(7)
-        .label("chaos-exhaust")
-        .retry_budget(1)
-        .run_resilient(&exec, |ctx| {
-            if ctx.trial() == 5 {
-                panic!("permanently broken trial");
-            }
-            trial_value(ctx.trial())
-        });
-    for (i, v) in run.values.iter().enumerate() {
-        if i == 5 {
-            assert!(v.is_none(), "exhausted trial must yield None");
-        } else {
-            assert_eq!(
-                *v,
-                Some(trial_value(i as u64)),
-                "neighbor trials unaffected"
-            );
-        }
-    }
-    assert_eq!(run.failures.len(), 1);
-    assert_eq!(run.failures[0].trial, 5);
-    assert_eq!(run.failures[0].attempts, 2);
-    assert!(run.failures[0].message.contains("permanently broken"));
-    assert_eq!(run.stats.panics, 2);
-    // One retry attempt was performed (attempt 1) even though it failed.
-    assert_eq!(run.stats.retries, 1);
-    assert_eq!(run.stats.failed_trials, 1);
-}
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// The panic message a plan terminal raised, as text.
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -110,35 +34,68 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Run `terminal`, which must panic with the `WorkerFailed` message of
+/// the trial whose panic text contains `fault`.
+fn assert_worker_failed<T>(threads: usize, fault: &str, terminal: impl FnOnce() -> T) {
+    let payload = catch_unwind(AssertUnwindSafe(terminal))
+        .err()
+        .unwrap_or_else(|| panic!("threads={threads}: a panicking trial must fail the terminal"));
+    let message = panic_text(payload);
+    assert!(
+        message.contains("sweep worker") && message.contains(fault),
+        "threads={threads}: expected the WorkerFailed of {fault:?}, got {message:?}"
+    );
+}
+
+/// Panics in trials 4 and 11; the smallest index must win.
+fn faulty_trial(ctx: &mut TrialCtx) -> u64 {
+    match ctx.trial() {
+        11 => panic!("late fault"),
+        4 => panic!("early fault"),
+        i => i,
+    }
+}
+
 #[test]
-fn worker_failed_picks_smallest_task_index_at_any_thread_count() {
-    for threads in [1, 2, 4, 8] {
+fn run_surfaces_the_smallest_failing_trial_at_any_thread_count() {
+    for threads in THREADS {
         let exec = Exec::with_threads(threads);
-        let payload = catch_unwind(|| {
-            TrialPlan::new().trials(16).run(&exec, |ctx| {
-                if ctx.trial() == 11 {
-                    panic!("late fault");
-                }
-                if ctx.trial() == 4 {
-                    panic!("early fault");
-                }
-                ctx.trial()
-            })
-        })
-        .expect_err("panicking trials must surface as a WorkerFailed panic");
-        let message = panic_text(payload);
-        assert!(
-            message.contains("sweep worker") && message.contains("early fault"),
-            "threads={threads}: expected the smallest-index trial's WorkerFailed, got {message:?}"
-        );
+        assert_worker_failed(threads, "early fault", || {
+            TrialPlan::new().trials(16).run(&exec, faulty_trial)
+        });
+    }
+}
+
+#[test]
+fn run_with_surfaces_the_smallest_failing_trial_at_any_thread_count() {
+    for threads in THREADS {
+        let exec = Exec::with_threads(threads);
+        assert_worker_failed(threads, "early fault", || {
+            TrialPlan::new()
+                .trials(16)
+                .run_with(&exec, Vec::<u64>::new, |ctx, scratch| {
+                    scratch.push(ctx.trial());
+                    faulty_trial(ctx)
+                })
+        });
+    }
+}
+
+#[test]
+fn sum_surfaces_the_smallest_failing_trial_at_any_thread_count() {
+    for threads in THREADS {
+        let exec = Exec::with_threads(threads);
+        assert_worker_failed(threads, "early fault", || {
+            TrialPlan::new().trials(16).sum(&exec, faulty_trial)
+        });
     }
 }
 
 #[test]
 fn fold_surfaces_worker_failed_instead_of_partial_sums() {
-    for threads in [1, 2, 4, 8] {
+    for threads in THREADS {
         let exec = Exec::with_threads(threads);
-        let folded = catch_unwind(|| {
+        assert_worker_failed(threads, "fold fault", || {
             TrialPlan::new().trials(64).fold(
                 &exec,
                 || (),
@@ -152,11 +109,109 @@ fn fold_surfaces_worker_failed_instead_of_partial_sums() {
                 |a, b| *a += b,
             )
         });
-        let payload = folded.expect_err("a fold with a panicking trial must not return a value");
-        let message = panic_text(payload);
-        assert!(
-            message.contains("sweep worker") && message.contains("fold fault"),
-            "threads={threads}: got {message:?}"
+    }
+}
+
+/// The rollup of the checkpointed-fold tests: trial count and index sum.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Count {
+    trials: u64,
+    sum: u64,
+}
+
+impl ExactRollup for Count {
+    const SCHEMA: &'static str = "chaos-count/v1";
+
+    fn merge(&mut self, o: &Self) {
+        self.trials += o.trials;
+        self.sum += o.sum;
+    }
+
+    fn fields(&mut self, visit: &mut dyn FnMut(&'static str, Field<'_>)) {
+        visit("trials", Field::U64(&mut self.trials));
+        visit("sum", Field::U64(&mut self.sum));
+    }
+}
+
+/// An in-memory store, by batch.
+#[derive(Default)]
+struct MemStore(BTreeMap<u64, (u64, Count)>);
+
+impl Store<Count> for MemStore {
+    fn load(&mut self, batch: u64, digest: u64) -> Option<Count> {
+        self.0
+            .get(&batch)
+            .filter(|(d, _)| *d == digest)
+            .map(|(_, r)| *r)
+    }
+    fn save(&mut self, batch: u64, digest: u64, rollup: &Count) -> Result<()> {
+        self.0.insert(batch, (digest, *rollup));
+        Ok(())
+    }
+}
+
+/// 40 trials in batches of 8: trial 19 falls in batch 2 of 0..5.
+const CK_TRIALS: u64 = 40;
+const CK_BATCH: u64 = 8;
+const CK_DIGEST: u64 = 0xc4a0;
+
+/// Fold [`CK_TRIALS`] trials in checkpointed batches, counting the
+/// trials this call executes in `ran`.
+fn fold_counting(
+    threads: usize,
+    store: &mut dyn Store<Count>,
+    ran: &AtomicU64,
+    panic_at: Option<u64>,
+) -> Option<Count> {
+    TrialPlan::new()
+        .trials(CK_TRIALS)
+        .fold_checkpointed(
+            &Exec::with_threads(threads),
+            Checkpoints {
+                store,
+                digest: CK_DIGEST,
+                batch_trials: CK_BATCH,
+                stop_after_batches: None,
+            },
+            || (),
+            |ctx, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if Some(ctx.trial()) == panic_at {
+                    panic!("checkpointed fault");
+                }
+                Count {
+                    trials: 1,
+                    sum: ctx.trial(),
+                }
+            },
+        )
+        .unwrap()
+}
+
+#[test]
+fn fold_checkpointed_fails_at_its_batch_and_resumes_from_the_ones_before() {
+    let uninterrupted = fold_counting(1, &mut NoStore, &AtomicU64::new(0), None).unwrap();
+    assert_eq!(uninterrupted.trials, CK_TRIALS);
+    for threads in THREADS {
+        let mut store = MemStore::default();
+        assert_worker_failed(threads, "checkpointed fault", || {
+            fold_counting(threads, &mut store, &AtomicU64::new(0), Some(19))
+        });
+        let saved: Vec<u64> = store.0.keys().copied().collect();
+        assert_eq!(
+            saved,
+            [0, 1],
+            "threads={threads}: checkpoints before batch 2 only"
+        );
+        assert_eq!(store.0[&1].1.trials, 2 * CK_BATCH);
+
+        let ran = AtomicU64::new(0);
+        let resumed = fold_counting(threads, &mut store, &ran, None);
+        assert_eq!(resumed, Some(uninterrupted), "threads={threads}");
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            CK_TRIALS - 2 * CK_BATCH,
+            "threads={threads}: the rerun must resume after batch 1"
         );
     }
 }
@@ -180,44 +235,6 @@ fn campaign_replay_is_reproducible_and_exec_independent() {
 }
 
 proptest! {
-    /// Resilient sweeps are bit-identical across thread counts for any
-    /// injected panic pattern: `mask` bit `i` makes trial `i` panic on
-    /// attempt 0, and bit `i` of `hard_mask` makes it panic on every
-    /// attempt (exhausting the budget). Values, failure records, and
-    /// fault counters must all match between 1 and 8 threads.
-    #[test]
-    fn resilient_sweep_is_thread_invariant(
-        seed: u64,
-        n in 1u64..48,
-        mask: u64,
-        hard_mask: u64,
-    ) {
-        let run_at = |threads: usize| {
-            TrialPlan::new()
-                .trials(n)
-                .seed(seed)
-                .label("chaos-prop")
-                .retry_budget(2)
-                .run_resilient(&Exec::with_threads(threads), |ctx| {
-                    let i = ctx.trial();
-                    if (hard_mask >> (i % 64)) & 1 == 1 {
-                        panic!("hard fault {i}");
-                    }
-                    if ctx.attempt() == 0 && (mask >> (i % 64)) & 1 == 1 {
-                        panic!("soft fault {i}");
-                    }
-                    trial_value(i)
-                })
-        };
-        let seq = run_at(1);
-        let par = run_at(8);
-        prop_assert_eq!(&seq.values, &par.values);
-        prop_assert_eq!(&seq.failures, &par.failures);
-        prop_assert_eq!(seq.stats.panics, par.stats.panics);
-        prop_assert_eq!(seq.stats.retries, par.stats.retries);
-        prop_assert_eq!(seq.stats.failed_trials, par.stats.failed_trials);
-    }
-
     /// Fault-campaign generation is a pure function of (config, seed):
     /// regenerating yields the same digest, and the digest is stable under
     /// unrelated RNG activity in between.
