@@ -63,7 +63,9 @@ fn bench_f19_epoch(c: &mut Criterion) {
 
 fn bench_crc(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32");
-    for len in [64usize, 1500] {
+    // 150 B is about F19's mean framed size (96-B base payloads, 14-B
+    // header and trailer).
+    for len in [64usize, 150, 1500] {
         let data: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
         g.throughput(Throughput::Bytes(len as u64));
         g.bench_function(format!("crc32_{len}B"), |b| b.iter(|| crc32(&data)));
@@ -98,6 +100,14 @@ fn bench_scrambler(c: &mut Criterion) {
             words
                 .iter()
                 .map(|&w| s.scramble_word(w))
+                .collect::<Vec<_>>()
+        })
+    });
+    g.bench_function("descramble_32kB", |b| {
+        b.iter_with_setup(Scrambler::new, |mut s| {
+            words
+                .iter()
+                .map(|&w| s.descramble_word(w))
                 .collect::<Vec<_>>()
         })
     });

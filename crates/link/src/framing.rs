@@ -6,14 +6,15 @@
 //! *detected* and surfaced as a lost frame — the simulator's ground truth
 //! for frame-loss-rate measurements.
 
-/// The slicing-by-8 CRC-32 tables, built at compile time. `CRC_TABLES[0]`
-/// is the classic byte table (reflected polynomial 0xEDB88320); row `k`
-/// advances a byte that sits `k` positions further from the end of an
-/// 8-byte group, so one group folds in with eight independent lookups.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+/// The slicing-by-16 CRC-32 tables (16 KiB), built at compile time.
+/// `CRC_TABLES[0]` is the classic byte table (reflected polynomial
+/// 0xEDB88320); row `k` advances a byte that sits `k` positions further
+/// from the end of a group, so one 16-byte group folds in with sixteen
+/// independent lookups and an 8-byte group with rows 0..8.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -32,7 +33,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     let mut i = 0;
     while i < 256 {
         let mut k = 1;
-        while k < 8 {
+        while k < 16 {
             let prev = t[k - 1][i];
             t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             k += 1;
@@ -42,14 +43,37 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), slicing by 8:
-/// eight bytes per step through eight tables, then the byte loop for the
-/// tail.
+/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), slicing by 16:
+/// sixteen bytes per step through sixteen tables, then at most one
+/// 8-byte step through eight, then the byte loop for the tail.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    let mut groups = data.chunks_exact(8);
+    let mut groups = data.chunks_exact(16);
     for g in &mut groups {
+        let w0 = u32::from_le_bytes([g[0], g[1], g[2], g[3]]) ^ crc;
+        let w1 = u32::from_le_bytes([g[4], g[5], g[6], g[7]]);
+        let w2 = u32::from_le_bytes([g[8], g[9], g[10], g[11]]);
+        let w3 = u32::from_le_bytes([g[12], g[13], g[14], g[15]]);
+        crc = t[15][(w0 & 0xFF) as usize]
+            ^ t[14][((w0 >> 8) & 0xFF) as usize]
+            ^ t[13][((w0 >> 16) & 0xFF) as usize]
+            ^ t[12][(w0 >> 24) as usize]
+            ^ t[11][(w1 & 0xFF) as usize]
+            ^ t[10][((w1 >> 8) & 0xFF) as usize]
+            ^ t[9][((w1 >> 16) & 0xFF) as usize]
+            ^ t[8][(w1 >> 24) as usize]
+            ^ t[7][(w2 & 0xFF) as usize]
+            ^ t[6][((w2 >> 8) & 0xFF) as usize]
+            ^ t[5][((w2 >> 16) & 0xFF) as usize]
+            ^ t[4][(w2 >> 24) as usize]
+            ^ t[3][(w3 & 0xFF) as usize]
+            ^ t[2][((w3 >> 8) & 0xFF) as usize]
+            ^ t[1][((w3 >> 16) & 0xFF) as usize]
+            ^ t[0][(w3 >> 24) as usize];
+    }
+    let mut rest = groups.remainder();
+    if let Some((g, tail)) = rest.split_first_chunk::<8>() {
         let lo = u32::from_le_bytes([g[0], g[1], g[2], g[3]]) ^ crc;
         let hi = u32::from_le_bytes([g[4], g[5], g[6], g[7]]);
         crc = t[7][(lo & 0xFF) as usize]
@@ -60,8 +84,9 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[2][((hi >> 8) & 0xFF) as usize]
             ^ t[1][((hi >> 16) & 0xFF) as usize]
             ^ t[0][(hi >> 24) as usize];
+        rest = tail;
     }
-    for &b in groups.remainder() {
+    for &b in rest {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF

@@ -9,19 +9,36 @@
 //! its two tap echoes) — which is why the FEC sits *after* descrambling in
 //! the analytic budget.
 
-/// Scrambler/descrambler state (58-bit shift register).
+/// Mask of the 58-bit history.
+const MASK58: u64 = (1u64 << 58) - 1;
+
+/// Scrambler/descrambler state: the last 58 line bits in *stream order*
+/// — bit `k` is the line bit from 58−k steps ago, oldest at bit 0.
+///
+/// Stream order is what the word kernels need: the tap at stream
+/// distance 58 is bit `i` of the history and the tap at distance 39 is
+/// bit `i + 19`, so a whole word reads both with two shifts. The
+/// bit-serial reference keeps the textbook shift register (newest bit
+/// at the LSB, taps at bits 57 and 38), which is this history reversed
+/// (`reverse58`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scrambler {
-    state: u64,
+    history: u64,
 }
 
 impl Default for Scrambler {
     fn default() -> Self {
-        // Any non-zero init works; hardware commonly uses all-ones.
-        Scrambler {
-            state: (1u64 << 58) - 1,
-        }
+        // Any non-zero init works; hardware commonly uses all-ones (the
+        // same in either bit order).
+        Scrambler { history: MASK58 }
     }
+}
+
+/// Reverse the low 58 bits (an involution): register order ↔ stream
+/// order. Register bit 57 (the oldest) becomes stream bit 0.
+#[inline]
+fn reverse58(x: u64) -> u64 {
+    x.reverse_bits() >> 6
 }
 
 impl Scrambler {
@@ -30,71 +47,60 @@ impl Scrambler {
         Self::default()
     }
 
-    /// Scramble one bit.
+    /// Scramble one bit through the shift register (a test reference):
+    /// the register holds the newest bit at its LSB and taps bits 57 and
+    /// 38; it is converted from the history at entry and back at exit.
     #[inline]
     pub fn scramble_bit(&mut self, bit: u8) -> u8 {
-        let fb = ((self.state >> 57) ^ (self.state >> 38)) & 1;
+        let state = reverse58(self.history);
+        let fb = ((state >> 57) ^ (state >> 38)) & 1;
         let out = (bit as u64 ^ fb) & 1;
-        self.state = ((self.state << 1) | out) & ((1u64 << 58) - 1);
+        self.history = reverse58(((state << 1) | out) & MASK58);
         out as u8
     }
 
-    /// Descramble one bit (self-synchronizing: state is fed with the
-    /// *received* bit).
+    /// Descramble one bit through the shift register (a test reference;
+    /// self-synchronizing: the register is fed with the *received* bit).
     #[inline]
     pub fn descramble_bit(&mut self, bit: u8) -> u8 {
-        let fb = ((self.state >> 57) ^ (self.state >> 38)) & 1;
+        let state = reverse58(self.history);
+        let fb = ((state >> 57) ^ (state >> 38)) & 1;
         let out = (bit as u64 ^ fb) & 1;
-        self.state = ((self.state << 1) | bit as u64) & ((1u64 << 58) - 1);
+        self.history = reverse58(((state << 1) | bit as u64) & MASK58);
         out as u8
-    }
-
-    /// The 58-bit history window in *stream order*: bit `k` is the line
-    /// bit from 58−k steps ago (register bit 57−k). The register holds
-    /// the newest bit at its LSB, so stream order is the register
-    /// reversed — `reverse_bits()` maps bit 57 → bit 6, then `>> 6`
-    /// aligns the oldest bit to position 0.
-    #[inline]
-    fn history_window(&self) -> u128 {
-        (self.state.reverse_bits() >> 6) as u128
     }
 
     /// Scramble a 64-bit word LSB-first.
     ///
     /// Word-parallel: all 64 output bits in a handful of shifts and XORs
-    /// (DESIGN §11). With the stream window
-    /// `window = history | out << 58`, each output bit is
-    /// `out_i = word_i ^ window_i ^ window_{i+19}` (the taps at stream
-    /// distances 58 and 39). The feedback distance 39 < 64 makes out bits
-    /// 39.. depend on out bits 0..25 of the *same* word, so the closed
-    /// form is iterated twice: pass 1 settles bits 0..39 (history only),
-    /// pass 2 settles the rest (chain depth ⌈64/39⌉ = 2).
+    /// (DESIGN §11.4). Each output bit is
+    /// `out_i = word_i ^ window_i ^ window_{i+19}` over the stream window
+    /// `window = history | out << 58` (the taps at stream distances 58
+    /// and 39). History alone gives `first = word ^ h ^ (h >> 19)`, which
+    /// settles bits 0..39; the feedback then adds out bits 0..25 at bit
+    /// 39 and out bits 0..6 at bit 58 — and those low bits *are* `first`'s,
+    /// so `out = first ^ (first << 39) ^ (first << 58)` with no second
+    /// pass. The new history is the last 58 emitted bits, `out >> 6`.
     #[inline]
     pub fn scramble_word(&mut self, word: u64) -> u64 {
-        let h = self.history_window();
-        let mut out = 0u64;
-        for _ in 0..2 {
-            let window = h | (out as u128) << 58;
-            out = word ^ (window as u64) ^ ((window >> 19) as u64);
-        }
-        // The register now holds the last 58 emitted bits, newest at the
-        // LSB: reverse back out of stream order and mask to 58 bits.
-        self.state = out.reverse_bits() & ((1u64 << 58) - 1);
+        let h = self.history;
+        let first = word ^ h ^ (h >> 19);
+        let out = first ^ (first << 39) ^ (first << 58);
+        self.history = out >> 6;
         out
     }
 
     /// Descramble a 64-bit word LSB-first.
     ///
-    /// Word-parallel and self-synchronizing, so the window is
-    /// fed with *received* bits — no feedback dependency, single pass:
-    /// `out_i = word_i ^ window_i ^ window_{i+19}` with
-    /// `window = history | word << 58`.
+    /// Word-parallel and self-synchronizing, so the window is fed with
+    /// *received* bits — no feedback dependency:
+    /// `out = word ^ h ^ (h >> 19) ^ (word << 39) ^ (word << 58)`, and the
+    /// new history is the last 58 received bits, `word >> 6`.
     #[inline]
     pub fn descramble_word(&mut self, word: u64) -> u64 {
-        let window = self.history_window() | (word as u128) << 58;
-        let out = word ^ (window as u64) ^ ((window >> 19) as u64);
-        self.state = word.reverse_bits() & ((1u64 << 58) - 1);
-        out
+        let h = self.history;
+        self.history = word >> 6;
+        word ^ h ^ (h >> 19) ^ (word << 39) ^ (word << 58)
     }
 
     /// Bit-at-a-time scramble: the test reference for
@@ -139,7 +145,9 @@ mod tests {
         // Start the receiver with a *wrong* state; after 58 received bits
         // it must track exactly.
         let mut tx = Scrambler::new();
-        let mut rx = Scrambler { state: 0x1234_5678 };
+        let mut rx = Scrambler {
+            history: 0x1234_5678,
+        };
         let words: Vec<u64> = (0..8).map(|i| 0x0101_0101_0101_0101u64 * i).collect();
         let mut recovered = vec![];
         for &w in &words {
@@ -198,22 +206,22 @@ mod tests {
         }
 
         /// The word-parallel kernels must match the bit loop exactly —
-        /// every output word AND the register state after each word, from
-        /// any starting state.
+        /// every output word AND the state after each word, from any
+        /// starting register state.
         #[test]
         fn sliced_words_match_bit_loop(
             state in 1u64..(1 << 58),
             words in proptest::collection::vec(any::<u64>(), 1..32),
         ) {
-            let mut tx_s = Scrambler { state };
-            let mut tx_b = Scrambler { state };
-            let mut rx_s = Scrambler { state };
-            let mut rx_b = Scrambler { state };
+            let mut tx_s = Scrambler { history: reverse58(state) };
+            let mut tx_b = Scrambler { history: reverse58(state) };
+            let mut rx_s = Scrambler { history: reverse58(state) };
+            let mut rx_b = Scrambler { history: reverse58(state) };
             for &w in &words {
                 prop_assert_eq!(tx_s.scramble_word(w), tx_b.scramble_word_scalar(w));
-                prop_assert_eq!(tx_s.state, tx_b.state);
+                prop_assert_eq!(tx_s.history, tx_b.history);
                 prop_assert_eq!(rx_s.descramble_word(w), rx_b.descramble_word_scalar(w));
-                prop_assert_eq!(rx_s.state, rx_b.state);
+                prop_assert_eq!(rx_s.history, rx_b.history);
             }
         }
     }

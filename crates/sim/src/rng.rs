@@ -151,6 +151,7 @@ impl Bernoulli {
 
 impl DetRng {
     /// Root stream for a master seed.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         DetRng {
             inner: ChaCha8Rng::seed_from_u64(seed),

@@ -7,13 +7,13 @@
 //! and delivery deadlines.
 //!
 //! Determinism contract: emission is a pure function of
-//! `(seed, flow, epoch)` — every flow-epoch draws from its own
-//! counter-derived `DetRng` substream, so the offered load is
+//! `(seed, flow, epoch)` — every flow-epoch that draws at all draws from
+//! its own counter-derived `DetRng` substream, so the offered load is
 //! bit-identical across policies, thread counts, and resume points. The
 //! harness may reorder, retransmit, or drop frames; it can never change
 //! what was offered.
 
-use mosaic_sim::rng::DetRng;
+use mosaic_sim::rng::{DetRng, Substreams};
 
 /// Workload taxonomy (DESIGN §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,8 @@ pub struct FrameSpec {
 #[derive(Debug, Clone)]
 pub struct Workload {
     cfg: WorkloadConfig,
-    seed: u64,
+    /// `(seed, "traffic-flow")`'s stream family, label hashed once.
+    streams: Substreams,
     next_seq: Vec<u32>,
 }
 
@@ -101,7 +102,7 @@ impl Workload {
     pub fn new(cfg: WorkloadConfig, seed: u64) -> Self {
         Workload {
             cfg,
-            seed,
+            streams: DetRng::substreams(seed, "traffic-flow"),
             next_seq: vec![0; cfg.flows as usize],
         }
     }
@@ -131,55 +132,55 @@ impl Workload {
     pub fn emit_epoch(&mut self, epoch: u64, out: &mut Vec<FrameSpec>) {
         let base = self.cfg.base_frame_bytes;
         for flow in 0..self.cfg.flows {
-            // One substream per (flow, epoch): emission never depends on
-            // what the link did with earlier frames.
-            let task = (u64::from(flow) << 32) | (epoch & 0xFFFF_FFFF);
-            let mut rng = DetRng::substream_indexed(self.seed, "traffic-flow", task);
-            let (count, size_lo, size_hi) = match self.flow_kind(flow) {
+            // The scheduled kinds fix their count by the epoch; Poisson
+            // (`None`) draws it. A silent scheduled flow-epoch draws
+            // nothing, so it skips the stream keying too.
+            let (scheduled, size_lo, size_hi) = match self.flow_kind(flow) {
                 WorkloadKind::Incast => {
                     // Every flow fires together every 8 epochs.
-                    if epoch.is_multiple_of(8) {
-                        (3, base / 2, base * 2)
-                    } else {
-                        (0, 0, 0)
+                    if !epoch.is_multiple_of(8) {
+                        continue;
                     }
+                    (Some(3), base / 2, base * 2)
                 }
                 WorkloadKind::AllReduceRing => {
                     // Chunk per step, compute gap every 4th epoch.
                     if epoch % 4 == 3 {
-                        (0, 0, 0)
-                    } else {
-                        (2, base, base * 2)
+                        continue;
                     }
+                    (Some(2), base, base * 2)
                 }
                 WorkloadKind::AllReduceButterfly => {
                     // log-structured: short fat bursts, longer gaps.
-                    if epoch % 8 < 3 {
-                        (3, base * 3 / 2, base * 5 / 2)
-                    } else {
-                        (0, 0, 0)
+                    if epoch % 8 >= 3 {
+                        continue;
                     }
+                    (Some(3), base * 3 / 2, base * 5 / 2)
                 }
                 WorkloadKind::MulticastFanout => {
                     // One emission per 4 epochs, replicated 4-way.
-                    if epoch % 4 == 1 {
-                        (4, base, base * 3 / 2)
-                    } else {
-                        (0, 0, 0)
+                    if epoch % 4 != 1 {
+                        continue;
                     }
+                    (Some(4), base, base * 3 / 2)
                 }
-                WorkloadKind::PoissonBackground => {
-                    // Mean one frame per epoch via exponential arrivals.
-                    let mut t = rng.exponential(1.0);
-                    let mut n = 0usize;
-                    while t < 1.0 && n < 6 {
-                        n += 1;
-                        t += rng.exponential(1.0);
-                    }
-                    (n, base / 2, base * 5 / 2)
-                }
+                WorkloadKind::PoissonBackground => (None, base / 2, base * 5 / 2),
                 WorkloadKind::Mixed => unreachable!("flow_kind resolves Mixed"),
             };
+            // One substream per (flow, epoch): emission never depends on
+            // what the link did with earlier frames.
+            let task = (u64::from(flow) << 32) | (epoch & 0xFFFF_FFFF);
+            let mut rng = self.streams.child(task);
+            let count = scheduled.unwrap_or_else(|| {
+                // Mean one frame per epoch via exponential arrivals.
+                let mut t = rng.exponential(1.0);
+                let mut n = 0usize;
+                while t < 1.0 && n < 6 {
+                    n += 1;
+                    t += rng.exponential(1.0);
+                }
+                n
+            });
             for _ in 0..count {
                 let span = size_hi.saturating_sub(size_lo).max(1);
                 let size = size_lo + rng.below(span);
