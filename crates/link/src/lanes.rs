@@ -3,8 +3,8 @@
 //! Mosaic's reliability story (claim C3) rests on cheap redundancy: a few
 //! spare microLED/core/PD channels replace any failed channel, invisible
 //! above the gearbox. [`LaneHealth`] estimates each channel's live BER from
-//! a sliding window of error counts (fed by PRBS monitoring or FEC
-//! corrected-symbol counters); [`LaneMap`] maintains the logical-lane →
+//! a sliding window of bit-error counts, which the degrade controller
+//! records each epoch; [`LaneMap`] maintains the logical-lane →
 //! physical-channel assignment and swaps in spares when a channel degrades.
 
 /// Sliding-window BER monitor for one physical channel.

@@ -7,11 +7,8 @@
 //! remapping onto spare cores. This crate implements that logic as real,
 //! executable code — the simulator pushes actual bytes through it.
 //!
-//! * [`prbs`] — PRBS7/15/31 pattern generators and error-counting checkers
-//!   (the link's self-test and per-lane BER monitoring substrate);
-//! * [`scrambler`] — the 64b/66b self-synchronizing scrambler
-//!   (x⁵⁸ + x³⁹ + 1) for DC balance and transition density;
-//! * [`pcs`] — 64b/66b block coding (sync headers, data/idle blocks);
+//! * [`scrambler`] — the self-synchronizing scrambler (x⁵⁸ + x³⁹ + 1)
+//!   for DC balance and transition density, over bare 64-bit words;
 //! * [`framing`] — CRC-32-framed transport so corruption is *detected*
 //!   end-to-end, never silently passed up;
 //! * [`striping`] — the word distributor and the alignment-marker based
@@ -28,8 +25,6 @@ pub mod degrade;
 pub mod framing;
 pub mod gearbox;
 pub mod lanes;
-pub mod pcs;
-pub mod prbs;
 pub mod scrambler;
 pub mod striping;
 

@@ -1,4 +1,6 @@
-//! The 64b/66b self-synchronizing scrambler, polynomial x⁵⁸ + x³⁹ + 1.
+//! The self-synchronizing scrambler of Ethernet's 64b/66b PCS, polynomial
+//! x⁵⁸ + x³⁹ + 1, applied here to bare 64-bit words (the gearbox carries
+//! no sync header).
 //!
 //! Ethernet scrambles every 64-bit payload (not the sync header) so the
 //! line has enough transitions for clock recovery and no DC wander —

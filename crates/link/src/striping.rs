@@ -148,11 +148,14 @@ pub fn stripe_mapped(
             seq = seq.wrapping_add(1);
             let end = lane.len() + cfg.am_period;
             let mine = payload.get(b * block + l..).unwrap_or_default();
+            // Each chunk's first word is this lane's next word. `chunks`
+            // rather than `step_by`: its exact-length extend does not hang
+            // on LLVM inlining `StepBy::try_fold`, which flips with the
+            // crate's codegen-unit split (+35% on `stripe_64lanes` when not).
             lane.extend(
-                mine.iter()
-                    .step_by(cfg.lanes)
+                mine.chunks(cfg.lanes)
                     .take(cfg.am_period)
-                    .map(|&w| LaneWord::Data(w)),
+                    .map(|c| LaneWord::Data(c[0])),
             );
             lane.resize(end, LaneWord::Data(pad));
         }

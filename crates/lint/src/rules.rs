@@ -216,8 +216,8 @@ pub fn default_config() -> Config {
                 harness: None,
             },
             // The bit-sliced Monte-Carlo kernels (slicer, injector,
-            // scrambler, PRBS bank): runtime-proved by the sim-side
-            // counting-allocator harness, statically pinned here.
+            // scrambler): runtime-proved by the sim-side counting-allocator
+            // harness, statically pinned here.
             // Differential proptests pin values, this rule pins allocs.
             // The rare-event tail sampler's inner batch: one tilted-draw
             // loop per rail, hot inside the adaptive-fidelity tier.
@@ -254,16 +254,6 @@ pub fn default_config() -> Config {
             RegistryFn {
                 file: "crates/link/src/scrambler.rs",
                 func: "descramble_word",
-                harness: Some("crates/sim/tests/alloc_free.rs"),
-            },
-            RegistryFn {
-                file: "crates/link/src/prbs.rs",
-                func: "next_bits",
-                harness: Some("crates/sim/tests/alloc_free.rs"),
-            },
-            RegistryFn {
-                file: "crates/link/src/prbs.rs",
-                func: "bits_into",
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             // Raw-draw RNG primitives the sliced kernels are built on:

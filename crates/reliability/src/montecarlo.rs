@@ -28,24 +28,11 @@ impl PoolLifetime {
 }
 
 /// Simulate `trials` independent pools of `n` channels (need `k` alive,
-/// per-channel rate `fit`, no repair) over `horizon`. The pool dies when
-/// the `(n−k+1)`-th channel fails. Runs on the ambient (`MOSAIC_THREADS`)
-/// execution context; see [`simulate_pool_no_repair_with`].
-pub fn simulate_pool_no_repair(
-    k: usize,
-    n: usize,
-    fit: Fit,
-    horizon: Duration,
-    trials: u64,
-    seed: u64,
-) -> PoolLifetime {
-    simulate_pool_no_repair_with(&Exec::from_env(), k, n, fit, horizon, trials, seed)
-}
-
-/// [`simulate_pool_no_repair`] on an explicit execution context. Trials
-/// are split into fixed [`POOL_CHUNK_TRIALS`]-sized tasks, chunk `c`
-/// drawing from stream `(seed, "pool-lifetime", c)`; survivor counts sum
-/// in chunk order, so the result is thread-count invariant.
+/// per-channel rate `fit`, no repair) over `horizon` on `exec`. The pool
+/// dies when the `(n−k+1)`-th channel fails. Trials are split into fixed
+/// [`POOL_CHUNK_TRIALS`]-sized tasks, chunk `c` drawing from stream
+/// `(seed, "pool-lifetime", c)`; survivor counts sum in chunk order, so
+/// the result is thread-count invariant.
 pub fn simulate_pool_no_repair_with(
     exec: &Exec,
     k: usize,
@@ -63,18 +50,33 @@ pub fn simulate_pool_no_repair_with(
             survived: trials,
         };
     }
-    let spares = n - k;
     // Each channel fails before `t` with p = 1 − e^{−λt}; order statistics
     // are not needed.
     let p_fail = 1.0 - (-lam * horizon.as_hours()).exp();
+    let plan = TrialPlan::new().seed(seed).label("pool-lifetime");
+    let survived = pool_survivors(exec, plan, n, n - k, p_fail, trials);
+    PoolLifetime { trials, survived }
+}
+
+/// The k-of-n no-repair sampler behind [`simulate_pool_no_repair_with`]
+/// and [`crate::weibull::pool_survival_weibull_with`]: how many of
+/// `trials` pools of `n` channels, each failing by the horizon with
+/// probability `p_fail`, lose at most `spares` channels. `plan` carries
+/// the caller's seed and stream label; the trials run as fixed
+/// [`POOL_CHUNK_TRIALS`]-sized tasks, chunk `c` drawing from stream
+/// `(seed, label, c)`.
+pub(crate) fn pool_survivors(
+    exec: &Exec,
+    plan: TrialPlan,
+    n: usize,
+    spares: usize,
+    p_fail: f64,
+    trials: u64,
+) -> u64 {
     // Hoisted once per sweep config: the inner loop below runs
     // trials × n times and must do no per-draw float preparation.
     let fail = Bernoulli::new(p_fail);
-    let chunks = chunk_count(trials, POOL_CHUNK_TRIALS);
-    let survived = TrialPlan::new()
-        .trials(chunks)
-        .seed(seed)
-        .label("pool-lifetime")
+    plan.trials(chunk_count(trials, POOL_CHUNK_TRIALS))
         .sum(exec, |ctx| {
             let mut rng = ctx.rng();
             let mut survived = 0u64;
@@ -86,38 +88,13 @@ pub fn simulate_pool_no_repair_with(
                 }
             }
             survived
-        });
-    PoolLifetime { trials, survived }
+        })
 }
 
-/// Simulate with repair: event-driven per trial. Failures ~ Exp((alive)·λ);
-/// repairs ~ Exp((failed)·µ). The trial fails when alive < k at any time.
-/// Runs on the ambient (`MOSAIC_THREADS`) execution context; see
-/// [`simulate_pool_with_repair_with`].
-pub fn simulate_pool_with_repair(
-    k: usize,
-    n: usize,
-    fit: Fit,
-    repair_per_hour: f64,
-    horizon: Duration,
-    trials: u64,
-    seed: u64,
-) -> PoolLifetime {
-    simulate_pool_with_repair_with(
-        &Exec::from_env(),
-        k,
-        n,
-        fit,
-        repair_per_hour,
-        horizon,
-        trials,
-        seed,
-    )
-}
-
-/// [`simulate_pool_with_repair`] on an explicit execution context, with
-/// the same fixed-chunk decomposition as the no-repair form (streams
-/// labelled `"pool-repair"`).
+/// Simulate with repair on `exec`: event-driven per trial. Failures ~
+/// Exp((alive)·λ); repairs ~ Exp((failed)·µ). The trial fails when
+/// alive < k at any time. Same fixed-chunk decomposition as
+/// [`simulate_pool_no_repair_with`] (streams labelled `"pool-repair"`).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_pool_with_repair_with(
     exec: &Exec,
@@ -184,7 +161,7 @@ mod tests {
     fn no_repair_matches_closed_form() {
         let t = Duration::from_years(7.0);
         let (k, n, fit) = (40, 44, Fit::new(2000.0));
-        let mc = simulate_pool_no_repair(k, n, fit, t, 200_000, 3);
+        let mc = simulate_pool_no_repair_with(&Exec::from_env(), k, n, fit, t, 200_000, 3);
         let closed = KofN::new(k, n, fit).survival(t);
         let err = (mc.survival() - closed).abs();
         assert!(err < 0.005, "mc {} vs closed {closed}", mc.survival());
@@ -196,7 +173,7 @@ mod tests {
         // High failure rate + slow repair so the answer is far from 1 and
         // statistics converge quickly.
         let (k, n, fit, mu) = (10, 12, Fit::new(200_000.0), 1.0 / (90.0 * 24.0));
-        let mc = simulate_pool_with_repair(k, n, fit, mu, t, 100_000, 5);
+        let mc = simulate_pool_with_repair_with(&Exec::from_env(), k, n, fit, mu, t, 100_000, 5);
         let markov = SparedPool::new(k, n, fit, mu).survival(t);
         let err = (mc.survival() - markov).abs();
         assert!(err < 0.01, "mc {} vs markov {markov}", mc.survival());
@@ -206,16 +183,18 @@ mod tests {
     fn repair_mc_reduces_to_no_repair_mc() {
         let t = Duration::from_years(5.0);
         let (k, n, fit) = (20, 22, Fit::new(50_000.0));
-        let a = simulate_pool_with_repair(k, n, fit, 0.0, t, 60_000, 9);
-        let b = simulate_pool_no_repair(k, n, fit, t, 60_000, 9);
+        let a = simulate_pool_with_repair_with(&Exec::from_env(), k, n, fit, 0.0, t, 60_000, 9);
+        let b = simulate_pool_no_repair_with(&Exec::from_env(), k, n, fit, t, 60_000, 9);
         assert!((a.survival() - b.survival()).abs() < 0.01);
     }
 
     #[test]
     fn deterministic() {
         let t = Duration::from_years(7.0);
-        let a = simulate_pool_no_repair(4, 6, Fit::new(10_000.0), t, 10_000, 1);
-        let b = simulate_pool_no_repair(4, 6, Fit::new(10_000.0), t, 10_000, 1);
+        let a =
+            simulate_pool_no_repair_with(&Exec::from_env(), 4, 6, Fit::new(10_000.0), t, 10_000, 1);
+        let b =
+            simulate_pool_no_repair_with(&Exec::from_env(), 4, 6, Fit::new(10_000.0), t, 10_000, 1);
         assert_eq!(a, b);
     }
 

@@ -7,9 +7,9 @@
 //! stay close to k ≈ 1. This module quantifies how much the exponential
 //! simplification under- or over-states pool survival.
 
-use crate::montecarlo::POOL_CHUNK_TRIALS;
-use mosaic_sim::rng::{Bernoulli, DetRng};
-use mosaic_sim::sweep::{chunk_count, chunk_len, Exec, TrialPlan};
+use crate::montecarlo::pool_survivors;
+use mosaic_sim::rng::DetRng;
+use mosaic_sim::sweep::{Exec, TrialPlan};
 use mosaic_units::{Duration, Fit};
 
 /// A Weibull lifetime distribution.
@@ -76,7 +76,7 @@ impl Weibull {
 /// (no repair): each channel independently survives the horizon with
 /// probability `1 − failure_prob(horizon)`, so the pool survival is the
 /// exact binomial sum [`crate::system::binomial_survival`] — the same
-/// quantity [`pool_survival_weibull`] estimates by sampling. The
+/// quantity [`pool_survival_weibull_with`] estimates by sampling. The
 /// adaptive fidelity tier uses this form directly (`Exactness::Exact`
 /// in DESIGN §12 terms); the Monte-Carlo form remains as the
 /// full-fidelity cross-check.
@@ -90,23 +90,11 @@ pub fn pool_survival_weibull_analytic(
 }
 
 /// Monte-Carlo survival of a k-of-n pool with Weibull channel lifetimes
-/// (no repair): the pool dies when more than `n − k` channels have failed
-/// by the horizon. Runs on the ambient (`MOSAIC_THREADS`) execution
-/// context; see [`pool_survival_weibull_with`].
-pub fn pool_survival_weibull(
-    k: usize,
-    n: usize,
-    lifetime: Weibull,
-    horizon: Duration,
-    trials: u64,
-    seed: u64,
-) -> f64 {
-    pool_survival_weibull_with(&Exec::from_env(), k, n, lifetime, horizon, trials, seed)
-}
-
-/// [`pool_survival_weibull`] on an explicit execution context. Trials
-/// are split into fixed [`POOL_CHUNK_TRIALS`]-sized tasks (streams
-/// labelled `"weibull-pool"`), so the result is thread-count invariant.
+/// (no repair) on `exec`: the pool dies when more than `n − k` channels
+/// have failed by the horizon. Trials are split into fixed
+/// [`POOL_CHUNK_TRIALS`](crate::montecarlo::POOL_CHUNK_TRIALS)-sized
+/// tasks (streams labelled `"weibull-pool"`), so the result is
+/// thread-count invariant.
 pub fn pool_survival_weibull_with(
     exec: &Exec,
     k: usize,
@@ -118,32 +106,15 @@ pub fn pool_survival_weibull_with(
 ) -> f64 {
     assert!(k >= 1 && k <= n);
     let p_fail = lifetime.failure_prob(horizon);
-    let spares = n - k;
-    // Hoisted once per sweep config (see DESIGN §11).
-    let fail = Bernoulli::new(p_fail);
-    let chunks = chunk_count(trials, POOL_CHUNK_TRIALS);
-    let survived = TrialPlan::new()
-        .trials(chunks)
-        .seed(seed)
-        .label("weibull-pool")
-        .sum(exec, |ctx| {
-            let mut rng = ctx.rng();
-            let mut survived = 0u64;
-            for _ in 0..chunk_len(ctx.trial(), trials, POOL_CHUNK_TRIALS) {
-                // 64 channels per decision word; draw-for-draw identical to
-                // the sequential per-channel loop (see `Bernoulli::at_most`).
-                if fail.at_most(n, spares, &mut rng) {
-                    survived += 1;
-                }
-            }
-            survived
-        });
+    let plan = TrialPlan::new().seed(seed).label("weibull-pool");
+    let survived = pool_survivors(exec, plan, n, n - k, p_fail, trials);
     survived as f64 / trials as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::POOL_CHUNK_TRIALS;
     use crate::system::KofN;
     use proptest::prelude::*;
 
@@ -153,7 +124,7 @@ mod tests {
         // target the same quantity; 200k trials pins them to ~3 sigma.
         let horizon = Duration::from_years(12.0);
         let lt = Weibull::matching_fit_at(Fit::new(2000.0), 2.5, Duration::from_years(7.0));
-        let mc = pool_survival_weibull(40, 44, lt, horizon, 200_000, 9);
+        let mc = pool_survival_weibull_with(&Exec::from_env(), 40, 44, lt, horizon, 200_000, 9);
         let analytic = pool_survival_weibull_analytic(40, 44, lt, horizon);
         assert!(
             (mc - analytic).abs() < 0.005,
@@ -217,7 +188,7 @@ mod tests {
         let horizon = Duration::from_years(7.0);
         let fit = Fit::new(3000.0);
         let w = Weibull::matching_fit_at(fit, 1.0, horizon);
-        let mc = pool_survival_weibull(40, 43, w, horizon, 200_000, 4);
+        let mc = pool_survival_weibull_with(&Exec::from_env(), 40, 43, w, horizon, 200_000, 4);
         let closed = KofN::new(40, 43, fit).survival(horizon);
         assert!((mc - closed).abs() < 0.005, "mc {mc} vs closed {closed}");
     }
@@ -229,7 +200,8 @@ mod tests {
         // sanity result for the Mosaic sparing table.
         let horizon = Duration::from_years(7.0);
         let fit = Fit::new(2000.0);
-        let expo = pool_survival_weibull(
+        let expo = pool_survival_weibull_with(
+            &Exec::from_env(),
             100,
             104,
             Weibull::matching_fit_at(fit, 1.0, horizon),
@@ -237,7 +209,8 @@ mod tests {
             100_000,
             5,
         );
-        let wear = pool_survival_weibull(
+        let wear = pool_survival_weibull_with(
+            &Exec::from_env(),
             100,
             104,
             Weibull::matching_fit_at(fit, 2.5, horizon),

@@ -1,14 +1,14 @@
 //! Proof of the "zero heap allocations per Monte-Carlo inner loop" claim
 //! for the bit-sliced kernels: a counting global allocator wraps the
-//! system allocator, and the sliced slicer / injector / scrambler / PRBS
-//! hot paths must not touch it once their buffers are warmed.
+//! system allocator, and the sliced slicer, tail sampler, injector,
+//! scrambler and raw-draw hot paths must not touch it once their buffers
+//! are warmed.
 //!
 //! The fec-side twin is `crates/fec/tests/alloc_free.rs`; both harnesses
 //! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 
-use mosaic_link::prbs::{Prbs, PrbsBank};
 use mosaic_link::scrambler::Scrambler;
 use mosaic_link::striping::LaneWord;
 use mosaic_sim::inject::BitErrorInjector;
@@ -141,19 +141,6 @@ fn sliced_kernel_paths_do_not_allocate() {
         }
     });
     assert_eq!(n, 0, "raw-draw primitives allocated {n} times");
-
-    // --- PRBS bank: slab generation into warmed buffers -----------------
-    let mut bank = PrbsBank::with_seeds(&Prbs::prbs31(), 130, |l| 1 + l as u64);
-    let mut slab = vec![0u64; bank.words()];
-    let mut bulk = vec![0u64; 64 * bank.words()];
-    let n = allocs_during(|| {
-        for _ in 0..64 {
-            bank.next_bits(&mut slab);
-            total += slab.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        }
-        bank.bits_into(64, &mut bulk);
-    });
-    assert_eq!(n, 0, "PRBS bank kernels allocated {n} times");
 
     // Keep the accumulator live so nothing above is optimized away.
     assert!(

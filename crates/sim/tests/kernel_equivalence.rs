@@ -10,7 +10,6 @@
 //! `results/` and the quick manifest values in `BENCH_run_all.json` pin
 //! the kernels' figures.
 
-use mosaic_link::prbs::{Prbs, PrbsBank};
 use mosaic_link::scrambler::Scrambler;
 use mosaic_link::striping::LaneWord;
 use mosaic_sim::inject::BitErrorInjector;
@@ -48,31 +47,6 @@ fn slicer_sliced_matches_scalar_at_boundary_counts() {
             rng_r.next_u64(),
             "RNG stream position diverged at {bits} bits"
         );
-    }
-}
-
-#[test]
-fn prbs_bank_matches_scalar_lanes_at_boundary_counts() {
-    for &lanes in &BOUNDARY_COUNTS {
-        let gens: Vec<Prbs> = (0..lanes)
-            .map(|l| Prbs::prbs31().with_seed(1 + l as u64 * 0x9E37))
-            .collect();
-        let mut bank = PrbsBank::new(&gens);
-        let mut scalars = gens;
-        let mut slab = vec![0u64; bank.words()];
-        for step in 0..200 {
-            bank.next_bits(&mut slab);
-            for (l, g) in scalars.iter_mut().enumerate() {
-                assert_eq!(
-                    ((slab[l / 64] >> (l % 64)) & 1) as u8,
-                    g.next_bit(),
-                    "lane {l}/{lanes} step {step}"
-                );
-            }
-            if lanes % 64 != 0 {
-                assert_eq!(slab[lanes / 64] >> (lanes % 64), 0, "tail lanes dirty");
-            }
-        }
     }
 }
 

@@ -197,17 +197,10 @@ impl Workload {
         }
     }
 
-    /// Fill `buf` with the frame's deterministic payload pattern (a pure
-    /// function of flow and sequence number, so deliveries can be
-    /// integrity-checked without storing the bytes).
-    pub fn fill_payload(spec: &FrameSpec, buf: &mut Vec<u8>) {
-        buf.clear();
-        Self::payload_into(spec, buf);
-    }
-
-    /// Append the frame's payload pattern to `arena` and return its
-    /// `(start, len)` span — the allocation-free arena form the harness
-    /// epoch loop uses.
+    /// Append the frame's deterministic payload pattern (a pure function
+    /// of flow and sequence number, so deliveries can be integrity-checked
+    /// without storing the bytes) to `arena` and return its `(start, len)`
+    /// span — the allocation-free arena form the harness epoch loop uses.
     ///
     /// Byte `i` is `(x_{i+1} >> 33) ^ i` over the LCG
     /// `x_{n+1} = a·x_n + c`. Eight interleaved copies of the recurrence,
@@ -387,8 +380,8 @@ mod tests {
         };
         let mut a = Vec::new();
         let mut b = Vec::new();
-        Workload::fill_payload(&spec, &mut a);
-        Workload::fill_payload(&spec, &mut b);
+        Workload::payload_into(&spec, &mut a);
+        Workload::payload_into(&spec, &mut b);
         assert_eq!(a, b);
         assert_eq!(a.len(), 200);
     }
