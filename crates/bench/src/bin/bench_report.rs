@@ -5,7 +5,6 @@
 //! bench-report summary <manifest.json>                 # per-figure table
 //! bench-report diff    <old.json> <new.json> [flags]   # regression report
 //! bench-report trend   <manifest.json>...              # wall-time history
-//! bench-report fidelity-diff <full.json> <adaptive.json> [--ci-widening K]
 //! ```
 //!
 //! `diff` always compares the thread-count-invariant *values* (counters,
@@ -15,14 +14,6 @@
 //! than `--max-slowdown` (default 1.5×); figures whose new wall time is
 //! under `--min-wall-ms` (default 100) are treated as jitter and never
 //! flagged.
-//!
-//! `fidelity-diff` is the fidelity-equivalence gate (DESIGN §12): it
-//! compares a full-fidelity manifest against an adaptive-fidelity one of
-//! the same configuration, requiring budget-independent metrics to match
-//! exactly and each shared numeric series to agree within
-//! `K × (h_full + h_adaptive)` of its recorded 95 % CI half-widths
-//! (`--ci-widening K`, default 2). Adaptive-only `tail` series are
-//! allowed; any other shape difference fails.
 //!
 //! `trend` renders a per-figure wall-time history across manifests given
 //! oldest-first (e.g. the previous CI run's artifact followed by the
@@ -63,7 +54,6 @@ fn usage() -> ! {
          bench-report diff <old.json> <new.json> \
          [--values-only] [--max-slowdown X] [--min-wall-ms MS]\n       \
          bench-report trend <manifest.json>... (oldest first)\n       \
-         bench-report fidelity-diff <full.json> <adaptive.json> [--ci-widening K]\n\
          \n\
          diff flags:\n  \
          --values-only      compare only deterministic values, skip timings\n  \
@@ -229,28 +219,6 @@ fn cmd_diff(
     println!("no regressions");
 }
 
-fn cmd_fidelity_diff(full_path: &str, adaptive_path: &str, ci_widening: f64) {
-    let full = load(full_path);
-    let adaptive = load(adaptive_path);
-    let errs = manifest::fidelity_check(&full, &adaptive, ci_widening);
-    if errs.is_empty() {
-        println!(
-            "fidelity: adaptive run statistically equivalent to full \
-             (K={ci_widening}, {full_path} vs {adaptive_path})"
-        );
-        return;
-    }
-    println!("fidelity: {} violation(s)", errs.len());
-    for e in &errs {
-        println!("  {e}");
-    }
-    eprintln!(
-        "FAIL: adaptive manifest {adaptive_path} deviates from full manifest \
-         {full_path} beyond K={ci_widening} CI widening"
-    );
-    std::process::exit(1);
-}
-
 /// Render a per-figure wall-time history across manifests (oldest first)
 /// as a markdown table: one row per figure plus a total row, one column
 /// per manifest, and a final column with the last-vs-previous ratio.
@@ -381,20 +349,6 @@ fn main() {
             cmd_diff(&args[1], &args[2], values_only, max_slowdown, min_wall_ms);
         }
         Some("trend") if args.len() >= 2 => cmd_trend(&args[1..]),
-        Some("fidelity-diff") if args.len() >= 3 => {
-            let mut ci_widening = 2.0f64;
-            let mut rest = args[3..].iter();
-            while let Some(flag) = rest.next() {
-                match flag.as_str() {
-                    "--ci-widening" => match rest.next().and_then(|v| v.parse().ok()) {
-                        Some(x) => ci_widening = x,
-                        None => usage(),
-                    },
-                    _ => usage(),
-                }
-            }
-            cmd_fidelity_diff(&args[1], &args[2], ci_widening);
-        }
         _ => usage(),
     }
 }

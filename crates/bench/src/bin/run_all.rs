@@ -6,15 +6,6 @@
 //! (default: all cores); per-experiment `[stats]` lines go to stderr so
 //! the result files stay byte-identical across thread counts.
 //!
-//! `--fidelity adaptive` (or `MOSAIC_FIDELITY=adaptive`) routes every
-//! Monte-Carlo measurement through the adaptive-fidelity controller
-//! (DESIGN §12): analytic closed forms far from decision thresholds,
-//! reduced-budget MC near them, importance-sampled tail estimates below
-//! MC resolution. Adaptive outputs land in `results/adaptive/` (the
-//! committed `results/` files stay full-fidelity ground truth) and CI
-//! checks them against a full-fidelity manifest with
-//! `bench-report fidelity-diff`.
-//!
 //! Every run also emits a machine-readable manifest (JSON, schema
 //! `mosaic-run-manifest/v1`) with per-figure telemetry and timings —
 //! default path `results/manifests/run_all-<mode>.json`, overridable with
@@ -36,7 +27,6 @@
 use mosaic_bench::fragments;
 use mosaic_bench::manifest::FigureRecord;
 use mosaic_bench::manifest::RunManifest;
-use mosaic_sim::fidelity::{FidelityMode, FIDELITY_ENV};
 use mosaic_sim::telemetry;
 use mosaic_sim::telemetry::Stopwatch;
 use std::fs;
@@ -67,26 +57,10 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--fidelity" => match args.next().as_deref().and_then(FidelityMode::parse) {
-                Some(f) => std::env::set_var(FIDELITY_ENV, f.name()),
-                None => {
-                    eprintln!("--fidelity requires full|adaptive");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--fidelity=") => {
-                match FidelityMode::parse(&other["--fidelity=".len()..]) {
-                    Some(f) => std::env::set_var(FIDELITY_ENV, f.name()),
-                    None => {
-                        eprintln!("--fidelity requires full|adaptive, got {other}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             other => {
                 eprintln!(
                     "unknown argument: {other} (supported: --quick, --resume, \
-                     --fidelity full|adaptive, --manifest-out <path>, --stop-after <n>)"
+                     --manifest-out <path>, --stop-after <n>)"
                 );
                 std::process::exit(2);
             }
@@ -97,29 +71,9 @@ fn main() {
     } else {
         "full"
     };
-    let fidelity = mosaic_bench::runcfg::fidelity();
-    // Fragments from a different fidelity mode must never satisfy a
-    // resume (the figure outputs legitimately differ), so the fragment
-    // key carries the fidelity suffix when it deviates from full.
-    let frag_mode = if fidelity.is_adaptive() {
-        format!("{mode}-adaptive")
-    } else {
-        mode.to_string()
-    };
     let threads = mosaic_sim::sweep::Exec::from_env().threads();
-    eprintln!(
-        "[run_all] mode={mode} fidelity={} threads={threads} resume={resume}",
-        fidelity.name()
-    );
-    // Adaptive runs annotate tier decisions in the figure text, so they
-    // land in results/adaptive/ — the committed results/ files are the
-    // full-fidelity ground truth and only a full run may rewrite them.
-    let results_dir = if fidelity.is_adaptive() {
-        "results/adaptive"
-    } else {
-        "results"
-    };
-    fs::create_dir_all(results_dir).expect("create results dir");
+    eprintln!("[run_all] mode={mode} threads={threads} resume={resume}");
+    fs::create_dir_all("results").expect("create results dir");
     let fragment_dir = Path::new(FRAGMENT_DIR);
     if !resume {
         // Fresh start: stale checkpoints must not leak into this run.
@@ -133,7 +87,7 @@ fn main() {
     let mut executed = 0usize;
     for (id, title, runner) in mosaic_bench::all_experiments() {
         let record = match resume
-            .then(|| fragments::load_fragment(fragment_dir, id, &frag_mode))
+            .then(|| fragments::load_fragment(fragment_dir, id, mode))
             .flatten()
         {
             Some(record) => {
@@ -165,12 +119,11 @@ fn main() {
                     telemetry: snapshot,
                     wall_ns,
                 };
-                fragments::write_fragment(fragment_dir, &record, &frag_mode)
-                    .expect("write fragment");
+                fragments::write_fragment(fragment_dir, &record, mode).expect("write fragment");
                 record
             }
         };
-        let path = format!("{results_dir}/{}.txt", id.to_lowercase());
+        let path = format!("results/{}.txt", id.to_lowercase());
         fs::write(&path, &record.output).expect("write result");
         figures.push(record);
     }
@@ -180,15 +133,13 @@ fn main() {
 
     let manifest = RunManifest {
         mode: mode.to_string(),
-        fidelity: fidelity.name().to_string(),
         threads,
         figures,
         total_wall_ns: run_start.elapsed().as_nanos() as u64,
         total_cpu_ns: telemetry::process_cpu_ns().saturating_sub(cpu_start),
         peak_rss_bytes: telemetry::peak_rss_bytes(),
     };
-    let path =
-        manifest_out.unwrap_or_else(|| format!("results/manifests/run_all-{frag_mode}.json"));
+    let path = manifest_out.unwrap_or_else(|| format!("results/manifests/run_all-{mode}.json"));
     if let Some(dir) = std::path::Path::new(&path).parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir).expect("create manifest directory");

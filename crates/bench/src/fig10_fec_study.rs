@@ -8,7 +8,6 @@ use crate::table::Table;
 use mosaic::config::FecChoice;
 use mosaic_fec::analysis::{binary_performance, rs_performance};
 use mosaic_fec::rs::ReedSolomon;
-use mosaic_sim::fidelity::{Assessment, Exactness, FidelityController};
 use mosaic_sim::montecarlo::{run_rs_channel_with, wilson_ci};
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::Stopwatch;
@@ -74,7 +73,6 @@ pub fn run() -> String {
     // validated is identical.
     let rs = ReedSolomon::new(8, 31, 23);
     let exec = Exec::from_env();
-    let ctrl = FidelityController::new(runcfg::fidelity());
     let codewords = runcfg::trials(4000, 600);
     let start = Stopwatch::start();
     let mut word_failure = Vec::new();
@@ -83,21 +81,8 @@ pub fn run() -> String {
     let mut mc_words = 0u64;
     for &ber in &[1e-2, 2e-2, 4e-2] {
         let analytic = rs_performance(rs.n(), rs.t(), rs.symbol_bits(), ber);
-        // The analytic word-failure curve ignores miscorrection, so it is
-        // a model, not the sampler's exact mean; margin-zero assessment
-        // (threshold = prediction) keeps the point on the MC tier at an
-        // events-targeted budget.
-        let assessment = Assessment {
-            analytic_p: analytic.codeword_failure_prob,
-            threshold: analytic.codeword_failure_prob,
-            full_trials: codewords,
-            exactness: Exactness::Model,
-            tail_available: false,
-        };
-        let decision = ctrl.classify(&assessment);
-        ctrl.note_decision(codewords, &decision);
-        let run = run_rs_channel_with(&exec, &rs, ber, decision.trials, 17);
-        mc_words += decision.trials;
+        let run = run_rs_channel_with(&exec, &rs, ber, codewords, 17);
+        mc_words += codewords;
         let (lo, hi) = wilson_ci(run.failures + run.miscorrected, run.codewords);
         word_failure.push(run.failure_prob());
         word_lo.push(lo);

@@ -2,11 +2,9 @@
 //! channels survive skew and channel kills via hot sparing.
 
 use crate::cells;
-use crate::runcfg;
 use crate::table::Table;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent};
-use mosaic_sim::fidelity::FidelityController;
-use mosaic_sim::link_sim::{simulate_link_at_fidelity, LinkSimConfig};
+use mosaic_sim::link_sim::{simulate_link, LinkSimConfig};
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::Stopwatch;
 
@@ -43,13 +41,12 @@ pub fn run() -> String {
         "down epochs",
         "silent corruption",
     ]);
-    let ctrl = FidelityController::new(runcfg::fidelity());
     let mut frames = 0u64;
     let start = Stopwatch::start();
     for spares in [0usize, 1, 2, 4, 8] {
         let kills = [(10, 3), (20, 6), (30, 9)].map(|(ch, at)| FaultEvent::kill(ch, at));
         let cfg = base(spares, kills.to_vec());
-        let r = simulate_link_at_fidelity(&ctrl, &cfg);
+        let r = simulate_link(&cfg);
         frames += r.frames_sent;
         t.row(cells![
             spares,
@@ -67,7 +64,7 @@ pub fn run() -> String {
     let mut cfg = base(4, vec![]);
     cfg.frame_size = 2048; // enough bits per channel to close monitor windows
     cfg.per_channel_ber[5] = 1e-3;
-    let r = simulate_link_at_fidelity(&ctrl, &cfg);
+    let r = simulate_link(&cfg);
     frames += r.frames_sent;
     RunStats::new(frames, start.elapsed(), Exec::from_env().threads()).report("F11");
     out.push_str(&format!(

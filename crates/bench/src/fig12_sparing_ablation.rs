@@ -2,13 +2,11 @@
 //! none versus FEC overprovisioning.
 
 use crate::cells;
-use crate::runcfg;
 use crate::table::Table;
 use mosaic::reliability_model::channel_fit;
 use mosaic_reliability::sparing::{spares_for_target, sparing_table};
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent};
-use mosaic_sim::fidelity::FidelityController;
-use mosaic_sim::link_sim::{simulate_link_at_fidelity, LinkSimConfig};
+use mosaic_sim::link_sim::{simulate_link, LinkSimConfig};
 use mosaic_sim::sweep::{Exec, RunStats, TrialPlan};
 use mosaic_sim::telemetry::Stopwatch;
 use mosaic_units::Duration;
@@ -72,13 +70,10 @@ pub fn run() -> String {
     // index runs them in parallel, and results come back in policy
     // order, so the table is thread-count invariant.
     let exec = Exec::from_env();
-    let ctrl = FidelityController::new(runcfg::fidelity());
     let start = Stopwatch::start();
     let runs = TrialPlan::new()
         .trials(cfgs.len() as u64)
-        .run(&exec, |ctx| {
-            simulate_link_at_fidelity(&ctrl, &cfgs[ctx.trial() as usize])
-        });
+        .run(&exec, |ctx| simulate_link(&cfgs[ctx.trial() as usize]));
     let frames: u64 = runs.iter().map(|r| r.frames_sent).sum();
     RunStats::new(frames, start.elapsed(), exec.threads()).report("F12");
     for ((name, _, _), r) in policies.iter().zip(&runs) {

@@ -11,10 +11,7 @@ use crate::runcfg;
 use crate::table::Table;
 use mosaic::reliability_model::channel_fit;
 use mosaic_reliability::fitdb;
-use mosaic_reliability::weibull::{
-    pool_survival_weibull_analytic, pool_survival_weibull_with, Weibull,
-};
-use mosaic_sim::fidelity::{Assessment, Exactness, FidelityController, Tier};
+use mosaic_reliability::weibull::{pool_survival_weibull_with, Weibull};
 use mosaic_sim::montecarlo::wilson_ci;
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::Stopwatch;
@@ -52,43 +49,21 @@ pub fn run() -> String {
     out.push_str("\nF15b: Mosaic channel pool (428+4) with wear-out channels, Monte-Carlo 100k\n");
     let mut t = Table::new(&["shape k", "7-yr pool survival", "12-yr pool survival"]);
     let exec = Exec::from_env();
-    let ctrl = FidelityController::new(runcfg::fidelity());
     let trials = runcfg::trials(100_000, 10_000);
     let start = Stopwatch::start();
     let mut survival = Vec::new();
     let mut survival_lo = Vec::new();
     let mut survival_hi = Vec::new();
     let mut mc_trials = 0u64;
-    // The Weibull pool has an exact binomial closed form (the sampler's
-    // mean — DESIGN §12), so the adaptive tier skips the simulation.
     let mut measure = |lt: Weibull, horizon: Duration, seed: u64| {
-        let closed = pool_survival_weibull_analytic(428, 432, lt, horizon);
-        let assessment = Assessment {
-            analytic_p: 1.0 - closed,
-            threshold: 1.0 - closed,
-            full_trials: trials,
-            exactness: Exactness::Exact,
-            tail_available: false,
-        };
-        let decision = ctrl.classify(&assessment);
-        ctrl.note_decision(trials, &decision);
-        let (value, ci, annotated) = if decision.tier == Tier::Analytic {
-            (closed, (closed, closed), true)
-        } else {
-            let s = pool_survival_weibull_with(&exec, 428, 432, lt, horizon, decision.trials, seed);
-            mc_trials += decision.trials;
-            let died = decision.trials - (s * decision.trials as f64).round() as u64;
-            let (flo, fhi) = wilson_ci(died, decision.trials);
-            (s, (1.0 - fhi, 1.0 - flo), false)
-        };
-        survival.push(value);
-        survival_lo.push(ci.0);
-        survival_hi.push(ci.1);
-        if annotated {
-            format!("{value:.5} <analytic>")
-        } else {
-            format!("{value:.5}")
-        }
+        let s = pool_survival_weibull_with(&exec, 428, 432, lt, horizon, trials, seed);
+        mc_trials += trials;
+        let died = trials - (s * trials as f64).round() as u64;
+        let (flo, fhi) = wilson_ci(died, trials);
+        survival.push(s);
+        survival_lo.push(1.0 - fhi);
+        survival_hi.push(1.0 - flo);
+        format!("{s:.5}")
     };
     for shape in [1.0, 1.5, 2.5] {
         let lt = Weibull::matching_fit_at(channel_fit(), shape, design_life);

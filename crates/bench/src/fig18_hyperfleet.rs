@@ -23,6 +23,7 @@ use mosaic_netsim::assignment::{assign, Policy};
 use mosaic_netsim::hyperfleet::{self, HyperFleetConfig, SPARE_BUCKETS};
 use mosaic_netsim::topology::ClosTopology;
 use mosaic_sim::checkpoint::FileStore;
+use mosaic_sim::fidelity::FidelityMode;
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::{self, Stopwatch};
 use mosaic_units::{BitRate, Duration};
@@ -47,7 +48,7 @@ fn config(policy: Policy) -> (HyperFleetConfig, usize) {
         &assignments,
         years,
         Duration::from_hours(8.0),
-        runcfg::fidelity(),
+        FidelityMode::Full,
     );
     // Several batches even in quick mode (26 shards), so the kill/resume
     // drill always has a mid-run boundary to stop at. Batch size shifts
@@ -63,7 +64,6 @@ fn config(policy: Policy) -> (HyperFleetConfig, usize) {
 /// same config) resumes and completes byte-identically.
 pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
     let exec = Exec::from_env();
-    let fidelity = runcfg::fidelity();
     let start = Stopwatch::start();
     let mut out = String::new();
     let mut t = Table::new(&[
@@ -154,9 +154,6 @@ pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
         "event-sourced per-channel histories on every spared link; exact-integer shard\n\
          rollups make the table identical at any thread count and kill/resume schedule\n",
     );
-    if fidelity.is_adaptive() {
-        out.push_str("fidelity: adaptive (quiet spared classes demote to the Poisson tier)\n");
-    }
     telemetry::record_series("f18.availability", &avail);
     telemetry::record_series("f18.tickets_per_1k_link_years", &tickets);
     telemetry::record_series("f18.delivered_capacity_fraction", &delivered);

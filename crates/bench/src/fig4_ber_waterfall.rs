@@ -9,7 +9,7 @@ use mosaic_phy::ber::OokReceiver;
 use mosaic_phy::noise::NoiseBudget;
 use mosaic_phy::photodiode::Photodiode;
 use mosaic_phy::tia::Tia;
-use mosaic_sim::fidelity::{ook_ber_with_fidelity, FidelityController};
+use mosaic_sim::montecarlo::simulate_ook_ber_par;
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::Stopwatch;
 use mosaic_units::Power;
@@ -43,17 +43,12 @@ pub fn run() -> String {
     let rx2 = receiver(2.0);
     let rx4 = receiver(4.0);
     let exec = Exec::from_env();
-    let fidelity = runcfg::fidelity();
-    let ctrl = FidelityController::new(fidelity);
     let bits = runcfg::trials(4_000_000, 250_000);
     let mut mc_bits = 0u64;
     let mut analytic_2g = Vec::new();
     let mut mc_2g = Vec::new();
     let mut mc_2g_lo = Vec::new();
     let mut mc_2g_hi = Vec::new();
-    let mut tail_2g = Vec::new();
-    let mut tail_2g_lo = Vec::new();
-    let mut tail_2g_hi = Vec::new();
     let start = Stopwatch::start();
     for (idx, dbm_tenths) in (-300..=-210).step_by(10).enumerate() {
         let dbm = dbm_tenths as f64 / 10.0;
@@ -62,42 +57,13 @@ pub fn run() -> String {
         // One independent root seed per sweep point; within a point, the
         // trials fan out over fixed chunks (thread-count invariant).
         let seed = 404_000 + idx as u64;
-        // The `> 5e-7` predicate decides *membership in the measured
-        // series* in both fidelity modes (so the fidelity gate compares
-        // equal-length series); the controller only decides how each
-        // member is measured.
         let mc = if rx2.ber_at(p) > 5e-7 {
-            let o = ook_ber_with_fidelity(&ctrl, &exec, &rx2, p, KP4_BER_THRESHOLD, bits, seed);
-            mc_bits += o.trials;
-            mc_2g.push(o.ber);
-            mc_2g_lo.push(o.ci95.0);
-            mc_2g_hi.push(o.ci95.1);
-            if fidelity.is_adaptive() {
-                format!(
-                    "{:.2e} [{:.1e},{:.1e}] <{}>",
-                    o.ber,
-                    o.ci95.0,
-                    o.ci95.1,
-                    o.tier.name()
-                )
-            } else {
-                format!("{:.2e} [{:.1e},{:.1e}]", o.ber, o.ci95.0, o.ci95.1)
-            }
-        } else if fidelity.is_adaptive() {
-            // Below ordinary MC resolution — exactly where the tail
-            // importance sampler earns its keep.
-            let o = ook_ber_with_fidelity(&ctrl, &exec, &rx2, p, KP4_BER_THRESHOLD, bits, seed);
-            mc_bits += o.trials;
-            tail_2g.push(o.ber);
-            tail_2g_lo.push(o.ci95.0);
-            tail_2g_hi.push(o.ci95.1);
-            format!(
-                "{:.2e} [{:.1e},{:.1e}] <{}>",
-                o.ber,
-                o.ci95.0,
-                o.ci95.1,
-                o.tier.name()
-            )
+            let m = simulate_ook_ber_par(&exec, &rx2, p, bits, seed);
+            mc_bits += bits;
+            mc_2g.push(m.ber);
+            mc_2g_lo.push(m.ci95.0);
+            mc_2g_hi.push(m.ci95.1);
+            format!("{:.2e} [{:.1e},{:.1e}]", m.ber, m.ci95.0, m.ci95.1)
         } else {
             "below MC resolution".into()
         };
@@ -114,11 +80,6 @@ pub fn run() -> String {
     mosaic_sim::telemetry::record_series("f4.mc_2g_ber", &mc_2g);
     mosaic_sim::telemetry::record_series("f4.mc_2g_ber_ci_lo", &mc_2g_lo);
     mosaic_sim::telemetry::record_series("f4.mc_2g_ber_ci_hi", &mc_2g_hi);
-    if fidelity.is_adaptive() {
-        mosaic_sim::telemetry::record_series("f4.tail_2g_ber", &tail_2g);
-        mosaic_sim::telemetry::record_series("f4.tail_2g_ber_ci_lo", &tail_2g_lo);
-        mosaic_sim::telemetry::record_series("f4.tail_2g_ber_ci_hi", &tail_2g_hi);
-    }
     out.push_str(&t.render());
     for (g, rx) in [(1.0, &rx1), (2.0, &rx2), (4.0, &rx4)] {
         if let Some(s) = rx.sensitivity(KP4_BER_THRESHOLD) {

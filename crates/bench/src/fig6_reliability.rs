@@ -10,7 +10,6 @@ use mosaic::reliability_model::channel_fit;
 use mosaic_reliability::markov::SparedPool;
 use mosaic_reliability::montecarlo::simulate_pool_no_repair_with;
 use mosaic_reliability::system::KofN;
-use mosaic_sim::fidelity::{Assessment, Exactness, FidelityController, Tier};
 use mosaic_sim::montecarlo::wilson_ci;
 use mosaic_sim::sweep::{Exec, RunStats};
 use mosaic_sim::telemetry::Stopwatch;
@@ -36,7 +35,6 @@ pub fn run() -> String {
     );
     let horizon = Duration::from_years(7.0);
     let exec = Exec::from_env();
-    let ctrl = FidelityController::new(runcfg::fidelity());
     let trials = runcfg::trials(100_000, 10_000);
     let start = Stopwatch::start();
     let mut t = Table::new(&[
@@ -54,47 +52,26 @@ pub fn run() -> String {
         let pool = KofN::new(428, 428 + spares, channel_fit());
         let closed = pool.survival(horizon);
         let markov = SparedPool::new(428, 428 + spares, channel_fit(), 0.0).survival(horizon);
-        // The binomial closed form *is* the exact mean of the pool
-        // sampler (Exactness::Exact, DESIGN §12): adaptive fidelity
-        // reports it directly instead of re-estimating it by simulation.
-        let assessment = Assessment {
-            analytic_p: 1.0 - closed,
-            threshold: 1.0 - closed,
-            full_trials: trials,
-            exactness: Exactness::Exact,
-            tail_available: false,
-        };
-        let decision = ctrl.classify(&assessment);
-        ctrl.note_decision(trials, &decision);
-        let (mc_cell, value, ci) = if decision.tier == Tier::Analytic {
-            (format!("{closed:.6} <analytic>"), closed, (closed, closed))
-        } else {
-            let mc = simulate_pool_no_repair_with(
-                &exec,
-                428,
-                428 + spares,
-                channel_fit(),
-                horizon,
-                decision.trials,
-                6,
-            );
-            mc_trials += decision.trials;
-            let died = mc.trials - mc.survived;
-            let (flo, fhi) = wilson_ci(died, mc.trials);
-            (
-                format!("{:.6}", mc.survival()),
-                mc.survival(),
-                (1.0 - fhi, 1.0 - flo),
-            )
-        };
-        mc_survival.push(value);
-        mc_lo.push(ci.0);
-        mc_hi.push(ci.1);
+        let mc = simulate_pool_no_repair_with(
+            &exec,
+            428,
+            428 + spares,
+            channel_fit(),
+            horizon,
+            trials,
+            6,
+        );
+        mc_trials += trials;
+        let died = mc.trials - mc.survived;
+        let (flo, fhi) = wilson_ci(died, mc.trials);
+        mc_survival.push(mc.survival());
+        mc_lo.push(1.0 - fhi);
+        mc_hi.push(1.0 - flo);
         t.row(cells![
             spares,
             format!("{closed:.6}"),
             format!("{markov:.6}"),
-            mc_cell,
+            format!("{:.6}", mc.survival()),
             format!("{:.2}", pool.effective_fit(horizon).as_fit())
         ]);
     }

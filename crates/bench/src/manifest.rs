@@ -18,7 +18,6 @@
 //!   "schema": "mosaic-run-manifest/v1",
 //!   "run": {
 //!     "mode": "quick" | "full",
-//!     "fidelity": "full" | "adaptive",
 //!     "threads": 8,
 //!     "config_hash": "14653c41b5a3b103",
 //!     "timings": { "total_wall_ns": 0, "total_cpu_ns": 0 }
@@ -92,8 +91,6 @@ impl FigureRecord {
 pub struct RunManifest {
     /// "quick" or "full".
     pub mode: String,
-    /// Fidelity mode the run used: "full" or "adaptive" (DESIGN §12).
-    pub fidelity: String,
     /// Worker threads the sweep engine used.
     pub threads: usize,
     /// Figure records in run order.
@@ -110,18 +107,12 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Hash of everything that *configures* the run (not how fast or how
-    /// parallel it ran): mode + the experiment id list, plus the
-    /// fidelity mode when it deviates from full (so historic full-mode
-    /// hashes stay stable).
+    /// parallel it ran): mode + the experiment id list.
     pub fn config_hash(&self) -> u64 {
         let mut desc = self.mode.clone();
         for f in &self.figures {
             desc.push(';');
             desc.push_str(&f.id);
-        }
-        if self.fidelity != "full" {
-            desc.push_str(";fidelity=");
-            desc.push_str(&self.fidelity);
         }
         fnv1a(desc.as_bytes())
     }
@@ -134,7 +125,6 @@ impl RunManifest {
                 "run",
                 Json::object()
                     .with("mode", self.mode.as_str())
-                    .with("fidelity", self.fidelity.as_str())
                     .with("threads", self.threads)
                     .with("config_hash", hex(self.config_hash()).as_str())
                     .with(
@@ -171,15 +161,6 @@ pub fn schema_check(doc: &Json) -> Vec<String> {
             match run.get("mode").and_then(|m| m.as_str()) {
                 Some("quick") | Some("full") => {}
                 other => errs.push(format!("run.mode: expected quick|full, got {other:?}")),
-            }
-            // Older manifests predate the field; validate only if present.
-            if let Some(f) = run.get("fidelity") {
-                match f.as_str() {
-                    Some("full") | Some("adaptive") => {}
-                    other => errs.push(format!(
-                        "run.fidelity: expected full|adaptive, got {other:?}"
-                    )),
-                }
             }
             if run.get("threads").and_then(|t| t.as_u64()).is_none() {
                 errs.push("run.threads: missing or not an integer".into());
@@ -334,226 +315,6 @@ pub fn diff(a: &Json, b: &Json, values_only: bool) -> Vec<DiffEntry> {
     out
 }
 
-/// Counter name prefixes that legitimately depend on the trial budget
-/// (and hence on the fidelity mode): raw trial counts, the fidelity
-/// controller's own bookkeeping, and the link simulator's traffic-volume
-/// tallies (which scale with its adaptive epoch budget — its
-/// *structural* counters, `link_sim.runs` and `link_sim.remaps`, are
-/// still compared exactly). These are excluded from the
-/// fidelity-equivalence gate.
-const BUDGET_METRIC_PREFIXES: &[&str] = &[
-    "trials.",
-    "fidelity.",
-    "link_sim.frames_",
-    "link_sim.deskew_",
-    "link_sim.bit_errors_",
-    // Hyperfleet aggregates scale with which classes run event-sourced,
-    // which is exactly what adaptive fidelity decides per class.
-    "hyperfleet.",
-];
-
-fn budget_dependent(name: &str) -> bool {
-    BUDGET_METRIC_PREFIXES.iter().any(|p| name.starts_with(p))
-}
-
-/// Series the adaptive mode is allowed to add on top of the full-mode
-/// set: rare-event tail estimates that full mode cannot resolve at all.
-fn adaptive_only_series(name: &str) -> bool {
-    name.contains("tail")
-}
-
-fn ci_companion(name: &str) -> bool {
-    name.ends_with("_ci_lo") || name.ends_with("_ci_hi")
-}
-
-fn series_map(fig: &Json) -> Vec<(String, Vec<f64>)> {
-    fig.get("values")
-        .and_then(|v| v.get("series"))
-        .and_then(|s| s.as_obj())
-        .map(|entries| {
-            entries
-                .iter()
-                .filter_map(|(k, v)| {
-                    v.as_arr().map(|arr| {
-                        (
-                            k.clone(),
-                            arr.iter().filter_map(|x| x.as_f64()).collect::<Vec<_>>(),
-                        )
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-fn counter_map(fig: &Json) -> Vec<(String, Json)> {
-    fig.get("values")
-        .and_then(|v| v.get("counters"))
-        .and_then(|s| s.as_obj())
-        .map(|s| s.to_vec())
-        .unwrap_or_default()
-}
-
-/// Half-width per index of a series' 95 % confidence interval, read from
-/// its `<name>_ci_lo` / `<name>_ci_hi` companion series. Missing
-/// companions mean a zero half-width (the value is exact).
-fn half_widths(series: &[(String, Vec<f64>)], name: &str, len: usize) -> Vec<f64> {
-    let find = |suffix: &str| {
-        series
-            .iter()
-            .find(|(k, _)| *k == format!("{name}{suffix}"))
-            .map(|(_, v)| v.clone())
-    };
-    match (find("_ci_lo"), find("_ci_hi")) {
-        (Some(lo), Some(hi)) if lo.len() == len && hi.len() == len => {
-            (0..len).map(|i| ((hi[i] - lo[i]) / 2.0).abs()).collect()
-        }
-        _ => vec![0.0; len],
-    }
-}
-
-/// The fidelity-equivalence gate: compare a full-fidelity manifest
-/// against an adaptive-fidelity manifest of the same configuration and
-/// return every violation (empty = the adaptive run is statistically
-/// equivalent).
-///
-/// Rules (DESIGN §12):
-/// * `run.mode` must match; `run.fidelity` must be `full` vs `adaptive`.
-/// * Figure ids must match pairwise in order.
-/// * Counters must be identical, except names under the budget-dependent
-///   prefixes (`trials.`, `fidelity.`, …), which are expected to differ.
-/// * Each shared numeric series must have equal length, and each entry
-///   must satisfy `|full − adaptive| ≤ K·(h_full + h_adaptive)` where the
-///   `h` are the 95 % CI half-widths from the `_ci_lo`/`_ci_hi` companion
-///   series (0 when absent — i.e. exact match required) and `K` is
-///   `ci_widening`.
-/// * The adaptive side may add series whose name contains `tail`
-///   (rare-event estimates full mode cannot produce); any other extra or
-///   missing series is a violation.
-/// * Output digests are ignored (adaptive output annotates tiers).
-pub fn fidelity_check(full: &Json, adaptive: &Json, ci_widening: f64) -> Vec<String> {
-    let mut errs = Vec::new();
-    let run_str = |doc: &Json, key: &str| {
-        doc.get("run")
-            .and_then(|r| r.get(key))
-            .and_then(|v| v.as_str())
-            .unwrap_or("")
-            .to_string()
-    };
-    let (ma, mb) = (run_str(full, "mode"), run_str(adaptive, "mode"));
-    if ma != mb {
-        errs.push(format!(
-            "run.mode: full manifest {ma:?} vs adaptive manifest {mb:?}"
-        ));
-    }
-    let fa = run_str(full, "fidelity");
-    if fa != "full" {
-        errs.push(format!(
-            "run.fidelity: left manifest must be \"full\", got {fa:?}"
-        ));
-    }
-    let fb = run_str(adaptive, "fidelity");
-    if fb != "adaptive" {
-        errs.push(format!(
-            "run.fidelity: right manifest must be \"adaptive\", got {fb:?}"
-        ));
-    }
-    let figs = |doc: &Json| {
-        doc.get("figures")
-            .and_then(|f| f.as_arr())
-            .map(|f| f.to_vec())
-            .unwrap_or_default()
-    };
-    let (figs_full, figs_adapt) = (figs(full), figs(adaptive));
-    if figs_full.len() != figs_adapt.len() {
-        errs.push(format!(
-            "figures/#len: {} vs {}",
-            figs_full.len(),
-            figs_adapt.len()
-        ));
-    }
-    for (ff, fa) in figs_full.iter().zip(&figs_adapt) {
-        let id = ff
-            .get("id")
-            .and_then(|v| v.as_str())
-            .unwrap_or("?")
-            .to_string();
-        let id_a = fa.get("id").and_then(|v| v.as_str()).unwrap_or("?");
-        if id != id_a {
-            errs.push(format!("figure id mismatch: {id:?} vs {id_a:?}"));
-            continue;
-        }
-        // Exact-match metrics, modulo the budget-dependent names.
-        let left = counter_map(ff);
-        let right = counter_map(fa);
-        for (k, v) in &left {
-            if budget_dependent(k) {
-                continue;
-            }
-            match right.iter().find(|(rk, _)| rk == k) {
-                Some((_, rv)) if rv == v => {}
-                Some((_, rv)) => errs.push(format!(
-                    "{id}: counters.{k}: {} vs {}",
-                    v.to_string_compact(),
-                    rv.to_string_compact()
-                )),
-                None => errs.push(format!("{id}: counters.{k}: missing in adaptive run")),
-            }
-        }
-        for (k, _) in &right {
-            if !budget_dependent(k) && !left.iter().any(|(lk, _)| lk == k) {
-                errs.push(format!("{id}: counters.{k}: only present in adaptive run"));
-            }
-        }
-        // Series: CI-aware tolerance.
-        let left = series_map(ff);
-        let right = series_map(fa);
-        for (name, xs) in &left {
-            if ci_companion(name) {
-                continue; // folded into the parent series' tolerance
-            }
-            let Some((_, ys)) = right.iter().find(|(k, _)| k == name) else {
-                errs.push(format!("{id}: series.{name}: missing in adaptive run"));
-                continue;
-            };
-            if xs.len() != ys.len() {
-                errs.push(format!(
-                    "{id}: series.{name}/#len: {} vs {}",
-                    xs.len(),
-                    ys.len()
-                ));
-                continue;
-            }
-            let hf = half_widths(&left, name, xs.len());
-            let ha = half_widths(&right, name, ys.len());
-            for i in 0..xs.len() {
-                let tol = ci_widening * (hf[i] + ha[i]);
-                let diff = (xs[i] - ys[i]).abs();
-                let ok = if tol > 0.0 {
-                    diff <= tol
-                } else {
-                    xs[i].to_bits() == ys[i].to_bits()
-                };
-                if !ok {
-                    errs.push(format!(
-                        "{id}: series.{name}[{i}]: {} vs {} (|Δ| = {diff:.3e} > tol {tol:.3e})",
-                        xs[i], ys[i]
-                    ));
-                }
-            }
-        }
-        for (name, _) in &right {
-            let extra = !left.iter().any(|(k, _)| k == name);
-            if extra && !adaptive_only_series(name) {
-                errs.push(format!(
-                    "{id}: series.{name}: only present in adaptive run (not a tail series)"
-                ));
-            }
-        }
-    }
-    errs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,7 +338,6 @@ mod tests {
         let snap = telemetry::take();
         RunManifest {
             mode: "quick".into(),
-            fidelity: "full".into(),
             threads,
             figures: vec![FigureRecord {
                 id: "F1".into(),
@@ -590,36 +350,6 @@ mod tests {
             total_cpu_ns: wall * 2,
             peak_rss_bytes: 64 * 1024 * 1024,
         }
-    }
-
-    /// A manifest document whose one figure carries the given series map
-    /// (name → values), for fidelity-gate tests.
-    fn doc_with_series(fidelity: &str, series: &[(&str, &[f64])]) -> Json {
-        let _ = &GUARD; // series built without touching the global collector
-        let mut sobj = Json::object();
-        for (name, vals) in series {
-            sobj = sobj.with(
-                name,
-                Json::Arr(vals.iter().map(|&v| Json::Num(v)).collect()),
-            );
-        }
-        Json::object()
-            .with("schema", SCHEMA)
-            .with(
-                "run",
-                Json::object()
-                    .with("mode", "quick")
-                    .with("fidelity", fidelity),
-            )
-            .with(
-                "figures",
-                Json::Arr(vec![Json::object().with("id", "F1").with(
-                    "values",
-                    Json::object()
-                        .with("counters", Json::object())
-                        .with("series", sobj),
-                )]),
-            )
     }
 
     #[test]
@@ -672,92 +402,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_fidelity_changes_the_config_hash_full_does_not() {
+    fn config_hash_is_mode_and_figure_ids() {
         let _g = locked();
-        let full = sample(1, 1);
-        let mut adaptive = sample(1, 1);
-        adaptive.fidelity = "adaptive".into();
-        // Full-fidelity hashes are byte-for-byte the pre-fidelity hashes
-        // (the field is appended only when it deviates from "full").
-        assert_eq!(full.config_hash(), fnv1a(b"quick;F1"));
-        assert_ne!(full.config_hash(), adaptive.config_hash());
-    }
-
-    #[test]
-    fn schema_check_validates_fidelity_when_present() {
-        let _g = locked();
-        let mut doc = Json::parse(&sample(1, 1).to_pretty_string()).unwrap();
-        assert_eq!(schema_check(&doc), Vec::<String>::new());
-        let mut run = doc.get("run").unwrap().clone();
-        run.set("fidelity", "turbo");
-        doc.set("run", run);
-        assert!(schema_check(&doc)
-            .iter()
-            .any(|e| e.contains("run.fidelity")));
-    }
-
-    #[test]
-    fn fidelity_check_accepts_values_inside_the_widened_ci() {
-        let full = doc_with_series(
-            "full",
-            &[
-                ("f.ber", &[1.00e-3, 2.00e-4]),
-                ("f.ber_ci_lo", &[0.90e-3, 1.80e-4]),
-                ("f.ber_ci_hi", &[1.10e-3, 2.20e-4]),
-            ],
-        );
-        let adaptive = doc_with_series(
-            "adaptive",
-            &[
-                ("f.ber", &[1.05e-3, 2.10e-4]),
-                ("f.ber_ci_lo", &[0.95e-3, 1.90e-4]),
-                ("f.ber_ci_hi", &[1.15e-3, 2.30e-4]),
-                ("f.tail_ber", &[3.0e-15]),
-            ],
-        );
-        assert_eq!(fidelity_check(&full, &adaptive, 2.0), Vec::<String>::new());
-    }
-
-    #[test]
-    fn fidelity_check_flags_out_of_tolerance_and_shape_mismatches() {
-        let full = doc_with_series(
-            "full",
-            &[
-                ("f.ber", &[1.00e-3]),
-                ("f.ber_ci_lo", &[0.99e-3]),
-                ("f.ber_ci_hi", &[1.01e-3]),
-                ("f.exact", &[7.0]),
-            ],
-        );
-        // Way outside 2×(hf+ha), an inexact "exact" series, an extra
-        // non-tail series, and a missing series.
-        let adaptive = doc_with_series(
-            "adaptive",
-            &[
-                ("f.ber", &[2.00e-3]),
-                ("f.ber_ci_lo", &[1.99e-3]),
-                ("f.ber_ci_hi", &[2.01e-3]),
-                ("f.exact", &[7.5]),
-                ("f.surprise", &[1.0]),
-            ],
-        );
-        let errs = fidelity_check(&full, &adaptive, 2.0);
-        assert!(
-            errs.iter().any(|e| e.contains("series.f.ber[0]")),
-            "{errs:?}"
-        );
-        assert!(
-            errs.iter().any(|e| e.contains("series.f.exact[0]")),
-            "{errs:?}"
-        );
-        assert!(errs.iter().any(|e| e.contains("f.surprise")), "{errs:?}");
-    }
-
-    #[test]
-    fn fidelity_check_requires_the_fidelity_labels() {
-        let a = doc_with_series("full", &[]);
-        let b = doc_with_series("full", &[]);
-        let errs = fidelity_check(&a, &b, 2.0);
-        assert!(errs.iter().any(|e| e.contains("run.fidelity")), "{errs:?}");
+        assert_eq!(sample(1, 1).config_hash(), fnv1a(b"quick;F1"));
     }
 }

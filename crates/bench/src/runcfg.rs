@@ -24,14 +24,6 @@ pub fn trials(full: u64, quick_count: u64) -> u64 {
     }
 }
 
-/// The active fidelity mode (`MOSAIC_FIDELITY=full|adaptive`, default
-/// full). Orthogonal to quick/full trial scaling: quick mode shrinks the
-/// *full-fidelity* budgets, adaptive fidelity decides per measurement
-/// whether that budget is spent at all (DESIGN §12).
-pub fn fidelity() -> mosaic_sim::fidelity::FidelityMode {
-    mosaic_sim::fidelity::FidelityMode::from_env()
-}
-
 /// Environment variable of the kill/resume drill for the checkpointed
 /// figures (F18, F19): each checkpointed fold runs at most this many
 /// batches, then the binary exits 3 with its checkpoints on disk.

@@ -35,21 +35,7 @@ pub fn run() -> String {
         ),
     ];
     let exec = Exec::from_env();
-    let fidelity = runcfg::fidelity();
-    let full_replicas = runcfg::trials(8, 3);
-    // Fleet histories have no closed form and no tail regime, so the
-    // adaptive tier's only lever is the replica budget: half the
-    // ensemble (the replica streams are a prefix of the full set, and
-    // the gate compares means within the ensembles' own spread).
-    let replicas = if fidelity.is_adaptive() {
-        (full_replicas / 2).max(2)
-    } else {
-        full_replicas
-    };
-    if fidelity.is_adaptive() {
-        mosaic_sim::telemetry::counter_add("fidelity.tier.full_mc", 9);
-        mosaic_sim::telemetry::counter_add("fidelity.trials_saved", 9 * (full_replicas - replicas));
-    }
+    let replicas = runcfg::trials(8, 3);
     let mut histories = 0u64;
     let mut tickets_mean = Vec::new();
     let mut tickets_lo = Vec::new();
@@ -86,9 +72,8 @@ pub fn run() -> String {
             let min_tickets = sims.iter().map(|s| s.tickets).min().unwrap_or(0);
             let max_tickets = sims.iter().map(|s| s.tickets).max().unwrap_or(0);
             let mean_avail = sims.iter().map(|s| s.availability).sum::<f64>() / sims.len() as f64;
-            // Mean ± 1.96·(standard error of the mean) companions let the
-            // fidelity gate compare the half-ensemble against the full
-            // ensemble on the ensembles' own statistics.
+            // Mean ± 1.96·(standard error of the mean) companions record
+            // each mean with the ensemble's own spread.
             let se = |vals: &[f64]| {
                 let n = vals.len() as f64;
                 let mean = vals.iter().sum::<f64>() / n;

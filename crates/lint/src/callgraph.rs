@@ -9,7 +9,7 @@
 //! * `Qual::name(...)` path calls bind to functions named `name` inside
 //!   `impl Qual` blocks (`self`/`Self` bind within the caller's impl
 //!   type); if no impl matches, they fall back to free functions of that
-//!   name (module-path calls like `fidelity::tail_batch`).
+//!   name (module-path calls like `framing::crc32`).
 //! * Bare `name(...)` free calls bind to free functions named `name`.
 //! * `recv.name(...)` method calls bind to *every* function named
 //!   `name` — an over-approximation that keeps R7 sound — except names
@@ -104,7 +104,7 @@ impl<'f> CallGraph<'f> {
                     if let Some(v) = self.by_impl.get(&(q, name)) {
                         out.extend(v.iter().copied());
                     } else if let Some(v) = self.free.get(name) {
-                        // Module-path free call (`fidelity::tail_batch`).
+                        // Module-path free call (`framing::crc32`).
                         out.extend(v.iter().copied());
                     }
                 }

@@ -176,7 +176,6 @@ pub fn default_config() -> Config {
             "crates/sim/src/sweep/mod.rs",
             "crates/sim/src/sweep/engine.rs",
             "crates/sim/src/sweep/scheduler.rs",
-            "crates/sim/src/fidelity.rs",
             "crates/sim/src/faults.rs",
             "crates/sim/src/campaign.rs",
         ],
@@ -219,13 +218,6 @@ pub fn default_config() -> Config {
             // scrambler): runtime-proved by the sim-side counting-allocator
             // harness, statically pinned here.
             // Differential proptests pin values, this rule pins allocs.
-            // The rare-event tail sampler's inner batch: one tilted-draw
-            // loop per rail, hot inside the adaptive-fidelity tier.
-            RegistryFn {
-                file: "crates/sim/src/fidelity.rs",
-                func: "tail_batch",
-                harness: Some("crates/sim/tests/alloc_free.rs"),
-            },
             RegistryFn {
                 file: "crates/sim/src/montecarlo.rs",
                 func: "count_errors",

@@ -34,13 +34,10 @@
 //!   rollup through a [`RollupStore`] (F18 persists it with
 //!   [`mosaic_sim::checkpoint::FileStore`]), so a killed run resumes
 //!   from the last completed batch with byte-identical final results.
-//! * **Fidelity demotion.** In adaptive mode the PR 7
-//!   [`FidelityController`] demotes comfortably-healthy spared classes
-//!   to the analytic class-level Poisson path (exact for the hard-fail
-//!   component, and channel faults are negligible by the demotion
-//!   criterion); unspared classes are always Poisson — for them the
-//!   superposed exponential process *is* the exact model
-//!   ([`Exactness::Exact`]).
+//! * **Class tiers.** A class with spare groups is event-sourced;
+//!   every other class runs the class-level Poisson path only — with no
+//!   sparing, the superposed exponential hard-failure process *is* the
+//!   exact model ([`class_tiers`]).
 
 use crate::assignment::Assignment;
 use crate::failure_sim::ClassFailureProcess;
@@ -50,9 +47,7 @@ use mosaic_sim::checkpoint::{Checkpoints, ExactRollup, Field, NoStore, Store};
 use mosaic_sim::digest::Fnv1a;
 use mosaic_sim::event::EventQueue;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent, Persistence};
-use mosaic_sim::fidelity::{
-    Assessment, Exactness, FidelityController, FidelityMode, Tier, TierDecision,
-};
+use mosaic_sim::fidelity::FidelityMode;
 use mosaic_sim::rng::DetRng;
 use mosaic_sim::sweep::{Exec, TrialPlan};
 use mosaic_sim::telemetry;
@@ -134,9 +129,6 @@ pub struct HyperFleetConfig {
     /// A link is rebuilt (repair ticket) once it has shed this fraction
     /// of its logical groups.
     pub rebuild_lost_fraction: f64,
-    /// Full (every spared class event-sourced) or adaptive (healthy
-    /// classes demoted to the Poisson path).
-    pub fidelity: FidelityMode,
 }
 
 impl HyperFleetConfig {
@@ -144,11 +136,14 @@ impl HyperFleetConfig {
     /// links get the 12-group / 10-logical supervisory-group channel
     /// model (DESIGN §13); every other technology has no per-channel
     /// sparing and runs the Poisson path.
+    ///
+    /// `_fidelity` is ignored: [`FidelityMode::Full`] is the only mode.
+    /// The parameter stays so that existing callers keep compiling.
     pub fn from_assignments(
         assignments: &[Assignment],
         years: f64,
         mttr: Duration,
-        fidelity: FidelityMode,
+        _fidelity: FidelityMode,
     ) -> Self {
         let mut classes = Vec::with_capacity(assignments.len());
         for a in assignments {
@@ -176,7 +171,6 @@ impl HyperFleetConfig {
             max_fault_duration: 24,
             permanent_fraction: 0.25,
             rebuild_lost_fraction: 0.2,
-            fidelity,
         }
     }
 
@@ -258,7 +252,10 @@ impl HyperFleetConfig {
     }
 
     /// FNV-1a digest over the full configuration and seed — the
-    /// checkpoint-store key that makes stale checkpoints unloadable.
+    /// checkpoint-store key that makes stale checkpoints unloadable. The
+    /// constant `0` after `rebuild_lost_fraction` is the [`FidelityMode`]
+    /// code earlier builds hashed for a full run, so checkpoints they
+    /// wrote still resume.
     pub fn digest(&self, seed: u64) -> u64 {
         let mut h = Fnv1a::sim();
         h.u64(seed)
@@ -270,10 +267,7 @@ impl HyperFleetConfig {
             .u64(self.max_fault_duration as u64)
             .f64(self.permanent_fraction)
             .f64(self.rebuild_lost_fraction)
-            .u64(match self.fidelity {
-                FidelityMode::Full => 0,
-                FidelityMode::Adaptive => 1,
-            })
+            .u64(0)
             .u64(self.classes.len() as u64);
         for c in &self.classes {
             h.u64(c.name.len() as u64);
@@ -310,43 +304,19 @@ impl ClassTier {
     }
 }
 
-/// Classify one class. Unspared classes never consult the controller
-/// (their Poisson model is exact); spared classes ask the PR 7 fidelity
-/// controller whether channel activity over the horizon is hot enough
-/// to warrant event sourcing. Pure in `(config)` — no environment.
-fn classify_class(
-    ctrl: &FidelityController,
-    cfg: &HyperFleetConfig,
-    class: &HyperClass,
-) -> (ClassTier, Option<TierDecision>) {
-    if class.groups == 0 || class.spare_groups() == 0 {
-        return (ClassTier::Poisson, None);
-    }
-    // P(a link sees >= 1 channel fault over the horizon): the hotness
-    // measure, argued against a 0.5 "typical link is quiet" threshold.
-    let expected = cfg.faults_per_kilo_hour / 1000.0 * class.groups as f64 * cfg.horizon_hours();
-    let p = 1.0 - (-expected).exp();
-    let d = ctrl.classify(&Assessment {
-        analytic_p: p,
-        threshold: 0.5,
-        full_trials: class.links,
-        exactness: Exactness::Model,
-        tail_available: false,
-    });
-    let tier = match d.tier {
-        Tier::FullMc => ClassTier::EventSourced,
-        Tier::Analytic | Tier::TailMc => ClassTier::Poisson,
-    };
-    (tier, Some(d))
-}
-
-/// Per-class tier decisions for `cfg` — what F18 annotates in adaptive
-/// mode. Pure function of the config.
+/// Per-class simulation tiers for `cfg`: a class with spare groups is
+/// event-sourced, every other class runs the Poisson path. Pure
+/// function of the config.
 pub fn class_tiers(cfg: &HyperFleetConfig) -> Vec<ClassTier> {
-    let ctrl = FidelityController::new(cfg.fidelity);
     cfg.classes
         .iter()
-        .map(|c| classify_class(&ctrl, cfg, c).0)
+        .map(|c| {
+            if c.spare_groups() > 0 {
+                ClassTier::EventSourced
+            } else {
+                ClassTier::Poisson
+            }
+        })
         .collect()
 }
 
@@ -1047,16 +1017,7 @@ pub fn simulate_with(
     stop_after_batches: Option<u64>,
 ) -> Result<Option<HyperFleetReport>> {
     cfg.validate()?;
-    let ctrl = FidelityController::new(cfg.fidelity);
-    let mut tiers = Vec::with_capacity(cfg.classes.len());
-    for class in &cfg.classes {
-        let (tier, decision) = classify_class(&ctrl, cfg, class);
-        if let Some(d) = decision {
-            ctrl.note_decision(class.links, &d);
-        }
-        tiers.push(tier);
-    }
-    let specs = shard_specs(cfg, &tiers);
+    let specs = shard_specs(cfg, &class_tiers(cfg));
     let rollup = TrialPlan::new()
         .trials(specs.len() as u64)
         .seed(seed)
@@ -1092,7 +1053,7 @@ mod tests {
     use super::*;
     use mosaic_units::{BitRate, Duration, Fit};
 
-    fn tiny_cfg(fidelity: FidelityMode) -> HyperFleetConfig {
+    fn tiny_cfg() -> HyperFleetConfig {
         HyperFleetConfig {
             classes: vec![
                 HyperClass {
@@ -1120,62 +1081,54 @@ mod tests {
             max_fault_duration: 24,
             permanent_fraction: 0.25,
             rebuild_lost_fraction: 0.2,
-            fidelity,
         }
     }
 
     #[test]
     fn validation_catches_bad_configs() {
-        let mut cfg = tiny_cfg(FidelityMode::Full);
+        let mut cfg = tiny_cfg();
         assert!(cfg.validate().is_ok());
         cfg.classes[1].groups = 65;
         assert!(cfg.validate().is_err());
-        let mut cfg = tiny_cfg(FidelityMode::Full);
+        let mut cfg = tiny_cfg();
         cfg.classes[1].logical_groups = 0;
         assert!(cfg.validate().is_err());
-        let mut cfg = tiny_cfg(FidelityMode::Full);
+        let mut cfg = tiny_cfg();
         cfg.shard_links = 0;
         assert!(cfg.validate().is_err());
-        let mut cfg = tiny_cfg(FidelityMode::Full);
+        let mut cfg = tiny_cfg();
         cfg.rebuild_lost_fraction = 0.0;
         assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn digest_distinguishes_configs_and_seeds() {
-        let cfg = tiny_cfg(FidelityMode::Full);
+        let cfg = tiny_cfg();
         let mut other = cfg.clone();
         other.years = 3.0;
         assert_ne!(cfg.digest(1), other.digest(1));
         assert_ne!(cfg.digest(1), cfg.digest(2));
-        assert_eq!(cfg.digest(1), tiny_cfg(FidelityMode::Full).digest(1));
+        assert_eq!(cfg.digest(1), tiny_cfg().digest(1));
     }
 
     #[test]
-    fn full_mode_event_sources_spared_classes() {
-        let cfg = tiny_cfg(FidelityMode::Full);
+    fn digest_keeps_the_key_earlier_builds_wrote() {
+        // Pinned at the value earlier builds computed for this config,
+        // so F18 checkpoints they wrote still resume.
+        assert_eq!(tiny_cfg().digest(1), 0xb3c6_1888_1831_9b5c);
+    }
+
+    #[test]
+    fn spared_classes_are_event_sourced() {
+        let cfg = tiny_cfg();
         let tiers = class_tiers(&cfg);
         assert_eq!(tiers[0], ClassTier::Poisson); // unspared: always exact
         assert_eq!(tiers[1], ClassTier::EventSourced);
     }
 
     #[test]
-    fn adaptive_mode_demotes_quiet_spared_classes() {
-        let mut cfg = tiny_cfg(FidelityMode::Adaptive);
-        // Hot at the default rate (p ~ 1): stays event-sourced.
-        assert_eq!(class_tiers(&cfg)[1], ClassTier::EventSourced);
-        // Comfortably healthy: expected faults per link << 1 over the
-        // horizon, multiple decades from the 0.5 threshold → demoted.
-        cfg.faults_per_kilo_hour = 1e-5;
-        assert_eq!(class_tiers(&cfg)[1], ClassTier::Poisson);
-        // Full mode never demotes, whatever the rate.
-        cfg.fidelity = FidelityMode::Full;
-        assert_eq!(class_tiers(&cfg)[1], ClassTier::EventSourced);
-    }
-
-    #[test]
     fn rollup_merge_is_commutative() {
-        let cfg = tiny_cfg(FidelityMode::Full);
+        let cfg = tiny_cfg();
         let tiers = class_tiers(&cfg);
         let specs = shard_specs(&cfg, &tiers);
         let mut scratch = ShardScratch::new();
@@ -1197,7 +1150,7 @@ mod tests {
 
     #[test]
     fn shards_are_pure_functions_of_config_seed_shard() {
-        let cfg = tiny_cfg(FidelityMode::Full);
+        let cfg = tiny_cfg();
         let tiers = class_tiers(&cfg);
         let specs = shard_specs(&cfg, &tiers);
         let mut s1 = ShardScratch::new();
@@ -1211,7 +1164,7 @@ mod tests {
 
     #[test]
     fn simulate_is_thread_count_invariant() {
-        let cfg = tiny_cfg(FidelityMode::Full);
+        let cfg = tiny_cfg();
         let base = simulate(&cfg, 11, &Exec::with_threads(1)).unwrap();
         for threads in [2, 8] {
             let other = simulate(&cfg, 11, &Exec::with_threads(threads)).unwrap();
@@ -1223,7 +1176,7 @@ mod tests {
 
     #[test]
     fn batch_size_does_not_change_results() {
-        let mut cfg = tiny_cfg(FidelityMode::Full);
+        let mut cfg = tiny_cfg();
         let base = simulate(&cfg, 5, &Exec::with_threads(2)).unwrap();
         cfg.shards_per_batch = 1;
         let fine = simulate(&cfg, 5, &Exec::with_threads(2)).unwrap();
@@ -1246,7 +1199,7 @@ mod tests {
                 Ok(())
             }
         }
-        let cfg = tiny_cfg(FidelityMode::Full);
+        let cfg = tiny_cfg();
         let exec = Exec::with_threads(2);
         let clean = simulate(&cfg, 9, &exec).unwrap();
         let mut store = MemStore::default();
@@ -1286,7 +1239,7 @@ mod tests {
     #[test]
     fn poisson_tier_matches_class_process_expectation() {
         // A Poisson-only fleet's ticket count should track rate × time.
-        let mut cfg = tiny_cfg(FidelityMode::Full);
+        let mut cfg = tiny_cfg();
         cfg.classes.truncate(1);
         cfg.classes[0].links = 20_000;
         cfg.years = 10.0;
@@ -1301,7 +1254,7 @@ mod tests {
 
     #[test]
     fn event_sourcing_produces_channel_activity() {
-        let cfg = tiny_cfg(FidelityMode::Full);
+        let cfg = tiny_cfg();
         let report = simulate(&cfg, 13, &Exec::with_threads(2)).unwrap();
         let r = &report.rollup;
         assert_eq!(r.event_sourced_links, 300);

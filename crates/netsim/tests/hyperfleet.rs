@@ -10,7 +10,6 @@ use mosaic_netsim::hyperfleet::{
     HyperFleetConfig, RollupStore, BITS_PER_EPOCH,
 };
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent, Persistence, FAULT_KINDS};
-use mosaic_sim::fidelity::FidelityMode;
 use mosaic_sim::sweep::Exec;
 use mosaic_units::{BitRate, Duration, Fit, Result};
 use proptest::prelude::*;
@@ -44,7 +43,6 @@ fn fleet_cfg(mosaic_links: u64, optics_links: u64, years: f64) -> HyperFleetConf
         max_fault_duration: 24,
         permanent_fraction: 0.25,
         rebuild_lost_fraction: 0.2,
-        fidelity: FidelityMode::Full,
     }
 }
 

@@ -45,8 +45,7 @@ impl SeriesBudget {
 /// [`KofN::survival`] (exponential lifetimes) and the Weibull pool
 /// closed form. This is the *exact* mean of the Monte-Carlo pool
 /// estimators (which draw per-channel Bernoulli failures and count
-/// survivors), which is what lets the adaptive fidelity tier replace
-/// those simulations outright (DESIGN §12).
+/// survivors), the reference their tests compare against.
 pub fn binomial_survival(k: usize, n: usize, p_alive: f64) -> f64 {
     let p = p_alive;
     if p == 1.0 {

@@ -76,10 +76,8 @@ impl Weibull {
 /// (no repair): each channel independently survives the horizon with
 /// probability `1 − failure_prob(horizon)`, so the pool survival is the
 /// exact binomial sum [`crate::system::binomial_survival`] — the same
-/// quantity [`pool_survival_weibull_with`] estimates by sampling. The
-/// adaptive fidelity tier uses this form directly (`Exactness::Exact`
-/// in DESIGN §12 terms); the Monte-Carlo form remains as the
-/// full-fidelity cross-check.
+/// quantity [`pool_survival_weibull_with`] estimates by sampling, and
+/// the reference its tests compare that estimate with.
 pub fn pool_survival_weibull_analytic(
     k: usize,
     n: usize,

@@ -22,10 +22,8 @@
 //!   checkpoint key and label hash uses;
 //! * [`campaign`] — [`campaign::FaultedLink`], the stepped link-under-faults
 //!   core F17 and F19 share, and F17's replay with and without a controller;
-//! * [`fidelity`] — the adaptive-fidelity engine: a controller that
-//!   promotes measurements between an analytic fast path, full
-//!   Monte-Carlo at adapted budgets, and rare-event tail importance
-//!   sampling, deterministically from `(config, seed)` (DESIGN §12);
+//! * [`fidelity`] — [`fidelity::FidelityMode`], whose one variant is
+//!   the full trial budget every figure runs at;
 //! * [`link_sim`] — the end-to-end frame-level link simulation driving the
 //!   real gearbox + FEC code paths;
 //! * [`sweep`] — the deterministic parallel execution engine: Monte-Carlo
@@ -58,7 +56,6 @@ pub mod telemetry;
 pub use campaign::{run_campaign, CampaignOutcome, CampaignRunConfig};
 pub use event::EventQueue;
 pub use faults::{CampaignConfig, FaultCampaign};
-pub use fidelity::{FidelityController, FidelityMode, Tier};
 pub use inject::BitErrorInjector;
 pub use json::Json;
 pub use link_sim::{simulate_link, LinkSimConfig, LinkSimReport};

@@ -126,79 +126,6 @@ struct ChannelState {
     ber: f64,
 }
 
-/// Epochs the adaptive fidelity tier keeps after the last fault
-/// start, so failover and recovery stay observable in a trimmed run.
-pub const ADAPTIVE_POST_FAULT_EPOCHS: usize = 2;
-
-/// [`simulate_link`] at controller-selected fidelity.
-///
-/// Full mode runs the configured epoch count untouched. Adaptive mode
-/// trims *trailing* epochs only: the campaign pins the timeline, so
-/// the run always covers every fault start plus
-/// [`ADAPTIVE_POST_FAULT_EPOCHS`] recovery epochs, and beyond that span
-/// epochs exist purely to accumulate bit-error statistics — the
-/// controller's events-targeted budget decides how many of those are
-/// worth keeping. The trimmed count is a pure function of the config
-/// (DESIGN §12): thread count and environment play no part, so adaptive
-/// runs stay bit-identical at every `MOSAIC_THREADS`.
-pub fn simulate_link_at_fidelity(
-    ctrl: &crate::fidelity::FidelityController,
-    cfg: &LinkSimConfig,
-) -> LinkSimReport {
-    let epochs = adapted_epochs(ctrl, cfg);
-    if epochs == cfg.epochs {
-        return simulate_link(cfg);
-    }
-    let mut trimmed = cfg.clone();
-    trimmed.epochs = epochs;
-    simulate_link(&trimmed)
-}
-
-/// The epoch budget the controller keeps for a config (≤ `cfg.epochs`,
-/// ≥ 1, and never inside the campaign's span).
-fn adapted_epochs(ctrl: &crate::fidelity::FidelityController, cfg: &LinkSimConfig) -> usize {
-    use crate::fidelity::{Assessment, Exactness, Tier, TierDecision};
-    // Expected injected bit errors per epoch, estimated from the payload
-    // volume: each epoch pushes ~frames × frame_size × 8 payload bits
-    // across the logical lanes, corrupted at each channel's BER. A
-    // budget estimate, not an exact accounting — striping overhead only
-    // shifts the answer by a constant factor.
-    let payload_bits = (cfg.frames_per_epoch * cfg.frame_size * 8) as f64;
-    let per_channel_bits = payload_bits / cfg.logical_lanes.max(1) as f64;
-    let lambda: f64 = cfg
-        .per_channel_ber
-        .iter()
-        .map(|b| b * per_channel_bits)
-        .sum();
-    // Per-epoch probability of at least one injected error.
-    let p_epoch = -(-lambda).exp_m1();
-    let decision = ctrl.classify(&Assessment {
-        analytic_p: p_epoch,
-        threshold: p_epoch,
-        full_trials: cfg.epochs as u64,
-        exactness: Exactness::Model,
-        tail_available: false,
-    });
-    let last_start = cfg.faults.events().iter().map(|ev| ev.start).max();
-    let span = last_start.map_or(1, |e| e + 1 + ADAPTIVE_POST_FAULT_EPOCHS);
-    let stat_epochs = match decision.tier {
-        // No closed form exists for delivery under faults; the analytic
-        // tier here just means "statistically unresolvable either way",
-        // so only the structural span runs.
-        Tier::Analytic | Tier::TailMc => 1,
-        Tier::FullMc => decision.trials as usize,
-    };
-    let epochs = span.max(stat_epochs).min(cfg.epochs).max(1);
-    ctrl.note_decision(
-        cfg.epochs as u64,
-        &TierDecision {
-            tier: decision.tier,
-            trials: epochs as u64,
-        },
-    );
-    epochs
-}
-
 /// Run the simulation: a pure function of the config (channels are
 /// stepped in order on the calling thread).
 pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
@@ -469,49 +396,5 @@ mod tests {
         assert_eq!(r.frames_delivered, 16);
         assert_eq!(r.deskew_failed_epochs, 4);
         assert_eq!(r.remaps, 0);
-    }
-
-    #[test]
-    fn full_fidelity_link_sim_is_untouched() {
-        let _collector = crate::telemetry::test_guard::shared();
-        use crate::fidelity::{FidelityController, FidelityMode};
-        let mut cfg = LinkSimConfig::small_clean();
-        cfg.per_channel_ber = vec![1e-4; 10];
-        let ctrl = FidelityController::new(FidelityMode::Full);
-        let direct = simulate_link(&cfg);
-        let via = simulate_link_at_fidelity(&ctrl, &cfg);
-        assert_eq!(direct, via);
-    }
-
-    #[test]
-    fn adaptive_link_sim_keeps_the_fault_span() {
-        let _collector = crate::telemetry::test_guard::shared();
-        use crate::fidelity::{FidelityController, FidelityMode};
-        let mut cfg = LinkSimConfig::small_clean();
-        cfg.epochs = 40;
-        cfg.per_channel_ber = vec![1e-9; 10]; // statistically unresolvable
-        cfg.faults = faults(10, vec![FaultEvent::kill(2, 5)]);
-        let ctrl = FidelityController::new(FidelityMode::Adaptive);
-        assert_eq!(
-            adapted_epochs(&ctrl, &cfg),
-            5 + 1 + ADAPTIVE_POST_FAULT_EPOCHS,
-            "trim to the scripted span plus the recovery window"
-        );
-        let trimmed = simulate_link_at_fidelity(&ctrl, &cfg);
-        assert_eq!(trimmed, simulate_link_at_fidelity(&ctrl, &cfg));
-        assert!(trimmed.frames_sent < simulate_link(&cfg).frames_sent);
-    }
-
-    #[test]
-    fn adaptive_link_sim_spends_epochs_on_resolvable_noise() {
-        let _collector = crate::telemetry::test_guard::shared();
-        use crate::fidelity::{FidelityController, FidelityMode};
-        let mut cfg = LinkSimConfig::small_clean();
-        cfg.epochs = 40;
-        // ~33 expected errors/epoch: plenty of events, margin zero —
-        // the controller keeps the full epoch budget.
-        cfg.per_channel_ber = vec![1e-3; 10];
-        let ctrl = FidelityController::new(FidelityMode::Adaptive);
-        assert_eq!(adapted_epochs(&ctrl, &cfg), 40);
     }
 }

@@ -119,13 +119,14 @@ impl SlicerPoint {
     /// `(Q(d1) + Q(d0)) / 2` with `d1 = (i1 − threshold)/s1` and
     /// `d0 = (threshold − i0)/s0`.
     ///
-    /// Error-budget note (DESIGN §12): this is *not* the single-Q
-    /// approximation `Q((i1 − i0)/(s1 + s0))` that
-    /// [`OokReceiver::ber_at`] reports — at the optimum threshold the
-    /// two agree to within a few percent, which is exactly the model
-    /// mismatch the Monte-Carlo column of F4 makes visible. The adaptive
-    /// analytic tier therefore uses this two-sided form, whose only
-    /// deviation from a correct kernel's measurement is sampling noise.
+    /// Error-budget note: this is *not* the single-Q approximation
+    /// `Q((i1 − i0)/(s1 + s0))` that [`OokReceiver::ber_at`] reports —
+    /// at the optimum threshold the two agree to within a few percent,
+    /// which is exactly the model mismatch the Monte-Carlo column of F4
+    /// makes visible. The differential tests in
+    /// `tests/kernel_equivalence.rs` therefore compare the kernel with
+    /// this two-sided form, whose only deviation from a correct
+    /// kernel's measurement is sampling noise.
     pub fn model_ber(&self) -> f64 {
         let d1 = (self.i1 - self.threshold) / self.s1;
         let d0 = (self.threshold - self.i0) / self.s0;

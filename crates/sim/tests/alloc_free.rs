@@ -1,8 +1,7 @@
 //! Proof of the "zero heap allocations per Monte-Carlo inner loop" claim
 //! for the bit-sliced kernels: a counting global allocator wraps the
-//! system allocator, and the sliced slicer, tail sampler, injector,
-//! scrambler and raw-draw hot paths must not touch it once their buffers
-//! are warmed.
+//! system allocator, and the sliced slicer, injector, scrambler and
+//! raw-draw hot paths must not touch it once their buffers are warmed.
 //!
 //! The fec-side twin is `crates/fec/tests/alloc_free.rs`; both harnesses
 //! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
@@ -72,19 +71,6 @@ fn sliced_kernel_paths_do_not_allocate() {
         }
     });
     assert_eq!(n, 0, "slicer kernels allocated {n} times");
-
-    // --- Tail importance sampler: the tilted-draw batch is pure
-    //     register arithmetic over the warmed RNG ------------------------
-    let mut tail_rng = DetRng::substream(3, "alloc-free-tail");
-    let mut tail_mass = 0.0f64;
-    let n = allocs_during(|| {
-        for d in [0.0f64, 2.0, 6.0, 8.5] {
-            let (w, w2) = mosaic_sim::fidelity::tail_batch(d, 4096, &mut tail_rng);
-            tail_mass += w + w2;
-        }
-    });
-    assert_eq!(n, 0, "tail_batch allocated {n} times");
-    assert!(tail_mass > 0.0, "tail batches must have drawn real mass");
 
     // --- Bit-error injector: batched word and symbol corruption ---------
     let mut inj = BitErrorInjector::new(1e-3, DetRng::substream(3, "alloc-free-inject"));

@@ -9,12 +9,21 @@
 //! those proptests are where they run. End to end, the committed
 //! `results/` and the quick manifest values in `BENCH_run_all.json` pin
 //! the kernels' figures.
+//!
+//! The OOK slicer kernel is also checked against physics: its parallel
+//! Monte-Carlo estimate must bracket the closed-form
+//! [`SlicerPoint::model_ber`], the exact mean of what it samples.
 
 use mosaic_link::scrambler::Scrambler;
 use mosaic_link::striping::LaneWord;
+use mosaic_phy::ber::OokReceiver;
+use mosaic_phy::noise::NoiseBudget;
+use mosaic_phy::photodiode::Photodiode;
 use mosaic_sim::inject::BitErrorInjector;
-use mosaic_sim::montecarlo::SlicerPoint;
+use mosaic_sim::montecarlo::{simulate_ook_ber_par, SlicerPoint};
 use mosaic_sim::rng::DetRng;
+use mosaic_sim::sweep::Exec;
+use mosaic_units::Frequency;
 use proptest::prelude::*;
 
 /// The boundary counts the issue pins: below/at/above one word, plus a
@@ -204,4 +213,63 @@ proptest! {
             prop_assert_eq!(rx_s.descramble_word(line_s), rx_r.descramble_word_scalar(line_r));
         }
     }
+}
+
+/// The 2 GBd-class receiver the bench figures use (silicon photodiode,
+/// thermal-noise-limited TIA).
+fn mosaic_rx() -> OokReceiver {
+    OokReceiver {
+        pd: Photodiode::silicon_blue(),
+        noise: NoiseBudget {
+            thermal_a: 3.0e-12 * (1.4e9f64).sqrt(),
+            bandwidth: Frequency::from_ghz(1.4),
+            rin_db_per_hz: None,
+        },
+        extinction_ratio: 6.0,
+    }
+}
+
+/// Differential check at the sliced kernels' boundary bit counts: the
+/// full Monte-Carlo estimate must bracket the analytic model inside its
+/// own Wilson interval at 1, 63, 64, 65, and 1024 bits. Everything is
+/// seeded, so this pins the exact boundary-block behavior, not a
+/// statistical hope.
+#[test]
+fn analytic_model_sits_inside_the_mc_wilson_interval_at_boundary_bit_counts() {
+    let rx = mosaic_rx();
+    // BER ≈ 0.1: high enough that even one bit carries information and
+    // the Wilson interval at tiny n still contains the model.
+    let p = rx.sensitivity(0.1).unwrap();
+    let model = SlicerPoint::of(&rx, p).model_ber();
+    let exec = Exec::with_threads(4);
+    for bits in [1u64, 63, 64, 65, 1024] {
+        let m = simulate_ook_ber_par(&exec, &rx, p, bits, 7001);
+        let (lo, hi) = m.ci95;
+        assert!(
+            lo <= model && model <= hi,
+            "model {model} outside Wilson CI [{lo}, {hi}] at {bits} bits (mc {})",
+            m.ber
+        );
+    }
+}
+
+/// Tight differential at a large budget: 2M bits at BER ≈ 1e-3 give
+/// ~2000 events, so the kernel must land within its ~±4.5 % Wilson
+/// interval of the model *and* within 10 % relative.
+#[test]
+fn analytic_model_matches_full_mc_tightly_at_large_budgets() {
+    let rx = mosaic_rx();
+    let p = rx.sensitivity(1e-3).unwrap();
+    let model = SlicerPoint::of(&rx, p).model_ber();
+    let m = simulate_ook_ber_par(&Exec::with_threads(4), &rx, p, 2_000_000, 7002);
+    let (lo, hi) = m.ci95;
+    assert!(
+        lo <= model && model <= hi,
+        "model {model} outside [{lo}, {hi}]"
+    );
+    assert!(
+        (m.ber - model).abs() < 0.1 * model,
+        "mc {} vs model {model}",
+        m.ber
+    );
 }
