@@ -2,7 +2,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_fec::bch::Bch;
-use mosaic_fec::hamming::Hamming7264;
 use mosaic_fec::rs::ReedSolomon;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,24 +68,6 @@ fn bench_bch(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_hamming(c: &mut Criterion) {
-    let h = Hamming7264;
-    let mut g = c.benchmark_group("hamming");
-    g.throughput(Throughput::Elements(64));
-    g.bench_function("encode_72_64", |b| {
-        b.iter(|| h.encode(0xDEAD_BEEF_F00D_CAFE))
-    });
-    g.bench_function("decode_72_64_1err", |b| {
-        let check = h.encode(0xDEAD_BEEF_F00D_CAFE);
-        b.iter(|| {
-            let mut d = 0xDEAD_BEEF_F00D_CAFEu64 ^ (1 << 33);
-            let mut c = check;
-            h.decode(&mut d, &mut c)
-        })
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     // Short windows: these are smoke/regression benches, not a tuning lab.
@@ -94,6 +75,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_rs, bench_bch, bench_hamming
+    targets = bench_rs, bench_bch
 }
 criterion_main!(benches);

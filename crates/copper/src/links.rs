@@ -39,11 +39,6 @@ impl DacLink {
         }
     }
 
-    /// Number of electrical lanes.
-    pub fn lanes(&self) -> usize {
-        (self.aggregate / self.lane_rate).round() as usize
-    }
-
     /// Maximum cable length.
     pub fn max_reach(&self) -> Length {
         max_reach(&self.cable, self.lane_rate, self.budget, HOST_RESERVE_DB)
@@ -63,13 +58,6 @@ pub struct AecLink {
 }
 
 impl AecLink {
-    /// An 800G AEC.
-    pub fn aec_800g() -> Self {
-        AecLink {
-            dac: DacLink::dac_800g(),
-        }
-    }
-
     /// Maximum cable length (two independently equalized halves).
     pub fn max_reach(&self) -> Length {
         self.dac.max_reach() * AEC_REACH_MULTIPLIER
@@ -90,14 +78,13 @@ mod tests {
         let dac = DacLink::dac_800g();
         let r = dac.max_reach();
         assert!(r.as_m() > 1.2 && r.as_m() < 2.5, "got {r}");
-        assert_eq!(dac.lanes(), 8);
         assert!(dac.module_power().is_zero());
     }
 
     #[test]
     fn aec_doubles_reach_for_watts() {
         let dac = DacLink::dac_800g();
-        let aec = AecLink::aec_800g();
+        let aec = AecLink { dac: dac.clone() };
         assert!((aec.max_reach().as_m() / dac.max_reach().as_m() - 2.0).abs() < 1e-9);
         assert!(aec.module_power().as_watts() > 5.0);
     }

@@ -46,13 +46,6 @@ pub struct ChannelBudget {
     pub expected_ber: f64,
 }
 
-impl ChannelBudget {
-    /// True if the channel closes with non-negative margin.
-    pub fn is_feasible(&self) -> bool {
-        matches!(self.margin, Some(m) if m.as_db() >= 0.0)
-    }
-}
-
 /// Receiver dispatch over the configured modulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelReceiver {
@@ -95,7 +88,6 @@ pub struct BudgetEngine {
     rx: ChannelReceiver,
     wavelength_m: f64,
     symbol_rate: mosaic_units::BitRate,
-    target_ber: f64,
     led_bandwidth: mosaic_units::Frequency,
     /// Receiver sensitivity at the FEC threshold — identical for every
     /// channel (same receiver), so solved once.
@@ -155,7 +147,6 @@ impl BudgetEngine {
             symbol_rate: mosaic_units::BitRate::from_bps(
                 cfg.modulation.symbol_rate(cfg.channel_rate).as_hz(),
             ),
-            target_ber,
             led_bandwidth: cfg.led.modulation_bandwidth(cfg.drive_current()),
             sensitivity,
             // Placeholders; `refresh_span` derives both from the fields
@@ -204,11 +195,6 @@ impl BudgetEngine {
         self.refresh_span();
     }
 
-    /// The LED drive operating point in use.
-    pub fn drive(&self) -> &LedDrive {
-        &self.drive
-    }
-
     /// The fiber assembly in use.
     pub fn fiber(&self) -> &ImagingFiber {
         &self.fiber
@@ -217,16 +203,6 @@ impl BudgetEngine {
     /// The channel-rate receiver model.
     pub fn receiver(&self) -> &ChannelReceiver {
         &self.rx
-    }
-
-    /// The pre-FEC BER target the budgets are margined against.
-    pub fn target_ber(&self) -> f64 {
-        self.target_ber
-    }
-
-    /// Receiver sensitivity at the FEC threshold, if achievable.
-    pub fn sensitivity(&self) -> Option<Power> {
-        self.sensitivity
     }
 
     /// Budget one channel.
@@ -393,7 +369,11 @@ mod tests {
         let cfg = cfg_800g(10.0);
         let engine = BudgetEngine::new(&cfg);
         for b in engine.all_channels(&cfg.led) {
-            assert!(b.is_feasible(), "channel {} infeasible", b.channel);
+            assert!(
+                matches!(b.margin, Some(m) if m.as_db() >= 0.0),
+                "channel {} infeasible",
+                b.channel
+            );
             assert!(
                 b.expected_ber <= cfg.fec.ber_threshold() * 1.001,
                 "channel {}: BER {}",

@@ -92,7 +92,9 @@ mod tests {
 
     #[test]
     fn energy_per_bit_single_digit() {
-        let e = module_breakdown(&cfg()).per_bit(BitRate::from_gbps(800.0));
+        let e = module_breakdown(&cfg())
+            .total()
+            .per_bit(BitRate::from_gbps(800.0));
         assert!(e.as_pj_per_bit() < 9.0, "got {e}");
     }
 

@@ -155,16 +155,6 @@ impl Bch {
         })
     }
 
-    /// The common BCH(1023, ·, t) family over GF(2¹⁰), full length.
-    pub fn bch_1023(t: usize) -> Self {
-        Bch::new(10, 1023, t)
-    }
-
-    /// Block length in bits.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Data length in bits.
     pub fn k(&self) -> usize {
         self.k
@@ -173,11 +163,6 @@ impl Bch {
     /// Designed error-correcting capability in bits.
     pub fn t(&self) -> usize {
         self.t
-    }
-
-    /// Overhead ratio n/k.
-    pub fn overhead(&self) -> f64 {
-        self.n as f64 / self.k as f64
     }
 
     /// Systematic encode: `data` (k bits as 0/1 bytes) → n-bit codeword,
@@ -466,7 +451,7 @@ mod tests {
     fn bch_15_7_2_parameters() {
         // The textbook BCH(15,7) corrects 2 errors; generator degree 8.
         let code = Bch::new(4, 15, 2);
-        assert_eq!((code.n(), code.k(), code.t()), (15, 7, 2));
+        assert_eq!((code.n, code.k(), code.t()), (15, 7, 2));
     }
 
     #[test]
@@ -493,7 +478,7 @@ mod tests {
         let clean = code.encode(&data);
         for nerr in 1..=5 {
             let mut word = clean.clone();
-            let mut pos: Vec<usize> = (0..code.n()).collect();
+            let mut pos: Vec<usize> = (0..code.n).collect();
             for i in 0..nerr {
                 let j = rng.gen_range(i..pos.len());
                 pos.swap(i, j);
@@ -568,7 +553,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let data: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..2u8)).collect();
             let mut word = code.encode(&data);
-            let mut pos: Vec<usize> = (0..code.n()).collect();
+            let mut pos: Vec<usize> = (0..code.n).collect();
             for i in 0..nerr {
                 let j = rng.gen_range(i..pos.len());
                 pos.swap(i, j);
@@ -587,7 +572,7 @@ mod tests {
         fn fused_syndromes_match_reference(seed in 0u64..1000) {
             let code = Bch::new(8, 63, 3);
             let mut rng = StdRng::seed_from_u64(seed);
-            let word: Vec<u8> = (0..code.n()).map(|_| rng.gen_range(0..2u8)).collect();
+            let word: Vec<u8> = (0..code.n).map(|_| rng.gen_range(0..2u8)).collect();
             let mut scratch = crate::scratch::DecodeScratch::new();
             let all_zero = code.syndromes_into(&word, &mut scratch);
             let reference = code.syndromes(&word);
@@ -602,7 +587,7 @@ mod tests {
             let data: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..2u8)).collect();
             let clean = code.encode(&data);
             let mut word = clean.clone();
-            let mut pos: Vec<usize> = (0..code.n()).collect();
+            let mut pos: Vec<usize> = (0..code.n).collect();
             for i in 0..nerr {
                 let j = rng.gen_range(i..pos.len());
                 pos.swap(i, j);

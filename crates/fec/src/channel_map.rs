@@ -49,11 +49,6 @@ impl ChannelMap {
         Ok(ChannelMap { n, channels })
     }
 
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
     /// The symbol positions carried by `channel`.
     pub fn positions_of(&self, channel: usize) -> Vec<usize> {
         assert!(channel < self.channels, "channel {channel} out of range");
@@ -65,19 +60,8 @@ impl ChannelMap {
         self.n.div_ceil(self.channels)
     }
 
-    /// The erasure list implied by a set of suspect channels.
-    ///
-    /// # Panics
-    /// Panics on out-of-range channels; use
-    /// [`ChannelMap::try_erasures_for`] to handle the error instead.
-    pub fn erasures_for(&self, suspect_channels: &[usize]) -> Vec<usize> {
-        match self.try_erasures_for(suspect_channels) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`ChannelMap::erasures_for`].
+    /// The erasure list implied by a set of suspect channels; errors on a
+    /// channel out of range.
     pub fn try_erasures_for(&self, suspect_channels: &[usize]) -> Result<Vec<usize>> {
         let mut out = Vec::new();
         for &c in suspect_channels {
@@ -179,8 +163,8 @@ mod tests {
         #[test]
         fn erasures_count_matches_channel_size(channels in 1usize..64, suspects in 0usize..4) {
             let map = ChannelMap::new(544, channels.min(544));
-            let suspect_list: Vec<usize> = (0..suspects.min(map.channels())).collect();
-            let erasures = map.erasures_for(&suspect_list);
+            let suspect_list: Vec<usize> = (0..suspects.min(map.channels)).collect();
+            let erasures = map.try_erasures_for(&suspect_list).unwrap();
             let expect: usize = suspect_list.iter().map(|&c| map.positions_of(c).len()).sum();
             prop_assert_eq!(erasures.len(), expect);
         }

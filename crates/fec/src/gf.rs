@@ -10,7 +10,6 @@ use mosaic_units::{MosaicError, Result};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaloisField {
     m: u32,
-    poly: u32,
     /// exp[i] = α^i, doubled in length so products need no modulo.
     exp: Vec<u16>,
     /// log[x] = i with α^i = x; log[0] is unused.
@@ -36,19 +35,8 @@ fn default_poly(m: u32) -> Option<u32> {
 }
 
 impl GaloisField {
-    /// Construct GF(2^m) with the standard primitive polynomial.
-    ///
-    /// # Panics
-    /// Panics on invalid `m`; use [`GaloisField::try_new`] to handle the
-    /// error instead.
-    pub fn new(m: u32) -> Self {
-        match Self::try_new(m) {
-            Ok(f) => f,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`GaloisField::new`]: errors unless 2 ≤ m ≤ 12.
+    /// GF(2^m) with the standard primitive polynomial; errors unless
+    /// 2 ≤ m ≤ 12.
     pub fn try_new(m: u32) -> Result<Self> {
         let poly = default_poly(m).ok_or_else(|| {
             MosaicError::invalid_code(format!("unsupported field order m={m} (need 2..=12)"))
@@ -56,20 +44,8 @@ impl GaloisField {
         Self::try_with_poly(m, poly)
     }
 
-    /// Construct GF(2^m) with an explicit primitive polynomial (including
-    /// the x^m term).
-    ///
-    /// # Panics
-    /// Panics on invalid parameters; see [`GaloisField::try_with_poly`].
-    pub fn with_poly(m: u32, poly: u32) -> Self {
-        match Self::try_with_poly(m, poly) {
-            Ok(f) => f,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`GaloisField::with_poly`]: errors unless 2 ≤ m ≤ 12 and
-    /// `poly` is primitive for GF(2^m).
+    /// GF(2^m) with an explicit primitive polynomial (including the x^m
+    /// term); errors unless 2 ≤ m ≤ 12 and `poly` is primitive for GF(2^m).
     pub fn try_with_poly(m: u32, poly: u32) -> Result<Self> {
         if !(2..=12).contains(&m) {
             return Err(MosaicError::invalid_code(format!(
@@ -96,7 +72,7 @@ impl GaloisField {
         for i in 0..(size - 1) {
             exp[size - 1 + i] = exp[i];
         }
-        Ok(GaloisField { m, poly, exp, log })
+        Ok(GaloisField { m, exp, log })
     }
 
     /// Field order exponent m.
@@ -114,25 +90,10 @@ impl GaloisField {
         self.size() - 1
     }
 
-    /// The primitive polynomial in use.
-    pub fn poly(&self) -> u32 {
-        self.poly
-    }
-
     /// α^i (i may exceed the group order; it is reduced).
     #[inline]
     pub fn alpha_pow(&self, i: usize) -> u16 {
         self.exp[i % self.order()]
-    }
-
-    /// Discrete log of a non-zero element.
-    ///
-    /// # Panics
-    /// Panics on zero, which has no logarithm.
-    #[inline]
-    pub fn log(&self, x: u16) -> u16 {
-        assert!(x != 0, "log of zero");
-        self.log[x as usize]
     }
 
     /// Addition (= subtraction) in characteristic 2.
@@ -173,16 +134,6 @@ impl GaloisField {
         }
     }
 
-    /// Exponentiation `a^k`.
-    #[inline]
-    pub fn pow(&self, a: u16, k: usize) -> u16 {
-        if a == 0 {
-            return if k == 0 { 1 } else { 0 };
-        }
-        let e = (self.log[a as usize] as usize * k) % self.order();
-        self.exp[e]
-    }
-
     /// Evaluate a polynomial (coefficients `poly[i]` for x^i) at `x`
     /// by Horner's rule.
     #[inline]
@@ -220,7 +171,7 @@ mod tests {
     #[test]
     fn gf256_known_products() {
         // With poly 0x11D: α = 2, α^7 = 0x80, and α^8 reduces to 0x1D.
-        let f = GaloisField::new(8);
+        let f = GaloisField::try_new(8).unwrap();
         assert_eq!(f.alpha_pow(7), 0x80);
         assert_eq!(f.mul(0x80, 2), 0x1D);
         assert_eq!(f.alpha_pow(8), 0x1D);
@@ -229,7 +180,7 @@ mod tests {
     #[test]
     fn alpha_generates_the_group() {
         for m in [4u32, 8, 10] {
-            let f = GaloisField::new(m);
+            let f = GaloisField::try_new(m).unwrap();
             let mut seen = vec![false; f.size()];
             for i in 0..f.order() {
                 let v = f.alpha_pow(i) as usize;
@@ -241,7 +192,7 @@ mod tests {
 
     #[test]
     fn poly_eval_horner() {
-        let f = GaloisField::new(8);
+        let f = GaloisField::try_new(8).unwrap();
         // p(x) = 3 + 2x + x², p(1) = 3^2^1 = 0 (xor), p(0) = 3.
         let p = [3u16, 2, 1];
         assert_eq!(f.poly_eval(&p, 0), 3);
@@ -249,14 +200,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn non_primitive_poly_rejected() {
         // x^4 + 1 is not primitive.
-        let _ = GaloisField::with_poly(4, 0b1_0001);
+        assert!(GaloisField::try_with_poly(4, 0b1_0001).is_err());
     }
 
     fn any_field() -> impl Strategy<Value = GaloisField> {
-        prop_oneof![Just(4u32), Just(8), Just(10)].prop_map(GaloisField::new)
+        prop_oneof![Just(4u32), Just(8), Just(10)].prop_map(|m| GaloisField::try_new(m).unwrap())
     }
 
     proptest! {
@@ -279,17 +229,6 @@ mod tests {
             let a = (a % (f.order() as u16)) + 1;
             prop_assert_eq!(f.mul(a, f.inv(a)), 1);
             prop_assert_eq!(f.div(a, a), 1);
-        }
-
-        #[test]
-        fn pow_matches_repeated_mul(f in any_field(), a in 0u16..1024, k in 0usize..20) {
-            let mask = (f.size() - 1) as u16;
-            let a = a & mask;
-            let mut acc = 1u16;
-            for _ in 0..k {
-                acc = f.mul(acc, a);
-            }
-            prop_assert_eq!(f.pow(a, k), acc);
         }
 
         #[test]

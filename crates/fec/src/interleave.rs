@@ -110,12 +110,6 @@ impl BlockInterleaver {
         }
         Ok(out)
     }
-
-    /// The longest error burst (in transmitted positions) that lands at
-    /// most one error in any row: exactly `rows` positions.
-    pub fn burst_tolerance_per_row(&self) -> usize {
-        self.rows
-    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 //!   and Forney's algorithm; constructors for KP4 RS(544,514) and KR4
 //!   RS(528,514);
 //! * [`bch`] — binary BCH codes (syndrome + BM + Chien bit-flipping);
-//! * [`hamming`] — extended Hamming(72,64) SEC-DED;
 //! * [`interleave`] — block interleaving to spread burst errors;
 //! * [`channel_map`] — codeword↔channel position arithmetic: turns lane
 //!   monitors' "channel X is sick" into erasure lists for the decoder;
@@ -29,7 +28,6 @@ pub mod analysis;
 pub mod bch;
 pub mod channel_map;
 pub mod gf;
-pub mod hamming;
 pub mod interleave;
 pub mod rs;
 pub mod scratch;
@@ -37,7 +35,6 @@ pub mod scratch;
 pub use bch::{Bch, BchOutcome};
 pub use channel_map::ChannelMap;
 pub use gf::GaloisField;
-pub use hamming::Hamming7264;
 pub use interleave::BlockInterleaver;
 pub use rs::{DecodeOutcome, ReedSolomon};
 pub use scratch::DecodeScratch;

@@ -139,16 +139,6 @@ impl ReedSolomon {
         self.field.m()
     }
 
-    /// Code overhead ratio n/k (transmitted per payload).
-    pub fn overhead(&self) -> f64 {
-        self.n as f64 / self.k as f64
-    }
-
-    /// The underlying field (for callers mapping bits to symbols).
-    pub fn field(&self) -> &GaloisField {
-        &self.field
-    }
-
     /// Systematically encode `data` (k symbols, each < 2^m) into an
     /// n-symbol codeword: data first, parity appended.
     ///
@@ -212,35 +202,6 @@ impl ReedSolomon {
             }
         }
         Ok(())
-    }
-
-    /// Compute the 2t syndromes of a word. All-zero means "is a codeword".
-    ///
-    /// # Panics
-    /// Panics unless `word` is exactly n symbols.
-    pub fn syndromes(&self, word: &[u16]) -> Vec<u16> {
-        assert_eq!(word.len(), self.n, "expected {}-symbol word", self.n);
-        self.syndromes_unchecked(word)
-    }
-
-    /// [`ReedSolomon::syndromes`] on a length-validated word, one
-    /// log/exp `field.mul` Horner pass per syndrome. The per-syndrome
-    /// reference for [`ReedSolomon::syndromes_into`]: it serves the
-    /// public [`ReedSolomon::syndromes`] query and the test reference
-    /// decoder; no decode path calls it.
-    fn syndromes_unchecked(&self, word: &[u16]) -> Vec<u16> {
-        let two_t = self.n - self.k;
-        (0..two_t)
-            .map(|i| {
-                let x = self.field.alpha_pow(i);
-                // Evaluate with index 0 = highest degree (Horner forward).
-                let mut acc = 0u16;
-                for &c in word {
-                    acc = self.field.add(self.field.mul(acc, x), c);
-                }
-                acc
-            })
-            .collect()
     }
 
     /// Fused Horner syndrome kernel into `s.synd`; returns true when the
@@ -498,6 +459,27 @@ impl ReedSolomon {
 pub(crate) mod reference {
     use super::*;
 
+    impl ReedSolomon {
+        /// The 2t syndromes of an n-symbol word (all-zero means "is a
+        /// codeword"), one log/exp `field.mul` Horner pass per syndrome. The
+        /// per-syndrome reference for [`ReedSolomon::syndromes_into`] and the
+        /// reference decoder below; no decode path calls it.
+        pub(super) fn syndromes_unchecked(&self, word: &[u16]) -> Vec<u16> {
+            let two_t = self.n - self.k;
+            (0..two_t)
+                .map(|i| {
+                    let x = self.field.alpha_pow(i);
+                    // Evaluate with index 0 = highest degree (Horner forward).
+                    let mut acc = 0u16;
+                    for &c in word {
+                        acc = self.field.add(self.field.mul(acc, x), c);
+                    }
+                    acc
+                })
+                .collect()
+        }
+    }
+
     /// Allocating errors-and-erasures decode, pre-scratch implementation.
     pub fn decode_with_erasures(
         rs: &ReedSolomon,
@@ -633,7 +615,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn inject_errors(rs: &ReedSolomon, word: &mut [u16], count: usize, rng: &mut StdRng) {
-        let mask = (rs.field().size() - 1) as u16;
+        let mask = (rs.field.size() - 1) as u16;
         let mut positions: Vec<usize> = (0..word.len()).collect();
         for i in 0..count {
             let j = rng.gen_range(i..positions.len());
@@ -670,7 +652,6 @@ mod tests {
         let rs = ReedSolomon::kp4();
         assert_eq!((rs.n(), rs.k(), rs.t()), (544, 514, 15));
         assert_eq!(rs.symbol_bits(), 10);
-        assert!((rs.overhead() - 544.0 / 514.0).abs() < 1e-12);
     }
 
     #[test]
@@ -681,7 +662,7 @@ mod tests {
         assert_eq!(&word[..11], data.as_slice());
         assert_eq!(word.len(), 15);
         // Valid codeword: all syndromes zero.
-        assert!(rs.syndromes(&word).iter().all(|&s| s == 0));
+        assert!(rs.syndromes_unchecked(&word).iter().all(|&s| s == 0));
     }
 
     #[test]
@@ -737,7 +718,7 @@ mod tests {
                 DecodeOutcome::Corrected(_) => {
                     // If it "corrected", it must at least be a codeword —
                     // i.e. a miscorrection to another codeword, not garbage.
-                    assert!(rs.syndromes(&word).iter().all(|&s| s == 0));
+                    assert!(rs.syndromes_unchecked(&word).iter().all(|&s| s == 0));
                 }
                 DecodeOutcome::Clean => panic!("corrupted word reported clean"),
             }

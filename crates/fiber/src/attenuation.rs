@@ -29,23 +29,6 @@ impl Attenuation {
         }
     }
 
-    /// Telecom-grade OM4 multimode silica (for baselines): 2.3 dB/km at
-    /// 850 nm.
-    pub fn om4_850() -> Self {
-        Attenuation {
-            db_per_m_at_ref: 0.0023,
-            ref_wavelength_m: 850e-9,
-        }
-    }
-
-    /// Single-mode silica at 1310 nm (for DR baselines): 0.32 dB/km.
-    pub fn smf_1310() -> Self {
-        Attenuation {
-            db_per_m_at_ref: 0.00032,
-            ref_wavelength_m: 1310e-9,
-        }
-    }
-
     /// Loss per metre at `wavelength_m`, dB (positive).
     pub fn db_per_m(&self, wavelength_m: f64) -> f64 {
         let scale = (self.ref_wavelength_m / wavelength_m).powi(4);
@@ -56,12 +39,6 @@ impl Attenuation {
     /// gain ready to apply to a power level.
     pub fn loss(&self, length: Length, wavelength_m: f64) -> Db {
         Db::new(-self.db_per_m(wavelength_m) * length.as_m())
-    }
-
-    /// Longest length whose loss stays within `budget` dB (positive number).
-    pub fn max_length(&self, budget_db: f64, wavelength_m: f64) -> Length {
-        assert!(budget_db >= 0.0, "loss budget must be non-negative");
-        Length::from_m(budget_db / self.db_per_m(wavelength_m))
     }
 }
 
@@ -78,24 +55,9 @@ mod tests {
     }
 
     #[test]
-    fn silica_is_orders_of_magnitude_better() {
-        let img = Attenuation::imaging_glass().db_per_m(450e-9);
-        let smf = Attenuation::smf_1310().db_per_m(1310e-9);
-        assert!(img / smf > 100.0);
-    }
-
-    #[test]
     fn bluer_light_attenuates_more() {
         let a = Attenuation::imaging_glass();
         assert!(a.db_per_m(420e-9) > a.db_per_m(520e-9));
-    }
-
-    #[test]
-    fn max_length_inverts_loss() {
-        let a = Attenuation::imaging_glass();
-        let l = a.max_length(4.0, 450e-9);
-        let loss = a.loss(l, 450e-9);
-        assert!((loss.as_db() + 4.0).abs() < 1e-9);
     }
 
     proptest! {

@@ -181,13 +181,6 @@ impl CrosstalkModel {
         let intrinsic = xt_unit * statics.neighbors;
         (intrinsic + statics.spill).min(0.9)
     }
-
-    /// Worst-case incoherent crosstalk power penalty for channel `idx`,
-    /// or `None` if crosstalk has fully closed the eye (x ≥ 0.5).
-    pub fn penalty(&self, lattice: &CoreLattice, idx: usize, length: Length) -> Option<Db> {
-        let x = self.total_crosstalk(lattice, idx, length);
-        crosstalk_penalty(x)
-    }
 }
 
 /// Worst-case incoherent eye penalty for total relative crosstalk `x`:
@@ -229,7 +222,7 @@ mod tests {
     fn aligned_center_channel_penalty_is_small() {
         let m = CrosstalkModel::default_aligned();
         let lat = lattice();
-        let pen = m.penalty(&lat, 0, Length::from_m(10.0)).unwrap();
+        let pen = crosstalk_penalty(m.total_crosstalk(&lat, 0, Length::from_m(10.0))).unwrap();
         assert!(pen.as_db() < 0.2, "got {pen}");
         assert!(pen.as_db() > 0.0);
     }

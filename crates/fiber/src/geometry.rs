@@ -32,19 +32,6 @@ impl HexCoord {
         HexCoord { q: 0, r: 1 },
     ];
 
-    /// Hex-grid distance (number of lattice steps) to another coordinate.
-    pub fn distance(self, other: HexCoord) -> u32 {
-        let dq = (self.q - other.q).abs();
-        let dr = (self.r - other.r).abs();
-        let ds = (self.q + self.r - other.q - other.r).abs();
-        ((dq + dr + ds) / 2) as u32
-    }
-
-    /// Ring index (distance from center).
-    pub fn ring(self) -> u32 {
-        self.distance(HexCoord::CENTER)
-    }
-
     /// The six lattice neighbors.
     pub fn neighbors(self) -> [HexCoord; 6] {
         let mut out = [HexCoord::CENTER; 6];
@@ -70,15 +57,6 @@ impl HexCoord {
 /// (ring 0 = just the center): `1 + 3·k·(k+1)`.
 pub fn cores_in_rings(rings: u32) -> usize {
     1 + 3 * rings as usize * (rings as usize + 1)
-}
-
-/// Smallest ring count whose filled lattice holds at least `n` cores.
-pub fn rings_for_cores(n: usize) -> u32 {
-    let mut k = 0;
-    while cores_in_rings(k) < n {
-        k += 1;
-    }
-    k
 }
 
 /// A concrete core lattice: coordinates of every usable core, in spiral
@@ -168,16 +146,6 @@ impl CoreLattice {
         self.cores.is_empty()
     }
 
-    /// Indices of populated lattice neighbors of core `idx` (the crosstalk
-    /// aggressor set), in `DIRECTIONS` order.
-    pub fn neighbor_indices(&self, idx: usize) -> Vec<usize> {
-        self.adjacency[idx]
-            .iter()
-            .filter(|&&n| n != NO_NEIGHBOR)
-            .map(|&n| n as usize)
-            .collect()
-    }
-
     /// Number of populated lattice neighbors of core `idx`. Allocation-free;
     /// the crosstalk model only needs the aggressor count.
     pub fn neighbor_count(&self, idx: usize) -> usize {
@@ -214,7 +182,6 @@ mod tests {
         assert_eq!(cores_in_rings(1), 7);
         assert_eq!(cores_in_rings(2), 19);
         assert_eq!(cores_in_rings(5), 91);
-        assert_eq!(rings_for_cores(100), 6); // 127 cores
     }
 
     #[test]
@@ -226,21 +193,35 @@ mod tests {
         assert_eq!(set.len(), 127);
     }
 
+    /// Hex-grid distance (number of lattice steps) between two coordinates.
+    fn distance(a: HexCoord, b: HexCoord) -> u32 {
+        let dq = (a.q - b.q).abs();
+        let dr = (a.r - b.r).abs();
+        let ds = (a.q + a.r - b.q - b.r).abs();
+        ((dq + dr + ds) / 2) as u32
+    }
+
+    /// Ring index (distance from center).
+    fn ring(c: &HexCoord) -> u32 {
+        distance(*c, HexCoord::CENTER)
+    }
+
     #[test]
     fn spiral_fills_rings_in_order() {
         let lat = CoreLattice::spiral(19, Length::from_um(20.0));
         // First 7 cores are rings 0–1, the rest ring 2.
-        assert!(lat.cores[..7].iter().all(|c| c.ring() <= 1));
-        assert!(lat.cores[7..].iter().all(|c| c.ring() == 2));
+        assert!(lat.cores[..7].iter().all(|c| ring(c) <= 1));
+        assert!(lat.cores[7..].iter().all(|c| ring(c) == 2));
     }
 
     #[test]
     fn interior_core_has_six_neighbors() {
         let lat = CoreLattice::spiral(19, Length::from_um(20.0));
-        assert_eq!(lat.neighbor_indices(0).len(), 6); // center
-                                                      // A ring-2 (outermost) corner core has fewer populated neighbors.
-        let outer = lat.cores.iter().position(|c| c.ring() == 2).unwrap();
-        assert!(lat.neighbor_indices(outer).len() < 6);
+        // The center has six populated neighbors; a ring-2 (outermost)
+        // corner core has fewer.
+        assert_eq!(lat.neighbor_count(0), 6);
+        let outer = lat.cores.iter().position(|c| ring(c) == 2).unwrap();
+        assert!(lat.neighbor_count(outer) < 6);
     }
 
     #[test]
@@ -266,25 +247,6 @@ mod tests {
 
     proptest! {
         #[test]
-        fn hex_distance_symmetric(q1 in -8i32..8, r1 in -8i32..8, q2 in -8i32..8, r2 in -8i32..8) {
-            let a = HexCoord { q: q1, r: r1 };
-            let b = HexCoord { q: q2, r: r2 };
-            prop_assert_eq!(a.distance(b), b.distance(a));
-        }
-
-        #[test]
-        fn hex_distance_triangle_inequality(
-            q1 in -6i32..6, r1 in -6i32..6,
-            q2 in -6i32..6, r2 in -6i32..6,
-            q3 in -6i32..6, r3 in -6i32..6,
-        ) {
-            let a = HexCoord { q: q1, r: r1 };
-            let b = HexCoord { q: q2, r: r2 };
-            let c = HexCoord { q: q3, r: r3 };
-            prop_assert!(a.distance(c) <= a.distance(b) + b.distance(c));
-        }
-
-        #[test]
         fn spiral_count_exact(n in 1usize..400) {
             let lat = CoreLattice::spiral(n, Length::from_um(20.0));
             prop_assert_eq!(lat.len(), n);
@@ -302,7 +264,12 @@ mod tests {
                     .iter()
                     .filter_map(|n| lat.cores.iter().position(|c| c == n))
                     .collect();
-                prop_assert_eq!(&lat.neighbor_indices(idx), &scanned);
+                let table: Vec<usize> = lat.adjacency[idx]
+                    .iter()
+                    .filter(|&&n| n != NO_NEIGHBOR)
+                    .map(|&n| n as usize)
+                    .collect();
+                prop_assert_eq!(&table, &scanned);
                 prop_assert_eq!(lat.neighbor_count(idx), scanned.len());
             }
         }
@@ -311,7 +278,7 @@ mod tests {
         fn neighbors_are_at_unit_distance(q in -8i32..8, r in -8i32..8) {
             let c = HexCoord { q, r };
             for n in c.neighbors() {
-                prop_assert_eq!(c.distance(n), 1);
+                prop_assert_eq!(distance(c, n), 1);
             }
         }
     }

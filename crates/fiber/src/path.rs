@@ -52,7 +52,7 @@ impl ImagingFiber {
     /// Sweep loops that budget many channels at one span length compute
     /// this once instead of once per channel (the host-side precompute
     /// discipline of DESIGN §11); the per-channel remainder is applied by
-    /// [`ImagingFiber::channel_path_with`].
+    /// [`ImagingFiber::channel_path_cached`].
     pub fn span_budget(&self, wavelength_m: f64) -> SpanBudget {
         SpanBudget {
             propagation: self.attenuation.loss(self.length, wavelength_m),
@@ -60,24 +60,6 @@ impl ImagingFiber {
             modal_bandwidth: self.dispersion.bandwidth_at(self.length),
             xt_unit: self.crosstalk.xt_unit(&self.lattice, self.length),
         }
-    }
-
-    /// Per-channel path budget at emission wavelength `wavelength_m`.
-    ///
-    /// # Panics
-    /// Panics if `channel` is out of range.
-    pub fn channel_path(&self, channel: usize, wavelength_m: f64) -> ChannelPath {
-        self.channel_path_with(&self.span_budget(wavelength_m), channel)
-    }
-
-    /// [`ImagingFiber::channel_path`] with the span-level terms already
-    /// computed — bit-identical to the one-shot form (the span terms are
-    /// pure functions of the same inputs, combined in the same order).
-    ///
-    /// # Panics
-    /// Panics if `channel` is out of range.
-    pub fn channel_path_with(&self, span: &SpanBudget, channel: usize) -> ChannelPath {
-        self.channel_path_cached(span, &self.channel_statics(channel), channel)
     }
 
     /// The length-independent per-channel terms of a [`ChannelPath`]:
@@ -99,8 +81,8 @@ impl ImagingFiber {
         }
     }
 
-    /// Assemble a [`ChannelPath`] from cached span and channel terms — the
-    /// same float sequence as the one-shot form, so bit-identical.
+    /// The budget of channel `channel`, assembled from its span and channel
+    /// terms.
     pub fn channel_path_cached(
         &self,
         span: &SpanBudget,
@@ -118,13 +100,6 @@ impl ImagingFiber {
             crosstalk_penalty: crate::crosstalk::crosstalk_penalty(xt),
         }
     }
-
-    /// Budgets for every channel.
-    pub fn all_paths(&self, wavelength_m: f64) -> Vec<ChannelPath> {
-        (0..self.channels())
-            .map(|c| self.channel_path(c, wavelength_m))
-            .collect()
-    }
 }
 
 /// The length-independent per-channel half of a [`ChannelPath`]. Built by
@@ -141,7 +116,7 @@ pub struct ChannelStatics {
 /// The channel-independent half of a [`ChannelPath`]: everything that
 /// depends only on span length and wavelength. Built by
 /// [`ImagingFiber::span_budget`], consumed by
-/// [`ImagingFiber::channel_path_with`].
+/// [`ImagingFiber::channel_path_cached`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanBudget {
     /// Glass propagation loss over the span.
@@ -176,12 +151,16 @@ mod tests {
 
     const BLUE: f64 = 450e-9;
 
+    fn path(f: &ImagingFiber, channel: usize) -> ChannelPath {
+        f.channel_path_cached(&f.span_budget(BLUE), &f.channel_statics(channel), channel)
+    }
+
     #[test]
     fn prototype_budget_is_plausible() {
         // 100 channels, 10 m: loss should be coupling (~8 dB) plus ~0.8 dB
         // of glass — well under 15 dB, leaving margin for an LED launch.
         let f = ImagingFiber::mosaic_default(100, Length::from_m(10.0));
-        let p = f.channel_path(0, BLUE);
+        let p = path(&f, 0);
         assert!(
             p.loss.as_db() < -7.0 && p.loss.as_db() > -15.0,
             "{}",
@@ -194,7 +173,7 @@ mod tests {
     #[test]
     fn fifty_metres_still_usable_at_2g() {
         let f = ImagingFiber::mosaic_default(400, Length::from_m(50.0));
-        let p = f.channel_path(0, BLUE);
+        let p = path(&f, 0);
         // ~4 dB glass + ~8 dB coupling; modal bandwidth ≈ 2 GHz.
         assert!(p.loss.as_db() > -16.0, "{}", p.loss);
         assert!(p.modal_bandwidth.as_ghz() > 1.4, "{}", p.modal_bandwidth);
@@ -204,7 +183,7 @@ mod tests {
     fn loss_grows_with_length() {
         let short = ImagingFiber::mosaic_default(100, Length::from_m(5.0));
         let long = ImagingFiber::mosaic_default(100, Length::from_m(50.0));
-        assert!(long.channel_path(0, BLUE).loss.as_db() < short.channel_path(0, BLUE).loss.as_db());
+        assert!(path(&long, 0).loss.as_db() < path(&short, 0).loss.as_db());
     }
 
     #[test]
@@ -214,18 +193,16 @@ mod tests {
             lateral: Length::from_um(3.0),
             rotation_rad: 0.03,
         };
-        let center = f.channel_path(0, BLUE);
-        let outer = f.channel_path(126, BLUE);
+        let center = path(&f, 0);
+        let outer = path(&f, 126);
         assert!(outer.loss.as_db() < center.loss.as_db());
     }
 
     #[test]
-    fn all_paths_covers_every_channel() {
+    fn paths_carry_their_channel_index() {
         let f = ImagingFiber::mosaic_default(61, Length::from_m(10.0));
-        let paths = f.all_paths(BLUE);
-        assert_eq!(paths.len(), 61);
-        for (i, p) in paths.iter().enumerate() {
-            assert_eq!(p.channel, i);
+        for i in 0..f.channels() {
+            assert_eq!(path(&f, i).channel, i);
         }
     }
 }

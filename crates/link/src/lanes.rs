@@ -150,19 +150,8 @@ fn pristine_flags(logical: usize) -> u128 {
 
 impl LaneMap {
     /// Create a map with `logical` active lanes drawn from `physical`
-    /// channels; the surplus becomes the spare pool.
-    ///
-    /// # Panics
-    /// Panics if there are fewer physical channels than logical lanes;
-    /// use [`LaneMap::try_new`] to handle the error instead.
-    pub fn new(logical: usize, physical: usize) -> Self {
-        match Self::try_new(logical, physical) {
-            Ok(map) => map,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`LaneMap::new`]: errors when `physical < logical`.
+    /// channels; the surplus becomes the spare pool. Errors when
+    /// `physical < logical`.
     pub fn try_new(logical: usize, physical: usize) -> mosaic_units::Result<Self> {
         if physical < logical {
             return Err(mosaic_units::MosaicError::invalid_config(
@@ -202,11 +191,6 @@ impl LaneMap {
         } else {
             self.assignment.contains(&physical)
         }
-    }
-
-    /// Remaining spare channels.
-    pub fn spares_left(&self) -> usize {
-        self.spares.len()
     }
 
     /// Channels retired so far.
@@ -315,25 +299,25 @@ mod tests {
 
     #[test]
     fn spare_swap_on_failure() {
-        let mut map = LaneMap::new(4, 6); // spares: {4, 5}
-        assert_eq!(map.spares_left(), 2);
+        let mut map = LaneMap::try_new(4, 6).unwrap(); // spares: {4, 5}
+        assert_eq!(map.spares.len(), 2);
         let remapped = map.fail_channel(1, FailureKind::Dead).unwrap();
         assert_eq!(remapped, Some(1));
         assert_ne!(map.physical_for(1), 1);
-        assert_eq!(map.spares_left(), 1);
+        assert_eq!(map.spares.len(), 1);
     }
 
     #[test]
     fn spare_pool_failure_consumes_spare_quietly() {
-        let mut map = LaneMap::new(4, 6);
+        let mut map = LaneMap::try_new(4, 6).unwrap();
         assert_eq!(map.fail_channel(5, FailureKind::Degraded).unwrap(), None);
-        assert_eq!(map.spares_left(), 1);
+        assert_eq!(map.spares.len(), 1);
         assert_eq!(map.logical_lanes(), 4);
     }
 
     #[test]
     fn exhausted_spares_is_an_error() {
-        let mut map = LaneMap::new(2, 3); // one spare: channel 2
+        let mut map = LaneMap::try_new(2, 3).unwrap(); // one spare: channel 2
         assert_eq!(map.fail_channel(0, FailureKind::Dead).unwrap(), Some(0));
         assert_eq!(
             map.fail_channel(1, FailureKind::Dead),
@@ -343,7 +327,7 @@ mod tests {
 
     #[test]
     fn double_failure_of_same_channel_is_idempotent() {
-        let mut map = LaneMap::new(2, 4);
+        let mut map = LaneMap::try_new(2, 4).unwrap();
         map.fail_channel(0, FailureKind::Dead).unwrap();
         assert_eq!(map.fail_channel(0, FailureKind::Dead).unwrap(), None);
         assert_eq!(map.retired().len(), 1);
@@ -361,7 +345,7 @@ mod tests {
             // channel (127) into the ones looked up by scan.
             let base = if wide == 1 { 120 } else { 0 };
             let (logical, physical) = (base + logical, base + logical + extra);
-            let mut map = LaneMap::new(logical, physical);
+            let mut map = LaneMap::try_new(logical, physical).unwrap();
             for k in kills {
                 let k = base + k;
                 if k < physical {

@@ -84,11 +84,6 @@ impl Distributor {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> StripeConfig {
-        self.cfg
-    }
-
     /// Stripe `payload` across the lanes, padding the final block with
     /// `pad` words if needed. Returns one word stream per lane. Each call
     /// begins with an alignment marker on every lane and continues the

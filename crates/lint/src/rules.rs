@@ -575,22 +575,6 @@ pub fn resolve_allows(
     out
 }
 
-/// Back-compat single-file check used by unit tests: local findings only,
-/// resolved against the file's allows.
-pub fn check_file(
-    cfg: &Config,
-    crate_name: &str,
-    rel_path: &str,
-    src: &str,
-) -> (Vec<Diagnostic>, u64) {
-    let scan = FileScan::of(src);
-    let (findings, index_notes) = local_findings(cfg, crate_name, rel_path, &scan);
-    (
-        resolve_allows(&scan.allows, &scan.bad_allows, rel_path, findings),
-        index_notes,
-    )
-}
-
 fn match_pattern(toks: &[crate::lexer::Token], at: usize, pat: &[&str]) -> bool {
     pat.iter()
         .enumerate()
@@ -630,6 +614,22 @@ fn is_keyword(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Single-file check for the unit tests: local findings only, resolved
+    /// against the file's allows.
+    fn check_file(
+        cfg: &Config,
+        crate_name: &str,
+        rel_path: &str,
+        src: &str,
+    ) -> (Vec<Diagnostic>, u64) {
+        let scan = FileScan::of(src);
+        let (findings, index_notes) = local_findings(cfg, crate_name, rel_path, &scan);
+        (
+            resolve_allows(&scan.allows, &scan.bad_allows, rel_path, findings),
+            index_notes,
+        )
+    }
 
     fn cfg_all() -> Config {
         let mut c = Config::empty();

@@ -127,7 +127,7 @@ mod tests {
         let class = LinkClass {
             tier: "intercontinental".into(),
             count: 1,
-            length: Length::from_km(100.0),
+            length: Length::from_m(100_000.0),
         };
         let _ = assign(&[class], &cands(), Policy::WithMosaic);
     }

@@ -29,11 +29,6 @@ impl ClassFailureProcess {
         }
     }
 
-    /// Superposed failure rate in events per hour.
-    pub fn rate_per_hour(&self) -> f64 {
-        self.rate_per_hour
-    }
-
     /// Time of the first failure, or `None` for a zero-rate class.
     /// Draws exactly one exponential when the rate is positive.
     pub fn first_failure(&self, rng: &mut DetRng) -> Option<f64> {

@@ -384,11 +384,6 @@ impl FleetRollup {
         dequantize(self.downtime_q)
     }
 
-    /// Degraded (shed-lane) time in lane-hours.
-    pub fn degraded_lane_hours(&self) -> f64 {
-        dequantize(self.degraded_q)
-    }
-
     /// Capacity lost in Gb/s·hours.
     pub fn capacity_lost_gbps_hours(&self) -> f64 {
         dequantize(self.capacity_lost_q)
@@ -613,7 +608,7 @@ fn next_live_epoch(
 ///
 /// Idle stretches are skipped exactly. When the controller
 /// [`is_idle`](DegradeController::is_idle), an epoch without a live
-/// event (see [`next_live_epoch`]) feeds it nothing it reads: no Suspect
+/// event (see `next_live_epoch`) feeds it nothing it reads: no Suspect
 /// group exists to receive clean bits, dead reports and errors land
 /// only on Retired groups (which never read them again), and a
 /// zero-error event only marks its group as touched. Stepping such an
@@ -672,7 +667,7 @@ pub fn replay_fault_window(
 
 /// The degrade policy hyperfleet runs its supervisory groups under:
 /// one 4096-bit window per hourly epoch, short dwells so a fault
-/// window of [`RESOLVE_CAP`] + tail epochs always resolves.
+/// window of `RESOLVE_CAP` (16) + tail epochs always resolves.
 pub fn degrade_policy() -> DegradeConfig {
     DegradeConfig {
         window_bits: BITS_PER_EPOCH,

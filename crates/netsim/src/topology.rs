@@ -160,11 +160,6 @@ impl RailTopology {
             },
         ]
     }
-
-    /// Total links.
-    pub fn total_links(&self) -> usize {
-        self.link_classes().iter().map(|c| c.count).sum()
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +186,8 @@ mod tests {
             .filter(|c| c.length.as_m() > 2.0 && c.length.as_m() <= 50.0)
             .map(|c| c.count)
             .sum();
-        let frac = in_band as f64 / t.total_links() as f64;
+        let total: usize = classes.iter().map(|c| c.count).sum();
+        let frac = in_band as f64 / total as f64;
         assert!(frac > 0.7, "in-band fraction {frac}");
     }
 

@@ -66,16 +66,6 @@ impl ModulePower {
 }
 
 impl OpticalModule {
-    /// Per-lane rate.
-    pub fn lane_rate(&self) -> BitRate {
-        self.aggregate / self.lanes as f64
-    }
-
-    /// Symbol rate per lane in GBd (PAM4 on all conventional modules).
-    pub fn lane_baud_gbd(&self) -> f64 {
-        self.lane_rate().as_gbps() / 2.0
-    }
-
     /// Laser electrical power for all lanes.
     pub fn laser_power(&self) -> Power {
         match self.laser {
@@ -115,11 +105,6 @@ impl OpticalModule {
     /// Total module power.
     pub fn power(&self) -> Power {
         self.power_breakdown().total()
-    }
-
-    /// Module energy efficiency.
-    pub fn energy_per_bit(&self) -> mosaic_units::EnergyPerBit {
-        self.power().per_bit(self.aggregate)
     }
 }
 
@@ -172,7 +157,8 @@ mod tests {
     #[test]
     fn energy_per_bit_in_published_band() {
         // ~15 W for 800 G ≈ 18 pJ/bit per module end.
-        let e = dr8(BitRate::from_gbps(800.0)).energy_per_bit();
+        let m = dr8(BitRate::from_gbps(800.0));
+        let e = m.power().per_bit(m.aggregate);
         assert!(e.as_pj_per_bit() > 12.0 && e.as_pj_per_bit() < 22.0, "{e}");
     }
 }

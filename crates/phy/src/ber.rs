@@ -8,7 +8,7 @@
 use crate::math::{normal_tail, normal_tail_inv, solve_increasing};
 use crate::noise::NoiseBudget;
 use crate::photodiode::Photodiode;
-use mosaic_units::{Db, Power};
+use mosaic_units::Power;
 
 /// Q-factor for OOK given the two photocurrent levels and their noise.
 pub fn q_factor_ook(i1: f64, i0: f64, sigma1: f64, sigma0: f64) -> f64 {
@@ -81,13 +81,6 @@ impl OokReceiver {
             return None;
         }
         Some(Power::from_watts(w))
-    }
-
-    /// Link margin in dB between a received power and the sensitivity for
-    /// `target_ber` (positive = healthy).
-    pub fn margin(&self, received: Power, target_ber: f64) -> Option<Db> {
-        let sens = self.sensitivity(target_ber)?;
-        Some(received.ratio_to(sens))
     }
 }
 
@@ -201,7 +194,7 @@ mod tests {
         let rx = mosaic_rx();
         let sens = rx.sensitivity(2.4e-4).expect("solvable");
         assert!(
-            sens.as_uw() > 0.3 && sens.as_uw() < 30.0,
+            sens.as_watts() * 1e6 > 0.3 && sens.as_watts() * 1e6 < 30.0,
             "sensitivity {sens} out of expected range"
         );
     }
@@ -212,14 +205,6 @@ mod tests {
         let sens = rx.sensitivity(1e-6).unwrap();
         let ber = rx.ber_at(sens);
         assert!(ber > 0.5e-6 && ber < 2e-6, "got {ber}");
-    }
-
-    #[test]
-    fn margin_positive_above_sensitivity() {
-        let rx = mosaic_rx();
-        let sens = rx.sensitivity(2.4e-4).unwrap();
-        let m = rx.margin(sens.apply(Db::new(3.0)), 2.4e-4).unwrap();
-        assert!((m.as_db() - 3.0).abs() < 0.01);
     }
 
     #[test]
@@ -246,7 +231,7 @@ mod tests {
     #[test]
     fn pam4_levels_equally_spaced_and_average_correct() {
         let rx = mosaic_pam4_rx();
-        let avg = Power::from_uw(40.0);
+        let avg = Power::from_watts(40.0 * 1e-6);
         let l = rx.levels(avg);
         let mean: f64 = l.iter().map(|p| p.as_watts()).sum::<f64>() / 4.0;
         assert!((mean / avg.as_watts() - 1.0).abs() < 1e-9);
@@ -280,14 +265,14 @@ mod tests {
         fn pam4_ber_monotone_in_power(uw1 in 1f64..200.0, uw2 in 1f64..200.0) {
             let rx = mosaic_pam4_rx();
             let (lo, hi) = if uw1 < uw2 { (uw1, uw2) } else { (uw2, uw1) };
-            prop_assert!(rx.ber_at(Power::from_uw(lo)) >= rx.ber_at(Power::from_uw(hi)) - 1e-30);
+            prop_assert!(rx.ber_at(Power::from_watts(lo * 1e-6)) >= rx.ber_at(Power::from_watts(hi * 1e-6)) - 1e-30);
         }
 
         #[test]
         fn ber_monotone_in_power(uw1 in 0.5f64..100.0, uw2 in 0.5f64..100.0) {
             let rx = mosaic_rx();
             let (lo, hi) = if uw1 < uw2 { (uw1, uw2) } else { (uw2, uw1) };
-            prop_assert!(rx.ber_at(Power::from_uw(lo)) >= rx.ber_at(Power::from_uw(hi)) - 1e-30);
+            prop_assert!(rx.ber_at(Power::from_watts(lo * 1e-6)) >= rx.ber_at(Power::from_watts(hi * 1e-6)) - 1e-30);
         }
 
         #[test]
@@ -295,9 +280,9 @@ mod tests {
             let (lo, hi) = if er1 < er2 { (er1, er2) } else { (er2, er1) };
             let mut rx = mosaic_rx();
             rx.extinction_ratio = lo;
-            let q_lo = rx.q_at(Power::from_uw(uw));
+            let q_lo = rx.q_at(Power::from_watts(uw * 1e-6));
             rx.extinction_ratio = hi;
-            let q_hi = rx.q_at(Power::from_uw(uw));
+            let q_hi = rx.q_at(Power::from_watts(uw * 1e-6));
             prop_assert!(q_hi >= q_lo - 1e-12);
         }
     }

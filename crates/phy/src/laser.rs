@@ -144,7 +144,7 @@ mod tests {
         let v = Vcsel::default();
         let i = v.threshold_a + 4e-3;
         let p = v.optical_power(i);
-        assert!((p.as_mw() - 4.0 * v.slope_w_per_a).abs() < 1e-9);
+        assert!((p.as_watts() * 1e3 - 4.0 * v.slope_w_per_a).abs() < 1e-9);
     }
 
     #[test]
@@ -152,7 +152,7 @@ mod tests {
         let d = DfbLaser::default();
         let target = Power::from_mw(5.0);
         let i = d.current_for_power(target);
-        assert!((d.optical_power(i).as_mw() - 5.0).abs() < 1e-9);
+        assert!((d.optical_power(i).as_watts() * 1e3 - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -161,7 +161,7 @@ mod tests {
         // This is one physical reason a many-channel laser array would be
         // wasteful and why Mosaic uses LEDs instead.
         let d = DfbLaser::default();
-        let low = d.wall_plug_efficiency(d.current_for_power(Power::from_uw(100.0)));
+        let low = d.wall_plug_efficiency(d.current_for_power(Power::from_watts(100.0 * 1e-6)));
         let high = d.wall_plug_efficiency(d.current_for_power(Power::from_mw(10.0)));
         assert!(low < 0.1 * high, "low={low} high={high}");
     }

@@ -11,7 +11,7 @@
 /// with fractional error below 1.2e-7 everywhere — far tighter than any
 /// device-parameter uncertainty in this workspace.
 ///
-/// `#[inline]` (with [`erf`]/[`normal_tail`] below): these sit inside the
+/// `#[inline]` (with [`normal_tail`] below): these sit inside the
 /// figure sweeps' nested bisection solves, hundreds of calls per sweep
 /// point, and are otherwise opaque across the crate boundary.
 #[inline]
@@ -33,12 +33,6 @@ pub fn erfc(x: f64) -> f64 {
     } else {
         2.0 - ans
     }
-}
-
-/// Error function, `erf(x) = 1 - erfc(x)`.
-#[inline]
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
 }
 
 /// Standard normal upper-tail probability `Q(x) = P(N(0,1) > x)`.

@@ -193,35 +193,6 @@ impl MicroLed {
     pub fn electrical_power(&self, amps: f64) -> Power {
         Power::from_watts(self.forward_voltage_v * amps + self.series_resistance_ohm * amps * amps)
     }
-
-    /// Wall-plug efficiency: optical watts out per electrical watt in.
-    pub fn wall_plug_efficiency(&self, amps: f64) -> f64 {
-        if amps == 0.0 {
-            return 0.0;
-        }
-        self.optical_power(amps) / self.electrical_power(amps)
-    }
-
-    /// Smallest drive current (A) whose modulation bandwidth reaches
-    /// `target`, or `None` if the device cannot reach it at any current up
-    /// to `max_density_a_per_cm2` (bandwidth saturates via droop + RC).
-    pub fn current_for_bandwidth(
-        &self,
-        target: Frequency,
-        max_density_a_per_cm2: f64,
-    ) -> Option<f64> {
-        let i_max = self.current_for_density(max_density_a_per_cm2);
-        if self.modulation_bandwidth(i_max).as_hz() < target.as_hz() {
-            return None;
-        }
-        let i_min = self.current_for_density(0.1);
-        if self.modulation_bandwidth(i_min).as_hz() >= target.as_hz() {
-            return Some(i_min);
-        }
-        Some(crate::math::bisect(i_min, i_max, 120, |i| {
-            self.modulation_bandwidth(i).as_hz() - target.as_hz()
-        }))
-    }
 }
 
 #[cfg(test)]
@@ -283,26 +254,10 @@ mod tests {
         let d = led();
         let i = d.current_for_density(3000.0);
         let p = d.optical_power(i);
-        assert!(p.as_uw() > 100.0 && p.as_uw() < 3000.0, "got {p}");
-    }
-
-    #[test]
-    fn current_for_bandwidth_inverts_bandwidth() {
-        let d = led();
-        let target = Frequency::from_ghz(1.0);
-        let i = d
-            .current_for_bandwidth(target, 20_000.0)
-            .expect("reachable");
-        let f = d.modulation_bandwidth(i);
-        assert!((f.as_hz() / target.as_hz() - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn unreachable_bandwidth_returns_none() {
-        let d = led();
-        assert!(d
-            .current_for_bandwidth(Frequency::from_ghz(100.0), 20_000.0)
-            .is_none());
+        assert!(
+            p.as_watts() * 1e6 > 100.0 && p.as_watts() * 1e6 < 3000.0,
+            "got {p}"
+        );
     }
 
     #[test]
@@ -375,7 +330,8 @@ mod tests {
             let i = d.current_for_density(j);
             let iqe = d.iqe(i);
             prop_assert!(iqe > 0.0 && iqe < 1.0);
-            prop_assert!(d.wall_plug_efficiency(i) < iqe);
+            // Wall-plug efficiency: optical watts out per electrical watt in.
+            prop_assert!(d.optical_power(i) / d.electrical_power(i) < iqe);
         }
 
         #[test]

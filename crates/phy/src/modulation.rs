@@ -23,34 +23,9 @@ impl Modulation {
         }
     }
 
-    /// Number of amplitude levels.
-    pub fn levels(self) -> usize {
-        match self {
-            Modulation::Nrz => 2,
-            Modulation::Pam4 => 4,
-        }
-    }
-
     /// Symbol (baud) rate needed to carry `rate`.
     pub fn symbol_rate(self, rate: BitRate) -> Frequency {
         Frequency::from_hz(rate.symbol_rate_baud(self.bits_per_symbol()))
-    }
-
-    /// Analog −3 dB bandwidth conventionally required: ~0.7× baud for an
-    /// unequalized receiver, less with equalization (handled separately as
-    /// an ISI penalty, see [`crate::eye`]).
-    pub fn required_bandwidth(self, rate: BitRate) -> Frequency {
-        self.symbol_rate(rate) * 0.7
-    }
-
-    /// Eye-amplitude penalty relative to NRZ at the same total swing:
-    /// PAM4 splits the swing into 3 eyes, each 1/3 of the NRZ eye
-    /// (−9.5 dB), which is why PAM4 links need DSP and stronger FEC.
-    pub fn eye_amplitude_factor(self) -> f64 {
-        match self {
-            Modulation::Nrz => 1.0,
-            Modulation::Pam4 => 1.0 / 3.0,
-        }
     }
 }
 
@@ -63,18 +38,5 @@ mod tests {
         let r = BitRate::from_gbps(106.25);
         assert!((Modulation::Pam4.symbol_rate(r).as_ghz() - 53.125).abs() < 1e-9);
         assert!((Modulation::Nrz.symbol_rate(r).as_ghz() - 106.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pam4_eye_penalty_is_9_5_db() {
-        let db = 20.0 * Modulation::Pam4.eye_amplitude_factor().log10();
-        assert!((db + 9.54).abs() < 0.01);
-    }
-
-    #[test]
-    fn bandwidth_rule_of_thumb() {
-        // 2 Gb/s NRZ needs ~1.4 GHz.
-        let bw = Modulation::Nrz.required_bandwidth(BitRate::from_gbps(2.0));
-        assert!((bw.as_ghz() - 1.4).abs() < 1e-9);
     }
 }

@@ -1,6 +1,6 @@
 //! Photodiode models.
 
-use crate::params::{ingaas_pd, si_pd};
+use crate::params::si_pd;
 use mosaic_units::Power;
 
 /// A PIN photodiode characterized by responsivity and dark current.
@@ -33,22 +33,9 @@ impl Photodiode {
         }
     }
 
-    /// InGaAs PD for datacom infrared (1310 nm) baselines.
-    pub fn ingaas_1310() -> Self {
-        Photodiode {
-            responsivity_a_per_w: ingaas_pd::RESPONSIVITY_A_PER_W,
-            dark_current_a: ingaas_pd::DARK_CURRENT_A,
-        }
-    }
-
     /// Photocurrent generated by incident optical power.
     pub fn photocurrent(&self, optical: Power) -> f64 {
         self.responsivity_a_per_w * optical.as_watts()
-    }
-
-    /// Optical power required to generate a target photocurrent.
-    pub fn power_for_current(&self, amps: f64) -> Power {
-        Power::from_watts(amps / self.responsivity_a_per_w)
     }
 }
 
@@ -104,25 +91,8 @@ mod tests {
     #[test]
     fn photocurrent_is_linear() {
         let pd = Photodiode::silicon_blue();
-        let i1 = pd.photocurrent(Power::from_uw(10.0));
-        let i2 = pd.photocurrent(Power::from_uw(20.0));
+        let i1 = pd.photocurrent(Power::from_watts(10.0 * 1e-6));
+        let i2 = pd.photocurrent(Power::from_watts(20.0 * 1e-6));
         assert!((i2 / i1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn roundtrip_power_current() {
-        let pd = Photodiode::ingaas_1310();
-        let p = pd.power_for_current(1e-6);
-        assert!((pd.photocurrent(p) - 1e-6).abs() < 1e-15);
-    }
-
-    #[test]
-    fn blue_responsivity_below_infrared() {
-        // Silicon in the blue collects fewer A/W than InGaAs at 1310 nm —
-        // part of why Mosaic needs a real launch-power budget.
-        assert!(
-            Photodiode::silicon_blue().responsivity_a_per_w
-                < Photodiode::ingaas_1310().responsivity_a_per_w
-        );
     }
 }

@@ -53,15 +53,16 @@ pub fn cdr_energy() -> EnergyPerBit {
     EnergyPerBit::from_pj_per_bit(p::CDR_FLOOR_PJ)
 }
 
-/// Total lane *power* at a rate/reach — convenience for budget tables.
-pub fn lane_power(rate: BitRate, reach: SerdesReach) -> mosaic_units::Power {
-    lane_energy(rate, reach).power_at(rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Total lane power at a rate/reach.
+    fn lane_power(gbps: f64, reach: SerdesReach) -> mosaic_units::Power {
+        let rate = BitRate::from_gbps(gbps);
+        lane_energy(rate, reach).power_at(rate)
+    }
 
     #[test]
     fn survey_anchor_points() {
@@ -88,8 +89,8 @@ mod tests {
     #[test]
     fn long_reach_power_superlinear_in_rate() {
         // Doubling the lane rate should more than double lane power.
-        let p56 = lane_power(BitRate::from_gbps(56.0), SerdesReach::LongReach);
-        let p112 = lane_power(BitRate::from_gbps(112.0), SerdesReach::LongReach);
+        let p56 = lane_power(56.0, SerdesReach::LongReach);
+        let p112 = lane_power(112.0, SerdesReach::LongReach);
         assert!(p112.as_watts() > 2.2 * p56.as_watts());
     }
 
@@ -97,8 +98,8 @@ mod tests {
     fn equal_aggregate_wide_and_slow_wins() {
         // 800 G as 8×100 G long-reach vs 400×2 G short-reach (+CDR each):
         // the wide-and-slow electrical bill must be several times smaller.
-        let fast = lane_power(BitRate::from_gbps(100.0), SerdesReach::LongReach) * 8.0;
-        let slow = (lane_power(BitRate::from_gbps(2.0), SerdesReach::ShortReach)
+        let fast = lane_power(100.0, SerdesReach::LongReach) * 8.0;
+        let slow = (lane_power(2.0, SerdesReach::ShortReach)
             + cdr_energy().power_at(BitRate::from_gbps(2.0)))
             * 400.0;
         assert!(

@@ -31,16 +31,6 @@ impl Tia {
         }
     }
 
-    /// A wideband datacom front-end for the laser-optics baselines
-    /// (PAM4, ≥25 GBd).
-    pub fn high_speed(symbol_rate_gbd: f64) -> Self {
-        Tia {
-            noise_density_a_rthz: tia::NOISE_DENSITY_HIGH_SPEED,
-            bandwidth: Frequency::from_ghz(0.7 * symbol_rate_gbd),
-            power: Power::from_watts(tia::POWER_HIGH_SPEED_W),
-        }
-    }
-
     /// RMS input-referred noise current over the front-end bandwidth, A.
     pub fn rms_noise_current(&self) -> f64 {
         self.noise_density_a_rthz * self.bandwidth.as_hz().sqrt()
@@ -56,14 +46,6 @@ mod tests {
         let t = Tia::low_speed(2.0); // 1.4 GHz BW
         let expect = tia::NOISE_DENSITY_LOW_SPEED * (1.4e9f64).sqrt();
         assert!((t.rms_noise_current() / expect - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn low_speed_front_end_is_cheaper_and_quieter() {
-        let slow = Tia::low_speed(2.0);
-        let fast = Tia::high_speed(53.125);
-        assert!(slow.power.as_watts() < fast.power.as_watts());
-        assert!(slow.rms_noise_current() < fast.rms_noise_current());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mosaic_units::{BitRate, EnergyPerBit, Power};
+use mosaic_units::Power;
 use std::fmt;
 
 /// An ordered, named decomposition of a power budget.
@@ -44,51 +44,9 @@ impl PowerBreakdown {
         self.entries.iter().map(|&(_, p)| p).sum()
     }
 
-    /// Energy per bit at a given rate.
-    pub fn per_bit(&self, rate: BitRate) -> EnergyPerBit {
-        self.total().per_bit(rate)
-    }
-
     /// The entries in insertion order.
     pub fn entries(&self) -> &[(String, Power)] {
         &self.entries
-    }
-
-    /// Power of one named component, zero if absent.
-    pub fn get(&self, name: &str) -> Power {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, p)| p)
-            .unwrap_or(Power::ZERO)
-    }
-
-    /// Fraction of the total attributed to `name` (0 if total is zero).
-    pub fn fraction(&self, name: &str) -> f64 {
-        let total = self.total();
-        if total.is_zero() {
-            0.0
-        } else {
-            self.get(name) / total
-        }
-    }
-
-    /// Merge another breakdown into this one (summing same-named entries).
-    pub fn merge(&mut self, other: &PowerBreakdown) {
-        for (name, p) in other.entries() {
-            self.add(name, *p);
-        }
-    }
-
-    /// Scale every entry (e.g. per-lane → per-module).
-    pub fn scaled(&self, factor: f64) -> PowerBreakdown {
-        PowerBreakdown {
-            entries: self
-                .entries
-                .iter()
-                .map(|(n, p)| (n.clone(), *p * factor))
-                .collect(),
-        }
     }
 }
 
@@ -119,29 +77,14 @@ mod tests {
             .with("dsp", Power::from_watts(7.0))
             .with("laser", Power::from_watts(0.5));
         assert!((b.total().as_watts() - 8.5).abs() < 1e-12);
-        assert!((b.get("laser").as_watts() - 1.5).abs() < 1e-12);
-        assert_eq!(b.entries().len(), 2, "same-name entries merge");
-    }
-
-    #[test]
-    fn fractions() {
-        let b = PowerBreakdown::new()
-            .with("dsp", Power::from_watts(7.0))
-            .with("rest", Power::from_watts(7.0));
-        assert!((b.fraction("dsp") - 0.5).abs() < 1e-12);
-        assert_eq!(b.fraction("absent"), 0.0);
-    }
-
-    #[test]
-    fn merge_and_scale() {
-        let mut a = PowerBreakdown::new().with("x", Power::from_watts(1.0));
-        let b = PowerBreakdown::new()
-            .with("x", Power::from_watts(2.0))
-            .with("y", Power::from_watts(3.0));
-        a.merge(&b);
-        let doubled = a.scaled(2.0);
-        assert!((doubled.get("x").as_watts() - 6.0).abs() < 1e-12);
-        assert!((doubled.total().as_watts() - 12.0).abs() < 1e-12);
+        // Same-name entries merge, in first-insertion order.
+        assert_eq!(
+            b.entries(),
+            [
+                ("laser".to_string(), Power::from_watts(1.5)),
+                ("dsp".to_string(), Power::from_watts(7.0)),
+            ]
+        );
     }
 
     #[test]

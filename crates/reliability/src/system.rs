@@ -25,19 +25,6 @@ impl SeriesBudget {
     pub fn total(&self) -> Fit {
         self.items.iter().map(|&(_, f, c)| f * c as f64).sum()
     }
-
-    /// Itemized view (name, total FIT for that class).
-    pub fn breakdown(&self) -> Vec<(String, Fit)> {
-        self.items
-            .iter()
-            .map(|(n, f, c)| (n.clone(), *f * *c as f64))
-            .collect()
-    }
-
-    /// Probability the series system survives to `t`.
-    pub fn survival(&self, t: Duration) -> f64 {
-        self.total().survival_prob(t)
-    }
 }
 
 /// `P(alive ≥ k)` for `n` independent channels each alive with
@@ -81,20 +68,10 @@ impl KofN {
         KofN { k, n, channel_fit }
     }
 
-    /// Number of spares.
-    pub fn spares(&self) -> usize {
-        self.n - self.k
-    }
-
     /// Probability the block is alive at `t`: `P(alive ≥ k)` with each
     /// channel surviving independently (log-domain binomial sum).
     pub fn survival(&self, t: Duration) -> f64 {
         binomial_survival(self.k, self.n, self.channel_fit.survival_prob(t))
-    }
-
-    /// Probability the block has failed by `t`.
-    pub fn failure_prob(&self, t: Duration) -> f64 {
-        1.0 - self.survival(t)
     }
 
     /// Effective FIT over a horizon: the constant rate that would produce
@@ -119,7 +96,6 @@ mod tests {
             .add("dsp", Fit::new(100.0), 1)
             .add("tia", Fit::new(15.0), 8);
         assert!((b.total().as_fit() - (800.0 + 100.0 + 120.0)).abs() < 1e-9);
-        assert_eq!(b.breakdown().len(), 3);
     }
 
     #[test]
@@ -133,18 +109,10 @@ mod tests {
     #[test]
     fn one_spare_helps_enormously() {
         let t = Duration::from_years(7.0);
-        let none = KofN::new(400, 400, Fit::new(20.0));
-        let spared = KofN::new(400, 408, Fit::new(20.0));
-        assert!(
-            none.failure_prob(t) > 0.3,
-            "unspared 400-wide link is fragile"
-        );
-        assert!(
-            spared.failure_prob(t) < none.failure_prob(t) / 100.0,
-            "8 spares: {} vs {}",
-            spared.failure_prob(t),
-            none.failure_prob(t)
-        );
+        let none = 1.0 - KofN::new(400, 400, Fit::new(20.0)).survival(t);
+        let spared = 1.0 - KofN::new(400, 408, Fit::new(20.0)).survival(t);
+        assert!(none > 0.3, "unspared 400-wide link is fragile");
+        assert!(spared < none / 100.0, "8 spares: {spared} vs {none}");
     }
 
     #[test]

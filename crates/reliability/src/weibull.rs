@@ -8,7 +8,6 @@
 //! simplification under- or over-states pool survival.
 
 use crate::montecarlo::pool_survivors;
-use mosaic_sim::rng::DetRng;
 use mosaic_sim::sweep::{Exec, TrialPlan};
 use mosaic_units::{Duration, Fit};
 
@@ -23,15 +22,6 @@ pub struct Weibull {
 }
 
 impl Weibull {
-    /// Construct with explicit parameters.
-    pub fn new(shape: f64, scale_hours: f64) -> Self {
-        assert!(
-            shape > 0.0 && scale_hours > 0.0,
-            "Weibull parameters must be positive"
-        );
-        Weibull { shape, scale_hours }
-    }
-
     /// The Weibull with shape `k` whose failure probability at `horizon`
     /// matches a constant-rate component of the given FIT — i.e. the
     /// wear-out curve a datasheet FIT (quoted over a design life) actually
@@ -57,18 +47,6 @@ impl Weibull {
     /// Failure probability at time `t`.
     pub fn failure_prob(&self, t: Duration) -> f64 {
         1.0 - self.survival(t)
-    }
-
-    /// Instantaneous hazard rate at `t`, failures per hour.
-    pub fn hazard_per_hour(&self, t: Duration) -> f64 {
-        let x = t.as_hours() / self.scale_hours;
-        (self.shape / self.scale_hours) * x.powf(self.shape - 1.0)
-    }
-
-    /// Sample a lifetime in hours.
-    pub fn sample_hours(&self, rng: &mut DetRng) -> f64 {
-        let u: f64 = rng.uniform().max(f64::MIN_POSITIVE);
-        self.scale_hours * (-u.ln()).powf(1.0 / self.shape)
     }
 }
 
@@ -172,14 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn hazard_rises_with_age_for_wearout() {
-        let w = Weibull::new(2.0, 1e6);
-        let h1 = w.hazard_per_hour(Duration::from_years(1.0));
-        let h5 = w.hazard_per_hour(Duration::from_years(5.0));
-        assert!(h5 > h1);
-    }
-
-    #[test]
     fn pool_mc_matches_binomial_closed_form() {
         // The Weibull pool at its own p_fail must match KofN evaluated at
         // an equivalent per-channel failure probability.
@@ -234,25 +204,12 @@ mod tests {
     proptest! {
         #[test]
         fn survival_monotone_decreasing(shape in 0.5f64..4.0, y1 in 0.1f64..20.0, y2 in 0.1f64..20.0) {
-            let w = Weibull::new(shape, 1e6);
+            let w = Weibull { shape, scale_hours: 1e6 };
             let (lo, hi) = if y1 < y2 { (y1, y2) } else { (y2, y1) };
             prop_assert!(
                 w.survival(Duration::from_years(lo)) + 1e-12
                     >= w.survival(Duration::from_years(hi))
             );
-        }
-
-        #[test]
-        fn sample_distribution_matches_cdf(shape in 0.8f64..3.0) {
-            let w = Weibull::new(shape, 1e5);
-            let mut rng = DetRng::new(99);
-            let horizon_h = 5e4;
-            let n = 50_000;
-            let failed = (0..n)
-                .filter(|_| w.sample_hours(&mut rng) < horizon_h)
-                .count() as f64 / n as f64;
-            let expect = w.failure_prob(Duration::from_hours(horizon_h));
-            prop_assert!((failed - expect).abs() < 0.01, "measured {failed} vs {expect}");
         }
     }
 }

@@ -76,21 +76,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of events the heap can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
     /// Reset to an empty queue at time zero, keeping allocated storage.
     pub fn reset(&mut self) {
         self.heap.clear();
         self.next_order = 0;
         self.now = 0.0;
-    }
-
-    /// Current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> f64 {
-        self.now
     }
 
     /// Schedule `event` at absolute time `time`.
@@ -112,11 +102,6 @@ impl<E> EventQueue<E> {
         self.next_order += 1;
     }
 
-    /// Schedule `event` after a relative delay.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pop the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         let entry = self.heap.pop()?;
@@ -124,19 +109,9 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Peek at the next event time without popping.
-    pub fn next_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
     }
 }
 
@@ -169,9 +144,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(1.5, ());
         q.pop();
-        assert_eq!(q.now(), 1.5);
-        q.schedule_in(0.5, ());
-        assert_eq!(q.next_time(), Some(2.0));
+        assert_eq!(q.now, 1.5);
+        // A relative delay lands on the advanced clock.
+        q.schedule(q.now + 0.5, ());
+        assert_eq!(q.pop(), Some((2.0, ())));
     }
 
     #[test]
@@ -200,15 +176,15 @@ mod tests {
     #[test]
     fn with_capacity_pre_sizes_and_reset_keeps_storage() {
         let mut q = EventQueue::with_capacity(16);
-        assert!(q.capacity() >= 16);
+        assert!(q.heap.capacity() >= 16);
         for i in 0..16 {
             q.schedule(i as f64, i);
         }
         while q.pop().is_some() {}
         q.reset();
-        assert_eq!(q.now(), 0.0);
+        assert_eq!(q.now, 0.0);
         assert!(q.is_empty());
-        assert!(q.capacity() >= 16);
+        assert!(q.heap.capacity() >= 16);
         q.schedule(0.5, 99);
         assert_eq!(q.pop(), Some((0.5, 99)));
     }

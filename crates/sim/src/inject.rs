@@ -43,11 +43,6 @@ impl BitErrorInjector {
         self.gap = self.rng.geometric(ber);
     }
 
-    /// Current BER.
-    pub fn ber(&self) -> f64 {
-        self.ber
-    }
-
     /// Corrupt one 64-bit word in place; returns the number of flips.
     pub fn corrupt_word(&mut self, word: &mut u64) -> u32 {
         let mut flips = 0u32;

@@ -105,14 +105,6 @@ impl LinkSimReport {
         }
         self.frames_delivered as f64 / self.frames_sent as f64
     }
-
-    /// Measured channel BER across the run.
-    pub fn measured_ber(&self) -> f64 {
-        if self.bits_transmitted == 0 {
-            return 0.0;
-        }
-        self.bit_errors_injected as f64 / self.bits_transmitted as f64
-    }
 }
 
 /// Per-physical-channel simulation state: the channel's noise process,
@@ -329,7 +321,8 @@ mod tests {
             r.frames_silently_corrupted, 0,
             "CRC must catch all corruption"
         );
-        assert!(r.measured_ber() > 0.5e-4 && r.measured_ber() < 2e-4);
+        let channel_ber = r.bit_errors_injected as f64 / r.bits_transmitted as f64;
+        assert!(channel_ber > 0.5e-4 && channel_ber < 2e-4);
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl SlicerPoint {
     /// while packing the transmitted bit into `tx[lane]`.
     ///
     /// Decide before transforming: a lane whose radius draw is above
-    /// [`SlicerPoint::radius_cutoff`] has `|z|` short of both rails'
+    /// `SlicerPoint::radius_cutoff` has `|z|` short of both rails'
     /// distances to the threshold, so the full transform could not flip
     /// it. Such a lane keeps `z = 0`, which decides it the same way (the
     /// cutoff exists only when each rail is strictly on its side), and
@@ -359,11 +359,6 @@ impl CodedRun {
     /// Measured codeword failure probability (detected + miscorrected).
     pub fn failure_prob(&self) -> f64 {
         (self.failures + self.miscorrected) as f64 / self.codewords as f64
-    }
-
-    /// Measured pre-FEC BER.
-    pub fn pre_ber(&self) -> f64 {
-        self.pre_fec_bit_errors as f64 / self.bits as f64
     }
 }
 
@@ -739,7 +734,8 @@ mod tests {
             "measured {measured} vs analytic {expected}"
         );
         // Pre-FEC BER should be close to target.
-        assert!((run.pre_ber() / ber - 1.0).abs() < 0.05);
+        let pre_ber = run.pre_fec_bit_errors as f64 / run.bits as f64;
+        assert!((pre_ber / ber - 1.0).abs() < 0.05);
     }
 
     #[test]

@@ -267,11 +267,6 @@ pub fn stage<T>(name: &str, trials: u64, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Snapshot the collector's current contents.
-pub fn snapshot() -> Snapshot {
-    lock().snap.clone()
-}
-
 /// Clear the collector (between figures, and at test boundaries).
 pub fn reset() {
     let mut g = lock();
@@ -306,6 +301,12 @@ pub(crate) mod test_guard {
     pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
         GUARD.read().unwrap_or_else(|p| p.into_inner())
     }
+}
+
+/// Snapshot the collector's current contents without clearing it.
+#[cfg(test)]
+pub(crate) fn snapshot() -> Snapshot {
+    lock().snap.clone()
 }
 
 #[cfg(test)]

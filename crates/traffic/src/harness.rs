@@ -343,12 +343,6 @@ impl LinkHarness {
         r.delivered + r.expired + r.exhausted + self.in_flight() == r.offered
     }
 
-    /// Logical lanes currently striped over (shrinks when spare
-    /// exhaustion forces a width reduction).
-    pub fn live_logical(&self) -> usize {
-        self.live_logical
-    }
-
     /// Transmit quota this epoch: the configured batch cap, backed off
     /// proportionally to the logical lanes still carried — the wide-and-
     /// slow graceful-degradation contract, applied to packet admission.

@@ -107,11 +107,6 @@ impl Workload {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> WorkloadConfig {
-        self.cfg
-    }
-
     /// Effective kind of one flow under the configured mix.
     fn flow_kind(&self, flow: u32) -> WorkloadKind {
         match self.cfg.kind {

@@ -55,16 +55,6 @@ impl Db {
         Db(-self.0)
     }
 
-    /// True if this ratio represents attenuation (< 0 dB).
-    pub fn is_loss(self) -> bool {
-        self.0 < 0.0
-    }
-
-    /// Clamp to a minimum (useful for noise floors).
-    pub fn max(self, other: Db) -> Db {
-        Db(self.0.max(other.0))
-    }
-
     /// Clamp to a maximum.
     pub fn min(self, other: Db) -> Db {
         Db(self.0.min(other.0))
@@ -145,8 +135,6 @@ mod tests {
 
     #[test]
     fn loss_detection() {
-        assert!(Db::new(-0.5).is_loss());
-        assert!(!Db::new(0.0).is_loss());
         assert!(Db::new(-0.5).invert().as_db() > 0.0);
     }
 

@@ -28,11 +28,6 @@ impl EnergyPerBit {
         EnergyPerBit(pj * 1e-12)
     }
 
-    /// Energy in joules per bit.
-    pub const fn as_joules_per_bit(self) -> f64 {
-        self.0
-    }
-
     /// Energy in picojoules per bit.
     pub fn as_pj_per_bit(self) -> f64 {
         self.0 * 1e12
@@ -93,7 +88,7 @@ mod tests {
     fn pj_per_bit_equals_mw_per_gbps() {
         // 5 pJ/bit at 100 Gb/s = 500 mW.
         let p = EnergyPerBit::from_pj_per_bit(5.0).power_at(BitRate::from_gbps(100.0));
-        assert!((p.as_mw() - 500.0).abs() < 1e-9);
+        assert!((p.as_watts() - 0.5).abs() < 1e-12);
     }
 
     proptest! {

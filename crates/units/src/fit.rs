@@ -35,15 +35,6 @@ impl Fit {
         self.0 * 1e-9
     }
 
-    /// Mean time between failures.
-    ///
-    /// # Panics
-    /// Panics on a zero failure rate (infinite MTBF).
-    pub fn mtbf(self) -> Duration {
-        assert!(self.0 > 0.0, "MTBF undefined for zero FIT");
-        Duration::from_hours(1.0 / self.per_hour())
-    }
-
     /// Annualized failure rate: expected failures per device-year.
     ///
     /// For small rates this approximates the probability of at least one
@@ -96,14 +87,6 @@ impl fmt::Display for Fit {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn fit_to_mtbf() {
-        // 1000 FIT => MTBF = 1e6 hours ≈ 114 years.
-        let mtbf = Fit::new(1000.0).mtbf();
-        assert!((mtbf.as_hours() - 1e6).abs() < 1.0);
-        assert!((mtbf.as_years() - 114.0).abs() < 1.0);
-    }
 
     #[test]
     fn afr_of_typical_laser() {

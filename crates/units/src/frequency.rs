@@ -17,11 +17,6 @@ impl Frequency {
         Frequency(hz)
     }
 
-    /// Construct from megahertz.
-    pub const fn from_mhz(mhz: f64) -> Self {
-        Frequency(mhz * 1e6)
-    }
-
     /// Construct from gigahertz.
     pub const fn from_ghz(ghz: f64) -> Self {
         Frequency(ghz * 1e9)
@@ -47,16 +42,6 @@ impl Frequency {
         }
         let inv = 1.0 / (self.0 * self.0) + 1.0 / (other.0 * other.0);
         Frequency(1.0 / inv.sqrt())
-    }
-
-    /// Element-wise minimum.
-    pub fn min(self, other: Frequency) -> Frequency {
-        Frequency(self.0.min(other.0))
-    }
-
-    /// Element-wise maximum.
-    pub fn max(self, other: Frequency) -> Frequency {
-        Frequency(self.0.max(other.0))
     }
 }
 

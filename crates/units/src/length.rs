@@ -17,19 +17,9 @@ impl Length {
         Length(m)
     }
 
-    /// Construct from millimetres.
-    pub const fn from_mm(mm: f64) -> Self {
-        Length(mm * 1e-3)
-    }
-
     /// Construct from micrometres (core pitches, die sizes).
     pub const fn from_um(um: f64) -> Self {
         Length(um * 1e-6)
-    }
-
-    /// Construct from kilometres.
-    pub const fn from_km(km: f64) -> Self {
-        Length(km * 1e3)
     }
 
     /// Length in metres.
@@ -37,19 +27,9 @@ impl Length {
         self.0
     }
 
-    /// Length in millimetres.
-    pub fn as_mm(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Length in micrometres.
     pub fn as_um(self) -> f64 {
         self.0 * 1e6
-    }
-
-    /// Element-wise minimum.
-    pub fn min(self, other: Length) -> Length {
-        Length(self.0.min(other.0))
     }
 
     /// Element-wise maximum.
@@ -115,9 +95,7 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        assert_eq!(Length::from_mm(2000.0).as_m(), 2.0);
-        assert!((Length::from_um(20.0).as_mm() - 0.02).abs() < 1e-12);
-        assert_eq!(Length::from_km(0.05).as_m(), 50.0);
+        assert!((Length::from_um(20.0).as_m() - 2e-5).abs() < 1e-18);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! * every quantity is a `#[repr(transparent)]` newtype over `f64`;
 //! * constructors are named after the unit (`Power::from_dbm`,
-//!   `BitRate::from_gbps`), accessors likewise (`.as_mw()`, `.as_gbps()`);
+//!   `BitRate::from_gbps`), accessors likewise (`.as_dbm()`, `.as_gbps()`);
 //! * only physically meaningful arithmetic is implemented (you can add two
 //!   powers, you cannot add a power to a rate);
 //! * conversions between log and linear domains are explicit methods, never
@@ -40,9 +40,6 @@ pub use length::Length;
 pub use power::Power;
 pub use rate::BitRate;
 pub use time::Duration;
-
-/// Boltzmann constant, J/K. Used by thermal-noise models.
-pub const BOLTZMANN: f64 = 1.380_649e-23;
 
 /// Elementary charge, C. Used by shot-noise and responsivity models.
 pub const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;

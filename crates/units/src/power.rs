@@ -28,11 +28,6 @@ impl Power {
         Power(mw * 1e-3)
     }
 
-    /// Construct from microwatts.
-    pub const fn from_uw(uw: f64) -> Self {
-        Power(uw * 1e-6)
-    }
-
     /// Construct from a dBm level (`0 dBm = 1 mW`).
     pub fn from_dbm(dbm: f64) -> Self {
         Power(1e-3 * 10f64.powf(dbm / 10.0))
@@ -41,16 +36,6 @@ impl Power {
     /// Power in watts.
     pub const fn as_watts(self) -> f64 {
         self.0
-    }
-
-    /// Power in milliwatts.
-    pub fn as_mw(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// Power in microwatts.
-    pub fn as_uw(self) -> f64 {
-        self.0 * 1e6
     }
 
     /// Power as a dBm level.
@@ -85,11 +70,6 @@ impl Power {
     /// Energy efficiency when delivering `rate` bits per second.
     pub fn per_bit(self, rate: BitRate) -> EnergyPerBit {
         EnergyPerBit::from_joules_per_bit(self.0 / rate.as_bps())
-    }
-
-    /// Element-wise maximum.
-    pub fn max(self, other: Power) -> Power {
-        Power(self.0.max(other.0))
     }
 }
 
@@ -163,9 +143,9 @@ mod tests {
 
     #[test]
     fn dbm_anchors() {
-        assert!((Power::from_dbm(0.0).as_mw() - 1.0).abs() < 1e-12);
-        assert!((Power::from_dbm(10.0).as_mw() - 10.0).abs() < 1e-9);
-        assert!((Power::from_dbm(-30.0).as_uw() - 1.0).abs() < 1e-9);
+        assert!((Power::from_dbm(0.0).as_watts() - 1e-3).abs() < 1e-15);
+        assert!((Power::from_dbm(10.0).as_watts() - 1e-2).abs() < 1e-12);
+        assert!((Power::from_dbm(-30.0).as_watts() - 1e-6).abs() < 1e-15);
     }
 
     #[test]
@@ -186,7 +166,7 @@ mod tests {
     fn display_scales() {
         assert_eq!(format!("{}", Power::from_watts(2.5)), "2.500 W");
         assert_eq!(format!("{}", Power::from_mw(2.5)), "2.500 mW");
-        assert_eq!(format!("{}", Power::from_uw(2.5)), "2.500 µW");
+        assert_eq!(format!("{}", Power::from_mw(2.5e-3)), "2.500 µW");
     }
 
     proptest! {

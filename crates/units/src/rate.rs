@@ -18,19 +18,9 @@ impl BitRate {
         BitRate(bps)
     }
 
-    /// Construct from megabits per second.
-    pub const fn from_mbps(mbps: f64) -> Self {
-        BitRate(mbps * 1e6)
-    }
-
     /// Construct from gigabits per second.
     pub const fn from_gbps(gbps: f64) -> Self {
         BitRate(gbps * 1e9)
-    }
-
-    /// Construct from terabits per second.
-    pub const fn from_tbps(tbps: f64) -> Self {
-        BitRate(tbps * 1e12)
     }
 
     /// Rate in bits per second.
@@ -43,29 +33,9 @@ impl BitRate {
         self.0 / 1e9
     }
 
-    /// Rate in terabits per second.
-    pub fn as_tbps(self) -> f64 {
-        self.0 / 1e12
-    }
-
-    /// Time to transfer `bits` at this rate, in seconds.
-    pub fn time_for_bits(self, bits: f64) -> crate::Duration {
-        crate::Duration::from_secs(bits / self.0)
-    }
-
     /// Symbol rate in baud for a modulation carrying `bits_per_symbol`.
     pub fn symbol_rate_baud(self, bits_per_symbol: f64) -> f64 {
         self.0 / bits_per_symbol
-    }
-
-    /// Element-wise minimum.
-    pub fn min(self, other: BitRate) -> BitRate {
-        BitRate(self.0.min(other.0))
-    }
-
-    /// Element-wise maximum.
-    pub fn max(self, other: BitRate) -> BitRate {
-        BitRate(self.0.max(other.0))
     }
 }
 
@@ -134,8 +104,6 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(BitRate::from_gbps(2.0).as_bps(), 2e9);
-        assert_eq!(BitRate::from_tbps(1.6).as_gbps(), 1600.0);
-        assert_eq!(BitRate::from_mbps(500.0).as_gbps(), 0.5);
     }
 
     #[test]
@@ -150,12 +118,6 @@ mod tests {
         // 106.25 Gb/s PAM4 = 53.125 GBd.
         let baud = BitRate::from_gbps(106.25).symbol_rate_baud(2.0);
         assert!((baud - 53.125e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn transfer_time() {
-        let t = BitRate::from_gbps(1.0).time_for_bits(1e9);
-        assert!((t.as_secs() - 1.0).abs() < 1e-12);
     }
 
     proptest! {

@@ -1,8 +1,8 @@
-//! Durations, from picosecond skews to multi-year reliability horizons.
+//! Durations, for multi-year reliability horizons.
 //!
-//! `std::time::Duration` is integer-nanosecond based and unsigned; link
-//! modeling needs sub-nanosecond resolution (UI-level skew) and algebra with
-//! rates, so we carry a plain `f64` seconds value instead.
+//! `std::time::Duration` is integer-nanosecond based and unsigned; the
+//! reliability models need algebra with failure rates, so we carry a plain
+//! `f64` seconds value instead.
 
 use core::fmt;
 use core::ops::{Add, Div, Mul, Sub};
@@ -16,24 +16,6 @@ pub const HOURS_PER_YEAR: f64 = 8760.0;
 pub struct Duration(f64);
 
 impl Duration {
-    /// Zero seconds.
-    pub const ZERO: Duration = Duration(0.0);
-
-    /// Construct from seconds.
-    pub const fn from_secs(s: f64) -> Self {
-        Duration(s)
-    }
-
-    /// Construct from nanoseconds.
-    pub const fn from_nanos(ns: f64) -> Self {
-        Duration(ns * 1e-9)
-    }
-
-    /// Construct from picoseconds.
-    pub const fn from_picos(ps: f64) -> Self {
-        Duration(ps * 1e-12)
-    }
-
     /// Construct from hours.
     pub const fn from_hours(h: f64) -> Self {
         Duration(h * 3600.0)
@@ -44,21 +26,6 @@ impl Duration {
         Duration(y * HOURS_PER_YEAR * 3600.0)
     }
 
-    /// Seconds.
-    pub const fn as_secs(self) -> f64 {
-        self.0
-    }
-
-    /// Nanoseconds.
-    pub fn as_nanos(self) -> f64 {
-        self.0 * 1e9
-    }
-
-    /// Picoseconds.
-    pub fn as_picos(self) -> f64 {
-        self.0 * 1e12
-    }
-
     /// Hours.
     pub fn as_hours(self) -> f64 {
         self.0 / 3600.0
@@ -67,16 +34,6 @@ impl Duration {
     /// Years (8760-hour years).
     pub fn as_years(self) -> f64 {
         self.as_hours() / HOURS_PER_YEAR
-    }
-
-    /// Element-wise maximum.
-    pub fn max(self, other: Duration) -> Duration {
-        Duration(self.0.max(other.0))
-    }
-
-    /// Element-wise minimum.
-    pub fn min(self, other: Duration) -> Duration {
-        Duration(self.0.min(other.0))
     }
 }
 
@@ -142,12 +99,5 @@ mod tests {
     #[test]
     fn year_convention() {
         assert_eq!(Duration::from_years(1.0).as_hours(), 8760.0);
-    }
-
-    #[test]
-    fn skew_resolution() {
-        // A 2 Gb/s UI is 500 ps; must be representable exactly enough.
-        let ui = Duration::from_picos(500.0);
-        assert!((ui.as_nanos() - 0.5).abs() < 1e-12);
     }
 }
