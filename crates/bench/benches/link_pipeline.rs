@@ -1,17 +1,17 @@
 //! Criterion benches: the gearbox transmit/receive pipeline.
 //!
-//! `f19_epoch` times the layer the repository benchmark reports as
-//! `link.transmit_ns_per_frame` and `link.receive_ns_per_frame`: a warm
-//! `transmit_into`/`receive_into` pair at F19's geometry with its 96-B
-//! mixed frame sizes. The 100-channel benches keep the wide prototype
-//! geometry covered.
+//! Every bench runs the entry points the simulators call, on buffers
+//! kept warm across iterations. `f19_epoch` times the layer the
+//! repository benchmark reports as `link.transmit_ns_per_frame` and
+//! `link.receive_ns_per_frame`: a `transmit_into`/`receive_into` pair at
+//! F19's geometry with its 96-B mixed frame sizes. The 100-channel
+//! benches keep the wide prototype geometry covered.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mosaic_link::framing::{crc32, crc32_bytewise};
 use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::scrambler::Scrambler;
-use mosaic_link::striping::LaneWord;
-use mosaic_link::striping::{Deskewer, Distributor, StripeConfig};
+use mosaic_link::striping::{deskew_mapped, stripe_mapped, DeskewScratch, LaneWord, StripeConfig};
 
 fn bench_gearbox(c: &mut Criterion) {
     let mut g = c.benchmark_group("gearbox");
@@ -20,17 +20,25 @@ fn bench_gearbox(c: &mut Criterion) {
     let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
     let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
     g.throughput(Throughput::Bytes(bytes));
+    let mut tx = Gearbox::new(100, 108, 32);
+    let mut rx = Gearbox::new(100, 108, 32);
+    let mut tx_scratch = TxScratch::default();
+    let mut rx_scratch = RxScratch::default();
+    let mut channels: Vec<Vec<LaneWord>> = Vec::new();
+    let mut batch = RxBatch::default();
     g.bench_function("transmit_100ch_16k", |b| {
-        b.iter_with_setup(|| Gearbox::new(100, 108, 32), |mut tx| tx.transmit(&refs))
+        b.iter(|| {
+            tx.transmit_into(&refs, &mut tx_scratch, &mut channels);
+            channels.len()
+        })
     });
     g.bench_function("roundtrip_100ch_16k", |b| {
-        b.iter_with_setup(
-            || (Gearbox::new(100, 108, 32), Gearbox::new(100, 108, 32)),
-            |(mut tx, mut rx)| {
-                let ch = tx.transmit(&refs);
-                rx.receive(&ch).unwrap()
-            },
-        )
+        b.iter(|| {
+            tx.transmit_into(&refs, &mut tx_scratch, &mut channels);
+            rx.receive_into(&channels, &mut rx_scratch, &mut batch)
+                .unwrap();
+            batch.frames.len()
+        })
     });
     g.finish();
 }
@@ -78,15 +86,28 @@ fn bench_crc(c: &mut Criterion) {
 
 fn bench_striping(c: &mut Criterion) {
     let mut g = c.benchmark_group("striping");
-    let cfg = StripeConfig::new(64, 16);
+    let cfg = StripeConfig::try_new(64, 16).unwrap();
+    let assignment: Vec<usize> = (0..cfg.lanes).collect();
     let payload: Vec<u64> = (0..64 * 16 * 8).collect();
     g.throughput(Throughput::Bytes(payload.len() as u64 * 8));
+    let mut streams: Vec<Vec<LaneWord>> = vec![Vec::new(); cfg.lanes];
+    let mut seq = 0u32;
     g.bench_function("stripe_64lanes", |b| {
-        b.iter_with_setup(|| Distributor::new(cfg), |mut d| d.stripe(&payload, 0))
+        b.iter(|| {
+            for lane in streams.iter_mut() {
+                lane.clear();
+            }
+            stripe_mapped(cfg, &mut seq, &payload, 0, &assignment, &mut streams);
+            streams[0].len()
+        })
     });
-    let streams = Distributor::new(cfg).stripe(&payload, 0);
+    let mut scratch = DeskewScratch::default();
+    let mut out = Vec::new();
     g.bench_function("deskew_64lanes", |b| {
-        b.iter(|| Deskewer::new(cfg).reassemble(&streams).unwrap())
+        b.iter(|| {
+            deskew_mapped(cfg, &streams, &assignment, &mut scratch, &mut out).unwrap();
+            out.len()
+        })
     });
     g.finish();
 }

@@ -12,7 +12,7 @@
 //! regression and fails the command. Unless `--values-only` is
 //! given, it also compares per-figure wall times and flags figures slower
 //! than `--max-slowdown` (default 1.5×); figures whose new wall time is
-//! under `--min-wall-ms` (default 100) are treated as jitter and never
+//! under `MIN_WALL_MS` (100 ms) are treated as jitter and never
 //! flagged.
 //!
 //! `trend` renders a per-figure wall-time history across manifests given
@@ -26,6 +26,10 @@
 
 use mosaic_bench::manifest;
 use mosaic_sim::json::Json;
+
+/// Figures whose new wall time is under this many milliseconds are
+/// jitter: `diff` never flags them as slower.
+const MIN_WALL_MS: f64 = 100.0;
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -52,15 +56,13 @@ fn usage() -> ! {
         "usage: bench-report check <manifest.json>\n       \
          bench-report summary <manifest.json>\n       \
          bench-report diff <old.json> <new.json> \
-         [--values-only] [--max-slowdown X] [--min-wall-ms MS]\n       \
+         [--values-only] [--max-slowdown X]\n       \
          bench-report trend <manifest.json>... (oldest first)\n       \
          \n\
          diff flags:\n  \
          --values-only      compare only deterministic values, skip timings\n  \
          --max-slowdown X   flag figures slower than X times the old wall time\n                     \
-         (default 1.5)\n  \
-         --min-wall-ms MS   ignore figures whose new wall time is below MS\n                     \
-         milliseconds — sub-threshold figures are jitter (default 100)\n\
+         (default 1.5); figures under 100 ms are jitter, never flagged\n\
          \n\
          exit codes:\n  \
          0  clean: schema valid, values identical, no timing regression\n  \
@@ -129,13 +131,7 @@ fn cmd_summary(path: &str) {
     }
 }
 
-fn cmd_diff(
-    old_path: &str,
-    new_path: &str,
-    values_only: bool,
-    max_slowdown: f64,
-    min_wall_ms: f64,
-) {
+fn cmd_diff(old_path: &str, new_path: &str, values_only: bool, max_slowdown: f64) {
     let old = load(old_path);
     let new = load(new_path);
     let mut failed = false;
@@ -178,7 +174,7 @@ fn cmd_diff(
                 *new_ns as f64 / *old_ns as f64
             };
             // Sub-threshold figures are all jitter; don't flag them.
-            if ratio > max_slowdown && *new_ns as f64 > min_wall_ms * 1e6 {
+            if ratio > max_slowdown && *new_ns as f64 > MIN_WALL_MS * 1e6 {
                 failed = true;
                 offenders.push((id.clone(), ratio, *old_ns, *new_ns));
                 println!(
@@ -330,7 +326,6 @@ fn main() {
         Some("diff") if args.len() >= 3 => {
             let mut values_only = false;
             let mut max_slowdown = 1.5f64;
-            let mut min_wall_ms = 100.0f64;
             let mut rest = args[3..].iter();
             while let Some(flag) = rest.next() {
                 match flag.as_str() {
@@ -339,14 +334,10 @@ fn main() {
                         Some(x) => max_slowdown = x,
                         None => usage(),
                     },
-                    "--min-wall-ms" => match rest.next().and_then(|v| v.parse().ok()) {
-                        Some(x) => min_wall_ms = x,
-                        None => usage(),
-                    },
                     _ => usage(),
                 }
             }
-            cmd_diff(&args[1], &args[2], values_only, max_slowdown, min_wall_ms);
+            cmd_diff(&args[1], &args[2], values_only, max_slowdown);
         }
         Some("trend") if args.len() >= 2 => cmd_trend(&args[1..]),
         _ => usage(),

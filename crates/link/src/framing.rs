@@ -131,22 +131,6 @@ pub enum FrameError {
 impl Frame {
     /// Wire size of the header + trailer around the payload.
     pub const OVERHEAD: usize = 2 + 4 + 4 + 4; // magic, seq, len, crc
-
-    /// Serialize: `magic | seq | len | payload | crc32`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::OVERHEAD + self.payload.len());
-        frame_into(self.seq, &self.payload, &mut out);
-        out
-    }
-
-    /// Parse a frame from exactly one serialized buffer.
-    pub fn from_bytes(buf: &[u8]) -> Result<Frame, FrameError> {
-        let (seq, payload) = parse_frame(buf)?;
-        Ok(Frame {
-            seq,
-            payload: payload.to_vec(),
-        })
-    }
 }
 
 /// Append one serialized frame (`magic | seq | len | payload | crc32`) to
@@ -164,8 +148,7 @@ pub fn frame_into(seq: u32, payload: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Parse exactly one serialized frame, borrowing the payload from `buf`
-/// instead of copying it. Allocation-free counterpart of
-/// [`Frame::from_bytes`] (lint R4).
+/// instead of copying it. Allocation-free (lint R4).
 pub fn parse_frame(buf: &[u8]) -> Result<(u32, &[u8]), FrameError> {
     if buf.len() < Frame::OVERHEAD {
         return Err(FrameError::Truncated);
@@ -192,6 +175,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn framed(seq: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame_into(seq, payload, &mut out);
+        out
+    }
+
     #[test]
     fn crc32_known_answer() {
         // The classic check value: CRC-32("123456789") = 0xCBF43926.
@@ -200,49 +189,51 @@ mod tests {
     }
 
     #[test]
+    fn wire_layout_known_answer() {
+        // magic | seq | len | payload | crc32, every field little-endian;
+        // the CRC covers magic through payload.
+        let bytes = framed(0x0403_0201, b"xyz");
+        assert_eq!(
+            bytes,
+            [
+                0x5A, 0xA5, // magic 0xA55A
+                0x01, 0x02, 0x03, 0x04, // seq
+                0x03, 0x00, 0x00, 0x00, // len
+                b'x', b'y', b'z', // payload
+                0xF7, 0x90, 0x6F, 0x81, // crc32 of the 13 bytes above
+            ]
+        );
+        assert_eq!(parse_frame(&bytes), Ok((0x0403_0201, &b"xyz"[..])));
+    }
+
+    #[test]
     fn frame_roundtrip() {
-        let f = Frame {
-            seq: 7,
-            payload: b"hello mosaic".to_vec(),
-        };
-        let parsed = Frame::from_bytes(&f.to_bytes()).unwrap();
-        assert_eq!(parsed, f);
+        let bytes = framed(7, b"hello mosaic");
+        assert_eq!(parse_frame(&bytes), Ok((7, &b"hello mosaic"[..])));
     }
 
     #[test]
     fn corruption_detected() {
-        let f = Frame {
-            seq: 1,
-            payload: vec![0u8; 64],
-        };
-        let mut bytes = f.to_bytes();
+        let mut bytes = framed(1, &[0u8; 64]);
         bytes[20] ^= 0x40;
-        assert_eq!(Frame::from_bytes(&bytes), Err(FrameError::BadCrc));
+        assert_eq!(parse_frame(&bytes), Err(FrameError::BadCrc));
     }
 
     #[test]
     fn header_corruption_detected() {
-        let f = Frame {
-            seq: 1,
-            payload: vec![1, 2, 3],
-        };
-        let mut bytes = f.to_bytes();
+        let mut bytes = framed(1, &[1, 2, 3]);
         bytes[0] ^= 0xFF;
-        assert_eq!(Frame::from_bytes(&bytes), Err(FrameError::BadMagic));
+        assert_eq!(parse_frame(&bytes), Err(FrameError::BadMagic));
     }
 
     #[test]
     fn truncation_detected() {
-        let f = Frame {
-            seq: 1,
-            payload: vec![9; 32],
-        };
-        let bytes = f.to_bytes();
+        let bytes = framed(1, &[9; 32]);
         assert_eq!(
-            Frame::from_bytes(&bytes[..bytes.len() - 3]),
+            parse_frame(&bytes[..bytes.len() - 3]),
             Err(FrameError::BadLength)
         );
-        assert_eq!(Frame::from_bytes(&bytes[..5]), Err(FrameError::Truncated));
+        assert_eq!(parse_frame(&bytes[..5]), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -275,23 +266,10 @@ mod tests {
         }
 
         #[test]
-        fn frame_into_matches_to_bytes(
-            seq: u32,
-            payload in proptest::collection::vec(any::<u8>(), 0..256),
-        ) {
-            let f = Frame { seq, payload };
-            let mut buf = Vec::new();
-            frame_into(f.seq, &f.payload, &mut buf);
-            prop_assert_eq!(&buf, &f.to_bytes());
-            let (pseq, ppay) = parse_frame(&buf).unwrap();
-            prop_assert_eq!(pseq, f.seq);
-            prop_assert_eq!(ppay, f.payload.as_slice());
-        }
-
-        #[test]
         fn roundtrip_random(seq: u32, payload in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let f = Frame { seq, payload };
-            prop_assert_eq!(Frame::from_bytes(&f.to_bytes()).unwrap(), f);
+            let bytes = framed(seq, &payload);
+            prop_assert_eq!(bytes.len(), Frame::OVERHEAD + payload.len());
+            prop_assert_eq!(parse_frame(&bytes), Ok((seq, payload.as_slice())));
         }
 
         #[test]
@@ -301,11 +279,10 @@ mod tests {
             pos_frac in 0f64..1.0,
             flip in 1u8..=255,
         ) {
-            let f = Frame { seq, payload };
-            let mut bytes = f.to_bytes();
+            let mut bytes = framed(seq, &payload);
             let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
             bytes[pos] ^= flip;
-            prop_assert!(Frame::from_bytes(&bytes).is_err());
+            prop_assert!(parse_frame(&bytes).is_err());
         }
     }
 }

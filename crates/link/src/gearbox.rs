@@ -299,26 +299,10 @@ impl Gearbox {
     }
 }
 
-/// Scan a byte stream for valid frames, resynchronizing on the magic after
-/// any corruption. Returns intact frames and the count of detected-corrupt
-/// frame candidates.
-pub fn scan_frames(bytes: &[u8]) -> (Vec<Frame>, usize) {
-    let mut slots = Vec::new();
-    let corrupt = scan_frames_into(bytes, &mut slots);
-    let frames = slots
-        .iter()
-        .map(|s| Frame {
-            seq: s.seq,
-            payload: bytes[s.start..s.start + s.len].to_vec(),
-        })
-        .collect();
-    (frames, corrupt)
-}
-
-/// [`scan_frames`] into a caller-owned slot buffer: `frames` is cleared
-/// and refilled with descriptors into `bytes`. Returns the count of
-/// detected-corrupt frame candidates. Allocation-free once `frames` is
-/// warm (lint R4).
+/// Scan a byte stream for valid frames, resynchronizing on the magic
+/// after any corruption: `frames` is cleared and refilled with
+/// descriptors into `bytes`. Returns the count of detected-corrupt frame
+/// candidates. Allocation-free once `frames` is warm (lint R4).
 pub fn scan_frames_into(bytes: &[u8], frames: &mut Vec<FrameSlot>) -> usize {
     frames.clear();
     let mut corrupt = 0usize;
@@ -559,21 +543,15 @@ mod tests {
 
     #[test]
     fn scan_resynchronizes_after_garbage() {
-        let f1 = Frame {
-            seq: 1,
-            payload: vec![1; 20],
-        };
-        let f2 = Frame {
-            seq: 2,
-            payload: vec![2; 20],
-        };
         let mut bytes = vec![0x5Au8; 7]; // leading garbage
-        bytes.extend(f1.to_bytes());
-        bytes.extend(vec![0xFF; 13]); // mid-stream garbage
-        bytes.extend(f2.to_bytes());
-        let (frames, _) = scan_frames(&bytes);
+        frame_into(1, &[1; 20], &mut bytes);
+        bytes.extend([0xFF; 13]); // mid-stream garbage
+        frame_into(2, &[2; 20], &mut bytes);
+        let mut frames = Vec::new();
+        scan_frames_into(&bytes, &mut frames);
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].seq, 1);
         assert_eq!(frames[1].seq, 2);
+        assert_eq!(&bytes[frames[1].start..][..frames[1].len], &[2; 20]);
     }
 }

@@ -11,8 +11,8 @@
 //!   for DC balance and transition density, over bare 64-bit words;
 //! * [`framing`] — CRC-32-framed transport so corruption is *detected*
 //!   end-to-end, never silently passed up;
-//! * [`striping`] — the word distributor and the alignment-marker based
-//!   deskewer/reassembler;
+//! * [`striping`] — the round-robin striping kernel and the
+//!   alignment-marker based deskew kernel;
 //! * [`lanes`] — per-lane health monitors and the spare-channel map;
 //! * [`degrade`] — the graceful-degradation controller (per-channel
 //!   state machine driving sparing, remap, and rate back-off);
@@ -30,11 +30,9 @@ pub mod striping;
 
 pub use degrade::{Cause, CtlState, DegradeConfig, DegradeController, EpochSummary, Transition};
 pub use framing::{frame_into, parse_frame, Frame, FrameError};
-pub use gearbox::{
-    scan_frames, scan_frames_into, FrameSlot, Gearbox, RxBatch, RxReport, RxScratch, TxScratch,
-};
+pub use gearbox::{scan_frames_into, FrameSlot, Gearbox, RxBatch, RxReport, RxScratch, TxScratch};
 pub use lanes::{FailureKind, LaneHealth, LaneMap, NoSpares};
-pub use striping::{DeskewError, DeskewScratch, Deskewer, Distributor, LaneWord, StripeConfig};
+pub use striping::{DeskewError, DeskewScratch, LaneWord, StripeConfig};
 
 /// The workspace error type, re-exported for link-layer callers.
 pub use mosaic_units::{MosaicError, Result};

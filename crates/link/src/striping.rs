@@ -1,12 +1,13 @@
 //! Word striping across lanes and alignment-marker deskew.
 //!
-//! The distributor sends payload word `j` to lane `j mod L` — plain
+//! [`stripe_mapped`] sends payload word `j` to lane `j mod L` — plain
 //! round-robin — and every `am_period` words per lane it inserts an
 //! alignment marker (same sequence number on every lane simultaneously).
-//! The receiver sees each lane with an unknown delay (skew): it finds the
-//! markers, lines up equal sequence numbers, and reads the words back in
-//! round-robin order. Marker sequence numbers also expose lost or
-//! duplicated lane content as a hard error instead of silent reordering.
+//! The receiver sees each lane with an unknown delay (skew):
+//! [`deskew_mapped`] finds the markers, lines up equal sequence numbers,
+//! and reads the words back in round-robin order. Marker sequence
+//! numbers also expose lost or duplicated lane content as a hard error
+//! instead of silent reordering.
 //!
 //! The marker is modeled as an out-of-band word variant ([`LaneWord`]);
 //! hardware would carry it as a 66b control block. The logic — which is
@@ -22,19 +23,7 @@ pub struct StripeConfig {
 }
 
 impl StripeConfig {
-    /// Construct; both fields must be non-zero.
-    ///
-    /// # Panics
-    /// Panics on zero fields; use [`StripeConfig::try_new`] to handle the
-    /// error instead.
-    pub fn new(lanes: usize, am_period: usize) -> Self {
-        match Self::try_new(lanes, am_period) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`StripeConfig::new`]: errors on zero lanes or period.
+    /// Construct; errors on zero lanes or period.
     pub fn try_new(lanes: usize, am_period: usize) -> mosaic_units::Result<Self> {
         if lanes == 0 {
             return Err(mosaic_units::MosaicError::invalid_config(
@@ -64,55 +53,6 @@ pub enum LaneWord {
     Marker(u32),
     /// A payload word.
     Data(u64),
-}
-
-/// The transmit-side striper.
-#[derive(Debug, Clone)]
-pub struct Distributor {
-    cfg: StripeConfig,
-    next_seq: u32,
-    identity: Vec<usize>,
-}
-
-impl Distributor {
-    /// New distributor for `cfg`, markers starting at sequence 0.
-    pub fn new(cfg: StripeConfig) -> Self {
-        Distributor {
-            cfg,
-            next_seq: 0,
-            identity: (0..cfg.lanes).collect(),
-        }
-    }
-
-    /// Stripe `payload` across the lanes, padding the final block with
-    /// `pad` words if needed. Returns one word stream per lane. Each call
-    /// begins with an alignment marker on every lane and continues the
-    /// sequence numbering from previous calls.
-    pub fn stripe(&mut self, payload: &[u64], pad: u64) -> Vec<Vec<LaneWord>> {
-        let mut lanes = Vec::with_capacity(self.cfg.lanes);
-        self.stripe_into(payload, pad, &mut lanes);
-        lanes
-    }
-
-    /// [`Distributor::stripe`] into caller-owned per-lane buffers:
-    /// `lanes` is resized to the lane count and each stream is cleared
-    /// and refilled, reusing its capacity. Allocation-free once the
-    /// buffers are warm (lint R4).
-    pub fn stripe_into(&mut self, payload: &[u64], pad: u64, lanes: &mut Vec<Vec<LaneWord>>) {
-        lanes.truncate(self.cfg.lanes);
-        lanes.resize_with(self.cfg.lanes, Default::default);
-        for lane in lanes.iter_mut() {
-            lane.clear();
-        }
-        stripe_mapped(
-            self.cfg,
-            &mut self.next_seq,
-            payload,
-            pad,
-            &self.identity,
-            lanes,
-        );
-    }
 }
 
 /// The striping kernel: lay `payload` round-robin over the `cfg.lanes`
@@ -185,13 +125,6 @@ pub enum DeskewError {
         /// Word offset within the lane stream where the mismatch sat.
         position: usize,
     },
-    /// Wrong number of lane streams supplied.
-    LaneCount {
-        /// Configured lane count.
-        expected: usize,
-        /// Number of streams actually supplied.
-        got: usize,
-    },
 }
 
 impl std::fmt::Display for DeskewError {
@@ -204,12 +137,6 @@ impl std::fmt::Display for DeskewError {
             DeskewError::Misaligned { lane, position } => {
                 write!(f, "lane {lane} misaligned at word {position}")
             }
-            DeskewError::LaneCount { expected, got } => {
-                write!(
-                    f,
-                    "wrong number of lane streams: expected {expected}, got {got}"
-                )
-            }
         }
     }
 }
@@ -219,11 +146,6 @@ impl std::error::Error for DeskewError {}
 impl From<DeskewError> for mosaic_units::MosaicError {
     fn from(e: DeskewError) -> Self {
         match e {
-            DeskewError::LaneCount { expected, got } => mosaic_units::MosaicError::LengthMismatch {
-                what: "lane streams",
-                expected,
-                got,
-            },
             DeskewError::NoMarker { lane } => mosaic_units::MosaicError::infeasible(format!(
                 "deskew failed on lane {lane}: no alignment marker in buffered stream"
             )),
@@ -239,7 +161,7 @@ impl From<DeskewError> for mosaic_units::MosaicError {
     }
 }
 
-/// Reusable working state for [`Deskewer::reassemble_into`]: per-lane
+/// Reusable working state for [`deskew_mapped`]: per-lane
 /// first-marker sequence numbers and read cursors. One scratch serves any
 /// lane count — buffers are cleared and regrown (capacity retained) per
 /// call, so the steady state allocates nothing.
@@ -247,53 +169,6 @@ impl From<DeskewError> for mosaic_units::MosaicError {
 pub struct DeskewScratch {
     first_seq: Vec<u32>,
     pos: Vec<usize>,
-}
-
-/// The receive-side deskewer.
-#[derive(Debug, Clone)]
-pub struct Deskewer {
-    cfg: StripeConfig,
-    identity: Vec<usize>,
-}
-
-impl Deskewer {
-    /// New deskewer for `cfg`.
-    pub fn new(cfg: StripeConfig) -> Self {
-        Deskewer {
-            cfg,
-            identity: (0..cfg.lanes).collect(),
-        }
-    }
-
-    /// Reassemble the payload stream from per-lane word streams with
-    /// arbitrary leading skew. Returns the payload words of every block
-    /// that is complete on all lanes.
-    pub fn reassemble(&self, lanes: &[Vec<LaneWord>]) -> Result<Vec<u64>, DeskewError> {
-        let mut scratch = DeskewScratch::default();
-        let mut out = Vec::with_capacity(self.cfg.block_payload());
-        self.reassemble_into(lanes, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Deskewer::reassemble`] into a caller-owned output buffer using
-    /// caller-owned scratch. `out` is cleared first; on success it holds
-    /// the payload words of every complete block. Allocation-free once
-    /// the buffers are warm (lint R4).
-    pub fn reassemble_into(
-        &self,
-        lanes: &[Vec<LaneWord>],
-        scratch: &mut DeskewScratch,
-        out: &mut Vec<u64>,
-    ) -> Result<(), DeskewError> {
-        if lanes.len() != self.cfg.lanes {
-            out.clear();
-            return Err(DeskewError::LaneCount {
-                expected: self.cfg.lanes,
-                got: lanes.len(),
-            });
-        }
-        deskew_mapped(self.cfg, lanes, &self.identity, scratch, out)
-    }
 }
 
 /// The deskew kernel: reassemble the payload words from the streams of
@@ -436,39 +311,79 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn roundtrip(lanes: usize, am: usize, words: usize, skews: &[usize]) -> (Vec<u64>, Vec<u64>) {
-        let cfg = StripeConfig::new(lanes, am);
+    fn cfg(lanes: usize, am_period: usize) -> StripeConfig {
+        StripeConfig::try_new(lanes, am_period).unwrap()
+    }
+
+    /// Logical lane `l` on channel `(l + rotate) mod (L + 2)`: a map over
+    /// two spare channels, as a gearbox's after failovers.
+    fn rotated(lanes: usize, rotate: usize) -> Vec<usize> {
+        (0..lanes).map(|l| (l + rotate) % (lanes + 2)).collect()
+    }
+
+    /// One `stripe_mapped` call onto `L + 2` empty channels.
+    fn stripe(
+        cfg: StripeConfig,
+        seq: &mut u32,
+        payload: &[u64],
+        pad: u64,
+        assignment: &[usize],
+    ) -> Vec<Vec<LaneWord>> {
+        let mut channels = vec![Vec::new(); cfg.lanes + 2];
+        stripe_mapped(cfg, seq, payload, pad, assignment, &mut channels);
+        channels
+    }
+
+    fn deskew(
+        cfg: StripeConfig,
+        channels: &[Vec<LaneWord>],
+        assignment: &[usize],
+    ) -> Result<Vec<u64>, DeskewError> {
+        let mut out = Vec::new();
+        let mut scratch = DeskewScratch::default();
+        deskew_mapped(cfg, channels, assignment, &mut scratch, &mut out)?;
+        Ok(out)
+    }
+
+    /// Stripe `0..words` onto the map rotated by `rotate`, delay logical
+    /// lane `l` by `skews[l mod skews.len()]` junk words, and deskew.
+    fn roundtrip(
+        lanes: usize,
+        am: usize,
+        words: usize,
+        rotate: usize,
+        skews: &[usize],
+    ) -> (Vec<u64>, Vec<u64>) {
+        let cfg = cfg(lanes, am);
+        let assignment = rotated(lanes, rotate);
         let payload: Vec<u64> = (0..words as u64).collect();
-        let mut dist = Distributor::new(cfg);
-        let streams = dist.stripe(&payload, u64::MAX);
-        let skewed: Vec<Vec<LaneWord>> = streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| apply_skew(s, skews[i % skews.len()], 0xDEAD))
-            .collect();
-        let out = Deskewer::new(cfg).reassemble(&skewed).expect("deskew");
+        let mut channels = stripe(cfg, &mut 0, &payload, u64::MAX, &assignment);
+        for (l, &ch) in assignment.iter().enumerate() {
+            channels[ch] = apply_skew(&channels[ch], skews[l % skews.len()], 0xDEAD);
+        }
+        let out = deskew(cfg, &channels, &assignment).expect("deskew");
         (payload, out)
     }
 
     #[test]
     fn no_skew_identity() {
-        let (sent, got) = roundtrip(4, 8, 4 * 8 * 3, &[0]);
+        let (sent, got) = roundtrip(4, 8, 4 * 8 * 3, 1, &[0]);
         assert_eq!(got, sent);
     }
 
     #[test]
     fn heavy_unequal_skew_recovered() {
-        let (sent, got) = roundtrip(8, 16, 8 * 16 * 4, &[0, 3, 17, 29, 5, 11, 2, 40]);
+        let (sent, got) = roundtrip(8, 16, 8 * 16 * 4, 3, &[0, 3, 17, 29, 5, 11, 2, 40]);
         assert_eq!(got[..sent.len()], sent[..]);
     }
 
     #[test]
     fn padding_fills_final_block() {
-        let cfg = StripeConfig::new(4, 4);
+        let cfg = cfg(4, 4);
+        let assignment = rotated(4, 1);
         let payload: Vec<u64> = (0..10).collect(); // not a multiple of 16
-        let mut dist = Distributor::new(cfg);
-        let streams = dist.stripe(&payload, 0xFF);
-        let out = Deskewer::new(cfg).reassemble(&streams).unwrap();
+        let channels = stripe(cfg, &mut 0, &payload, 0xFF, &assignment);
+        let out = deskew(cfg, &channels, &assignment).unwrap();
         assert_eq!(&out[..10], payload.as_slice());
         assert!(out[10..].iter().all(|&w| w == 0xFF));
         assert_eq!(out.len(), 16);
@@ -476,88 +391,58 @@ mod tests {
 
     #[test]
     fn sequence_continues_across_calls() {
-        let cfg = StripeConfig::new(2, 2);
-        let mut dist = Distributor::new(cfg);
-        let s1 = dist.stripe(&[1, 2, 3, 4], 0);
-        let s2 = dist.stripe(&[5, 6, 7, 8], 0);
-        // Concatenate the two transmissions per lane; deskewer must read
-        // both blocks as a continuous sequence.
-        let joined: Vec<Vec<LaneWord>> = s1
-            .into_iter()
-            .zip(s2)
-            .map(|(mut a, b)| {
-                a.extend(b);
-                a
-            })
-            .collect();
-        let out = Deskewer::new(cfg).reassemble(&joined).unwrap();
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        let cfg = cfg(2, 2);
+        let assignment = rotated(2, 1);
+        let mut seq = 0;
+        let mut channels = stripe(cfg, &mut seq, &[1, 2, 3, 4], 0, &assignment);
+        assert_eq!(seq, 1);
+        // A second call appends to the same channels and numbers its
+        // markers from the cursor; the deskewer must read both blocks as
+        // one continuous sequence.
+        stripe_mapped(cfg, &mut seq, &[5, 6, 7, 8], 0, &assignment, &mut channels);
+        assert_eq!(seq, 2);
+        assert_eq!(channels[assignment[1]][3], LaneWord::Marker(1));
+        assert_eq!(
+            deskew(cfg, &channels, &assignment),
+            Ok(vec![1, 2, 3, 4, 5, 6, 7, 8])
+        );
     }
 
     #[test]
     fn missing_marker_is_an_error() {
-        let cfg = StripeConfig::new(2, 2);
-        let mut dist = Distributor::new(cfg);
-        let mut streams = dist.stripe(&[1, 2, 3, 4], 0);
-        streams[1].retain(|w| !matches!(w, LaneWord::Marker(_)));
+        let cfg = cfg(2, 2);
+        let assignment = rotated(2, 1);
+        let mut channels = stripe(cfg, &mut 0, &[1, 2, 3, 4], 0, &assignment);
+        channels[assignment[1]].retain(|w| !matches!(w, LaneWord::Marker(_)));
         assert_eq!(
-            Deskewer::new(cfg).reassemble(&streams),
+            deskew(cfg, &channels, &assignment),
             Err(DeskewError::NoMarker { lane: 1 })
         );
     }
 
     #[test]
-    fn wrong_lane_count_rejected() {
-        let cfg = StripeConfig::new(3, 2);
-        let streams = vec![vec![], vec![]];
-        assert_eq!(
-            Deskewer::new(cfg).reassemble(&streams),
-            Err(DeskewError::LaneCount {
-                expected: 3,
-                got: 2
-            })
-        );
-    }
-
-    #[test]
-    fn lane_count_converts_to_length_mismatch() {
-        let e: mosaic_units::MosaicError = DeskewError::LaneCount {
-            expected: 3,
-            got: 2,
-        }
-        .into();
-        assert!(matches!(
-            e,
-            mosaic_units::MosaicError::LengthMismatch {
-                what: "lane streams",
-                expected: 3,
-                got: 2,
-            }
-        ));
-    }
-
-    #[test]
     fn excess_skew_reports_lane_and_skew() {
-        let cfg = StripeConfig::new(2, 2);
-        let mut dist = Distributor::new(cfg);
-        let streams = dist.stripe(&[1, 2, 3, 4], 0);
+        let cfg = cfg(2, 2);
+        let assignment = rotated(2, 1);
+        let (ch0, ch1) = (assignment[0], assignment[1]);
+        let mut seq = 0;
+        let streams = stripe(cfg, &mut seq, &[1, 2, 3, 4], 0, &assignment);
         // Skew ≥ the stream length still recovers: apply_skew prepends
         // junk but the whole stream stays buffered, so alignment walks
         // past the junk and reads every block.
-        let skewed = vec![
-            streams[0].clone(),
-            apply_skew(&streams[1], streams[1].len() + 4, 0xBAD),
-        ];
-        assert_eq!(Deskewer::new(cfg).reassemble(&skewed), Ok(vec![1, 2, 3, 4]));
+        let mut skewed = streams.clone();
+        skewed[ch1] = apply_skew(&streams[ch1], streams[ch1].len() + 4, 0xBAD);
+        assert_eq!(deskew(cfg, &skewed, &assignment), Ok(vec![1, 2, 3, 4]));
         // Unresolvable skew: lane 0 lacks the common marker entirely —
         // short stream on lane 0, later-epoch stream on lane 1.
-        let s1 = dist.stripe(&[5, 6, 7, 8], 0);
-        let truncated = vec![streams[0].clone(), s1[1].clone()];
-        let err = Deskewer::new(cfg).reassemble(&truncated).unwrap_err();
+        let next = stripe(cfg, &mut seq, &[5, 6, 7, 8], 0, &assignment);
+        let mut truncated = streams.clone();
+        truncated[ch1] = next[ch1].clone();
+        let err = deskew(cfg, &truncated, &assignment).unwrap_err();
         match err {
             DeskewError::NoCommonMarker { lane, skew } => {
                 assert_eq!(lane, 0);
-                assert!(skew >= streams[0].len(), "skew {skew} should be past end");
+                assert!(skew >= streams[ch0].len(), "skew {skew} should be past end");
             }
             other => panic!("expected NoCommonMarker, got {other:?}"),
         }
@@ -570,11 +455,11 @@ mod tests {
 
     #[test]
     fn misaligned_reports_position() {
-        let cfg = StripeConfig::new(2, 2);
-        let mut dist = Distributor::new(cfg);
-        let mut streams = dist.stripe(&[1, 2, 3, 4], 0);
-        streams[0][2] = LaneWord::Marker(99);
-        match Deskewer::new(cfg).reassemble(&streams) {
+        let cfg = cfg(2, 2);
+        let assignment = rotated(2, 1);
+        let mut channels = stripe(cfg, &mut 0, &[1, 2, 3, 4], 0, &assignment);
+        channels[assignment[0]][2] = LaneWord::Marker(99);
+        match deskew(cfg, &channels, &assignment) {
             Err(DeskewError::Misaligned { lane, position }) => {
                 assert_eq!(lane, 0);
                 assert_eq!(position, 2);
@@ -584,56 +469,42 @@ mod tests {
     }
 
     #[test]
-    fn stripe_into_matches_stripe_and_reuses_buffers() {
-        let cfg = StripeConfig::new(3, 4);
-        let payload: Vec<u64> = (0..40).collect();
-        let mut a = Distributor::new(cfg);
-        let mut b = Distributor::new(cfg);
-        let fresh = a.stripe(&payload, 7);
-        let mut reused: Vec<Vec<LaneWord>> = Vec::new();
-        b.stripe_into(&payload, 7, &mut reused);
-        assert_eq!(fresh, reused);
-        // Second call with different payload still matches, with the
-        // buffers recycled in place.
-        let payload2: Vec<u64> = (100..140).collect();
-        let fresh2 = a.stripe(&payload2, 9);
-        b.stripe_into(&payload2, 9, &mut reused);
-        assert_eq!(fresh2, reused);
-    }
-
-    #[test]
-    fn reassemble_into_matches_reassemble() {
-        let cfg = StripeConfig::new(4, 8);
-        let payload: Vec<u64> = (0..4 * 8 * 3).map(|i| i as u64 * 3).collect();
-        let mut dist = Distributor::new(cfg);
-        let streams = dist.stripe(&payload, 0);
-        let skewed: Vec<Vec<LaneWord>> = streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| apply_skew(s, i * 3, 0xDEAD))
-            .collect();
-        let d = Deskewer::new(cfg);
-        let direct = d.reassemble(&skewed).unwrap();
-        let mut scratch = DeskewScratch::default();
-        let mut out = Vec::new();
-        d.reassemble_into(&skewed, &mut scratch, &mut out).unwrap();
-        assert_eq!(direct, out);
-        // Reuse the same scratch/out for a second, clean pass.
-        d.reassemble_into(&streams, &mut scratch, &mut out).unwrap();
-        assert_eq!(out, payload);
-    }
-
-    #[test]
     fn marker_where_data_expected_detected() {
-        let cfg = StripeConfig::new(2, 2);
-        let mut dist = Distributor::new(cfg);
-        let mut streams = dist.stripe(&[1, 2, 3, 4], 0);
+        let cfg = cfg(2, 2);
+        let assignment = rotated(2, 1);
+        let mut channels = stripe(cfg, &mut 0, &[1, 2, 3, 4], 0, &assignment);
         // Corrupt: replace a data word with a rogue marker.
-        streams[0][2] = LaneWord::Marker(99);
+        channels[assignment[1]][1] = LaneWord::Marker(99);
         assert!(matches!(
-            Deskewer::new(cfg).reassemble(&streams),
+            deskew(cfg, &channels, &assignment),
             Err(DeskewError::Misaligned { .. })
         ));
+    }
+
+    #[test]
+    fn warm_buffers_do_not_carry_into_the_next_call() {
+        // Buffers left by a wider, failed epoch give the same result as
+        // fresh ones, so reusing them across calls cannot change output.
+        let wide = cfg(6, 4);
+        let wide_map = rotated(6, 5);
+        let mut channels = stripe(wide, &mut 0, &[9; 70], 7, &wide_map);
+        channels[wide_map[4]].retain(|w| !matches!(w, LaneWord::Marker(_)));
+        let mut scratch = DeskewScratch::default();
+        let mut out = Vec::new();
+        assert!(deskew_mapped(wide, &channels, &wide_map, &mut scratch, &mut out).is_err());
+
+        let narrow = cfg(3, 2);
+        let narrow_map = rotated(3, 4);
+        let payload: Vec<u64> = (100..115).collect();
+        for ch in channels.iter_mut() {
+            ch.clear();
+        }
+        let mut seq = 0;
+        stripe_mapped(narrow, &mut seq, &payload, 1, &narrow_map, &mut channels);
+        let fresh = stripe(narrow, &mut 0, &payload, 1, &narrow_map);
+        assert_eq!(channels[..fresh.len()], fresh[..]);
+        deskew_mapped(narrow, &channels, &narrow_map, &mut scratch, &mut out).unwrap();
+        assert_eq!(Ok(out), deskew(narrow, &fresh, &narrow_map));
     }
 
     proptest! {
@@ -643,13 +514,14 @@ mod tests {
             lanes in 1usize..12,
             am in 1usize..10,
             blocks in 1usize..6,
+            rotate in 0usize..14,
             skew_seed in 0u64..1000,
         ) {
             let words = lanes * am * blocks;
             let skews: Vec<usize> = (0..lanes)
                 .map(|i| ((skew_seed.wrapping_mul(i as u64 + 1) >> 3) % 23) as usize)
                 .collect();
-            let (sent, got) = roundtrip(lanes, am, words, &skews);
+            let (sent, got) = roundtrip(lanes, am, words, rotate, &skews);
             prop_assert_eq!(&got[..sent.len()], &sent[..]);
         }
 
@@ -668,13 +540,10 @@ mod tests {
             rogue_words in proptest::collection::vec(0usize..80, 3),
             skew_seed in 0u64..1000,
         ) {
-            let cfg = StripeConfig::new(lanes, am);
-            let physical = lanes + 2;
-            let assignment: Vec<usize> = (0..lanes).map(|l| (l + rotate) % physical).collect();
+            let cfg = cfg(lanes, am);
+            let assignment = rotated(lanes, rotate);
             let payload: Vec<u64> = (0..(lanes * am * blocks) as u64).collect();
-            let mut channels = vec![Vec::new(); physical];
-            let mut seq = 0u32;
-            stripe_mapped(cfg, &mut seq, &payload, 0, &assignment, &mut channels);
+            let mut channels = stripe(cfg, &mut 0, &payload, 0, &assignment);
             let skews: Vec<usize> = (0..lanes)
                 .map(|l| ((skew_seed.wrapping_mul(l as u64 + 3) >> 2) % 7) as usize)
                 .collect();

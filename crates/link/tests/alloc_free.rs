@@ -105,7 +105,7 @@ fn gearbox_epoch_loop_does_not_allocate() {
     assert!(seqs > 0);
 
     // --- The shared stripe/deskew kernels and the CRC, called directly --
-    let cfg = StripeConfig::new(8, 16);
+    let cfg = StripeConfig::try_new(8, 16).unwrap();
     let assignment: Vec<usize> = vec![0, 1, 2, 9, 4, 5, 6, 7];
     let words: Vec<u64> = (0..3 * 128).map(|i| i * 0x9E37_79B9).collect();
     let mut lanes: Vec<Vec<LaneWord>> = vec![Vec::new(); 12];

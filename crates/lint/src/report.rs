@@ -23,9 +23,6 @@ pub enum Level {
     /// A violation covered by a `// lint: allow(...)` annotation:
     /// counted and reported, does not fail the run.
     Allowed,
-    /// Advisory (the index-without-bound-note census): never fails
-    /// the run; aggregated per file in the report.
-    Note,
 }
 
 impl Level {
@@ -33,7 +30,6 @@ impl Level {
         match self {
             Level::Deny => "deny",
             Level::Allowed => "allowed",
-            Level::Note => "note",
         }
     }
 }

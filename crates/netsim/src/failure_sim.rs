@@ -61,11 +61,6 @@ pub struct FailureSimReport {
     pub availability: f64,
 }
 
-enum Event {
-    Fail { class: usize },
-    Repair,
-}
-
 /// Simulate `years` of fleet operation with `mttr` per repair.
 ///
 /// Links within one class are statistically identical, so the class-level
@@ -129,37 +124,33 @@ fn simulate_fleet_core(
     mut rng: DetRng,
 ) -> FailureSimReport {
     let horizon_h = Duration::from_years(years).as_hours();
-    let mut q: EventQueue<Event> = EventQueue::new();
+    // Failures only, keyed by class: downtime is charged when the
+    // failure is popped, so a repair needs no event of its own.
+    let mut q: EventQueue<usize> = EventQueue::new();
 
     // Seed the first failure for each class.
     for (i, a) in assignments.iter().enumerate() {
         let proc = ClassFailureProcess::new(a.choice.link_fit, a.class.count as u64);
         if let Some(t) = proc.first_failure(&mut rng) {
-            q.schedule(t, Event::Fail { class: i });
+            q.schedule(t, i);
         }
     }
 
     let mut tickets = 0u64;
     let mut downtime = 0.0f64;
     let mut capacity_lost = 0.0f64;
-    while let Some((t, ev)) = q.pop() {
+    while let Some((t, class)) = q.pop() {
         if t > horizon_h {
             break;
         }
-        match ev {
-            Event::Fail { class } => {
-                tickets += 1;
-                let end = (t + mttr.as_hours()).min(horizon_h);
-                downtime += end - t;
-                capacity_lost += (end - t) * assignments[class].choice.aggregate.as_gbps();
-                q.schedule(end, Event::Repair);
-                // Next failure in this class.
-                let a = &assignments[class];
-                let proc = ClassFailureProcess::new(a.choice.link_fit, a.class.count as u64);
-                q.schedule(proc.next_failure(t, &mut rng), Event::Fail { class });
-            }
-            Event::Repair => {}
-        }
+        tickets += 1;
+        let end = (t + mttr.as_hours()).min(horizon_h);
+        downtime += end - t;
+        capacity_lost += (end - t) * assignments[class].choice.aggregate.as_gbps();
+        // Next failure in this class.
+        let a = &assignments[class];
+        let proc = ClassFailureProcess::new(a.choice.link_fit, a.class.count as u64);
+        q.schedule(proc.next_failure(t, &mut rng), class);
     }
 
     let total_links: usize = assignments.iter().map(|a| a.class.count).sum();

@@ -19,7 +19,7 @@
 use crate::faults::FaultCampaign;
 use crate::inject::BitErrorInjector;
 use crate::rng::DetRng;
-use mosaic_link::gearbox::Gearbox;
+use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::lanes::{FailureKind, LaneHealth};
 use mosaic_link::striping::LaneWord;
 
@@ -149,6 +149,11 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
     let mut payload_rng = DetRng::substream(cfg.seed, "payload");
     let mut report = LinkSimReport::default();
     let mut sent_payloads: Vec<Vec<u8>> = Vec::new();
+    // One set of gearbox buffers, reused every epoch.
+    let mut tx_scratch = TxScratch::default();
+    let mut rx_scratch = RxScratch::default();
+    let mut channels: Vec<Vec<LaneWord>> = Vec::new();
+    let mut batch = RxBatch::default();
 
     for epoch in 0..cfg.epochs {
         // 1. Apply the campaign's effects at the epoch boundary. The
@@ -173,10 +178,10 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
             })
             .collect();
         let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        let mut channels = tx.transmit(&refs);
+        tx.transmit_into(&refs, &mut tx_scratch, &mut channels);
         report.frames_sent += payloads.len() as u64;
-        // `refs` borrowed `payloads` only through `transmit`; move the
-        // buffers into the archive instead of cloning every frame.
+        // `refs` borrowed `payloads` only through `transmit_into`; move
+        // the buffers into the archive instead of cloning every frame.
         drop(refs);
         sent_payloads.extend(payloads);
 
@@ -198,17 +203,16 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
         }
 
         // 4. Receive.
-        let r = rx
-            .receive(&channels)
+        rx.receive_into(&channels, &mut rx_scratch, &mut batch)
             .expect("channel stream count matches the gearbox by construction");
-        if r.deskew_failed {
+        if batch.deskew_failed() {
             report.deskew_failed_epochs += 1;
         }
-        for f in &r.frames {
+        for (i, f) in batch.frames.iter().enumerate() {
             match sent_payloads.get(f.seq as usize) {
-                Some(sent) if *sent == f.payload => {
+                Some(sent) if sent.as_slice() == batch.payload(i) => {
                     report.frames_delivered += 1;
-                    report.payload_bytes_delivered += f.payload.len() as u64;
+                    report.payload_bytes_delivered += f.len as u64;
                 }
                 _ => report.frames_silently_corrupted += 1,
             }

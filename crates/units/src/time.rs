@@ -82,10 +82,12 @@ impl fmt::Display for Duration {
             write!(f, "{:.2} h", self.as_hours())
         } else if s >= 1.0 {
             write!(f, "{s:.3} s")
-        } else if s >= 1e-6 {
+        } else if s >= 1e-3 {
             write!(f, "{:.3} ms", s * 1e3)
-        } else if s >= 1e-9 {
+        } else if s >= 1e-6 {
             write!(f, "{:.3} µs", s * 1e6)
+        } else if s >= 1e-9 {
+            write!(f, "{:.3} ns", s * 1e9)
         } else {
             write!(f, "{:.3} ps", s * 1e12)
         }
@@ -99,5 +101,26 @@ mod tests {
     #[test]
     fn year_convention() {
         assert_eq!(Duration::from_years(1.0).as_hours(), 8760.0);
+    }
+
+    #[test]
+    fn display_switches_unit_at_each_decade_boundary() {
+        let shown = |s: f64| Duration::from_hours(s / 3600.0).to_string();
+        let cases = [
+            (HOURS_PER_YEAR * 3600.0, "1.00 yr"),
+            (3600.0, "1.00 h"),
+            (1.0, "1.000 s"),
+            (0.5, "500.000 ms"),
+            (1e-3, "1.000 ms"),
+            (9e-4, "900.000 µs"),
+            (2e-6, "2.000 µs"),
+            (1e-6, "1.000 µs"),
+            (9e-7, "900.000 ns"),
+            (1e-9, "1.000 ns"),
+            (9e-10, "900.000 ps"),
+        ];
+        for (s, want) in cases {
+            assert_eq!(shown(s), want, "{s} s");
+        }
     }
 }
