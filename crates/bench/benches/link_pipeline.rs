@@ -116,20 +116,25 @@ fn bench_scrambler(c: &mut Criterion) {
     let mut g = c.benchmark_group("scrambler");
     let words: Vec<u64> = (0..4096).map(|i| i * 0x9E37_79B9_7F4A_7C15).collect();
     g.throughput(Throughput::Bytes(words.len() as u64 * 8));
+    // One warm scrambler per bench, its history carried from pass to
+    // pass as on a live lane, into one reused output buffer.
+    let mut out = vec![0u64; words.len()];
     g.bench_function("scramble_32kB", |b| {
-        b.iter_with_setup(Scrambler::new, |mut s| {
-            words
-                .iter()
-                .map(|&w| s.scramble_word(w))
-                .collect::<Vec<_>>()
+        let mut s = Scrambler::new();
+        b.iter(|| {
+            for (o, &w) in out.iter_mut().zip(&words) {
+                *o = s.scramble_word(w);
+            }
+            out[out.len() - 1]
         })
     });
     g.bench_function("descramble_32kB", |b| {
-        b.iter_with_setup(Scrambler::new, |mut s| {
-            words
-                .iter()
-                .map(|&w| s.descramble_word(w))
-                .collect::<Vec<_>>()
+        let mut s = Scrambler::new();
+        b.iter(|| {
+            for (o, &w) in out.iter_mut().zip(&words) {
+                *o = s.descramble_word(w);
+            }
+            out[out.len() - 1]
         })
     });
     g.finish();

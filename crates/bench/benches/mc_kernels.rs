@@ -12,15 +12,23 @@
 //!
 //! The `hyperfleet` group times F18's per-link pieces one by one: a
 //! 12-channel campaign regenerated in place (the benchmark's
-//! `sim.campaign_generate_ns`), a keyed link substream and its one draw,
-//! and one fault window replayed on a reset controller
-//! (`link.degrade_replay_ns_per_window`).
+//! `sim.campaign_generate_ns`) and one fault window replayed on a reset
+//! controller (`link.degrade_replay_ns_per_window`). A link seed keyed
+//! on its own is `rng/child_next_u64_x16` / 16.
+//!
+//! The `campaign` group times F18's whole per-link campaign work as
+//! `hyperfleet::run_shard` does it: 16 link seeds keyed in one batch,
+//! then each link's 12-channel campaign regenerated in place (ns/link =
+//! time / 16).
 //!
 //! The `rng` group times the per-draw cost under F4, F6 and F15: 64
 //! words from a long stream, in bulk and one `next_u64` at a time
 //! (ns/u64 = time / 64), F6's 432-channel pool with 4 spares through
 //! `Bernoulli::at_most` (ns/draw = time / 432), and 4096 slicer bits at
-//! F4's −30 and −26 dBm points (ns/bit = time / 4096).
+//! F4's −30 and −26 dBm points (ns/bit = time / 4096). It also times the
+//! first draw of 16 fresh streams, keyed in one many-key batch
+//! (`first_draws_16`) and one by one (`child_next_u64_x16`), in ns/stream
+//! = time / 16.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_fec::{DecodeScratch, ReedSolomon};
@@ -142,13 +150,6 @@ fn bench_hyperfleet(c: &mut Criterion) {
             campaign.events().len()
         });
     });
-    g.bench_function("keyed_substream_draw", |b| {
-        let mut id = 0u64;
-        b.iter(|| {
-            id += 1;
-            links.child(id).next_u64()
-        });
-    });
     // The first link whose campaign draws a fault, and the longest
     // window hyperfleet opens for a fault: 16 epochs of active replay
     // plus the controller's settling tail.
@@ -178,6 +179,34 @@ fn bench_hyperfleet(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_campaign(c: &mut Criterion) {
+    let mut g = c.benchmark_group("campaign");
+    // F18's full-mode Mosaic class: 12 supervisory groups over 3 years
+    // of hourly epochs at its channel-fault rate.
+    let camp = CampaignConfig {
+        channels: 12,
+        epochs: 26_280,
+        faults_per_kilo_epoch: 0.004,
+        max_duration: 24,
+        permanent_fraction: 0.25,
+    };
+    let links = DetRng::substreams(0xF18, "bench-campaign-link");
+    let mut campaign = FaultCampaign::default();
+    let mut first = 0u64;
+    g.throughput(Throughput::Elements(16));
+    g.bench_function("generate_fleet_link", |b| {
+        b.iter(|| {
+            let seeds: [u64; 16] = links.first_draws(first);
+            first += 16;
+            seeds.iter().fold(0usize, |events, &seed| {
+                campaign.generate_into(camp, seed);
+                events + campaign.events().len()
+            })
+        });
+    });
+    g.finish();
+}
+
 fn bench_rng(c: &mut Criterion) {
     let mut g = c.benchmark_group("rng");
     // A stream past its one-block refills, so every buffer is a
@@ -194,6 +223,26 @@ fn bench_rng(c: &mut Criterion) {
     });
     g.bench_function("next_u64_64", |b| {
         b.iter(|| (0..64).fold(0u64, |acc, _| acc ^ rng.next_u64()));
+    });
+    // Sixteen fresh streams read once each, as F18 reads its link seeds
+    // and its channels' first arrivals: one many-key pass against
+    // sixteen generators keyed one by one.
+    let family = DetRng::substreams(0xF18, "bench-first-draws");
+    let mut first = 0u64;
+    g.throughput(Throughput::Elements(16));
+    g.bench_function("first_draws_16", |b| {
+        b.iter(|| {
+            let draws: [u64; 16] = family.first_draws(first);
+            first += 16;
+            draws.iter().fold(0u64, |acc, &d| acc ^ d)
+        });
+    });
+    g.bench_function("child_next_u64_x16", |b| {
+        b.iter(|| {
+            let acc = (first..first + 16).fold(0u64, |acc, id| acc ^ family.child(id).next_u64());
+            first += 16;
+            acc
+        });
     });
     // F6's pool: 428 active channels plus 4 spares, each failing within
     // the 7-year horizon with F6's probability (about 1.3e-3), so nearly
@@ -235,6 +284,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel, bench_hyperfleet, bench_rng
+    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel, bench_hyperfleet, bench_campaign, bench_rng
 }
 criterion_main!(benches);

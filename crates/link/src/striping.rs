@@ -143,24 +143,6 @@ impl std::fmt::Display for DeskewError {
 
 impl std::error::Error for DeskewError {}
 
-impl From<DeskewError> for mosaic_units::MosaicError {
-    fn from(e: DeskewError) -> Self {
-        match e {
-            DeskewError::NoMarker { lane } => mosaic_units::MosaicError::infeasible(format!(
-                "deskew failed on lane {lane}: no alignment marker in buffered stream"
-            )),
-            DeskewError::NoCommonMarker { lane, skew } => {
-                mosaic_units::MosaicError::infeasible(format!(
-                    "deskew failed on lane {lane}: skew of {skew} words exceeds the buffered stream"
-                ))
-            }
-            DeskewError::Misaligned { lane, position } => mosaic_units::MosaicError::infeasible(
-                format!("deskew failed on lane {lane}: marker/data mismatch at word {position}"),
-            ),
-        }
-    }
-}
-
 /// Reusable working state for [`deskew_mapped`]: per-lane
 /// first-marker sequence numbers and read cursors. One scratch serves any
 /// lane count — buffers are cleared and regrown (capacity retained) per

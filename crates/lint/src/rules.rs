@@ -249,8 +249,9 @@ pub fn default_config() -> Config {
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             // Raw-draw RNG primitives the sliced kernels are built on:
-            // slab fill of whole ChaCha words and the packed Bernoulli
-            // thinning pass. Both operate on caller-provided buffers.
+            // slab fill of whole ChaCha words, the packed Bernoulli
+            // thinning pass and the many-key first draws. All work on
+            // caller-provided buffers or the stack.
             RegistryFn {
                 file: "crates/sim/src/rng.rs",
                 func: "fill_u64",
@@ -259,6 +260,11 @@ pub fn default_config() -> Config {
             RegistryFn {
                 file: "crates/sim/src/rng.rs",
                 func: "at_most",
+                harness: Some("crates/sim/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/sim/src/rng.rs",
+                func: "first_draws",
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             // The hyperfleet inner event loops: 10⁶+ links stream through

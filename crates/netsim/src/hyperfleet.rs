@@ -13,8 +13,9 @@
 //!   function of `(config, seed, shard_id)`: its hard-failure stream is
 //!   `substream_indexed(seed, "hyperfleet-hardfail", shard_id)` and each
 //!   link's fault campaign derives from
-//!   `substream_indexed(seed, "hyperfleet-link", global_link_id)` (its
-//!   label hashed once per shard through [`DetRng::substreams`]) — no
+//!   the first draw of `substream_indexed(seed, "hyperfleet-link",
+//!   global_link_id)` (its label hashed once per shard through
+//!   [`DetRng::substreams`], 16 links keyed per batch) — no
 //!   state crosses shard boundaries, so shards run in any order on any
 //!   thread count with bit-identical results.
 //! * **Event sourcing.** Hot (spared) link classes replay multi-year
@@ -917,14 +918,20 @@ fn run_shard(
         };
         let link_streams = DetRng::substreams(seed, "hyperfleet-link");
         let campaign = &mut scratch.campaign;
-        for l in 0..spec.links {
-            let link_seed = link_streams.child(spec.first_link + l).next_u64();
-            campaign.generate_into(camp_cfg, link_seed);
-            if campaign.events().is_empty() {
-                tally.occupancy[0] += 1;
-                continue;
+        // Each link seed is its stream's one draw: key 16 links at once.
+        let mut l = 0u64;
+        while l < spec.links {
+            let seeds: [u64; 16] = link_streams.first_draws(spec.first_link + l);
+            let take = (spec.links - l).min(16);
+            for &link_seed in &seeds[..take as usize] {
+                campaign.generate_into(camp_cfg, link_seed);
+                if campaign.events().is_empty() {
+                    tally.occupancy[0] += 1;
+                    continue;
+                }
+                run_link_history(&p, campaign, ctl, &mut scratch.link_queue, &mut tally);
             }
-            run_link_history(&p, campaign, ctl, &mut scratch.link_queue, &mut tally);
+            l += take;
         }
     }
     FleetRollup {
@@ -1155,6 +1162,68 @@ mod tests {
         let _ = run_shard(&cfg, &specs[0], 7, &mut s2);
         let b = run_shard(&cfg, &specs[3], 7, &mut s2);
         assert_eq!(a, b);
+    }
+
+    /// Link seeds keyed 16 at a time are each link's own first draw:
+    /// every event-sourced shard, including shards whose first link is
+    /// not a multiple of 16 and a last shard with a partial batch,
+    /// replays exactly what keying `child(id)` link by link replays.
+    #[test]
+    fn batched_link_seeds_match_links_keyed_one_by_one() {
+        let mut cfg = tiny_cfg();
+        cfg.shard_links = 40;
+        cfg.faults_per_kilo_hour = 0.2;
+        let tiers = class_tiers(&cfg);
+        let specs = shard_specs(&cfg, &tiers);
+        let mut scratch = ShardScratch::new();
+        let mut checked = 0;
+        for spec in specs.iter().filter(|s| s.event_sourced) {
+            let got = run_shard(&cfg, spec, 7, &mut scratch);
+            let class = &cfg.classes[spec.class];
+            let p = ReplayParams::of(&cfg, class);
+            let mut ctl =
+                DegradeController::try_new(class.logical_groups, class.groups, degrade_policy())
+                    .unwrap();
+            let camp_cfg = CampaignConfig {
+                channels: class.groups,
+                epochs: p.horizon_epochs,
+                faults_per_kilo_epoch: cfg.faults_per_kilo_hour,
+                max_duration: cfg.max_fault_duration,
+                permanent_fraction: cfg.permanent_fraction,
+            };
+            let links = DetRng::substreams(7, "hyperfleet-link");
+            let mut campaign = FaultCampaign::default();
+            let mut queue = EventQueue::with_capacity(64);
+            let mut want = ShardTally::default();
+            for id in spec.first_link..spec.first_link + spec.links {
+                campaign.generate_into(camp_cfg, links.child(id).next_u64());
+                if campaign.events().is_empty() {
+                    want.occupancy[0] += 1;
+                    continue;
+                }
+                run_link_history(&p, &campaign, &mut ctl, &mut queue, &mut want);
+            }
+            assert_eq!(
+                got.tickets - got.hard_failures,
+                want.tickets,
+                "shard {}",
+                spec.shard_id
+            );
+            assert_eq!(got.rebuilds, want.rebuilds);
+            assert!(
+                want.channel_faults > 0,
+                "shard {} drew no fault",
+                spec.shard_id
+            );
+            assert_eq!(got.channel_faults, want.channel_faults);
+            assert_eq!(got.spares_activated, want.spares_activated);
+            assert_eq!(got.lanes_shed, want.lanes_shed);
+            assert_eq!(got.exhausted_links, want.exhausted_links);
+            assert_eq!(got.degraded_q, quantize(want.degraded_lane_h));
+            assert_eq!(got.spare_occupancy, want.occupancy);
+            checked += usize::from(spec.first_link % 16 != 0);
+        }
+        assert!(checked > 0, "no shard started off a batch edge");
     }
 
     #[test]

@@ -225,6 +225,11 @@ impl Default for CampaignConfig {
     }
 }
 
+/// Channels whose first arrivals [`FaultCampaign::generate_into`] keys
+/// in one batch: F18's 12 groups fit one batch, and 16 lanes measured
+/// fastest even with 4 of them unused (DESIGN §11.2).
+const KEY_BATCH: usize = 16;
+
 /// A fault campaign: generated as a deterministic function of
 /// `(CampaignConfig, seed)`, or listed event by event.
 ///
@@ -283,6 +288,15 @@ impl FaultCampaign {
     /// reusing the event buffer, so a caller drawing one campaign per
     /// link allocates only when a link draws more events than any before
     /// it (lint rule R4).
+    ///
+    /// Each channel's first arrival is its stream's first draw, and at
+    /// low rates most channels stop there, so the first arrivals of 16
+    /// channels come from one
+    /// [`Substreams::first_draws`](crate::rng::Substreams::first_draws)
+    /// batch. Only a channel whose first fault falls inside the horizon
+    /// keys its own stream, skips the word already used and continues
+    /// as the one-stream-per-channel loop would: the campaign is the
+    /// same word for word (DESIGN §11.2).
     pub fn generate_into(&mut self, config: CampaignConfig, seed: u64) {
         self.config = config;
         self.events.clear();
@@ -290,34 +304,47 @@ impl FaultCampaign {
         if rate <= 0.0 || config.epochs == 0 {
             return;
         }
+        let horizon = config.epochs as f64;
         let channels = DetRng::substreams(seed, "fault-campaign");
-        for channel in 0..config.channels {
-            let mut rng = channels.child(channel as u64);
-            let mut t = rng.exponential(rate);
-            while t < config.epochs as f64 {
-                let start = t as usize;
-                let kind = FAULT_KINDS[rng.below(FAULT_KINDS.len())];
-                let severity = rng.uniform();
-                let duration = 1 + rng.below(config.max_duration.max(1));
-                let p = rng.uniform();
-                let persistence = if p < config.permanent_fraction {
-                    Persistence::Permanent
-                } else if p < config.permanent_fraction + (1.0 - config.permanent_fraction) / 2.0 {
-                    Persistence::Transient
-                } else {
-                    let period = 2 + rng.below(8);
-                    let on = 1 + rng.below(period - 1);
-                    Persistence::Intermittent { period, on }
-                };
-                self.events.push(FaultEvent {
-                    channel,
-                    kind,
-                    persistence,
-                    start,
-                    duration,
-                    severity,
-                });
-                t += rng.exponential(rate);
+        for first in (0..config.channels).step_by(KEY_BATCH) {
+            let firsts: [u64; KEY_BATCH] = channels.first_draws(first as u64);
+            let end = config.channels.min(first + KEY_BATCH);
+            for (channel, &d) in (first..end).zip(&firsts) {
+                // `rate > 0`, so `t` is never NaN and `>=` ends the
+                // channel exactly where `while t < horizon` would.
+                let mut t = DetRng::exponential_of(d, rate);
+                if t >= horizon {
+                    continue;
+                }
+                let mut rng = channels.child(channel as u64);
+                rng.next_u64(); // `d`, already drawn above
+                while t < horizon {
+                    let start = t as usize;
+                    let kind = FAULT_KINDS[rng.below(FAULT_KINDS.len())];
+                    let severity = rng.uniform();
+                    let duration = 1 + rng.below(config.max_duration.max(1));
+                    let p = rng.uniform();
+                    let persistence = if p < config.permanent_fraction {
+                        Persistence::Permanent
+                    } else if p < config.permanent_fraction
+                        + (1.0 - config.permanent_fraction) / 2.0
+                    {
+                        Persistence::Transient
+                    } else {
+                        let period = 2 + rng.below(8);
+                        let on = 1 + rng.below(period - 1);
+                        Persistence::Intermittent { period, on }
+                    };
+                    self.events.push(FaultEvent {
+                        channel,
+                        kind,
+                        persistence,
+                        start,
+                        duration,
+                        severity,
+                    });
+                    t += rng.exponential(rate);
+                }
             }
         }
     }
@@ -441,6 +468,92 @@ mod tests {
             };
             reused.generate_into(cfg, seed);
             assert_eq!(reused, FaultCampaign::generate(cfg, seed));
+        }
+    }
+
+    /// The one-stream-per-channel generator: each channel keys its own
+    /// stream and draws its whole arrival process from it. The batched
+    /// `generate_into` must produce exactly these events.
+    fn per_channel_loop(config: CampaignConfig, seed: u64) -> Vec<FaultEvent> {
+        let mut events = Vec::new();
+        let rate = config.faults_per_kilo_epoch / 1000.0;
+        if rate <= 0.0 || config.epochs == 0 {
+            return events;
+        }
+        let channels = DetRng::substreams(seed, "fault-campaign");
+        for channel in 0..config.channels {
+            let mut rng = channels.child(channel as u64);
+            let mut t = rng.exponential(rate);
+            while t < config.epochs as f64 {
+                let start = t as usize;
+                let kind = FAULT_KINDS[rng.below(FAULT_KINDS.len())];
+                let severity = rng.uniform();
+                let duration = 1 + rng.below(config.max_duration.max(1));
+                let p = rng.uniform();
+                let persistence = if p < config.permanent_fraction {
+                    Persistence::Permanent
+                } else if p < config.permanent_fraction + (1.0 - config.permanent_fraction) / 2.0 {
+                    Persistence::Transient
+                } else {
+                    let period = 2 + rng.below(8);
+                    let on = 1 + rng.below(period - 1);
+                    Persistence::Intermittent { period, on }
+                };
+                events.push(FaultEvent {
+                    channel,
+                    kind,
+                    persistence,
+                    start,
+                    duration,
+                    severity,
+                });
+                t += rng.exponential(rate);
+            }
+        }
+        events
+    }
+
+    /// Batched first arrivals change no event: channel counts below,
+    /// at and across the 16-channel batch edge, at F18's rate (most
+    /// channels stop at the batch), F19's harshest rate and a rate at
+    /// which every channel continues past its first draw.
+    #[test]
+    fn generate_into_matches_the_per_channel_loop() {
+        let mut reused = FaultCampaign::default();
+        for (rate, epochs) in [(0.004, 26_280), (4.0, 400), (50.0, 400)] {
+            let (mut continued, mut stopped) = (0usize, 0usize);
+            for channels in [0usize, 1, 12, 15, 16, 17, 100] {
+                for seed in [0u64, 1, 0xF18, u64::MAX] {
+                    let config = CampaignConfig {
+                        channels,
+                        epochs,
+                        faults_per_kilo_epoch: rate,
+                        max_duration: 24,
+                        permanent_fraction: 0.25,
+                    };
+                    reused.generate_into(config, seed);
+                    let want = per_channel_loop(config, seed);
+                    assert_eq!(
+                        reused.events(),
+                        &want[..],
+                        "rate {rate} channels {channels} seed {seed}"
+                    );
+                    let hit = (0..channels)
+                        .filter(|&c| want.iter().any(|e| e.channel == c))
+                        .count();
+                    continued += hit;
+                    stopped += channels - hit;
+                }
+            }
+            assert!(continued > 0, "rate {rate}: no channel continued");
+            if rate == 50.0 {
+                assert_eq!(stopped, 0, "every channel continues at rate 50");
+            } else {
+                assert!(
+                    stopped > 0,
+                    "rate {rate}: no channel stopped at its first draw"
+                );
+            }
         }
     }
 

@@ -13,12 +13,17 @@ use rand_chacha::ChaCha8Rng;
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 finalizer: a strong 64→64-bit mixer (bijective, so
-/// distinct inputs can never collide into one child seed).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// distinct inputs can never collide into one child seed). It is one
+/// step of the `rand` shim's SplitMix64 from state `z`.
+#[inline]
+fn mix64(z: u64) -> u64 {
+    rand::splitmix64(&mut { z })
+}
+
+/// The ChaCha seed of the `task_id`-th child of `seed` ([`DetRng::stream`]).
+#[inline]
+fn child_seed(seed: u64, task_id: u64) -> u64 {
+    mix64(seed ^ mix64(task_id.wrapping_add(GOLDEN)))
 }
 
 /// FNV-1a over a label.
@@ -45,6 +50,22 @@ impl Substreams {
     #[inline]
     pub fn child(&self, task_id: u64) -> DetRng {
         DetRng::stream(self.base, task_id)
+    }
+
+    /// The first draw of `N` consecutive children: element `i` is
+    /// `child(first + i).next_u64()`, ids wrapping at `u64::MAX`.
+    ///
+    /// All `N` keys go through one lane-sliced ChaCha pass
+    /// (`ChaCha8Rng::first_u64s`) and no generator is built, so a caller
+    /// that keys many streams and reads one word of most of them pays
+    /// the block function once per batch instead of once per stream
+    /// (DESIGN §11.2). A child that needs more draws is keyed again
+    /// with [`Substreams::child`] and skips the word it already used.
+    #[inline]
+    pub fn first_draws<const N: usize>(&self, first: u64) -> [u64; N] {
+        let seeds: [u64; N] =
+            core::array::from_fn(|i| child_seed(self.base, first.wrapping_add(i as u64)));
+        ChaCha8Rng::first_u64s(&seeds)
     }
 }
 
@@ -174,7 +195,7 @@ impl DetRng {
     /// finalizer over the pair, so children of distinct task ids (and of
     /// distinct seeds) get unrelated ChaCha keys.
     pub fn stream(seed: u64, task_id: u64) -> Self {
-        DetRng::new(mix64(seed ^ mix64(task_id.wrapping_add(GOLDEN))))
+        DetRng::new(child_seed(seed, task_id))
     }
 
     /// Labelled counter stream: the `task_id`-th child of `(seed, label)`.
@@ -264,6 +285,20 @@ impl DetRng {
         (d >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// The `gen_range(f64::MIN_POSITIVE..1.0)` value for one raw draw
+    /// `d`: the shim's affine map with its half-open-range guard, float
+    /// for float.
+    #[inline]
+    fn open_unit_of(d: u64) -> f64 {
+        let u = Self::uniform_of(d);
+        let v = f64::MIN_POSITIVE + u * (1.0 - f64::MIN_POSITIVE);
+        if v >= 1.0 {
+            1.0f64.next_down()
+        } else {
+            v
+        }
+    }
+
     /// The [`DetRng::standard_normal`] value for two raw draws `(d1, d2)`
     /// in stream order — bit-identical to calling `standard_normal` when
     /// the generator would return `d1` then `d2` (pinned by the
@@ -271,11 +306,19 @@ impl DetRng {
     /// replays the shim's half-open-range guard float for float.
     #[inline]
     pub fn standard_normal_of(d1: u64, d2: u64) -> f64 {
-        let u = Self::uniform_of(d1);
-        let v = f64::MIN_POSITIVE + u * (1.0 - f64::MIN_POSITIVE);
-        let u1 = if v >= 1.0 { 1.0f64.next_down() } else { v };
+        let u1 = Self::open_unit_of(d1);
         let u2 = Self::uniform_of(d2);
         (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
+    }
+
+    /// The [`DetRng::exponential`] sample with rate `lambda` for one raw
+    /// draw `d` — bit-identical to calling `exponential(lambda)` when the
+    /// generator would return `d` (pinned by the
+    /// `raw_word_transforms_match_sequential` proptest).
+    #[inline]
+    pub fn exponential_of(d: u64, lambda: f64) -> f64 {
+        assert!(lambda > 0.0, "rate must be positive");
+        -Self::open_unit_of(d).ln() / lambda
     }
 
     /// Geometric sample: number of failures before the first success with
@@ -471,7 +514,55 @@ mod tests {
                 let z_seq = a.standard_normal();
                 let z_raw = DetRng::standard_normal_of(d1, d2);
                 prop_assert_eq!(z_seq.to_bits(), z_raw.to_bits());
+                let d = b.next_u64();
+                let lambda = 1e-3 + p * 50.0;
+                prop_assert_eq!(
+                    a.exponential(lambda).to_bits(),
+                    DetRng::exponential_of(d, lambda).to_bits()
+                );
                 prop_assert_eq!(a.next_u64(), b.next_u64());
+            }
+
+            /// `exponential_of` is the shim's `gen_range` on the same
+            /// word, also at words no short stream is likely to draw:
+            /// 0, the largest draws and the smallest nonzero one.
+            #[test]
+            fn exponential_of_matches_the_shim_at_edge_words(
+                d in prop_oneof![Just(0u64), Just(u64::MAX), Just(u64::MAX << 11), Just(1u64 << 11), any::<u64>()],
+                lambda in prop_oneof![Just(4e-6), Just(1.0), Just(50.0), 1e-9f64..1e3],
+            ) {
+                /// A generator that returns one fixed word.
+                struct Word(u64);
+                impl rand::RngCore for Word {
+                    fn next_u64(&mut self) -> u64 {
+                        self.0
+                    }
+                }
+                let u: f64 = Word(d).gen_range(f64::MIN_POSITIVE..1.0);
+                prop_assert_eq!(DetRng::exponential_of(d, lambda).to_bits(), (-u.ln() / lambda).to_bits());
+            }
+
+            /// A batch of first draws is the first draw of each child
+            /// keyed one by one, for any base and any first id — ids
+            /// near `u64::MAX` wrap to 0 inside the batch.
+            #[test]
+            fn first_draws_match_children_keyed_one_by_one(
+                seed in any::<u64>(),
+                first in prop_oneof![
+                    Just(0u64),
+                    Just(u64::MAX),
+                    (0u64..16).prop_map(|k| u64::MAX - k),
+                    any::<u64>(),
+                ],
+            ) {
+                let family = DetRng::substreams(seed, "first-draws");
+                let got = family.first_draws::<16>(first);
+                for (i, &d) in (0u64..).zip(&got) {
+                    prop_assert_eq!(d, family.child(first.wrapping_add(i)).next_u64(), "child {}", i);
+                }
+                let four = family.first_draws::<4>(first);
+                prop_assert_eq!(&four[..], &got[..4]);
+                prop_assert_eq!(family.first_draws::<1>(first)[0], got[0]);
             }
 
             /// A child of a hoisted-label family is the indexed

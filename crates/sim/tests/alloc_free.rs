@@ -1,7 +1,8 @@
 //! Proof of the "zero heap allocations per Monte-Carlo inner loop" claim
 //! for the bit-sliced kernels: a counting global allocator wraps the
 //! system allocator, and the sliced slicer, injector, scrambler and
-//! raw-draw hot paths must not touch it once their buffers are warmed.
+//! raw-draw hot paths (the many-key first draws included) must not touch
+//! it once their buffers are warmed.
 //!
 //! The fec-side twin is `crates/fec/tests/alloc_free.rs`; both harnesses
 //! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
@@ -113,17 +114,23 @@ fn sliced_kernel_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "scrambler word kernels allocated {n} times");
 
-    // --- Raw-draw primitives: slab fill and packed thinning -------------
+    // --- Raw-draw primitives: slab fill, packed thinning, first draws ---
     let mut slab64 = [0u64; 3 * 256];
     let thin = mosaic_sim::rng::Bernoulli::new(0.125);
+    let family = DetRng::substreams(3, "alloc-free-first-draws");
     let n = allocs_during(|| {
-        for _ in 0..64 {
+        for i in 0..64 {
             rng.fill_u64(&mut slab64);
             total += slab64
                 .iter()
                 .map(|w| u64::from(w.count_ones()))
                 .sum::<u64>();
             total += u64::from(thin.at_most(640, 3, &mut rng));
+            let firsts: [u64; 16] = family.first_draws(i * 16);
+            total += firsts
+                .iter()
+                .map(|w| u64::from(w.count_ones()))
+                .sum::<u64>();
         }
     });
     assert_eq!(n, 0, "raw-draw primitives allocated {n} times");
