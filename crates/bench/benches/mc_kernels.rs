@@ -16,6 +16,12 @@
 //! controller (`link.degrade_replay_ns_per_window`). A link seed keyed
 //! on its own is `rng/child_next_u64_x16` / 16.
 //!
+//! The `degrade` group times one `DegradeController::step` at F18's
+//! geometry (10 lanes on 12 channels, `hyperfleet::degrade_policy`), all
+//! channels healthy: with nothing recorded (`step_12ch_quiet`, what the
+//! sparse step skips) and with every channel recorded first, as
+//! `FaultedLink` does each epoch (`step_12ch_recorded`).
+//!
 //! The `campaign` group times F18's whole per-link campaign work as
 //! `hyperfleet::run_shard` does it: 16 link seeds keyed in one batch,
 //! then each link's 12-channel campaign regenerated in place (ns/link =
@@ -179,6 +185,25 @@ fn bench_hyperfleet(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_degrade(c: &mut Criterion) {
+    let mut g = c.benchmark_group("degrade");
+    let policy = hyperfleet::degrade_policy();
+    let mut ctl = DegradeController::try_new(10, 12, policy).expect("valid geometry");
+    g.bench_function("step_12ch_quiet", |b| {
+        b.iter(|| ctl.step().by_state[0]);
+    });
+    let mut ctl = DegradeController::try_new(10, 12, policy).expect("valid geometry");
+    g.bench_function("step_12ch_recorded", |b| {
+        b.iter(|| {
+            for ch in 0..12 {
+                ctl.record(ch, BITS_PER_EPOCH, 0);
+            }
+            ctl.step().by_state[0]
+        });
+    });
+    g.finish();
+}
+
 fn bench_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign");
     // F18's full-mode Mosaic class: 12 supervisory groups over 3 years
@@ -284,6 +309,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel, bench_hyperfleet, bench_campaign, bench_rng
+    targets = bench_scratch_decode, bench_corrupt_symbols, bench_rs_channel, bench_hyperfleet, bench_degrade, bench_campaign, bench_rng
 }
 criterion_main!(benches);

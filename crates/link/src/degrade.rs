@@ -29,7 +29,7 @@
 //! The dependency points link → sim at the workspace level, so the link
 //! crate cannot call the sim's telemetry directly.
 
-use crate::lanes::{FailureKind, LaneHealth, LaneMap};
+use crate::lanes::{FailureKind, LaneMap, RingCounts};
 
 /// Controller state of one physical channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,13 +149,50 @@ impl DegradeConfig {
 #[derive(Debug, Clone)]
 struct ChannelCtl {
     state: CtlState,
-    health: LaneHealth,
-    /// Epochs spent in the current state (reset on every transition).
-    dwell: usize,
+    /// The channel's BER monitor; its ring is the channel's slice of
+    /// `DegradeController::rings`.
+    health: RingCounts,
+    /// Epoch of the last transition plus one (0 before any): when step
+    /// `e` evaluates the channel it has dwelt `e + 1 - entered` epochs in
+    /// its state, so idle epochs need no per-channel counter.
+    entered: usize,
     /// Consecutive epochs below `clear_ber` while Suspect.
     clean_streak: usize,
     /// Hard-dead report pending for the next `step()`.
     pending_dead: bool,
+}
+
+/// The transition log and the per-state channel counts it implies, kept
+/// in step by [`Ledger::fire`].
+#[derive(Debug, Clone)]
+struct Ledger {
+    transitions: Vec<Transition>,
+    /// Channels per state, indexed by `CtlState as usize`.
+    by_state: [usize; 5],
+}
+
+impl Ledger {
+    fn fire(
+        &mut self,
+        epoch: usize,
+        channel: usize,
+        ch: &mut ChannelCtl,
+        to: CtlState,
+        cause: Cause,
+    ) {
+        self.transitions.push(Transition {
+            epoch,
+            channel,
+            from: ch.state,
+            to,
+            cause,
+        });
+        self.by_state[ch.state as usize] -= 1;
+        self.by_state[to as usize] += 1;
+        ch.state = to;
+        ch.entered = epoch + 1;
+        ch.clean_streak = 0;
+    }
 }
 
 /// Per-epoch roll-up returned by [`DegradeController::step`].
@@ -174,16 +211,45 @@ pub struct EpochSummary {
 }
 
 /// The per-link degradation controller.
+///
+/// A step costs O(watched channels), not O(channels). The controller
+/// keeps a *watch set*, one bit per physical channel, of the channels the
+/// next [`step`](DegradeController::step) must evaluate: every channel
+/// that was recorded or marked dead since the last step, every channel in
+/// Suspect, Quarantined or Spared, and the spare a remap just brought
+/// into service. The invariant that makes skipping the rest exact: **an
+/// unwatched channel is Retired, or Active with no pending dead report
+/// and no escalation due** — it carries no lane, or its monitor reads
+/// clean at the suspect and the quarantine threshold. Such a channel's
+/// evaluation fires nothing and changes nothing, because its monitor and
+/// its dwell only matter again after a record, a dead mark or a remap,
+/// each of which watches it.
 #[derive(Debug, Clone)]
 pub struct DegradeController {
     cfg: DegradeConfig,
     map: LaneMap,
     channels: Vec<ChannelCtl>,
-    transitions: Vec<Transition>,
+    /// Every channel's monitor ring, `cfg.max_windows` slots each, channel
+    /// `p` at `p * max_windows`: one allocation for all the monitors.
+    rings: Vec<u64>,
+    /// Bit `p % 64` of word `p / 64`: channel `p` is watched.
+    watch: Vec<u64>,
+    log: Ledger,
     epoch: usize,
     provisioned_spares: usize,
     spares_activated: usize,
     lost_lanes: usize,
+}
+
+/// Set-bit positions of one watch word, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 impl DegradeController {
@@ -196,21 +262,33 @@ impl DegradeController {
     ) -> mosaic_units::Result<Self> {
         cfg.validate()?;
         let map = LaneMap::try_new(logical, physical)?;
-        let mut channels = Vec::with_capacity(physical);
-        for _ in 0..physical {
-            channels.push(ChannelCtl {
-                state: CtlState::Active,
-                health: LaneHealth::try_new(cfg.window_bits, cfg.max_windows)?,
-                dwell: 0,
-                clean_streak: 0,
-                pending_dead: false,
-            });
-        }
+        let health = RingCounts::try_new(cfg.window_bits, cfg.max_windows)?;
+        let slots = physical.checked_mul(cfg.max_windows).ok_or_else(|| {
+            mosaic_units::MosaicError::invalid_config(
+                "lane_monitor",
+                format!(
+                    "{physical} channels of {} windows overflow",
+                    cfg.max_windows
+                ),
+            )
+        })?;
+        let channel = ChannelCtl {
+            state: CtlState::Active,
+            health,
+            entered: 0,
+            clean_streak: 0,
+            pending_dead: false,
+        };
         Ok(DegradeController {
             cfg,
             map,
-            channels,
-            transitions: Vec::new(),
+            channels: vec![channel; physical],
+            rings: vec![0; slots],
+            watch: vec![0; physical.div_ceil(64)],
+            log: Ledger {
+                transitions: Vec::new(),
+                by_state: [physical, 0, 0, 0, 0],
+            },
             epoch: 0,
             provisioned_spares: physical - logical,
             spares_activated: 0,
@@ -221,7 +299,10 @@ impl DegradeController {
     /// Feed one epoch's error observation for a physical channel.
     pub fn record(&mut self, physical: usize, bits: u64, errors: u64) {
         if let Some(ch) = self.channels.get_mut(physical) {
-            ch.health.record(bits, errors);
+            let n = self.cfg.max_windows;
+            ch.health
+                .record(&mut self.rings[physical * n..][..n], bits, errors);
+            self.watch(physical);
         }
     }
 
@@ -230,223 +311,199 @@ impl DegradeController {
     pub fn mark_dead(&mut self, physical: usize) {
         if let Some(ch) = self.channels.get_mut(physical) {
             ch.pending_dead = true;
+            self.watch(physical);
         }
     }
 
-    fn transition(
-        transitions: &mut Vec<Transition>,
-        epoch: usize,
-        channel: usize,
-        ch: &mut ChannelCtl,
-        to: CtlState,
-        cause: Cause,
-    ) {
-        transitions.push(Transition {
-            epoch,
-            channel,
-            from: ch.state,
-            to,
-            cause,
-        });
-        ch.state = to;
-        ch.dwell = 0;
-        ch.clean_streak = 0;
+    /// Add channel `physical` to the watch set.
+    fn watch(&mut self, physical: usize) {
+        self.watch[physical / 64] |= 1 << (physical % 64);
     }
 
-    /// Process one controller epoch: evaluate every channel's monitor,
-    /// fire transitions, activate spares / shed lanes for quarantined
-    /// channels, and return the epoch roll-up.
+    /// Process one controller epoch: evaluate every watched channel's
+    /// monitor in ascending channel order, fire transitions, activate
+    /// spares / shed lanes for quarantined channels, and return the epoch
+    /// roll-up.
     pub fn step(&mut self) -> EpochSummary {
         let epoch = self.epoch;
-        let t0 = self.transitions.len();
-        for idx in 0..self.channels.len() {
-            let in_service = self.map.carries_lane(idx);
-            let ch = &mut self.channels[idx];
-            ch.dwell += 1;
-            let dead = std::mem::take(&mut ch.pending_dead);
-            match ch.state {
-                CtlState::Retired | CtlState::Quarantined => {
-                    // Retired is terminal; Quarantined resolves below in
-                    // the same step it was entered, so neither re-evaluates
-                    // monitor state here.
-                }
-                CtlState::Spared => {
-                    if ch.dwell >= self.cfg.spared_dwell_limit {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Retired,
-                            Cause::SparedAgedOut,
-                        );
+        let t0 = self.log.transitions.len();
+        for w in 0..self.watch.len() {
+            // A channel stays watched only while its state has work.
+            for bit in set_bits(std::mem::take(&mut self.watch[w])) {
+                let idx = w * 64 + bit;
+                let in_service = self.map.carries_lane(idx);
+                let ch = &mut self.channels[idx];
+                let dwell = epoch + 1 - ch.entered;
+                let dead = std::mem::take(&mut ch.pending_dead);
+                match ch.state {
+                    CtlState::Retired | CtlState::Quarantined => {
+                        // Retired is terminal; Quarantined resolves below in
+                        // the same step it was entered, so neither re-evaluates
+                        // monitor state here.
                     }
-                }
-                CtlState::Active => {
-                    if dead {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Quarantined,
-                            Cause::ExternalDead,
-                        );
-                    } else if in_service && ch.health.degraded(self.cfg.quarantine_ber) {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Quarantined,
-                            Cause::BerAboveQuarantine,
-                        );
-                    } else if in_service && ch.health.degraded(self.cfg.suspect_ber) {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Suspect,
-                            Cause::BerAboveSuspect,
-                        );
-                    }
-                }
-                CtlState::Suspect => {
-                    let ber = ch.health.ber().unwrap_or(0.0);
-                    if dead || ch.health.degraded(self.cfg.quarantine_ber) {
-                        let cause = if dead {
-                            Cause::ExternalDead
-                        } else {
-                            Cause::BerAboveQuarantine
-                        };
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Quarantined,
-                            cause,
-                        );
-                    } else if ber < self.cfg.clear_ber {
-                        ch.clean_streak += 1;
-                        if ch.clean_streak >= self.cfg.clear_epochs {
-                            Self::transition(
-                                &mut self.transitions,
-                                epoch,
-                                idx,
-                                ch,
-                                CtlState::Active,
-                                Cause::BerCleared,
-                            );
+                    CtlState::Spared => {
+                        if dwell >= self.cfg.spared_dwell_limit {
+                            self.log
+                                .fire(epoch, idx, ch, CtlState::Retired, Cause::SparedAgedOut);
                         }
-                    } else {
-                        ch.clean_streak = 0;
-                        if ch.dwell >= self.cfg.suspect_dwell_limit {
-                            Self::transition(
-                                &mut self.transitions,
+                    }
+                    CtlState::Active => {
+                        if dead {
+                            self.log.fire(
                                 epoch,
                                 idx,
                                 ch,
                                 CtlState::Quarantined,
-                                Cause::SuspectTimeout,
+                                Cause::ExternalDead,
                             );
+                        } else if in_service && ch.health.degraded(self.cfg.quarantine_ber) {
+                            self.log.fire(
+                                epoch,
+                                idx,
+                                ch,
+                                CtlState::Quarantined,
+                                Cause::BerAboveQuarantine,
+                            );
+                        } else if in_service && ch.health.degraded(self.cfg.suspect_ber) {
+                            self.log.fire(
+                                epoch,
+                                idx,
+                                ch,
+                                CtlState::Suspect,
+                                Cause::BerAboveSuspect,
+                            );
+                        }
+                    }
+                    CtlState::Suspect => {
+                        let ber = ch.health.ber().unwrap_or(0.0);
+                        if dead || ch.health.degraded(self.cfg.quarantine_ber) {
+                            let cause = if dead {
+                                Cause::ExternalDead
+                            } else {
+                                Cause::BerAboveQuarantine
+                            };
+                            self.log.fire(epoch, idx, ch, CtlState::Quarantined, cause);
+                        } else if ber < self.cfg.clear_ber {
+                            ch.clean_streak += 1;
+                            if ch.clean_streak >= self.cfg.clear_epochs {
+                                self.log
+                                    .fire(epoch, idx, ch, CtlState::Active, Cause::BerCleared);
+                            }
+                        } else {
+                            ch.clean_streak = 0;
+                            if dwell >= self.cfg.suspect_dwell_limit {
+                                self.log.fire(
+                                    epoch,
+                                    idx,
+                                    ch,
+                                    CtlState::Quarantined,
+                                    Cause::SuspectTimeout,
+                                );
+                            }
+                        }
+                    }
+                }
+                if matches!(
+                    ch.state,
+                    CtlState::Suspect | CtlState::Quarantined | CtlState::Spared
+                ) {
+                    self.watch[w] |= 1 << bit;
+                }
+            }
+        }
+        // Resolve quarantines: activate a spare or shed the lane. Every
+        // Quarantined channel was just watched above.
+        if self.log.by_state[CtlState::Quarantined as usize] > 0 {
+            for w in 0..self.watch.len() {
+                for bit in set_bits(self.watch[w]) {
+                    let idx = w * 64 + bit;
+                    if self.channels[idx].state != CtlState::Quarantined {
+                        continue;
+                    }
+                    let ch = &mut self.channels[idx];
+                    match self.map.fail_channel(idx, FailureKind::Degraded) {
+                        Ok(Some(lane)) => {
+                            self.spares_activated += 1;
+                            self.log
+                                .fire(epoch, idx, ch, CtlState::Spared, Cause::SpareActivated);
+                            // The spare now carries a lane: its monitor
+                            // counts from the next step on.
+                            self.watch(self.map.physical_for(lane));
+                        }
+                        Ok(None) => {
+                            // Was an idle spare (or already retired): no remap
+                            // happened, the channel just leaves the pool.
+                            self.log
+                                .fire(epoch, idx, ch, CtlState::Retired, Cause::ExternalDead);
+                            self.watch[w] &= !(1 << bit);
+                        }
+                        Err(_no_spares) => {
+                            self.lost_lanes += 1;
+                            self.log.fire(
+                                epoch,
+                                idx,
+                                ch,
+                                CtlState::Retired,
+                                Cause::SparesExhausted,
+                            );
+                            self.watch[w] &= !(1 << bit);
                         }
                     }
                 }
             }
         }
-        // Resolve quarantines: activate a spare or shed the lane.
-        for idx in 0..self.channels.len() {
-            if self.channels[idx].state != CtlState::Quarantined {
-                continue;
-            }
-            match self.map.fail_channel(idx, FailureKind::Degraded) {
-                Ok(Some(_lane)) => {
-                    self.spares_activated += 1;
-                    let ch = &mut self.channels[idx];
-                    Self::transition(
-                        &mut self.transitions,
-                        epoch,
-                        idx,
-                        ch,
-                        CtlState::Spared,
-                        Cause::SpareActivated,
-                    );
-                }
-                Ok(None) => {
-                    // Was an idle spare (or already retired): no remap
-                    // happened, the channel just leaves the pool.
-                    let ch = &mut self.channels[idx];
-                    Self::transition(
-                        &mut self.transitions,
-                        epoch,
-                        idx,
-                        ch,
-                        CtlState::Retired,
-                        Cause::ExternalDead,
-                    );
-                }
-                Err(_no_spares) => {
-                    self.lost_lanes += 1;
-                    let ch = &mut self.channels[idx];
-                    Self::transition(
-                        &mut self.transitions,
-                        epoch,
-                        idx,
-                        ch,
-                        CtlState::Retired,
-                        Cause::SparesExhausted,
-                    );
-                }
-            }
-        }
         self.epoch += 1;
-        let mut by_state = [0usize; 5];
-        for ch in &self.channels {
-            by_state[ch.state as usize] += 1;
-        }
         EpochSummary {
             epoch,
-            transitions: self.transitions.len() - t0,
-            by_state,
+            transitions: self.log.transitions.len() - t0,
+            by_state: self.log.by_state,
             rate_fraction: self.rate_fraction(),
         }
     }
 
-    /// True when stepping would change nothing but the epoch and dwell
-    /// counters: no hard-dead report is pending, and every channel is
-    /// `Retired` or `Active` with nothing to escalate — it carries no
-    /// lane, or its monitor reads clean at both the suspect and the
-    /// quarantine threshold. An idle controller that receives no
-    /// observation stays idle, so [`DegradeController::skip_idle`] may
-    /// stand in for any number of observation-free [`step`]s.
+    /// True when stepping would change nothing but the epoch: no
+    /// hard-dead report is pending, and every channel is `Retired` or
+    /// `Active` with nothing to escalate — it carries no lane, or its
+    /// monitor reads clean at both the suspect and the quarantine
+    /// threshold. An idle controller that receives no observation stays
+    /// idle, so [`DegradeController::skip_idle`] may stand in for any
+    /// number of observation-free [`step`]s.
+    ///
+    /// O(watched channels): by the watch-set invariant (see
+    /// [`DegradeController`]) every unwatched channel already qualifies.
     ///
     /// [`step`]: DegradeController::step
     pub fn is_idle(&self) -> bool {
         // `ber > suspect || ber > quarantine` is `ber > min(suspect,
         // quarantine)`: one monitor read per channel.
         let escalate_above = self.cfg.suspect_ber.min(self.cfg.quarantine_ber);
-        self.channels.iter().enumerate().all(|(idx, ch)| {
-            !ch.pending_dead
-                && match ch.state {
-                    CtlState::Retired => true,
-                    CtlState::Active => {
-                        !self.map.carries_lane(idx) || !ch.health.degraded(escalate_above)
+        self.watch.iter().enumerate().all(|(w, &word)| {
+            set_bits(word).all(|bit| {
+                let idx = w * 64 + bit;
+                let ch = &self.channels[idx];
+                !ch.pending_dead
+                    && match ch.state {
+                        CtlState::Retired => true,
+                        CtlState::Active => {
+                            !self.map.carries_lane(idx) || !ch.health.degraded(escalate_above)
+                        }
+                        CtlState::Suspect | CtlState::Quarantined | CtlState::Spared => false,
                     }
-                    CtlState::Suspect | CtlState::Quarantined | CtlState::Spared => false,
-                }
+            })
         })
     }
 
     /// Advance an idle controller by `n` epochs at once: exactly what `n`
     /// observation-free [`DegradeController::step`]s do to it (bump the
-    /// epoch and every channel's dwell), in O(channels). Only valid while
-    /// [`DegradeController::is_idle`] holds; debug builds assert it.
+    /// epoch and, for `n > 0`, evaluate the watched channels to no
+    /// effect, which empties the watch set). O(1) for up to 64 channels:
+    /// dwell is kept as an entry epoch, so no channel is touched. Only
+    /// valid while [`DegradeController::is_idle`] holds; debug builds
+    /// assert it.
     pub fn skip_idle(&mut self, n: usize) {
         debug_assert!(self.is_idle(), "skip_idle on a busy controller");
-        for ch in &mut self.channels {
-            ch.dwell += n;
+        if n > 0 {
+            self.watch.fill(0);
         }
         self.epoch += n;
     }
@@ -462,12 +519,15 @@ impl DegradeController {
         for ch in &mut self.channels {
             ch.state = CtlState::Active;
             ch.health.reset();
-            ch.dwell = 0;
+            ch.entered = 0;
             ch.clean_streak = 0;
             ch.pending_dead = false;
         }
+        self.rings.fill(0);
+        self.watch.fill(0);
         self.map.reset();
-        self.transitions.clear();
+        self.log.transitions.clear();
+        self.log.by_state = [self.channels.len(), 0, 0, 0, 0];
         self.epoch = 0;
         self.spares_activated = 0;
         self.lost_lanes = 0;
@@ -518,7 +578,7 @@ impl DegradeController {
 
     /// All transitions recorded so far.
     pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
+        &self.log.transitions
     }
 }
 
@@ -536,6 +596,7 @@ pub fn state_tag(s: CtlState) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::LaneHealth;
     use proptest::prelude::*;
 
     fn quick_cfg() -> DegradeConfig {
@@ -722,12 +783,250 @@ mod tests {
         }
     }
 
+    /// The controller as it was before the watch set: every step walks
+    /// every channel and bumps its dwell counter, resolves quarantines in
+    /// a second full pass and counts the states in a third, and
+    /// `is_idle` reads every channel.
+    #[derive(Debug, Clone)]
+    struct DenseChannel {
+        state: CtlState,
+        health: LaneHealth,
+        dwell: usize,
+        clean_streak: usize,
+        pending_dead: bool,
+    }
+
+    struct DenseController {
+        cfg: DegradeConfig,
+        map: LaneMap,
+        channels: Vec<DenseChannel>,
+        transitions: Vec<Transition>,
+        epoch: usize,
+        lost_lanes: usize,
+    }
+
+    impl DenseController {
+        fn new(logical: usize, physical: usize, cfg: DegradeConfig) -> Self {
+            DenseController {
+                cfg,
+                map: LaneMap::try_new(logical, physical).unwrap(),
+                channels: (0..physical)
+                    .map(|_| DenseChannel {
+                        state: CtlState::Active,
+                        health: LaneHealth::new(cfg.window_bits, cfg.max_windows),
+                        dwell: 0,
+                        clean_streak: 0,
+                        pending_dead: false,
+                    })
+                    .collect(),
+                transitions: Vec::new(),
+                epoch: 0,
+                lost_lanes: 0,
+            }
+        }
+
+        fn record(&mut self, physical: usize, bits: u64, errors: u64) {
+            self.channels[physical].health.record(bits, errors);
+        }
+
+        fn mark_dead(&mut self, physical: usize) {
+            self.channels[physical].pending_dead = true;
+        }
+
+        fn fire(&mut self, epoch: usize, idx: usize, to: CtlState, cause: Cause) {
+            let ch = &mut self.channels[idx];
+            self.transitions.push(Transition {
+                epoch,
+                channel: idx,
+                from: ch.state,
+                to,
+                cause,
+            });
+            ch.state = to;
+            ch.dwell = 0;
+            ch.clean_streak = 0;
+        }
+
+        fn step(&mut self) -> EpochSummary {
+            let epoch = self.epoch;
+            let t0 = self.transitions.len();
+            let cfg = self.cfg;
+            for idx in 0..self.channels.len() {
+                let in_service = self.map.carries_lane(idx);
+                let ch = &mut self.channels[idx];
+                ch.dwell += 1;
+                let dead = std::mem::take(&mut ch.pending_dead);
+                let (dwell, state) = (ch.dwell, ch.state);
+                let ber = ch.health.ber().unwrap_or(0.0);
+                let above_quarantine = ch.health.degraded(cfg.quarantine_ber);
+                let above_suspect = ch.health.degraded(cfg.suspect_ber);
+                match state {
+                    CtlState::Retired | CtlState::Quarantined => {}
+                    CtlState::Spared => {
+                        if dwell >= cfg.spared_dwell_limit {
+                            self.fire(epoch, idx, CtlState::Retired, Cause::SparedAgedOut);
+                        }
+                    }
+                    CtlState::Active => {
+                        if dead {
+                            self.fire(epoch, idx, CtlState::Quarantined, Cause::ExternalDead);
+                        } else if in_service && above_quarantine {
+                            self.fire(epoch, idx, CtlState::Quarantined, Cause::BerAboveQuarantine);
+                        } else if in_service && above_suspect {
+                            self.fire(epoch, idx, CtlState::Suspect, Cause::BerAboveSuspect);
+                        }
+                    }
+                    CtlState::Suspect => {
+                        if dead || above_quarantine {
+                            let cause = if dead {
+                                Cause::ExternalDead
+                            } else {
+                                Cause::BerAboveQuarantine
+                            };
+                            self.fire(epoch, idx, CtlState::Quarantined, cause);
+                        } else if ber < cfg.clear_ber {
+                            self.channels[idx].clean_streak += 1;
+                            if self.channels[idx].clean_streak >= cfg.clear_epochs {
+                                self.fire(epoch, idx, CtlState::Active, Cause::BerCleared);
+                            }
+                        } else {
+                            self.channels[idx].clean_streak = 0;
+                            if dwell >= cfg.suspect_dwell_limit {
+                                self.fire(epoch, idx, CtlState::Quarantined, Cause::SuspectTimeout);
+                            }
+                        }
+                    }
+                }
+            }
+            for idx in 0..self.channels.len() {
+                if self.channels[idx].state != CtlState::Quarantined {
+                    continue;
+                }
+                match self.map.fail_channel(idx, FailureKind::Degraded) {
+                    Ok(Some(_)) => self.fire(epoch, idx, CtlState::Spared, Cause::SpareActivated),
+                    Ok(None) => self.fire(epoch, idx, CtlState::Retired, Cause::ExternalDead),
+                    Err(_) => {
+                        self.lost_lanes += 1;
+                        self.fire(epoch, idx, CtlState::Retired, Cause::SparesExhausted);
+                    }
+                }
+            }
+            self.epoch += 1;
+            let mut by_state = [0usize; 5];
+            for ch in &self.channels {
+                by_state[ch.state as usize] += 1;
+            }
+            let logical = self.map.logical_lanes();
+            EpochSummary {
+                epoch,
+                transitions: self.transitions.len() - t0,
+                by_state,
+                rate_fraction: (logical - self.lost_lanes.min(logical)) as f64 / logical as f64,
+            }
+        }
+
+        fn is_idle(&self) -> bool {
+            let escalate_above = self.cfg.suspect_ber.min(self.cfg.quarantine_ber);
+            self.channels.iter().enumerate().all(|(idx, ch)| {
+                !ch.pending_dead
+                    && match ch.state {
+                        CtlState::Retired => true,
+                        CtlState::Active => {
+                            !self.map.carries_lane(idx) || !ch.health.degraded(escalate_above)
+                        }
+                        _ => false,
+                    }
+            })
+        }
+
+        fn skip_idle(&mut self, n: usize) {
+            for ch in &mut self.channels {
+                ch.dwell += n;
+            }
+            self.epoch += n;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The watch-set controller against the dense one above: the same
+        /// transitions, `EpochSummary`, states and `is_idle` after every
+        /// operation, on geometries up to 70 channels (past one watch
+        /// word), with records and dead marks on lanes, on idle spares
+        /// (which a later remap may bring into service degraded) and on
+        /// channels already Retired, and idle skips of 0 to 15 epochs.
+        #[test]
+        fn sparse_controller_matches_dense(
+            logical_raw in 1usize..64,
+            extra in 0usize..7,
+            wide in 0usize..2,
+            suspect_dwell_limit in 1usize..6,
+            clear_epochs in 1usize..4,
+            spared_dwell_limit in 0usize..6,
+            // Packed operation: bits 0..8 channel, 8..10 how the channel
+            // is chosen (any / one of three hot channels / a spare),
+            // 10..18 errors per 2000 bits (x8 with bit 18, past the bit
+            // count), 19..21 clear a dead mark, bit 21 no record, bit 22
+            // step afterwards, 23..25 clear an idle skip of bits 25..29
+            // epochs.
+            script in proptest::collection::vec(0u64..(1u64 << 29), 1..200),
+        ) {
+            let logical = if wide == 1 { 58 + logical_raw % 6 } else { logical_raw % 12 + 1 };
+            let physical = logical + extra;
+            let cfg = DegradeConfig {
+                suspect_dwell_limit,
+                clear_epochs,
+                spared_dwell_limit,
+                ..quick_cfg()
+            };
+            let mut sparse = DegradeController::try_new(logical, physical, cfg).unwrap();
+            let mut dense = DenseController::new(logical, physical, cfg);
+            for word in script {
+                let c = (word & 0xFF) as usize;
+                let ch = match (word >> 8) & 3 {
+                    2 => [0, physical / 2, physical - 1][c % 3],
+                    3 if extra > 0 => logical + c % extra,
+                    _ => c % physical,
+                };
+                let mut errors = (word >> 10) & 0xFF;
+                if (word >> 18) & 1 == 1 {
+                    errors *= 8;
+                }
+                if (word >> 21) & 1 == 0 {
+                    sparse.record(ch, 2000, errors);
+                    dense.record(ch, 2000, errors);
+                }
+                if (word >> 19) & 3 == 0 {
+                    sparse.mark_dead(ch);
+                    dense.mark_dead(ch);
+                }
+                prop_assert_eq!(sparse.is_idle(), dense.is_idle());
+                if (word >> 23) & 3 == 0 && dense.is_idle() {
+                    let n = ((word >> 25) & 15) as usize;
+                    sparse.skip_idle(n);
+                    dense.skip_idle(n);
+                    prop_assert_eq!(sparse.epoch(), dense.epoch);
+                }
+                if (word >> 22) & 1 == 1 {
+                    prop_assert_eq!(sparse.step(), dense.step());
+                    prop_assert_eq!(sparse.is_idle(), dense.is_idle());
+                }
+                prop_assert_eq!(sparse.transitions(), &dense.transitions[..]);
+                for p in 0..physical {
+                    prop_assert_eq!(sparse.state(p), dense.channels[p].state);
+                }
+                prop_assert_eq!(sparse.lane_map(), &dense.map);
+            }
+        }
+    }
+
     proptest! {
         /// `skip_idle(n)` on an idle controller is exactly `n`
         /// observation-free steps: the same transitions, states, spare and
-        /// lane counters, epoch and dwell counters (the whole `Debug`
-        /// rendering), and the same behavior under whatever observations
-        /// follow.
+        /// lane counters, epoch, entry epochs and watch set (the whole
+        /// `Debug` rendering), and the same behavior under whatever
+        /// observations follow.
         #[test]
         fn skip_idle_matches_observation_free_steps(
             logical in 1usize..8,

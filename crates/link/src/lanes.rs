@@ -3,19 +3,23 @@
 //! Mosaic's reliability story (claim C3) rests on cheap redundancy: a few
 //! spare microLED/core/PD channels replace any failed channel, invisible
 //! above the gearbox. [`LaneHealth`] estimates each channel's live BER from
-//! a sliding window of bit-error counts, which the degrade controller
-//! records each epoch; [`LaneMap`] maintains the logical-lane →
-//! physical-channel assignment and swaps in spares when a channel degrades.
+//! a sliding window of bit-error counts (the degrade controller runs the
+//! same monitor, `RingCounts`, over one slot buffer for all its channels);
+//! [`LaneMap`] maintains the logical-lane → physical-channel assignment
+//! and swaps in spares when a channel degrades.
 
 /// Sliding-window BER monitor for one physical channel.
+///
+/// Completed windows sit in a fixed ring of error counts with a running
+/// sum, so [`LaneHealth::record`], [`LaneHealth::ber`] and
+/// [`LaneHealth::degraded`] are O(1) per closed window and allocation-free
+/// after [`LaneHealth::try_new`]. Every completed window holds exactly
+/// `window_bits` bits, so only its error count is stored.
 #[derive(Debug, Clone)]
 pub struct LaneHealth {
-    window_bits: u64,
-    /// (bits, errors) per completed window, newest last; bounded length.
-    history: Vec<(u64, u64)>,
-    cur_bits: u64,
-    cur_errors: u64,
-    max_windows: usize,
+    /// The ring: `max_windows` error-count slots.
+    ring: Vec<u64>,
+    counts: RingCounts,
 }
 
 impl LaneHealth {
@@ -34,18 +38,9 @@ impl LaneHealth {
 
     /// Fallible [`LaneHealth::new`]: errors on zero window size or count.
     pub fn try_new(window_bits: u64, max_windows: usize) -> mosaic_units::Result<Self> {
-        if window_bits == 0 || max_windows == 0 {
-            return Err(mosaic_units::MosaicError::invalid_config(
-                "lane_monitor",
-                "window size and history depth must be non-zero",
-            ));
-        }
         Ok(LaneHealth {
-            window_bits,
-            history: vec![],
-            cur_bits: 0,
-            cur_errors: 0,
-            max_windows,
+            counts: RingCounts::try_new(window_bits, max_windows)?,
+            ring: vec![0; max_windows],
         })
     }
 
@@ -54,48 +49,121 @@ impl LaneHealth {
     /// telemetry can glitch, and a saturated window is the conservative
     /// reading.
     pub fn record(&mut self, bits: u64, errors: u64) {
-        let errors = errors.min(bits);
-        self.cur_bits += bits;
-        self.cur_errors += errors;
-        while self.cur_bits >= self.window_bits {
-            // Close a window (approximately: carry the remainder forward).
-            let carry_bits = self.cur_bits - self.window_bits;
-            let carry_errors =
-                ((self.cur_errors as f64) * (carry_bits as f64 / self.cur_bits as f64)) as u64;
-            self.history
-                .push((self.window_bits, self.cur_errors - carry_errors));
-            if self.history.len() > self.max_windows {
-                self.history.remove(0);
-            }
-            self.cur_bits = carry_bits;
-            self.cur_errors = carry_errors;
-        }
+        self.counts.record(&mut self.ring, bits, errors);
     }
 
     /// Forget all observations, keeping the allocated history storage.
     /// Used when a link is rebuilt in place (hardware swap): the new
     /// channel starts with a clean monitor but no fresh allocation.
     pub fn reset(&mut self) {
-        self.history.clear();
-        self.cur_bits = 0;
-        self.cur_errors = 0;
+        self.ring.fill(0);
+        self.counts.reset();
     }
 
     /// BER estimate over the retained history (plus the open window),
     /// or `None` before any data.
     pub fn ber(&self) -> Option<f64> {
-        let bits: u64 = self.history.iter().map(|&(b, _)| b).sum::<u64>() + self.cur_bits;
-        if bits == 0 {
-            return None;
-        }
-        let errors: u64 = self.history.iter().map(|&(_, e)| e).sum::<u64>() + self.cur_errors;
-        Some(errors as f64 / bits as f64)
+        self.counts.ber()
     }
 
     /// True once the measured BER exceeds `threshold` with at least one
     /// full window of evidence.
     pub fn degraded(&self, threshold: f64) -> bool {
-        if self.history.is_empty() {
+        self.counts.degraded(threshold)
+    }
+}
+
+/// A [`LaneHealth`] without its ring: the counters and the arithmetic,
+/// run on ring slots the caller owns. The degrade controller keeps one
+/// per channel over a single slot buffer for all its channels, so a
+/// controller allocates its monitor storage once.
+#[derive(Debug, Clone)]
+pub(crate) struct RingCounts {
+    window_bits: u64,
+    /// Completed windows held: `len` slots of the ring, oldest at `head`.
+    head: usize,
+    len: usize,
+    /// Sum of the `len` held slots.
+    hist_errors: u64,
+    cur_bits: u64,
+    cur_errors: u64,
+}
+
+impl RingCounts {
+    /// Counters for a ring of `max_windows` slots; errors on a zero window
+    /// size or count.
+    pub(crate) fn try_new(window_bits: u64, max_windows: usize) -> mosaic_units::Result<Self> {
+        if window_bits == 0 || max_windows == 0 {
+            return Err(mosaic_units::MosaicError::invalid_config(
+                "lane_monitor",
+                "window size and history depth must be non-zero",
+            ));
+        }
+        Ok(RingCounts {
+            window_bits,
+            head: 0,
+            len: 0,
+            hist_errors: 0,
+            cur_bits: 0,
+            cur_errors: 0,
+        })
+    }
+
+    /// [`LaneHealth::record`] on `ring`, this monitor's `max_windows`
+    /// slots (the same slice on every call).
+    pub(crate) fn record(&mut self, ring: &mut [u64], bits: u64, errors: u64) {
+        let errors = errors.min(bits);
+        self.cur_bits += bits;
+        self.cur_errors += errors;
+        while self.cur_bits >= self.window_bits {
+            // Close a window (approximately: carry the remainder forward).
+            // A window closed exactly carries nothing: the product is 0.
+            let carry_bits = self.cur_bits - self.window_bits;
+            let carry_errors = if carry_bits == 0 {
+                0
+            } else {
+                ((self.cur_errors as f64) * (carry_bits as f64 / self.cur_bits as f64)) as u64
+            };
+            let closed = self.cur_errors - carry_errors;
+            // Append the closed window, evicting the oldest once the ring
+            // is full.
+            let cap = ring.len();
+            if self.len < cap {
+                ring[(self.head + self.len) % cap] = closed;
+                self.len += 1;
+            } else {
+                self.hist_errors -= ring[self.head];
+                ring[self.head] = closed;
+                self.head = (self.head + 1) % cap;
+            }
+            self.hist_errors += closed;
+            self.cur_bits = carry_bits;
+            self.cur_errors = carry_errors;
+        }
+    }
+
+    /// Forget all observations (the ring's slots are dead until
+    /// overwritten).
+    pub(crate) fn reset(&mut self) {
+        self.head = 0;
+        self.len = 0;
+        self.hist_errors = 0;
+        self.cur_bits = 0;
+        self.cur_errors = 0;
+    }
+
+    /// [`LaneHealth::ber`].
+    pub(crate) fn ber(&self) -> Option<f64> {
+        let bits = self.len as u64 * self.window_bits + self.cur_bits;
+        if bits == 0 {
+            return None;
+        }
+        Some((self.hist_errors + self.cur_errors) as f64 / bits as f64)
+    }
+
+    /// [`LaneHealth::degraded`].
+    pub(crate) fn degraded(&self, threshold: f64) -> bool {
+        if self.len == 0 {
             return false;
         }
         matches!(self.ber(), Some(ber) if ber > threshold)
@@ -290,11 +358,71 @@ mod tests {
 
     #[test]
     fn history_is_bounded() {
+        // Fifty saturated windows, then clean ones: with three windows of
+        // history the saturated ones are gone after the third clean one.
         let mut h = LaneHealth::new(100, 3);
         for _ in 0..50 {
-            h.record(100, 1);
+            h.record(100, 100);
         }
-        assert!(h.history.len() <= 3);
+        h.record(100, 0);
+        h.record(100, 0);
+        assert_eq!(h.ber(), Some(1.0 / 3.0));
+        h.record(100, 0);
+        assert_eq!(h.ber(), Some(0.0));
+        assert!(!h.degraded(0.0));
+    }
+
+    /// The monitor as it was before the error ring: a `Vec` of
+    /// `(bits, errors)` per completed window, oldest first, trimmed with
+    /// `remove(0)`, summed on every read.
+    struct VecHealth {
+        window_bits: u64,
+        history: Vec<(u64, u64)>,
+        cur_bits: u64,
+        cur_errors: u64,
+        max_windows: usize,
+    }
+
+    impl VecHealth {
+        fn record(&mut self, bits: u64, errors: u64) {
+            let errors = errors.min(bits);
+            self.cur_bits += bits;
+            self.cur_errors += errors;
+            while self.cur_bits >= self.window_bits {
+                let carry_bits = self.cur_bits - self.window_bits;
+                let carry_errors =
+                    ((self.cur_errors as f64) * (carry_bits as f64 / self.cur_bits as f64)) as u64;
+                self.history
+                    .push((self.window_bits, self.cur_errors - carry_errors));
+                if self.history.len() > self.max_windows {
+                    self.history.remove(0);
+                }
+                self.cur_bits = carry_bits;
+                self.cur_errors = carry_errors;
+            }
+        }
+
+        fn reset(&mut self) {
+            self.history.clear();
+            self.cur_bits = 0;
+            self.cur_errors = 0;
+        }
+
+        fn ber(&self) -> Option<f64> {
+            let bits: u64 = self.history.iter().map(|&(b, _)| b).sum::<u64>() + self.cur_bits;
+            if bits == 0 {
+                return None;
+            }
+            let errors: u64 = self.history.iter().map(|&(_, e)| e).sum::<u64>() + self.cur_errors;
+            Some(errors as f64 / bits as f64)
+        }
+
+        fn degraded(&self, threshold: f64) -> bool {
+            if self.history.is_empty() {
+                return false;
+            }
+            matches!(self.ber(), Some(ber) if ber > threshold)
+        }
     }
 
     #[test]
@@ -334,6 +462,44 @@ mod tests {
     }
 
     proptest! {
+        /// The ring monitor reads exactly what the `Vec` monitor reads:
+        /// the same `ber()` bits and the same `degraded()` verdicts, over
+        /// records shorter than, straddling and spanning many windows,
+        /// error counts past the bit count (clamped) and resets.
+        #[test]
+        fn ring_monitor_matches_vec_monitor(
+            window_bits in 1u64..5000,
+            max_windows in 1usize..7,
+            // Packed record: bits 0..16 the bit count, 16..32 the error
+            // count, bit 32 scales the errors down to a realistic rate,
+            // bits 33..36 all clear reset the monitors first.
+            script in proptest::collection::vec(0u64..(1u64 << 36), 1..80),
+        ) {
+            let mut ring = LaneHealth::new(window_bits, max_windows);
+            let mut vec = VecHealth {
+                window_bits,
+                history: Vec::new(),
+                cur_bits: 0,
+                cur_errors: 0,
+                max_windows,
+            };
+            for word in script {
+                if (word >> 33) & 7 == 0 {
+                    ring.reset();
+                    vec.reset();
+                }
+                let bits = word & 0xFFFF;
+                let raw = (word >> 16) & 0xFFFF;
+                let errors = if (word >> 32) & 1 == 1 { raw % (bits / 64 + 1) } else { raw };
+                ring.record(bits, errors);
+                vec.record(bits, errors);
+                prop_assert_eq!(ring.ber(), vec.ber());
+                for t in [-1.0, 0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.2, 0.5, 1.0] {
+                    prop_assert_eq!(ring.degraded(t), vec.degraded(t), "threshold {}", t);
+                }
+            }
+        }
+
         #[test]
         fn assignment_always_unique_and_live(
             logical in 1usize..16,

@@ -2,15 +2,19 @@
 //! gearbox scratch-reuse pair: a counting global allocator wraps the
 //! system allocator, and `transmit_into` / `receive_into` (plus the
 //! CRC, framing and the shared stripe/deskew kernels underneath them)
-//! must not touch it once their buffers are warmed.
+//! must not touch it once their buffers are warmed. The degrade
+//! controller's per-epoch calls (`LaneHealth::record`,
+//! `DegradeController::step`) are held to the same rule.
 //!
 //! The sim-side twin is `crates/sim/tests/alloc_free.rs`; both harnesses
 //! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 
+use mosaic_link::degrade::{DegradeConfig, DegradeController};
 use mosaic_link::framing::{self, frame_into, parse_frame};
 use mosaic_link::gearbox::{scan_frames_into, Gearbox, RxBatch, RxScratch, TxScratch};
+use mosaic_link::lanes::LaneHealth;
 use mosaic_link::striping::{self, DeskewScratch, LaneWord, StripeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,4 +145,40 @@ fn gearbox_epoch_loop_does_not_allocate() {
 
     // Keep the accumulators live so nothing above is optimized away.
     assert!(seqs > 0, "scans must have recovered frames (seqs {seqs})");
+
+    // --- The BER monitor: records within, across and over windows -------
+    let mut health = LaneHealth::new(4096, 4);
+    let n = allocs_during(|| {
+        for i in 0..256u64 {
+            health.record(1000 + 97 * (i % 50), i % 7);
+        }
+    });
+    assert_eq!(n, 0, "LaneHealth::record allocated {n} times");
+    assert!(health.degraded(0.0));
+
+    // --- The degrade controller: every channel recorded each epoch (as
+    // `FaultedLink` does), a drifting lane, dead marks, spares running
+    // dry. The first pass grows the transition log; `reset` keeps it.
+    let mut ctl = DegradeController::try_new(10, 12, DegradeConfig::default()).unwrap();
+    let run = |ctl: &mut DegradeController| {
+        for epoch in 0..300 {
+            for ch in 0..12 {
+                let errors = if ch == 3 && epoch > 10 { 2 } else { 0 };
+                ctl.record(ch, 4096, errors);
+            }
+            if let Some(&dead) = [7usize, 11, 0, 5].get(epoch / 20) {
+                ctl.mark_dead(dead);
+            }
+            ctl.step();
+        }
+    };
+    run(&mut ctl);
+    let warm = ctl.transitions().to_vec();
+    let n = allocs_during(|| {
+        ctl.reset();
+        run(&mut ctl);
+    });
+    assert_eq!(n, 0, "DegradeController::step allocated {n} times");
+    assert_eq!(ctl.transitions(), &warm[..]);
+    assert!(ctl.lost_lanes() > 0 && ctl.spares_activated() == 2);
 }

@@ -271,11 +271,10 @@ fn method_calls(src: &str) -> Vec<(String, u32)> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
         if toks[i].tok == Tok::Sym('.') || toks[i].tok == Tok::Sym(':') {
-            if let (Some(Tok::Ident(name)), Some(Tok::Sym('('))) = (
-                toks.get(i + 1).map(|t| &t.tok),
-                toks.get(i + 2).map(|t| &t.tok),
-            ) {
-                out.push((name.clone(), toks[i + 1].line));
+            if let Some(Tok::Ident(name)) = toks.get(i + 1).map(|t| &t.tok) {
+                if symbols::is_called(&toks, i + 1) {
+                    out.push((name.clone(), toks[i + 1].line));
+                }
             }
         }
     }
@@ -297,5 +296,17 @@ mod tests {
     fn method_calls_sees_path_calls() {
         let calls = method_calls("fn t() {\n  let c = framing::crc32(&data[0]);\n}");
         assert!(calls.contains(&("crc32".into(), 2)));
+    }
+
+    #[test]
+    fn method_calls_sees_turbofish_calls() {
+        let src = "fn t() {\n  let a = family.first_draws::<16>(0);\n  \
+                   let b = rng::first_u64s::<Vec<[u8; 2]>>(&s);\n  \
+                   let c = x.map::<fn() -> u8>(f);\n  let d = x.len::<u8>;\n}";
+        let calls = method_calls(src);
+        assert!(calls.contains(&("first_draws".into(), 2)));
+        assert!(calls.contains(&("first_u64s".into(), 3)));
+        assert!(calls.contains(&("map".into(), 4)));
+        assert!(!calls.iter().any(|(name, _)| name == "len"));
     }
 }

@@ -153,6 +153,7 @@ pub const METHOD_CALL_SKIP: &[&str] = &[
     "max",
     "min",
     "next",
+    "parse",
     "push",
     "read",
     "run",
@@ -314,6 +315,18 @@ pub fn default_config() -> Config {
             RegistryFn {
                 file: "crates/link/src/framing.rs",
                 func: "crc32",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            // The degrade controller's per-epoch pair: every fault window
+            // F17–F19 replay records each channel and steps once an epoch.
+            RegistryFn {
+                file: "crates/link/src/lanes.rs",
+                func: "record",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/degrade.rs",
+                func: "step",
                 harness: Some("crates/link/tests/alloc_free.rs"),
             },
             // The traffic harness epoch step: emit, corrupt, deskew, match,

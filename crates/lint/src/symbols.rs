@@ -213,6 +213,34 @@ fn sym_at(toks: &[Token], i: usize, c: char) -> bool {
     toks.get(i).is_some_and(|t| t.tok == Tok::Sym(c))
 }
 
+/// Is the token at `i` called: followed directly by `(`, or by a
+/// turbofish `::<…>` and then `(`? Angle brackets nest (`::<Vec<u8>>`),
+/// and the `>` of an `->` inside them closes none.
+pub(crate) fn is_called(toks: &[Token], i: usize) -> bool {
+    if sym_at(toks, i + 1, '(') {
+        return true;
+    }
+    if !(sym_at(toks, i + 1, ':') && sym_at(toks, i + 2, ':') && sym_at(toks, i + 3, '<')) {
+        return false;
+    }
+    let mut depth = 0usize;
+    for j in i + 3..toks.len() {
+        match toks[j].tok {
+            Tok::Sym('<') => depth += 1,
+            Tok::Sym('>') if !sym_at(toks, j - 1, '-') => {
+                depth -= 1;
+                if depth == 0 {
+                    return sym_at(toks, j + 1, '(');
+                }
+            }
+            // A body brace: not a generic argument list after all.
+            Tok::Sym('{' | '}') => return false,
+            _ => {}
+        }
+    }
+    false
+}
+
 /// `impl` block spans: (start token, end token, self-type name). The
 /// self type is the last path ident at angle-depth 0 before the body
 /// brace (after `for` when present, before any `where` clause).
@@ -359,11 +387,11 @@ fn collect_calls_and_panics(toks: &[Token], open: usize, close: usize, def: &mut
             }
         }
 
-        // Call sites: Ident followed directly by `(`.
+        // Call sites: Ident followed by `(`, directly or after a turbofish.
         let Some(name) = ident_at(toks, j) else {
             continue;
         };
-        if !sym_at(toks, j + 1, '(') || is_call_keyword(name) {
+        if !is_called(toks, j) || is_call_keyword(name) {
             continue;
         }
         let via = if j > 0 && sym_at(toks, j - 1, '.') {
@@ -764,6 +792,31 @@ mod tests {
             via: CallVia::Path("mod_b".into()),
             line: 1
         }));
+    }
+
+    #[test]
+    fn calls_through_a_turbofish_are_call_sites() {
+        let f = facts(
+            "fn go() { s.first_draws::<16>(0); Rng::first_u64s::<Vec<u8>>(&k); \
+             collect::<Vec<_>>(); let f = x.len::<u8>; }",
+        );
+        let calls = &f.fns[0].calls;
+        assert!(calls.contains(&CallSite {
+            name: "first_draws".into(),
+            via: CallVia::Method,
+            line: 1
+        }));
+        assert!(calls.contains(&CallSite {
+            name: "first_u64s".into(),
+            via: CallVia::Path("Rng".into()),
+            line: 1
+        }));
+        assert!(calls.contains(&CallSite {
+            name: "collect".into(),
+            via: CallVia::Free,
+            line: 1
+        }));
+        assert!(!calls.iter().any(|c| c.name == "len"));
     }
 
     #[test]

@@ -613,8 +613,8 @@ fn next_live_epoch(
 /// group exists to receive clean bits, dead reports and errors land
 /// only on Retired groups (which never read them again), and a
 /// zero-error event only marks its group as touched. Stepping such an
-/// epoch changes only the epoch and dwell counters and leaves the
-/// controller idle, so the replay jumps to the next live epoch with
+/// epoch changes only the epoch (dwell is derived from it) and leaves
+/// the controller idle, so the replay jumps to the next live epoch with
 /// [`skip_idle`](DegradeController::skip_idle).
 ///
 /// Allocation-free on a warmed controller (lint rule R4): the
@@ -631,8 +631,12 @@ pub fn replay_fault_window(
     let physical = ctl.lane_map().logical_lanes() + ctl.provisioned_spares();
     let end = to_epoch.saturating_add(1);
     let mut epoch = from_epoch;
+    // Whether a Suspect group may exist: unknown on entry, then read off
+    // each step's summary (an idle controller has none).
+    let mut any_suspect = true;
     while epoch < end {
         if ctl.is_idle() {
+            any_suspect = false;
             let resume = next_live_epoch(ctl, events, epoch, rebuild_floor, bits_per_epoch)
                 .map_or(end, |e| e.min(end));
             ctl.skip_idle(resume - epoch);
@@ -653,15 +657,17 @@ pub fn replay_fault_window(
                 Observation::Errors(errors) => ctl.record(ev.channel, bits_per_epoch, errors),
             }
         }
-        for g in 0..physical {
-            if touched & (1u64 << (g as u64 & 63)) != 0 {
-                continue;
-            }
-            if ctl.state(g) == CtlState::Suspect {
-                ctl.record(g, bits_per_epoch, 0);
+        if any_suspect {
+            for g in 0..physical {
+                if touched & (1u64 << (g as u64 & 63)) != 0 {
+                    continue;
+                }
+                if ctl.state(g) == CtlState::Suspect {
+                    ctl.record(g, bits_per_epoch, 0);
+                }
             }
         }
-        ctl.step();
+        any_suspect = ctl.step().by_state[CtlState::Suspect as usize] > 0;
         epoch += 1;
     }
 }

@@ -245,7 +245,7 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
                         // The monitor-retired channel keeps its physics but
                         // is out of service; reset its monitor so a later
                         // re-add (not modeled) would start fresh.
-                        st.monitor = LaneHealth::new(cfg.monitor_window_bits, 8);
+                        st.monitor.reset();
                     }
                 }
             }
