@@ -4,14 +4,17 @@
 //! kept warm across iterations. `f19_epoch` times the layer the
 //! repository benchmark reports as `link.transmit_ns_per_frame` and
 //! `link.receive_ns_per_frame`: a `transmit_into`/`receive_into` pair at
-//! F19's geometry with its 96-B mixed frame sizes. The 100-channel
-//! benches keep the wide prototype geometry covered.
+//! F19's geometry with its 96-B mixed frame sizes. `payload` times
+//! `Workload::payload_into`, which writes every frame F19 offers (part
+//! of `traffic.emit_ns_per_frame`). The 100-channel benches keep the
+//! wide prototype geometry covered.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mosaic_link::framing::{crc32, crc32_bytewise};
 use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::scrambler::Scrambler;
 use mosaic_link::striping::{deskew_mapped, stripe_mapped, DeskewScratch, LaneWord, StripeConfig};
+use mosaic_traffic::{FrameSpec, Workload};
 
 fn bench_gearbox(c: &mut Criterion) {
     let mut g = c.benchmark_group("gearbox");
@@ -84,6 +87,31 @@ fn bench_crc(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_payload(c: &mut Criterion) {
+    let mut g = c.benchmark_group("payload");
+    // F19's frame sizes: the 48- and 240-B ends of its default mix and
+    // about its 150-B mean, appended to one arena cleared per call as the
+    // harness clears it each epoch.
+    for size in [48usize, 150, 240] {
+        let spec = FrameSpec {
+            flow: 5,
+            flow_seq: 1234,
+            size,
+            emitted: 0,
+            deadline: 12,
+        };
+        let mut arena = Vec::with_capacity(size);
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(format!("payload_into_{size}B"), |b| {
+            b.iter(|| {
+                arena.clear();
+                Workload::payload_into(&spec, &mut arena)
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_striping(c: &mut Criterion) {
     let mut g = c.benchmark_group("striping");
     let cfg = StripeConfig::try_new(64, 16).unwrap();
@@ -147,6 +175,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_gearbox, bench_f19_epoch, bench_crc, bench_striping, bench_scrambler
+    targets = bench_gearbox, bench_f19_epoch, bench_crc, bench_payload, bench_striping, bench_scrambler
 }
 criterion_main!(benches);

@@ -45,45 +45,38 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 /// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), slicing by 16:
 /// sixteen bytes per step through sixteen tables, then at most one
-/// 8-byte step through eight, then the byte loop for the tail.
+/// 8-byte step through eight and one 4-byte step through four, then the
+/// byte loop for the tail.
+///
+/// Only the lookups of a step's first four bytes depend on the carried
+/// CRC. Each step XORs the other lookups together first and folds the
+/// carried ones in last, so the chain from one step's CRC to the next is
+/// four parallel lookups and at most four XORs, not the fifteen of a
+/// chain that starts with them. XOR is associative and commutative, so
+/// the order changes no bit.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
+    // The four lookups of a word whose bytes sit `row..row + 4` positions
+    // from the end of their step. Bytes are taken by shifts: with
+    // `to_le_bytes` LLVM emitted AVX-512 gathers, 2.4 times slower.
+    let fold4 = |w: u32, row: usize| {
+        let b = |k: u32| ((w >> (8 * k)) & 0xFF) as usize;
+        (t[row + 3][b(0)] ^ t[row + 2][b(1)]) ^ (t[row + 1][b(2)] ^ t[row][b(3)])
+    };
+    let word = |g: &[u8], k: usize| u32::from_le_bytes([g[k], g[k + 1], g[k + 2], g[k + 3]]);
     let mut crc = 0xFFFF_FFFFu32;
     let mut groups = data.chunks_exact(16);
     for g in &mut groups {
-        let w0 = u32::from_le_bytes([g[0], g[1], g[2], g[3]]) ^ crc;
-        let w1 = u32::from_le_bytes([g[4], g[5], g[6], g[7]]);
-        let w2 = u32::from_le_bytes([g[8], g[9], g[10], g[11]]);
-        let w3 = u32::from_le_bytes([g[12], g[13], g[14], g[15]]);
-        crc = t[15][(w0 & 0xFF) as usize]
-            ^ t[14][((w0 >> 8) & 0xFF) as usize]
-            ^ t[13][((w0 >> 16) & 0xFF) as usize]
-            ^ t[12][(w0 >> 24) as usize]
-            ^ t[11][(w1 & 0xFF) as usize]
-            ^ t[10][((w1 >> 8) & 0xFF) as usize]
-            ^ t[9][((w1 >> 16) & 0xFF) as usize]
-            ^ t[8][(w1 >> 24) as usize]
-            ^ t[7][(w2 & 0xFF) as usize]
-            ^ t[6][((w2 >> 8) & 0xFF) as usize]
-            ^ t[5][((w2 >> 16) & 0xFF) as usize]
-            ^ t[4][(w2 >> 24) as usize]
-            ^ t[3][(w3 & 0xFF) as usize]
-            ^ t[2][((w3 >> 8) & 0xFF) as usize]
-            ^ t[1][((w3 >> 16) & 0xFF) as usize]
-            ^ t[0][(w3 >> 24) as usize];
+        let data = fold4(word(g, 4), 8) ^ fold4(word(g, 8), 4) ^ fold4(word(g, 12), 0);
+        crc = data ^ fold4(word(g, 0) ^ crc, 12);
     }
     let mut rest = groups.remainder();
     if let Some((g, tail)) = rest.split_first_chunk::<8>() {
-        let lo = u32::from_le_bytes([g[0], g[1], g[2], g[3]]) ^ crc;
-        let hi = u32::from_le_bytes([g[4], g[5], g[6], g[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        crc = fold4(word(g, 4), 0) ^ fold4(word(g, 0) ^ crc, 4);
+        rest = tail;
+    }
+    if let Some((g, tail)) = rest.split_first_chunk::<4>() {
+        crc = fold4(u32::from_le_bytes(*g) ^ crc, 0);
         rest = tail;
     }
     for &b in rest {

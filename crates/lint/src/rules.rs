@@ -344,6 +344,12 @@ pub fn default_config() -> Config {
                 func: "step",
                 harness: Some("crates/traffic/tests/alloc_free.rs"),
             },
+            // The payload pattern every offered frame is written with.
+            RegistryFn {
+                file: "crates/traffic/src/workload.rs",
+                func: "payload_into",
+                harness: Some("crates/traffic/tests/alloc_free.rs"),
+            },
         ],
         r5_crates: CrateSet::All,
         // rng.rs *defines* stream/substream/substream_indexed — the

@@ -15,10 +15,12 @@
 //!    ([`Gearbox::transmit_into`], allocation-free);
 //! 4. the campaign's [`ChannelEffect`](mosaic_sim::faults::ChannelEffect)s
 //!    are applied *deterministically* (no RNG in the loop): dead channels
-//!    turn to junk, BER elevations
-//!    flip `round(ber·bits)` evenly spaced bits with FNV-derived masks,
-//!    skew jumps truncate the lane tail — so all three policies face
-//!    bit-identical corruption;
+//!    turn to junk; a BER elevation picks
+//!    `clamp(round(min(ber, 0.5)·bits), 1, words)` evenly spaced words and
+//!    flips one FNV-chosen bit in each data word among them (a marker
+//!    victim is neither flipped nor counted as an error); skew jumps
+//!    truncate the lane tail — so all three policies face bit-identical
+//!    corruption;
 //! 5. the controller ingests per-channel observations (`record` /
 //!    `mark_dead`) and steps (4 and 5 are one [`FaultedLink::step`]);
 //! 6. the RX gearbox deskews and scans ([`Gearbox::receive_into`]);
@@ -200,10 +202,19 @@ enum RunState {
     Reconfiguring { remaining: u64 },
 }
 
-/// FNV-1a over a few words — the deterministic corruption-mask source
-/// (no RNG inside the epoch loop, so corruption is policy-invariant).
-fn fnv_mix([a, b, c]: [u64; 3]) -> u64 {
-    Fnv1a::sim().u64(a).u64(b).u64(c).finish()
+/// The deterministic corruption-mask source (no RNG inside the epoch
+/// loop, so corruption is policy-invariant): FNV-1a over `epoch` and `ch`,
+/// folded once per channel; [`flip_bit`] folds in the flip's index.
+fn mask_prefix(epoch: u64, ch: usize) -> Fnv1a {
+    let mut h = Fnv1a::sim();
+    h.u64(epoch).u64(ch as u64);
+    h
+}
+
+/// The bit flip `k` strikes: `FNV-1a(epoch, ch, k) % 64`, continued from
+/// the channel's [`mask_prefix`] on a copy.
+fn flip_bit(mut prefix: Fnv1a, k: u64) -> u64 {
+    prefix.u64(k).finish() % 64
 }
 
 /// The live-traffic link harness (one full-duplex direction).
@@ -476,10 +487,11 @@ impl LinkHarness {
                 let flips = ((eff.extra_ber.min(0.5) * bits as f64) + 0.5) as u64;
                 let flips = flips.clamp(1, words as u64);
                 // Evenly spaced victims, one bit each, FNV-masked.
+                let prefix = mask_prefix(epoch, ch);
                 for k in 0..flips {
                     let idx = ((k * words as u64) / flips) as usize;
                     if let LaneWord::Data(w) = stream[idx] {
-                        let bit = fnv_mix([epoch, ch as u64, k]) % 64;
+                        let bit = flip_bit(prefix, k);
                         stream[idx] = LaneWord::Data(w ^ (1u64 << bit));
                         errors += 1;
                     }
@@ -657,6 +669,7 @@ impl LinkHarness {
 mod tests {
     use super::*;
     use crate::workload::WorkloadKind;
+    use proptest::prelude::*;
 
     fn quick_cfg(policy: Policy) -> TrafficConfig {
         TrafficConfig {
@@ -863,5 +876,15 @@ mod tests {
             1
         )
         .is_err());
+    }
+
+    proptest! {
+        /// The per-channel prefix plus one `u64(k)` per flip is the
+        /// three-word FNV-1a the mask is defined by.
+        #[test]
+        fn hoisted_mask_prefix_matches_three_word_fnv(epoch: u64, ch in 0usize..4096, k: u64) {
+            let direct = Fnv1a::sim().u64(epoch).u64(ch as u64).u64(k).finish() % 64;
+            prop_assert_eq!(flip_bit(mask_prefix(epoch, ch), k), direct);
+        }
     }
 }

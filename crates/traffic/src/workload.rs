@@ -198,46 +198,65 @@ impl Workload {
     /// span — the allocation-free arena form the harness epoch loop uses.
     ///
     /// Byte `i` is `(x_{i+1} >> 33) ^ i` over the LCG
-    /// `x_{n+1} = a·x_n + c`. Eight interleaved copies of the recurrence,
-    /// each jumping eight steps at a time (`x_{n+8} = A·x_n + C`), fill one
-    /// 8-byte word per step into a buffer resized once.
+    /// `x_{n+1} = a·x_n + c`. 32 copies of the recurrence run side by
+    /// side: lane `j` starts at `x_{j+1}`, read straight off the seed
+    /// `x_0` through a jump table, and each round appends bytes
+    /// `i..i + 32` and moves every lane 32 steps on. The lanes' multiplies
+    /// are independent, so a round waits on one multiply, not one per
+    /// byte or per word.
     pub fn payload_into(spec: &FrameSpec, arena: &mut Vec<u8>) -> (usize, usize) {
         let start = arena.len();
-        arena.resize(start + spec.size, 0);
-        let mut x = [0u64; 8];
-        let mut prev = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
-        for lane in x.iter_mut() {
-            prev = prev.wrapping_mul(LCG_A).wrapping_add(LCG_C);
-            *lane = prev;
+        arena.reserve(spec.size);
+        let seed = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
+        let (mul, add) = LANE_START;
+        let mut x = [0u64; PAYLOAD_LANES];
+        for j in 0..PAYLOAD_LANES {
+            x[j] = mul[j].wrapping_mul(seed).wrapping_add(add[j]);
         }
-        // Bytes `i..i + 8` of a word XOR with `i as u8 + k`; `i` is a
-        // multiple of 8, so that is `i as u8` in every byte, XOR `k`.
-        let index = |i: usize| 0x0706_0504_0302_0100 ^ (u64::from(i as u8) * 0x0101_0101_0101_0101);
-        let mut words = arena[start..].chunks_exact_mut(8);
         let mut i = 0usize;
-        for out in &mut words {
-            let mut w = 0u64;
-            for (k, lane) in x.iter_mut().enumerate() {
-                w |= ((*lane >> 33) & 0xFF) << (8 * k);
-                *lane = lane.wrapping_mul(LCG_A8).wrapping_add(LCG_C8);
+        while i + PAYLOAD_LANES <= spec.size {
+            arena.extend_from_slice(&lane_bytes(&x, i));
+            for lane in x.iter_mut() {
+                *lane = lane.wrapping_mul(LANE_ROUND.0).wrapping_add(LANE_ROUND.1);
             }
-            out.copy_from_slice(&(w ^ index(i)).to_le_bytes());
-            i += 8;
+            i += PAYLOAD_LANES;
         }
-        let tail = words.into_remainder();
-        for (k, (out, lane)) in tail.iter_mut().zip(x).enumerate() {
-            *out = ((lane >> 33) as u8) ^ (index(i) >> (8 * k)) as u8;
-        }
+        arena.extend_from_slice(&lane_bytes(&x, i)[..spec.size - i]);
         (start, spec.size)
     }
+}
+
+/// Bytes `i..i + PAYLOAD_LANES` of a payload from lanes holding
+/// `x_{i+1}..=x_{i+PAYLOAD_LANES}`.
+#[inline]
+fn lane_bytes(x: &[u64; PAYLOAD_LANES], i: usize) -> [u8; PAYLOAD_LANES] {
+    let mut out = [0u8; PAYLOAD_LANES];
+    for j in 0..PAYLOAD_LANES {
+        out[j] = ((x[j] >> 33) as u8) ^ (i + j) as u8;
+    }
+    out
 }
 
 /// The payload LCG's multiplier and increment.
 const LCG_A: u64 = 0x5851_F42D_4C95_7F2D;
 const LCG_C: u64 = 0x1405_7B7E_F767_814F;
-/// Eight LCG steps at once: `A = a⁸`, `C = c·(a⁷ + … + a + 1)` (mod 2⁶⁴).
-const LCG_A8: u64 = lcg_jump(8).0;
-const LCG_C8: u64 = lcg_jump(8).1;
+/// Independent LCG lanes per round of [`Workload::payload_into`]. 32
+/// keeps four 8-lane vector multiplies in flight; 8 and 16 wait on the
+/// multiply latency, 64 spends more on seeding than short frames repay.
+const PAYLOAD_LANES: usize = 32;
+/// Lane `j`'s start, `x_{j+1} = A_{j+1}·x_0 + C_{j+1}`: the multipliers
+/// and increments of `lcg_jump(j + 1)`.
+const LANE_START: ([u64; PAYLOAD_LANES], [u64; PAYLOAD_LANES]) = {
+    let (mut mul, mut add) = ([0u64; PAYLOAD_LANES], [0u64; PAYLOAD_LANES]);
+    let mut j = 0;
+    while j < PAYLOAD_LANES {
+        (mul[j], add[j]) = lcg_jump(j as u32 + 1);
+        j += 1;
+    }
+    (mul, add)
+};
+/// One round: every lane moves `PAYLOAD_LANES` steps.
+const LANE_ROUND: (u64, u64) = lcg_jump(PAYLOAD_LANES as u32);
 
 /// `(a^n, c·(a^{n-1} + … + 1))` mod 2⁶⁴: the affine map of `n` LCG steps.
 const fn lcg_jump(n: u32) -> (u64, u64) {
@@ -254,6 +273,7 @@ const fn lcg_jump(n: u32) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn emission_is_deterministic_and_policy_blind() {
@@ -340,6 +360,18 @@ mod tests {
         }
     }
 
+    /// The payload as the serial recurrence defines it, one LCG step per
+    /// byte: the test reference for [`Workload::payload_into`].
+    fn serial_payload(spec: &FrameSpec) -> Vec<u8> {
+        let mut x = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
+        (0..spec.size)
+            .map(|i| {
+                x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+                ((x >> 33) as u8) ^ (i as u8)
+            })
+            .collect()
+    }
+
     #[test]
     fn payload_matches_serial_recurrence() {
         for size in (0..70).chain([255, 256, 257, 600, 4096]) {
@@ -350,17 +382,34 @@ mod tests {
                 emitted: 0,
                 deadline: 12,
             };
-            let mut x = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
-            let serial: Vec<u8> = (0..size)
-                .map(|i| {
-                    x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
-                    ((x >> 33) as u8) ^ (i as u8)
-                })
-                .collect();
             let mut arena = vec![0xEE; 13];
             assert_eq!(Workload::payload_into(&spec, &mut arena), (13, size));
             assert_eq!(&arena[..13], &[0xEE; 13]);
-            assert_eq!(&arena[13..], serial.as_slice(), "size {size}");
+            assert_eq!(
+                &arena[13..],
+                serial_payload(&spec).as_slice(),
+                "size {size}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Random flows, sequence numbers and sizes up to 600 (18 lane
+        /// rounds and any tail length) after a random arena prefix, which
+        /// must survive.
+        #[test]
+        fn payload_matches_serial_recurrence_anywhere(
+            flow: u32,
+            flow_seq: u32,
+            size in 0usize..=600,
+            prefix in proptest::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let spec = FrameSpec { flow, flow_seq, size, emitted: 0, deadline: 12 };
+            let mut arena = prefix.clone();
+            let span = Workload::payload_into(&spec, &mut arena);
+            prop_assert_eq!(span, (prefix.len(), size));
+            prop_assert_eq!(&arena[..prefix.len()], prefix.as_slice());
+            prop_assert_eq!(&arena[prefix.len()..], serial_payload(&spec).as_slice());
         }
     }
 

@@ -1,6 +1,7 @@
 //! Proof that the steady-state harness epoch loop is allocation-free: a
 //! counting global allocator wraps the system allocator and
-//! [`LinkHarness::step`] must not touch it once its buffers are warmed.
+//! [`LinkHarness::step`] must not touch it once its buffers are warmed,
+//! nor [`Workload::payload_into`] appending to a warm arena.
 //! This is the lint R4 harness for the traffic crate's registered hot
 //! functions; the link- and sim-side twins are
 //! `crates/link/tests/alloc_free.rs` and `crates/sim/tests/alloc_free.rs`.
@@ -8,7 +9,7 @@
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 
-use mosaic_traffic::{LinkHarness, Policy, TrafficConfig};
+use mosaic_traffic::{FrameSpec, LinkHarness, Policy, TrafficConfig, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,4 +79,35 @@ fn harness_epoch_loop_does_not_allocate() {
     assert!(r.offered > 500, "offered only {}", r.offered);
     assert_eq!(r.delivered, r.offered - h.in_flight());
     assert!(h.conservation_holds());
+
+    // The payload kernel on its own: 96 frames of 1 to 666 bytes (every
+    // tail length of its lane rounds), into one warm arena cleared per
+    // pass as the harness clears its own each epoch.
+    let specs: Vec<FrameSpec> = (0..96u32)
+        .map(|i| FrameSpec {
+            flow: i % 8,
+            flow_seq: i,
+            size: 1 + 7 * i as usize,
+            emitted: 0,
+            deadline: 12,
+        })
+        .collect();
+    let total: usize = specs.iter().map(|s| s.size).sum();
+    let mut arena = Vec::with_capacity(total);
+    let fill = |arena: &mut Vec<u8>| {
+        arena.clear();
+        for spec in &specs {
+            std::hint::black_box(Workload::payload_into(spec, arena));
+        }
+    };
+    fill(&mut arena);
+    std::thread::sleep(std::time::Duration::from_millis(20));
+
+    let n = allocs_during(|| {
+        for _ in 0..64 {
+            fill(&mut arena);
+        }
+    });
+    assert_eq!(n, 0, "payload_into allocated {n} times");
+    assert_eq!(arena.len(), total);
 }
