@@ -207,8 +207,11 @@ impl BudgetEngine {
 
     /// Budget one channel.
     pub fn channel(&self, led: &mosaic_phy::microled::MicroLed, idx: usize) -> ChannelBudget {
+        // `statics` has one entry per fiber channel (built in `new`, never
+        // resized), and every caller walks 0..fiber.channels().
         let path: ChannelPath = self
             .fiber
+            // bound: idx < fiber.channels() = statics.len()
             .channel_path_cached(&self.span, &self.statics[idx], idx);
         let launch = self.drive.launch_power(led);
         let received = launch.apply(path.loss);
@@ -250,6 +253,7 @@ impl BudgetEngine {
     fn margin_of(&self, launch: Power, idx: usize) -> Option<Db> {
         let path = self
             .fiber
+            // bound: idx < fiber.channels() = statics.len(), as in `channel`
             .channel_path_cached(&self.span, &self.statics[idx], idx);
         let received = launch.apply(path.loss);
         match (self.isi, path.crosstalk_penalty) {

@@ -84,6 +84,7 @@ impl Bch {
         let mut generator: Vec<u8> = vec![1];
         for e in 1..=(2 * t) {
             let e = e % order;
+            // bound: e < order = covered.len().
             if covered[e] {
                 continue;
             }
@@ -91,6 +92,7 @@ impl Bch {
             let mut coset = vec![];
             let mut cur = e;
             loop {
+                // bound: cur is e or a value mod order, so < covered.len().
                 covered[cur] = true;
                 coset.push(cur);
                 cur = (cur * 2) % order;
@@ -115,6 +117,7 @@ impl Bch {
                     continue;
                 }
                 for (j, &mj) in min_poly.iter().enumerate() {
+                    // bound: i + j ≤ generator.len() + min_poly.len() − 2 < next.len().
                     next[i + j] ^= mj as u8;
                 }
             }
@@ -197,13 +200,18 @@ impl Bch {
             debug_assert!(d <= 1, "bits must be 0/1");
             let feedback = d ^ rem[0];
             rem.rotate_left(1);
+            // parity_len = deg g ≥ 1 (t ≥ 1 multiplies in at least one
+            // minimal polynomial), and try_new checked n > parity_len.
+            // bound: 0 ≤ parity_len − 1 < parity_len = rem.len()
             rem[parity_len - 1] = 0;
             if feedback == 1 {
                 for (j, r) in rem.iter_mut().enumerate() {
+                    // bound: j < parity_len, and g has parity_len + 1 coefficients.
                     *r ^= self.generator[parity_len - 1 - j];
                 }
             }
         }
+        // bound: word.len() = n > k.
         word[self.k..].copy_from_slice(&rem);
         Ok(word)
     }

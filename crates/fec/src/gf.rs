@@ -52,24 +52,29 @@ impl GaloisField {
                 "supported field orders are m=2..=12, got m={m}"
             )));
         }
+        let not_primitive = || {
+            MosaicError::invalid_code(format!("polynomial {poly:#x} is not primitive for m={m}"))
+        };
         let size = 1usize << m;
         let mut exp = vec![0u16; 2 * (size - 1)];
         let mut log = vec![0u16; size];
         let mut x: u32 = 1;
         for (i, e) in exp.iter_mut().take(size - 1).enumerate() {
             *e = x as u16;
-            log[x as usize] = i as u16;
+            // A `poly` without its x^m term (or with higher terms) lets x
+            // leave the field: that is a non-primitive polynomial, not a
+            // panic.
+            *log.get_mut(x as usize).ok_or_else(not_primitive)? = i as u16;
             x <<= 1;
             if x & (1 << m) != 0 {
                 x ^= poly;
             }
         }
         if x != 1 {
-            return Err(MosaicError::invalid_code(format!(
-                "polynomial {poly:#x} is not primitive for m={m}"
-            )));
+            return Err(not_primitive());
         }
         for i in 0..(size - 1) {
+            // bound: i < size − 1, so size − 1 + i < 2(size − 1) = exp.len().
             exp[size - 1 + i] = exp[i];
         }
         Ok(GaloisField { m, exp, log })
@@ -93,6 +98,7 @@ impl GaloisField {
     /// α^i (i may exceed the group order; it is reduced).
     #[inline]
     pub fn alpha_pow(&self, i: usize) -> u16 {
+        // bound: i mod order < order < exp.len() = 2·order.
         self.exp[i % self.order()]
     }
 
@@ -108,6 +114,9 @@ impl GaloisField {
         if a == 0 || b == 0 {
             0
         } else {
+            // a, b are field elements (< 2^m = log.len()), and each log is
+            // at most 2^m − 2, so the sum stays below exp.len() = 2^(m+1) − 2.
+            // bound: a, b < log.len(); log[a] + log[b] < exp.len()
             self.exp[self.log[a as usize] as usize + self.log[b as usize] as usize]
         }
     }
@@ -156,6 +165,7 @@ impl GaloisField {
                 continue;
             }
             for (j, &bj) in b.iter().enumerate() {
+                // bound: i + j ≤ a.len() + b.len() − 2 < out.len().
                 out[i + j] = self.add(out[i + j], self.mul(ai, bj));
             }
         }
@@ -203,6 +213,15 @@ mod tests {
     fn non_primitive_poly_rejected() {
         // x^4 + 1 is not primitive.
         assert!(GaloisField::try_with_poly(4, 0b1_0001).is_err());
+    }
+
+    #[test]
+    fn poly_without_its_leading_term_is_an_error_not_a_panic() {
+        // x + 1 for m = 4 never clears bit 4, so the power walk leaves the
+        // field; x^6 + x^4 + x + 1 sets a bit above it.
+        for poly in [0b11, 0b101_0011] {
+            assert!(GaloisField::try_with_poly(4, poly).is_err(), "{poly:#x}");
+        }
     }
 
     fn any_field() -> impl Strategy<Value = GaloisField> {

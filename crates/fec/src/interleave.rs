@@ -76,6 +76,7 @@ impl BlockInterleaver {
         let mut out = Vec::with_capacity(input.len());
         for c in 0..self.cols {
             for r in 0..self.rows {
+                // bound: r·cols + c < rows·cols = input.len() (length checked above)
                 out.push(input[r * self.cols + c]);
             }
         }
@@ -106,6 +107,8 @@ impl BlockInterleaver {
         let mut out = vec![T::default(); input.len()];
         for (i, &v) in input.iter().enumerate() {
             let (c, r) = (i / self.rows, i % self.rows);
+            // i < rows·cols gives c < cols and r < rows, so
+            // bound: r·cols + c < rows·cols = out.len()
             out[r * self.cols + c] = v;
         }
         Ok(out)

@@ -84,10 +84,10 @@ impl ReedSolomon {
         // loops would otherwise recompute per symbol/position.
         let size = field.size();
         let mut synd_tables = vec![0u16; two_t * size];
-        for i in 0..two_t {
+        for (i, table) in synd_tables.chunks_exact_mut(size).enumerate() {
             let root = field.alpha_pow(i);
-            for v in 0..size {
-                synd_tables[i * size + v] = field.mul(v as u16, root);
+            for (v, slot) in table.iter_mut().enumerate() {
+                *slot = field.mul(v as u16, root);
             }
         }
         let order = field.order();
@@ -191,11 +191,13 @@ impl ReedSolomon {
             let factor = self.field.add(d, rem[0]);
             // Shift remainder left by one, feed in zero.
             rem.rotate_left(1);
+            // bound: rem = word[k..n] has n − k = 2t ≥ 1 symbols (k < n).
             rem[two_t - 1] = 0;
             if factor != 0 {
                 for (j, r) in rem.iter_mut().enumerate() {
                     // generator is lowest-first; we need the coefficient of
                     // x^{2t−1−j} which is generator[2t−1−j].
+                    // bound: j < 2t, and g(x) has 2t + 1 coefficients.
                     let g = self.generator[two_t - 1 - j];
                     *r = self.field.add(*r, self.field.mul(factor, g));
                 }

@@ -78,7 +78,7 @@ pub struct CoreLattice {
 const NO_NEIGHBOR: u32 = u32::MAX;
 
 fn build_adjacency(cores: &[HexCoord]) -> Vec<[u32; 6]> {
-    // BTreeMap rather than HashMap (lint rule R1): lookup-only today, but
+    // BTreeMap rather than HashMap (R1, clippy.toml): lookup-only today, but
     // deterministic order keeps any future iteration safe by default.
     let index: std::collections::BTreeMap<HexCoord, u32> = cores
         .iter()
@@ -119,6 +119,7 @@ impl CoreLattice {
                     if cores.len() == count {
                         break 'outer;
                     }
+                    // bound: dir is drawn from 0..=5 and DIRECTIONS has 6 entries.
                     let d = HexCoord::DIRECTIONS[dir];
                     c = HexCoord {
                         q: c.q + d.q,
@@ -149,6 +150,9 @@ impl CoreLattice {
     /// Number of populated lattice neighbors of core `idx`. Allocation-free;
     /// the crosstalk model only needs the aggressor count.
     pub fn neighbor_count(&self, idx: usize) -> usize {
+        // Callers pass a core index (`ImagingFiber::channel_statics`
+        // asserts channel < len()).
+        // bound: idx < len() = adjacency.len() (one row per core)
         self.adjacency[idx]
             .iter()
             .filter(|&&n| n != NO_NEIGHBOR)
@@ -158,6 +162,9 @@ impl CoreLattice {
     /// Euclidean distance from the lattice center of core `idx`, metres —
     /// drives radially-varying effects (lens aberration, vignetting).
     pub fn radius_of(&self, idx: usize) -> Length {
+        // Callers pass a core index: `image_radius` walks 0..len(), and
+        // `ImagingFiber::channel_statics` asserts channel < len().
+        // bound: idx < len() = cores.len()
         let (x, y) = self.cores[idx].position(self.pitch);
         Length::from_m((x * x + y * y).sqrt())
     }

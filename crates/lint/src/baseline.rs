@@ -277,6 +277,19 @@ mod tests {
         assert_eq!(read, Baseline::new(1, r.fingerprints()));
     }
 
+    /// A v2 report written before unnoted indexing became an R7 panic
+    /// site carries a summary count and a per-file map the current writer
+    /// no longer emits. It still reads: CI's first `--diff` after that
+    /// change compares against one.
+    #[test]
+    fn report_reader_accepts_a_report_with_retired_fields() {
+        let old = include_str!("../tests/fixtures/legacy_report_v2.json");
+        let read = Baseline::from_report_json(old).expect("parses");
+        assert_eq!(read.allowed, 1);
+        assert_eq!(read.fingerprints.len(), 12);
+        assert!(read.fingerprints.contains("d03c87c7bebb4db1"));
+    }
+
     #[test]
     fn report_reader_rejects_other_documents() {
         for text in [

@@ -21,7 +21,7 @@
 //! a panic site inside the reachable set is a violation *wherever it
 //! lives* — the property is structural, not a file-list convention.
 
-use crate::rules::Config;
+use crate::rules::{Config, METHOD_CALL_SKIP};
 use crate::symbols::{CallVia, FileFacts, LocalFinding, RngKind};
 use std::collections::BTreeMap;
 
@@ -73,14 +73,14 @@ impl<'f> CallGraph<'f> {
     }
 
     /// Callees of `node` under the resolution policy.
-    fn callees(&self, cfg: &Config, node: Node) -> Vec<Node> {
+    fn callees(&self, node: Node) -> Vec<Node> {
         let def = &self.facts[node.0].fns[node.1];
         let mut out: Vec<Node> = Vec::new();
         for call in &def.calls {
             let name = call.name.as_str();
             match &call.via {
                 CallVia::Method => {
-                    if cfg.method_call_skip.contains(&name) {
+                    if METHOD_CALL_SKIP.contains(&name) {
                         continue;
                     }
                     if let Some(v) = self.by_name.get(name) {
@@ -116,32 +116,28 @@ impl<'f> CallGraph<'f> {
     }
 
     /// Total resolved edge count (for the report summary).
-    fn edge_count(&self, cfg: &Config) -> u64 {
+    fn edge_count(&self) -> u64 {
         let mut n = 0u64;
         for (fi, file) in self.facts.iter().enumerate() {
             for ki in 0..file.fns.len() {
-                n += self.callees(cfg, (fi, ki)).len() as u64;
+                n += self.callees((fi, ki)).len() as u64;
             }
         }
         n
     }
 
     /// R7: deny panic sites reachable from `pub try_*` entry points.
-    /// Entries are discovered in crates of `cfg.r7_crates`; the denial
-    /// follows reachability wherever it leads. Each reachable fn is
+    /// Entries are discovered in every crate; the denial follows
+    /// reachability wherever it leads. Each reachable fn is
     /// attributed to the lexicographically first entry that reaches it,
     /// so messages (and therefore fingerprints) are stable under
     /// unrelated graph growth.
     pub fn check_reachable_panics(
         &self,
-        cfg: &Config,
         extra: &mut BTreeMap<String, Vec<LocalFinding>>,
     ) -> GraphStats {
         let mut entries: Vec<(String, Node)> = Vec::new();
         for (fi, file) in self.facts.iter().enumerate() {
-            if !cfg.r7_crates.contains(&file.crate_name) {
-                continue;
-            }
             for (ki, def) in file.fns.iter().enumerate() {
                 if def.is_pub && def.name.starts_with("try_") {
                     entries.push((def.name.clone(), (fi, ki)));
@@ -159,7 +155,7 @@ impl<'f> CallGraph<'f> {
             let mut queue: Vec<Node> = vec![*start];
             reached.insert(*start, entry_name);
             while let Some(node) = queue.pop() {
-                for next in self.callees(cfg, node) {
+                for next in self.callees(node) {
                     if let std::collections::btree_map::Entry::Vacant(e) = reached.entry(next) {
                         e.insert(entry_name);
                         queue.push(next);
@@ -189,7 +185,7 @@ impl<'f> CallGraph<'f> {
 
         GraphStats {
             functions: self.facts.iter().map(|f| f.fns.len() as u64).sum(),
-            call_edges: self.edge_count(cfg),
+            call_edges: self.edge_count(),
             entry_points: entries.len() as u64,
             reachable_fns: reached.len() as u64,
         }
@@ -297,36 +293,26 @@ pub fn check_exactness_registry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{Config, CrateSet};
     use crate::symbols;
 
-    fn cfg() -> Config {
-        let mut c = Config::empty();
-        c.r7_crates = CrateSet::All;
-        c
-    }
-
-    fn file(cfg: &Config, name: &str, src: &str) -> FileFacts {
-        symbols::extract(cfg, "sim", name, src)
+    fn file(name: &str, src: &str) -> FileFacts {
+        symbols::extract(&Config::default(), name, src)
     }
 
     #[test]
     fn panic_reachable_from_try_entry_is_found_across_files() {
-        let c = cfg();
         let a = file(
-            &c,
             "crates/sim/src/a.rs",
             "pub fn try_top(x: u8) -> Result<u8, ()> { Ok(helper::mid(x)) }",
         );
         let b = file(
-            &c,
             "crates/sim/src/b.rs",
             "pub fn mid(x: u8) -> u8 { deep(x) }\nfn deep(x: u8) -> u8 { x.checked_add(1).unwrap() }",
         );
         let facts = vec![a, b];
         let g = CallGraph::build(&facts);
         let mut extra = BTreeMap::new();
-        let stats = g.check_reachable_panics(&c, &mut extra);
+        let stats = g.check_reachable_panics(&mut extra);
         assert_eq!(stats.entry_points, 1);
         let hits = &extra["crates/sim/src/b.rs"];
         assert_eq!(hits.len(), 1);
@@ -336,9 +322,7 @@ mod tests {
 
     #[test]
     fn panicking_wrapper_not_reachable_from_try_is_legal() {
-        let c = cfg();
         let a = file(
-            &c,
             "crates/sim/src/a.rs",
             "pub fn try_new(x: u8) -> Result<u8, ()> { Ok(x) }\n\
              pub fn new(x: u8) -> u8 { try_new(x).unwrap() }",
@@ -346,15 +330,13 @@ mod tests {
         let facts = vec![a];
         let g = CallGraph::build(&facts);
         let mut extra = BTreeMap::new();
-        g.check_reachable_panics(&c, &mut extra);
+        g.check_reachable_panics(&mut extra);
         assert!(extra.is_empty(), "{extra:?}");
     }
 
     #[test]
     fn self_calls_resolve_within_impl_type() {
-        let c = cfg();
         let a = file(
-            &c,
             "crates/sim/src/a.rs",
             "struct P; impl P {\n\
              pub fn try_run(&self) -> Result<(), ()> { Self::inner(); Ok(()) }\n\
@@ -364,7 +346,7 @@ mod tests {
         let facts = vec![a];
         let g = CallGraph::build(&facts);
         let mut extra = BTreeMap::new();
-        g.check_reachable_panics(&c, &mut extra);
+        g.check_reachable_panics(&mut extra);
         let hits = &extra["crates/sim/src/a.rs"];
         // Only P::inner is reachable; Q::inner shares the name but not
         // the impl type.
@@ -374,10 +356,7 @@ mod tests {
 
     #[test]
     fn method_skip_list_prunes_std_collisions() {
-        let mut c = cfg();
-        c.method_call_skip = vec!["sum"];
         let a = file(
-            &c,
             "crates/sim/src/a.rs",
             "pub fn try_total(v: &[u64]) -> Result<u64, ()> { Ok(v.iter().sum()) }\n\
              struct T; impl T { fn sum(&self) -> u64 { x.unwrap() } }",
@@ -385,31 +364,23 @@ mod tests {
         let facts = vec![a];
         let g = CallGraph::build(&facts);
         let mut extra = BTreeMap::new();
-        g.check_reachable_panics(&c, &mut extra);
+        g.check_reachable_panics(&mut extra);
         assert!(extra.is_empty(), "{extra:?}");
     }
 
     #[test]
     fn duplicate_labels_same_kind_collide_across_files() {
-        let c = {
-            let mut c = Config::empty();
-            c.r5_crates = CrateSet::All;
-            c
-        };
         let a = file(
-            &c,
             "crates/sim/src/a.rs",
             "fn a(s: u64) { DetRng::substream(s, \"x\"); }",
         );
         let b = file(
-            &c,
             "crates/netsim/src/b.rs",
             "fn b(s: u64) { DetRng::substream(s, \"x\"); }",
         );
         // Same label under the *indexed* constructor: different keying,
         // no collision.
         let d = file(
-            &c,
             "crates/sim/src/d.rs",
             "fn d(s: u64, i: u64) { DetRng::substream_indexed(s, \"x\", i); }",
         );

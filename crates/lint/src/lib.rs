@@ -1,13 +1,14 @@
 //! `mosaic_lint` — the workspace invariant checker.
 //!
 //! Statically enforces the invariants the runtime crates established:
-//! deterministic iteration (R1), clock/entropy hygiene (R2),
 //! allocation-free Monte-Carlo kernels (R4), seed-stream discipline (R5),
 //! exact parallel reductions (R6), and panic reachability from fallible
-//! entry points (R7). (R3, a file-list panic scope, was superseded by R7
-//! and retired; its number is not reused.) See `rules` for the catalogue,
-//! DESIGN.md §9 and §14 for the methodology, and `cargo run -p
-//! mosaic_lint` for the driver.
+//! entry points (R7), index expressions included. Every rule runs on
+//! every crate. Deterministic iteration (R1) and clock/entropy hygiene
+//! (R2) have one copy, `clippy.toml`'s disallowed lists; R3, a file-list
+//! panic scope, was superseded by R7. Retired numbers are not reused.
+//! See `rules` for the catalogue, DESIGN.md §9 and §14 for the
+//! methodology, and `cargo run -p mosaic_lint` for the driver.
 //!
 //! The engine is dependency-free (the build environment vendors
 //! everything and has no `syn`): a hand-rolled lexer (`lexer`), a
@@ -20,7 +21,7 @@
 //! # Pipeline
 //!
 //! 1. **Collect**: every `.rs` file of every workspace member is lexed
-//!    into a [`symbols::FileFacts`] — local findings (R1, R2, R4–R6),
+//!    into a [`symbols::FileFacts`] — local findings (R4–R6),
 //!    function definitions with call and panic sites, RNG derivation
 //!    sites, and allow annotations. This is the expensive phase.
 //! 2. **Global passes**: duplicate-label detection (R5), panic
@@ -52,33 +53,19 @@ pub use rules::default_config;
 /// Lint every crate of the workspace at `root` (each `crates/*` package
 /// plus the root package), returning the aggregated report.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let mut units: Vec<(String, PathBuf)> = Vec::new();
-    // Root package (`src/`), scanned as crate "repro".
-    if root.join("src").is_dir() {
-        units.push(("repro".to_string(), root.join("src")));
-    }
-    let crates_dir = root.join("crates");
-    let mut members: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
+    let mut src_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| p.join("Cargo.toml").is_file())
+        .map(|p| p.join("src"))
         .collect();
-    members.sort();
-    for member in members {
-        let name = member
-            .file_name()
-            .and_then(|s| s.to_str())
-            .unwrap_or_default()
-            .to_string();
-        let src = member.join("src");
-        if src.is_dir() {
-            units.push((name, src));
-        }
-    }
+    src_dirs.sort();
+    // The root package (`src/`) first.
+    src_dirs.insert(0, root.join("src"));
 
     let mut facts: Vec<FileFacts> = Vec::new();
-    for (crate_name, src_dir) in &units {
-        collect_facts(cfg, crate_name, root, src_dir, &mut facts)?;
+    for src_dir in src_dirs.iter().filter(|d| d.is_dir()) {
+        collect_facts(cfg, root, src_dir, &mut facts)?;
     }
     finalize(root, cfg, facts)
 }
@@ -86,21 +73,15 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
 /// Lint one crate rooted at `src_dir`, reporting paths relative to
 /// `rel_root`. Public so fixture tests can run the full engine — global
 /// passes included — on a directory that is not a cargo workspace.
-pub fn lint_src_dir(
-    cfg: &Config,
-    crate_name: &str,
-    rel_root: &Path,
-    src_dir: &Path,
-) -> io::Result<Report> {
+pub fn lint_src_dir(cfg: &Config, rel_root: &Path, src_dir: &Path) -> io::Result<Report> {
     let mut facts: Vec<FileFacts> = Vec::new();
-    collect_facts(cfg, crate_name, rel_root, src_dir, &mut facts)?;
+    collect_facts(cfg, rel_root, src_dir, &mut facts)?;
     finalize(rel_root, cfg, facts)
 }
 
 /// Phase 1: lex + extract facts for every `.rs` file under `src_dir`.
 fn collect_facts(
     cfg: &Config,
-    crate_name: &str,
     rel_root: &Path,
     src_dir: &Path,
     out: &mut Vec<FileFacts>,
@@ -115,7 +96,7 @@ fn collect_facts(
             .to_string_lossy()
             .replace('\\', "/");
         let src = std::fs::read_to_string(&path)?;
-        out.push(symbols::extract(cfg, crate_name, &rel, &src));
+        out.push(symbols::extract(cfg, &rel, &src));
     }
     Ok(())
 }
@@ -131,7 +112,7 @@ fn finalize(root: &Path, cfg: &Config, facts: Vec<FileFacts>) -> io::Result<Repo
     let mut extra: BTreeMap<String, Vec<LocalFinding>> = BTreeMap::new();
     callgraph::check_duplicate_labels(&facts, &mut extra);
     let graph = callgraph::CallGraph::build(&facts);
-    let stats = graph.check_reachable_panics(cfg, &mut extra);
+    let stats = graph.check_reachable_panics(&mut extra);
     callgraph::check_exactness_registry(Some(root), cfg, &facts, &mut extra);
     report.symbols = SymbolStats {
         functions: stats.functions,
@@ -151,9 +132,6 @@ fn finalize(root: &Path, cfg: &Config, facts: Vec<FileFacts>) -> io::Result<Repo
             &f.rel_path,
             findings,
         ));
-        if f.index_notes > 0 {
-            *report.index_notes.entry(f.rel_path.clone()).or_insert(0) += f.index_notes;
-        }
     }
     // Findings attributed to paths outside the scanned set (e.g. a stale
     // exactness entry naming a deleted file) have no allows to consult.

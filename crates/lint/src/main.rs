@@ -12,8 +12,8 @@
 //! ratchet regression or diff regression, 2 usage or I/O error, or a
 //! baseline or report file that does not parse.
 //!
-//! Note the driver itself is subject to R2: no `std::time::Instant`
-//! here. CI times the run with shell `date +%s%N` instead.
+//! The driver itself is subject to clippy.toml's wall-clock ban (R2): no
+//! `std::time::Instant` here. CI times the run with shell `date +%s%N`.
 
 use mosaic_lint::baseline::Baseline;
 use std::path::{Path, PathBuf};
@@ -189,7 +189,7 @@ fn usage(msg: &str) -> ExitCode {
 }
 
 const HELP: &str = "\
-mosaic_lint — workspace invariant checker (rules R1, R2, R4–R7; DESIGN.md §9, §14)
+mosaic_lint — workspace invariant checker (rules R4–R7; DESIGN.md §9, §14)
 
 USAGE:
     cargo run -p mosaic_lint [-- OPTIONS]

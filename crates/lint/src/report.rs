@@ -7,7 +7,9 @@
 //! a line-number-insensitive stable id (rule | level | file | message,
 //! plus an ordinal among identical tuples) that survives unrelated edits
 //! shifting code up or down. The `--baseline` ratchet and the CI trend
-//! diff compare fingerprints, not positions.
+//! diff compare fingerprints, not positions. Readers key on `schema`,
+//! `summary.allowed` and the fingerprints alone, so a report written
+//! before a summary field was retired still reads as v2.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -62,9 +64,6 @@ pub struct SymbolStats {
 #[derive(Debug, Default)]
 pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
-    /// Index-census: file → count of index expressions lacking a
-    /// bound note (advisory; see DESIGN.md §9).
-    pub index_notes: BTreeMap<String, u64>,
     /// Files scanned.
     pub files: u64,
     /// The no-alloc registry as configured, for report consumers.
@@ -129,11 +128,6 @@ impl Report {
         let _ = writeln!(s, "  \"summary\": {{");
         let _ = writeln!(s, "    \"deny\": {},", self.deny_count());
         let _ = writeln!(s, "    \"allowed\": {},", self.allowed_count());
-        let _ = writeln!(
-            s,
-            "    \"index_notes\": {},",
-            self.index_notes.values().sum::<u64>()
-        );
         let _ = writeln!(s, "    \"files\": {},", self.files);
         let _ = writeln!(s, "    \"functions\": {},", self.symbols.functions);
         let _ = writeln!(s, "    \"call_edges\": {},", self.symbols.call_edges);
@@ -171,16 +165,6 @@ impl Report {
             );
         }
         let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"index_notes\": {{");
-        for (i, (file, n)) in self.index_notes.iter().enumerate() {
-            let comma = if i + 1 < self.index_notes.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {}: {n}{comma}", json_str(file));
-        }
-        let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"registry\": [");
         for (i, (file, func, harness)) in self.registry.iter().enumerate() {
             let comma = if i + 1 < self.registry.len() { "," } else { "" };
@@ -250,11 +234,10 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "mosaic-lint: {} violation(s), {} allowed, {} index note(s) across {} file(s); \
+            "mosaic-lint: {} violation(s), {} allowed across {} file(s); \
              {} fn(s), {} call edge(s), {} fallible entry point(s), {} reachable fn(s)",
             self.deny_count(),
             self.allowed_count(),
-            self.index_notes.values().sum::<u64>(),
             self.files,
             self.symbols.functions,
             self.symbols.call_edges,
@@ -339,7 +322,6 @@ mod tests {
             files: 2,
             ..Report::default()
         };
-        r.index_notes.insert("a.rs".into(), 4);
         r.finish();
         r
     }
@@ -365,7 +347,7 @@ mod tests {
     #[test]
     fn table_has_summary_line() {
         let t = sample().to_table();
-        assert!(t.contains("1 violation(s), 1 allowed, 4 index note(s) across 2 file(s)"));
+        assert!(t.contains("1 violation(s), 1 allowed across 2 file(s)"));
     }
 
     #[test]

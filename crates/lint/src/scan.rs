@@ -35,8 +35,8 @@ pub struct FileScan {
     pub tokens: Vec<Token>,
     pub allows: Vec<Allow>,
     pub bad_allows: Vec<BadAllow>,
-    /// Lines carrying a `bound:` comment — the index-census opt-out
-    /// documenting why an index expression cannot overrun.
+    /// Lines carrying a `bound:` comment, which documents why an index
+    /// expression on that line or the next cannot overrun (R7).
     pub bound_note_lines: Vec<u32>,
     /// Half-open token-index ranges that are test-only code
     /// (`#[cfg(test)]` items and `#[test]` functions).

@@ -2,7 +2,7 @@
 //! on. One pass over a file produces a [`FileFacts`] — function
 //! definitions with their `impl` context, call sites, panic sites,
 //! `DetRng` stream-derivation sites, parallel-fold accumulation sites,
-//! and the file-local findings of R1, R2 and R4–R6 — and nothing else
+//! and the file-local findings of R4–R6 — and nothing else
 //! about the file is needed afterwards: the global passes (R5 duplicate
 //! labels, R6 registry hygiene, R7 reachability) run on the facts alone.
 //!
@@ -40,7 +40,7 @@ pub struct CallSite {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PanicSite {
     pub line: u32,
-    /// Display form: `unwrap()`, `expect()`, `panic!`, ...
+    /// Display form: `unwrap()`, `expect()`, `panic!`, `` index `v[..]` ``, ...
     pub what: String,
 }
 
@@ -102,7 +102,6 @@ pub struct LocalFinding {
 /// Everything the global passes need to know about one file.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FileFacts {
-    pub crate_name: String,
     pub rel_path: String,
     pub fns: Vec<FnDef>,
     /// Literal-label `DetRng` derivation sites (for the R5 global
@@ -112,9 +111,8 @@ pub struct FileFacts {
     /// recorded whether or not the site is registered, so stale
     /// exactness-registry entries can be detected.
     pub fold_acc_fns: Vec<String>,
-    /// R1, R2 and R4–R6 findings local to this file (pre allow-resolution).
+    /// R4–R6 findings local to this file (pre allow-resolution).
     pub local: Vec<LocalFinding>,
-    pub index_notes: u64,
     pub allows: Vec<Allow>,
     pub bad_allows: Vec<BadAllow>,
 }
@@ -141,15 +139,11 @@ fn is_call_keyword(s: &str) -> bool {
 /// Extract the facts for one file. This is the only place source text is
 /// read; everything downstream (global rules, the report) consumes
 /// `FileFacts`.
-pub fn extract(cfg: &Config, crate_name: &str, rel_path: &str, src: &str) -> FileFacts {
+pub fn extract(cfg: &Config, rel_path: &str, src: &str) -> FileFacts {
     let scan = FileScan::of(src);
-    let (local_r1_to_r4, index_notes) = rules::local_findings(cfg, crate_name, rel_path, &scan);
-
     let mut facts = FileFacts {
-        crate_name: crate_name.to_string(),
         rel_path: rel_path.to_string(),
-        local: local_r1_to_r4,
-        index_notes,
+        local: rules::local_findings(cfg, rel_path, &scan),
         allows: scan.allows.clone(),
         bad_allows: scan.bad_allows.clone(),
         ..FileFacts::default()
@@ -184,20 +178,15 @@ pub fn extract(cfg: &Config, crate_name: &str, rel_path: &str, src: &str) -> Fil
             calls: Vec::new(),
             panics: Vec::new(),
         };
-        collect_calls_and_panics(toks, open, close, &mut def);
+        collect_calls_and_panics(&scan, open, close, &mut def);
         facts.fns.push(def);
     }
 
-    let r5_on = cfg.r5_crates.contains(crate_name)
-        && !cfg.r5_exempt_files.iter().any(|s| rel_path.ends_with(s));
-    if r5_on {
+    if !cfg.r5_exempt_files.iter().any(|s| rel_path.ends_with(s)) {
         collect_rng_sites(&scan, &mut facts);
         check_closure_captures(&scan, &bodies, &mut facts);
     }
-
-    if cfg.r6_crates.contains(crate_name) {
-        check_parallel_folds(cfg, rel_path, &scan, &bodies, &mut facts);
-    }
+    check_parallel_folds(cfg, rel_path, &scan, &bodies, &mut facts);
 
     facts
 }
@@ -306,16 +295,17 @@ fn find_impl_spans(toks: &[Token]) -> Vec<(usize, usize, String)> {
 }
 
 /// Body token span of the `fn` at token `i` (half-open, inside the
-/// braces), or None for bodiless trait-method declarations.
+/// braces), or None for bodiless trait-method declarations. The `;` of
+/// an array type in the signature (`-> [u8; 4]`) ends nothing.
 fn body_span(toks: &[Token], i: usize) -> Option<(usize, usize)> {
     let mut j = i + 2;
-    let mut paren = 0i32;
+    let mut nest = 0i32;
     while j < toks.len() {
         match toks[j].tok {
-            Tok::Sym('(') => paren += 1,
-            Tok::Sym(')') => paren -= 1,
-            Tok::Sym('{') if paren == 0 => break,
-            Tok::Sym(';') if paren == 0 => return None,
+            Tok::Sym('(' | '[') => nest += 1,
+            Tok::Sym(')' | ']') => nest -= 1,
+            Tok::Sym('{') if nest == 0 => break,
+            Tok::Sym(';') if nest == 0 => return None,
             _ => {}
         }
         j += 1;
@@ -365,9 +355,65 @@ fn detect_pub(toks: &[Token], i: usize) -> bool {
     false
 }
 
-fn collect_calls_and_panics(toks: &[Token], open: usize, close: usize, def: &mut FnDef) {
+/// Keywords that can directly precede `[` without forming an index
+/// expression (`return [a, b]`, `let [x, y] = ..`, `&mut [u8]`).
+fn is_keyword(s: &str) -> bool {
+    matches!(
+        s,
+        "return"
+            | "in"
+            | "break"
+            | "else"
+            | "match"
+            | "if"
+            | "while"
+            | "loop"
+            | "move"
+            | "mut"
+            | "ref"
+            | "static"
+            | "const"
+            | "as"
+            | "let"
+            | "for"
+    )
+}
+
+/// The `[` at `j` opens an index expression R7 counts as a panic site:
+/// it follows a value (an identifier that is not a keyword, or a `)` or
+/// `]`), the index is not a lone literal (`a[0]`), and no `bound:`
+/// comment on this line or the line above states why it stays in range.
+fn is_index_panic(scan: &FileScan, j: usize) -> bool {
+    let toks = &scan.tokens;
+    if !sym_at(toks, j, '[') || j == 0 {
+        return false;
+    }
+    let after_value = match &toks[j - 1].tok {
+        Tok::Ident(s) => !is_keyword(s),
+        Tok::Sym(c) => matches!(c, ')' | ']'),
+        _ => false,
+    };
+    let literal_index =
+        matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::Num)) && sym_at(toks, j + 2, ']');
+    let line = toks[j].line;
+    let noted = scan
+        .bound_note_lines
+        .iter()
+        .any(|&l| l == line || l + 1 == line);
+    after_value && !literal_index && !noted
+}
+
+fn collect_calls_and_panics(scan: &FileScan, open: usize, close: usize, def: &mut FnDef) {
+    let toks = &scan.tokens;
     for j in open..close {
         // Panicking constructs.
+        if is_index_panic(scan, j) {
+            let base = ident_at(toks, j - 1).unwrap_or("..");
+            def.panics.push(PanicSite {
+                line: toks[j].line,
+                what: format!("index `{base}[..]`"),
+            });
+        }
         if sym_at(toks, j, '.') && sym_at(toks, j + 2, '(') {
             if let Some(name @ ("unwrap" | "expect")) = ident_at(toks, j + 1) {
                 def.panics.push(PanicSite {
@@ -720,17 +766,43 @@ fn check_parallel_folds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{Config, CrateSet};
-
-    fn sym_cfg() -> Config {
-        let mut c = Config::empty();
-        c.r5_crates = CrateSet::All;
-        c.r6_crates = CrateSet::All;
-        c
-    }
+    use crate::rules::Config;
 
     fn facts(src: &str) -> FileFacts {
-        extract(&sym_cfg(), "sim", "crates/sim/src/x.rs", src)
+        extract(&Config::default(), "crates/sim/src/x.rs", src)
+    }
+
+    fn panic_lines(src: &str) -> Vec<(u32, String)> {
+        facts(src).fns[0]
+            .panics
+            .iter()
+            .map(|p| (p.line, p.what.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn unnoted_indexing_is_a_panic_site() {
+        let src = "fn f(a: &[u8], i: usize) -> u8 {\n    let x = a[i];\n    \
+                   // bound: i < a.len() checked by caller\n    let y = a[i];\n    \
+                   let z = a[0];\n    x + y + z\n}";
+        assert_eq!(panic_lines(src), vec![(2, "index `a[..]`".to_string())]);
+    }
+
+    #[test]
+    fn attributes_and_array_types_are_not_panic_sites() {
+        let src = "#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn f() -> [u8; 2] { [0, 0] }\n\
+                   fn g() { #[allow(unused)] let [x, y] = [0u8; 2]; for b in [x, y] { h(&mut [b]); } }";
+        let f = facts(src);
+        // `f` is recorded although its array return type holds a `;`.
+        assert_eq!(f.fns.len(), 2);
+        assert!(f.fns.iter().all(|d| d.panics.is_empty()), "{:?}", f.fns);
+    }
+
+    #[test]
+    fn indexing_a_call_result_or_an_index_is_a_panic_site() {
+        let src = "fn f(m: &[Vec<u8>], i: usize) -> u8 { g(m)[i] + m[0][i] }";
+        let what: Vec<_> = panic_lines(src).into_iter().map(|(_, w)| w).collect();
+        assert_eq!(what, vec!["index `..[..]`", "index `..[..]`"]);
     }
 
     #[test]
@@ -904,28 +976,32 @@ mod tests {
         assert!(r6.iter().all(|l| l.message.contains("`.merge()`")));
         assert_eq!(f.fold_acc_fns, vec!["point".to_string()]);
 
-        let mut cfg = sym_cfg();
-        cfg.exactness = vec![crate::rules::ExactFold {
-            file: "x.rs",
-            func: "point",
-            proof: "tests/rollup.rs",
-        }];
-        let f = extract(&cfg, "sim", "crates/sim/src/x.rs", src);
+        let cfg = Config {
+            exactness: vec![crate::rules::ExactFold {
+                file: "x.rs",
+                func: "point",
+                proof: "tests/rollup.rs",
+            }],
+            ..Config::default()
+        };
+        let f = extract(&cfg, "crates/sim/src/x.rs", src);
         assert!(f.local.iter().all(|l| l.rule != "R6"), "{:?}", f.local);
         assert_eq!(f.fold_acc_fns, vec!["point".to_string()]);
     }
 
     #[test]
     fn registered_fold_accumulation_is_clean_but_recorded() {
-        let mut cfg = sym_cfg();
-        cfg.exactness = vec![crate::rules::ExactFold {
-            file: "x.rs",
-            func: "sum",
-            proof: "tests/rollup.rs",
-        }];
+        let cfg = Config {
+            exactness: vec![crate::rules::ExactFold {
+                file: "x.rs",
+                func: "sum",
+                proof: "tests/rollup.rs",
+            }],
+            ..Config::default()
+        };
         let src = "impl Plan { pub fn sum(&self, exec: &Exec) -> u64 {\n\
                    self.fold(exec, || (), || 0u64, |c, _s, acc| { *acc += c.v(); }, |t, p| { *t += p; })\n} }";
-        let f = extract(&cfg, "sim", "crates/sim/src/x.rs", src);
+        let f = extract(&cfg, "crates/sim/src/x.rs", src);
         assert!(f.local.iter().all(|l| l.rule != "R6"), "{:?}", f.local);
         assert_eq!(f.fold_acc_fns, vec!["sum".to_string()]);
     }

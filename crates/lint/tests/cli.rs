@@ -39,12 +39,13 @@ fn exit_zero_on_the_real_workspace() {
     );
 }
 
+/// A library whose fallible entry reaches an unwrap and an unnoted index.
+const PANICKING_LIB: &str =
+    "pub fn try_f(x: Option<u8>, v: &[u8]) -> Result<u8, ()> {\n    Ok(x.unwrap() ^ v[7 - 1])\n}\n";
+
 #[test]
 fn exit_one_on_a_violating_workspace_and_json_reports_it() {
-    let root = synth_workspace(
-        "violating",
-        "use std::collections::HashMap;\npub fn f() -> Option<HashMap<u8, u8>> { None }\n",
-    );
+    let root = synth_workspace("violating", PANICKING_LIB);
     let json_path = root.join("lint-report.json");
     let out = bin()
         .args(["--root"])
@@ -56,7 +57,8 @@ fn exit_one_on_a_violating_workspace_and_json_reports_it() {
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
     let json = std::fs::read_to_string(&json_path).expect("json written");
     assert!(json.contains("\"schema\": \"mosaic-lint-report/v2\""));
-    assert!(json.contains("\"rule\": \"R1\""));
+    assert!(json.contains("\"rule\": \"R7\""));
+    assert!(json.contains("index `v[..]` in `try_f`"));
     assert!(json.contains("\"fingerprint\": \""));
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -105,9 +107,11 @@ fn baseline_ratchet_rejects_new_allows_and_fingerprints() {
     // introduces a new fingerprint. The ratchet must flag both.
     std::fs::write(
         root.join("crates/synth/src/lib.rs"),
-        "use std::collections::HashMap;\n\
-         // lint: allow(R1) reason=testing the ratchet\n\
-         pub fn f() -> Option<HashMap<u8, u8>> { None }\n",
+        "pub fn try_f(x: Option<u8>, v: &[u8]) -> Result<u8, ()> {\n\
+         \x20   // lint: allow(R7) reason=testing the ratchet\n\
+         \x20   let a = x.unwrap();\n\
+         \x20   Ok(a ^ v[usize::from(a)])\n\
+         }\n",
     )
     .expect("rewrite lib");
     let out = bin()
@@ -151,10 +155,7 @@ fn malformed_baseline_exits_two() {
 /// fine, adding one is a regression.
 #[test]
 fn report_diff_flags_only_regressions() {
-    let root = synth_workspace(
-        "diff",
-        "use std::collections::HashMap;\npub fn f() -> Option<HashMap<u8, u8>> { None }\n",
-    );
+    let root = synth_workspace("diff", PANICKING_LIB);
     let old_json = root.join("old.json");
     let new_json = root.join("new.json");
     let report_to = |json: &Path| {
@@ -170,7 +171,7 @@ fn report_diff_flags_only_regressions() {
     // One fewer violation: diff passes in this direction, fails reversed.
     std::fs::write(
         root.join("crates/synth/src/lib.rs"),
-        "use std::collections::HashMap;\npub fn f() -> u32 { 1 }\n",
+        "pub fn try_f(x: Option<u8>) -> Result<u8, ()> {\n    Ok(x.unwrap())\n}\n",
     )
     .expect("rewrite lib");
     report_to(&new_json);
@@ -218,5 +219,50 @@ fn report_diff_flags_only_regressions() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1), "allow growth is a regression");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// CI's first `--diff` after the index census left the report compares
+/// against a report that still carries its `index_notes` summary count
+/// and per-file map. That report must read as the old side (exit 0 or 1,
+/// never 2), and the findings both runs share must not count as added.
+#[test]
+fn report_diff_reads_a_report_with_retired_fields() {
+    // The workspace `legacy_report_v2.json` was written from.
+    let root = synth_workspace(
+        "legacy-diff",
+        "pub fn forward(seed: u64, label: &str) -> DetRng {\n\
+         \x20   // lint: allow(R5) reason=forwards the caller's label\n\
+         \x20   DetRng::substream(seed, label)\n\
+         }\n",
+    );
+    let core = root.join("crates/core/src");
+    std::fs::create_dir_all(&core).expect("mkdir");
+    std::fs::write(root.join("crates/core/Cargo.toml"), "[package]\n").expect("toml");
+    std::fs::write(
+        core.join("lib.rs"),
+        "pub fn pick(a: &[u8], i: usize) -> u8 {\n    a[i]\n}\n",
+    )
+    .expect("lib");
+    let new_json = root.join("new.json");
+    bin()
+        .args(["--root"])
+        .arg(&root)
+        .args(["--quiet", "--json-out"])
+        .arg(&new_json)
+        .output()
+        .expect("spawn");
+    let old_json =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy_report_v2.json");
+    let out = bin()
+        .args(["--diff"])
+        .arg(&old_json)
+        .arg(&new_json)
+        .output()
+        .expect("spawn");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_ne!(out.status.code(), Some(2), "unreadable: {stdout}");
+    assert!(stdout.contains("allow delta +0"), "stdout: {stdout}");
+    assert!(!stdout.contains("+ d03c87c7bebb4db1"), "stdout: {stdout}");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -2,14 +2,14 @@
 //! constructs must still be caught — a lexer that loses sync inside raw
 //! strings or nested comments would miss all of them.
 
-/// The raw string is text, but the type after it is a real HashMap.
-pub fn after_raw_string() -> usize {
-    let doc = r#"HashMap in prose"#;
-    let real: HashMap<u8, u8> = HashMap::new();
-    doc.len() + real.len()
+/// The raw string is text, but the unwrap and the index after it are real.
+pub fn try_after_raw_string(x: Option<u8>, v: &[u8], i: usize) -> Result<u8, String> {
+    let doc = r#"x.unwrap() and v[i] in prose"#;
+    Ok(x.unwrap() ^ v[i] ^ doc.len() as u8)
 }
 
-/* /* nested */ still a comment */
-pub fn try_after_nested_comment(x: Option<u8>) -> Result<u8, String> {
-    Ok(x.unwrap())
+/* /* nested */ still a comment: x.unwrap() */
+pub fn try_after_nested_comment(x: Option<u8>, v: &[u8], i: usize) -> Result<u8, String> {
+    let quote = '"';
+    Ok(x.unwrap() ^ v[i] ^ quote as u8)
 }

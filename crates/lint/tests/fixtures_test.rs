@@ -6,7 +6,7 @@
 //! diff.
 
 use mosaic_lint::report::Report;
-use mosaic_lint::rules::{Config, CrateSet, ExactFold, RegistryFn};
+use mosaic_lint::rules::{Config, ExactFold, RegistryFn};
 use std::path::{Path, PathBuf};
 
 fn fixture_dir(name: &str) -> PathBuf {
@@ -15,67 +15,36 @@ fn fixture_dir(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Run the full engine — global passes included — over one fixture;
-/// paths in the report are relative to the fixture root (`src/lib.rs`),
-/// so goldens are machine-independent.
+/// Run the full engine — global passes included, every rule on — over
+/// one fixture; paths in the report are relative to the fixture root
+/// (`src/lib.rs`), so goldens are machine-independent. A fixture picks
+/// the rule it exercises by the registry its config fills (R4, R6) or by
+/// its content (R5, R7, lint-allow).
 fn lint_fixture(name: &str, cfg: &Config) -> Report {
     let root = fixture_dir(name);
-    mosaic_lint::lint_src_dir(cfg, "fixture", &root, &root.join("src")).expect("fixture readable")
+    mosaic_lint::lint_src_dir(cfg, &root, &root.join("src")).expect("fixture readable")
 }
 
-fn only_r1() -> Config {
-    let mut cfg = Config::empty();
-    cfg.r1_crates = CrateSet::All;
-    cfg
+fn r4_registry() -> Config {
+    Config {
+        registry: vec![RegistryFn {
+            file: "src/lib.rs",
+            func: "kernel",
+            harness: None,
+        }],
+        ..Config::default()
+    }
 }
 
-fn only_r2() -> Config {
-    let mut cfg = Config::empty();
-    cfg.r2_crates = CrateSet::All;
-    cfg
-}
-
-fn only_r4() -> Config {
-    let mut cfg = Config::empty();
-    cfg.registry = vec![RegistryFn {
-        file: "src/lib.rs",
-        func: "kernel",
-        harness: None,
-    }];
-    cfg
-}
-
-fn only_r5() -> Config {
-    let mut cfg = Config::empty();
-    cfg.r5_crates = CrateSet::All;
-    cfg
-}
-
-fn only_r6() -> Config {
-    let mut cfg = Config::empty();
-    cfg.r6_crates = CrateSet::All;
-    cfg.exactness = vec![ExactFold {
-        file: "src/lib.rs",
-        func: "rollup",
-        proof: "proof.rs",
-    }];
-    cfg
-}
-
-fn only_r7() -> Config {
-    let mut cfg = Config::empty();
-    cfg.r7_crates = CrateSet::All;
-    cfg.method_call_skip = mosaic_lint::rules::METHOD_CALL_SKIP.to_vec();
-    cfg
-}
-
-/// R1 + R2 + R7 everywhere: the lexer fixtures prove tricky token
-/// streams neither hide real violations nor invent false ones.
-fn lexer_rules() -> Config {
-    let mut cfg = only_r7();
-    cfg.r1_crates = CrateSet::All;
-    cfg.r2_crates = CrateSet::All;
-    cfg
+fn r6_registry(proof: &'static str) -> Config {
+    Config {
+        exactness: vec![ExactFold {
+            file: "src/lib.rs",
+            func: "rollup",
+            proof,
+        }],
+        ..Config::default()
+    }
 }
 
 /// Compare a violating fixture's report against its pinned golden.
@@ -96,53 +65,14 @@ fn assert_matches_golden(name: &str, report: &Report) {
 }
 
 #[test]
-fn r1_pass_is_clean() {
-    let r = lint_fixture("r1_pass", &only_r1());
-    assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
-    assert_eq!(r.allowed_count(), 0);
-}
-
-#[test]
-fn r1_fail_pins_diagnostics() {
-    let r = lint_fixture("r1_fail", &only_r1());
-    assert_eq!(
-        r.deny_count(),
-        3,
-        "use, return type, construction: {}",
-        r.to_table()
-    );
-    assert!(r.diagnostics.iter().all(|d| d.rule == "R1"));
-    assert_matches_golden("r1_fail", &r);
-}
-
-#[test]
-fn r2_pass_is_clean() {
-    let r = lint_fixture("r2_pass", &only_r2());
-    assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
-}
-
-#[test]
-fn r2_fail_pins_diagnostics() {
-    let r = lint_fixture("r2_fail", &only_r2());
-    assert_eq!(
-        r.deny_count(),
-        3,
-        "import, now(), rand::random: {}",
-        r.to_table()
-    );
-    assert!(r.diagnostics.iter().all(|d| d.rule == "R2"));
-    assert_matches_golden("r2_fail", &r);
-}
-
-#[test]
 fn r4_pass_is_clean() {
-    let r = lint_fixture("r4_pass", &only_r4());
+    let r = lint_fixture("r4_pass", &r4_registry());
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
 }
 
 #[test]
 fn r4_fail_pins_diagnostics() {
-    let r = lint_fixture("r4_fail", &only_r4());
+    let r = lint_fixture("r4_fail", &r4_registry());
     assert_eq!(r.deny_count(), 2, "collect + to_vec: {}", r.to_table());
     assert!(r.diagnostics.iter().all(|d| d.rule == "R4"));
     assert_matches_golden("r4_fail", &r);
@@ -150,7 +80,7 @@ fn r4_fail_pins_diagnostics() {
 
 #[test]
 fn r4_renamed_kernel_is_a_violation() {
-    let mut cfg = only_r4();
+    let mut cfg = r4_registry();
     cfg.registry[0].func = "kernel_renamed";
     let r = lint_fixture("r4_pass", &cfg);
     assert_eq!(r.deny_count(), 1);
@@ -159,7 +89,7 @@ fn r4_renamed_kernel_is_a_violation() {
 
 #[test]
 fn r5_pass_is_clean_with_one_allowed_forwarder() {
-    let r = lint_fixture("r5_pass", &only_r5());
+    let r = lint_fixture("r5_pass", &Config::default());
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 1, "the annotated label forwarder");
     assert_eq!(r.allows_by_rule().get("R5"), Some(&1));
@@ -167,7 +97,7 @@ fn r5_pass_is_clean_with_one_allowed_forwarder() {
 
 #[test]
 fn r5_fail_pins_diagnostics() {
-    let r = lint_fixture("r5_fail", &only_r5());
+    let r = lint_fixture("r5_fail", &Config::default());
     assert_eq!(
         r.deny_count(),
         7,
@@ -197,22 +127,16 @@ fn r5_fail_pins_diagnostics() {
 
 #[test]
 fn r6_pass_is_clean_and_records_the_registered_fold() {
-    let r = lint_fixture("r6_pass", &only_r6());
+    let r = lint_fixture("r6_pass", &r6_registry("proof.rs"));
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 0);
 }
 
 #[test]
 fn r6_fail_pins_diagnostics() {
-    let mut cfg = only_r6();
     // The fixture has no `rollup`, so the registry entry is stale and the
     // hygiene checks fire alongside the float-accumulation findings.
-    cfg.exactness = vec![ExactFold {
-        file: "src/lib.rs",
-        func: "rollup",
-        proof: "missing_proof.rs",
-    }];
-    let r = lint_fixture("r6_fail", &cfg);
+    let r = lint_fixture("r6_fail", &r6_registry("missing_proof.rs"));
     assert!(r.diagnostics.iter().all(|d| d.rule == "R6"));
     assert!(
         r.diagnostics
@@ -234,7 +158,7 @@ fn r6_fail_pins_diagnostics() {
 
 #[test]
 fn r7_pass_accepts_the_unreachable_panicking_wrapper() {
-    let r = lint_fixture("r7_pass", &only_r7());
+    let r = lint_fixture("r7_pass", &Config::default());
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 0, "no annotations needed under R7");
     assert_eq!(r.symbols.entry_points, 1, "try_new");
@@ -242,47 +166,62 @@ fn r7_pass_accepts_the_unreachable_panicking_wrapper() {
 
 #[test]
 fn r7_fail_pins_diagnostics() {
-    let r = lint_fixture("r7_fail", &only_r7());
+    let r = lint_fixture("r7_fail", &Config::default());
     assert_eq!(
         r.deny_count(),
-        2,
-        "unwrap in step, panic! in inner: {}",
+        3,
+        "unwrap in step, panic! in inner, table[i] in lookup: {}",
         r.to_table()
     );
     assert!(r.diagnostics.iter().all(|d| d.rule == "R7"));
     assert!(r.diagnostics.iter().all(|d| d
         .message
         .contains("reachable from fallible entry `try_run`")));
+    assert!(r
+        .diagnostics
+        .iter()
+        .any(|d| d.line == 25 && d.message.starts_with("index `table[..]` in `lookup`")));
     assert_matches_golden("r7_fail", &r);
 }
 
 #[test]
 fn lexer_pass_has_no_false_positives() {
-    let r = lint_fixture("lexer_pass", &lexer_rules());
+    let r = lint_fixture("lexer_pass", &Config::default());
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 0);
+    assert_eq!(r.symbols.entry_points, 5, "every fn is a try_* entry");
 }
 
 #[test]
 fn lexer_fail_still_sees_violations_after_tricky_tokens() {
-    let r = lint_fixture("lexer_fail", &lexer_rules());
+    let r = lint_fixture("lexer_fail", &Config::default());
     assert_eq!(
         r.deny_count(),
-        3,
-        "2x HashMap after raw string, unwrap after nested comment: {}",
+        4,
+        "unwrap + index after the raw string, and after the nested comment: {}",
         r.to_table()
     );
-    // The unwrap is seen by R7, through the `try_*` entry around it.
-    assert!(r
+    let sites: Vec<(u32, &str)> = r
         .diagnostics
         .iter()
-        .any(|d| d.rule == "R7" && d.line == 14 && d.message.starts_with("unwrap()")));
+        .map(|d| (d.line, d.message.split(" in `").next().unwrap_or_default()))
+        .collect();
+    assert_eq!(
+        sites,
+        vec![
+            (8, "index `v[..]`"),
+            (8, "unwrap()"),
+            (14, "index `v[..]`"),
+            (14, "unwrap()"),
+        ]
+    );
+    assert!(r.diagnostics.iter().all(|d| d.rule == "R7"));
     assert_matches_golden("lexer_fail", &r);
 }
 
 #[test]
 fn stale_and_malformed_allows_pin_diagnostics() {
-    let r = lint_fixture("allow_fail", &only_r1());
+    let r = lint_fixture("allow_fail", &Config::default());
     assert_eq!(r.deny_count(), 2, "stale + malformed: {}", r.to_table());
     assert!(r.diagnostics.iter().all(|d| d.rule == "lint-allow"));
     assert_matches_golden("allow_fail", &r);

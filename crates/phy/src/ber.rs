@@ -124,13 +124,15 @@ impl Pam4Receiver {
             .iter()
             .map(|&p| self.pd.photocurrent(p) + self.pd.dark_current_a)
             .collect();
+        // Four levels, three eyes: i < 3, so i and i + 1 index the four
+        // currents.
         (0..3)
             .map(|i| {
                 q_factor_ook(
-                    currents[i + 1],
-                    currents[i],
-                    self.noise.total_a(currents[i + 1]),
-                    self.noise.total_a(currents[i]),
+                    currents[i + 1],                     // bound: i + 1 ≤ 3
+                    currents[i],                         // bound: i < 3
+                    self.noise.total_a(currents[i + 1]), // bound: i + 1 ≤ 3
+                    self.noise.total_a(currents[i]),     // bound: i < 3
                 )
             })
             .fold(f64::INFINITY, f64::min)

@@ -72,16 +72,22 @@ impl SparedPool {
                 let p_fail = rate_fail(f) / big;
                 let p_rep = rate_repair(f) / big;
                 let stay = 1.0 - p_fail - p_rep;
+                // v and out both have dim = spares + 2 entries.
+                // bound: f ≤ spares < dim
                 out[f] += v[f] * stay;
                 if f < spares {
+                    // bound: f + 1 ≤ spares.
                     out[f + 1] += v[f] * p_fail;
                 } else {
+                    // bound: down = spares + 1 = dim − 1; f ≤ spares.
                     out[down] += v[f] * p_fail;
                 }
                 if f > 0 {
+                    // bound: f − 1 < f ≤ spares.
                     out[f - 1] += v[f] * p_rep;
                 }
             }
+            // bound: down = dim − 1.
             out[down] += v[down]; // absorbing
             out
         };
@@ -103,6 +109,7 @@ impl SparedPool {
             } else {
                 ln_w.exp()
             };
+            // bound: down = dim − 1, and every v (initial or stepped) has dim entries.
             absorbed += w * v[down];
             weight_sum += w;
             if j < j_max {

@@ -19,8 +19,8 @@
 //! **Bounded by logical epochs.** A run executes exactly
 //! `config.epochs` controller epochs — a *logical* budget, not a wall
 //! clock — so campaign trials terminate deterministically and the
-//! module stays clean under lint rule R2 (no `Instant`/`SystemTime`
-//! outside telemetry).
+//! module stays clean under rule R2 (no `Instant`/`SystemTime` outside
+//! telemetry; clippy.toml).
 
 use crate::faults::{CampaignConfig, ChannelEffect, FaultCampaign};
 use crate::telemetry;

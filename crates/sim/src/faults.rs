@@ -320,6 +320,7 @@ impl FaultCampaign {
                 rng.next_u64(); // `d`, already drawn above
                 while t < horizon {
                     let start = t as usize;
+                    // bound: below(n) draws from 0..n.
                     let kind = FAULT_KINDS[rng.below(FAULT_KINDS.len())];
                     let severity = rng.uniform();
                     let duration = 1 + rng.below(config.max_duration.max(1));
