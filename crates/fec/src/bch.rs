@@ -8,42 +8,23 @@
 //! syndromes + Berlekamp-Massey + Chien search (binary: flipping located
 //! bits, no magnitudes needed).
 
+use crate::decode::{DecodeOutcome, DecodeScratch, DecoderCore};
 use crate::gf::GaloisField;
-use crate::scratch::DecodeScratch;
 use mosaic_units::{MosaicError, Result};
-
-/// Outcome of a BCH decode attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BchOutcome {
-    /// Word was already a codeword.
-    Clean,
-    /// Errors corrected (bit count).
-    Corrected(usize),
-    /// Uncorrectable pattern detected; word unmodified.
-    Failure,
-}
 
 /// A binary BCH code. Bits are stored one per `u8` (0/1) highest-degree
 /// first, mirroring the RS layout; this favors clarity over packing (the
 /// simulator's hot loops operate on whole codewords, not bits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bch {
-    field: GaloisField,
+    /// Syndrome, Berlekamp-Massey and Chien machinery (roots from α^1),
+    /// and the locator field.
+    core: DecoderCore,
     n: usize,
     k: usize,
     t: usize,
     /// Generator polynomial over GF(2), lowest-degree first (0/1 coeffs).
     generator: Vec<u8>,
-    /// Host-side multiply-by-root tables for the syndrome kernel, built
-    /// once per code: row `i` (stride = field size) holds
-    /// `T_i[v] = v · α^{i+1}` (BCH syndromes start at α¹), so the Horner
-    /// step `acc·α^{i+1} + c` becomes one lookup and one XOR (see
-    /// DESIGN §11).
-    synd_tables: Vec<u16>,
-    /// Chien-search root table: `chien_roots[p] = α^{−p}` for each of the
-    /// n valid positions, hoisting the modular exponent arithmetic out of
-    /// the per-position search loop.
-    chien_roots: Vec<u16>,
 }
 
 impl Bch {
@@ -130,31 +111,12 @@ impl Bch {
             )));
         }
         let k = n - parity;
-        // Host-side table precompute (DESIGN §11): per-root multiply
-        // tables for the syndrome kernel and the Chien root sequence,
-        // mirroring the RS decoder. Each entry is the exact
-        // `field.mul`/`alpha_pow` value the inner loops would otherwise
-        // recompute per bit/position.
-        let two_t = 2 * t;
-        let size = field.size();
-        let mut synd_tables = vec![0u16; two_t * size];
-        for (i, table) in synd_tables.chunks_exact_mut(size).enumerate() {
-            let root = field.alpha_pow(i + 1);
-            for (v, slot) in table.iter_mut().enumerate() {
-                *slot = field.mul(v as u16, root);
-            }
-        }
-        let chien_roots: Vec<u16> = (0..n)
-            .map(|p| field.alpha_pow((order - p % order) % order))
-            .collect();
         Ok(Bch {
-            field,
+            core: DecoderCore::new(field, n, 1, 2 * t),
             n,
             k,
             t,
             generator,
-            synd_tables,
-            chien_roots,
         })
     }
 
@@ -216,54 +178,18 @@ impl Bch {
         Ok(word)
     }
 
-    /// Syndromes S_1..S_{2t} in GF(2^m), one explicit-multiply Horner
-    /// pass per syndrome: the test reference for [`Bch::syndromes_into`];
-    /// no production code calls it.
-    #[cfg(test)]
-    fn syndromes(&self, word: &[u8]) -> Vec<u16> {
-        (1..=(2 * self.t))
-            .map(|i| {
-                let x = self.field.alpha_pow(i);
-                let mut acc = 0u16;
-                for &c in word {
-                    acc = self.field.add(self.field.mul(acc, x), c as u16);
-                }
-                acc
-            })
-            .collect()
-    }
-
-    /// Fused Horner syndrome kernel into `s.synd`; returns true when the
-    /// word is already a codeword. One pass over the word; each
-    /// accumulator steps through its precomputed `synd_tables` lookup
-    /// (`T_i[acc] ^ c`, with `T_i[v] = v·α^i`, see DESIGN §11), so every
-    /// value equals [`Bch::syndromes`] (pinned by the
-    /// `fused_syndromes_match_reference` proptest).
-    fn syndromes_into(&self, word: &[u8], s: &mut DecodeScratch) -> bool {
-        let two_t = 2 * self.t;
-        s.synd.clear();
-        s.synd.resize(two_t, 0);
-        let stride = self.field.size();
-        for &c in word {
-            for (acc, table) in s.synd.iter_mut().zip(self.synd_tables.chunks_exact(stride)) {
-                *acc = table[*acc as usize] ^ c as u16;
-            }
-        }
-        s.synd.iter().all(|&v| v == 0)
-    }
-
     /// Decode in place: locate and flip up to t bit errors.
     ///
     /// Errors only on malformed input (wrong word length); an
-    /// uncorrectable pattern is the `Ok(`[`BchOutcome::Failure`]`)` case,
+    /// uncorrectable pattern is the `Ok(`[`DecodeOutcome::Failure`]`)` case,
     /// not an `Err`.
-    pub fn decode(&self, word: &mut [u8]) -> Result<BchOutcome> {
+    pub fn decode(&self, word: &mut [u8]) -> Result<DecodeOutcome> {
         self.decode_scratch(word, &mut DecodeScratch::new())
     }
 
     /// [`Bch::decode`] with caller-owned working storage: zero heap
     /// allocation per word once the scratch buffers are sized.
-    pub fn decode_scratch(&self, word: &mut [u8], s: &mut DecodeScratch) -> Result<BchOutcome> {
+    pub fn decode_scratch(&self, word: &mut [u8], s: &mut DecodeScratch) -> Result<DecodeOutcome> {
         if word.len() != self.n {
             return Err(MosaicError::LengthMismatch {
                 what: "BCH codeword",
@@ -271,82 +197,27 @@ impl Bch {
                 got: word.len(),
             });
         }
-        if self.syndromes_into(word, s) {
-            return Ok(BchOutcome::Clean);
+        if self.core.syndromes_into(word, s) {
+            return Ok(DecodeOutcome::Clean);
         }
-        let two_t = 2 * self.t;
-
-        // Berlekamp-Massey (same structure as the RS decoder), on scratch
-        // buffers with swaps replacing the reference path's clone-and-move.
-        s.lambda.clear();
-        s.lambda.resize(two_t + 1, 0);
-        s.prev.clear();
-        s.prev.resize(two_t + 1, 0);
-        s.cand.clear();
-        s.cand.resize(two_t + 1, 0);
-        s.lambda[0] = 1;
-        s.prev[0] = 1;
-        let mut l = 0usize;
-        let mut shift = 1usize;
-        let mut b = 1u16;
-        for r in 0..two_t {
-            let mut delta = 0u16;
-            for i in 0..=l.min(r) {
-                delta = self
-                    .field
-                    .add(delta, self.field.mul(s.lambda[i], s.synd[r - i]));
+        s.gamma.clear();
+        s.gamma.push(1);
+        if !self.core.locate(self.t, s) {
+            return Ok(DecodeOutcome::Failure);
+        }
+        // An error at polynomial power p is bit n−1−p (highest degree first).
+        let flip = |word: &mut [u8], s: &DecodeScratch| {
+            for &p in &s.positions {
+                word[self.n - 1 - p] ^= 1;
             }
-            if delta == 0 {
-                shift += 1;
-                continue;
-            }
-            let coeff = self.field.div(delta, b);
-            s.cand.copy_from_slice(&s.lambda);
-            for i in shift..=two_t {
-                if s.prev[i - shift] != 0 {
-                    s.cand[i] = self
-                        .field
-                        .add(s.cand[i], self.field.mul(coeff, s.prev[i - shift]));
-                }
-            }
-            if 2 * l <= r {
-                std::mem::swap(&mut s.prev, &mut s.lambda);
-                b = delta;
-                l = r + 1 - l;
-                shift = 1;
-            } else {
-                shift += 1;
-            }
-            std::mem::swap(&mut s.lambda, &mut s.cand);
-        }
-        let deg = s.lambda.iter().rposition(|&c| c != 0).unwrap_or(0);
-        if deg == 0 || deg > self.t {
-            return Ok(BchOutcome::Failure);
-        }
-
-        // Chien search restricted to the transmitted length.
-        // `chien_roots[p]` is the precomputed α^{−p} (same `alpha_pow`
-        // expression, evaluated once at construction — see DESIGN §11).
-        s.positions.clear();
-        for (p, &x_inv) in self.chien_roots.iter().enumerate() {
-            if self.field.poly_eval(&s.lambda, x_inv) == 0 {
-                s.positions.push(self.n - 1 - p);
-            }
-        }
-        if s.positions.len() != deg {
-            return Ok(BchOutcome::Failure);
-        }
-        for &idx in &s.positions {
-            word[idx] ^= 1;
-        }
-        if !self.syndromes_into(word, s) {
+        };
+        flip(word, s);
+        if !self.core.syndromes_into(word, s) {
             // Undo and report failure rather than hand back garbage.
-            for &idx in &s.positions {
-                word[idx] ^= 1;
-            }
-            return Ok(BchOutcome::Failure);
+            flip(word, s);
+            return Ok(DecodeOutcome::Failure);
         }
-        Ok(BchOutcome::Corrected(s.positions.len()))
+        Ok(DecodeOutcome::Corrected(s.positions.len()))
     }
 }
 
@@ -356,8 +227,26 @@ impl Bch {
 pub(crate) mod reference {
     use super::*;
 
+    impl Bch {
+        /// Syndromes S_1..S_{2t} in GF(2^m), one explicit-multiply Horner
+        /// pass per syndrome: the test reference for the fused
+        /// `DecoderCore::syndromes_into`; no production code calls it.
+        pub(super) fn syndromes(&self, word: &[u8]) -> Vec<u16> {
+            (1..=(2 * self.t))
+                .map(|i| {
+                    let x = self.core.field.alpha_pow(i);
+                    let mut acc = 0u16;
+                    for &c in word {
+                        acc = self.core.field.add(self.core.field.mul(acc, x), c as u16);
+                    }
+                    acc
+                })
+                .collect()
+        }
+    }
+
     /// Allocating BCH decode, pre-scratch implementation.
-    pub fn decode(code: &Bch, word: &mut [u8]) -> Result<BchOutcome> {
+    pub fn decode(code: &Bch, word: &mut [u8]) -> Result<DecodeOutcome> {
         if word.len() != code.n {
             return Err(MosaicError::LengthMismatch {
                 what: "BCH codeword",
@@ -367,7 +256,7 @@ pub(crate) mod reference {
         }
         let synd = code.syndromes(word);
         if synd.iter().all(|&s| s == 0) {
-            return Ok(BchOutcome::Clean);
+            return Ok(DecodeOutcome::Clean);
         }
         let two_t = 2 * code.t;
         let mut lambda = vec![0u16; two_t + 1];
@@ -381,20 +270,22 @@ pub(crate) mod reference {
             let mut delta = 0u16;
             for i in 0..=l.min(r) {
                 delta = code
+                    .core
                     .field
-                    .add(delta, code.field.mul(lambda[i], synd[r - i]));
+                    .add(delta, code.core.field.mul(lambda[i], synd[r - i]));
             }
             if delta == 0 {
                 shift += 1;
                 continue;
             }
-            let coeff = code.field.div(delta, b);
+            let coeff = code.core.field.div(delta, b);
             let mut cand = lambda.clone();
             for i in shift..=two_t {
                 if prev[i - shift] != 0 {
                     cand[i] = code
+                        .core
                         .field
-                        .add(cand[i], code.field.mul(coeff, prev[i - shift]));
+                        .add(cand[i], code.core.field.mul(coeff, prev[i - shift]));
                 }
             }
             if 2 * l <= r {
@@ -409,18 +300,18 @@ pub(crate) mod reference {
         }
         let deg = lambda.iter().rposition(|&c| c != 0).unwrap_or(0);
         if deg == 0 || deg > code.t {
-            return Ok(BchOutcome::Failure);
+            return Ok(DecodeOutcome::Failure);
         }
-        let order = code.field.order();
+        let order = code.core.field.order();
         let mut flips = Vec::with_capacity(deg);
         for p in 0..code.n {
-            let x_inv = code.field.alpha_pow((order - p % order) % order);
-            if code.field.poly_eval(&lambda, x_inv) == 0 {
+            let x_inv = code.core.field.alpha_pow((order - p % order) % order);
+            if code.core.field.poly_eval(&lambda, x_inv) == 0 {
                 flips.push(code.n - 1 - p);
             }
         }
         if flips.len() != deg {
-            return Ok(BchOutcome::Failure);
+            return Ok(DecodeOutcome::Failure);
         }
         for &idx in &flips {
             word[idx] ^= 1;
@@ -429,9 +320,9 @@ pub(crate) mod reference {
             for &idx in &flips {
                 word[idx] ^= 1;
             }
-            return Ok(BchOutcome::Failure);
+            return Ok(DecodeOutcome::Failure);
         }
-        Ok(BchOutcome::Corrected(flips.len()))
+        Ok(DecodeOutcome::Corrected(flips.len()))
     }
 }
 
@@ -494,7 +385,7 @@ mod tests {
             }
             assert_eq!(
                 code.decode(&mut word).unwrap(),
-                BchOutcome::Corrected(nerr),
+                DecodeOutcome::Corrected(nerr),
                 "nerr={nerr}"
             );
             assert_eq!(word, clean);
@@ -511,7 +402,7 @@ mod tests {
         word[3] ^= 1;
         word[77] ^= 1;
         word[119] ^= 1;
-        assert_eq!(code.decode(&mut word).unwrap(), BchOutcome::Corrected(3));
+        assert_eq!(code.decode(&mut word).unwrap(), DecodeOutcome::Corrected(3));
         assert_eq!(word, clean);
     }
 
@@ -535,14 +426,14 @@ mod tests {
                         let snapshot = word.clone();
                         tried += 1;
                         match code.decode(&mut word).unwrap() {
-                            BchOutcome::Failure => {
+                            DecodeOutcome::Failure => {
                                 detected += 1;
                                 assert_eq!(word, snapshot);
                             }
-                            BchOutcome::Corrected(_) => {
+                            DecodeOutcome::Corrected(_) => {
                                 assert!(code.syndromes(&word).iter().all(|&s| s == 0));
                             }
-                            BchOutcome::Clean => panic!("4 errors reported clean"),
+                            DecodeOutcome::Clean => panic!("4 errors reported clean"),
                         }
                     }
                 }
@@ -554,26 +445,33 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
-        fn scratch_matches_reference(seed in 0u64..2000, nerr in 0usize..=6) {
+        fn scratch_matches_reference(
+            seed in 0u64..2000,
+            nerr in 0usize..=6,
+            nerr_short in 0usize..=12,
+        ) {
             // Differential oracle over clean, correctable and overloaded
             // patterns (t = 3): outcome and word must match bit-for-bit.
-            let code = Bch::new(8, 63, 3);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let data: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..2u8)).collect();
-            let mut word = code.encode(&data);
-            let mut pos: Vec<usize> = (0..code.n).collect();
-            for i in 0..nerr {
-                let j = rng.gen_range(i..pos.len());
-                pos.swap(i, j);
-                word[pos[i]] ^= 1;
+            // The shortened BCH(200, t = 5) adds up to 2t + 2 errors, where
+            // the Chien search's range is what decides failure.
+            for (code, nerr) in [(Bch::new(8, 63, 3), nerr), (Bch::new(8, 200, 5), nerr_short)] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let data: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..2u8)).collect();
+                let mut word = code.encode(&data);
+                let mut pos: Vec<usize> = (0..code.n).collect();
+                for i in 0..nerr {
+                    let j = rng.gen_range(i..pos.len());
+                    pos.swap(i, j);
+                    word[pos[i]] ^= 1;
+                }
+                let mut word_ref = word.clone();
+                let mut word_new = word.clone();
+                let mut scratch = crate::decode::DecodeScratch::new();
+                let out_ref = reference::decode(&code, &mut word_ref).unwrap();
+                let out_new = code.decode_scratch(&mut word_new, &mut scratch).unwrap();
+                prop_assert_eq!(out_new, out_ref);
+                prop_assert_eq!(word_new, word_ref);
             }
-            let mut word_ref = word.clone();
-            let mut word_new = word.clone();
-            let mut scratch = crate::scratch::DecodeScratch::new();
-            let out_ref = reference::decode(&code, &mut word_ref).unwrap();
-            let out_new = code.decode_scratch(&mut word_new, &mut scratch).unwrap();
-            prop_assert_eq!(out_new, out_ref);
-            prop_assert_eq!(word_new, word_ref);
         }
 
         #[test]
@@ -581,8 +479,8 @@ mod tests {
             let code = Bch::new(8, 63, 3);
             let mut rng = StdRng::seed_from_u64(seed);
             let word: Vec<u8> = (0..code.n).map(|_| rng.gen_range(0..2u8)).collect();
-            let mut scratch = crate::scratch::DecodeScratch::new();
-            let all_zero = code.syndromes_into(&word, &mut scratch);
+            let mut scratch = crate::decode::DecodeScratch::new();
+            let all_zero = code.core.syndromes_into(&word, &mut scratch);
             let reference = code.syndromes(&word);
             prop_assert_eq!(&scratch.synd, &reference);
             prop_assert_eq!(all_zero, reference.iter().all(|&s| s == 0));
@@ -604,9 +502,9 @@ mod tests {
             let out = code.decode(&mut word).unwrap();
             prop_assert_eq!(word, clean);
             if nerr == 0 {
-                prop_assert_eq!(out, BchOutcome::Clean);
+                prop_assert_eq!(out, DecodeOutcome::Clean);
             } else {
-                prop_assert_eq!(out, BchOutcome::Corrected(nerr));
+                prop_assert_eq!(out, DecodeOutcome::Corrected(nerr));
             }
         }
     }

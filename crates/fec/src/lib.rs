@@ -8,15 +8,17 @@
 //! injected errors rather than applying a formula:
 //!
 //! * [`gf`] — GF(2^m) arithmetic with log/antilog tables (m ≤ 12);
-//! * [`rs`] — systematic Reed-Solomon with Berlekamp-Massey, Chien search
-//!   and Forney's algorithm; constructors for KP4 RS(544,514) and KR4
+//! * [`decode`] — the one algebraic decoder both codes run: fused
+//!   table-driven syndromes, Berlekamp-Massey and Chien search, the
+//!   [`DecodeOutcome`] they report and the caller-owned [`DecodeScratch`]
+//!   that makes the decode paths allocation-free in Monte-Carlo loops;
+//! * [`rs`] — systematic Reed-Solomon on that decoder, with erasures and
+//!   Forney's algorithm; constructors for KP4 RS(544,514) and KR4
 //!   RS(528,514);
-//! * [`bch`] — binary BCH codes (syndrome + BM + Chien bit-flipping);
+//! * [`bch`] — binary BCH codes on that decoder (Chien bit-flipping);
 //! * [`interleave`] — block interleaving to spread burst errors;
 //! * [`channel_map`] — codeword↔channel position arithmetic: turns lane
 //!   monitors' "channel X is sick" into erasure lists for the decoder;
-//! * [`scratch`] — caller-owned buffers making the RS/BCH decode paths
-//!   allocation-free in Monte-Carlo loops;
 //! * [`analysis`] — analytic post-FEC error rates from pre-FEC BER
 //!   (binomial tails, evaluated in the log domain), used to cross-check
 //!   Monte-Carlo results and to run sweeps far below simulable BERs.
@@ -27,17 +29,17 @@
 pub mod analysis;
 pub mod bch;
 pub mod channel_map;
+pub mod decode;
 pub mod gf;
 pub mod interleave;
 pub mod rs;
-pub mod scratch;
 
-pub use bch::{Bch, BchOutcome};
+pub use bch::Bch;
 pub use channel_map::ChannelMap;
+pub use decode::{DecodeOutcome, DecodeScratch};
 pub use gf::GaloisField;
 pub use interleave::BlockInterleaver;
-pub use rs::{DecodeOutcome, ReedSolomon};
-pub use scratch::DecodeScratch;
+pub use rs::ReedSolomon;
 
 /// The workspace error type, re-exported for FEC callers.
 pub use mosaic_units::{MosaicError, Result};

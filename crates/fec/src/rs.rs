@@ -1,4 +1,7 @@
-//! Systematic Reed-Solomon codec: Berlekamp-Massey + Chien + Forney.
+//! Systematic Reed-Solomon codec: Berlekamp-Massey + Chien + Forney. The
+//! first two, and the syndrome kernel, are the shared [`crate::decode`]
+//! core; this module adds the generator, the encoder, the erasure locator
+//! Γ and Forney's magnitudes.
 //!
 //! Codewords are stored highest-degree-first: index 0 holds the x^(n−1)
 //! coefficient (the first data symbol), index n−1 the x^0 coefficient (the
@@ -7,40 +10,22 @@
 //! (n below the field's natural 2^m − 1) work directly: a shortened word is
 //! the natural word with leading zero data symbols never transmitted.
 
+use crate::decode::{DecodeScratch, DecoderCore};
 use crate::gf::GaloisField;
-use crate::scratch::DecodeScratch;
 use mosaic_units::{MosaicError, Result};
 
-/// Outcome of a decode attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeOutcome {
-    /// The word was already a codeword.
-    Clean,
-    /// Errors were found and corrected (count of corrected symbols).
-    Corrected(usize),
-    /// More errors than the code can correct: decoding failure *detected*.
-    /// The word is left unmodified.
-    Failure,
-}
+pub use crate::decode::DecodeOutcome;
 
 /// A systematic RS(n, k) code over GF(2^m).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReedSolomon {
-    field: GaloisField,
+    /// Syndrome, Berlekamp-Massey and Chien machinery (roots from α^0),
+    /// and the field.
+    core: DecoderCore,
     n: usize,
     k: usize,
     /// Generator polynomial, lowest-degree coefficient first, monic.
     generator: Vec<u16>,
-    /// Host-side multiply-by-root tables for the syndrome kernel, built
-    /// once per code: row `i` (stride = field size) holds
-    /// `T_i[v] = v · α^i`, so the Horner step `acc·α^i + c` becomes one
-    /// lookup and one XOR (see DESIGN §11). ~2·two_t·2^m bytes — 60 KB
-    /// for KP4, built once per sweep config.
-    synd_tables: Vec<u16>,
-    /// Chien-search root table: `chien_roots[p] = α^{−p}` for each of the
-    /// n valid positions, hoisting the modular exponent arithmetic out of
-    /// the per-position search loop.
-    chien_roots: Vec<u16>,
 }
 
 impl ReedSolomon {
@@ -78,29 +63,11 @@ impl ReedSolomon {
             // Multiply by (x + root) — characteristic 2, so minus is plus.
             generator = field.poly_mul(&generator, &[root, 1]);
         }
-        // Host-side table precompute (DESIGN §11): per-root multiply
-        // tables for the syndrome kernel and the Chien root sequence.
-        // Each entry is the exact `field.mul`/`alpha_pow` value the inner
-        // loops would otherwise recompute per symbol/position.
-        let size = field.size();
-        let mut synd_tables = vec![0u16; two_t * size];
-        for (i, table) in synd_tables.chunks_exact_mut(size).enumerate() {
-            let root = field.alpha_pow(i);
-            for (v, slot) in table.iter_mut().enumerate() {
-                *slot = field.mul(v as u16, root);
-            }
-        }
-        let order = field.order();
-        let chien_roots: Vec<u16> = (0..n)
-            .map(|p| field.alpha_pow((order - p % order) % order))
-            .collect();
         Ok(ReedSolomon {
-            field,
+            core: DecoderCore::new(field, n, 0, two_t),
             n,
             k,
             generator,
-            synd_tables,
-            chien_roots,
         })
     }
 
@@ -136,7 +103,7 @@ impl ReedSolomon {
 
     /// Bits per symbol (the field's m).
     pub fn symbol_bits(&self) -> u32 {
-        self.field.m()
+        self.core.field.m()
     }
 
     /// Systematically encode `data` (k symbols, each < 2^m) into an
@@ -172,7 +139,7 @@ impl ReedSolomon {
                 got: data.len(),
             });
         }
-        let mask = (self.field.size() - 1) as u16;
+        let mask = (self.core.field.size() - 1) as u16;
         let two_t = self.n - self.k;
         word.clear();
         word.extend_from_slice(data);
@@ -185,10 +152,10 @@ impl ReedSolomon {
                 // lint: allow(R4) reason=cold error path; allocates only on invalid input
                 return Err(MosaicError::invalid_code(format!(
                     "data symbol {d:#x} outside GF(2^{})",
-                    self.field.m()
+                    self.core.field.m()
                 )));
             }
-            let factor = self.field.add(d, rem[0]);
+            let factor = self.core.field.add(d, rem[0]);
             // Shift remainder left by one, feed in zero.
             rem.rotate_left(1);
             // bound: rem = word[k..n] has n − k = 2t ≥ 1 symbols (k < n).
@@ -199,35 +166,11 @@ impl ReedSolomon {
                     // x^{2t−1−j} which is generator[2t−1−j].
                     // bound: j < 2t, and g(x) has 2t + 1 coefficients.
                     let g = self.generator[two_t - 1 - j];
-                    *r = self.field.add(*r, self.field.mul(factor, g));
+                    *r = self.core.field.add(*r, self.core.field.mul(factor, g));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Fused Horner syndrome kernel into `s.synd`; returns true when the
-    /// word is already a codeword (all syndromes zero).
-    ///
-    /// One pass over the word updates all 2t accumulators, each through
-    /// its precomputed multiply-by-root table (`acc ← T_i[acc] ⊕ c`, one
-    /// batched lookup per root per symbol, all 2t dependency chains
-    /// independent). `T_i[v] = v·α^i` by construction, so the loop
-    /// interchange and the tables leave every value equal to
-    /// [`ReedSolomon::syndromes_unchecked`] (pinned by the
-    /// `fused_syndromes_match_reference` proptest) while the word streams
-    /// through cache once.
-    fn syndromes_into(&self, word: &[u16], s: &mut DecodeScratch) -> bool {
-        let two_t = self.n - self.k;
-        s.synd.clear();
-        s.synd.resize(two_t, 0);
-        let stride = self.field.size();
-        for &c in word {
-            for (acc, table) in s.synd.iter_mut().zip(self.synd_tables.chunks_exact(stride)) {
-                *acc = table[*acc as usize] ^ c;
-            }
-        }
-        s.synd.iter().all(|&v| v == 0)
     }
 
     /// Decode in place: detect, locate and correct up to t symbol errors.
@@ -298,7 +241,7 @@ impl ReedSolomon {
                 });
             }
         }
-        if self.syndromes_into(word, scratch) {
+        if self.core.syndromes_into(word, scratch) {
             // Fused syndromes say the word is clean: skip the decode
             // machinery entirely (the common case at operating BERs).
             return Ok(DecodeOutcome::Clean);
@@ -307,106 +250,31 @@ impl ReedSolomon {
         // Erasure locator Γ(x) = Π (1 + X_j x), X_j = α^{n−1−index}
         // (characteristic 2: minus is plus). Built in place: multiplying
         // by (1 + X·x) descending-index is exactly the poly_mul update.
+        let f = &self.core.field;
         scratch.gamma.clear();
         scratch.gamma.push(1);
         for &idx in erasures {
-            let x = self.field.alpha_pow(self.n - 1 - idx);
+            let x = f.alpha_pow(self.n - 1 - idx);
             scratch.gamma.push(0);
             for i in (1..scratch.gamma.len()).rev() {
-                scratch.gamma[i] = self
-                    .field
-                    .add(scratch.gamma[i], self.field.mul(x, scratch.gamma[i - 1]));
+                scratch.gamma[i] = f.add(scratch.gamma[i], f.mul(x, scratch.gamma[i - 1]));
             }
         }
-        Ok(self.finish_decode(word, erasures.len(), scratch))
+        // Γ-initialized Berlekamp-Massey and Chien search; the combined
+        // locator Ψ = Λ·Γ is left in `scratch.lambda`.
+        if !self.core.locate(self.t(), scratch) {
+            return Ok(DecodeOutcome::Failure);
+        }
+        Ok(self.forney(word, scratch))
     }
 
-    /// Shared tail of error / errors-and-erasures decoding: Γ-initialized
-    /// Berlekamp-Massey, Chien search and Forney on the combined locator.
-    /// Expects syndromes in `s.synd` and the erasure locator in `s.gamma`.
-    fn finish_decode(
-        &self,
-        word: &mut [u16],
-        n_erasures: usize,
-        s: &mut DecodeScratch,
-    ) -> DecodeOutcome {
+    /// Forney's algorithm on the combined locator in `s.lambda` at the
+    /// error powers in `s.positions`, then the codeword guard.
+    fn forney(&self, word: &mut [u16], s: &mut DecodeScratch) -> DecodeOutcome {
+        let f = &self.core.field;
         let two_t = self.n - self.k;
 
-        // Berlekamp-Massey initialized with the erasure locator: Λ starts
-        // as Γ, the register length starts at e, and iterations begin at
-        // r = e. With no erasures this is the textbook errors-only BM.
-        // The output Λ is the *combined* locator Ψ = Γ·(error locator).
-        let e = n_erasures;
-        s.lambda.clear();
-        s.lambda.resize(two_t + 1, 0);
-        s.prev.clear();
-        s.prev.resize(two_t + 1, 0);
-        s.cand.clear();
-        s.cand.resize(two_t + 1, 0);
-        let glen = s.gamma.len();
-        s.lambda[..glen].copy_from_slice(&s.gamma);
-        s.prev[..glen].copy_from_slice(&s.gamma);
-        let mut l = e; // current LFSR length
-        let mut shift = 1usize; // x-power multiplying prev
-        let mut b = 1u16; // last non-zero discrepancy
-        for r in e..two_t {
-            // Discrepancy δ = Σ_i Λ_i · S_{r−i}.
-            let mut delta = 0u16;
-            for i in 0..=r.min(two_t) {
-                if s.lambda[i] != 0 {
-                    delta = self
-                        .field
-                        .add(delta, self.field.mul(s.lambda[i], s.synd[r - i]));
-                }
-            }
-            if delta == 0 {
-                shift += 1;
-                continue;
-            }
-            let coeff = self.field.div(delta, b);
-            // candidate = Λ − coeff · x^shift · prev
-            s.cand.copy_from_slice(&s.lambda);
-            for i in shift..=two_t {
-                if s.prev[i - shift] != 0 {
-                    s.cand[i] = self
-                        .field
-                        .add(s.cand[i], self.field.mul(coeff, s.prev[i - shift]));
-                }
-            }
-            if 2 * l <= r + e {
-                // prev := old Λ, Λ := candidate — as buffer swaps instead
-                // of the reference path's clone-and-move.
-                std::mem::swap(&mut s.prev, &mut s.lambda);
-                b = delta;
-                l = r + 1 - l + e;
-                shift = 1;
-            } else {
-                shift += 1;
-            }
-            std::mem::swap(&mut s.lambda, &mut s.cand);
-        }
-        let deg = s.lambda.iter().rposition(|&c| c != 0).unwrap_or(0);
-        // 2·errors + erasures ≤ 2t ⇒ deg Ψ = errors + erasures ≤ t + e/2.
-        let max_deg = (2 * self.t() + e) / 2;
-        if deg == 0 || deg > max_deg {
-            return DecodeOutcome::Failure;
-        }
-
-        // Chien search over the n valid positions. A root Λ(α^{−p}) = 0
-        // marks an error at polynomial power p, i.e. word index n−1−p.
-        // `chien_roots[p]` is the precomputed α^{−p} (same `alpha_pow`
-        // expression, evaluated once at construction — see DESIGN §11).
-        s.positions.clear();
-        for (p, &x_inv) in self.chien_roots.iter().enumerate() {
-            if self.field.poly_eval(&s.lambda, x_inv) == 0 {
-                s.positions.push(p);
-            }
-        }
-        if s.positions.len() != deg {
-            return DecodeOutcome::Failure;
-        }
-
-        // Forney: Ω(x) = S(x)·Λ(x) mod x^{2t}; with b = 0 the magnitude at
+        // Ω(x) = S(x)·Λ(x) mod x^{2t}; with b = 0 the magnitude at
         // location X = α^p is e = X · Ω(X⁻¹) / Λ'(X⁻¹). Computed directly
         // into scratch, accumulating only the surviving (< 2t) terms —
         // the same xors poly_mul-then-truncate performs.
@@ -420,7 +288,7 @@ impl ReedSolomon {
                 if i + j >= two_t {
                     break;
                 }
-                s.omega[i + j] = self.field.add(s.omega[i + j], self.field.mul(si, lj));
+                s.omega[i + j] = f.add(s.omega[i + j], f.mul(si, lj));
             }
         }
         // Formal derivative of Λ (characteristic 2: even terms vanish).
@@ -432,22 +300,22 @@ impl ReedSolomon {
 
         let mut corrected = 0usize;
         for &p in &s.positions {
-            let x = self.field.alpha_pow(p);
-            let x_inv = self.field.inv(x);
-            let denom = self.field.poly_eval(&s.deriv, x_inv);
+            let x = f.alpha_pow(p);
+            let x_inv = f.inv(x);
+            let denom = f.poly_eval(&s.deriv, x_inv);
             if denom == 0 {
                 return DecodeOutcome::Failure;
             }
-            let num = self.field.poly_eval(&s.omega, x_inv);
-            let magnitude = self.field.mul(x, self.field.div(num, denom));
+            let num = f.poly_eval(&s.omega, x_inv);
+            let magnitude = f.mul(x, f.div(num, denom));
             let idx = self.n - 1 - p;
-            word[idx] = self.field.add(word[idx], magnitude);
+            word[idx] = f.add(word[idx], magnitude);
             corrected += 1;
         }
 
         // Guard against miscorrection: the result must be a codeword.
         // The syndrome buffers are free again at this point.
-        if !self.syndromes_into(word, s) {
+        if !self.core.syndromes_into(word, s) {
             return DecodeOutcome::Failure;
         }
         DecodeOutcome::Corrected(corrected)
@@ -464,17 +332,17 @@ pub(crate) mod reference {
     impl ReedSolomon {
         /// The 2t syndromes of an n-symbol word (all-zero means "is a
         /// codeword"), one log/exp `field.mul` Horner pass per syndrome. The
-        /// per-syndrome reference for [`ReedSolomon::syndromes_into`] and the
-        /// reference decoder below; no decode path calls it.
+        /// per-syndrome reference for the fused `DecoderCore::syndromes_into`
+        /// and the reference decoder below; no decode path calls it.
         pub(super) fn syndromes_unchecked(&self, word: &[u16]) -> Vec<u16> {
             let two_t = self.n - self.k;
             (0..two_t)
                 .map(|i| {
-                    let x = self.field.alpha_pow(i);
+                    let x = self.core.field.alpha_pow(i);
                     // Evaluate with index 0 = highest degree (Horner forward).
                     let mut acc = 0u16;
                     for &c in word {
-                        acc = self.field.add(self.field.mul(acc, x), c);
+                        acc = self.core.field.add(self.core.field.mul(acc, x), c);
                     }
                     acc
                 })
@@ -514,8 +382,8 @@ pub(crate) mod reference {
         }
         let mut gamma = vec![1u16];
         for &idx in erasures {
-            let x = rs.field.alpha_pow(rs.n - 1 - idx);
-            gamma = rs.field.poly_mul(&gamma, &[1, x]);
+            let x = rs.core.field.alpha_pow(rs.n - 1 - idx);
+            gamma = rs.core.field.poly_mul(&gamma, &[1, x]);
         }
         Ok(finish_decode(rs, word, &synd, &gamma, erasures.len()))
     }
@@ -540,18 +408,24 @@ pub(crate) mod reference {
             let mut delta = 0u16;
             for i in 0..=r.min(two_t) {
                 if lambda[i] != 0 {
-                    delta = rs.field.add(delta, rs.field.mul(lambda[i], synd[r - i]));
+                    delta = rs
+                        .core
+                        .field
+                        .add(delta, rs.core.field.mul(lambda[i], synd[r - i]));
                 }
             }
             if delta == 0 {
                 shift += 1;
                 continue;
             }
-            let coeff = rs.field.div(delta, b);
+            let coeff = rs.core.field.div(delta, b);
             let mut cand = lambda.clone();
             for i in shift..=two_t {
                 if prev[i - shift] != 0 {
-                    cand[i] = rs.field.add(cand[i], rs.field.mul(coeff, prev[i - shift]));
+                    cand[i] = rs
+                        .core
+                        .field
+                        .add(cand[i], rs.core.field.mul(coeff, prev[i - shift]));
                 }
             }
             if 2 * l <= r + e {
@@ -571,10 +445,10 @@ pub(crate) mod reference {
         }
         let mut error_powers = Vec::with_capacity(deg);
         for p in 0..rs.n {
-            let x_inv = rs
-                .field
-                .alpha_pow((rs.field.order() - p % rs.field.order()) % rs.field.order());
-            if rs.field.poly_eval(&lambda, x_inv) == 0 {
+            let x_inv = rs.core.field.alpha_pow(
+                (rs.core.field.order() - p % rs.core.field.order()) % rs.core.field.order(),
+            );
+            if rs.core.field.poly_eval(&lambda, x_inv) == 0 {
                 error_powers.push(p);
             }
         }
@@ -582,7 +456,7 @@ pub(crate) mod reference {
             return DecodeOutcome::Failure;
         }
         let s_poly: Vec<u16> = synd.to_vec();
-        let mut omega = rs.field.poly_mul(&s_poly, &lambda);
+        let mut omega = rs.core.field.poly_mul(&s_poly, &lambda);
         omega.truncate(two_t);
         let mut lambda_deriv = vec![0u16; lambda.len().saturating_sub(1)];
         for i in (1..lambda.len()).step_by(2) {
@@ -590,16 +464,16 @@ pub(crate) mod reference {
         }
         let mut corrected = 0usize;
         for &p in &error_powers {
-            let x = rs.field.alpha_pow(p);
-            let x_inv = rs.field.inv(x);
-            let denom = rs.field.poly_eval(&lambda_deriv, x_inv);
+            let x = rs.core.field.alpha_pow(p);
+            let x_inv = rs.core.field.inv(x);
+            let denom = rs.core.field.poly_eval(&lambda_deriv, x_inv);
             if denom == 0 {
                 return DecodeOutcome::Failure;
             }
-            let num = rs.field.poly_eval(&omega, x_inv);
-            let magnitude = rs.field.mul(x, rs.field.div(num, denom));
+            let num = rs.core.field.poly_eval(&omega, x_inv);
+            let magnitude = rs.core.field.mul(x, rs.core.field.div(num, denom));
             let idx = rs.n - 1 - p;
-            word[idx] = rs.field.add(word[idx], magnitude);
+            word[idx] = rs.core.field.add(word[idx], magnitude);
             corrected += 1;
         }
         if rs.syndromes_unchecked(word).iter().any(|&s| s != 0) {
@@ -617,7 +491,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn inject_errors(rs: &ReedSolomon, word: &mut [u16], count: usize, rng: &mut StdRng) {
-        let mask = (rs.field.size() - 1) as u16;
+        let mask = (rs.core.field.size() - 1) as u16;
         let mut positions: Vec<usize> = (0..word.len()).collect();
         for i in 0..count {
             let j = rng.gen_range(i..positions.len());
@@ -924,7 +798,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let word: Vec<u16> = (0..31).map(|_| rng.gen::<u16>() & 0xFF).collect();
             let mut scratch = DecodeScratch::new();
-            let all_zero = rs.syndromes_into(&word, &mut scratch);
+            let all_zero = rs.core.syndromes_into(&word, &mut scratch);
             let reference = rs.syndromes_unchecked(&word);
             prop_assert_eq!(&scratch.synd, &reference);
             prop_assert_eq!(all_zero, reference.iter().all(|&s| s == 0));

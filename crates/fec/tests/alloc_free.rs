@@ -5,7 +5,7 @@
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 
-use mosaic_fec::{Bch, BchOutcome, DecodeOutcome, DecodeScratch, ReedSolomon};
+use mosaic_fec::{Bch, DecodeOutcome, DecodeScratch, ReedSolomon};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -110,7 +110,7 @@ fn scratch_decode_paths_do_not_allocate() {
     for _ in 0..50 {
         bword.copy_from_slice(&bcorrupt);
         let out = bch.decode_scratch(&mut bword, &mut scratch).unwrap();
-        assert!(matches!(out, BchOutcome::Corrected(_)));
+        assert!(matches!(out, DecodeOutcome::Corrected(_)));
     }
     let bch_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
     assert_eq!(

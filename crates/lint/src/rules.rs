@@ -123,18 +123,20 @@ pub fn default_config() -> Config {
                 func: "decode_scratch",
                 harness: Some("crates/fec/tests/alloc_free.rs"),
             },
-            // The fused syndrome kernels read host-side tables built at
-            // construction; they have no dedicated harness entry (the
-            // decode_scratch harness covers them transitively) but the
-            // static rule pins their bodies allocation-free.
+            // The shared decoder core: the fused syndrome kernel reads
+            // host-side tables built at construction, and `locate` runs
+            // Berlekamp-Massey and the Chien search on scratch. Neither has
+            // a dedicated harness entry (the decode_scratch harness covers
+            // both through its calls) but the static rule pins their
+            // bodies allocation-free.
             RegistryFn {
-                file: "crates/fec/src/rs.rs",
+                file: "crates/fec/src/decode.rs",
                 func: "syndromes_into",
                 harness: None,
             },
             RegistryFn {
-                file: "crates/fec/src/bch.rs",
-                func: "syndromes_into",
+                file: "crates/fec/src/decode.rs",
+                func: "locate",
                 harness: None,
             },
             // The bit-sliced Monte-Carlo kernels (slicer, injector,

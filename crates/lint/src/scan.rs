@@ -35,8 +35,9 @@ pub struct FileScan {
     pub tokens: Vec<Token>,
     pub allows: Vec<Allow>,
     pub bad_allows: Vec<BadAllow>,
-    /// Lines carrying a `bound:` comment, which documents why an index
-    /// expression on that line or the next cannot overrun (R7).
+    /// Lines an index expression on which a `bound:` comment documents
+    /// as unable to overrun (R7): a trailing note covers its own line, a
+    /// note alone on its line covers the line below.
     pub bound_note_lines: Vec<u32>,
     /// Half-open token-index ranges that are test-only code
     /// (`#[cfg(test)]` items and `#[test]` functions).
@@ -48,10 +49,13 @@ impl FileScan {
     pub fn of(src: &str) -> FileScan {
         let Lexed { tokens, comments } = lex(src);
         let (allows, bad_allows) = parse_allows(&comments);
+        // A note alone on its line covers the next one. Tokens come in
+        // source order, so their lines are sorted.
+        let alone = |line: u32| tokens.binary_search_by_key(&line, |t| t.line).is_err();
         let bound_note_lines = comments
             .iter()
             .filter(|c| c.text.contains("bound:"))
-            .map(|c| c.line)
+            .map(|c| c.line + u32::from(alone(c.line)))
             .collect();
         let test_spans = find_test_spans(&tokens);
         FileScan {

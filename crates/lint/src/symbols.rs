@@ -382,7 +382,8 @@ fn is_keyword(s: &str) -> bool {
 /// The `[` at `j` opens an index expression R7 counts as a panic site:
 /// it follows a value (an identifier that is not a keyword, or a `)` or
 /// `]`), the index is not a lone literal (`a[0]`), and no `bound:`
-/// comment on this line or the line above states why it stays in range.
+/// comment states why it stays in range: one trailing this line, or one
+/// alone on the line above.
 fn is_index_panic(scan: &FileScan, j: usize) -> bool {
     let toks = &scan.tokens;
     if !sym_at(toks, j, '[') || j == 0 {
@@ -396,10 +397,7 @@ fn is_index_panic(scan: &FileScan, j: usize) -> bool {
     let literal_index =
         matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::Num)) && sym_at(toks, j + 2, ']');
     let line = toks[j].line;
-    let noted = scan
-        .bound_note_lines
-        .iter()
-        .any(|&l| l == line || l + 1 == line);
+    let noted = scan.bound_note_lines.contains(&line);
     after_value && !literal_index && !noted
 }
 

@@ -15,7 +15,7 @@ impl Widget {
         }
         let bytes = n.to_le_bytes();
         Ok(Widget {
-            n: checked(n) + low_byte(&bytes) + spread(&bytes),
+            n: checked(n) + low_byte(&bytes) + spread(&bytes) + ends(&bytes, n as usize),
             bytes,
         })
     }
@@ -54,4 +54,14 @@ fn spread(bytes: &[u8; 4]) -> u32 {
         total += bytes[i] as u32;
     }
     total
+}
+
+/// A note alone on its line covers the index below it; a trailing note
+/// covers the index it trails.
+fn ends(bytes: &[u8; 4], i: usize) -> u32 {
+    let i = i % bytes.len();
+    // bound: i < bytes.len() after the modulo
+    let first = bytes[i] as u32;
+    let last = bytes[3 - i] as u32; // bound: i ≤ 3, so 3 − i ≤ 3 < bytes.len()
+    first + last
 }

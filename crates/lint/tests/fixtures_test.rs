@@ -169,8 +169,8 @@ fn r7_fail_pins_diagnostics() {
     let r = lint_fixture("r7_fail", &Config::default());
     assert_eq!(
         r.deny_count(),
-        3,
-        "unwrap in step, panic! in inner, table[i] in lookup: {}",
+        4,
+        "unwrap in step, panic! in inner, table[i] in lookup, table[i + 1] in pair: {}",
         r.to_table()
     );
     assert!(r.diagnostics.iter().all(|d| d.rule == "R7"));
@@ -181,6 +181,14 @@ fn r7_fail_pins_diagnostics() {
         .diagnostics
         .iter()
         .any(|d| d.line == 25 && d.message.starts_with("index `table[..]` in `lookup`")));
+    // The trailing note on line 32 covers that line, not line 33.
+    let pair: Vec<u32> = r
+        .diagnostics
+        .iter()
+        .filter(|d| d.message.contains("in `pair`"))
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(pair, vec![33]);
     assert_matches_golden("r7_fail", &r);
 }
 
