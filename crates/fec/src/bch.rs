@@ -189,6 +189,7 @@ impl Bch {
 
     /// [`Bch::decode`] with caller-owned working storage: zero heap
     /// allocation per word once the scratch buffers are sized.
+    // lint: no-alloc proof=crates/fec/tests/alloc_free.rs
     pub fn decode_scratch(&self, word: &mut [u8], s: &mut DecodeScratch) -> Result<DecodeOutcome> {
         if word.len() != self.n {
             return Err(MosaicError::LengthMismatch {

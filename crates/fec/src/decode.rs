@@ -120,6 +120,8 @@ impl DecoderCore {
     /// value equal to the per-syndrome references (pinned by each code's
     /// `fused_syndromes_match_reference` proptest) while the word streams
     /// through cache once.
+    // No harness calls it directly: the decode_scratch harness covers it.
+    // lint: no-alloc
     pub(crate) fn syndromes_into<S: Copy + Into<u16>>(
         &self,
         word: &[S],
@@ -143,6 +145,8 @@ impl DecoderCore {
     /// Returns true when the locator Λ left in `s.lambda` has degree
     /// 1..=(2t + e)/2 and exactly that many roots among the n positions;
     /// their error powers p (word index n−1−p) are then in `s.positions`.
+    // No harness calls it directly: the decode_scratch harness covers it.
+    // lint: no-alloc
     pub(crate) fn locate(&self, t: usize, s: &mut DecodeScratch) -> bool {
         let f = &self.field;
         let two_t = s.synd.len();

@@ -131,6 +131,7 @@ impl ReedSolomon {
     /// cleared and refilled with the n-symbol codeword, allocating nothing
     /// once the buffer has reached capacity. On error the buffer contents
     /// are unspecified.
+    // lint: no-alloc proof=crates/fec/tests/alloc_free.rs
     pub fn try_encode_into(&self, data: &[u16], word: &mut Vec<u16>) -> Result<()> {
         if data.len() != self.k {
             return Err(MosaicError::LengthMismatch {
@@ -184,6 +185,7 @@ impl ReedSolomon {
 
     /// [`ReedSolomon::decode`] with caller-owned working storage: zero
     /// heap allocation per word once the scratch buffers are sized.
+    // lint: no-alloc proof=crates/fec/tests/alloc_free.rs
     pub fn decode_scratch(
         &self,
         word: &mut [u16],
@@ -215,6 +217,7 @@ impl ReedSolomon {
     /// sized (after the first decode of a given code), no heap allocation
     /// happens per word. Values are bit-identical to the allocating path:
     /// GF(2^m) arithmetic is exact and the operation sequence is unchanged.
+    // lint: no-alloc proof=crates/fec/tests/alloc_free.rs
     pub fn decode_with_erasures_scratch(
         &self,
         word: &mut [u16],

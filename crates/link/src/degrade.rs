@@ -324,6 +324,8 @@ impl DegradeController {
     /// monitor in ascending channel order, fire transitions, activate
     /// spares / shed lanes for quarantined channels, and return the epoch
     /// roll-up.
+    // Every fault window F17–F19 replay steps once an epoch.
+    // lint: no-alloc proof=crates/link/tests/alloc_free.rs
     pub fn step(&mut self) -> EpochSummary {
         let epoch = self.epoch;
         let t0 = self.log.transitions.len();

@@ -54,6 +54,7 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 /// four parallel lookups and at most four XORs, not the fifteen of a
 /// chain that starts with them. XOR is associative and commutative, so
 /// the order changes no bit.
+// lint: no-alloc proof=crates/link/tests/alloc_free.rs
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     // The four lookups of a word whose bytes sit `row..row + 4` positions
@@ -130,6 +131,7 @@ impl Frame {
 /// `out` without constructing a [`Frame`]. The CRC covers only this
 /// frame's bytes, so frames may be packed back to back in one buffer.
 /// Allocation-free once `out` has capacity (lint R4).
+// lint: no-alloc proof=crates/link/tests/alloc_free.rs
 pub fn frame_into(seq: u32, payload: &[u8], out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
@@ -142,6 +144,7 @@ pub fn frame_into(seq: u32, payload: &[u8], out: &mut Vec<u8>) {
 
 /// Parse exactly one serialized frame, borrowing the payload from `buf`
 /// instead of copying it. Allocation-free (lint R4).
+// lint: no-alloc proof=crates/link/tests/alloc_free.rs
 pub fn parse_frame(buf: &[u8]) -> Result<(u32, &[u8]), FrameError> {
     if buf.len() < Frame::OVERHEAD {
         return Err(FrameError::Truncated);

@@ -25,7 +25,11 @@ use crate::striping::{
 /// Idle word transmitted on spare/unassigned channels.
 const IDLE_WORD: u64 = 0x1E1E_1E1E_1E1E_1E1E;
 
-/// A full-duplex-capable gearbox endpoint (use one per direction).
+/// A gearbox endpoint. Transmit state (scrambler, frame and marker
+/// sequence numbers) and receive state (descrambler) are separate and
+/// both read the one lane map, so a single gearbox can carry its own
+/// streams back; a link whose ends may remap at different epochs needs
+/// one per end.
 #[derive(Debug, Clone)]
 pub struct Gearbox {
     cfg: StripeConfig,
@@ -171,9 +175,10 @@ impl Gearbox {
 
     /// [`Gearbox::transmit`] into caller-owned buffers: `channels` is
     /// resized to the physical channel count and each stream refilled in
-    /// place. With a warm `scratch` the epoch loop allocates nothing
-    /// (lint R4: registered in the no-alloc registry with a
-    /// counting-allocator harness).
+    /// place. With a warm `scratch` the epoch loop allocates nothing;
+    /// every traffic epoch pushes a frame batch through here, so a
+    /// per-frame allocation would show once per epoch across all of F19.
+    // lint: no-alloc proof=crates/link/tests/alloc_free.rs
     pub fn transmit_into(
         &mut self,
         payloads: &[&[u8]],
@@ -257,8 +262,9 @@ impl Gearbox {
 
     /// [`Gearbox::receive`] into caller-owned buffers: recovered frames
     /// are descriptors into `batch.bytes` instead of owned vectors. With
-    /// warm buffers the epoch loop allocates nothing (lint R4: registered
-    /// in the no-alloc registry with a counting-allocator harness).
+    /// warm buffers the epoch loop allocates nothing, like
+    /// [`Gearbox::transmit_into`].
+    // lint: no-alloc proof=crates/link/tests/alloc_free.rs
     pub fn receive_into(
         &mut self,
         channels: &[Vec<LaneWord>],
@@ -303,6 +309,7 @@ impl Gearbox {
 /// after any corruption: `frames` is cleared and refilled with
 /// descriptors into `bytes`. Returns the count of detected-corrupt frame
 /// candidates. Allocation-free once `frames` is warm (lint R4).
+// lint: no-alloc proof=crates/link/tests/alloc_free.rs
 pub fn scan_frames_into(bytes: &[u8], frames: &mut Vec<FrameSlot>) -> usize {
     frames.clear();
     let mut corrupt = 0usize;

@@ -48,6 +48,7 @@ impl LaneHealth {
     /// exceeding the bit count is clamped — counters fed from hardware
     /// telemetry can glitch, and a saturated window is the conservative
     /// reading.
+    // lint: no-alloc proof=crates/link/tests/alloc_free.rs
     pub fn record(&mut self, bits: u64, errors: u64) {
         self.counts.record(&mut self.ring, bits, errors);
     }
@@ -111,6 +112,7 @@ impl RingCounts {
 
     /// [`LaneHealth::record`] on `ring`, this monitor's `max_windows`
     /// slots (the same slice on every call).
+    // lint: no-alloc
     pub(crate) fn record(&mut self, ring: &mut [u64], bits: u64, errors: u64) {
         let errors = errors.min(bits);
         self.cur_bits += bits;

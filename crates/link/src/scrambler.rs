@@ -83,6 +83,7 @@ impl Scrambler {
     /// 39 and out bits 0..6 at bit 58 — and those low bits *are* `first`'s,
     /// so `out = first ^ (first << 39) ^ (first << 58)` with no second
     /// pass. The new history is the last 58 emitted bits, `out >> 6`.
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     #[inline]
     pub fn scramble_word(&mut self, word: u64) -> u64 {
         let h = self.history;
@@ -98,6 +99,7 @@ impl Scrambler {
     /// *received* bits — no feedback dependency:
     /// `out = word ^ h ^ (h >> 19) ^ (word << 39) ^ (word << 58)`, and the
     /// new history is the last 58 received bits, `word >> 6`.
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     #[inline]
     pub fn descramble_word(&mut self, word: u64) -> u64 {
         let h = self.history;

@@ -64,6 +64,7 @@ pub enum LaneWord {
 /// block. Lane-major with one strided extend per lane per block, so no
 /// word costs a division. Allocation-free once `channels` is warm (lint
 /// R4).
+// lint: no-alloc proof=crates/link/tests/alloc_free.rs
 pub fn stripe_mapped(
     cfg: StripeConfig,
     next_seq: &mut u32,
@@ -162,6 +163,7 @@ pub struct DeskewScratch {
 /// first offending word in block order. On error `out` holds the blocks
 /// before the failing one. Allocation-free once the buffers are warm
 /// (lint R4).
+// lint: no-alloc proof=crates/link/tests/alloc_free.rs
 pub fn deskew_mapped(
     cfg: StripeConfig,
     channels: &[Vec<LaneWord>],

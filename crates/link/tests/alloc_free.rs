@@ -7,7 +7,7 @@
 //! `DegradeController::step`) are held to the same rule.
 //!
 //! The sim-side twin is `crates/sim/tests/alloc_free.rs`; both harnesses
-//! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
+//! are cross-checked against the `// lint: no-alloc` markers citing them.
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 

@@ -21,7 +21,7 @@
 //! a panic site inside the reachable set is a violation *wherever it
 //! lives* — the property is structural, not a file-list convention.
 
-use crate::rules::{Config, METHOD_CALL_SKIP};
+use crate::rules::METHOD_CALL_SKIP;
 use crate::symbols::{CallVia, FileFacts, LocalFinding, RngKind};
 use std::collections::BTreeMap;
 
@@ -239,64 +239,13 @@ pub fn check_duplicate_labels(
     }
 }
 
-/// R6 global pass: exactness-registry hygiene. Every entry must (a) name
-/// a function that actually accumulates inside a parallel fold — a stale
-/// entry would silently grandfather future float folds — and (b) cite an
-/// integer-rollup proof file that exists and mentions the function.
-pub fn check_exactness_registry(
-    root: Option<&std::path::Path>,
-    cfg: &Config,
-    facts: &[FileFacts],
-    extra: &mut BTreeMap<String, Vec<LocalFinding>>,
-) {
-    for e in &cfg.exactness {
-        let site = facts
-            .iter()
-            .find(|f| f.rel_path.ends_with(e.file))
-            .filter(|f| f.fold_acc_fns.iter().any(|n| n == e.func));
-        if site.is_none() {
-            extra
-                .entry(e.file.to_string())
-                .or_default()
-                .push(LocalFinding {
-                    rule: "R6".into(),
-                    line: 1,
-                    message: format!(
-                        "exactness-registry entry `{}` has no parallel-fold accumulation \
-                         site in this file; remove the stale entry from \
-                         crates/lint/src/rules.rs",
-                        e.func
-                    ),
-                });
-        }
-        let Some(root) = root else { continue };
-        let proof_ok = std::fs::read_to_string(root.join(e.proof))
-            .map(|src| src.contains(e.func))
-            .unwrap_or(false);
-        if !proof_ok {
-            extra
-                .entry(e.file.to_string())
-                .or_default()
-                .push(LocalFinding {
-                    rule: "R6".into(),
-                    line: 1,
-                    message: format!(
-                        "exactness-registry proof `{}` is missing or never mentions \
-                         `{}`; the integer-rollup test must pin the registered fold",
-                        e.proof, e.func
-                    ),
-                });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::symbols;
 
     fn file(name: &str, src: &str) -> FileFacts {
-        symbols::extract(&Config::default(), name, src)
+        symbols::extract(name, src)
     }
 
     #[test]

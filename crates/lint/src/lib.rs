@@ -12,21 +12,25 @@
 //!
 //! The engine is dependency-free (the build environment vendors
 //! everything and has no `syn`): a hand-rolled lexer (`lexer`), a
-//! structural pass for test spans / function bodies / allow annotations
-//! (`scan`), per-file fact extraction (`symbols`), a workspace call
-//! graph for the interprocedural rules (`callgraph`), token-pattern
-//! rules (`rules`), a ratchet baseline (`baseline`), and a deterministic
-//! report (`report`).
+//! structural pass for test spans and `// lint:` comments (`scan`),
+//! per-file fact extraction (`symbols`), a workspace call graph for the
+//! interprocedural rules (`callgraph`), token-pattern rules (`rules`),
+//! a ratchet baseline (`baseline`), and a deterministic report
+//! (`report`). There is no configuration: the kernels R4 and R6 check
+//! declare themselves with `// lint: no-alloc` and `// lint: exact-fold`
+//! markers (see [`scan::Marker`]).
 //!
 //! # Pipeline
 //!
 //! 1. **Collect**: every `.rs` file of every workspace member is lexed
-//!    into a [`symbols::FileFacts`] — local findings (R4–R6),
-//!    function definitions with call and panic sites, RNG derivation
-//!    sites, and allow annotations. This is the expensive phase.
+//!    into a [`symbols::FileFacts`] — local findings (R4–R6), the
+//!    marked kernels, function definitions with call and panic sites,
+//!    RNG derivation sites, and allow annotations. This is the
+//!    expensive phase.
 //! 2. **Global passes**: duplicate-label detection (R5), panic
-//!    reachability over the call graph (R7), and exactness-registry
-//!    hygiene (R6) run over all facts and append findings per file.
+//!    reachability over the call graph (R7), and the cross-checks of
+//!    every marker against the harness or proof test it cites (R4, R6)
+//!    run over all facts and append findings per file.
 //! 3. **Resolve**: each file's local + global findings meet its allow
 //!    annotations; stale or malformed allows become `lint-allow` denials.
 //! 4. **Finish**: diagnostics are sorted and fingerprinted (stable,
@@ -41,18 +45,16 @@ pub mod scan;
 pub mod symbols;
 
 use lexer::Tok;
-use report::{Diagnostic, Level, Report, SymbolStats};
-use rules::Config;
+use report::{Report, SymbolStats};
+use scan::MarkerKind;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use symbols::{FileFacts, LocalFinding};
 
-pub use rules::default_config;
-
 /// Lint every crate of the workspace at `root` (each `crates/*` package
 /// plus the root package), returning the aggregated report.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut src_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -65,27 +67,22 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
 
     let mut facts: Vec<FileFacts> = Vec::new();
     for src_dir in src_dirs.iter().filter(|d| d.is_dir()) {
-        collect_facts(cfg, root, src_dir, &mut facts)?;
+        collect_facts(root, src_dir, &mut facts)?;
     }
-    finalize(root, cfg, facts)
+    Ok(finalize(root, facts))
 }
 
 /// Lint one crate rooted at `src_dir`, reporting paths relative to
 /// `rel_root`. Public so fixture tests can run the full engine — global
 /// passes included — on a directory that is not a cargo workspace.
-pub fn lint_src_dir(cfg: &Config, rel_root: &Path, src_dir: &Path) -> io::Result<Report> {
+pub fn lint_src_dir(rel_root: &Path, src_dir: &Path) -> io::Result<Report> {
     let mut facts: Vec<FileFacts> = Vec::new();
-    collect_facts(cfg, rel_root, src_dir, &mut facts)?;
-    finalize(rel_root, cfg, facts)
+    collect_facts(rel_root, src_dir, &mut facts)?;
+    Ok(finalize(rel_root, facts))
 }
 
 /// Phase 1: lex + extract facts for every `.rs` file under `src_dir`.
-fn collect_facts(
-    cfg: &Config,
-    rel_root: &Path,
-    src_dir: &Path,
-    out: &mut Vec<FileFacts>,
-) -> io::Result<()> {
+fn collect_facts(rel_root: &Path, src_dir: &Path, out: &mut Vec<FileFacts>) -> io::Result<()> {
     let mut files = Vec::new();
     collect_rs_files(src_dir, &mut files)?;
     files.sort();
@@ -96,14 +93,14 @@ fn collect_facts(
             .to_string_lossy()
             .replace('\\', "/");
         let src = std::fs::read_to_string(&path)?;
-        out.push(symbols::extract(cfg, &rel, &src));
+        out.push(symbols::extract(&rel, &src));
     }
     Ok(())
 }
 
 /// Phases 2–4: global passes over the facts, per-file allow resolution,
-/// the R4 registry cross-check, and report finalization.
-fn finalize(root: &Path, cfg: &Config, facts: Vec<FileFacts>) -> io::Result<Report> {
+/// and report finalization.
+fn finalize(root: &Path, facts: Vec<FileFacts>) -> Report {
     let mut report = Report {
         files: facts.len() as u64,
         ..Report::default()
@@ -113,7 +110,7 @@ fn finalize(root: &Path, cfg: &Config, facts: Vec<FileFacts>) -> io::Result<Repo
     callgraph::check_duplicate_labels(&facts, &mut extra);
     let graph = callgraph::CallGraph::build(&facts);
     let stats = graph.check_reachable_panics(&mut extra);
-    callgraph::check_exactness_registry(Some(root), cfg, &facts, &mut extra);
+    cross_check_proofs(root, &facts, &mut extra);
     report.symbols = SymbolStats {
         functions: stats.functions,
         call_edges: stats.call_edges,
@@ -132,34 +129,25 @@ fn finalize(root: &Path, cfg: &Config, facts: Vec<FileFacts>) -> io::Result<Repo
             &f.rel_path,
             findings,
         ));
+        for k in &f.kernels {
+            let (file, func, proof) = (f.rel_path.clone(), k.func.clone(), k.marker.proof.clone());
+            match k.marker.kind {
+                MarkerKind::NoAlloc => report.registry.push((file, func, proof)),
+                MarkerKind::Exact => report
+                    .exactness
+                    .push((file, func, proof.unwrap_or_default())),
+            }
+        }
     }
-    // Findings attributed to paths outside the scanned set (e.g. a stale
-    // exactness entry naming a deleted file) have no allows to consult.
+    // Findings attributed to paths outside the scanned set (a harness
+    // under a crate's `tests/`) have no allows to consult.
     for (rel, findings) in extra {
         report
             .diagnostics
             .extend(rules::resolve_allows(&[], &[], &rel, findings));
     }
-
-    cross_check_registry(root, cfg, &mut report)?;
-    report.registry = cfg
-        .registry
-        .iter()
-        .map(|e| {
-            (
-                e.file.to_string(),
-                e.func.to_string(),
-                e.harness.map(str::to_string),
-            )
-        })
-        .collect();
-    report.exactness = cfg
-        .exactness
-        .iter()
-        .map(|e| (e.file.to_string(), e.func.to_string(), e.proof.to_string()))
-        .collect();
     report.finish();
-    Ok(report)
+    report
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -174,85 +162,116 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Two-way drift check between the static no-alloc registry and the
-/// counting-allocator harness:
+/// The cross-checks between the markers and the tests they cite.
 ///
-/// 1. every registry entry citing a harness must actually be *called* by
-///    that harness (so the runtime proof covers the static claim), and
+/// R4 runs a two-way drift check between the `no-alloc` kernels and
+/// each counting-allocator harness a marker cites:
+///
+/// 1. every kernel citing a harness must actually be *called* by that
+///    harness (so the runtime proof covers the static claim), and
 /// 2. every scratch-path method the harness exercises (`*_scratch`,
-///    `*_into`) must be in the registry (so a new scratch kernel cannot
-///    gain a runtime proof without gaining the static rule).
-fn cross_check_registry(root: &Path, cfg: &Config, report: &mut Report) -> io::Result<()> {
-    let mut harnesses: Vec<&str> = cfg.registry.iter().filter_map(|e| e.harness).collect();
+///    `*_into`) must be a `no-alloc` kernel (so a new scratch kernel
+///    cannot gain a runtime proof without gaining the static rule).
+///
+/// R6 requires every `exact-fold` marker's proof file to exist and to
+/// mention its function.
+fn cross_check_proofs(
+    root: &Path,
+    facts: &[FileFacts],
+    extra: &mut BTreeMap<String, Vec<LocalFinding>>,
+) {
+    let kernels = |kind: MarkerKind| {
+        facts
+            .iter()
+            .flat_map(|f| f.kernels.iter().map(move |k| (f, k)))
+            .filter(move |(_, k)| k.marker.kind == kind)
+    };
+    let mut harnesses: Vec<&str> = kernels(MarkerKind::NoAlloc)
+        .filter_map(|(_, k)| k.marker.proof.as_deref())
+        .collect();
     harnesses.sort_unstable();
     harnesses.dedup();
 
     for harness in harnesses {
-        let path = root.join(harness);
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            report.diagnostics.push(Diagnostic {
-                rule: "R4".into(),
-                level: Level::Deny,
-                file: harness.to_string(),
-                line: 1,
-                message: "registry cites this harness but the file does not exist".into(),
-                reason: None,
-                fingerprint: String::new(),
-            });
+        let mut finding = |line: u32, message: String| {
+            extra
+                .entry(harness.to_string())
+                .or_default()
+                .push(LocalFinding {
+                    rule: "R4".into(),
+                    line,
+                    message,
+                });
+        };
+        let Ok(src) = std::fs::read_to_string(root.join(harness)) else {
+            finding(
+                1,
+                "registry cites this harness but the file does not exist".into(),
+            );
             continue;
         };
-        let calls = method_calls(&src);
-
-        for entry in cfg.registry.iter().filter(|e| e.harness == Some(harness)) {
-            if !calls.iter().any(|(name, _)| name == entry.func) {
-                report.diagnostics.push(Diagnostic {
-                    rule: "R4".into(),
-                    level: Level::Deny,
-                    file: harness.to_string(),
-                    line: 1,
-                    message: format!(
+        let calls = call_sites(&src);
+        for (_, k) in
+            kernels(MarkerKind::NoAlloc).filter(|(_, k)| k.marker.proof.as_deref() == Some(harness))
+        {
+            if !calls.iter().any(|(name, _)| *name == k.func) {
+                finding(
+                    1,
+                    format!(
                         "counting-allocator harness never calls registry function `{}`; \
                          the runtime proof no longer covers the static claim",
-                        entry.func
+                        k.func
                     ),
-                    reason: None,
-                    fingerprint: String::new(),
-                });
+                );
             }
         }
         for (name, line) in &calls {
             let is_scratch_path = name.ends_with("_scratch") || name.ends_with("_into");
-            if is_scratch_path && !cfg.registry.iter().any(|e| e.func == name) {
-                report.diagnostics.push(Diagnostic {
-                    rule: "R4".into(),
-                    level: Level::Deny,
-                    file: harness.to_string(),
-                    line: *line,
-                    message: format!(
+            if is_scratch_path && !kernels(MarkerKind::NoAlloc).any(|(_, k)| k.func == *name) {
+                finding(
+                    *line,
+                    format!(
                         "harness exercises `{name}` but the no-alloc registry does not list it; \
-                         add it in crates/lint/src/rules.rs"
+                         mark it `// lint: no-alloc proof={harness}`"
                     ),
-                    reason: None,
-                    fingerprint: String::new(),
-                });
+                );
             }
         }
     }
-    Ok(())
+
+    for (f, k) in kernels(MarkerKind::Exact) {
+        let proof = k.marker.proof.as_deref().unwrap_or_default();
+        let proof_ok = std::fs::read_to_string(root.join(proof))
+            .map(|src| src.contains(&k.func))
+            .unwrap_or(false);
+        if !proof_ok {
+            extra
+                .entry(f.rel_path.clone())
+                .or_default()
+                .push(LocalFinding {
+                    rule: "R6".into(),
+                    line: k.marker.line,
+                    message: format!(
+                        "exactness-registry proof `{proof}` is missing or never mentions \
+                         `{}`; the integer-rollup test must pin the registered fold",
+                        k.func
+                    ),
+                });
+        }
+    }
 }
 
-/// Call sites in a source file, with lines: `.name(` method calls and
-/// `::name(` path calls (free functions reached through a module path,
-/// like the no-alloc registry's `framing::crc32`).
-fn method_calls(src: &str) -> Vec<(String, u32)> {
+/// Call sites in a source file, with lines: `.name(` method calls,
+/// `::name(` path calls (like `framing::crc32(`) and bare calls of
+/// imported functions (`frame_into(`).
+fn call_sites(src: &str) -> Vec<(String, u32)> {
     let toks = lexer::lex(src).tokens;
     let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].tok == Tok::Sym('.') || toks[i].tok == Tok::Sym(':') {
-            if let Some(Tok::Ident(name)) = toks.get(i + 1).map(|t| &t.tok) {
-                if symbols::is_called(&toks, i + 1) {
-                    out.push((name.clone(), toks[i + 1].line));
-                }
+    for (i, t) in toks.iter().enumerate() {
+        if let Tok::Ident(name) = &t.tok {
+            let definition = i > 0 && toks[i - 1].tok == Tok::Ident("fn".into());
+            if !definition && symbols::is_called(&toks, i) {
+                out.push((name.clone(), t.line));
             }
         }
     }
@@ -264,24 +283,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn method_calls_extracts_names_and_lines() {
-        let calls = method_calls("fn t() {\n  rs.decode_scratch(&mut w, &mut s);\n  x.k();\n}");
+    fn call_sites_extracts_names_and_lines() {
+        let calls = call_sites("fn t() {\n  rs.decode_scratch(&mut w, &mut s);\n  x.k();\n}");
         assert!(calls.contains(&("decode_scratch".into(), 2)));
         assert!(calls.contains(&("k".into(), 3)));
     }
 
     #[test]
-    fn method_calls_sees_path_calls() {
-        let calls = method_calls("fn t() {\n  let c = framing::crc32(&data[0]);\n}");
+    fn call_sites_sees_path_and_bare_calls() {
+        let calls = call_sites(
+            "fn t() {\n  let c = framing::crc32(&data[0]);\n  frame_into(1, &p, &mut b);\n}",
+        );
         assert!(calls.contains(&("crc32".into(), 2)));
+        assert!(calls.contains(&("frame_into".into(), 3)));
+        assert!(!calls.iter().any(|(name, _)| name == "t"));
     }
 
     #[test]
-    fn method_calls_sees_turbofish_calls() {
+    fn call_sites_sees_turbofish_calls() {
         let src = "fn t() {\n  let a = family.first_draws::<16>(0);\n  \
                    let b = rng::first_u64s::<Vec<[u8; 2]>>(&s);\n  \
                    let c = x.map::<fn() -> u8>(f);\n  let d = x.len::<u8>;\n}";
-        let calls = method_calls(src);
+        let calls = call_sites(src);
         assert!(calls.contains(&("first_draws".into(), 2)));
         assert!(calls.contains(&("first_u64s".into(), 3)));
         assert!(calls.contains(&("map".into(), 4)));

@@ -72,8 +72,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let cfg = mosaic_lint::default_config();
-    let report = match mosaic_lint::lint_workspace(&root, &cfg) {
+    let report = match mosaic_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mosaic-lint: I/O error: {e}");

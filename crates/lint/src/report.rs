@@ -66,9 +66,9 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Files scanned.
     pub files: u64,
-    /// The no-alloc registry as configured, for report consumers.
+    /// The `no-alloc` kernels (R4): (file, function, harness).
     pub registry: Vec<(String, String, Option<String>)>,
-    /// The R6 exactness registry: (file, function, proof).
+    /// The `exact-fold` kernels (R6): (file, function, proof).
     pub exactness: Vec<(String, String, String)>,
     /// Symbol-table / call-graph counters.
     pub symbols: SymbolStats,
@@ -235,10 +235,13 @@ impl Report {
         let _ = writeln!(
             out,
             "mosaic-lint: {} violation(s), {} allowed across {} file(s); \
+             {} no-alloc kernel(s), {} exact fold(s); \
              {} fn(s), {} call edge(s), {} fallible entry point(s), {} reachable fn(s)",
             self.deny_count(),
             self.allowed_count(),
             self.files,
+            self.registry.len(),
+            self.exactness.len(),
             self.symbols.functions,
             self.symbols.call_edges,
             self.symbols.entry_points,
@@ -320,6 +323,7 @@ mod tests {
                 },
             ],
             files: 2,
+            registry: vec![("k.rs".into(), "kernel".into(), None)],
             ..Report::default()
         };
         r.finish();
@@ -347,7 +351,9 @@ mod tests {
     #[test]
     fn table_has_summary_line() {
         let t = sample().to_table();
-        assert!(t.contains("1 violation(s), 1 allowed across 2 file(s)"));
+        assert!(t.contains(
+            "1 violation(s), 1 allowed across 2 file(s); 1 no-alloc kernel(s), 0 exact fold(s); "
+        ));
     }
 
     #[test]

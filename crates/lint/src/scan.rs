@@ -1,5 +1,5 @@
-//! Structural pass over the token stream: test-code spans, function-body
-//! spans, and `// lint: allow(...)` annotations.
+//! Structural pass over the token stream: test-code spans and the
+//! `// lint:` comments — `allow(...)` annotations and kernel markers.
 
 use crate::lexer::{lex, Comment, Lexed, Tok, Token};
 
@@ -22,6 +22,54 @@ pub struct Allow {
     pub reason: String,
 }
 
+/// The contract a kernel marker declares for its function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MarkerKind {
+    /// `no-alloc`: no banned allocating call in the body (R4).
+    NoAlloc,
+    /// `exact-fold`: the function's parallel-fold accumulation is exact
+    /// integer arithmetic (R6).
+    Exact,
+}
+
+impl MarkerKind {
+    /// The rule that checks the contract.
+    pub fn rule(self) -> &'static str {
+        match self {
+            MarkerKind::NoAlloc => "R4",
+            MarkerKind::Exact => "R6",
+        }
+    }
+
+    /// The marker's spelling after `lint:`.
+    pub fn name(self) -> &'static str {
+        match self {
+            MarkerKind::NoAlloc => "no-alloc",
+            MarkerKind::Exact => "exact-fold",
+        }
+    }
+}
+
+/// A kernel marker parsed from a line comment.
+///
+/// Grammar (line comments only, on the line directly above the `fn`
+/// item — below its doc comment, above any attributes):
+///
+/// ```text
+/// // lint: no-alloc [proof=<counting-allocator harness>]
+/// // lint: exact-fold proof=<integer-rollup test>
+/// ```
+///
+/// Paths are workspace-relative. The markers are the kernel list: R4
+/// scans every `no-alloc` function's body and R6 accepts accumulation
+/// inside the parallel folds of `exact-fold` functions only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Marker {
+    pub line: u32,
+    pub kind: MarkerKind,
+    pub proof: Option<String>,
+}
+
 /// A malformed `lint:` comment (unknown shape or missing reason).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BadAllow {
@@ -34,6 +82,7 @@ pub struct BadAllow {
 pub struct FileScan {
     pub tokens: Vec<Token>,
     pub allows: Vec<Allow>,
+    pub markers: Vec<Marker>,
     pub bad_allows: Vec<BadAllow>,
     /// Lines an index expression on which a `bound:` comment documents
     /// as unable to overrun (R7): a trailing note covers its own line, a
@@ -48,7 +97,7 @@ impl FileScan {
     /// Lex and structure one file.
     pub fn of(src: &str) -> FileScan {
         let Lexed { tokens, comments } = lex(src);
-        let (allows, bad_allows) = parse_allows(&comments);
+        let (allows, markers, bad_allows) = parse_annotations(&comments);
         // A note alone on its line covers the next one. Tokens come in
         // source order, so their lines are sorted.
         let alone = |line: u32| tokens.binary_search_by_key(&line, |t| t.line).is_err();
@@ -61,6 +110,7 @@ impl FileScan {
         FileScan {
             tokens,
             allows,
+            markers,
             bad_allows,
             bound_note_lines,
             test_spans,
@@ -71,66 +121,47 @@ impl FileScan {
     pub fn is_test_code(&self, i: usize) -> bool {
         self.test_spans.iter().any(|&(a, b)| a <= i && i < b)
     }
-
-    /// Find the body token range of `fn name` (first non-test match):
-    /// half-open range covering the tokens between the body's braces.
-    pub fn fn_body(&self, name: &str) -> Option<(usize, usize)> {
-        let toks = &self.tokens;
-        let mut i = 0;
-        while i + 1 < toks.len() {
-            if toks[i].tok == Tok::Ident("fn".into())
-                && toks[i + 1].tok == Tok::Ident(name.into())
-                && !self.is_test_code(i)
-            {
-                // Skip the signature: balance `(`…`)`, then take the
-                // first `{` at paren depth 0 as the body opener. Return
-                // types here never contain braces (no `impl Fn` sugar in
-                // the registry functions).
-                let mut j = i + 2;
-                let mut paren = 0i32;
-                while j < toks.len() {
-                    match toks[j].tok {
-                        Tok::Sym('(') => paren += 1,
-                        Tok::Sym(')') => paren -= 1,
-                        Tok::Sym('{') if paren == 0 => break,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if j >= toks.len() {
-                    return None;
-                }
-                let open = j;
-                let mut depth = 0i32;
-                while j < toks.len() {
-                    match toks[j].tok {
-                        Tok::Sym('{') => depth += 1,
-                        Tok::Sym('}') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some((open + 1, j));
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                return None;
-            }
-            i += 1;
-        }
-        None
-    }
 }
 
-fn parse_allows(comments: &[Comment]) -> (Vec<Allow>, Vec<BadAllow>) {
+fn parse_annotations(comments: &[Comment]) -> (Vec<Allow>, Vec<Marker>, Vec<BadAllow>) {
     let mut allows = Vec::new();
+    let mut markers = Vec::new();
     let mut bad = Vec::new();
     for c in comments {
         let text = c.text.trim();
         let Some(rest) = text.strip_prefix("lint:") else {
             continue;
         };
+        let mut words = rest.split_whitespace();
+        let kind = match words.next() {
+            Some("no-alloc") => Some(MarkerKind::NoAlloc),
+            Some("exact-fold") => Some(MarkerKind::Exact),
+            _ => None,
+        };
+        if let Some(kind) = kind {
+            // At most one `proof=<path>` word; `exact-fold` requires it.
+            let proof = words
+                .next()
+                .map(|w| w.strip_prefix("proof=").unwrap_or_default());
+            let valid = words.next().is_none()
+                && proof.map_or(kind == MarkerKind::NoAlloc, |p| !p.is_empty());
+            if valid {
+                markers.push(Marker {
+                    line: c.line,
+                    kind,
+                    proof: proof.map(str::to_string),
+                });
+            } else {
+                bad.push(BadAllow {
+                    line: c.line,
+                    message: format!(
+                        "malformed lint marker {text:?}; expected \
+                         `lint: no-alloc [proof=<harness>]` or `lint: exact-fold proof=<test>`"
+                    ),
+                });
+            }
+            continue;
+        }
         let rest = rest.trim();
         let parsed = (|| {
             let rest = rest.strip_prefix("allow(")?;
@@ -161,7 +192,7 @@ fn parse_allows(comments: &[Comment]) -> (Vec<Allow>, Vec<BadAllow>) {
             }),
         }
     }
-    (allows, bad)
+    (allows, markers, bad)
 }
 
 /// Find `#[cfg(test)]` / `#[test]` items and return the token span of
@@ -232,7 +263,7 @@ fn matches_test_attr(toks: &[Token], i: usize) -> bool {
 
 /// Skip one `#[...]` attribute starting at the `#`; returns the index
 /// after the closing `]`.
-fn skip_attr(toks: &[Token], i: usize) -> usize {
+pub(crate) fn skip_attr(toks: &[Token], i: usize) -> usize {
     let mut j = i + 1;
     let mut depth = 0i32;
     while j < toks.len() {
@@ -314,29 +345,37 @@ mod tests {
     }
 
     #[test]
-    fn fn_body_span_covers_only_the_body() {
-        let src = "fn outer(a: usize) -> usize { inner() }\nfn tail() { other() }";
-        let scan = FileScan::of(src);
-        let (a, b) = scan.fn_body("outer").unwrap();
-        let names: Vec<_> = scan.tokens[a..b]
+    fn markers_parse_with_and_without_proof() {
+        let scan = FileScan::of(
+            "// lint: no-alloc\nfn a() {}\n// lint: no-alloc proof=t/h.rs\nfn b() {}\n\
+             // lint: exact-fold proof=t/p.rs\nfn c() {}\n",
+        );
+        let got: Vec<_> = scan
+            .markers
             .iter()
-            .filter_map(|t| match &t.tok {
-                Tok::Ident(s) => Some(s.clone()),
-                _ => None,
-            })
+            .map(|m| (m.line, m.kind, m.proof.as_deref()))
             .collect();
-        assert_eq!(names, vec!["inner"]);
-        assert!(scan.fn_body("missing").is_none());
+        assert_eq!(
+            got,
+            vec![
+                (1, MarkerKind::NoAlloc, None),
+                (3, MarkerKind::NoAlloc, Some("t/h.rs")),
+                (5, MarkerKind::Exact, Some("t/p.rs")),
+            ]
+        );
+        assert!(scan.bad_allows.is_empty());
     }
 
     #[test]
-    fn fn_body_skips_test_duplicates() {
-        let src = "#[cfg(test)]\nmod t { fn hot() { alloc() } }\nfn hot() { clean() }";
+    fn malformed_markers_are_reported() {
+        let src = "// lint: exact-fold\n// lint: no-alloc proof=\n// lint: no-alloc harness=x\n\
+                   // lint: no-alloc proof=a proof=b\n";
         let scan = FileScan::of(src);
-        let (a, b) = scan.fn_body("hot").unwrap();
-        let has_clean = scan.tokens[a..b]
+        assert!(scan.markers.is_empty());
+        assert_eq!(scan.bad_allows.len(), 4);
+        assert!(scan
+            .bad_allows
             .iter()
-            .any(|t| t.tok == Tok::Ident("clean".into()));
-        assert!(has_clean);
+            .all(|b| b.message.starts_with("malformed lint marker")));
     }
 }

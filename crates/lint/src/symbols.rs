@@ -1,10 +1,11 @@
 //! Per-file symbol extraction: the facts the interprocedural rules run
 //! on. One pass over a file produces a [`FileFacts`] — function
 //! definitions with their `impl` context, call sites, panic sites,
-//! `DetRng` stream-derivation sites, parallel-fold accumulation sites,
-//! and the file-local findings of R4–R6 — and nothing else
+//! `DetRng` stream-derivation sites, the kernels its `// lint:` markers
+//! declare, and the file-local findings of R4–R6 — and nothing else
 //! about the file is needed afterwards: the global passes (R5 duplicate
-//! labels, R6 registry hygiene, R7 reachability) run on the facts alone.
+//! labels, R7 reachability, the harness and proof cross-checks) run on
+//! the facts alone.
 //!
 //! Name resolution here is deliberately token-shaped (see `callgraph`
 //! for how the approximation is kept sound for R7): we record *what the
@@ -12,8 +13,8 @@
 //! and let the call graph decide what it can bind to.
 
 use crate::lexer::{Tok, Token};
-use crate::rules::{self, Config};
-use crate::scan::{Allow, BadAllow, FileScan};
+use crate::rules;
+use crate::scan::{skip_attr, Allow, BadAllow, FileScan, Marker, MarkerKind};
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +100,13 @@ pub struct LocalFinding {
     pub message: String,
 }
 
+/// A function its `// lint:` marker declares a kernel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Kernel {
+    pub func: String,
+    pub marker: Marker,
+}
+
 /// Everything the global passes need to know about one file.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FileFacts {
@@ -107,10 +115,8 @@ pub struct FileFacts {
     /// Literal-label `DetRng` derivation sites (for the R5 global
     /// duplicate check).
     pub rng_sites: Vec<RngSite>,
-    /// Functions containing an accumulation inside a parallel fold —
-    /// recorded whether or not the site is registered, so stale
-    /// exactness-registry entries can be detected.
-    pub fold_acc_fns: Vec<String>,
+    /// The marked kernels, in source order.
+    pub kernels: Vec<Kernel>,
     /// R4–R6 findings local to this file (pre allow-resolution).
     pub local: Vec<LocalFinding>,
     pub allows: Vec<Allow>,
@@ -139,11 +145,10 @@ fn is_call_keyword(s: &str) -> bool {
 /// Extract the facts for one file. This is the only place source text is
 /// read; everything downstream (global rules, the report) consumes
 /// `FileFacts`.
-pub fn extract(cfg: &Config, rel_path: &str, src: &str) -> FileFacts {
+pub fn extract(rel_path: &str, src: &str) -> FileFacts {
     let scan = FileScan::of(src);
     let mut facts = FileFacts {
         rel_path: rel_path.to_string(),
-        local: rules::local_findings(cfg, rel_path, &scan),
         allows: scan.allows.clone(),
         bad_allows: scan.bad_allows.clone(),
         ..FileFacts::default()
@@ -151,6 +156,14 @@ pub fn extract(cfg: &Config, rel_path: &str, src: &str) -> FileFacts {
 
     let toks = &scan.tokens;
     let impls = find_impl_spans(toks);
+    let targets: Vec<Option<usize>> = scan
+        .markers
+        .iter()
+        .map(|m| marked_fn(&scan, m.line))
+        .collect();
+    let mut attached = vec![false; targets.len()];
+    // (fn token, marker line) of every `exact-fold` kernel.
+    let mut exact_folds: Vec<(usize, u32)> = Vec::new();
 
     // Function definitions with calls and panic sites.
     let mut bodies: Vec<(usize, usize, usize)> = Vec::new(); // (fn idx, open, close)
@@ -165,6 +178,23 @@ pub fn extract(cfg: &Config, rel_path: &str, src: &str) -> FileFacts {
             continue;
         };
         bodies.push((i, open, close));
+        for (k, m) in scan.markers.iter().enumerate() {
+            if targets[k] != Some(i) {
+                continue;
+            }
+            attached[k] = true;
+            facts.kernels.push(Kernel {
+                func: name.to_string(),
+                marker: m.clone(),
+            });
+            match m.kind {
+                MarkerKind::NoAlloc => {
+                    let found = rules::no_alloc_findings(toks, (open, close), name);
+                    facts.local.extend(found);
+                }
+                MarkerKind::Exact => exact_folds.push((i, m.line)),
+            }
+        }
         let impl_type = impls
             .iter()
             .filter(|(a, b, _)| *a <= i && i < *b)
@@ -181,14 +211,48 @@ pub fn extract(cfg: &Config, rel_path: &str, src: &str) -> FileFacts {
         collect_calls_and_panics(&scan, open, close, &mut def);
         facts.fns.push(def);
     }
+    // A marker that declares no function would silently drop its
+    // kernel from the list.
+    for (m, _) in scan.markers.iter().zip(&attached).filter(|(_, a)| !**a) {
+        facts.local.push(LocalFinding {
+            rule: m.kind.rule().into(),
+            line: m.line,
+            message: format!(
+                "`lint: {}` marker above no non-test fn; put it on the line directly \
+                 above the kernel's `fn` item, below its doc comment",
+                m.kind.name()
+            ),
+        });
+    }
 
-    if !cfg.r5_exempt_files.iter().any(|s| rel_path.ends_with(s)) {
+    if !rel_path.ends_with(rules::R5_EXEMPT_FILE) {
         collect_rng_sites(&scan, &mut facts);
         check_closure_captures(&scan, &bodies, &mut facts);
     }
-    check_parallel_folds(cfg, rel_path, &scan, &bodies, &mut facts);
+    check_parallel_folds(&scan, &bodies, &exact_folds, &mut facts);
 
     facts
+}
+
+/// The `fn` token a marker on `line` declares: the item must start on
+/// the line directly below, with only attributes and qualifiers before
+/// its `fn`, and be non-test code.
+fn marked_fn(scan: &FileScan, line: u32) -> Option<usize> {
+    let toks = &scan.tokens;
+    let mut i = toks.partition_point(|t| t.line <= line);
+    if toks.get(i)?.line != line + 1 {
+        return None;
+    }
+    loop {
+        match &toks.get(i)?.tok {
+            Tok::Sym('#') => i = skip_attr(toks, i),
+            Tok::Ident(s) if s == "fn" => break,
+            Tok::Ident(s) if s == "pub" => i += 1,
+            t if is_fn_qualifier(t) => i += 1,
+            _ => return None,
+        }
+    }
+    (!scan.is_test_code(i)).then_some(i)
 }
 
 fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
@@ -331,9 +395,21 @@ fn body_span(toks: &[Token], i: usize) -> Option<(usize, usize)> {
     None
 }
 
+/// A token that may sit between a visibility keyword and `fn`:
+/// `const`, `unsafe`, `async`, `extern "C"`, and `pub(crate)` groups.
+fn is_fn_qualifier(t: &Tok) -> bool {
+    match t {
+        Tok::Ident(s) => matches!(
+            s.as_str(),
+            "const" | "unsafe" | "async" | "extern" | "crate" | "super" | "self" | "in"
+        ),
+        Tok::Sym('(') | Tok::Sym(')') | Tok::Str(_) => true,
+        _ => false,
+    }
+}
+
 /// Is the `fn` at token `i` marked `pub` (any visibility form)? Walks
-/// back over the qualifiers that may sit between (`const`, `unsafe`,
-/// `async`, `extern "C"`, `pub(crate)` groups).
+/// back over the qualifiers that may sit between.
 fn detect_pub(toks: &[Token], i: usize) -> bool {
     let mut k = i;
     for _ in 0..8 {
@@ -342,13 +418,8 @@ fn detect_pub(toks: &[Token], i: usize) -> bool {
         }
         k -= 1;
         match &toks[k].tok {
-            Tok::Ident(s)
-                if matches!(
-                    s.as_str(),
-                    "const" | "unsafe" | "async" | "extern" | "crate" | "super" | "self" | "in"
-                ) => {}
-            Tok::Sym('(') | Tok::Sym(')') | Tok::Str(_) => {}
             Tok::Ident(s) if s == "pub" => return true,
+            t if is_fn_qualifier(t) => {}
             _ => return false,
         }
     }
@@ -677,24 +748,26 @@ fn match_paren(toks: &[Token], p: usize) -> Option<usize> {
 }
 
 /// R6: accumulation (`+=`, `-=`, `*=`, `.sum()`, `.product()`, or a
-/// rollup `.merge()`) inside a parallel fold must be covered by the
-/// exactness registry — the static promise that the accumulator is
-/// exact-integer, cross-checked against the integer-rollup tests.
+/// rollup `.merge()`) inside a parallel fold must sit in an `exact-fold`
+/// function — the static promise that the accumulator is exact-integer,
+/// cross-checked against the integer-rollup test its marker cites.
 /// Floating-point accumulation in a parallel fold reassociates across
 /// thread counts and silently breaks bit-identical results; a `merge`
 /// call is the struct-shaped version of `+=` and gets the same
 /// treatment, so rollup folds (hyperfleet, traffic) cannot gain a float
-/// field without a registered commutativity proof.
+/// field without a cited commutativity proof. An `exact-fold` marker on
+/// a function with no such accumulation is stale: it would grandfather
+/// a future float fold.
 fn check_parallel_folds(
-    cfg: &Config,
-    rel_path: &str,
     scan: &FileScan,
     bodies: &[(usize, usize, usize)],
+    exact_folds: &[(usize, u32)],
     facts: &mut FileFacts,
 ) {
     let toks = &scan.tokens;
+    let mut accumulating: Vec<usize> = Vec::new();
     for &(fn_idx, open, close) in bodies {
-        let fn_name = ident_at(toks, fn_idx + 1).unwrap_or_default().to_string();
+        let fn_name = ident_at(toks, fn_idx + 1).unwrap_or_default();
         for (entry, args_open, args_close) in parallel_entry_spans(toks, open, close) {
             if !matches!(entry, "fold" | "fold_checkpointed" | "fan_out") {
                 continue;
@@ -736,14 +809,8 @@ fn check_parallel_folds(
             if acc_lines.is_empty() {
                 continue;
             }
-            if !facts.fold_acc_fns.contains(&fn_name) {
-                facts.fold_acc_fns.push(fn_name.clone());
-            }
-            let registered = cfg
-                .exactness
-                .iter()
-                .any(|e| rel_path.ends_with(e.file) && e.func == fn_name);
-            if registered {
+            accumulating.push(fn_idx);
+            if exact_folds.iter().any(|&(i, _)| i == fn_idx) {
                 continue;
             }
             for (line, what) in acc_lines {
@@ -752,11 +819,24 @@ fn check_parallel_folds(
                     line,
                     message: format!(
                         "{what} inside parallel fold `{entry}` in fn `{fn_name}`; parallel \
-                         reductions must be exact-integer and listed in the exactness \
-                         registry (crates/lint/src/rules.rs) with an integer-rollup proof"
+                         reductions must be exact-integer and marked \
+                         `// lint: exact-fold proof=<test>` with an integer-rollup proof"
                     ),
                 });
             }
+        }
+    }
+    for &(fn_idx, line) in exact_folds {
+        if !accumulating.contains(&fn_idx) {
+            facts.local.push(LocalFinding {
+                rule: "R6".into(),
+                line,
+                message: format!(
+                    "exactness-registry entry `{}` has no parallel-fold accumulation \
+                     site; remove its stale exact-fold marker",
+                    ident_at(toks, fn_idx + 1).unwrap_or_default()
+                ),
+            });
         }
     }
 }
@@ -764,10 +844,9 @@ fn check_parallel_folds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Config;
 
     fn facts(src: &str) -> FileFacts {
-        extract(&Config::default(), "crates/sim/src/x.rs", src)
+        extract("crates/sim/src/x.rs", src)
     }
 
     fn panic_lines(src: &str) -> Vec<(u32, String)> {
@@ -959,7 +1038,7 @@ mod tests {
         let f = facts(src);
         let r6: Vec<_> = f.local.iter().filter(|l| l.rule == "R6").collect();
         assert_eq!(r6.len(), 2, "{:?}", f.local);
-        assert_eq!(f.fold_acc_fns, vec!["bad".to_string()]);
+        assert!(r6.iter().all(|l| l.message.contains("in fn `bad`")));
     }
 
     #[test]
@@ -972,35 +1051,47 @@ mod tests {
         let r6: Vec<_> = f.local.iter().filter(|l| l.rule == "R6").collect();
         assert_eq!(r6.len(), 2, "{:?}", f.local);
         assert!(r6.iter().all(|l| l.message.contains("`.merge()`")));
-        assert_eq!(f.fold_acc_fns, vec!["point".to_string()]);
 
-        let cfg = Config {
-            exactness: vec![crate::rules::ExactFold {
-                file: "x.rs",
-                func: "point",
-                proof: "tests/rollup.rs",
-            }],
-            ..Config::default()
-        };
-        let f = extract(&cfg, "crates/sim/src/x.rs", src);
+        let marked = format!("// lint: exact-fold proof=tests/rollup.rs\n{src}");
+        let f = facts(&marked);
         assert!(f.local.iter().all(|l| l.rule != "R6"), "{:?}", f.local);
-        assert_eq!(f.fold_acc_fns, vec!["point".to_string()]);
+        assert_eq!(
+            f.kernels,
+            vec![Kernel {
+                func: "point".into(),
+                marker: Marker {
+                    line: 1,
+                    kind: MarkerKind::Exact,
+                    proof: Some("tests/rollup.rs".into()),
+                },
+            }]
+        );
     }
 
     #[test]
-    fn registered_fold_accumulation_is_clean_but_recorded() {
-        let cfg = Config {
-            exactness: vec![crate::rules::ExactFold {
-                file: "x.rs",
-                func: "sum",
-                proof: "tests/rollup.rs",
-            }],
-            ..Config::default()
-        };
-        let src = "impl Plan { pub fn sum(&self, exec: &Exec) -> u64 {\n\
-                   self.fold(exec, || (), || 0u64, |c, _s, acc| { *acc += c.v(); }, |t, p| { *t += p; })\n} }";
-        let f = extract(&cfg, "crates/sim/src/x.rs", src);
-        assert!(f.local.iter().all(|l| l.rule != "R6"), "{:?}", f.local);
-        assert_eq!(f.fold_acc_fns, vec!["sum".to_string()]);
+    fn marked_fold_is_clean_and_a_marker_without_a_fold_is_stale() {
+        let src = "impl Plan {\n// lint: exact-fold proof=tests/rollup.rs\npub fn sum(&self, exec: &Exec) -> u64 {\n\
+                   self.fold(exec, || (), || 0u64, |c, _s, acc| { *acc += c.v(); }, |t, p| { *t += p; })\n}\n\
+                   // lint: exact-fold proof=tests/rollup.rs\nfn serial(v: &[u64]) -> u64 { v.iter().sum() }\n}";
+        let f = facts(src);
+        let r6: Vec<_> = f.local.iter().filter(|l| l.rule == "R6").collect();
+        assert_eq!(r6.len(), 1, "{:?}", f.local);
+        assert_eq!(r6[0].line, 6);
+        assert!(r6[0]
+            .message
+            .contains("`serial` has no parallel-fold accumulation"));
+    }
+
+    #[test]
+    fn markers_attach_through_attributes_and_qualifiers_only() {
+        let src = "/// Doc.\n// lint: no-alloc\n#[inline]\npub(crate) const fn a() {}\n\
+                   // lint: no-alloc\n/// Doc below the marker.\nfn b() {}\n\
+                   #[cfg(test)]\nmod t {\n    // lint: no-alloc\n    fn c() {}\n}\n\
+                   // lint: exact-fold proof=p.rs\nstruct S;\n";
+        let f = facts(src);
+        let kernels: Vec<_> = f.kernels.iter().map(|k| k.func.as_str()).collect();
+        assert_eq!(kernels, vec!["a"]);
+        let unattached: Vec<_> = f.local.iter().map(|l| (l.rule.as_str(), l.line)).collect();
+        assert_eq!(unattached, vec![("R4", 5), ("R4", 10), ("R6", 13)]);
     }
 }

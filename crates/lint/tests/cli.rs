@@ -76,9 +76,8 @@ fn exit_two_on_a_bad_root() {
 /// grown allow count (even though the new violation is annotated and the
 /// run is otherwise "clean") and any new diagnostic fingerprint.
 ///
-/// The synth workspace carries baked-in denials (the default config's
-/// registry cites harness files that don't exist there), so ratchet
-/// outcomes are asserted on stderr, not the exit code.
+/// Ratchet outcomes are asserted on stderr, where the ratchet reports
+/// them; the exit code also reflects the run's own violations.
 #[test]
 fn baseline_ratchet_rejects_new_allows_and_fingerprints() {
     let root = synth_workspace("ratchet", "pub fn f() -> u32 { 1 }\n");

@@ -1,6 +1,7 @@
 //! R4 passing fixture: a no-alloc kernel writing through caller-owned
-//! scratch buffers. Helper functions outside the registry may allocate.
+//! scratch buffers. Unmarked helper functions may allocate.
 
+// lint: no-alloc
 pub fn kernel(input: &[u8], scratch: &mut [u8]) -> usize {
     let n = input.len().min(scratch.len());
     // bound: n <= len of both slices by construction
@@ -14,7 +15,7 @@ pub fn kernel(input: &[u8], scratch: &mut [u8]) -> usize {
     flips
 }
 
-/// Cold-path helper, not in the registry: allocation here is fine.
+/// Cold-path helper, not marked: allocation here is fine.
 pub fn describe(n: usize) -> String {
     format!("kernel processed {n} symbols")
 }

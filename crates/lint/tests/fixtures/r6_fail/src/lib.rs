@@ -1,6 +1,7 @@
 //! R6 failing fixture: float accumulation inside parallel folds without
-//! a registry entry, on a plan held in a variable (recognised by its
-//! `exec` argument) and on a builder chain.
+//! an exact-fold marker, on a plan held in a variable (recognised by its
+//! `exec` argument) and on a builder chain; and a stale marker citing a
+//! missing proof on a function that folds nothing in parallel.
 
 /// Unregistered float accumulation in a commutative fold: the merge
 /// order changes the rounding, so totals drift across thread counts.
@@ -28,4 +29,10 @@ pub fn plan_biased(exec: &Exec) -> f64 {
         },
         |a, b| *a += b,
     )
+}
+
+/// A sequential sum: its exact-fold marker is stale.
+// lint: exact-fold proof=missing_proof.rs
+pub fn rollup(xs: &[u64]) -> u64 {
+    xs.iter().sum()
 }

@@ -1,5 +1,5 @@
-//! Stand-in integer-rollup proof for the fixture registry: mentions
-//! `rollup`, the registered fold, as a real proof test would.
+//! Stand-in integer-rollup proof for the fixture: mentions `rollup`, the
+//! marked fold, as a real proof test would.
 
 #[test]
 fn rollup_is_thread_invariant() {

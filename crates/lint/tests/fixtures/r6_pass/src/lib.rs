@@ -1,8 +1,9 @@
 //! R6 passing fixture: the parallel fold accumulates exact integers and
-//! is registered (with a proof file); iterator folds and sequential
-//! sums are out of scope.
+//! is marked exact-fold (with a proof file); iterator folds and
+//! sequential sums are out of scope.
 
-/// Registered in the fixture's exactness registry: u64 counters only.
+/// Marked exact-fold, citing the fixture's proof: u64 counters only.
+// lint: exact-fold proof=proof.rs
 pub fn rollup(exec: &Exec, n: u64) -> u64 {
     TrialPlan::new().trials(n).fold(
         exec,

@@ -6,7 +6,6 @@
 //! diff.
 
 use mosaic_lint::report::Report;
-use mosaic_lint::rules::{Config, ExactFold, RegistryFn};
 use std::path::{Path, PathBuf};
 
 fn fixture_dir(name: &str) -> PathBuf {
@@ -18,33 +17,11 @@ fn fixture_dir(name: &str) -> PathBuf {
 /// Run the full engine — global passes included, every rule on — over
 /// one fixture; paths in the report are relative to the fixture root
 /// (`src/lib.rs`), so goldens are machine-independent. A fixture picks
-/// the rule it exercises by the registry its config fills (R4, R6) or by
-/// its content (R5, R7, lint-allow).
-fn lint_fixture(name: &str, cfg: &Config) -> Report {
+/// the rule it exercises by its content: its kernel markers (R4, R6),
+/// its RNG sites (R5), its `try_*` entries (R7), its allows.
+fn lint_fixture(name: &str) -> Report {
     let root = fixture_dir(name);
-    mosaic_lint::lint_src_dir(cfg, &root, &root.join("src")).expect("fixture readable")
-}
-
-fn r4_registry() -> Config {
-    Config {
-        registry: vec![RegistryFn {
-            file: "src/lib.rs",
-            func: "kernel",
-            harness: None,
-        }],
-        ..Config::default()
-    }
-}
-
-fn r6_registry(proof: &'static str) -> Config {
-    Config {
-        exactness: vec![ExactFold {
-            file: "src/lib.rs",
-            func: "rollup",
-            proof,
-        }],
-        ..Config::default()
-    }
+    mosaic_lint::lint_src_dir(&root, &root.join("src")).expect("fixture readable")
 }
 
 /// Compare a violating fixture's report against its pinned golden.
@@ -66,30 +43,48 @@ fn assert_matches_golden(name: &str, report: &Report) {
 
 #[test]
 fn r4_pass_is_clean() {
-    let r = lint_fixture("r4_pass", &r4_registry());
+    let r = lint_fixture("r4_pass");
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
 }
 
 #[test]
 fn r4_fail_pins_diagnostics() {
-    let r = lint_fixture("r4_fail", &r4_registry());
-    assert_eq!(r.deny_count(), 2, "collect + to_vec: {}", r.to_table());
+    let r = lint_fixture("r4_fail");
+    assert_eq!(
+        r.deny_count(),
+        5,
+        "collect, to_vec, with_capacity, to_owned, Box::from: {}",
+        r.to_table()
+    );
     assert!(r.diagnostics.iter().all(|d| d.rule == "R4"));
     assert_matches_golden("r4_fail", &r);
 }
 
 #[test]
-fn r4_renamed_kernel_is_a_violation() {
-    let mut cfg = r4_registry();
-    cfg.registry[0].func = "kernel_renamed";
-    let r = lint_fixture("r4_pass", &cfg);
-    assert_eq!(r.deny_count(), 1);
-    assert!(r.diagnostics[0].message.contains("not found"));
+fn r4_checks_the_marked_homonym() {
+    let r = lint_fixture("r4_homonym");
+    assert_eq!(r.deny_count(), 1, "to_vec in Hot::kernel: {}", r.to_table());
+    assert_eq!(r.diagnostics[0].line, 18);
+    assert_eq!(r.registry.len(), 1);
+    assert_matches_golden("r4_homonym", &r);
+}
+
+#[test]
+fn r4_marker_above_no_fn_is_a_violation() {
+    let r = lint_fixture("r4_orphan");
+    let lines: Vec<u32> = r.diagnostics.iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![4, 10, 13], "{}", r.to_table());
+    assert!(r
+        .diagnostics
+        .iter()
+        .all(|d| d.rule == "R4" && d.message.contains("marker above no non-test fn")));
+    assert!(r.registry.is_empty());
+    assert_matches_golden("r4_orphan", &r);
 }
 
 #[test]
 fn r5_pass_is_clean_with_one_allowed_forwarder() {
-    let r = lint_fixture("r5_pass", &Config::default());
+    let r = lint_fixture("r5_pass");
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 1, "the annotated label forwarder");
     assert_eq!(r.allows_by_rule().get("R5"), Some(&1));
@@ -97,7 +92,7 @@ fn r5_pass_is_clean_with_one_allowed_forwarder() {
 
 #[test]
 fn r5_fail_pins_diagnostics() {
-    let r = lint_fixture("r5_fail", &Config::default());
+    let r = lint_fixture("r5_fail");
     assert_eq!(
         r.deny_count(),
         7,
@@ -126,17 +121,22 @@ fn r5_fail_pins_diagnostics() {
 }
 
 #[test]
-fn r6_pass_is_clean_and_records_the_registered_fold() {
-    let r = lint_fixture("r6_pass", &r6_registry("proof.rs"));
+fn r6_pass_is_clean_and_records_the_marked_fold() {
+    let r = lint_fixture("r6_pass");
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 0);
+    assert_eq!(
+        r.exactness,
+        vec![("src/lib.rs".into(), "rollup".into(), "proof.rs".into())]
+    );
 }
 
 #[test]
 fn r6_fail_pins_diagnostics() {
-    // The fixture has no `rollup`, so the registry entry is stale and the
-    // hygiene checks fire alongside the float-accumulation findings.
-    let r = lint_fixture("r6_fail", &r6_registry("missing_proof.rs"));
+    // The marked `rollup` folds nothing in parallel and cites a missing
+    // proof, so the hygiene checks fire alongside the float-accumulation
+    // findings.
+    let r = lint_fixture("r6_fail");
     assert!(r.diagnostics.iter().all(|d| d.rule == "R6"));
     assert!(
         r.diagnostics
@@ -158,7 +158,7 @@ fn r6_fail_pins_diagnostics() {
 
 #[test]
 fn r7_pass_accepts_the_unreachable_panicking_wrapper() {
-    let r = lint_fixture("r7_pass", &Config::default());
+    let r = lint_fixture("r7_pass");
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 0, "no annotations needed under R7");
     assert_eq!(r.symbols.entry_points, 1, "try_new");
@@ -166,7 +166,7 @@ fn r7_pass_accepts_the_unreachable_panicking_wrapper() {
 
 #[test]
 fn r7_fail_pins_diagnostics() {
-    let r = lint_fixture("r7_fail", &Config::default());
+    let r = lint_fixture("r7_fail");
     assert_eq!(
         r.deny_count(),
         4,
@@ -194,7 +194,7 @@ fn r7_fail_pins_diagnostics() {
 
 #[test]
 fn lexer_pass_has_no_false_positives() {
-    let r = lint_fixture("lexer_pass", &Config::default());
+    let r = lint_fixture("lexer_pass");
     assert_eq!(r.deny_count(), 0, "unexpected: {}", r.to_table());
     assert_eq!(r.allowed_count(), 0);
     assert_eq!(r.symbols.entry_points, 5, "every fn is a try_* entry");
@@ -202,7 +202,7 @@ fn lexer_pass_has_no_false_positives() {
 
 #[test]
 fn lexer_fail_still_sees_violations_after_tricky_tokens() {
-    let r = lint_fixture("lexer_fail", &Config::default());
+    let r = lint_fixture("lexer_fail");
     assert_eq!(
         r.deny_count(),
         4,
@@ -229,7 +229,7 @@ fn lexer_fail_still_sees_violations_after_tricky_tokens() {
 
 #[test]
 fn stale_and_malformed_allows_pin_diagnostics() {
-    let r = lint_fixture("allow_fail", &Config::default());
+    let r = lint_fixture("allow_fail");
     assert_eq!(r.deny_count(), 2, "stale + malformed: {}", r.to_table());
     assert!(r.diagnostics.iter().all(|d| d.rule == "lint-allow"));
     assert_matches_golden("allow_fail", &r);

@@ -521,6 +521,9 @@ pub struct HardFailTally {
 /// `tally`. Allocation-free after queue warm-up (lint rule R4): the
 /// queue holds at most one pending event because repairs are accounted
 /// at failure time.
+// 10⁶+ links stream through the shard loops: a per-link allocation
+// would dominate the run.
+// lint: no-alloc proof=crates/netsim/tests/alloc_free.rs
 pub fn drain_hard_failures(
     queue: &mut EventQueue<()>,
     rng: &mut DetRng,
@@ -620,6 +623,9 @@ fn next_live_epoch(
 /// Allocation-free on a warmed controller (lint rule R4): the
 /// per-epoch active set is a u64 bitmask (`groups <= 64`, enforced by
 /// config validation).
+// 10⁶+ links stream through the shard loops: a per-link allocation
+// would dominate the run.
+// lint: no-alloc proof=crates/netsim/tests/alloc_free.rs
 pub fn replay_fault_window(
     ctl: &mut DegradeController,
     events: &[FaultEvent],

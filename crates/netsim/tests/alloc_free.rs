@@ -6,7 +6,7 @@
 //! shard streams through these, so a single per-link allocation would
 //! dominate the run.
 //!
-//! Cross-checked against the `mosaic_lint` R4 no-alloc registry (the
+//! Cross-checked against the `// lint: no-alloc` markers citing it (the
 //! sim- and fec-side twins are `crates/sim/tests/alloc_free.rs` and
 //! `crates/fec/tests/alloc_free.rs`). Everything runs in a single
 //! `#[test]` so no concurrent test can pollute the process-wide

@@ -75,6 +75,8 @@ impl FaultedLink {
     /// `observe(channel, effect)` what the caller's monitor saw as
     /// `(bits, errors)` (in channel order), report deaths and observations
     /// to the controller and step it. Allocation-free (bar log growth).
+    // The stepped fault core F17 and F19 share, once per traffic epoch.
+    // lint: no-alloc proof=crates/traffic/tests/alloc_free.rs
     pub fn step(&mut self, mut observe: impl FnMut(usize, &ChannelEffect) -> (u64, u64)) {
         for (ch, eff) in self.effects.iter_mut().enumerate() {
             *eff = self.campaign.effect_at(ch, self.epoch);

@@ -297,6 +297,8 @@ impl FaultCampaign {
     /// keys its own stream, skips the word already used and continues
     /// as the one-stream-per-channel loop would: the campaign is the
     /// same word for word (DESIGN §11.2).
+    // Per link, into the shard's reused buffer.
+    // lint: no-alloc proof=crates/netsim/tests/alloc_free.rs
     pub fn generate_into(&mut self, config: CampaignConfig, seed: u64) {
         self.config = config;
         self.events.clear();

@@ -70,13 +70,23 @@ impl BitErrorInjector {
     /// flip regardless of word count. Draws, flips and carried gap equal
     /// the word-at-a-time loop [`BitErrorInjector::corrupt_words_scalar`]
     /// (pinned by the `batched_words_path_equals_word_loop` proptest).
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     pub fn corrupt_words(&mut self, words: &mut [u64]) -> u64 {
         let n = words.len() as u64 * 64;
+        self.skip_flips(n, |pos| words[(pos >> 6) as usize] ^= 1u64 << (pos & 63))
+    }
+
+    /// The geometric-skip loop the slice kernels share: walk an `n`-bit
+    /// stream, `flip` each error position, and carry the leftover gap
+    /// into the next call. Returns the number of flips.
+    // lint: no-alloc
+    #[inline]
+    fn skip_flips(&mut self, n: u64, mut flip: impl FnMut(u64)) -> u64 {
         let mut flips = 0u64;
         let mut pos = 0u64;
         while pos + self.gap < n {
             pos += self.gap;
-            words[(pos >> 6) as usize] ^= 1u64 << (pos & 63);
+            flip(pos);
             flips += 1;
             pos += 1;
             self.gap = self.rng.geometric(self.ber);
@@ -119,22 +129,11 @@ impl BitErrorInjector {
     /// serialized bit stream `corrupt_bits` would see (bit `b` of symbol
     /// `s` at stream position `s·m + b`): identical RNG draws, identical
     /// flips, no bit-vector round trip. Returns the number of flips.
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     pub fn corrupt_symbols(&mut self, symbols: &mut [u16], bits_per_symbol: u32) -> u64 {
         let bps = bits_per_symbol as u64;
-        let mut flips = 0u64;
-        let mut pos = 0u64;
         let n = symbols.len() as u64 * bps;
-        while pos + self.gap < n {
-            pos += self.gap;
-            symbols[(pos / bps) as usize] ^= 1 << (pos % bps);
-            flips += 1;
-            pos += 1;
-            self.gap = self.rng.geometric(self.ber);
-        }
-        self.gap -= n - pos;
-        self.bits += n;
-        self.errors += flips;
-        flips
+        self.skip_flips(n, |pos| symbols[(pos / bps) as usize] ^= 1 << (pos % bps))
     }
 
     /// Corrupt the data words of a lane stream in place (markers are
@@ -148,6 +147,7 @@ impl BitErrorInjector {
     /// — and every draw — is identical to a word-at-a-time loop over the
     /// data words (pinned by the `lane_batching_matches_word_loop`
     /// proptest, which holds that loop as its reference).
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     pub fn corrupt_lane(&mut self, lane: &mut [LaneWord]) -> u64 {
         const RUN: usize = 64;
         let mut buf = [0u64; RUN];

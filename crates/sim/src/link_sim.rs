@@ -5,10 +5,16 @@
 //! frame is validated byte-for-byte against what was sent — the simulator
 //! can prove "zero corrupted frames delivered", not merely estimate it.
 //!
+//! One gearbox plays both ends: its transmit state (scrambler, frame and
+//! marker sequence numbers) and receive state (descrambler) are separate
+//! fields, and both directions read its one lane map, so transmitting
+//! and then receiving through it gives the streams and frames a TX/RX
+//! pair failed in lockstep would.
+//!
 //! Error telemetry: the receive-side health monitors are fed the injected
 //! error counts per channel, modeling the per-channel PRBS/FEC counters
 //! the Mosaic hardware exposes. When a monitor crosses the degrade
-//! threshold (or a kill fault lands), both gearboxes remap to a spare at
+//! threshold (or a kill fault lands), the lane map swaps in a spare at
 //! the next epoch boundary — in-flight data is lost, which is visible in
 //! the report as lost frames during the failover epoch.
 //!
@@ -130,8 +136,7 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
         cfg.faults.config().channels <= cfg.physical_channels,
         "fault campaign spans more channels than the link has"
     );
-    let mut tx = Gearbox::new(cfg.logical_lanes, cfg.physical_channels, cfg.am_period);
-    let mut rx = Gearbox::new(cfg.logical_lanes, cfg.physical_channels, cfg.am_period);
+    let mut gearbox = Gearbox::new(cfg.logical_lanes, cfg.physical_channels, cfg.am_period);
 
     let mut states: Vec<ChannelState> = (0..cfg.physical_channels)
         .map(|c| ChannelState {
@@ -178,7 +183,7 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
             })
             .collect();
         let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        tx.transmit_into(&refs, &mut tx_scratch, &mut channels);
+        gearbox.transmit_into(&refs, &mut tx_scratch, &mut channels);
         report.frames_sent += payloads.len() as u64;
         // `refs` borrowed `payloads` only through `transmit_into`; move
         // the buffers into the archive instead of cloning every frame.
@@ -203,7 +208,8 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
         }
 
         // 4. Receive.
-        rx.receive_into(&channels, &mut rx_scratch, &mut batch)
+        gearbox
+            .receive_into(&channels, &mut rx_scratch, &mut batch)
             .expect("channel stream count matches the gearbox by construction");
         if batch.deskew_failed() {
             report.deskew_failed_epochs += 1;
@@ -219,9 +225,9 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
         }
 
         // 5. Control plane: retire channels that died or degraded, on both
-        //    ends (out-of-band coordination, effective next epoch).
+        //    ends at once (out-of-band coordination, effective next epoch).
         for (c, st) in states.iter_mut().enumerate() {
-            let assigned = tx.lane_map().assignment().contains(&c);
+            let assigned = gearbox.lane_map().assignment().contains(&c);
             if !assigned {
                 continue;
             }
@@ -235,10 +241,7 @@ pub fn simulate_link(cfg: &LinkSimConfig) -> LinkSimReport {
                 } else {
                     FailureKind::Degraded
                 };
-                let a = tx.fail_channel(c, kind);
-                let b = rx.fail_channel(c, kind);
-                debug_assert_eq!(a, b);
-                if let Ok(Some(_)) = a {
+                if let Ok(Some(_)) = gearbox.fail_channel(c, kind) {
                     report.remaps += 1;
                     if !st.dead {
                         report.retired_by_monitor += 1;

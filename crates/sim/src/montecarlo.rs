@@ -214,6 +214,7 @@ impl SlicerPoint {
     /// XOR/popcounts. Tail blocks shorter than 64 lanes leave the high
     /// lanes zero in *both* words, so the XOR contributes nothing — the
     /// tail-lane masking rule of DESIGN §11.
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     pub fn count_errors(&self, bits: u64, rng: &mut DetRng) -> u64 {
         const WORD: usize = 64;
         const BLOCK: usize = 256;
@@ -391,6 +392,8 @@ struct RsChannelScratch {
 /// [`BitErrorInjector::corrupt_symbols`] — the same bit stream the old
 /// serialize/corrupt/reassemble round trip produced, without the
 /// per-word bit vector.
+// u64 error/iteration counters merged per worker.
+// lint: exact-fold proof=crates/sim/tests/parallel_determinism.rs
 pub fn run_rs_channel_with(
     exec: &Exec,
     rs: &ReedSolomon,

@@ -61,6 +61,7 @@ impl Substreams {
     /// the block function once per batch instead of once per stream
     /// (DESIGN §11.2). A child that needs more draws is keyed again
     /// with [`Substreams::child`] and skips the word it already used.
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     #[inline]
     pub fn first_draws<const N: usize>(&self, first: u64) -> [u64; N] {
         let seeds: [u64; N] =
@@ -134,6 +135,7 @@ impl Bernoulli {
     /// [`DetRng::set_word_pos`]. The one-draw-per-trial loop is the test
     /// reference, held inside the `at_most_matches_sequential_loop`
     /// proptest.
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     pub fn at_most(&self, n: usize, cap: usize, rng: &mut DetRng) -> bool {
         const SLAB: usize = 64;
         let start = rng.word_pos();
@@ -231,6 +233,7 @@ impl DetRng {
     /// Bulk draw: fill `out` with exactly the values [`DetRng::next_u64`]
     /// would return called `out.len()` times, amortizing the generator's
     /// buffer bookkeeping over the whole slab.
+    // lint: no-alloc proof=crates/sim/tests/alloc_free.rs
     #[inline]
     pub fn fill_u64(&mut self, out: &mut [u64]) {
         self.inner.fill_u64s(out);

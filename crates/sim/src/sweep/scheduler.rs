@@ -222,6 +222,8 @@ impl<'a> TrialPlan<'a> {
     ///
     /// # Panics
     /// As [`TrialPlan::run`].
+    // u64 accumulator, per-chunk partials summed in task-id order.
+    // lint: exact-fold proof=crates/sim/tests/parallel_determinism.rs
     pub fn sum<F>(&self, exec: &Exec, f: F) -> u64
     where
         F: Fn(&mut TrialCtx) -> u64 + Sync,
@@ -296,6 +298,9 @@ impl<'a> TrialPlan<'a> {
     ///
     /// # Panics
     /// As [`TrialPlan::run`].
+    // ExactRollup::merge over exact-integer fields: thread- and
+    // resume-invariant.
+    // lint: exact-fold proof=crates/sim/tests/checkpoint.rs
     pub fn fold_checkpointed<R, S, FS, F>(
         &self,
         exec: &Exec,

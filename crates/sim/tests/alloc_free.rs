@@ -5,7 +5,7 @@
 //! it once their buffers are warmed.
 //!
 //! The fec-side twin is `crates/fec/tests/alloc_free.rs`; both harnesses
-//! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
+//! are cross-checked against the `// lint: no-alloc` markers citing them.
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 

@@ -143,11 +143,11 @@ proptest! {
     }
 }
 
-/// Integer-rollup proof for the R6 exactness registry: the coded-channel
-/// fold `run_rs_channel_with` merges per-worker `u64` counters only, so
-/// every counter of `CodedRun` is bit-identical at every thread count.
-/// `mosaic_lint` cross-checks that this test names the registered fold —
-/// removing it (or the mention) is an R6 violation.
+/// Integer-rollup proof cited by an R6 `exact-fold` marker: the
+/// coded-channel fold `run_rs_channel_with` merges per-worker `u64`
+/// counters only, so every counter of `CodedRun` is bit-identical at
+/// every thread count. `mosaic_lint` cross-checks that this test names
+/// the marked fold — removing it (or the mention) is an R6 violation.
 #[test]
 fn run_rs_channel_with_counters_are_thread_invariant() {
     use mosaic_fec::rs::ReedSolomon;

@@ -402,6 +402,9 @@ impl LinkHarness {
 
     /// Run one epoch of the pipeline described in the module docs.
     /// Infallible by design: every failure mode is a measured outcome.
+    // Cold reconfiguration (gearbox rebuild on width reduction, controller
+    // transition-log growth) lives in helpers outside this body.
+    // lint: no-alloc proof=crates/traffic/tests/alloc_free.rs
     pub fn step(&mut self) {
         let epoch = self.epoch;
 

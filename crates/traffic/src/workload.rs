@@ -204,6 +204,8 @@ impl Workload {
     /// `i..i + 32` and moves every lane 32 steps on. The lanes' multiplies
     /// are independent, so a round waits on one multiply, not one per
     /// byte or per word.
+    // Every offered frame is written with this pattern.
+    // lint: no-alloc proof=crates/traffic/tests/alloc_free.rs
     pub fn payload_into(spec: &FrameSpec, arena: &mut Vec<u8>) -> (usize, usize) {
         let start = arena.len();
         arena.reserve(spec.size);

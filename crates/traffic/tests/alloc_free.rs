@@ -2,8 +2,8 @@
 //! counting global allocator wraps the system allocator and
 //! [`LinkHarness::step`] must not touch it once its buffers are warmed,
 //! nor [`Workload::payload_into`] appending to a warm arena.
-//! This is the lint R4 harness for the traffic crate's registered hot
-//! functions; the link- and sim-side twins are
+//! This is the lint R4 harness the traffic crate's `no-alloc` markers
+//! cite; the link- and sim-side twins are
 //! `crates/link/tests/alloc_free.rs` and `crates/sim/tests/alloc_free.rs`.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test can
